@@ -119,6 +119,10 @@ func DefaultConfig() *Config {
 			// its shard or combine paths would silently break that.
 			"lowdiff/internal/compress",
 			"lowdiff/internal/parallel",
+			// The optimizer kernels are that data plane's apply stage:
+			// replayed steps must round exactly like the live ones, at any
+			// worker count, and snapshots must list slots in a fixed order.
+			"lowdiff/internal/optim",
 			// Profile reports and golden trace fixtures are byte-exact:
 			// any map iteration or wall-clock read in the analyzer or the
 			// serializers would make reports flap between runs.
@@ -145,6 +149,21 @@ func DefaultConfig() *Config {
 			"lowdiff/internal/core.ppRank.step",
 			"lowdiff/internal/core.shiftToGlobal",
 			"lowdiff/internal/core.applyCompressed",
+			// The optimizer kernels run once per training step and once per
+			// replayed differential; the rest of optim (construction,
+			// snapshots, restore) is cold.
+			"lowdiff/internal/optim.Adam.StepWith",
+			"lowdiff/internal/optim.Adam.StepSparseWith",
+			"lowdiff/internal/optim.Adam.advance",
+			"lowdiff/internal/optim.SGD.StepWith",
+			"lowdiff/internal/optim.SGD.StepSparseWith",
+			"lowdiff/internal/optim.SGD.advance",
+			"lowdiff/internal/optim.adamRange",
+			"lowdiff/internal/optim.sgdRange",
+			"lowdiff/internal/optim.checkSparse",
+			"lowdiff/internal/optim.scatter",
+			"lowdiff/internal/optim.scratchPool.get",
+			"lowdiff/internal/optim.scratchPool.put",
 			"lowdiff/internal/comm.Window.Retain",
 			"lowdiff/internal/comm.Window.lookup",
 			"lowdiff/internal/comm.payloadCRC",

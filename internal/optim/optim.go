@@ -18,10 +18,13 @@ package optim
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
+	"lowdiff/internal/parallel"
 	"lowdiff/internal/tensor"
 )
 
@@ -33,8 +36,18 @@ type Optimizer interface {
 	// idx (values vals). Must be exactly equivalent to a dense Step on the
 	// scattered gradient.
 	StepSparse(params tensor.Vector, idx []int32, vals tensor.Vector) error
+	// StepWith and StepSparseWith are Step and StepSparse with the
+	// per-parameter loop sharded over pool's fixed chunk grid. The rules are
+	// elementwise, so the result is bit-identical at any worker count; a nil
+	// pool is the serial call (Step and StepSparse are exactly that).
+	StepWith(pool *parallel.Pool, params, grad tensor.Vector) error
+	StepSparseWith(pool *parallel.Pool, params tensor.Vector, idx []int32, vals tensor.Vector) error
 	// Snapshot returns a deep copy of the optimizer state.
 	Snapshot() State
+	// Detach hands the optimizer's state out without copying it: the
+	// returned slots are the live buffers, so the optimizer must not be
+	// used afterwards. It is the move-out half of Adopt.
+	Detach() State
 	// Restore replaces the optimizer state from a snapshot.
 	Restore(State) error
 	// Clone returns an independent copy of the optimizer.
@@ -55,18 +68,11 @@ type State struct {
 	Slots   map[string][]float32
 }
 
-// clone deep-copies a state.
-func (s State) clone() State {
-	out := State{Name: s.Name, Step: s.Step}
-	out.Scalars = make(map[string]float64, len(s.Scalars))
-	for k, v := range s.Scalars {
-		out.Scalars[k] = v
-	}
-	out.Slots = make(map[string][]float32, len(s.Slots))
-	for k, v := range s.Slots {
-		c := make([]float32, len(v))
-		copy(c, v)
-		out.Slots[k] = c
+// Clone returns a deep copy of the state: nothing in it aliases s.
+func (s State) Clone() State {
+	out := State{Name: s.Name, Step: s.Step, Scalars: maps.Clone(s.Scalars), Slots: make(map[string][]float32, len(s.Slots))}
+	for k, v := range s.Slots { //lint:allow determinism a per-key copy; nothing leaves in map order
+		out.Slots[k] = slices.Clone(v)
 	}
 	return out
 }
@@ -76,7 +82,7 @@ func (s State) clone() State {
 // must visit slots in a fixed order to stay byte-reproducible).
 func (s State) SlotNames() []string {
 	names := make([]string, 0, len(s.Slots))
-	for k := range s.Slots {
+	for k := range s.Slots { //lint:allow determinism keys are sorted below; nothing leaves in map order
 		names = append(names, k)
 	}
 	sort.Strings(names)
@@ -86,7 +92,7 @@ func (s State) SlotNames() []string {
 // ScalarNames returns the scalar keys in sorted order.
 func (s State) ScalarNames() []string {
 	names := make([]string, 0, len(s.Scalars))
-	for k := range s.Scalars {
+	for k := range s.Scalars { //lint:allow determinism keys are sorted below; nothing leaves in map order
 		names = append(names, k)
 	}
 	sort.Strings(names)
@@ -97,7 +103,7 @@ func (s State) ScalarNames() []string {
 // optimizer's contribution to a full checkpoint (2Ψ·4 bytes for Adam).
 func (s State) SlotBytes() int64 {
 	var n int64
-	for _, v := range s.Slots {
+	for _, v := range s.Slots { //lint:allow determinism an integer sum does not depend on the order of its terms
 		n += int64(len(v)) * 4
 	}
 	return n
@@ -155,101 +161,127 @@ func (a *Adam) StepCount() int64 { return a.step }
 func (a *Adam) Moments() (m, v tensor.Vector) { return a.m, a.v }
 
 // Step implements Optimizer.
-func (a *Adam) Step(params, grad tensor.Vector) error {
+func (a *Adam) Step(params, grad tensor.Vector) error { return a.StepWith(nil, params, grad) }
+
+// StepWith implements Optimizer.
+func (a *Adam) StepWith(pool *parallel.Pool, params, grad tensor.Vector) error {
 	if len(params) != len(a.m) || len(grad) != len(a.m) {
 		return fmt.Errorf("optim: adam step size mismatch: params %d, grad %d, state %d",
 			len(params), len(grad), len(a.m))
 	}
-	a.step++
-	b1 := float32(a.cfg.Beta1)
-	b2 := float32(a.cfg.Beta2)
-	c1 := 1 - b1
-	c2 := 1 - b2
-	corr1 := float32(1 / (1 - math.Pow(a.cfg.Beta1, float64(a.step))))
-	corr2 := float32(1 / (1 - math.Pow(a.cfg.Beta2, float64(a.step))))
-	lr := float32(a.cfg.LR)
-	eps := float32(a.cfg.Eps)
-	for i, g := range grad {
-		m := b1*a.m[i] + c1*g
-		v := b2*a.v[i] + c2*g*g
-		a.m[i] = m
-		a.v[i] = v
-		mh := m * corr1
-		vh := v * corr2
-		params[i] -= lr * mh / (sqrt32(vh) + eps)
-	}
+	a.advance(pool, params, grad)
 	return nil
 }
 
-// StepSparse implements Optimizer. All moments decay (the mathematically
-// dense behaviour), and gradient values contribute only at idx.
+// StepSparse implements Optimizer.
 func (a *Adam) StepSparse(params tensor.Vector, idx []int32, vals tensor.Vector) error {
+	return a.StepSparseWith(nil, params, idx, vals)
+}
+
+// StepSparseWith implements Optimizer. All moments decay (the mathematically
+// dense behaviour), and gradient values contribute only at idx. Nothing is
+// mutated — not the step counter, the moments or the parameters — unless
+// every index is in range.
+func (a *Adam) StepSparseWith(pool *parallel.Pool, params tensor.Vector, idx []int32, vals tensor.Vector) error {
 	if len(params) != len(a.m) {
 		return fmt.Errorf("optim: adam sparse step size mismatch: params %d, state %d", len(params), len(a.m))
 	}
-	if len(idx) != len(vals) {
-		return fmt.Errorf("optim: adam sparse step: idx %d, vals %d", len(idx), len(vals))
+	if err := checkSparse("adam", idx, vals, len(params)); err != nil {
+		return err
 	}
-	a.step++
-	b1 := float32(a.cfg.Beta1)
-	b2 := float32(a.cfg.Beta2)
-	c1 := 1 - b1
-	c2 := 1 - b2
-	corr1 := float32(1 / (1 - math.Pow(a.cfg.Beta1, float64(a.step))))
-	corr2 := float32(1 / (1 - math.Pow(a.cfg.Beta2, float64(a.step))))
-	lr := float32(a.cfg.LR)
-	eps := float32(a.cfg.Eps)
-	// Mark gradient positions first so the single pass below matches the
-	// dense computation order bit for bit.
+	// Scatter the gradient first so the one pass below matches the dense
+	// computation order bit for bit.
 	dense := densePool.get(len(params))
-	defer densePool.put(dense)
-	for i, j := range idx {
-		if j < 0 || int(j) >= len(params) {
-			return fmt.Errorf("optim: adam sparse step index %d out of range [0,%d)", j, len(params))
-		}
-		dense[j] += vals[i]
-	}
-	for i := range params {
-		g := dense[i]
-		m := b1*a.m[i] + c1*g
-		v := b2*a.v[i] + c2*g*g
-		a.m[i] = m
-		a.v[i] = v
-		mh := m * corr1
-		vh := v * corr2
-		params[i] -= lr * mh / (sqrt32(vh) + eps)
-	}
+	scatter(dense, idx, vals)
+	a.advance(pool, params, dense)
+	densePool.put(dense, idx)
 	return nil
 }
 
+// advance takes one step with a dense gradient of checked length.
+func (a *Adam) advance(pool *parallel.Pool, params, grad tensor.Vector) {
+	a.step++
+	b1 := float32(a.cfg.Beta1)
+	b2 := float32(a.cfg.Beta2)
+	k := adamCoef{
+		b1: b1, b2: b2, c1: 1 - b1, c2: 1 - b2,
+		corr1: float32(1 / (1 - math.Pow(a.cfg.Beta1, float64(a.step)))),
+		corr2: float32(1 / (1 - math.Pow(a.cfg.Beta2, float64(a.step)))),
+		lr:    float32(a.cfg.LR),
+		eps:   float32(a.cfg.Eps),
+	}
+	if pool.Workers() == 1 {
+		adamRange(params, a.m, a.v, grad, k)
+		return
+	}
+	pool.ForEach(len(params), func(_, lo, hi int) {
+		adamRange(params[lo:hi], a.m[lo:hi], a.v[lo:hi], grad[lo:hi], k)
+	})
+}
+
+// adamCoef is one step's coefficients, computed once so that every shard
+// of the step uses the same values.
+type adamCoef struct{ b1, b2, c1, c2, corr1, corr2, lr, eps float32 }
+
+// adamRange is the Adam rule over one range: the only place it is written,
+// so dense and sparse steps, serial or sharded, live or replayed, round
+// identically. The four slices cover the same range.
+func adamRange(p, m, v, g []float32, k adamCoef) {
+	p, m, v = p[:len(g)], m[:len(g)], v[:len(g)]
+	for i, gi := range g {
+		mi := k.b1*m[i] + k.c1*gi
+		vi := k.b2*v[i] + k.c2*gi*gi
+		m[i] = mi
+		v[i] = vi
+		mh := mi * k.corr1
+		vh := vi * k.corr2
+		p[i] -= k.lr * mh / (sqrt32(vh) + k.eps)
+	}
+}
+
 // Snapshot implements Optimizer.
-func (a *Adam) Snapshot() State {
+func (a *Adam) Snapshot() State { return a.state(a.m.Clone(), a.v.Clone()) }
+
+// Detach implements Optimizer.
+func (a *Adam) Detach() State {
+	st := a.state(a.m, a.v)
+	a.m, a.v = nil, nil
+	return st
+}
+
+func (a *Adam) state(m, v tensor.Vector) State {
 	return State{
 		Name: "adam",
 		Step: a.step,
 		Scalars: map[string]float64{
 			"lr": a.cfg.LR, "beta1": a.cfg.Beta1, "beta2": a.cfg.Beta2, "eps": a.cfg.Eps,
 		},
-		Slots: map[string][]float32{
-			"m": a.m.Clone(),
-			"v": a.v.Clone(),
-		},
+		Slots: map[string][]float32{"m": m, "v": v},
 	}
 }
 
 // Restore implements Optimizer.
-func (a *Adam) Restore(s State) error {
+func (a *Adam) Restore(s State) error { return a.load(s, len(a.m), false) }
+
+// load replaces the state from s for n parameters, copying the slots into
+// the optimizer's own buffers or, with adopt, taking s's slices as those
+// buffers.
+func (a *Adam) load(s State, n int, adopt bool) error {
 	if s.Name != "adam" {
 		return fmt.Errorf("optim: restore adam from %q state: %w", s.Name, errNilState)
 	}
 	m, okM := s.Slots["m"]
 	v, okV := s.Slots["v"]
-	if !okM || !okV || len(m) != len(a.m) || len(v) != len(a.v) {
+	if !okM || !okV || len(m) != n || len(v) != n {
 		return fmt.Errorf("optim: restore adam: slot shape mismatch (m=%d v=%d want %d): %w",
-			len(m), len(v), len(a.m), errNilState)
+			len(m), len(v), n, errNilState)
 	}
-	copy(a.m, m)
-	copy(a.v, v)
+	if adopt {
+		a.m, a.v = m, v
+	} else {
+		copy(a.m, m)
+		copy(a.v, v)
+	}
 	a.step = s.Step
 	if lr, ok := s.Scalars["lr"]; ok {
 		a.cfg.LR = lr
@@ -311,75 +343,98 @@ func (s *SGD) Name() string { return "sgd" }
 func (s *SGD) StepCount() int64 { return s.step }
 
 // Step implements Optimizer.
-func (s *SGD) Step(params, grad tensor.Vector) error {
+func (s *SGD) Step(params, grad tensor.Vector) error { return s.StepWith(nil, params, grad) }
+
+// StepWith implements Optimizer.
+func (s *SGD) StepWith(pool *parallel.Pool, params, grad tensor.Vector) error {
 	if len(params) != s.n || len(grad) != s.n {
 		return fmt.Errorf("optim: sgd step size mismatch: params %d, grad %d, want %d", len(params), len(grad), s.n)
 	}
-	s.step++
-	lr := float32(s.cfg.LR)
-	if s.buf == nil {
-		for i, g := range grad {
-			params[i] -= lr * g
-		}
-		return nil
-	}
-	mu := float32(s.cfg.Momentum)
-	for i, g := range grad {
-		b := mu*s.buf[i] + g
-		s.buf[i] = b
-		params[i] -= lr * b
-	}
+	s.advance(pool, params, grad)
 	return nil
 }
 
-// StepSparse implements Optimizer. With zero momentum only the indexed
-// entries change; with momentum all entries decay like the dense step.
+// StepSparse implements Optimizer.
 func (s *SGD) StepSparse(params tensor.Vector, idx []int32, vals tensor.Vector) error {
+	return s.StepSparseWith(nil, params, idx, vals)
+}
+
+// StepSparseWith implements Optimizer. With zero momentum only the indexed
+// entries change; with momentum all entries decay like the dense step.
+func (s *SGD) StepSparseWith(pool *parallel.Pool, params tensor.Vector, idx []int32, vals tensor.Vector) error {
 	if len(params) != s.n {
 		return fmt.Errorf("optim: sgd sparse step size mismatch: params %d, want %d", len(params), s.n)
 	}
-	if len(idx) != len(vals) {
-		return fmt.Errorf("optim: sgd sparse step: idx %d, vals %d", len(idx), len(vals))
+	if err := checkSparse("sgd", idx, vals, s.n); err != nil {
+		return err
 	}
-	for _, j := range idx {
-		if j < 0 || int(j) >= s.n {
-			return fmt.Errorf("optim: sgd sparse step index %d out of range [0,%d)", j, s.n)
-		}
-	}
-	s.step++
-	lr := float32(s.cfg.LR)
-	if s.buf == nil {
+	dense := densePool.get(len(params))
+	scatter(dense, idx, vals)
+	if s.buf != nil {
+		s.advance(pool, params, dense)
+	} else {
 		// Pure SGD: zero gradient entries are no-ops, so update only idx.
-		// Duplicate indices accumulate exactly like the dense scatter.
-		dense := densePool.get(len(params))
-		defer densePool.put(dense)
-		for i, j := range idx {
-			dense[j] += vals[i]
-		}
+		// Duplicate indices accumulated in the scatter; a second visit
+		// finds the entry already consumed.
+		s.step++
+		lr := float32(s.cfg.LR)
 		for _, j := range idx {
 			if g := dense[j]; g != 0 {
 				params[j] -= lr * g
 				dense[j] = 0
 			}
 		}
-		return nil
 	}
-	mu := float32(s.cfg.Momentum)
-	dense := densePool.get(len(params))
-	defer densePool.put(dense)
-	for i, j := range idx {
-		dense[j] += vals[i]
-	}
-	for i := range params {
-		b := mu*s.buf[i] + dense[i]
-		s.buf[i] = b
-		params[i] -= lr * b
-	}
+	densePool.put(dense, idx)
 	return nil
 }
 
+// advance takes one step with a dense gradient of checked length.
+func (s *SGD) advance(pool *parallel.Pool, params, grad tensor.Vector) {
+	s.step++
+	lr, mu := float32(s.cfg.LR), float32(s.cfg.Momentum)
+	if pool.Workers() == 1 {
+		sgdRange(params, s.buf, grad, lr, mu)
+		return
+	}
+	pool.ForEach(len(params), func(_, lo, hi int) {
+		var buf []float32
+		if s.buf != nil {
+			buf = s.buf[lo:hi]
+		}
+		sgdRange(params[lo:hi], buf, grad[lo:hi], lr, mu)
+	})
+}
+
+// sgdRange is the SGD rule over one range, the momentum counterpart of
+// adamRange; buf is nil without momentum.
+func sgdRange(p, buf, g []float32, lr, mu float32) {
+	p = p[:len(g)]
+	if buf == nil {
+		for i, gi := range g {
+			p[i] -= lr * gi
+		}
+		return
+	}
+	buf = buf[:len(g)]
+	for i, gi := range g {
+		b := mu*buf[i] + gi
+		buf[i] = b
+		p[i] -= lr * b
+	}
+}
+
 // Snapshot implements Optimizer.
-func (s *SGD) Snapshot() State {
+func (s *SGD) Snapshot() State { return s.state(s.buf.Clone()) }
+
+// Detach implements Optimizer.
+func (s *SGD) Detach() State {
+	st := s.state(s.buf)
+	s.buf = nil
+	return st
+}
+
+func (s *SGD) state(buf tensor.Vector) State {
 	st := State{
 		Name:    "sgd",
 		Step:    s.step,
@@ -387,13 +442,16 @@ func (s *SGD) Snapshot() State {
 		Slots:   map[string][]float32{},
 	}
 	if s.buf != nil {
-		st.Slots["momentum"] = s.buf.Clone()
+		st.Slots["momentum"] = buf
 	}
 	return st
 }
 
 // Restore implements Optimizer.
-func (s *SGD) Restore(st State) error {
+func (s *SGD) Restore(st State) error { return s.load(st, false) }
+
+// load is Adam.load for SGD.
+func (s *SGD) load(st State, adopt bool) error {
 	if st.Name != "sgd" {
 		return fmt.Errorf("optim: restore sgd from %q state: %w", st.Name, errNilState)
 	}
@@ -401,10 +459,14 @@ func (s *SGD) Restore(st State) error {
 		if len(buf) != s.n {
 			return fmt.Errorf("optim: restore sgd: momentum length %d, want %d: %w", len(buf), s.n, errNilState)
 		}
-		if s.buf == nil {
-			s.buf = tensor.New(s.n)
+		if adopt {
+			s.buf = buf
+		} else {
+			if s.buf == nil {
+				s.buf = tensor.New(s.n)
+			}
+			copy(s.buf, buf)
 		}
-		copy(s.buf, buf)
 	} else if s.cfg.Momentum != 0 {
 		return fmt.Errorf("optim: restore sgd: missing momentum slot: %w", errNilState)
 	}
@@ -441,49 +503,85 @@ func New(name string, n int) (Optimizer, error) {
 
 // FromState constructs an optimizer matching a snapshot for n parameters
 // and restores it, so recovery can rebuild the exact optimizer from a full
-// checkpoint.
-func FromState(st State, n int) (Optimizer, error) {
-	var o Optimizer
+// checkpoint. The optimizer copies st's slots; Adopt moves them.
+func FromState(st State, n int) (Optimizer, error) { return fromState(st, n, false) }
+
+// Adopt is FromState without the copy: the optimizer takes st's slot
+// slices as its own buffers and steps them in place, so the caller must
+// own st and stop using it. Detach moves the buffers back out.
+func Adopt(st State, n int) (Optimizer, error) { return fromState(st, n, true) }
+
+func fromState(st State, n int, adopt bool) (Optimizer, error) {
 	switch st.Name {
 	case "adam":
-		o = NewAdam(n, AdamConfig{})
-	case "sgd":
-		cfg := SGDConfig{}
-		if mu, ok := st.Scalars["momentum"]; ok {
-			cfg.Momentum = mu
+		a := &Adam{cfg: AdamConfig{}.withDefaults()}
+		if !adopt {
+			a.m, a.v = tensor.New(n), tensor.New(n)
 		}
-		o = NewSGD(n, cfg)
+		if err := a.load(st, n, adopt); err != nil {
+			return nil, err
+		}
+		return a, nil
+	case "sgd":
+		// load allocates the momentum buffer when it has to copy into one.
+		s := &SGD{cfg: SGDConfig{Momentum: st.Scalars["momentum"]}.withDefaults(), n: n}
+		if err := s.load(st, adopt); err != nil {
+			return nil, err
+		}
+		return s, nil
 	default:
 		return nil, fmt.Errorf("optim: unknown optimizer state %q", st.Name)
 	}
-	if err := o.Restore(st); err != nil {
-		return nil, err
-	}
-	return o, nil
 }
 
 func sqrt32(x float32) float32 { return float32(math.Sqrt(float64(x))) }
 
-// densePool recycles scratch dense vectors used by the sparse steps so hot
-// loops do not allocate per iteration. Optimizers on different workers run
-// concurrently, so the pool is mutex-guarded.
+// checkSparse validates a sparse gradient against n parameters. Sparse
+// steps call it before they touch any state, so a rejected step leaves the
+// optimizer exactly as it was.
+func checkSparse(rule string, idx []int32, vals tensor.Vector, n int) error {
+	if len(idx) != len(vals) {
+		return fmt.Errorf("optim: %s sparse step: idx %d, vals %d", rule, len(idx), len(vals))
+	}
+	for _, j := range idx {
+		if j < 0 || int(j) >= n {
+			return fmt.Errorf("optim: %s sparse step index %d out of range [0,%d)", rule, j, n)
+		}
+	}
+	return nil
+}
+
+// scatter adds a checked sparse gradient into an all-zero dense buffer.
+func scatter(dense tensor.Vector, idx []int32, vals tensor.Vector) {
+	for i, j := range idx {
+		dense[j] += vals[i]
+	}
+}
+
+// densePool recycles the dense scratch vectors the sparse steps scatter
+// into, so hot loops do not allocate per iteration. Optimizers on different
+// workers run concurrently, so the pool is mutex-guarded.
+//
+// Pooled buffers are all-zero by invariant, over their whole capacity: get
+// hands one out as it is, and put clears exactly the entries the step
+// touched. A sparse step therefore costs O(len(idx)) of scratch upkeep, not
+// a memset of the dense length.
 var densePool = &scratchPool{}
 
 type scratchPool struct {
 	mu   sync.Mutex
-	bufs [][]float32
+	bufs [8][]float32 // the free buffers are bufs[:n]
+	n    int
 }
 
 func (p *scratchPool) get(n int) tensor.Vector {
 	p.mu.Lock()
-	for i := len(p.bufs) - 1; i >= 0; i-- {
+	for i := p.n - 1; i >= 0; i-- {
 		if cap(p.bufs[i]) >= n {
 			b := p.bufs[i][:n]
-			p.bufs = append(p.bufs[:i], p.bufs[i+1:]...)
+			p.n--
+			p.bufs[i], p.bufs[p.n] = p.bufs[p.n], nil
 			p.mu.Unlock()
-			for j := range b {
-				b[j] = 0
-			}
 			return b
 		}
 	}
@@ -491,10 +589,16 @@ func (p *scratchPool) get(n int) tensor.Vector {
 	return tensor.New(n)
 }
 
-func (p *scratchPool) put(b tensor.Vector) {
+// put returns b to the pool after zeroing the entries at touched, the only
+// ones its user wrote.
+func (p *scratchPool) put(b tensor.Vector, touched []int32) {
+	for _, j := range touched {
+		b[j] = 0
+	}
 	p.mu.Lock()
-	if len(p.bufs) < 8 {
-		p.bufs = append(p.bufs, b)
+	if p.n < len(p.bufs) {
+		p.bufs[p.n] = b
+		p.n++
 	}
 	p.mu.Unlock()
 }

@@ -51,6 +51,27 @@ func TestNaiveDCParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// mergeAll runs the pipeline's tree-merge stage over diffs on a 2-worker
+// pool and collects what it yields.
+func mergeAll(t *testing.T, diffs []*checkpoint.Diff) []*checkpoint.Diff {
+	t.Helper()
+	next, err := newPipeline(nil, 2, 0, nil).treeMerge(fromSlice(diffs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*checkpoint.Diff
+	for {
+		d, err := next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d == nil {
+			return out
+		}
+		out = append(out, d)
+	}
+}
+
 // treeMerge never merges across kind boundaries or range gaps.
 func TestTreeMergeRespectsBoundaries(t *testing.T) {
 	g := &compress.Compressed{Codec: "topk", N: 8, Idx: []int32{0}, Vals: []float32{1}}
@@ -67,10 +88,7 @@ func TestTreeMergeRespectsBoundaries(t *testing.T) {
 		mk(checkpoint.KindGradient, 2, 2),
 		mk(checkpoint.KindStateDelta, 3, 3),
 	}
-	out, err := treeMerge(diffs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := mergeAll(t, diffs)
 	if len(out) != 2 {
 		t.Fatalf("merged to %d records, want 2", len(out))
 	}
@@ -85,31 +103,28 @@ func TestTreeMergeRespectsBoundaries(t *testing.T) {
 		mk(checkpoint.KindGradient, 1, 1),
 		mk(checkpoint.KindGradient, 3, 3),
 	}
-	out, err = treeMerge(gapped, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out = mergeAll(t, gapped)
 	if len(out) != 2 {
 		t.Fatalf("gapped diffs merged: %+v", out)
 	}
 }
 
-// applyDiff rejects unknown kinds and invalid payloads.
+// The apply stage rejects unknown kinds and invalid payloads.
 func TestApplyDiffRejects(t *testing.T) {
 	params := tensor.New(4)
 	o := optim.NewSGD(4, optim.SGDConfig{})
 	bad := &checkpoint.Diff{Kind: 9, FirstIter: 1, LastIter: 1, Count: 1,
 		Payload: &compress.Compressed{Codec: "x", N: 4, Idx: []int32{0}, Vals: []float32{1}}}
-	if err := applyDiff(o, params, bad); err == nil {
+	if err := (&pipeline{}).apply(o, params, bad); err == nil {
 		t.Fatal("want unknown-kind error")
 	}
 	nilPayload := &checkpoint.Diff{Kind: checkpoint.KindGradient, FirstIter: 1, LastIter: 1, Count: 1}
-	if err := applyDiff(o, params, nilPayload); err == nil {
+	if err := (&pipeline{}).apply(o, params, nilPayload); err == nil {
 		t.Fatal("want invalid-diff error")
 	}
 }
 
-// Quantized gradient diffs decode through the dense path in applyDiff.
+// Quantized gradient diffs decode through the dense path of the apply stage.
 func TestApplyDiffQuantizedPayload(t *testing.T) {
 	params := tensor.New(4)
 	o := optim.NewSGD(4, optim.SGDConfig{LR: 1})
@@ -118,7 +133,7 @@ func TestApplyDiffQuantizedPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := &checkpoint.Diff{Kind: checkpoint.KindGradient, FirstIter: 1, LastIter: 1, Count: 1, Payload: q}
-	if err := applyDiff(o, params, d); err != nil {
+	if err := (&pipeline{}).apply(o, params, d); err != nil {
 		t.Fatal(err)
 	}
 	if params[0] >= 0 || params[1] <= 0 {

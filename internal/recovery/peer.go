@@ -3,8 +3,8 @@
 // checkpoint. The storage side reuses LatestValid (chain validation,
 // quarantine, retries) so a damaged store degrades gracefully; the peer
 // side then extends the recovered state with the in-memory gradients the
-// survivors retained — bit-exactly, through the same applyDiff path the
-// live optimizer uses.
+// survivors retained — bit-exactly, through the same apply stage the
+// storage chain goes through.
 package recovery
 
 import (
@@ -42,7 +42,9 @@ type PeerReport struct {
 // degradation contract — the fallback path persisted what the windows
 // could not cover.
 func FromPeers(store storage.Store, peers *comm.Peers, opts ValidateOptions) (*State, *PeerReport, error) {
-	st, rep, err := LatestValid(store, opts)
+	p := validating(store, opts)
+	defer p.envelope()()
+	st, rep, err := p.latestValid(opts)
 	preport := &PeerReport{PeerRank: -1, StorageIter: -1}
 	if rep != nil {
 		preport.Report = *rep
@@ -68,16 +70,10 @@ func FromPeers(store storage.Store, peers *comm.Peers, opts ValidateOptions) (*S
 	diffs := make([]*checkpoint.Diff, 0, len(grads))
 	for i, g := range grads {
 		iter := st.Iter + int64(i) + 1
-		diffs = append(diffs, &checkpoint.Diff{
-			Kind:      checkpoint.KindGradient,
-			FirstIter: iter,
-			LastIter:  iter,
-			Count:     1,
-			Payload:   g,
-		})
+		diffs = append(diffs, &checkpoint.Diff{Kind: checkpoint.KindGradient, FirstIter: iter, LastIter: iter, Count: 1, Payload: g})
 	}
-	full := &checkpoint.Full{Iter: st.Iter, Params: st.Params, Opt: st.Opt}
-	ext, err := Replay(full, diffs)
+	// st is this call's own: its buffers move through the replay into ext.
+	ext, err := p.replay(&checkpoint.Full{Iter: st.Iter, Params: st.Params, Opt: st.Opt}, fromSlice(diffs))
 	if err != nil {
 		return nil, preport, fmt.Errorf("recovery: peer window replay from rank %d: %w", rank, err)
 	}

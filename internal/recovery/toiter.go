@@ -3,7 +3,6 @@ package recovery
 import (
 	"fmt"
 
-	"lowdiff/internal/checkpoint"
 	"lowdiff/internal/storage"
 )
 
@@ -21,37 +20,5 @@ func ToIter(store storage.Store, target int64) (*State, int, error) {
 	if target < 0 {
 		return nil, 0, fmt.Errorf("recovery: negative target iteration %d", target)
 	}
-	m, err := checkpoint.Scan(store)
-	if err != nil {
-		return nil, 0, err
-	}
-	// Newest full at or before target.
-	var base *checkpoint.Entry
-	for i := range m.Fulls {
-		if m.Fulls[i].Iter <= target {
-			base = &m.Fulls[i]
-		}
-	}
-	if base == nil {
-		return nil, 0, fmt.Errorf("recovery: no full checkpoint at or before iteration %d", target)
-	}
-	full, err := checkpoint.LoadFull(store, base.Name)
-	if err != nil {
-		return nil, 0, fmt.Errorf("recovery: load %s: %w", base.Name, err)
-	}
-	chain := m.DiffsAfter(full.Iter)
-	// Truncate the chain at the target; a batch straddling the target is
-	// dropped entirely (it cannot be partially applied).
-	cut := 0
-	for _, d := range chain {
-		if d.LastIter > target {
-			break
-		}
-		cut++
-	}
-	st, err := replaySerial(store, full, chain[:cut])
-	if err != nil {
-		return nil, 0, err
-	}
-	return st, cut, nil
+	return newPipeline(store, 0, lookAhead, nil).strict(target, false)
 }

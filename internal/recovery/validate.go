@@ -15,6 +15,7 @@ import (
 	"lowdiff/internal/checkpoint"
 	"lowdiff/internal/obs"
 	"lowdiff/internal/storage"
+	"lowdiff/internal/trace"
 )
 
 // QuarantinePrefix is prepended to the names of quarantined objects.
@@ -105,6 +106,10 @@ type ValidateOptions struct {
 	// Events, when non-nil, receives recover.* events (anchor selection,
 	// quarantines, completion) during LatestValid. Nil disables emission.
 	Events *obs.EventLog
+	// Trace, when non-nil, records the recovery envelope and the apply
+	// spans of LatestValid and FromPeers, as Options.Trace does for
+	// LatestParallel.
+	Trace *trace.Recorder
 }
 
 func (o ValidateOptions) withDefaults() ValidateOptions {
@@ -114,36 +119,15 @@ func (o ValidateOptions) withDefaults() ValidateOptions {
 	return o
 }
 
-// loadFull loads and CRC-verifies a full checkpoint with retries.
-func loadFull(store storage.Store, name string, attempts int) (*checkpoint.Full, ObjectStatus, error) {
-	var err error
-	for i := 0; i < attempts; i++ {
-		var f *checkpoint.Full
-		f, err = checkpoint.LoadFull(store, name)
-		if err == nil {
-			return f, StatusValid, nil
-		}
-		if storage.IsNotExist(err) {
-			return nil, StatusMissing, err
-		}
+// statusOf classifies the outcome of a pipeline load.
+func statusOf(err error) ObjectStatus {
+	switch {
+	case err == nil:
+		return StatusValid
+	case storage.IsNotExist(err):
+		return StatusMissing
 	}
-	return nil, StatusCorrupt, err
-}
-
-// loadDiff loads and CRC-verifies a differential with retries.
-func loadDiff(store storage.Store, name string, attempts int) (*checkpoint.Diff, ObjectStatus, error) {
-	var err error
-	for i := 0; i < attempts; i++ {
-		var d *checkpoint.Diff
-		d, err = checkpoint.LoadDiff(store, name)
-		if err == nil {
-			return d, StatusValid, nil
-		}
-		if storage.IsNotExist(err) {
-			return nil, StatusMissing, err
-		}
-	}
-	return nil, StatusCorrupt, err
+	return StatusCorrupt
 }
 
 // quarantine moves an object under QuarantinePrefix, best effort: the
@@ -172,38 +156,47 @@ func quarantine(store storage.Store, name string) error {
 // per-object load retries. The returned report lists every object
 // examined and where recovery anchored.
 func LatestValid(store storage.Store, opts ValidateOptions) (*State, *Report, error) {
-	opts = opts.withDefaults()
+	p := validating(store, opts)
+	defer p.envelope()()
+	return p.latestValid(opts)
+}
+
+// validating returns the pipeline of LatestValid and FromPeers, at depth 1: a
+// seeded Chaos read depends on the reads before it, and none may pass damage.
+func validating(store storage.Store, opts ValidateOptions) *pipeline {
+	p := newPipeline(store, 0, 1, opts.Trace)
+	p.attempts = opts.withDefaults().LoadRetries
+	return p
+}
+
+// latestValid is LatestValid inside the caller's recovery envelope.
+func (p *pipeline) latestValid(opts ValidateOptions) (*State, *Report, error) {
 	report := &Report{BaseIter: -1, RecoverableIter: -1}
-	m, err := checkpoint.Scan(store)
+	m, err := checkpoint.Scan(p.store)
 	if err != nil {
 		return nil, report, err
+	}
+	// note records one object's outcome, moves it aside when it is
+	// corrupt and quarantine is on, and reports whether it was valid.
+	note := func(e checkpoint.Entry, err error) bool {
+		status := statusOf(err)
+		report.Objects = append(report.Objects, ObjectReport{Name: e.Name, IsFull: e.IsFull, Status: status, Err: err})
+		if opts.Quarantine && status == StatusCorrupt && quarantine(p.store, e.Name) == nil {
+			report.Quarantined = append(report.Quarantined, e.Name)
+			opts.Events.Emit("recover.quarantine", map[string]any{
+				"object": e.Name, "status": status.String(),
+			})
+		}
+		return status == StatusValid
 	}
 	// Newest decodable full checkpoint, walking backward past damage.
 	var full *checkpoint.Full
 	var base checkpoint.Entry
-	for i := len(m.Fulls) - 1; i >= 0; i-- {
-		e := m.Fulls[i]
-		f, status, err := loadFull(store, e.Name, opts.LoadRetries)
-		if status == StatusValid && f.Iter != e.Iter {
-			// A decodable object whose content belongs to a different
-			// iteration than its name claims (a misplaced copy, a rename
-			// gone wrong) would replay the wrong state — damage, not data.
-			status, err, f = StatusCorrupt,
-				fmt.Errorf("recovery: %s decodes to iteration %d, name says %d", e.Name, f.Iter, e.Iter), nil
-		}
-		if status == StatusValid {
-			full, base = f, e
-			report.Objects = append(report.Objects, ObjectReport{Name: e.Name, IsFull: true, Status: StatusValid})
-			break
-		}
-		report.Objects = append(report.Objects, ObjectReport{Name: e.Name, IsFull: true, Status: status, Err: err})
-		if opts.Quarantine && status == StatusCorrupt {
-			if qerr := quarantine(store, e.Name); qerr == nil {
-				report.Quarantined = append(report.Quarantined, e.Name)
-				opts.Events.Emit("recover.quarantine", map[string]any{
-					"object": e.Name, "status": status.String(),
-				})
-			}
+	for i := len(m.Fulls) - 1; i >= 0 && full == nil; i-- {
+		base = m.Fulls[i]
+		f, err := p.loadFull(base)
+		if note(base, err) {
+			full = f
 		}
 	}
 	if full == nil {
@@ -211,39 +204,25 @@ func LatestValid(store storage.Store, opts ValidateOptions) (*State, *Report, er
 	}
 	report.BaseName, report.BaseIter = base.Name, full.Iter
 	opts.Events.Emit("recover.anchor", map[string]any{"object": base.Name, "iter": full.Iter})
-	// Validate the differential chain; truncate at the first damage.
+	// Validate the chain as it is replayed; truncate at the first damage.
 	chain := m.DiffsAfter(full.Iter)
-	var diffs []*checkpoint.Diff
-	for _, e := range chain {
-		d, status, err := loadDiff(store, e.Name, opts.LoadRetries)
-		if status == StatusValid && (d.FirstIter != e.FirstIter || d.LastIter != e.LastIter) {
-			// Name/content mismatch: applying this payload would step the
-			// optimizer with another iteration's gradient. Truncate here.
-			status, err = StatusCorrupt,
-				fmt.Errorf("recovery: %s decodes to range [%d,%d], name says [%d,%d]",
-					e.Name, d.FirstIter, d.LastIter, e.FirstIter, e.LastIter)
+	load, wait := p.prefetch(chain, p.loadDiff)
+	defer wait()
+	valid := 0
+	st, err := p.replay(full, func() (*checkpoint.Diff, error) {
+		d, err := load()
+		if valid == len(chain) || !note(chain[valid], err) {
+			return nil, nil
 		}
-		report.Objects = append(report.Objects, ObjectReport{Name: e.Name, Status: status, Err: err})
-		if status != StatusValid {
-			if opts.Quarantine && status == StatusCorrupt {
-				if qerr := quarantine(store, e.Name); qerr == nil {
-					report.Quarantined = append(report.Quarantined, e.Name)
-					opts.Events.Emit("recover.quarantine", map[string]any{
-						"object": e.Name, "status": status.String(),
-					})
-				}
-			}
-			break
-		}
-		diffs = append(diffs, d)
-	}
-	st, err := Replay(full, diffs)
+		valid++
+		return d, nil
+	})
 	if err != nil {
 		return nil, report, err
 	}
 	report.RecoverableIter = st.Iter
 	opts.Events.Emit("recover.complete", map[string]any{
-		"iter": st.Iter, "base_iter": full.Iter, "diffs": len(diffs),
+		"iter": st.Iter, "base_iter": full.Iter, "diffs": valid,
 		"quarantined": len(report.Quarantined),
 	})
 	return st, report, nil
@@ -255,52 +234,35 @@ func LatestValid(store storage.Store, opts ValidateOptions) (*State, *Report, er
 // lowdiffinspect verify subcommand.
 func Verify(store storage.Store, opts ValidateOptions) (*Report, error) {
 	opts = opts.withDefaults()
-	opts.Quarantine = false
 	report := &Report{BaseIter: -1, RecoverableIter: -1}
 	m, err := checkpoint.Scan(store)
 	if err != nil {
 		return nil, err
 	}
-	fullValid := make(map[string]bool, len(m.Fulls))
-	for _, e := range m.Fulls {
-		f, status, err := loadFull(store, e.Name, opts.LoadRetries)
-		if status == StatusValid && f.Iter != e.Iter {
-			status, err = StatusCorrupt,
-				fmt.Errorf("recovery: %s decodes to iteration %d, name says %d", e.Name, f.Iter, e.Iter)
-		}
-		fullValid[e.Name] = status == StatusValid
-		r := ObjectReport{Name: e.Name, IsFull: true, Status: status}
-		if status != StatusValid {
-			r.Err = err
-		}
-		report.Objects = append(report.Objects, r)
+	p := &pipeline{store: store, attempts: opts.LoadRetries}
+	valid := make(map[string]bool, len(m.Fulls)+len(m.Diffs))
+	note := func(e checkpoint.Entry, err error) {
+		valid[e.Name] = err == nil
+		report.Objects = append(report.Objects, ObjectReport{Name: e.Name, IsFull: e.IsFull, Status: statusOf(err), Err: err})
 	}
-	diffValid := make(map[string]bool, len(m.Diffs))
+	for _, e := range m.Fulls {
+		_, err := p.loadFull(e)
+		note(e, err)
+	}
 	for _, e := range m.Diffs {
-		d, status, err := loadDiff(store, e.Name, opts.LoadRetries)
-		if status == StatusValid && (d.FirstIter != e.FirstIter || d.LastIter != e.LastIter) {
-			status, err = StatusCorrupt,
-				fmt.Errorf("recovery: %s decodes to range [%d,%d], name says [%d,%d]",
-					e.Name, d.FirstIter, d.LastIter, e.FirstIter, e.LastIter)
-		}
-		diffValid[e.Name] = status == StatusValid
-		r := ObjectReport{Name: e.Name, Status: status}
-		if status != StatusValid {
-			r.Err = err
-		}
-		report.Objects = append(report.Objects, r)
+		_, err := p.loadDiff(e)
+		note(e, err)
 	}
 	// Where recovery would anchor: newest valid full, then the contiguous
 	// chain of valid differentials after it.
 	for i := len(m.Fulls) - 1; i >= 0; i-- {
-		if !fullValid[m.Fulls[i].Name] {
+		if !valid[m.Fulls[i].Name] {
 			continue
 		}
-		report.BaseName = m.Fulls[i].Name
-		report.BaseIter = m.Fulls[i].Iter
+		report.BaseName, report.BaseIter = m.Fulls[i].Name, m.Fulls[i].Iter
 		report.RecoverableIter = m.Fulls[i].Iter
 		for _, d := range m.DiffsAfter(m.Fulls[i].Iter) {
-			if !diffValid[d.Name] {
+			if !valid[d.Name] {
 				break
 			}
 			report.RecoverableIter = d.LastIter

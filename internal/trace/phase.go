@@ -11,7 +11,7 @@ const (
 	TrackSnapshot   = "snapshot"   // async snapshot offload workers (Plus)
 	TrackCheckpoint = "checkpoint" // snapshot consumers: merge/assemble/apply
 	TrackPersist    = "persist"    // storage writes: diff batches and fulls
-	TrackRecovery   = "recovery"   // restart replay (recovery.LatestParallel)
+	TrackRecovery   = "recovery"   // restart replay (the internal/recovery pipeline)
 )
 
 // Canonical phases. PhaseIteration is the per-step envelope on the train

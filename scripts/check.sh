@@ -20,9 +20,9 @@ go vet ./...
 echo "== lowdifflint (determinism, checkederr, floateq, mutexcopy, lockbalance, hotalloc, wgmisuse, sendblock) =="
 go run ./cmd/lowdifflint ./...
 
-echo "== go test -race (core, storage, storaged, recovery, obs, trace, data plane, peer comm, cluster sim) =="
+echo "== go test -race (core, storage, storaged, recovery, obs, trace, data plane, optimizer kernels, peer comm, cluster sim) =="
 go test -race ./internal/core/... ./internal/storage/... ./internal/storaged/... ./internal/recovery/... \
     ./internal/obs/... ./internal/trace/... ./internal/parallel/... ./internal/compress/... \
-    ./internal/checkpoint/... ./internal/comm/... ./internal/cluster/...
+    ./internal/optim/... ./internal/checkpoint/... ./internal/comm/... ./internal/cluster/...
 
 echo "all checks passed"

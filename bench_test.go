@@ -89,7 +89,7 @@ func BenchmarkTrainNoCheckpoint(b *testing.B) {
 // BenchmarkTrainPlus measures the LowDiff+ engine (layer-wise snapshots,
 // CPU replica).
 func BenchmarkTrainPlus(b *testing.B) {
-	e, err := TrainPlus(PlusOptions{Spec: benchSpec(b), Workers: 2, Seed: 1})
+	e, err := TrainPlus(TrainOptions{Spec: benchSpec(b), Workers: 2, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

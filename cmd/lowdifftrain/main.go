@@ -165,14 +165,12 @@ func main() {
 		// package docs). Only unbatched replay is bit-exact.
 		fatal(fmt.Errorf("-selfcheck needs an exactly-replayable chain: use -batch 1"))
 	}
+	var plusSpec *core.PlusSpec
 	if *plus {
 		if *selfcheck {
 			fatal(fmt.Errorf("-selfcheck supports the standard engine only (LowDiff+ persists on its own interval)"))
 		}
-		runPlus(scaled, store, *workers, *iters, *parallelism, *overlap, *seed, *opsAddr, reg, events, rec)
-		writeTraces()
-		closeEvents()
-		return
+		plusSpec = &core.PlusSpec{PersistEvery: 10}
 	}
 
 	var peerSpec *core.PeerSpec
@@ -192,7 +190,7 @@ func main() {
 	e, err := core.NewEngine(core.Options{
 		Spec: scaled, Workers: *workers, Optimizer: *optName, Rho: *rho,
 		Store: store, FullEvery: *fullEvery, BatchSize: *batch,
-		Parallelism: *parallelism, Overlap: *overlap, Seed: *seed, Peer: peerSpec,
+		Parallelism: *parallelism, Overlap: *overlap, Seed: *seed, Plus: plusSpec, Peer: peerSpec,
 		Trace: rec, Metrics: reg, Events: events,
 	})
 	if err != nil {
@@ -226,8 +224,18 @@ func main() {
 	if err := e.Flush(); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("trained %d iterations: loss %.4f, %d diff writes (%s), %d full checkpoints, snapshot time %s\n",
-		run, stats.FinalLoss, stats.DiffWrites, byteCount(stats.DiffBytes), stats.FullWrites, stats.SnapshotTime)
+	if rep := e.Replica(); rep != nil {
+		fmt.Printf("trained %d iterations: loss %.4f, %d layer snapshots (%s), replica at iter %d, %d persists\n",
+			run, stats.FinalLoss, stats.LayerSnapshots, byteCount(stats.SnapshotBytes), rep.Iter(), stats.FullWrites)
+		match := "bit-exact"
+		if !rep.State().Params.Equal(e.Params()) {
+			match = "DIVERGED"
+		}
+		fmt.Printf("in-memory recovery check: replica vs model %s\n", match)
+	} else {
+		fmt.Printf("trained %d iterations: loss %.4f, %d diff writes (%s), %d full checkpoints, snapshot time %s\n",
+			run, stats.FinalLoss, stats.DiffWrites, byteCount(stats.DiffBytes), stats.FullWrites, stats.SnapshotTime)
+	}
 	if *peer {
 		reportPeerRecovery(e, store)
 	}
@@ -294,46 +302,6 @@ func reportPeerRecovery(e *core.Engine, store storage.Store) {
 	}
 	fmt.Printf("peer recovery: storage iter %d -> %d via %s; vs live model: %s\n",
 		rep.StorageIter, st.Iter, src, match)
-}
-
-func runPlus(spec model.Spec, store storage.Store, workers, iters, parallelism int, overlap bool, seed uint64,
-	opsAddr string, reg *obs.Registry, events *obs.EventLog, rec *trace.Recorder) {
-	e, err := core.NewPlusEngine(core.PlusOptions{
-		Spec: spec, Workers: workers, Store: store, PersistEvery: 10,
-		Parallelism: parallelism, Overlap: overlap, Seed: seed,
-		Trace: rec, Metrics: reg, Events: events,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	if opsAddr != "" {
-		// LowDiff+ has no degradation ladder; the endpoint reports ok while
-		// the process is up.
-		srv, err := obs.Serve(opsAddr, obs.ServerOptions{
-			Registry: reg,
-			Health:   func() obs.HealthStatus { return obs.HealthStatus{Status: "ok", OK: true} },
-			Trace:    rec,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		defer func() { _ = srv.Close() }()
-		fmt.Printf("ops endpoint on http://%s (/metrics, /healthz, /snapshot, /debug/pprof)\n", srv.Addr())
-	}
-	fmt.Printf("initial loss %.4f\n", e.Loss())
-	stats, err := e.Run(iters)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("trained %d iterations: loss %.4f, %d layer snapshots (%s), replica at iter %d, %d persists\n",
-		iters, stats.FinalLoss, stats.LayerSnapshots, byteCount(stats.SnapshotBytes),
-		e.ReplicaIter(), stats.Persists)
-	st := e.RecoverInMemory()
-	match := "bit-exact"
-	if !st.Params.Equal(e.Params()) {
-		match = "DIVERGED"
-	}
-	fmt.Printf("in-memory recovery check: replica vs model %s\n", match)
 }
 
 // writeTraceFile writes one trace serialization to path.

@@ -22,9 +22,9 @@ func main() {
 	spec = spec.Scaled(2000)
 
 	store := lowdiff.NewMemStore()
-	engine, err := lowdiff.TrainPP(lowdiff.PPOptions{
+	engine, err := lowdiff.TrainPP(lowdiff.TrainOptions{
 		Spec:      spec,
-		Stages:    4, // pipeline depth
+		PP:        &lowdiff.PPSpec{Stages: 4}, // pipeline depth
 		Rho:       0.05,
 		LR:        0.02,
 		Store:     store,

@@ -23,24 +23,8 @@ import (
 // chainSnapshotter pair.
 func (e *Engine) initDP() error {
 	opts := e.opts
-	if opts.Workers < 1 {
-		return fmt.Errorf("core: %d workers; need at least 1", opts.Workers)
-	}
-	if opts.FullEvery < 1 {
-		return fmt.Errorf("core: FullEvery %d must be >= 1", opts.FullEvery)
-	}
-	if opts.BatchSize < 1 {
-		return fmt.Errorf("core: BatchSize %d must be >= 1", opts.BatchSize)
-	}
-	if opts.RetainFulls < 0 {
-		return fmt.Errorf("core: RetainFulls %d must be >= 0", opts.RetainFulls)
-	}
-	if opts.FullEvery%opts.BatchSize != 0 {
-		return fmt.Errorf("core: FullEvery (%d) must be a multiple of BatchSize (%d) so batches never straddle a full checkpoint",
-			opts.FullEvery, opts.BatchSize)
-	}
-	if opts.Codec == "randk" && opts.Workers > 1 {
-		return fmt.Errorf("core: randk selects different indices per worker; use topk or identity for multi-worker runs")
+	if err := validateChain(opts); err != nil {
+		return err
 	}
 	if err := validateOverlap(opts); err != nil {
 		return err
@@ -57,8 +41,7 @@ func (e *Engine) initDP() error {
 			return err
 		}
 	}
-	chain := &chainSnapshotter{e: e}
-	topo := &dpTopology{e: e, chain: chain}
+	topo := &dpTopology{e: e}
 	// The overlap schedule's long-lived pieces — the scheduler-owned
 	// Naïve-DC compressor and the snapshot staging double buffer — are
 	// built once here so chunked Run calls reuse them (and so codec
@@ -74,7 +57,26 @@ func (e *Engine) initDP() error {
 		topo.staging = parallel.NewDoubleBuf(opts.Spec.NumParams())
 	}
 	e.topo = topo
-	e.snap = chain
+	e.snap = &chainSnapshotter{e: e}
+	return nil
+}
+
+// validateChain checks the checkpoint intervals shared by every strategy
+// that persists a differential chain (DP, Peer, PP).
+func validateChain(opts Options) error {
+	if opts.FullEvery < 1 {
+		return fmt.Errorf("core: FullEvery %d must be >= 1", opts.FullEvery)
+	}
+	if opts.BatchSize < 1 {
+		return fmt.Errorf("core: BatchSize %d must be >= 1", opts.BatchSize)
+	}
+	if opts.RetainFulls < 0 {
+		return fmt.Errorf("core: RetainFulls %d must be >= 0", opts.RetainFulls)
+	}
+	if opts.FullEvery%opts.BatchSize != 0 {
+		return fmt.Errorf("core: FullEvery (%d) must be a multiple of BatchSize (%d) so batches never straddle a full checkpoint",
+			opts.FullEvery, opts.BatchSize)
+	}
 	return nil
 }
 
@@ -83,6 +85,12 @@ func (e *Engine) initDP() error {
 // parameters, an optimizer, and a compressor.
 func (e *Engine) initDPWorkers() error {
 	opts := e.opts
+	if opts.Workers < 1 {
+		return fmt.Errorf("core: %d workers; need at least 1", opts.Workers)
+	}
+	if opts.Codec == "randk" && opts.Workers > 1 {
+		return fmt.Errorf("core: randk selects different indices per worker; use topk or identity for multi-worker runs")
+	}
 	group, err := comm.NewGroupPooled(opts.Workers, e.pool)
 	if err != nil {
 		return err
@@ -116,8 +124,7 @@ func (e *Engine) initDPWorkers() error {
 
 // dpTopology runs Workers data-parallel ranks over replicated parameters.
 type dpTopology struct {
-	e     *Engine
-	chain *chainSnapshotter
+	e *Engine
 
 	// Overlap schedule (DESIGN.md §11), active when opts.Overlap and a
 	// store is configured: overlapComp/staging live across Run calls,
@@ -133,13 +140,13 @@ func (d *dpTopology) rankKey() string { return "workers" }
 func (d *dpTopology) begin(rc *runCtx) {
 	e := d.e
 	if e.opts.Overlap && e.opts.Store != nil {
-		d.sched = newOverlapScheduler(e, d.chain, rc, d.overlapComp, d.staging)
+		d.sched = newOverlapScheduler(e, rc, d.overlapComp, d.staging)
 	}
 }
 
 // end joins the scheduler before the Snapshotter's end closes the queue
-// and the full channel: every deposited slot retires (and its writes
-// are enqueued) while both sinks are still open.
+// and the engine stops the full persister: every deposited slot retires
+// (and its writes are enqueued) while both sinks are still open.
 func (d *dpTopology) end(*runCtx) {
 	if d.sched != nil {
 		d.sched.stop()
@@ -157,16 +164,14 @@ func (d *dpTopology) registerMetrics(reg *obs.Registry) {
 	}
 }
 
+func (d *dpTopology) newTrainRank(w int) trainRank {
+	e := d.e
+	return trainRank{e: e, w: w, p: e.params[w], o: e.opts2[w], g: tensor.New(e.opts.Spec.NumParams())}
+}
+
 func (d *dpTopology) newRank(rc *runCtx, w int) rankRunner {
 	e := d.e
-	r := &dpRank{
-		e:     e,
-		chain: d.chain,
-		w:     w,
-		p:     e.params[w],
-		o:     e.opts2[w],
-		g:     tensor.New(e.opts.Spec.NumParams()),
-	}
+	r := &dpRank{trainRank: d.newTrainRank(w)}
 	if w == 0 {
 		r.sched = d.sched
 	}
@@ -180,33 +185,37 @@ func (d *dpTopology) newRank(rc *runCtx, w int) rankRunner {
 	return r
 }
 
-// dpRank is one data-parallel worker's per-iteration state.
-type dpRank struct {
-	e           *Engine
-	chain       *chainSnapshotter
-	w           int
-	p           *model.Params
-	o           optim.Optimizer
-	g           tensor.Vector
-	prev, delta tensor.Vector     // Naïve DC state (worker 0, sequential schedule)
-	sched       *overlapScheduler // overlap schedule (worker 0, when enabled)
+// trainRank is the train half of one data-parallel worker's iteration —
+// compute, compress, all-gather, apply — shared by the DP and Peer
+// strategies; what each does with the synchronized gradient between the
+// all-gather and the apply (queue hand-off or peer retain) stays in its own
+// step.
+type trainRank struct {
+	e     *Engine
+	w     int
+	p     *model.Params
+	o     optim.Optimizer
+	g     tensor.Vector
+	sched *overlapScheduler // overlap schedule (DP worker 0, when enabled)
 }
 
-func (r *dpRank) step(rc *runCtx, t int64) error {
+// syncGradient opens iteration t and runs its backward pass, compression and
+// all-gather. It returns the synchronized gradient and the closer of worker
+// 0's iteration envelope.
+func (r *trainRank) syncGradient(t int64) (synced *compress.Compressed, iterDone func(), err error) {
 	e, w := r.e, r.w
 	tr := e.trace0(w)
-	var iterDone func()
 	if w == 0 {
 		e.live.Store(t)
 		if t%int64(e.opts.FullEvery) == 0 {
 			e.events.Emit("train.milestone", map[string]any{"iter": t})
 		}
-		iterDone = tr.Begin1(trace.TrackTrain, trace.PhaseIteration, "iter", t)
 	}
+	iterDone = tr.Begin1(trace.TrackTrain, trace.PhaseIteration, "iter", t)
 	// Backward pass.
 	computeDone := tr.Begin1(trace.TrackTrain, trace.PhaseCompute, "iter", t)
 	if err := e.oracle.Local(r.p.Flat, w, int(t), r.g); err != nil {
-		return err
+		return nil, nil, err
 	}
 	computeDone()
 	// Compress.
@@ -214,7 +223,7 @@ func (r *dpRank) step(rc *runCtx, t int64) error {
 	local, err := e.comps[w].Compress(r.g)
 	compressDone()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	// Synchronize. Under the overlap schedule the previous iteration's
 	// gated checkpoint slices run inside this wave: the gate opens as
@@ -225,11 +234,35 @@ func (r *dpRank) step(rc *runCtx, t int64) error {
 	if r.sched != nil {
 		r.sched.openGate()
 	}
-	synced, err := e.group.AllGatherSparse(w, local)
+	synced, err = e.group.AllGatherSparse(w, local)
 	if r.sched != nil {
 		r.sched.rendezvous()
 	}
 	syncDone()
+	return synced, iterDone, err
+}
+
+// applyGradient decompresses and applies the synchronized gradient
+// (StepSparse fuses the two).
+func (r *trainRank) applyGradient(t int64, synced *compress.Compressed) error {
+	applyDone := r.e.trace0(r.w).Begin1(trace.TrackTrain, trace.PhaseApply, "iter", t)
+	if err := applyCompressed(r.o, r.p.Flat, synced, r.e.pool); err != nil {
+		return err
+	}
+	applyDone()
+	return nil
+}
+
+// dpRank is one data-parallel worker's per-iteration state.
+type dpRank struct {
+	trainRank
+	prev, delta tensor.Vector // Naïve DC state (worker 0, sequential schedule)
+}
+
+func (r *dpRank) step(rc *runCtx, t int64) error {
+	e, w := r.e, r.w
+	tr := e.trace0(w)
+	synced, iterDone, err := r.syncGradient(t)
 	if err != nil {
 		return err
 	}
@@ -244,12 +277,9 @@ func (r *dpRank) step(rc *runCtx, t int64) error {
 			return err
 		}
 	}
-	// Decompress + update (StepSparse fuses the two).
-	applyDone := tr.Begin1(trace.TrackTrain, trace.PhaseApply, "iter", t)
-	if err := applyCompressed(r.o, r.p.Flat, synced, e.pool); err != nil {
+	if err := r.applyGradient(t, synced); err != nil {
 		return err
 	}
-	applyDone()
 	// Naïve DC: compute and compress the state delta — this is
 	// the compression stall of §3.1 Challenge 1, paid inline.
 	if r.prev != nil {
@@ -265,9 +295,7 @@ func (r *dpRank) step(rc *runCtx, t int64) error {
 			return err
 		}
 	}
-	if w == 0 {
-		iterDone()
-	}
+	iterDone()
 	if r.sched != nil {
 		// Overlap schedule: deposit this iteration's checkpoint-plane
 		// work — the queue hand-off, the Naïve-DC delta, and any
@@ -286,84 +314,57 @@ func (r *dpRank) step(rc *runCtx, t int64) error {
 	// Full checkpoint regularly — and on demand when the
 	// fault-tolerance ladder requests a fresh chain base:
 	// synchronous snapshot, asynchronous persist.
-	if w == 0 && e.opts.Store != nil {
+	if w == 0 && rc.fulls != nil {
 		fallback := e.needFull.CompareAndSwap(true, false)
 		if fallback || t%int64(e.opts.FullEvery) == 0 {
 			snapDone := tr.Begin1(trace.TrackTrain, trace.PhaseSnapshot, "iter", t)
 			var full *checkpoint.Full
-			e.FullSnapshotTimer.Time(func() {
-				//lint:allow hotalloc full-checkpoint path runs every FullEvery iterations; ownership moves to the persist goroutine
-				full = &checkpoint.Full{
-					Iter:   t,
-					Params: r.p.Flat.Clone(),
-					Opt:    r.o.Snapshot(),
-				}
-			})
+			e.FullSnapshotTimer.Time(func() { full = snapshotFull(t, r.p.Flat, r.o) })
 			snapDone()
-			r.chain.fullCh <- fullJob{f: full}
+			rc.fulls <- fullJob{f: full}
 		}
 	}
 	return nil
 }
 
-// fullJob carries one full checkpoint to the persist goroutine. release,
-// when set, returns the snapshot's staging buffer to the overlap
-// schedule's double buffer after the persist attempt (the params must
-// not be touched once released).
-type fullJob struct {
-	f       *checkpoint.Full
-	release func()
-}
-
 // chainSnapshotter persists the LowDiff differential chain: an asynchronous
-// diff consumer batching queue items into store writes, plus an asynchronous
-// full-checkpoint persister (CheckFreq-style).
+// diff consumer draining the reuse queue into a chainSink. Boundary and
+// fallback fulls go to the engine's full persister (CheckFreq-style).
 type chainSnapshotter struct {
-	e      *Engine
-	fullCh chan fullJob
-	wg     sync.WaitGroup
+	e *Engine
+	// dormant, when set, is polled per queue item: while it reports true the
+	// chain is parked, and the chain only ever starts from a fallback base
+	// (the Peer strategy's storage fallback).
+	dormant func() bool
+	wg      sync.WaitGroup
 }
 
 func (s *chainSnapshotter) begin(rc *runCtx) error {
 	e := s.e
-	if e.opts.Store == nil {
+	if e.writer == nil {
 		return nil
 	}
-	s.fullCh = make(chan fullJob, 4)
-	if e.writer != nil {
-		q, err := NewReusingQueue(e.opts.QueueCap)
-		if err != nil {
-			return err
-		}
-		rc.queue = q
-		e.registerQueueMetrics(q)
-		s.wg.Add(1)
-		go s.consumeDiffs(rc)
+	q, err := NewReusingQueue(e.opts.QueueCap)
+	if err != nil {
+		return err
 	}
+	rc.queue = q
+	e.registerQueueMetrics(q)
 	s.wg.Add(1)
-	go s.persistFulls(rc)
+	go s.consumeDiffs(rc)
 	return nil
 }
 
 func (s *chainSnapshotter) initialFull(rc *runCtx) error {
-	e := s.e
-	if e.opts.Store == nil {
-		return nil
+	if rc.fulls != nil {
+		rc.fulls <- fullJob{f: snapshotFull(0, s.e.params[0].Flat, s.e.opts2[0])}
 	}
-	s.fullCh <- fullJob{f: &checkpoint.Full{
-		Iter:   0,
-		Params: e.params[0].Flat.Clone(),
-		Opt:    e.opts2[0].Snapshot(),
-	}}
 	return nil
 }
 
 func (s *chainSnapshotter) end(rc *runCtx) {
 	if rc.queue != nil {
 		rc.queue.Close()
-	}
-	if s.fullCh != nil {
-		close(s.fullCh)
 	}
 	s.wg.Wait()
 }
@@ -375,19 +376,8 @@ func (s *chainSnapshotter) runEndFields(stats *RunStats) map[string]any {
 }
 
 func (s *chainSnapshotter) registerMetrics(reg *obs.Registry) {
-	s.e.registerChainMetrics(reg)
-}
-
-// registerChainMetrics exposes the differential-chain and fault-ladder
-// instruments shared by the DP and Peer strategies.
-func (e *Engine) registerChainMetrics(reg *obs.Registry) {
-	if e.writer != nil {
-		w := e.writer
-		reg.FuncCounter("ckpt.diff.writes", w.Writes.Value)
-		reg.FuncCounter("ckpt.diff.batches", w.Batches.Value)
-		reg.FuncCounter("ckpt.diff.bytes", w.Bytes.Value)
-		reg.FuncGauge("ckpt.diff.pending_bytes", func() float64 { return float64(w.PendingBytes.Value()) })
-	}
+	e := s.e
+	e.registerWriterMetrics(reg)
 	reg.FuncCounter("ckpt.full.writes", e.fullWrites.Value)
 	reg.FuncCounter("ckpt.full.snapshots", e.FullSnapshotTimer.Count)
 	reg.FuncGauge("ckpt.full.snapshot_seconds", func() float64 { return e.FullSnapshotTimer.Total().Seconds() })
@@ -404,26 +394,24 @@ func (e *Engine) registerChainMetrics(reg *obs.Registry) {
 	reg.FuncCounter("engine.retry.backoff", fs.RetryBackoffs.Value)
 }
 
+// registerWriterMetrics exposes the batched differential writer's
+// instruments (every chain strategy: DP, Peer, PP).
+func (e *Engine) registerWriterMetrics(reg *obs.Registry) {
+	w := e.writer
+	if w == nil {
+		return
+	}
+	reg.FuncCounter("ckpt.diff.writes", w.Writes.Value)
+	reg.FuncCounter("ckpt.diff.batches", w.Batches.Value)
+	reg.FuncCounter("ckpt.diff.bytes", w.Bytes.Value)
+	reg.FuncGauge("ckpt.diff.pending_bytes", func() float64 { return float64(w.PendingBytes.Value()) })
+}
+
 // consumeDiffs is the checkpointing process: diff consumer (§4.1 Alg. 1).
 func (s *chainSnapshotter) consumeDiffs(rc *runCtx) {
 	defer s.wg.Done()
 	e := s.e
-	broken := false
-	suspended := false
-	onDiffFailure := func(iter int64) {
-		// Persistent differential-write failure: the open batch
-		// is lost, so the chain after the last full checkpoint
-		// is broken. Drop the batch, request a full checkpoint
-		// as a fresh chain base, and discard gradients until
-		// that base lands.
-		e.faults.DiffFailures.Inc()
-		e.writer.Drop()
-		suspended = true
-		e.degradeTo(HealthDegradedDiff)
-		e.faults.FullFallbacks.Inc()
-		e.events.Emit("ckpt.diff.fallback", map[string]any{"iter": iter})
-		e.needFull.Store(true)
-	}
+	sink := &chainSink{e: e, rc: rc, requestFull: true, suspended: s.dormant != nil}
 	for {
 		getDone := e.opts.Trace.Begin(trace.TrackCheckpoint, trace.PhaseQueueWait, nil)
 		it, err := rc.queue.Get()
@@ -431,60 +419,10 @@ func (s *chainSnapshotter) consumeDiffs(rc *runCtx) {
 		if err != nil {
 			return // closed and drained
 		}
-		if broken {
-			continue // drain so producers never block on a dead sink
-		}
-		if suspended {
-			// Only the first gradient after a freshly persisted
-			// full base can restart the differential chain;
-			// everything else is dropped (and accounted).
-			if e.Health() == HealthDegraded || it.Iter != e.lastFullIter.Load()+1 {
-				e.faults.DroppedDiffs.Inc()
-				e.events.Emit("ckpt.diff.drop", map[string]any{"iter": it.Iter})
-				continue
-			}
-			suspended = false
-		}
-		err = e.writer.Add(it.Iter, it.Grad)
-		if err != nil {
-			if e.ft == nil {
-				rc.errCh <- err
-				broken = true
-			} else {
-				onDiffFailure(it.Iter)
-			}
+		if s.dormant != nil && s.dormant() {
+			sink.park()
 			continue
 		}
-		// Cut batches at full-checkpoint boundaries so a batch
-		// never straddles the recovery base.
-		if it.Iter%int64(e.opts.FullEvery) == 0 {
-			if err := e.writer.Cut(); err != nil {
-				if e.ft == nil {
-					rc.errCh <- err
-					broken = true
-				} else {
-					onDiffFailure(it.Iter)
-				}
-			}
-		}
-	}
-}
-
-// persistFulls is the asynchronous full-checkpoint persister.
-func (s *chainSnapshotter) persistFulls(rc *runCtx) {
-	defer s.wg.Done()
-	broken := false
-	for job := range s.fullCh {
-		if !broken {
-			if err := s.e.persistFull(job.f); err != nil {
-				rc.errCh <- err
-				broken = true
-			}
-		}
-		// Release staging buffers even in drain mode: the overlap
-		// scheduler blocks in Acquire when both buffers are out.
-		if job.release != nil {
-			job.release()
-		}
+		sink.add(it.Iter, it.Grad)
 	}
 }

@@ -490,8 +490,28 @@ func (e *Engine) Iter() int64 { return e.iter }
 func (e *Engine) Params() tensor.Vector { return e.params[0].Flat }
 
 // OptState snapshots worker 0's optimizer state. Under PP this is stage 0's
-// state only; use PPEngine.GlobalOptState for the assembled global view.
+// state only; use GlobalOptState for the assembled global view.
 func (e *Engine) OptState() optim.State { return e.opts2[0].Snapshot() }
+
+// GlobalOptState returns the optimizer state a full checkpoint stores. Under
+// PP the per-stage states are assembled, slice slots concatenated in stage
+// order (all stages must share the optimizer type and step count); every
+// other strategy replicates the state, so worker 0's is the global one.
+func (e *Engine) GlobalOptState() (optim.State, error) {
+	if e.opts.PP == nil {
+		return e.OptState(), nil
+	}
+	return assembleOptState(e.opts2, e.stages, e.opts.Spec.NumParams())
+}
+
+// Stages returns the pipeline-parallel layer partition (nil unless the PP
+// strategy is selected).
+func (e *Engine) Stages() []StageRange { return e.stages }
+
+// Replica returns the LowDiff+ CPU-resident replica — per-iteration
+// in-memory recovery (§5.3) without touching storage — or nil unless the
+// Plus strategy is selected.
+func (e *Engine) Replica() Replica { return e.rep }
 
 // Loss returns the current objective value at worker 0's parameters.
 func (e *Engine) Loss() float64 {
@@ -546,7 +566,12 @@ func (e *Engine) Run(iters int) (RunStats, error) {
 		"start_iter": e.iter, "iters": iters, e.topo.rankKey(): e.topo.ranks(),
 	}))
 
+	stopPersister := func() {}
+	if e.opts.Store != nil {
+		stopPersister = e.startFullPersister(rc)
+	}
 	if err := e.snap.begin(rc); err != nil {
+		stopPersister()
 		return stats, err
 	}
 	// Persist the initial state once so the differential chain always has
@@ -554,6 +579,8 @@ func (e *Engine) Run(iters int) (RunStats, error) {
 	// checkpoint.
 	if rc.start == 0 {
 		if err := e.snap.initialFull(rc); err != nil {
+			e.snap.end(rc)
+			stopPersister()
 			return stats, err
 		}
 	}
@@ -576,6 +603,7 @@ func (e *Engine) Run(iters int) (RunStats, error) {
 	trainWG.Wait()
 	e.topo.end(rc)
 	e.snap.end(rc)
+	stopPersister() // after the consumers: the LowDiff+ assembler feeds it while draining
 
 	select {
 	case err := <-rc.errCh:
@@ -608,8 +636,8 @@ func (e *Engine) fillStats(stats *RunStats, rc *runCtx, base runBaseline) {
 
 // persistFull is the shared full-checkpoint persistence path: retry ladder,
 // health transitions, retention GC, and the ckpt.full.* events. It is called
-// from snapshotter consumer goroutines (data-parallel, LowDiff+) or inline
-// from stage 0 (pipeline-parallel).
+// from the full persister goroutine (startFullPersister) or inline from the
+// trainer where the persist must be synchronous (Peer, sequential PP).
 func (e *Engine) persistFull(f *checkpoint.Full) error {
 	if e.ft != nil && e.Health() == HealthDegraded {
 		return nil // ladder bottom: checkpointing suspended

@@ -9,27 +9,28 @@ import (
 	"lowdiff/internal/tensor"
 )
 
-func TestNewPlusEngineValidation(t *testing.T) {
+func TestPlusValidation(t *testing.T) {
 	spec := model.Tiny(3, 16)
-	cases := []PlusOptions{
-		{},
-		{Spec: spec, Workers: 0},
-		{Spec: spec, Workers: 1, PersistEvery: -2},
-		{Spec: spec, Workers: 1, Optimizer: "lion"},
+	cases := []Options{
+		{Plus: &PlusSpec{}},
+		{Spec: spec, Workers: 0, Plus: &PlusSpec{}},
+		{Spec: spec, Workers: 1, Plus: &PlusSpec{PersistEvery: -2}},
+		{Spec: spec, Workers: 1, Optimizer: "lion", Plus: &PlusSpec{}},
 	}
 	for i, o := range cases {
-		if _, err := NewPlusEngine(o); err == nil {
+		if _, err := NewEngine(o); err == nil {
 			t.Errorf("case %d: want error", i)
 		}
 	}
 }
 
-func TestPlusEngineTrainsAndConverges(t *testing.T) {
-	e, err := NewPlusEngine(PlusOptions{
+func TestPlusTrainsAndConverges(t *testing.T) {
+	e, err := NewEngine(Options{
 		Spec:    model.Tiny(4, 32),
 		Workers: 2,
 		LR:      0.05,
 		Seed:    1,
+		Plus:    &PlusSpec{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,12 +59,13 @@ func TestPlusEngineTrainsAndConverges(t *testing.T) {
 // with zero divergence.
 func TestPlusReplicaMatchesModelBitExact(t *testing.T) {
 	for _, optName := range []string{"adam", "sgd"} {
-		e, err := NewPlusEngine(PlusOptions{
+		e, err := NewEngine(Options{
 			Spec:      model.Tiny(5, 24),
 			Workers:   2,
 			Optimizer: optName,
 			LR:        0.03,
 			Seed:      2,
+			Plus:      &PlusSpec{},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -71,7 +73,7 @@ func TestPlusReplicaMatchesModelBitExact(t *testing.T) {
 		if _, err := e.Run(57); err != nil {
 			t.Fatal(err)
 		}
-		st := e.RecoverInMemory()
+		st := e.Replica().State()
 		if st.Iter != 57 {
 			t.Fatalf("%s: replica at iter %d, want 57", optName, st.Iter)
 		}
@@ -84,12 +86,12 @@ func TestPlusReplicaMatchesModelBitExact(t *testing.T) {
 
 func TestPlusPersistence(t *testing.T) {
 	mem := storage.NewMem()
-	e, err := NewPlusEngine(PlusOptions{
-		Spec:         model.Tiny(3, 16),
-		Workers:      1,
-		Store:        mem,
-		PersistEvery: 5,
-		Seed:         3,
+	e, err := NewEngine(Options{
+		Spec:    model.Tiny(3, 16),
+		Workers: 1,
+		Store:   mem,
+		Seed:    3,
+		Plus:    &PlusSpec{PersistEvery: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,11 +100,11 @@ func TestPlusPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Persists != 5 { // initial replica + 4 periodic
-		t.Fatalf("Persists = %d, want 5", stats.Persists)
+	if stats.FullWrites != 5 { // initial replica + 4 periodic
+		t.Fatalf("Persists = %d, want 5", stats.FullWrites)
 	}
-	if e.PersistedIter() != 20 {
-		t.Fatalf("PersistedIter = %d, want 20", e.PersistedIter())
+	if e.Replica().PersistedIter() != 20 {
+		t.Fatalf("PersistedIter = %d, want 20", e.Replica().PersistedIter())
 	}
 	m, _ := checkpoint.Scan(mem)
 	if len(m.Fulls) != 5 {
@@ -128,12 +130,12 @@ func TestPlusSoftwareVsHardwareRecoveryGap(t *testing.T) {
 	// only the last persisted checkpoint. After 23 iterations with
 	// PersistEvery=10, software is at 23, hardware at 20.
 	mem := storage.NewMem()
-	e, err := NewPlusEngine(PlusOptions{
-		Spec:         model.Tiny(2, 16),
-		Workers:      1,
-		Store:        mem,
-		PersistEvery: 10,
-		Seed:         4,
+	e, err := NewEngine(Options{
+		Spec:    model.Tiny(2, 16),
+		Workers: 1,
+		Store:   mem,
+		Seed:    4,
+		Plus:    &PlusSpec{PersistEvery: 10},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,17 +143,17 @@ func TestPlusSoftwareVsHardwareRecoveryGap(t *testing.T) {
 	if _, err := e.Run(23); err != nil {
 		t.Fatal(err)
 	}
-	soft := e.RecoverInMemory()
+	soft := e.Replica().State()
 	if soft.Iter != 23 {
 		t.Fatalf("software recovery at iter %d, want 23", soft.Iter)
 	}
-	if e.PersistedIter() != 20 {
-		t.Fatalf("hardware recovery base at %d, want 20", e.PersistedIter())
+	if e.Replica().PersistedIter() != 20 {
+		t.Fatalf("hardware recovery base at %d, want 20", e.Replica().PersistedIter())
 	}
 }
 
 func TestPlusWithoutStore(t *testing.T) {
-	e, err := NewPlusEngine(PlusOptions{Spec: model.Tiny(2, 8), Workers: 1, Seed: 5})
+	e, err := NewEngine(Options{Spec: model.Tiny(2, 8), Workers: 1, Seed: 5, Plus: &PlusSpec{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,16 +161,16 @@ func TestPlusWithoutStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Persists != 0 {
-		t.Fatalf("persists without store: %d", stats.Persists)
+	if stats.FullWrites != 0 {
+		t.Fatalf("persists without store: %d", stats.FullWrites)
 	}
-	if e.ReplicaIter() != 10 {
-		t.Fatalf("replica iter = %d", e.ReplicaIter())
+	if e.Replica().Iter() != 10 {
+		t.Fatalf("replica iter = %d", e.Replica().Iter())
 	}
 }
 
 func TestPlusRunsAccumulate(t *testing.T) {
-	e, err := NewPlusEngine(PlusOptions{Spec: model.Tiny(2, 8), Workers: 2, Seed: 6})
+	e, err := NewEngine(Options{Spec: model.Tiny(2, 8), Workers: 2, Seed: 6, Plus: &PlusSpec{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +180,10 @@ func TestPlusRunsAccumulate(t *testing.T) {
 	if _, err := e.Run(6); err != nil {
 		t.Fatal(err)
 	}
-	if e.Iter() != 10 || e.ReplicaIter() != 10 {
-		t.Fatalf("iter=%d replicaIter=%d, want 10/10", e.Iter(), e.ReplicaIter())
+	if e.Iter() != 10 || e.Replica().Iter() != 10 {
+		t.Fatalf("iter=%d replicaIter=%d, want 10/10", e.Iter(), e.Replica().Iter())
 	}
-	st := e.RecoverInMemory()
+	st := e.Replica().State()
 	if !st.Params.Equal(e.Params()) {
 		t.Fatal("replica diverged across Run calls")
 	}
@@ -194,14 +196,14 @@ func TestPlusRunsAccumulate(t *testing.T) {
 // checkpointing machinery cannot perturb training.
 func TestPlusMatchesDenseBaseline(t *testing.T) {
 	spec := model.Tiny(4, 16)
-	plus, err := NewPlusEngine(PlusOptions{Spec: spec, Workers: 2, LR: 0.02, Seed: 7})
+	plus, err := NewEngine(Options{Spec: spec, Workers: 2, LR: 0.02, Seed: 7, Plus: &PlusSpec{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := plus.Run(40); err != nil {
 		t.Fatal(err)
 	}
-	again, err := NewPlusEngine(PlusOptions{Spec: spec, Workers: 2, LR: 0.02, Seed: 7})
+	again, err := NewEngine(Options{Spec: spec, Workers: 2, LR: 0.02, Seed: 7, Plus: &PlusSpec{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,25 +57,25 @@ func TestPartitionBalancedByParams(t *testing.T) {
 	}
 }
 
-func TestPPEngineValidation(t *testing.T) {
+func TestPPValidation(t *testing.T) {
 	spec := model.Tiny(6, 16)
-	cases := []PPOptions{
-		{},
-		{Spec: spec, Stages: 0},
-		{Spec: spec, Stages: 2, Optimizer: "lion"},
-		{Spec: spec, Stages: 2, Codec: "int8"},
-		{Spec: spec, Stages: 2, FullEvery: 10, BatchSize: 3},
+	cases := []Options{
+		{PP: &PPSpec{}},
+		{Spec: spec, PP: &PPSpec{Stages: 0}},
+		{Spec: spec, PP: &PPSpec{Stages: 2}, Optimizer: "lion"},
+		{Spec: spec, PP: &PPSpec{Stages: 2}, Codec: "int8"},
+		{Spec: spec, PP: &PPSpec{Stages: 2}, FullEvery: 10, BatchSize: 3},
 	}
 	for i, o := range cases {
-		if _, err := NewPPEngine(o); err == nil {
+		if _, err := NewEngine(o); err == nil {
 			t.Errorf("case %d: want error", i)
 		}
 	}
 }
 
-func TestPPEngineTrainsAndConverges(t *testing.T) {
-	e, err := NewPPEngine(PPOptions{
-		Spec: model.Tiny(8, 32), Stages: 4, Rho: 0.2, LR: 0.05, Seed: 1,
+func TestPPTrainsAndConverges(t *testing.T) {
+	e, err := NewEngine(Options{
+		Spec: model.Tiny(8, 32), PP: &PPSpec{Stages: 4}, Rho: 0.2, LR: 0.05, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,12 +93,12 @@ func TestPPEngineTrainsAndConverges(t *testing.T) {
 	}
 }
 
-func TestPPEngineMatchesSingleStage(t *testing.T) {
+func TestPPMatchesSingleStage(t *testing.T) {
 	// Stage count must not change the trajectory: per-stage optimizers
 	// over disjoint slices equal one global optimizer.
 	run := func(stages int) []float32 {
-		e, err := NewPPEngine(PPOptions{
-			Spec: model.Tiny(6, 24), Stages: stages, Codec: "identity",
+		e, err := NewEngine(Options{
+			Spec: model.Tiny(6, 24), PP: &PPSpec{Stages: stages}, Codec: "identity",
 			LR: 0.02, Seed: 2, Noise: 0,
 		})
 		if err != nil {
@@ -119,10 +119,10 @@ func TestPPEngineMatchesSingleStage(t *testing.T) {
 	}
 }
 
-func TestPPEngineCheckpointsAssembled(t *testing.T) {
+func TestPPCheckpointsAssembled(t *testing.T) {
 	mem := storage.NewMem()
-	e, err := NewPPEngine(PPOptions{
-		Spec: model.Tiny(8, 32), Stages: 4, Rho: 0.2,
+	e, err := NewEngine(Options{
+		Spec: model.Tiny(8, 32), PP: &PPSpec{Stages: 4}, Rho: 0.2,
 		Store: mem, FullEvery: 10, BatchSize: 2, Seed: 3,
 	})
 	if err != nil {
@@ -164,9 +164,9 @@ func TestPPEngineCheckpointsAssembled(t *testing.T) {
 	}
 }
 
-func TestPPEngineGlobalOptState(t *testing.T) {
-	e, err := NewPPEngine(PPOptions{
-		Spec: model.Tiny(4, 16), Stages: 2, Rho: 0.5, LR: 0.01, Seed: 4,
+func TestPPGlobalOptState(t *testing.T) {
+	e, err := NewEngine(Options{
+		Spec: model.Tiny(4, 16), PP: &PPSpec{Stages: 2}, Rho: 0.5, LR: 0.01, Seed: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,10 +186,10 @@ func TestPPEngineGlobalOptState(t *testing.T) {
 	}
 }
 
-func TestPPEngineDeterministic(t *testing.T) {
+func TestPPDeterministic(t *testing.T) {
 	run := func() []float32 {
-		e, err := NewPPEngine(PPOptions{
-			Spec: model.Tiny(6, 20), Stages: 3, Rho: 0.3, Seed: 5,
+		e, err := NewEngine(Options{
+			Spec: model.Tiny(6, 20), PP: &PPSpec{Stages: 3}, Rho: 0.3, Seed: 5,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,16 +1,22 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"lowdiff/internal/checkpoint"
+	"lowdiff/internal/comm"
 	"lowdiff/internal/model"
+	"lowdiff/internal/obs"
+	"lowdiff/internal/recovery"
 	"lowdiff/internal/storage"
 )
 
@@ -175,6 +181,13 @@ type prefixFaultStore struct {
 	fails  int
 }
 
+// arm makes the next n matching writes fail.
+func (s *prefixFaultStore) arm(n int) {
+	s.mu.Lock()
+	s.fails = n
+	s.mu.Unlock()
+}
+
 func (s *prefixFaultStore) Create(name string) (io.WriteCloser, error) {
 	s.mu.Lock()
 	doomed := strings.HasPrefix(name, s.prefix) && s.fails > 0
@@ -237,6 +250,186 @@ func TestEngineFallsBackToFullOnDiffFailure(t *testing.T) {
 	// the initial, fallback-or-boundary, and later periodic fulls exist.
 	if len(m.Fulls) < 4 {
 		t.Fatalf("fulls: %+v, want initial + fallback + periodic", m.Fulls)
+	}
+}
+
+// ladderEvent is one decoded JSONL event, reduced to what the ladder test
+// compares (the "engine" tag of the Peer and PP payloads is dropped).
+type ladderEvent struct {
+	Type string
+	Iter int64  // "iter", or "first" for ckpt.diff.persist
+	To   string // health.* target rung
+}
+
+func decodeLadderEvents(t *testing.T, raw []byte) []ladderEvent {
+	t.Helper()
+	var out []ladderEvent
+	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		var ev struct {
+			Type   string         `json:"type"`
+			Fields map[string]any `json:"fields"`
+		}
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("bad event line %q: %v", line, err)
+		}
+		le := ladderEvent{Type: ev.Type}
+		for _, k := range []string{"iter", "first"} {
+			if v, ok := ev.Fields[k].(float64); ok {
+				le.Iter = int64(v)
+				break
+			}
+		}
+		le.To, _ = ev.Fields["to"].(string)
+		out = append(out, le)
+	}
+	return out
+}
+
+// One persistent differential-write failure must walk every chain strategy
+// through the same rung of the ladder — they share one chain sink: the write
+// fails after its retry, ckpt.diff.fallback, a contiguous run of
+// ckpt.diff.drop up to the fresh full base, and the chain restarts at the
+// gradient right after that base, with identical fault counters. How long
+// the drop run is depends on the strategy and on scheduling (DP and Peer ask
+// for an on-demand full, PP waits for the next periodic one; DP persists it
+// asynchronously and can lose the race against the next gradient, see
+// chainSink.add), so the sequences are compared with the run collapsed.
+func TestDiffWriteFaultLadderSharedAcrossStrategies(t *testing.T) {
+	const fullEvery, warm, faulted = 4, 4, 120
+	failAt := int64(warm + 1)
+	type outcome struct {
+		Chain  []string         // sink events, drop run collapsed
+		Health []string         // ladder transitions, without their rungs
+		Faults map[string]int64 // counter deltas, dropped_diffs excluded
+	}
+	var outcomes []outcome
+	for _, tc := range []struct {
+		name     string
+		strategy func(o *Options)
+		recovers string // rung the fresh base climbs back to
+	}{
+		{"dp", func(o *Options) { o.Workers = 2 }, "ok"},
+		{"peer-fallback", func(o *Options) {
+			// Both windows die at iteration 2: the run continues on the
+			// storage-differential fallback, which is the chain under test.
+			o.Workers = 2
+			o.Peer = &PeerSpec{Window: fullEvery, Chaos: &comm.ChaosConfig{
+				Crashes: []comm.Crash{{Rank: 0, Iter: 2}, {Rank: 1, Iter: 2}},
+			}}
+		}, "degraded-peer"},
+		{"pp", func(o *Options) { o.PP = &PPSpec{Stages: 2} }, "ok"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := storage.NewMem()
+			store := &prefixFaultStore{Store: mem, prefix: "diff-"}
+			var log bytes.Buffer // read only between Run calls, when no goroutine emits
+			events := obs.NewEventLog(&log)
+			opts := Options{
+				Spec: model.Tiny(4, 16), Optimizer: "sgd", LR: 0.05, Rho: 0.3,
+				Store: store, FullEvery: fullEvery, BatchSize: 1, QueueCap: 2, Seed: 21,
+				FaultTolerance: &FaultToleranceOptions{Retry: RetryPolicy{MaxRetries: 1}},
+				Events:         events,
+			}
+			tc.strategy(&opts)
+			e, err := NewEngine(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Run(warm); err != nil {
+				t.Fatal(err)
+			}
+			before := e.FaultCounters().Snapshot()
+			mark := log.Len()
+			store.arm(2) // the next differential write and its one retry
+			if _, err := e.Run(faulted); err != nil {
+				t.Fatalf("fault-tolerant run aborted: %v", err)
+			}
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := events.Err(); err != nil {
+				t.Fatal(err)
+			}
+
+			var got outcome
+			var rungs []string
+			base := failAt // last iteration the broken chain lost
+			restart := int64(-1)
+			fulls := map[int64]bool{}
+			for _, ev := range decodeLadderEvents(t, log.Bytes()[mark:]) {
+				switch ev.Type {
+				case "ckpt.diff.fallback":
+					if ev.Iter != failAt {
+						t.Fatalf("fallback at iteration %d, want %d", ev.Iter, failAt)
+					}
+					got.Chain = append(got.Chain, ev.Type)
+				case "ckpt.diff.drop":
+					if len(got.Chain) == 0 || ev.Iter != base+1 || restart >= 0 {
+						t.Fatalf("drop of iteration %d does not extend the run ending at %d (chain %v, restart %d)",
+							ev.Iter, base, got.Chain, restart)
+					}
+					base = ev.Iter
+					if got.Chain[len(got.Chain)-1] != "ckpt.diff.drop*" {
+						got.Chain = append(got.Chain, "ckpt.diff.drop*")
+					}
+				case "ckpt.diff.persist":
+					if len(got.Chain) > 0 && restart < 0 {
+						restart = ev.Iter
+						got.Chain = append(got.Chain, "restart")
+					}
+				case "ckpt.full.persist":
+					fulls[ev.Iter] = true
+				case "health.degrade", "health.recover":
+					got.Health = append(got.Health, ev.Type)
+					rungs = append(rungs, ev.To)
+				}
+			}
+			if restart != base+1 || !fulls[base] {
+				t.Fatalf("chain restarted at %d after drops up to %d (full at %d persisted: %v); want restart at lastFullIter+1",
+					restart, base, base, fulls[base])
+			}
+			if len(got.Chain) == 2 { // the base landed before the next gradient: an empty drop run
+				got.Chain = []string{got.Chain[0], "ckpt.diff.drop*", got.Chain[1]}
+			}
+			if want := []string{"degraded-diff", tc.recovers}; !reflect.DeepEqual(rungs, want) {
+				t.Fatalf("ladder moved through %v, want %v", rungs, want)
+			}
+
+			got.Faults = e.FaultCounters().Snapshot()
+			for k, v := range before {
+				got.Faults[k] -= v
+			}
+			if dropped := got.Faults["dropped_diffs"]; dropped != base-failAt {
+				t.Fatalf("dropped_diffs = %d, want %d (one per ckpt.diff.drop)", dropped, base-failAt)
+			}
+			delete(got.Faults, "dropped_diffs")
+			outcomes = append(outcomes, got)
+
+			// The restarted chain is a valid one: storage alone recovers the
+			// live state bit-exactly.
+			st, _, err := recovery.Latest(mem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Iter != warm+faulted || !st.Params.Equal(e.Params()) {
+				t.Fatalf("recovered to iteration %d (bit-exact=%v), want %d bit-exact",
+					st.Iter, st.Params.Equal(e.Params()), warm+faulted)
+			}
+		})
+	}
+	want := outcome{
+		Chain:  []string{"ckpt.diff.fallback", "ckpt.diff.drop*", "restart"},
+		Health: []string{"health.degrade", "health.recover"},
+		Faults: map[string]int64{
+			"diff_retries": 1, "diff_failures": 1, "full_fallbacks": 1,
+			"degradations": 1, "recoveries": 1,
+			"full_retries": 0, "full_failures": 0, "gc_failures": 0, "retry_backoffs": 0,
+		},
+	}
+	for i, got := range outcomes {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("strategy %d walked the ladder differently:\n got %+v\nwant %+v", i, got, want)
+		}
 	}
 }
 

@@ -148,18 +148,18 @@ func goldenConfigs(par int, overlap bool) []goldenConfig {
 	cfgs = append(cfgs, goldenConfig{
 		name: "plus", chunks: []int{17}, store: storage.NewMem(), events: true,
 		build: func(store storage.Store, events *obs.EventLog) (goldenEngine, error) {
-			return NewPlusEngine(PlusOptions{
+			return NewEngine(Options{
 				Spec: model.Tiny(5, 24), Workers: 2, LR: 0.03,
-				Store: store, PersistEvery: 5, Parallelism: par,
+				Store: store, Plus: &PlusSpec{PersistEvery: 5}, Parallelism: par,
 				Seed: 105, Events: events,
 			})
 		},
 		run: func(e goldenEngine, iters int) (int64, int64, error) {
-			st, err := e.(*PlusEngine).Run(iters)
-			return 0, st.Persists, err
+			st, err := e.(*Engine).Run(iters)
+			return 0, st.FullWrites, err
 		},
 		finish: func(e goldenEngine) (optim.State, error) {
-			return e.(*PlusEngine).RecoverInMemory().Opt, nil
+			return e.(*Engine).Replica().State().Opt, nil
 		},
 	})
 
@@ -170,21 +170,21 @@ func goldenConfigs(par int, overlap bool) []goldenConfig {
 	cfgs = append(cfgs, goldenConfig{
 		name: "pp", chunks: []int{13, 7}, store: storage.NewMem(),
 		build: func(store storage.Store, events *obs.EventLog) (goldenEngine, error) {
-			return NewPPEngine(PPOptions{
-				Spec: model.Tiny(8, 32), Stages: 4, Rho: 0.2,
+			return NewEngine(Options{
+				Spec: model.Tiny(8, 32), PP: &PPSpec{Stages: 4}, Rho: 0.2,
 				Store: store, FullEvery: 10, BatchSize: 2, Parallelism: par,
 				Seed: 106, Events: events,
 			})
 		},
 		run: func(e goldenEngine, iters int) (int64, int64, error) {
-			st, err := e.(*PPEngine).Run(iters)
+			st, err := e.(*Engine).Run(iters)
 			return st.DiffWrites, st.FullWrites, err
 		},
 		finish: func(e goldenEngine) (optim.State, error) {
-			if err := e.(*PPEngine).Flush(); err != nil {
+			if err := e.(*Engine).Flush(); err != nil {
 				return optim.State{}, err
 			}
-			return e.(*PPEngine).GlobalOptState()
+			return e.(*Engine).GlobalOptState()
 		},
 	})
 	return cfgs

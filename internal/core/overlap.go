@@ -37,7 +37,7 @@ import (
 //	  compute(t+1)                           queue.Put(grad t)   [ungated]
 //	  allgather(t+1) opens span
 //	    openGate(t) ── close(gate) ──▶       delta/snapshot slices [gated]
-//	    AllGatherSparse wave                 fullCh ◀── staged full
+//	    AllGatherSparse wave                 rc.fulls ◀── staged full
 //	    rendezvous(t) ◀── close(done) ──     recycle slot to freeCh
 //	  allgather(t+1) span closes
 //	  apply(t+1)
@@ -58,9 +58,8 @@ type overlapSlot struct {
 
 // overlapScheduler owns the checkpoint plane of an overlapped DP run.
 type overlapScheduler struct {
-	e     *Engine
-	chain *chainSnapshotter
-	rc    *runCtx
+	e  *Engine
+	rc *runCtx
 
 	freeCh  chan *overlapSlot // recycled slots (cap 2: the double buffer)
 	workCh  chan *overlapSlot // deposited slots, drained FIFO
@@ -89,10 +88,10 @@ type overlapScheduler struct {
 // reused across Run calls. Under Naïve DC the previous-params buffer is
 // cloned here, exactly where the sequential rank would clone it, so
 // chunked runs see the same delta chain.
-func newOverlapScheduler(e *Engine, chain *chainSnapshotter, rc *runCtx,
+func newOverlapScheduler(e *Engine, rc *runCtx,
 	comp compress.Compressor, staging *parallel.DoubleBuf) *overlapScheduler {
 	s := &overlapScheduler{
-		e: e, chain: chain, rc: rc,
+		e: e, rc: rc,
 		freeCh:  make(chan *overlapSlot, 2),
 		workCh:  make(chan *overlapSlot, 2),
 		drainCh: make(chan struct{}),
@@ -258,7 +257,7 @@ func (s *overlapScheduler) process(slot *overlapSlot) {
 		})
 		snapDone()
 		e.overlapSlices.Inc()
-		s.chain.fullCh <- fullJob{f: full, release: func() { s.staging.Release(buf) }}
+		s.rc.fulls <- fullJob{f: full, release: func() { s.staging.Release(buf) }}
 	}
 }
 

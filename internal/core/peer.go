@@ -2,15 +2,11 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"lowdiff/internal/checkpoint"
 	"lowdiff/internal/comm"
 	"lowdiff/internal/compress"
-	"lowdiff/internal/model"
 	"lowdiff/internal/obs"
-	"lowdiff/internal/optim"
-	"lowdiff/internal/tensor"
 	"lowdiff/internal/trace"
 )
 
@@ -34,24 +30,8 @@ import (
 // peerTopology / peerSnapshotter pair.
 func (e *Engine) initPeer() error {
 	opts := e.opts
-	if opts.Workers < 1 {
-		return fmt.Errorf("core: %d workers; need at least 1", opts.Workers)
-	}
-	if opts.FullEvery < 1 {
-		return fmt.Errorf("core: FullEvery %d must be >= 1", opts.FullEvery)
-	}
-	if opts.BatchSize < 1 {
-		return fmt.Errorf("core: BatchSize %d must be >= 1", opts.BatchSize)
-	}
-	if opts.RetainFulls < 0 {
-		return fmt.Errorf("core: RetainFulls %d must be >= 0", opts.RetainFulls)
-	}
-	if opts.FullEvery%opts.BatchSize != 0 {
-		return fmt.Errorf("core: FullEvery (%d) must be a multiple of BatchSize (%d) so batches never straddle a full checkpoint",
-			opts.FullEvery, opts.BatchSize)
-	}
-	if opts.Codec == "randk" && opts.Workers > 1 {
-		return fmt.Errorf("core: randk selects different indices per worker; use topk or identity for multi-worker runs")
+	if err := validateChain(opts); err != nil {
+		return err
 	}
 	if opts.Store == nil {
 		return fmt.Errorf("core: the Peer strategy needs a store for its periodic full checkpoints")
@@ -94,9 +74,10 @@ func (e *Engine) initPeer() error {
 		}
 	}
 	e.tag = "peer"
-	snap := &peerSnapshotter{e: e}
-	e.topo = &peerTopology{e: e}
-	e.snap = snap
+	e.topo = &peerTopology{dpTopology{e: e}}
+	// The storage fallback is the DP chain, parked while the peer plane is
+	// healthy (so it makes zero storage writes).
+	e.snap = &peerSnapshotter{chainSnapshotter{e: e, dormant: func() bool { return !e.peerFallback.Load() }}}
 	return nil
 }
 
@@ -108,72 +89,25 @@ func (e *Engine) Peers() *comm.Peers { return e.peers }
 // storage-differential fallback path.
 func (e *Engine) PeerFallbackActive() bool { return e.peerFallback.Load() }
 
-// peerTopology runs Workers data-parallel ranks whose received gradients
-// are retained in peer windows.
+// peerTopology is the data-parallel topology with ranks whose received
+// gradients are retained in peer windows (Overlap is rejected at init, so
+// the embedded scheduler hooks stay idle).
 type peerTopology struct {
-	e *Engine
-}
-
-func (d *peerTopology) ranks() int      { return d.e.opts.Workers }
-func (d *peerTopology) rankKey() string { return "workers" }
-func (d *peerTopology) begin(*runCtx)   {}
-func (d *peerTopology) end(*runCtx)     {}
-
-func (d *peerTopology) registerMetrics(reg *obs.Registry) {
-	e := d.e
-	reg.FuncGauge("engine.iter", func() float64 { return float64(e.live.Load()) })
-	reg.FuncGauge("engine.health", func() float64 { return float64(e.Health()) })
-	reg.FuncGauge("engine.workers", func() float64 { return float64(e.opts.Workers) })
+	dpTopology
 }
 
 func (d *peerTopology) newRank(rc *runCtx, w int) rankRunner {
-	e := d.e
-	return &peerRank{
-		e: e,
-		w: w,
-		p: e.params[w],
-		o: e.opts2[w],
-		g: tensor.New(e.opts.Spec.NumParams()),
-	}
+	return &peerRank{d.newTrainRank(w)}
 }
 
 // peerRank is one peer-replicated worker's per-iteration state.
 type peerRank struct {
-	e *Engine
-	w int
-	p *model.Params
-	o optim.Optimizer
-	g tensor.Vector
+	trainRank
 }
 
 func (r *peerRank) step(rc *runCtx, t int64) error {
 	e, w := r.e, r.w
-	tr := e.trace0(w)
-	var iterDone func()
-	if w == 0 {
-		e.live.Store(t)
-		if t%int64(e.opts.FullEvery) == 0 {
-			e.events.Emit("train.milestone", map[string]any{"iter": t})
-		}
-		iterDone = tr.Begin1(trace.TrackTrain, trace.PhaseIteration, "iter", t)
-	}
-	// Backward pass.
-	computeDone := tr.Begin1(trace.TrackTrain, trace.PhaseCompute, "iter", t)
-	if err := e.oracle.Local(r.p.Flat, w, int(t), r.g); err != nil {
-		return err
-	}
-	computeDone()
-	// Compress.
-	compressDone := tr.Begin1(trace.TrackTrain, trace.PhaseCompress, "iter", t)
-	local, err := e.comps[w].Compress(r.g)
-	compressDone()
-	if err != nil {
-		return err
-	}
-	// Synchronize.
-	syncDone := tr.Begin1(trace.TrackTrain, trace.PhaseAllGather, "iter", t)
-	synced, err := e.group.AllGatherSparse(w, local)
-	syncDone()
+	synced, iterDone, err := r.syncGradient(t)
 	if err != nil {
 		return err
 	}
@@ -184,15 +118,10 @@ func (r *peerRank) step(rc *runCtx, t int64) error {
 	if err := e.peers.Retain(w, t, synced); err != nil {
 		return err
 	}
-	// Decompress + update (StepSparse fuses the two).
-	applyDone := tr.Begin1(trace.TrackTrain, trace.PhaseApply, "iter", t)
-	if err := applyCompressed(r.o, r.p.Flat, synced, e.pool); err != nil {
+	if err := r.applyGradient(t, synced); err != nil {
 		return err
 	}
-	applyDone()
-	if w == 0 {
-		iterDone()
-	}
+	iterDone()
 	// Worker 0 makes the checkpoint decision after a barrier, so every
 	// survivor's window already holds iteration t when coverage is
 	// checked — deterministic regardless of goroutine scheduling.
@@ -262,13 +191,7 @@ func (r *peerRank) persistInlineFull(t int64) error {
 	e := r.e
 	snapDone := e.opts.Trace.Begin1(trace.TrackTrain, trace.PhaseSnapshot, "iter", t)
 	var full *checkpoint.Full
-	e.FullSnapshotTimer.Time(func() {
-		full = &checkpoint.Full{
-			Iter:   t,
-			Params: r.p.Flat.Clone(),
-			Opt:    r.o.Snapshot(),
-		}
-	})
+	e.FullSnapshotTimer.Time(func() { full = snapshotFull(t, r.p.Flat, r.o) })
 	snapDone()
 	return e.persistFull(full)
 }
@@ -306,29 +229,12 @@ func (e *Engine) maybeRestorePeer(t int64) {
 	}
 }
 
-// peerSnapshotter owns the storage fallback path: a queue-fed consumer
-// that stays dormant (dropping nothing but its own open batches) while the
+// peerSnapshotter owns the storage fallback path: the DP chain consumer,
+// which stays dormant (dropping nothing but its own open batches) while the
 // peer plane is healthy and runs the standard batched differential chain
 // while the fallback is engaged.
 type peerSnapshotter struct {
-	e  *Engine
-	wg sync.WaitGroup
-}
-
-func (s *peerSnapshotter) begin(rc *runCtx) error {
-	e := s.e
-	if e.writer == nil {
-		return nil
-	}
-	q, err := NewReusingQueue(e.opts.QueueCap)
-	if err != nil {
-		return err
-	}
-	rc.queue = q
-	e.registerQueueMetrics(q)
-	s.wg.Add(1)
-	go s.consumeFallbackDiffs(rc)
-	return nil
+	chainSnapshotter
 }
 
 func (s *peerSnapshotter) initialFull(rc *runCtx) error {
@@ -336,21 +242,8 @@ func (s *peerSnapshotter) initialFull(rc *runCtx) error {
 	// first coverage check at iteration 1.
 	e := s.e
 	var full *checkpoint.Full
-	e.FullSnapshotTimer.Time(func() {
-		full = &checkpoint.Full{
-			Iter:   0,
-			Params: e.params[0].Flat.Clone(),
-			Opt:    e.opts2[0].Snapshot(),
-		}
-	})
+	e.FullSnapshotTimer.Time(func() { full = snapshotFull(0, e.params[0].Flat, e.opts2[0]) })
 	return e.persistFull(full)
-}
-
-func (s *peerSnapshotter) end(rc *runCtx) {
-	if rc.queue != nil {
-		rc.queue.Close()
-	}
-	s.wg.Wait()
 }
 
 func (s *peerSnapshotter) runEndFields(stats *RunStats) map[string]any {
@@ -364,7 +257,7 @@ func (s *peerSnapshotter) runEndFields(stats *RunStats) map[string]any {
 
 func (s *peerSnapshotter) registerMetrics(reg *obs.Registry) {
 	e := s.e
-	e.registerChainMetrics(reg)
+	s.chainSnapshotter.registerMetrics(reg)
 	p := e.peers
 	reg.FuncGauge("peer.window.depth", func() float64 { return float64(p.Depth()) })
 	reg.FuncGauge("peer.window.occupancy", func() float64 { return float64(p.MinOccupancy()) })
@@ -374,75 +267,4 @@ func (s *peerSnapshotter) registerMetrics(reg *obs.Registry) {
 	reg.FuncCounter("peer.chaos.crashes", func() int64 { return p.ChaosCounters().Crashes })
 	reg.FuncCounter("peer.chaos.drops", func() int64 { return p.ChaosCounters().Drops })
 	reg.FuncCounter("peer.chaos.corruptions", func() int64 { return p.ChaosCounters().Corruptions })
-}
-
-// consumeFallbackDiffs drains the queue for the storage fallback: dormant
-// while the peer plane is healthy (abandoning any open batch, so zero
-// storage writes), and the standard suspended-until-fresh-base batched
-// chain while the fallback is engaged.
-func (s *peerSnapshotter) consumeFallbackDiffs(rc *runCtx) {
-	defer s.wg.Done()
-	e := s.e
-	broken := false
-	suspended := true // the chain only starts after a fallback base lands
-	onDiffFailure := func(iter int64) {
-		e.faults.DiffFailures.Inc()
-		e.writer.Drop()
-		suspended = true
-		e.degradeTo(HealthDegradedDiff)
-		e.faults.FullFallbacks.Inc()
-		e.events.Emit("ckpt.diff.fallback", e.fields(map[string]any{"iter": iter}))
-		e.needFull.Store(true)
-	}
-	for {
-		getDone := e.opts.Trace.Begin(trace.TrackCheckpoint, trace.PhaseQueueWait, nil)
-		it, err := rc.queue.Get()
-		getDone()
-		if err != nil {
-			return // closed and drained
-		}
-		if broken {
-			continue // drain so producers never block on a dead sink
-		}
-		if !e.peerFallback.Load() {
-			// Peer plane healthy (again): the chain is dead weight.
-			// Abandon any open batch and wait for the next fallback's
-			// fresh base.
-			e.writer.Drop()
-			suspended = true
-			continue
-		}
-		if suspended {
-			// Only the first gradient after a freshly persisted full can
-			// start the fallback chain; everything else is dropped.
-			if e.Health() == HealthDegraded || it.Iter != e.lastFullIter.Load()+1 {
-				e.faults.DroppedDiffs.Inc()
-				e.events.Emit("ckpt.diff.drop", e.fields(map[string]any{"iter": it.Iter}))
-				continue
-			}
-			suspended = false
-		}
-		err = e.writer.Add(it.Iter, it.Grad)
-		if err != nil {
-			if e.ft == nil {
-				rc.errCh <- err
-				broken = true
-			} else {
-				onDiffFailure(it.Iter)
-			}
-			continue
-		}
-		// Cut batches at full-checkpoint boundaries so a batch never
-		// straddles the recovery base.
-		if it.Iter%int64(e.opts.FullEvery) == 0 {
-			if err := e.writer.Cut(); err != nil {
-				if e.ft == nil {
-					rc.errCh <- err
-					broken = true
-				} else {
-					onDiffFailure(it.Iter)
-				}
-			}
-		}
-	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"lowdiff/internal/checkpoint"
 	"lowdiff/internal/comm"
@@ -11,146 +10,23 @@ import (
 	"lowdiff/internal/model"
 	"lowdiff/internal/obs"
 	"lowdiff/internal/optim"
-	"lowdiff/internal/storage"
 	"lowdiff/internal/tensor"
 	"lowdiff/internal/trace"
 )
 
 // LowDiff+ (paper §5): gradient reuse without compression, layer-wise
 // snapshotting through an offload pool, a CPU-resident model replica, and
-// asynchronous persistence.
-
-// PlusOptions configures the LowDiff+ engine (paper §5). It is a thin view
-// over the unified Options with a PlusSpec extension.
-type PlusOptions struct {
-	Spec    model.Spec
-	Workers int
-
-	Optimizer string // "adam" (default) or "sgd"
-	LR        float64
-	Momentum  float64
-
-	// Store receives persisted full checkpoints from the CPU replica; nil
-	// keeps checkpoints in memory only.
-	Store storage.Store
-	// PersistEvery persists the CPU replica every so many iterations
-	// (default 10), following CheckFreq-style overlap.
-	PersistEvery int
-	QueueCap     int // layer-item queue bound (default: 4x layer count)
-	// SnapshotWorkers sizes the offload thread pool P_s (Alg. 2): layer
-	// gradients are copied to host memory by pool workers concurrently
-	// with the remaining layers' compute and synchronization; the trainer
-	// waits on the pool (H_s) before reusing its gradient buffer.
-	// Default 4.
-	SnapshotWorkers int
-
-	// Parallelism shards the dense data-plane loops (replica assembly,
-	// checkpoint encode/decode) across that many pool workers; 0 or 1 is
-	// serial. Bit-identical to serial at any setting (DESIGN.md §8).
-	Parallelism int
-
-	// Overlap enables the pipelined step schedule (DESIGN.md §11): the
-	// trainer alternates between two gradient buffers and defers each
-	// H_s wait by one step, so layer offloads for iteration i drain
-	// while iteration i+1 computes; a sequencer re-establishes the
-	// iteration-monotonic queue order the replica assembler requires.
-	// Replica state and persisted checkpoints are bit-identical.
-	Overlap bool
-
-	Seed  uint64
-	Noise float64 // default 0.05
-
-	// Trace, when non-nil, records the step-phase timeline (per-layer
-	// compute/allgather, snapshot offload, replica assembly, persists).
-	// Nil disables tracing with zero overhead.
-	Trace *trace.Recorder
-	// Metrics, when non-nil, registers the engine's live instruments
-	// (plus.*) for export through the obs endpoints. Nil disables it.
-	Metrics *obs.Registry
-	// Events, when non-nil, receives run lifecycle events (run start/end,
-	// replica persists). Nil disables emission.
-	Events *obs.EventLog
-}
-
-// PlusStats summarizes one PlusEngine.Run call.
-type PlusStats struct {
-	Iterations     int
-	LayerSnapshots int64         // layer gradients offloaded to CPU
-	SnapshotBytes  int64         // bytes copied GPU->CPU
-	ReplicaSteps   int64         // CPU-replica optimizer steps
-	Persists       int64         // full checkpoints written from the replica
-	SnapshotTime   time.Duration // time spent in layer offload copies
-	FinalLoss      float64
-}
-
-// PlusEngine is the functional LowDiff+ trainer. Workers train with dense
-// (uncompressed) ring-all-reduce gradient synchronization; each layer's
-// synchronized gradient is snapshotted to "CPU memory" as soon as it is
-// produced (reverse layer order, §5.1) and streamed through the reusing
-// queue to the checkpointing process, which maintains an always-up-to-date
-// CPU-resident replica of the model state (§5.2) and persists it
-// asynchronously. Software failures recover from the in-memory replica;
-// hardware failures reload the last persisted checkpoint.
-type PlusEngine struct {
-	*Engine
-}
-
-// NewPlusEngine validates options and builds the engine over the unified
-// core. The CPU replica is initialized as a deep copy of the (identical)
-// worker state, mirroring the paper's copy.deepcopy() at spawn time.
-func NewPlusEngine(opts PlusOptions) (*PlusEngine, error) {
-	e, err := NewEngine(Options{
-		Spec:        opts.Spec,
-		Workers:     opts.Workers,
-		Optimizer:   opts.Optimizer,
-		LR:          opts.LR,
-		Momentum:    opts.Momentum,
-		Store:       opts.Store,
-		QueueCap:    opts.QueueCap,
-		Parallelism: opts.Parallelism,
-		Overlap:     opts.Overlap,
-		Seed:        opts.Seed,
-		Noise:       opts.Noise,
-		Trace:       opts.Trace,
-		Metrics:     opts.Metrics,
-		Events:      opts.Events,
-		Plus: &PlusSpec{
-			PersistEvery:    opts.PersistEvery,
-			SnapshotWorkers: opts.SnapshotWorkers,
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &PlusEngine{Engine: e}, nil
-}
-
-// Run trains iters iterations with layer-wise gradient reuse, per-iteration
-// in-memory checkpointing, and asynchronous persistence every PersistEvery
-// iterations.
-func (e *PlusEngine) Run(iters int) (PlusStats, error) {
-	st, err := e.Engine.Run(iters)
-	return PlusStats{
-		Iterations:     st.Iterations,
-		LayerSnapshots: st.LayerSnapshots,
-		SnapshotBytes:  st.SnapshotBytes,
-		ReplicaSteps:   st.ReplicaSteps,
-		Persists:       st.FullWrites,
-		SnapshotTime:   st.SnapshotTime,
-		FinalLoss:      st.FinalLoss,
-	}, err
-}
-
-// ReplicaIter returns the iteration the CPU replica reflects.
-func (e *PlusEngine) ReplicaIter() int64 { return e.rep.Iter() }
-
-// PersistedIter returns the iteration of the last persisted checkpoint.
-func (e *PlusEngine) PersistedIter() int64 { return e.rep.PersistedIter() }
-
-// RecoverInMemory returns the CPU-resident replica state: the
-// software-failure recovery path (§5.3), available without touching
-// storage.
-func (e *PlusEngine) RecoverInMemory() *State { return e.rep.State() }
+// asynchronous persistence. Workers train with dense (uncompressed)
+// ring-all-reduce gradient synchronization; each layer's synchronized
+// gradient is snapshotted to "CPU memory" as soon as it is produced (reverse
+// layer order, §5.1) by the offload thread pool P_s (Alg. 2), concurrently
+// with the remaining layers' compute and synchronization — the trainer waits
+// on the pool (H_s) before reusing its gradient buffer — and streamed through
+// the reusing queue to the checkpointing process, which maintains an
+// always-up-to-date CPU-resident replica of the model state (§5.2) and
+// persists it asynchronously every PlusSpec.PersistEvery iterations,
+// CheckFreq-style. Software failures recover from the in-memory replica
+// (Engine.Replica); hardware failures reload the last persisted checkpoint.
 
 // State is a recovered or snapshotted training state (mirrors
 // recovery.State without importing it, to keep core free of a recovery
@@ -194,7 +70,8 @@ func (e *Engine) initPlus() error {
 		}
 		e.opts2 = append(e.opts2, o)
 	}
-	// CPU replica: deep copy of the initial state.
+	// CPU replica: a deep copy of the (identical) worker state, mirroring
+	// the paper's copy.deepcopy() at spawn time.
 	ro, err := newOptimizer(opts, n)
 	if err != nil {
 		return err
@@ -252,11 +129,7 @@ func (r *plusReplica) pendingFull() *checkpoint.Full {
 	if r.iter <= r.persistIter {
 		return nil
 	}
-	return &checkpoint.Full{
-		Iter:   r.iter,
-		Params: r.params.Flat.Clone(),
-		Opt:    r.opt.Snapshot(),
-	}
+	return snapshotFull(r.iter, r.params.Flat, r.opt)
 }
 
 func (r *plusReplica) restore(params tensor.Vector, st optim.State, iter int64) error {
@@ -521,9 +394,7 @@ func (r *plusRank) step(rc *runCtx, t int64) error {
 type replicaSnapshotter struct {
 	e          *Engine
 	rep        *plusReplica
-	persistCh  chan *checkpoint.Full
 	assembleWG sync.WaitGroup
-	persistWG  sync.WaitGroup
 }
 
 func (s *replicaSnapshotter) begin(rc *runCtx) error {
@@ -533,25 +404,16 @@ func (s *replicaSnapshotter) begin(rc *runCtx) error {
 		return err
 	}
 	rc.queue = q
-	s.persistCh = make(chan *checkpoint.Full, 2)
 	s.assembleWG.Add(1)
 	go s.assemble(rc)
-	s.persistWG.Add(1)
-	go s.persistLoop(rc)
 	return nil
 }
 
 // initialFull persists the initial replica once so hardware-failure
 // recovery has a base before the first periodic persist.
 func (s *replicaSnapshotter) initialFull(rc *runCtx) error {
-	if s.e.opts.Store == nil {
-		return nil
-	}
-	r := s.rep
-	s.persistCh <- &checkpoint.Full{
-		Iter:   0,
-		Params: r.params.Flat.Clone(),
-		Opt:    r.opt.Snapshot(),
+	if rc.fulls != nil {
+		rc.fulls <- fullJob{f: snapshotFull(0, s.rep.params.Flat, s.rep.opt)}
 	}
 	return nil
 }
@@ -559,8 +421,6 @@ func (s *replicaSnapshotter) initialFull(rc *runCtx) error {
 func (s *replicaSnapshotter) end(rc *runCtx) {
 	rc.queue.Close()
 	s.assembleWG.Wait() // the assembler drains the queue, then exits
-	close(s.persistCh)
-	s.persistWG.Wait() // the persister drains outstanding requests
 }
 
 func (s *replicaSnapshotter) runEndFields(stats *RunStats) map[string]any {
@@ -632,32 +492,12 @@ func (s *replicaSnapshotter) assemble(rc *runCtx) {
 		r.iter = curIter
 		e.replicaSteps.Inc()
 		var toPersist *checkpoint.Full
-		if e.opts.Store != nil && curIter%int64(e.opts.Plus.PersistEvery) == 0 {
-			toPersist = &checkpoint.Full{
-				Iter:   curIter,
-				Params: r.params.Flat.Clone(),
-				Opt:    r.opt.Snapshot(),
-			}
+		if rc.fulls != nil && curIter%int64(e.opts.Plus.PersistEvery) == 0 {
+			toPersist = snapshotFull(curIter, r.params.Flat, r.opt)
 		}
 		r.mu.Unlock()
 		if toPersist != nil {
-			s.persistCh <- toPersist
-		}
-	}
-}
-
-// persistLoop is the asynchronous persister, sharing the engine's full
-// persistence path (retry ladder, fullWrites accounting, events).
-func (s *replicaSnapshotter) persistLoop(rc *runCtx) {
-	defer s.persistWG.Done()
-	broken := false
-	for f := range s.persistCh {
-		if broken {
-			continue // drain so the assembler never blocks on a dead sink
-		}
-		if err := s.e.persistFull(f); err != nil {
-			rc.errCh <- err
-			broken = true
+			rc.fulls <- fullJob{f: toPersist}
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"lowdiff/internal/model"
 	"lowdiff/internal/obs"
 	"lowdiff/internal/optim"
-	"lowdiff/internal/storage"
 	"lowdiff/internal/tensor"
 	"lowdiff/internal/trace"
 )
@@ -23,56 +22,6 @@ import (
 // merges the disjoint stage parts into one differential record per
 // iteration, and the standard recovery replay reproduces the per-stage
 // updates bit-exactly.
-
-// PPOptions configures the pipeline-parallel LowDiff engine. It is a thin
-// view over the unified Options with a PPSpec extension.
-type PPOptions struct {
-	Spec   model.Spec
-	Stages int // pipeline stages (>= 1, <= layer count)
-
-	Optimizer string // "adam" (default) or "sgd"
-	LR        float64
-	Momentum  float64
-
-	Codec string  // "topk" (default) or "identity"
-	Rho   float64 // default 0.01
-
-	Store     storage.Store
-	FullEvery int // default 50
-	BatchSize int // default 1
-	QueueCap  int // default 16
-	// RetainFulls keeps only the newest N full checkpoints, garbage
-	// collecting older fulls and the differentials they obsolete after
-	// each full persist (0 keeps everything).
-	RetainFulls int
-
-	// Parallelism shards the dense data-plane loops (stage compression,
-	// merge coordination, checkpoint encode/decode) across that many pool
-	// workers; 0 or 1 is serial. Bit-identical to serial at any setting
-	// (DESIGN.md §8).
-	Parallelism int
-
-	// Overlap enables the pipelined step schedule (DESIGN.md §11): the
-	// boundary full snapshot is still taken between the two barriers
-	// (state frozen there), but the write moves to an asynchronous
-	// persister so the stages start the next iteration while the store
-	// I/O drains. Persisted bytes are bit-identical.
-	Overlap bool
-
-	Seed  uint64
-	Noise float64 // default 0.05
-
-	// Trace, when non-nil, records the step-phase timeline (stage-0 train
-	// phases, coordinator merges, checkpoint persists). Nil disables
-	// tracing with zero overhead.
-	Trace *trace.Recorder
-	// Metrics, when non-nil, registers the engine's live instruments
-	// (pp.* plus the shared ckpt.diff.* writer counters). Nil disables it.
-	Metrics *obs.Registry
-	// Events, when non-nil, receives run lifecycle events. Nil disables
-	// emission.
-	Events *obs.EventLog
-}
 
 // StageRange is one stage's contiguous parameter interval.
 type StageRange struct {
@@ -123,73 +72,6 @@ func PartitionStages(spec model.Spec, n int) ([]StageRange, error) {
 	return out, nil
 }
 
-// PPEngine is the functional pipeline-parallel LowDiff trainer.
-type PPEngine struct {
-	*Engine
-}
-
-// PPStats summarizes one PPEngine.Run call.
-type PPStats struct {
-	Iterations int
-	DiffWrites int64
-	FullWrites int64
-	FinalLoss  float64
-}
-
-// NewPPEngine validates options and builds the engine over the unified
-// core.
-func NewPPEngine(opts PPOptions) (*PPEngine, error) {
-	e, err := NewEngine(Options{
-		Spec:        opts.Spec,
-		Optimizer:   opts.Optimizer,
-		LR:          opts.LR,
-		Momentum:    opts.Momentum,
-		Codec:       opts.Codec,
-		Rho:         opts.Rho,
-		Store:       opts.Store,
-		FullEvery:   opts.FullEvery,
-		BatchSize:   opts.BatchSize,
-		QueueCap:    opts.QueueCap,
-		RetainFulls: opts.RetainFulls,
-		Parallelism: opts.Parallelism,
-		Overlap:     opts.Overlap,
-		Seed:        opts.Seed,
-		Noise:       opts.Noise,
-		Trace:       opts.Trace,
-		Metrics:     opts.Metrics,
-		Events:      opts.Events,
-		PP:          &PPSpec{Stages: opts.Stages},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &PPEngine{Engine: e}, nil
-}
-
-// Run trains iters iterations with per-iteration differential checkpoints
-// assembled across stages.
-func (e *PPEngine) Run(iters int) (PPStats, error) {
-	st, err := e.Engine.Run(iters)
-	return PPStats{
-		Iterations: st.Iterations,
-		DiffWrites: st.DiffWrites,
-		FullWrites: st.FullWrites,
-		FinalLoss:  st.FinalLoss,
-	}, err
-}
-
-// Stages returns the layer partition.
-func (e *PPEngine) Stages() []StageRange { return e.stages }
-
-// GlobalOptState assembles the per-stage optimizer states into the global
-// state a full checkpoint stores: slice slots concatenated in stage order.
-// It requires all stages to share the optimizer type and step count.
-func (e *PPEngine) GlobalOptState() (optim.State, error) { return e.globalOptState() }
-
-func (e *Engine) globalOptState() (optim.State, error) {
-	return assembleOptState(e.opts2, e.stages, e.opts.Spec.NumParams())
-}
-
 // initPP validates the pipeline-parallel options and wires the ppTopology /
 // mergeSnapshotter pair.
 func (e *Engine) initPP() error {
@@ -198,14 +80,8 @@ func (e *Engine) initPP() error {
 	if err != nil {
 		return err
 	}
-	if opts.FullEvery < 1 || opts.BatchSize < 1 {
-		return fmt.Errorf("core: pp intervals must be >= 1")
-	}
-	if opts.RetainFulls < 0 {
-		return fmt.Errorf("core: RetainFulls %d must be >= 0", opts.RetainFulls)
-	}
-	if opts.FullEvery%opts.BatchSize != 0 {
-		return fmt.Errorf("core: FullEvery (%d) must be a multiple of BatchSize (%d)", opts.FullEvery, opts.BatchSize)
+	if err := validateChain(opts); err != nil {
+		return err
 	}
 	switch opts.Codec {
 	case "topk", "identity":
@@ -397,21 +273,23 @@ func (r *ppRank) step(rc *runCtx, t int64) error {
 	// the profiler charges them to this step's window as a stall.
 	if s == 0 && e.opts.Store != nil && t%int64(e.opts.FullEvery) == 0 {
 		snapDone := tr.Begin1(trace.TrackSnapshot, trace.PhaseSnapshot, "iter", t)
-		gst, err := e.globalOptState()
+		gst, err := e.GlobalOptState()
 		if err != nil {
 			return err
 		}
 		//lint:allow hotalloc full-checkpoint path runs every FullEvery iterations; ownership moves to the store
 		full := &checkpoint.Full{Iter: t, Params: e.params[0].Flat.Clone(), Opt: gst}
 		snapDone()
-		if r.merge.fullCh != nil {
-			// Overlap: the snapshot above froze the state; hand the
-			// write to the persister so the barrier below releases the
-			// stages while the store I/O drains off the critical path.
+		if e.opts.Overlap {
+			// Overlap (DESIGN.md §11): the snapshot above froze the
+			// state; hand the write to the engine's full persister so
+			// the barrier below releases the stages while the store I/O
+			// drains off the critical path.
 			e.overlapDeposits.Inc()
 			putDone := tr.Begin1(trace.TrackOverlap, trace.PhaseQueueWait, "iter", t)
-			r.merge.fullCh <- full
+			rc.fulls <- fullJob{f: full}
 			putDone()
+			e.overlapSlices.Inc()
 		} else if err := e.persistFull(full); err != nil {
 			return err
 		}
@@ -434,21 +312,10 @@ type mergeSnapshotter struct {
 	e      *Engine
 	partCh chan ppPart
 	wg     sync.WaitGroup
-
-	// Overlap schedule (DESIGN.md §11): boundary fulls are snapshotted
-	// inline between the barriers (state frozen there) but written by
-	// this persister, so the stages resume while the store I/O drains.
-	fullCh chan *checkpoint.Full
-	fullWG sync.WaitGroup
 }
 
 func (s *mergeSnapshotter) begin(rc *runCtx) error {
 	e := s.e
-	if e.opts.Overlap && e.opts.Store != nil {
-		s.fullCh = make(chan *checkpoint.Full, 2)
-		s.fullWG.Add(1)
-		go s.persistFulls(rc)
-	}
 	if e.writer == nil {
 		return nil
 	}
@@ -458,24 +325,6 @@ func (s *mergeSnapshotter) begin(rc *runCtx) error {
 	return nil
 }
 
-// persistFulls is the overlap schedule's asynchronous boundary-full
-// persister, sharing the engine's full persistence path (retry ladder,
-// fullWrites accounting, events).
-func (s *mergeSnapshotter) persistFulls(rc *runCtx) {
-	defer s.fullWG.Done()
-	broken := false
-	for f := range s.fullCh {
-		if broken {
-			continue // drain so stage 0 never blocks on a dead sink
-		}
-		s.e.overlapSlices.Inc()
-		if err := s.e.persistFull(f); err != nil {
-			rc.errCh <- err
-			broken = true
-		}
-	}
-}
-
 // initialFull persists the initial global state once, synchronously (no
 // rank is training yet, so there is nothing to overlap with).
 func (s *mergeSnapshotter) initialFull(rc *runCtx) error {
@@ -483,7 +332,7 @@ func (s *mergeSnapshotter) initialFull(rc *runCtx) error {
 	if e.opts.Store == nil {
 		return nil
 	}
-	st, err := e.globalOptState()
+	st, err := e.GlobalOptState()
 	if err != nil {
 		return err
 	}
@@ -494,11 +343,6 @@ func (s *mergeSnapshotter) end(rc *runCtx) {
 	if s.partCh != nil {
 		close(s.partCh)
 		s.wg.Wait()
-	}
-	if s.fullCh != nil {
-		close(s.fullCh)
-		s.fullWG.Wait() // all boundary fulls persisted before Run returns
-		s.fullCh = nil
 	}
 }
 
@@ -514,37 +358,18 @@ func (s *mergeSnapshotter) registerMetrics(reg *obs.Registry) {
 		e.registerOverlapMetrics(reg)
 	}
 	reg.FuncCounter("pp.full_writes", e.fullWrites.Value)
-	if e.writer != nil {
-		w := e.writer
-		reg.FuncCounter("ckpt.diff.writes", w.Writes.Value)
-		reg.FuncCounter("ckpt.diff.batches", w.Batches.Value)
-		reg.FuncCounter("ckpt.diff.bytes", w.Bytes.Value)
-		reg.FuncGauge("ckpt.diff.pending_bytes", func() float64 { return float64(w.PendingBytes.Value()) })
-	}
+	e.registerWriterMetrics(reg)
 }
 
-// coordinate merges stage parts into per-iteration differentials and
-// batches them into the writer.
+// coordinate merges stage parts into per-iteration differentials and feeds
+// them to the chain sink.
 func (s *mergeSnapshotter) coordinate(rc *runCtx) {
 	defer s.wg.Done()
 	e := s.e
 	pending := map[int64][]*compress.Compressed{}
-	broken := false
-	suspended := false
-	onDiffFailure := func(iter int64) {
-		// Persistent differential-write failure: the open batch is lost,
-		// so the chain after the last full checkpoint is broken. Drop the
-		// batch and discard merged diffs until the next periodic full
-		// provides a fresh chain base (stage 0 snapshots fulls
-		// synchronously, so no on-demand fallback is needed).
-		e.faults.DiffFailures.Inc()
-		e.writer.Drop()
-		suspended = true
-		e.degradeTo(HealthDegradedDiff)
-		e.events.Emit("ckpt.diff.fallback", e.fields(map[string]any{"iter": iter}))
-	}
+	sink := &chainSink{e: e, rc: rc}
 	for p := range s.partCh {
-		if broken {
+		if sink.broken {
 			continue
 		}
 		pending[p.iter] = append(pending[p.iter], p.c)
@@ -558,38 +383,10 @@ func (s *mergeSnapshotter) coordinate(rc *runCtx) {
 		delete(pending, p.iter)
 		if err != nil {
 			rc.errCh <- err
-			broken = true
+			sink.broken = true
 			continue
 		}
-		if suspended {
-			// Only the first merged diff after a freshly persisted full
-			// base can restart the differential chain.
-			if e.Health() == HealthDegraded || p.iter != e.lastFullIter.Load()+1 {
-				e.faults.DroppedDiffs.Inc()
-				e.events.Emit("ckpt.diff.drop", e.fields(map[string]any{"iter": p.iter}))
-				continue
-			}
-			suspended = false
-		}
-		if err := e.writer.Add(p.iter, merged); err != nil {
-			if e.ft == nil {
-				rc.errCh <- err
-				broken = true
-			} else {
-				onDiffFailure(p.iter)
-			}
-			continue
-		}
-		if p.iter%int64(e.opts.FullEvery) == 0 {
-			if err := e.writer.Cut(); err != nil {
-				if e.ft == nil {
-					rc.errCh <- err
-					broken = true
-				} else {
-					onDiffFailure(p.iter)
-				}
-			}
-		}
+		sink.add(p.iter, merged)
 	}
 }
 

@@ -12,9 +12,9 @@
 //     batching size, Eq. (5), plus an adaptive stepwise tuner.
 //   - Engine (§4, §6.1): the functional distributed trainer wiring workers,
 //     gradient compression, synchronization, the queue, and the
-//     checkpointer together.
-//   - PlusEngine (§5): layer-wise gradient reuse and snapshotting with a
-//     CPU-resident model replica and asynchronous persistence.
+//     checkpointer together; Options.Plus selects LowDiff+ (§5: layer-wise
+//     gradient reuse and snapshotting with a CPU-resident model replica and
+//     asynchronous persistence), Options.PP pipeline-parallel stages.
 package core
 
 import (

@@ -13,39 +13,12 @@ import (
 // stopped. With the same Options (seed included), the resumed trajectory
 // is the one the original job would have taken — the failover tests assert
 // this bit-exactly. Under the PP strategy the global optimizer state is
-// split back into per-stage states; under Plus the CPU replica is restored
-// alongside the workers.
+// split back into per-stage states (splitOptState, the inverse of
+// GlobalOptState's assembly); under Plus the CPU replica is restored
+// alongside the workers, so its persist cadence also matches the
+// uninterrupted run.
 func ResumeEngine(opts Options, params tensor.Vector, optState optim.State, iter int64) (*Engine, error) {
 	e, err := NewEngine(opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.restoreState(params, optState, iter); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// ResumePlusEngine is ResumeEngine for the LowDiff+ strategy: workers and
-// the CPU-resident replica all continue from the recovered state, so both
-// the training trajectory and the replica's persist cadence match the
-// uninterrupted run.
-func ResumePlusEngine(opts PlusOptions, params tensor.Vector, optState optim.State, iter int64) (*PlusEngine, error) {
-	e, err := NewPlusEngine(opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.restoreState(params, optState, iter); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// ResumePPEngine is ResumeEngine for the pipeline-parallel strategy: the
-// recovered global optimizer state is split into per-stage states
-// (splitOptState, the inverse of GlobalOptState's assembly).
-func ResumePPEngine(opts PPOptions, params tensor.Vector, optState optim.State, iter int64) (*PPEngine, error) {
-	e, err := NewPPEngine(opts)
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,8 @@ import (
 //     disjoint StageRange slices (§6).
 //   - Snapshotter owns the checkpoint side of the loop: the differential
 //     chain consumer (LowDiff), the stage-merge coordinator (PP), or the
-//     CPU-resident replica assembler (LowDiff+).
+//     CPU-resident replica assembler (LowDiff+). All of them persist through
+//     the shared pieces in plane.go: one chain sink, one full persister.
 //   - Replica, when present, exposes the LowDiff+ CPU-resident copy for
 //     in-memory recovery and resume.
 //
@@ -40,6 +41,9 @@ type runCtx struct {
 	// It is created by the Snapshotter in begin when the strategy
 	// checkpoints through a queue, and nil otherwise.
 	queue *ReusingQueue
+	// fulls feeds the engine's asynchronous full persister
+	// (startFullPersister); nil when the run has no store.
+	fulls chan fullJob
 }
 
 // Topology supplies the parallelism shape of a run: how many ranks train,

@@ -114,14 +114,14 @@ func TestPeerEngineTraceSpans(t *testing.T) {
 	}
 }
 
-// TestPlusAndPPEngineTraceSpans covers the remaining two topologies'
+// TestPlusAndPPTraceSpans covers the remaining two topologies'
 // phase taxonomies: the LowDiff+ snapshot offload pool and the
 // pipeline-parallel stage-0 loop with coordinator merges.
-func TestPlusAndPPEngineTraceSpans(t *testing.T) {
+func TestPlusAndPPTraceSpans(t *testing.T) {
 	recPlus := trace.NewWithClock(sim.New().Clock())
-	pe, err := NewPlusEngine(PlusOptions{
+	pe, err := NewEngine(Options{
 		Spec: model.Tiny(3, 16), Workers: 2, Store: storage.NewMem(),
-		PersistEvery: 2, Seed: 7, Trace: recPlus,
+		Plus: &PlusSpec{PersistEvery: 2}, Seed: 7, Trace: recPlus,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestPlusAndPPEngineTraceSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := phaseCounts(recPlus.Events())
-	layers := len(pe.Engine.opts.Spec.Layers)
+	layers := len(pe.opts.Spec.Layers)
 	for key, want := range map[string]int{
 		"train/" + trace.PhaseIteration:   4,
 		"train/" + trace.PhaseCompute:     4 * layers,
@@ -144,8 +144,8 @@ func TestPlusAndPPEngineTraceSpans(t *testing.T) {
 	}
 
 	recPP := trace.NewWithClock(sim.New().Clock())
-	ppe, err := NewPPEngine(PPOptions{
-		Spec: model.Tiny(4, 16), Stages: 2, Store: storage.NewMem(),
+	ppe, err := NewEngine(Options{
+		Spec: model.Tiny(4, 16), PP: &PPSpec{Stages: 2}, Store: storage.NewMem(),
 		FullEvery: 2, BatchSize: 1, Seed: 9, Trace: recPP,
 	})
 	if err != nil {

@@ -23,18 +23,18 @@ import (
 // TestResumeTransparentFailover via the §5.3 in-memory recovery path).
 func TestResumePlusTransparentFailover(t *testing.T) {
 	for _, optName := range []string{"adam", "sgd"} {
-		opts := PlusOptions{
+		opts := Options{
 			Spec: model.Tiny(4, 24), Workers: 2, Optimizer: optName,
-			LR: 0.03, PersistEvery: 5, Seed: 61,
+			LR: 0.03, Plus: &PlusSpec{PersistEvery: 5}, Seed: 61,
 		}
-		ref, err := NewPlusEngine(opts)
+		ref, err := NewEngine(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ref.Run(40); err != nil {
 			t.Fatal(err)
 		}
-		victim, err := NewPlusEngine(opts)
+		victim, err := NewEngine(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,16 +43,16 @@ func TestResumePlusTransparentFailover(t *testing.T) {
 		}
 		// Software failure: recover from the CPU-resident replica, which
 		// has assembled every iteration by the time Run returns.
-		rec := victim.RecoverInMemory()
+		rec := victim.Replica().State()
 		if rec.Iter != 27 {
 			t.Fatalf("%s: replica at iter %d, want 27", optName, rec.Iter)
 		}
-		resumed, err := ResumePlusEngine(opts, rec.Params, rec.Opt, rec.Iter)
+		resumed, err := ResumeEngine(opts, rec.Params, rec.Opt, rec.Iter)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resumed.Iter() != 27 || resumed.ReplicaIter() != 27 {
-			t.Fatalf("%s: resumed engine at %d, replica at %d", optName, resumed.Iter(), resumed.ReplicaIter())
+		if resumed.Iter() != 27 || resumed.Replica().Iter() != 27 {
+			t.Fatalf("%s: resumed engine at %d, replica at %d", optName, resumed.Iter(), resumed.Replica().Iter())
 		}
 		if _, err := resumed.Run(13); err != nil {
 			t.Fatal(err)
@@ -62,7 +62,7 @@ func TestResumePlusTransparentFailover(t *testing.T) {
 			t.Fatalf("%s: resumed trajectory diverged (max diff %v)", optName, md)
 		}
 		// The resumed replica must also track bit-exactly.
-		got, want := resumed.RecoverInMemory(), ref.RecoverInMemory()
+		got, want := resumed.Replica().State(), ref.Replica().State()
 		if got.Iter != want.Iter || !got.Params.Equal(want.Params) {
 			t.Fatalf("%s: resumed replica diverged", optName)
 		}
@@ -77,11 +77,11 @@ func TestResumePlusTransparentFailover(t *testing.T) {
 // splitOptState, the inverse of GlobalOptState's assembly.
 func TestResumePPTransparentFailover(t *testing.T) {
 	for _, optName := range []string{"adam", "sgd"} {
-		opts := PPOptions{
-			Spec: model.Tiny(6, 32), Stages: 3, Optimizer: optName,
+		opts := Options{
+			Spec: model.Tiny(6, 32), PP: &PPSpec{Stages: 3}, Optimizer: optName,
 			LR: 0.02, Rho: 0.2, FullEvery: 10, Seed: 62,
 		}
-		ref, err := NewPPEngine(opts)
+		ref, err := NewEngine(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestResumePPTransparentFailover(t *testing.T) {
 		store := storage.NewMem()
 		victimOpts := opts
 		victimOpts.Store = store
-		victim, err := NewPPEngine(victimOpts)
+		victim, err := NewEngine(victimOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestResumePPTransparentFailover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resumed, err := ResumePPEngine(opts, victim.Params().Clone(), gst, victim.Iter())
+		resumed, err := ResumeEngine(opts, victim.Params().Clone(), gst, victim.Iter())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,16 +137,16 @@ func TestResumePPTransparentFailover(t *testing.T) {
 func TestResumePlusPPValidation(t *testing.T) {
 	spec := model.Tiny(2, 8)
 	st := optStateFor(t, spec)
-	if _, err := ResumePlusEngine(PlusOptions{Spec: spec, Workers: 1, Seed: 1}, tensor.New(3), st, 5); err == nil {
+	if _, err := ResumeEngine(Options{Spec: spec, Workers: 1, Seed: 1, Plus: &PlusSpec{}}, tensor.New(3), st, 5); err == nil {
 		t.Fatal("want plus params-length error")
 	}
-	if _, err := ResumePPEngine(PPOptions{Spec: spec, Stages: 2, Seed: 1}, tensor.New(16), st, -1); err == nil {
+	if _, err := ResumeEngine(Options{Spec: spec, PP: &PPSpec{Stages: 2}, Seed: 1}, tensor.New(16), st, -1); err == nil {
 		t.Fatal("want pp negative-iteration error")
 	}
 	// A global state whose slots are too short for the stage partition.
 	short := st
 	short.Slots = map[string][]float32{"m": make([]float32, 4), "v": make([]float32, 4)}
-	if _, err := ResumePPEngine(PPOptions{Spec: spec, Stages: 2, Seed: 1}, tensor.New(16), short, 0); err == nil {
+	if _, err := ResumeEngine(Options{Spec: spec, PP: &PPSpec{Stages: 2}, Seed: 1}, tensor.New(16), short, 0); err == nil {
 		t.Fatal("want pp split-slot error")
 	}
 }
@@ -166,8 +166,8 @@ func optStateFor(t *testing.T, spec model.Spec) optim.State {
 // before unification).
 func TestPPCheckpointGCBoundsStore(t *testing.T) {
 	store := storage.NewMem()
-	e, err := NewPPEngine(PPOptions{
-		Spec: model.Tiny(4, 16), Stages: 2, Rho: 0.3,
+	e, err := NewEngine(Options{
+		Spec: model.Tiny(4, 16), PP: &PPSpec{Stages: 2}, Rho: 0.3,
 		Store: store, FullEvery: 5, RetainFulls: 2, Seed: 63,
 	})
 	if err != nil {
@@ -207,8 +207,8 @@ func TestPPCheckpointGCBoundsStore(t *testing.T) {
 // the newest iterations only in volatile memory.
 func TestPlusFlushPersistsReplicaTail(t *testing.T) {
 	store := storage.NewMem()
-	e, err := NewPlusEngine(PlusOptions{
-		Spec: model.Tiny(3, 16), Workers: 1, PersistEvery: 10,
+	e, err := NewEngine(Options{
+		Spec: model.Tiny(3, 16), Workers: 1, Plus: &PlusSpec{PersistEvery: 10},
 		Store: store, Seed: 64,
 	})
 	if err != nil {
@@ -217,14 +217,14 @@ func TestPlusFlushPersistsReplicaTail(t *testing.T) {
 	if _, err := e.Run(23); err != nil {
 		t.Fatal(err)
 	}
-	if e.PersistedIter() != 20 {
-		t.Fatalf("persisted iter %d before Flush, want 20", e.PersistedIter())
+	if e.Replica().PersistedIter() != 20 {
+		t.Fatalf("persisted iter %d before Flush, want 20", e.Replica().PersistedIter())
 	}
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if e.PersistedIter() != 23 {
-		t.Fatalf("persisted iter %d after Flush, want 23", e.PersistedIter())
+	if e.Replica().PersistedIter() != 23 {
+		t.Fatalf("persisted iter %d after Flush, want 23", e.Replica().PersistedIter())
 	}
 	m, err := checkpoint.Scan(store)
 	if err != nil {
@@ -244,7 +244,7 @@ func TestPlusFlushPersistsReplicaTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := e.RecoverInMemory()
+	rec := e.Replica().State()
 	if full.Iter != rec.Iter || !full.Params.Equal(rec.Params) {
 		t.Fatal("flushed checkpoint does not match the replica state")
 	}
@@ -329,8 +329,8 @@ func TestMetricNameSetsGolden(t *testing.T) {
 	})
 	t.Run("plus", func(t *testing.T) {
 		reg := obs.New()
-		e, err := NewPlusEngine(PlusOptions{
-			Spec: model.Tiny(2, 16), Workers: 1, PersistEvery: 2,
+		e, err := NewEngine(Options{
+			Spec: model.Tiny(2, 16), Workers: 1, Plus: &PlusSpec{PersistEvery: 2},
 			Store: storage.NewMem(), Seed: 66, Metrics: reg,
 		})
 		if err != nil {
@@ -355,8 +355,8 @@ func TestMetricNameSetsGolden(t *testing.T) {
 	})
 	t.Run("pp", func(t *testing.T) {
 		reg := obs.New()
-		e, err := NewPPEngine(PPOptions{
-			Spec: model.Tiny(4, 16), Stages: 2, Rho: 0.3,
+		e, err := NewEngine(Options{
+			Spec: model.Tiny(4, 16), PP: &PPSpec{Stages: 2}, Rho: 0.3,
 			Store: storage.NewMem(), FullEvery: 2, Seed: 67, Metrics: reg,
 		})
 		if err != nil {

@@ -209,8 +209,8 @@ func funcPP() (*Table, error) {
 			return nil, err
 		}
 		defer release()
-		e, err := core.NewPPEngine(core.PPOptions{
-			Spec: scaled, Stages: stages, Rho: 0.05, LR: 0.02,
+		e, err := core.NewEngine(core.Options{
+			Spec: scaled, PP: &core.PPSpec{Stages: stages}, Rho: 0.05, LR: 0.02,
 			Store: store, FullEvery: 20, BatchSize: 1, Parallelism: dataPlaneParallelism, Overlap: overlapEnabled, Trace: traceRecorder, Seed: 9,
 		})
 		if err != nil {

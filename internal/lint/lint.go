@@ -15,8 +15,8 @@
 //   - floateq: no ==/!= on floating-point operands outside an explicit
 //     allowlist of bit-exact comparison helpers. Bit-exact recovery is
 //     verified by comparing float bit patterns, not approximate values.
-//   - mutexcopy / deferunlock: no locks passed by value, no Lock without a
-//     paired Unlock in the same function.
+//   - mutexcopy / lockbalance: no locks passed by value, no Lock without a
+//     paired Unlock on some control-flow path.
 //
 // Findings can be suppressed per line with a directive comment:
 //
@@ -143,6 +143,8 @@ func DefaultConfig() *Config {
 			"lowdiff/internal/parallel",
 			"lowdiff/internal/compress",
 			"lowdiff/internal/tensor",
+			"lowdiff/internal/core.trainRank.syncGradient",
+			"lowdiff/internal/core.trainRank.applyGradient",
 			"lowdiff/internal/core.dpRank.step",
 			"lowdiff/internal/core.peerRank.step",
 			"lowdiff/internal/core.peerRank.checkpointStep",
@@ -183,9 +185,6 @@ func DefaultConfig() *Config {
 }
 
 // DefaultAnalyzers returns every analyzer, in reporting order.
-// DeferUnlockAnalyzer is superseded by the CFG-based LockBalanceAnalyzer
-// and no longer runs by default; `//lint:allow deferunlock` directives
-// keep working via the rule alias table.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
@@ -197,12 +196,6 @@ func DefaultAnalyzers() []*Analyzer {
 		WgMisuseAnalyzer,
 		SendBlockAnalyzer,
 	}
-}
-
-// ruleAliases maps deprecated rule names (still valid in //lint:allow
-// directives) to their successors.
-var ruleAliases = map[string]string{
-	"deferunlock": "lockbalance",
 }
 
 func (c *Config) deterministic(pkgPath string) bool {
@@ -303,11 +296,7 @@ func collectSuppressions(pkg *Package, known map[string]bool) (suppressions, []D
 				}
 				rules := strings.Split(fields[0], ",")
 				valid := true
-				for i, r := range rules {
-					if alias, ok := ruleAliases[r]; ok {
-						rules[i] = alias
-						continue
-					}
+				for _, r := range rules {
 					if !known[r] {
 						bad("lint:allow names unknown rule %q", r)
 						valid = false

@@ -11,7 +11,7 @@ package lint
 // check reports re-locking a mutex a path already write-holds
 // (self-deadlock).
 //
-// Deliberate conservatism (kept from deferunlock, which this replaces):
+// Deliberate conservatism:
 //   - lock identity is the receiver's expression text, so aliases are
 //     distinct keys (missed pairs, never false pairs on distinct locks);
 //   - an Unlock with no matching held lock is NOT reported — helper

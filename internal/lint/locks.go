@@ -17,23 +17,6 @@ var MutexCopyAnalyzer = &Analyzer{
 	Run:  runMutexCopy,
 }
 
-// DeferUnlockAnalyzer flags Lock/RLock calls with no matching
-// Unlock/RUnlock on the same receiver anywhere in the same function. A
-// forgotten unlock deadlocks the checkpoint pipeline the next time the
-// lock is contended — typically in the middle of a snapshot.
-//
-// Deprecated: superseded by LockBalanceAnalyzer, which tracks pairing per
-// control-flow path instead of per function body and therefore catches a
-// lock leaked on only one branch. It is no longer in DefaultAnalyzers —
-// existing //lint:allow deferunlock directives are treated as aliases for
-// lockbalance. Kept exported for callers that want the cheap whole-body
-// check without building CFGs.
-var DeferUnlockAnalyzer = &Analyzer{
-	Name: "deferunlock",
-	Doc:  "flag Lock/RLock without a paired Unlock/RUnlock in the same function",
-	Run:  runDeferUnlock,
-}
-
 func runMutexCopy(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
@@ -95,55 +78,4 @@ func lockIn(t types.Type, seen map[types.Type]bool) string {
 		return lockIn(u.Elem(), seen)
 	}
 	return ""
-}
-
-// unlockFor maps a lock method to its required counterpart.
-var unlockFor = map[string]string{"Lock": "Unlock", "RLock": "RUnlock"}
-
-func runDeferUnlock(pass *Pass) {
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			type lockSite struct {
-				call *ast.CallExpr
-				recv string
-				name string
-				need string
-			}
-			var locks []lockSite
-			unlocks := make(map[string]bool) // recv + "." + method
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				fn, ok := pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
-				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-					return true
-				}
-				recv := types.ExprString(sel.X)
-				switch name := fn.Name(); name {
-				case "Lock", "RLock":
-					locks = append(locks, lockSite{call: call, recv: recv, name: name, need: unlockFor[name]})
-				case "Unlock", "RUnlock":
-					unlocks[recv+"."+name] = true
-				}
-				return true
-			})
-			for _, l := range locks {
-				if !unlocks[l.recv+"."+l.need] {
-					pass.Reportf(l.call.Pos(),
-						"%s.%s has no matching %s in %s; a missed unlock deadlocks the next contender — pair it, usually with defer",
-						l.recv, l.name, l.need, fd.Name.Name)
-				}
-			}
-		}
-	}
 }

@@ -2,7 +2,7 @@
 // pairing: leaks that exist on only one control-flow path, double
 // write-locks, and the balanced shapes — deferred release before an early
 // return, per-branch release, defer inside a per-iteration literal — that
-// the whole-body deferunlock pass could not tell apart.
+// a whole-body check cannot tell apart.
 package lockbalance
 
 import "sync"
@@ -109,10 +109,9 @@ func (c *Counter) PanicPathIgnored() int {
 	return n
 }
 
-// SuppressedLeak carries a justified directive (allowed: suppressed, and
-// via the deprecated deferunlock alias).
+// SuppressedLeak carries a justified directive (allowed: suppressed).
 func (c *Counter) SuppressedLeak() {
-	c.mu.Lock() //lint:allow deferunlock fixture: released by helperUnlock after the caller's barrier
+	c.mu.Lock() //lint:allow lockbalance fixture: released by helperUnlock after the caller's barrier
 	c.n++
 }
 

@@ -36,7 +36,7 @@ func ByPointer(g *Guarded) int {
 	return g.n
 }
 
-// Leak locks without ever unlocking (violation: deferunlock).
+// Leak locks without ever unlocking (violation: lockbalance).
 func (g *Guarded) Leak() {
 	g.mu.Lock()
 	g.n++
@@ -63,7 +63,7 @@ type RW struct {
 	n  int
 }
 
-// ReadLeak never releases the read lock (violation: deferunlock).
+// ReadLeak never releases the read lock (violation: lockbalance).
 func (r *RW) ReadLeak() int {
 	r.mu.RLock()
 	return r.n

@@ -14,8 +14,8 @@ import (
 func TestPPRecoveryBitExact(t *testing.T) {
 	for _, optName := range []string{"adam", "sgd"} {
 		store := storage.NewMem()
-		e, err := core.NewPPEngine(core.PPOptions{
-			Spec: model.Tiny(8, 24), Stages: 4, Optimizer: optName,
+		e, err := core.NewEngine(core.Options{
+			Spec: model.Tiny(8, 24), PP: &core.PPSpec{Stages: 4}, Optimizer: optName,
 			LR: 0.02, Rho: 0.25, Store: store,
 			FullEvery: 10, BatchSize: 1, Seed: 7,
 		})
@@ -47,8 +47,8 @@ func TestPPRecoveryBitExact(t *testing.T) {
 // on the same state because the trajectory is stage-count invariant.
 func TestPPRecoveryResumesViaGlobalEngine(t *testing.T) {
 	store := storage.NewMem()
-	pp, err := core.NewPPEngine(core.PPOptions{
-		Spec: model.Tiny(6, 20), Stages: 3, Optimizer: "sgd", LR: 0.05,
+	pp, err := core.NewEngine(core.Options{
+		Spec: model.Tiny(6, 20), PP: &core.PPSpec{Stages: 3}, Optimizer: "sgd", LR: 0.05,
 		Codec: "identity", Noise: 0, Store: store,
 		FullEvery: 8, BatchSize: 1, Seed: 8,
 	})

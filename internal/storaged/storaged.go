@@ -490,9 +490,20 @@ func (s *Server) handleCommit(nc net.Conn, t *tenant, up *staging, body []byte) 
 	if len(body) != 0 {
 		return up, writeErr(nc, storage.CodeBadRequest, "COMMIT carries no body")
 	}
-	staged := int64(len(up.buf))
-	defer t.addInflight(-staged)
+	err := s.commit(t, up)
+	// Release the staged bytes before replying, on success and on failure:
+	// a client that has read the reply must not still see them in flight.
+	t.addInflight(-int64(len(up.buf)))
+	if err != nil {
+		return nil, writeErr(nc, storage.CodeInternal, err.Error())
+	}
+	return nil, storage.WriteFrame(nc, storage.OpOK, nil)
+}
 
+// commit makes the staged object visible in the tenant's store and charges
+// its quota by the overwrite delta. On error nothing became visible.
+func (s *Server) commit(t *tenant, up *staging) error {
+	staged := int64(len(up.buf))
 	// Serialize commits so same-name racers resolve in commit order and
 	// the pre-size measurement pairs with the write it accounts for.
 	t.commitMu.Lock()
@@ -500,7 +511,7 @@ func (s *Server) handleCommit(nc net.Conn, t *tenant, up *staging, body []byte) 
 	if err != nil {
 		if !storage.IsNotExist(err) {
 			t.commitMu.Unlock()
-			return nil, writeErr(nc, storage.CodeInternal, err.Error())
+			return err
 		}
 		pre = -1
 	}
@@ -508,7 +519,7 @@ func (s *Server) handleCommit(nc net.Conn, t *tenant, up *staging, body []byte) 
 	t.commitMu.Unlock()
 	if err != nil {
 		// WriteObject aborted the staged write: nothing became visible.
-		return nil, writeErr(nc, storage.CodeInternal, err.Error())
+		return err
 	}
 
 	t.mu.Lock()
@@ -530,7 +541,7 @@ func (s *Server) handleCommit(nc net.Conn, t *tenant, up *staging, body []byte) 
 			t.validateFails.Inc()
 		}
 	}
-	return nil, storage.WriteFrame(nc, storage.OpOK, nil)
+	return nil
 }
 
 func (s *Server) handleGet(nc net.Conn, t *tenant, body []byte) error {

@@ -10,9 +10,11 @@
 //     with LowDiff checkpointing: a reusing queue hands synchronized
 //     compressed gradients to an asynchronous checkpointer that batches
 //     differential writes and persists periodic full checkpoints.
-//   - TrainPlus runs the LowDiff+ variant: no compression, layer-wise
-//     gradient snapshotting into a CPU-resident replica with asynchronous
-//     persistence, and in-memory recovery from software failures.
+//   - TrainPlus runs the LowDiff+ variant on the same engine: no
+//     compression, layer-wise gradient snapshotting into a CPU-resident
+//     replica (Engine.Replica) with asynchronous persistence, and in-memory
+//     recovery from software failures. TrainPP runs pipeline-parallel
+//     stages.
 //   - Recover / RecoverParallel rebuild training state from a checkpoint
 //     store, serially (bit-exact) or with the parallel log-n merge tree.
 //   - Tune computes the closed-form optimal full-checkpoint frequency and
@@ -25,6 +27,8 @@
 package lowdiff
 
 import (
+	"fmt"
+
 	"lowdiff/internal/core"
 	"lowdiff/internal/model"
 	"lowdiff/internal/recovery"
@@ -34,24 +38,17 @@ import (
 // Re-exported configuration and result types. Aliases keep the single
 // source of truth in the internal packages.
 type (
-	// TrainOptions configures a LowDiff training engine.
+	// TrainOptions configures a training engine; its Plus and PP fields
+	// select the LowDiff+ and pipeline-parallel strategies.
 	TrainOptions = core.Options
-	// Engine is the LowDiff functional trainer.
+	// PlusSpec holds the LowDiff+ knobs of TrainOptions.
+	PlusSpec = core.PlusSpec
+	// PPSpec holds the pipeline-parallel knobs of TrainOptions.
+	PPSpec = core.PPSpec
+	// Engine is the functional trainer, whatever the strategy.
 	Engine = core.Engine
 	// RunStats summarizes an Engine.Run call.
 	RunStats = core.RunStats
-	// PlusOptions configures a LowDiff+ engine.
-	PlusOptions = core.PlusOptions
-	// PlusEngine is the LowDiff+ functional trainer.
-	PlusEngine = core.PlusEngine
-	// PlusStats summarizes a PlusEngine.Run call.
-	PlusStats = core.PlusStats
-	// PPOptions configures a pipeline-parallel LowDiff engine.
-	PPOptions = core.PPOptions
-	// PPEngine is the pipeline-parallel functional trainer.
-	PPEngine = core.PPEngine
-	// PPStats summarizes a PPEngine.Run call.
-	PPStats = core.PPStats
 	// SystemParams are the wasted-time model constants (paper §4.3).
 	SystemParams = core.SystemParams
 	// Config is a (frequency, batching size) checkpointing configuration.
@@ -69,13 +66,25 @@ type (
 // Train builds a LowDiff training engine.
 func Train(opts TrainOptions) (*Engine, error) { return core.NewEngine(opts) }
 
-// TrainPlus builds a LowDiff+ training engine.
-func TrainPlus(opts PlusOptions) (*PlusEngine, error) { return core.NewPlusEngine(opts) }
+// TrainPlus builds a LowDiff+ training engine; a nil opts.Plus takes the
+// PlusSpec defaults.
+func TrainPlus(opts TrainOptions) (*Engine, error) {
+	if opts.Plus == nil {
+		opts.Plus = &PlusSpec{}
+	}
+	return core.NewEngine(opts)
+}
 
 // TrainPP builds a pipeline-parallel LowDiff engine: layers are
-// partitioned into contiguous stages, each stage checkpoints its slice
-// gradient, and a coordinator assembles one differential per iteration.
-func TrainPP(opts PPOptions) (*PPEngine, error) { return core.NewPPEngine(opts) }
+// partitioned into opts.PP.Stages contiguous stages, each stage checkpoints
+// its slice gradient, and a coordinator assembles one differential per
+// iteration.
+func TrainPP(opts TrainOptions) (*Engine, error) {
+	if opts.PP == nil {
+		return nil, fmt.Errorf("lowdiff: TrainPP needs TrainOptions.PP")
+	}
+	return core.NewEngine(opts)
+}
 
 // Resume builds an engine that continues training from a recovered state:
 // all workers start from the state's parameters and optimizer, and

@@ -73,19 +73,19 @@ func TestFacadePlusAndPP(t *testing.T) {
 	}
 	spec = spec.Scaled(5000)
 
-	plus, err := TrainPlus(PlusOptions{Spec: spec, Workers: 2, Seed: 2})
+	plus, err := TrainPlus(TrainOptions{Spec: spec, Workers: 2, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := plus.Run(10); err != nil {
 		t.Fatal(err)
 	}
-	st := plus.RecoverInMemory()
+	st := plus.Replica().State()
 	if !st.Params.Equal(plus.Params()) {
 		t.Fatal("plus replica diverged via facade")
 	}
 
-	pp, err := TrainPP(PPOptions{Spec: spec, Stages: 3, Rho: 0.1, Seed: 3})
+	pp, err := TrainPP(TrainOptions{Spec: spec, PP: &PPSpec{Stages: 3}, Rho: 0.1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,4 +25,10 @@ go test -race ./internal/core/... ./internal/storage/... ./internal/storaged/...
     ./internal/obs/... ./internal/trace/... ./internal/parallel/... ./internal/compress/... \
     ./internal/optim/... ./internal/checkpoint/... ./internal/comm/... ./internal/cluster/...
 
+# These two packages hid one-in-N ordering bugs (a scheduling-dependent gauge
+# in a determinism test, a release-after-reply in the daemon) behind a
+# single-shot gate; repeat them so a one-in-N failure shows up in the gate.
+echo "== go test -race -count=5 (obs, storaged) =="
+go test -race -count=5 ./internal/obs/... ./internal/storaged/...
+
 echo "all checks passed"

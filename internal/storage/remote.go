@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -42,10 +41,8 @@ type RemoteOptions struct {
 	Seed uint64
 	// Sleep is the backoff seam (nil uses time.Sleep).
 	Sleep func(time.Duration)
-	// ChunkSize is the streamed upload/download chunk size (default 1MiB).
+	// ChunkSize is the streamed upload chunk size (default 1MiB).
 	ChunkSize int
-	// MaxFrame bounds received frames (default DefaultMaxFrame).
-	MaxFrame int
 	// Dial is the connection seam (nil uses net.Dial "tcp").
 	Dial func(addr string) (net.Conn, error)
 }
@@ -70,13 +67,10 @@ func (o RemoteOptions) withDefaults() RemoteOptions {
 		o.Sleep = time.Sleep
 	}
 	if o.ChunkSize <= 0 {
-		o.ChunkSize = 1 << 20
+		o.ChunkSize = chunkSize
 	}
 	if o.ChunkSize > DefaultMaxFrame {
 		o.ChunkSize = DefaultMaxFrame
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = DefaultMaxFrame
 	}
 	if o.Dial == nil {
 		o.Dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
@@ -162,8 +156,7 @@ func (r *Remote) Close() error {
 
 // remoteConn is one authenticated protocol connection.
 type remoteConn struct {
-	nc  net.Conn
-	max int
+	nc net.Conn
 }
 
 func (r *Remote) dial() (*remoteConn, error) {
@@ -171,7 +164,7 @@ func (r *Remote) dial() (*remoteConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: dial %s: %w", r.addr, err)
 	}
-	c := &remoteConn{nc: nc, max: r.opts.MaxFrame}
+	c := &remoteConn{nc: nc}
 	body := AppendString([]byte{ProtoVersion}, r.tenant)
 	op, resp, err := c.call(OpHello, body)
 	if err != nil {
@@ -227,7 +220,7 @@ func (c *remoteConn) call(op byte, body []byte) (byte, []byte, error) {
 	if err := WriteFrame(c.nc, op, body); err != nil {
 		return 0, nil, err
 	}
-	return ReadFrame(c.nc, c.max)
+	return ReadFrame(c.nc, DefaultMaxFrame)
 }
 
 // remoteError maps an OpErr frame to this package's error vocabulary, so
@@ -336,23 +329,23 @@ func (r *Remote) Create(name string) (io.WriteCloser, error) {
 // errors) arrive as well-formed frames on a healthy stream — the server
 // has already discarded the staging — while transport and framing failures
 // poison the connection.
+//
+// Whole chunks leave straight from the slice handed to Write; only what is
+// left under a chunk waits in tail for the next Write to fill it up.
 type remoteWriter struct {
 	r        *Remote
 	c        *remoteConn
-	buf      []byte
 	chunk    int
+	tail     []byte // under one chunk of bytes not yet sent
+	tailBuf  Frame  // the pooled buffer behind tail, when chunk fits one
 	closed   bool
 	err      error
 	rejected bool // server refused the staging; nothing left to abort
 }
 
-// flush sends the buffered chunk as one DATA frame and waits for the ack.
-func (w *remoteWriter) flush() error {
-	if len(w.buf) == 0 {
-		return nil
-	}
-	op, body, err := w.c.call(OpData, w.buf)
-	w.buf = w.buf[:0]
+// send emits one DATA frame and waits for its ack.
+func (w *remoteWriter) send(body []byte) error {
+	op, reply, err := w.c.call(OpData, body)
 	if err != nil {
 		w.err = err
 		w.release(false)
@@ -361,7 +354,7 @@ func (w *remoteWriter) flush() error {
 	if op != OpOK {
 		// The server rejected the chunk (quota, backing failure) and
 		// dropped the staging itself; the stream stays usable.
-		w.err = remoteError(op, body)
+		w.err = remoteError(op, reply)
 		w.rejected = true
 		w.release(true)
 		return w.err
@@ -378,14 +371,26 @@ func (w *remoteWriter) Write(p []byte) (int, error) {
 	}
 	total := 0
 	for len(p) > 0 {
-		n := w.chunk - len(w.buf)
+		if len(w.tail) == 0 && len(p) >= w.chunk {
+			if err := w.send(p[:w.chunk]); err != nil {
+				return total, err
+			}
+			p = p[w.chunk:]
+			total += w.chunk
+			continue
+		}
+		if w.tail == nil && w.chunk <= chunkSize {
+			w.tailBuf = BorrowFrame()
+			w.tail = w.tailBuf.Body[:0]
+		}
+		n := w.chunk - len(w.tail)
 		if n > len(p) {
 			n = len(p)
 		}
-		w.buf = append(w.buf, p[:n]...)
+		w.tail = append(w.tail, p[:n]...)
 		p = p[n:]
 		total += n
-		if len(w.buf) >= w.chunk {
+		if len(w.tail) == w.chunk {
 			if err := w.flush(); err != nil {
 				return total, err
 			}
@@ -394,9 +399,21 @@ func (w *remoteWriter) Write(p []byte) (int, error) {
 	return total, nil
 }
 
+// flush sends the buffered tail, if any, as one DATA frame.
+func (w *remoteWriter) flush() error {
+	if len(w.tail) == 0 {
+		return nil
+	}
+	err := w.send(w.tail)
+	w.tail = w.tail[:0]
+	return err
+}
+
 // release hands the connection back to the pool (healthy) or discards it
 // (poisoned stream), and severs the writer from it.
 func (w *remoteWriter) release(healthy bool) {
+	w.tailBuf.Release()
+	w.tail = nil
 	if w.c == nil {
 		return
 	}
@@ -464,7 +481,8 @@ func (w *remoteWriter) abortStaging() error {
 
 // Open implements Store. The object is buffered fully before returning,
 // so transport errors surface here (not mid-read) and the connection goes
-// straight back to the pool.
+// straight back to the pool. It is held as the frames it arrived in, whose
+// buffers go back to the frame pool when the reader is closed.
 func (r *Remote) Open(name string) (io.ReadCloser, error) {
 	c, err := r.get()
 	if err != nil {
@@ -474,28 +492,33 @@ func (r *Remote) Open(name string) (io.ReadCloser, error) {
 		r.discard(c)
 		return nil, err
 	}
-	var buf bytes.Buffer
+	var obj ChunkList
 	for {
-		op, body, err := ReadFrame(c.nc, c.max)
+		f, err := ReadPooledFrame(c.nc)
 		if err != nil {
+			obj.Release()
 			r.discard(c)
 			return nil, err
 		}
-		switch op {
+		switch f.Op {
 		case OpChunk:
-			buf.Write(body)
+			obj.Add(&f)
+			f.Release()
 		case OpOK:
+			f.Release()
 			r.put(c)
-			return io.NopCloser(bytes.NewReader(buf.Bytes())), nil
+			return obj.reader(), nil
 		default:
-			rerr := remoteError(op, body)
-			if buf.Len() > 0 {
-				// An error after data chunks means the server failed
-				// mid-stream; the prefix cannot be trusted to be complete.
+			rerr := remoteError(f.Op, f.Body)
+			f.Release()
+			// An error after data chunks means the server failed
+			// mid-stream; the prefix cannot be trusted to be complete.
+			if obj.Len() > 0 {
 				r.discard(c)
-				return nil, rerr
+			} else {
+				r.put(c)
 			}
-			r.put(c)
+			obj.Release()
 			return nil, rerr
 		}
 	}

@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
+	"sync"
 )
 
 // ProtoVersion is the wire protocol version carried in HELLO frames.
@@ -32,6 +34,15 @@ const ProtoVersion = 1
 // must fit. Both sides enforce it, so a corrupt length prefix cannot make
 // a receiver allocate unbounded memory.
 const DefaultMaxFrame = 8 << 20
+
+// chunkSize is the unit objects are streamed in, in both directions: the
+// client's default DATA frame, the server's CHUNK frame, and the one buffer
+// size the frame pool holds.
+const chunkSize = 1 << 20
+
+// smallFrame is the largest body WriteFrame assembles into one buffer
+// instead of a vectored write: every reply but CHUNK and NAMES fits.
+const smallFrame = 119
 
 // Opcodes. Client-to-server requests first, then server replies.
 const (
@@ -105,52 +116,201 @@ func OpName(op byte) string {
 	}
 }
 
-// WriteFrame emits one frame: length prefix, opcode, body, CRC trailer.
+// WriteFrame emits one frame: length prefix, opcode, body, CRC trailer. The
+// three parts leave in one write — a single buffer for small frames, one
+// vectored write (writev on a net.Conn, sequential writes on a plain
+// io.Writer) for the rest — and body is never copied.
 func WriteFrame(w io.Writer, op byte, body []byte) error {
-	var hdr [5]byte
+	var small [5 + smallFrame + 4]byte
+	hdr := small[:5]
 	binary.BigEndian.PutUint32(hdr[:4], uint32(1+len(body)))
 	hdr[4] = op
-	crc := crc32.ChecksumIEEE(hdr[4:5])
-	crc = crc32.Update(crc, crc32.IEEETable, body)
-	var trailer [4]byte
-	binary.BigEndian.PutUint32(trailer[:], crc)
-	if _, err := w.Write(hdr[:]); err != nil {
+	crc := crc32.Update(crc32.ChecksumIEEE(hdr[4:5]), crc32.IEEETable, body)
+	if len(body) <= smallFrame {
+		frame := append(hdr, body...)
+		frame = binary.BigEndian.AppendUint32(frame, crc)
+		_, err := w.Write(frame)
 		return err
 	}
-	if len(body) > 0 {
-		if _, err := w.Write(body); err != nil {
-			return err
-		}
-	}
-	_, err := w.Write(trailer[:])
+	trailer := binary.BigEndian.AppendUint32(small[5:5], crc)
+	bufs := net.Buffers{hdr, body, trailer}
+	_, err := bufs.WriteTo(w)
 	return err
+}
+
+// framePool holds the payload buffers of received frames: one opcode byte
+// plus one chunk. Pointers to arrays go in and out without allocating.
+var framePool = sync.Pool{New: func() any { return new([1 + chunkSize]byte) }}
+
+// Frame is one received frame whose payload may live in a buffer borrowed
+// from the frame pool. Whoever holds the Frame owns that buffer until
+// Release, or until a ChunkList takes it over; Body must not be touched
+// after either.
+type Frame struct {
+	Op   byte
+	Body []byte
+	buf  *[1 + chunkSize]byte // nil when Body is not pooled
+}
+
+// Release returns the frame's buffer to the pool. It is a no-op on a frame
+// that owns none (unpooled, already released, or taken by a ChunkList).
+func (f *Frame) Release() {
+	if f.buf != nil {
+		framePool.Put(f.buf)
+		f.buf = nil
+	}
+	f.Body = nil
+}
+
+// BorrowFrame returns a frame whose Body is one empty chunk-sized buffer
+// from the pool, for streaming an object out chunk by chunk.
+func BorrowFrame() Frame {
+	buf := framePool.Get().(*[1 + chunkSize]byte)
+	return Frame{Body: buf[1:], buf: buf}
 }
 
 // ReadFrame reads one frame, enforcing maxFrame and verifying the CRC
 // trailer. A CRC mismatch or oversized frame poisons the connection: the
 // caller must close it, because framing can no longer be trusted.
 func ReadFrame(r io.Reader, maxFrame int) (op byte, body []byte, err error) {
+	f, err := readFrame(r, maxFrame, false)
+	return f.Op, f.Body, err
+}
+
+// ReadPooledFrame is ReadFrame with the payload read into a pooled buffer
+// (frames up to DefaultMaxFrame; ones larger than a chunk are allocated).
+// The caller must Release the frame or hand it to a ChunkList.
+func ReadPooledFrame(r io.Reader) (Frame, error) {
+	return readFrame(r, DefaultMaxFrame, true)
+}
+
+func readFrame(r io.Reader, maxFrame int, pooled bool) (Frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+		return Frame{}, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n < 1 || int(n) > maxFrame+1 {
-		return 0, nil, fmt.Errorf("storage: frame length %d out of range (max %d)", n, maxFrame)
+		return Frame{}, fmt.Errorf("storage: frame length %d out of range (max %d)", n, maxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
+	var f Frame
+	var payload []byte
+	if pooled && n <= 1+chunkSize {
+		f.buf = framePool.Get().(*[1 + chunkSize]byte)
+		payload = f.buf[:n]
+	} else {
+		payload = make([]byte, n)
 	}
 	var trailer [4]byte
-	if _, err := io.ReadFull(r, trailer[:]); err != nil {
-		return 0, nil, err
+	_, err := io.ReadFull(r, payload)
+	if err == nil {
+		_, err = io.ReadFull(r, trailer[:])
 	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(trailer[:]); got != want {
-		return 0, nil, fmt.Errorf("storage: frame CRC mismatch on %s (got %08x want %08x)",
-			OpName(payload[0]), got, want)
+	if err == nil {
+		if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(trailer[:]); got != want {
+			err = fmt.Errorf("storage: frame CRC mismatch on %s (got %08x want %08x)",
+				OpName(payload[0]), got, want)
+		}
 	}
-	return payload[0], payload[1:], nil
+	if err != nil {
+		f.Release()
+		return Frame{}, err
+	}
+	f.Op, f.Body = payload[0], payload[1:]
+	return f, nil
+}
+
+// ChunkList is an object held as the list of frame payloads it arrived in:
+// the daemon's upload staging and the client's downloaded object. Adding a
+// frame moves its buffer into the list instead of copying it, so the bytes
+// are touched once on the way in. The zero value is an empty list. Not safe
+// for concurrent use.
+type ChunkList struct {
+	chunks []Frame
+	size   int64
+}
+
+// Len returns the number of bytes held.
+func (l *ChunkList) Len() int64 { return l.size }
+
+// Add appends the frame's body. A body that fits in the room left in the
+// last chunk is copied there and the frame stays the caller's; otherwise
+// the list takes the frame's buffer over and f owns nothing afterwards.
+// Either way the caller still calls f.Release. Two neighbouring chunks
+// therefore always hold more than one chunk of bytes between them, which
+// keeps the memory a list pins under twice what it stores (plus one
+// buffer) however small the frames a peer chooses to send.
+func (l *ChunkList) Add(f *Frame) {
+	l.size += int64(len(f.Body))
+	if n := len(l.chunks); n > 0 {
+		last := &l.chunks[n-1]
+		if len(f.Body) <= cap(last.Body)-len(last.Body) {
+			last.Body = append(last.Body, f.Body...)
+			return
+		}
+	}
+	l.chunks = append(l.chunks, *f)
+	f.buf, f.Body = nil, nil
+}
+
+// Release returns every pooled buffer and empties the list.
+func (l *ChunkList) Release() {
+	for i := range l.chunks {
+		l.chunks[i].Release()
+	}
+	l.chunks, l.size = nil, 0
+}
+
+// Commit writes the held bytes to s as one object, with WriteObject's
+// contract: on error nothing became visible. A writer of this package's
+// in-memory kind is told the total up front, so it stages the object in a
+// buffer of exactly that size; any other writer just sees the chunks in
+// order. The list keeps its buffers; the caller releases them.
+func (l *ChunkList) Commit(s Store, name string) error {
+	w, err := s.Create(name)
+	if err != nil {
+		return err
+	}
+	if mw, ok := w.(*memWriter); ok {
+		mw.presize(l.size)
+	}
+	for _, c := range l.chunks {
+		if _, err := w.Write(c.Body); err != nil {
+			_ = AbortWriter(w) // write failed; surface that error, not the abort's
+			return err
+		}
+	}
+	return w.Close()
+}
+
+// reader serves the held bytes and releases the list's buffers on Close.
+func (l *ChunkList) reader() io.ReadCloser { return &chunkReader{l: l} }
+
+type chunkReader struct {
+	l   *ChunkList
+	i   int // chunk being read
+	off int // bytes of it already served
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	total := 0
+	for total < len(p) && r.i < len(r.l.chunks) {
+		n := copy(p[total:], r.l.chunks[r.i].Body[r.off:])
+		total += n
+		r.off += n
+		if r.off == len(r.l.chunks[r.i].Body) {
+			r.i, r.off = r.i+1, 0
+		}
+	}
+	if total == 0 && len(p) > 0 {
+		return 0, io.EOF
+	}
+	return total, nil
+}
+
+func (r *chunkReader) Close() error {
+	r.l.Release()
+	return nil
 }
 
 // Body encoding helpers: strings are uint32-length-prefixed, integers are

@@ -2,6 +2,10 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"io"
+	"net"
 	"strings"
 	"testing"
 )
@@ -128,5 +132,108 @@ func TestWireReaderStrict(t *testing.T) {
 	r.Str()
 	if err := r.Done(); err == nil {
 		t.Fatal("trailing bytes were not reported")
+	}
+}
+
+// TestWriteFrameWireBytes pins the wire format: whatever path WriteFrame
+// takes — one buffer for a small frame, a vectored write for a large one, a
+// net.Conn or a plain io.Writer underneath — the bytes are the length
+// prefix, opcode, body and CRC-32 assembled by hand here.
+func TestWriteFrameWireBytes(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	client, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	server, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+
+	big := make([]byte, 300<<10)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	bodies := [][]byte{nil, []byte("full-000000000012.ckpt"), big[:smallFrame], big[:smallFrame+1], big}
+	for _, body := range bodies {
+		want := binary.BigEndian.AppendUint32(nil, uint32(1+len(body)))
+		want = append(want, OpData)
+		want = append(want, body...)
+		want = binary.BigEndian.AppendUint32(want, crc32.ChecksumIEEE(want[4:]))
+
+		var plain bytes.Buffer
+		if err := WriteFrame(&plain, OpData, body); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(plain.Bytes(), want) {
+			t.Fatalf("%d-byte body on an io.Writer: frame differs from the hand-assembled one", len(body))
+		}
+
+		errc := make(chan error, 1) // the one send below never blocks
+		go func() { errc <- WriteFrame(client, OpData, body) }()
+		got := make([]byte, len(want))
+		if _, err := io.ReadFull(server, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte body on a net.Conn: frame differs from the hand-assembled one", len(body))
+		}
+	}
+}
+
+// TestChunkListBoundsPinnedMemory feeds a list frames of every awkward
+// size and checks both what it stores and what it pins: the bytes read
+// back in order, and no more than two chunks of buffer per chunk of data.
+func TestChunkListBoundsPinnedMemory(t *testing.T) {
+	var wire, want bytes.Buffer
+	sizes := []int{1, 1, chunkSize / 2, chunkSize/2 + 1, 3, chunkSize, 0, chunkSize - 1, 2, 2 * chunkSize, 5}
+	for i, n := range sizes {
+		body := bytes.Repeat([]byte{byte(i + 1)}, n)
+		want.Write(body)
+		if err := WriteFrame(&wire, OpData, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var l ChunkList
+	for range sizes {
+		f, err := ReadPooledFrame(&wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Add(&f)
+		f.Release()
+	}
+	if l.Len() != int64(want.Len()) {
+		t.Fatalf("list holds %d bytes, want %d", l.Len(), want.Len())
+	}
+	pinned := 0
+	for _, c := range l.chunks {
+		pinned += cap(c.Body)
+	}
+	if limit := 2*want.Len() + chunkSize; pinned > limit {
+		t.Fatalf("list pins %d bytes of buffer for %d stored, limit %d", pinned, want.Len(), limit)
+	}
+	rc := l.reader()
+	got, err := io.ReadAll(rc)
+	if err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("read back %d bytes (err %v), want %d identical ones", len(got), err, want.Len())
+	}
+	if err := rc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.Close(); err != nil { // a second Close must not return buffers twice
+		t.Fatal(err)
+	}
+	if n, err := rc.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Fatalf("read after close: %d bytes, err %v", n, err)
 	}
 }

@@ -102,11 +102,35 @@ type Mem struct {
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem { return &Mem{objects: make(map[string][]byte)} }
 
+// memPiece is the size from which memWriter stops growing a staging
+// buffer by reallocating it and starts a new one beside it instead.
+const memPiece = 256 << 10
+
+// memWriter stages an object in memory and hands the staged bytes to
+// commit on Close. commit may keep the slice: the writer is finished with
+// it. A buffer that ends exactly full — staged by one Write, pre-sized to
+// the object's length, or joined from pieces on Close — carries no growth
+// slack, which is what lets Tiered adopt it instead of copying.
+//
+// Small objects grow in one buffer by append. A buffer that has reached
+// memPiece and has no room for the next Write is set aside whole and a new
+// one started, so a large object that arrives in many Writes and never
+// said how long it would be is copied once on the way in and once when
+// Close joins the pieces, instead of once more at every regrowth.
 type memWriter struct {
-	buf    bytes.Buffer
+	buf    []byte
+	pieces [][]byte // full buffers set aside, in order; buf follows them
 	commit func([]byte)
 	closed bool
 	err    error // latched write error; set means Close must not commit
+}
+
+// presize makes the staging buffer exactly n bytes long ahead of the first
+// Write, for a caller that knows the object's length.
+func (w *memWriter) presize(n int64) {
+	if w.buf == nil {
+		w.buf = make([]byte, 0, n)
+	}
 }
 
 func (w *memWriter) Write(p []byte) (int, error) {
@@ -116,11 +140,17 @@ func (w *memWriter) Write(p []byte) (int, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
-	n, err := w.buf.Write(p)
-	if err != nil {
-		w.err = err
+	if len(w.buf) >= memPiece && len(p) > cap(w.buf)-len(w.buf) {
+		w.pieces = append(w.pieces, w.buf)
+		w.buf = nil
 	}
-	return n, err
+	if w.buf == nil {
+		w.buf = make([]byte, len(p))
+		copy(w.buf, p)
+	} else {
+		w.buf = append(w.buf, p...)
+	}
+	return len(p), nil
 }
 
 func (w *memWriter) Close() error {
@@ -132,13 +162,27 @@ func (w *memWriter) Close() error {
 		// A write failed earlier: committing would publish a torn object.
 		return w.err
 	}
-	w.commit(w.buf.Bytes())
+	data := w.buf
+	if len(w.pieces) > 0 {
+		total := len(w.buf)
+		for _, piece := range w.pieces {
+			total += len(piece)
+		}
+		data = make([]byte, 0, total)
+		for _, piece := range w.pieces {
+			data = append(data, piece...)
+		}
+		data = append(data, w.buf...)
+	}
+	w.buf, w.pieces = nil, nil
+	w.commit(data)
 	return nil
 }
 
 // Abort discards the staged bytes; nothing becomes visible.
 func (w *memWriter) Abort() error {
 	w.closed = true
+	w.buf, w.pieces = nil, nil
 	return nil
 }
 

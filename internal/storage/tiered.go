@@ -61,13 +61,17 @@ func (t *Tiered) SpilledBytes() int64 { return t.spillBytes.Load() }
 // Create implements Store. The object is staged in memory and committed
 // into the hot tier on Close (with the same latched-error abort contract
 // as the other writers), then eviction runs if the hot tier overflowed.
+// A staging buffer that ended exactly full becomes the hot copy as it is;
+// one that grew by appending is copied, so its slack is not kept hot.
 func (t *Tiered) Create(name string) (io.WriteCloser, error) {
 	if name == "" {
 		return nil, fmt.Errorf("storage: empty object name")
 	}
 	return &memWriter{commit: func(data []byte) {
-		cp := append([]byte(nil), data...)
-		t.commit(name, cp)
+		if len(data) != cap(data) {
+			data = append([]byte(nil), data...)
+		}
+		t.commit(name, data)
 	}}, nil
 }
 

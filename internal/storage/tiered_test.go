@@ -207,3 +207,73 @@ func TestTieredWatermarkValidation(t *testing.T) {
 		t.Fatal("nil cold tier accepted")
 	}
 }
+
+// TestTieredHotCopyOwnsItsBytes commits one object three ways — a single
+// Write, several Writes, and a ChunkList (pre-sized staging) — and then
+// dirties everything the writers were given: the caller's slices and, for
+// the chunk list, the pooled buffers it hands back. Whether the hot tier
+// adopted the staging buffer or copied it, the stored bytes are its own.
+func TestTieredHotCopyOwnsItsBytes(t *testing.T) {
+	tr, _ := newTestTiered(t, 64<<20, 32<<20)
+	want := make([]byte, 2*chunkSize+4097)
+	for i := range want {
+		want[i] = byte(i*13 + i>>9)
+	}
+	src := append([]byte(nil), want...)
+
+	if err := WriteObject(tr, "one-write", src); err != nil {
+		t.Fatal(err)
+	}
+	w, err := tr.Create("many-writes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < len(src); off += 100_000 {
+		if _, err := w.Write(src[off:min(off+100_000, len(src))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var wire bytes.Buffer
+	for off := 0; off < len(src); off += chunkSize {
+		if err := WriteFrame(&wire, OpData, src[off:min(off+chunkSize, len(src))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var l ChunkList
+	for wire.Len() > 0 {
+		f, err := ReadPooledFrame(&wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Add(&f)
+		f.Release()
+	}
+	if err := l.Commit(tr, "chunk-list"); err != nil {
+		t.Fatal(err)
+	}
+	tr.mu.Lock()
+	if hot := tr.hot["chunk-list"]; len(hot) != cap(hot) {
+		t.Errorf("pre-sized staging ended with %d spare bytes", cap(hot)-len(hot))
+	}
+	tr.mu.Unlock()
+
+	for i := range src {
+		src[i] = 0xee
+	}
+	for _, c := range l.chunks {
+		for i := range c.Body {
+			c.Body[i] = 0xdd
+		}
+	}
+	l.Release()
+	for _, name := range []string{"one-write", "many-writes", "chunk-list"} {
+		got, err := ReadObject(tr, name)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: stored bytes changed under the hot tier (err %v)", name, err)
+		}
+	}
+}

@@ -10,12 +10,13 @@
 // RETRY (carrying a back-off hint) rather than queueing unboundedly — the
 // storage.Remote client converts that into jittered-backoff retries, and
 // the engines' fault-tolerance ladder treats exhaustion as a transient
-// persist failure. Uploads are staged in memory and committed through the
-// backing store's temp+rename contract, so a tenant crash, a dropped
-// connection, or a quota rejection mid-upload never publishes a torn
-// object. On full-checkpoint arrival the daemon can re-validate the
-// tenant's whole chain with recovery.Verify, catching silent corruption at
-// the moment a new recovery anchor appears instead of at restore time.
+// persist failure. Uploads are staged in memory — in the pooled buffers
+// their DATA frames were read into — and committed through the backing
+// store's temp+rename contract, so a tenant crash, a dropped connection, or
+// a quota rejection mid-upload never publishes a torn object. On
+// full-checkpoint arrival the daemon can re-validate the tenant's whole
+// chain with recovery.Verify, catching silent corruption at the moment a
+// new recovery anchor appears instead of at restore time.
 package storaged
 
 import (
@@ -61,12 +62,6 @@ type Config struct {
 	// ValidateFulls re-validates the tenant's checkpoint chain with
 	// recovery.Verify whenever a full checkpoint commits.
 	ValidateFulls bool
-	// MaxFrame bounds received frame payloads (default
-	// storage.DefaultMaxFrame).
-	MaxFrame int
-	// ChunkSize is the GET download chunk size (default 1MiB, clamped to
-	// MaxFrame).
-	ChunkSize int
 	// Registry receives per-tenant gauges and counters; nil disables
 	// metrics.
 	Registry *obs.Registry
@@ -75,15 +70,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.RetryHintMillis == 0 {
 		c.RetryHintMillis = 5
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = storage.DefaultMaxFrame
-	}
-	if c.ChunkSize <= 0 {
-		c.ChunkSize = 1 << 20
-	}
-	if c.ChunkSize > c.MaxFrame {
-		c.ChunkSize = c.MaxFrame
 	}
 	return c
 }
@@ -335,11 +321,20 @@ func (t *tenant) addInflight(n int64) {
 	t.inflightGauge.Set(v)
 }
 
-// staging is one in-progress upload on a connection.
+// staging is one in-progress upload on a connection. The staged bytes are
+// the DATA frames' own payload buffers; whoever ends the upload (COMMIT,
+// ABORT, a rejection, the connection dying) hands them back through drop.
 type staging struct {
 	name     string
-	existing int64 // committed size of the same name, 0 when absent
-	buf      []byte
+	existing int64 // committed size of the same name, -1 when absent
+	chunks   storage.ChunkList
+}
+
+// drop ends an upload: its bytes stop counting as in flight and its
+// buffers return to the frame pool.
+func (t *tenant) drop(up *staging) {
+	t.addInflight(-up.chunks.Len())
+	up.chunks.Release()
 }
 
 // handle runs one connection's request loop. Any transport or framing
@@ -350,8 +345,8 @@ func (s *Server) handle(nc net.Conn) {
 	var t *tenant
 	var up *staging
 	defer func() {
-		if up != nil && t != nil {
-			t.addInflight(-int64(len(up.buf)))
+		if up != nil {
+			t.drop(up)
 		}
 		s.mu.Lock()
 		delete(s.conns, nc)
@@ -361,33 +356,18 @@ func (s *Server) handle(nc net.Conn) {
 
 	hello := true
 	for {
-		op, body, err := storage.ReadFrame(nc, s.cfg.MaxFrame)
+		f, err := storage.ReadPooledFrame(nc)
 		if err != nil {
 			return // EOF, reset, oversize, or CRC mismatch: drop the conn
 		}
 		if hello {
-			if op != storage.OpHello {
-				_ = writeErr(nc, storage.CodeBadRequest, "first frame must be HELLO")
+			name, refusal := parseHello(&f)
+			f.Release()
+			if refusal != "" {
+				_ = writeErr(nc, storage.CodeBadRequest, refusal)
 				return
 			}
-			r := storage.NewWireReader(body)
-			version := r.Byte()
-			name := r.Str()
-			if rerr := r.Done(); rerr != nil {
-				_ = writeErr(nc, storage.CodeBadRequest, rerr.Error())
-				return
-			}
-			if version != storage.ProtoVersion {
-				_ = writeErr(nc, storage.CodeBadRequest,
-					fmt.Sprintf("protocol version %d unsupported (want %d)", version, storage.ProtoVersion))
-				return
-			}
-			if !validTenant(name) {
-				_ = writeErr(nc, storage.CodeBadRequest, fmt.Sprintf("invalid tenant name %q", name))
-				return
-			}
-			t, err = s.getTenant(name)
-			if err != nil {
+			if t, err = s.getTenant(name); err != nil {
 				_ = writeErr(nc, storage.CodeInternal, err.Error())
 				return
 			}
@@ -397,40 +377,66 @@ func (s *Server) handle(nc net.Conn) {
 			hello = false
 			continue
 		}
-		up, err = s.dispatch(nc, t, up, op, body)
+		// The frame's buffer is the handler's for the length of the call. A
+		// handler that wants the bytes longer moves them into a ChunkList,
+		// which leaves the Release below nothing to return; no handler may
+		// keep a reference to f.Body any other way.
+		up, err = s.dispatch(nc, t, up, &f)
+		f.Release()
 		if err != nil {
 			return
 		}
 	}
 }
 
+// parseHello validates the first frame of a connection and returns the
+// tenant name, or the message to refuse the connection with.
+func parseHello(f *storage.Frame) (name, refusal string) {
+	if f.Op != storage.OpHello {
+		return "", "first frame must be HELLO"
+	}
+	r := storage.NewWireReader(f.Body)
+	version := r.Byte()
+	name = r.Str()
+	if err := r.Done(); err != nil {
+		return "", err.Error()
+	}
+	if version != storage.ProtoVersion {
+		return "", fmt.Sprintf("protocol version %d unsupported (want %d)", version, storage.ProtoVersion)
+	}
+	if !validTenant(name) {
+		return "", fmt.Sprintf("invalid tenant name %q", name)
+	}
+	return name, ""
+}
+
 // dispatch handles one post-HELLO request frame and returns the new
 // staging state. A non-nil error means the connection must be dropped.
-func (s *Server) dispatch(nc net.Conn, t *tenant, up *staging, op byte, body []byte) (*staging, error) {
-	switch op {
+func (s *Server) dispatch(nc net.Conn, t *tenant, up *staging, f *storage.Frame) (*staging, error) {
+	switch f.Op {
 	case storage.OpCreate:
-		return s.handleCreate(nc, t, up, body)
+		return s.handleCreate(nc, t, up, f.Body)
 	case storage.OpData:
-		return s.handleData(nc, t, up, body)
+		return s.handleData(nc, t, up, f)
 	case storage.OpCommit:
-		return s.handleCommit(nc, t, up, body)
+		return s.handleCommit(nc, t, up, f.Body)
 	case storage.OpAbort:
 		if up != nil {
-			t.addInflight(-int64(len(up.buf)))
+			t.drop(up)
 		}
 		return nil, storage.WriteFrame(nc, storage.OpOK, nil)
 	case storage.OpGet:
-		return up, s.handleGet(nc, t, body)
+		return up, s.handleGet(nc, t, f.Body)
 	case storage.OpList:
-		return up, s.handleList(nc, t, body)
+		return up, s.handleList(nc, t, f.Body)
 	case storage.OpDelete:
-		return up, s.handleDelete(nc, t, body)
+		return up, s.handleDelete(nc, t, f.Body)
 	case storage.OpSize:
-		return up, s.handleSize(nc, t, body)
+		return up, s.handleSize(nc, t, f.Body)
 	case storage.OpStat:
 		return up, storage.WriteFrame(nc, storage.OpUsage, storage.EncodeUsage(t.usage()))
 	default:
-		return up, writeErr(nc, storage.CodeBadRequest, fmt.Sprintf("unexpected %s request", storage.OpName(op)))
+		return up, writeErr(nc, storage.CodeBadRequest, fmt.Sprintf("unexpected %s request", storage.OpName(f.Op)))
 	}
 }
 
@@ -456,30 +462,33 @@ func (s *Server) handleCreate(nc net.Conn, t *tenant, up *staging, body []byte) 
 	return &staging{name: name, existing: existing}, storage.WriteFrame(nc, storage.OpOK, nil)
 }
 
-func (s *Server) handleData(nc net.Conn, t *tenant, up *staging, body []byte) (*staging, error) {
+// handleData moves the frame's payload into the upload's staging: the
+// buffer it was read into becomes part of the staged object.
+func (s *Server) handleData(nc net.Conn, t *tenant, up *staging, f *storage.Frame) (*staging, error) {
 	if up == nil {
 		return nil, writeErr(nc, storage.CodeBadRequest, "DATA without CREATE")
 	}
+	n := int64(len(f.Body))
 	// Quota is enforced while bytes stream in, so a tenant cannot blow
 	// past its budget by holding one huge upload in staging. Overwrites
 	// are charged for their delta only.
 	if t.quota > 0 {
 		t.mu.Lock()
-		projected := t.used + int64(len(up.buf)) + int64(len(body))
+		projected := t.used + up.chunks.Len() + n
 		if up.existing > 0 {
 			projected -= up.existing
 		}
 		over := projected > t.quota
 		t.mu.Unlock()
 		if over {
-			t.addInflight(-int64(len(up.buf)))
+			t.drop(up)
 			t.quotaRejects.Inc()
 			return nil, writeErr(nc, storage.CodeQuota,
 				fmt.Sprintf("tenant %s over %d-byte quota", t.name, t.quota))
 		}
 	}
-	up.buf = append(up.buf, body...)
-	t.addInflight(int64(len(body)))
+	up.chunks.Add(f)
+	t.addInflight(n)
 	return up, storage.WriteFrame(nc, storage.OpOK, nil)
 }
 
@@ -493,7 +502,7 @@ func (s *Server) handleCommit(nc net.Conn, t *tenant, up *staging, body []byte) 
 	err := s.commit(t, up)
 	// Release the staged bytes before replying, on success and on failure:
 	// a client that has read the reply must not still see them in flight.
-	t.addInflight(-int64(len(up.buf)))
+	t.drop(up)
 	if err != nil {
 		return nil, writeErr(nc, storage.CodeInternal, err.Error())
 	}
@@ -503,7 +512,7 @@ func (s *Server) handleCommit(nc net.Conn, t *tenant, up *staging, body []byte) 
 // commit makes the staged object visible in the tenant's store and charges
 // its quota by the overwrite delta. On error nothing became visible.
 func (s *Server) commit(t *tenant, up *staging) error {
-	staged := int64(len(up.buf))
+	staged := up.chunks.Len()
 	// Serialize commits so same-name racers resolve in commit order and
 	// the pre-size measurement pairs with the write it accounts for.
 	t.commitMu.Lock()
@@ -515,10 +524,10 @@ func (s *Server) commit(t *tenant, up *staging) error {
 		}
 		pre = -1
 	}
-	err = storage.WriteObject(t.store, up.name, up.buf)
+	err = up.chunks.Commit(t.store, up.name)
 	t.commitMu.Unlock()
 	if err != nil {
-		// WriteObject aborted the staged write: nothing became visible.
+		// Commit aborted the staged write: nothing became visible.
 		return err
 	}
 
@@ -554,11 +563,12 @@ func (s *Server) handleGet(nc net.Conn, t *tenant, body []byte) error {
 		return writeStoreErr(nc, err)
 	}
 	defer rc.Close()
-	chunk := make([]byte, s.cfg.ChunkSize)
+	chunk := storage.BorrowFrame()
+	defer chunk.Release()
 	for {
-		n, rerr := rc.Read(chunk)
+		n, rerr := rc.Read(chunk.Body)
 		if n > 0 {
-			if werr := storage.WriteFrame(nc, storage.OpChunk, chunk[:n]); werr != nil {
+			if werr := storage.WriteFrame(nc, storage.OpChunk, chunk.Body[:n]); werr != nil {
 				return werr
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -16,22 +17,55 @@ import (
 	"lowdiff/internal/storaged"
 )
 
+// testServer is a daemon plus the goroutine count from before it started,
+// which quiesce holds it to.
+type testServer struct {
+	*storaged.Server
+	goroutines int
+}
+
 // startServer brings up a daemon on an ephemeral port. A nil OpenStore
 // gets a fresh in-memory store per tenant.
-func startServer(t *testing.T, cfg storaged.Config) *storaged.Server {
+func startServer(t testing.TB, cfg storaged.Config) *testServer {
 	t.Helper()
 	if cfg.OpenStore == nil {
 		cfg.OpenStore = func(string) (storage.Store, error) { return storage.NewMem(), nil }
 	}
+	before := runtime.NumGoroutine()
 	srv, err := storaged.Start("127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	return srv
+	return &testServer{Server: srv, goroutines: before}
 }
 
-func dialTenant(t *testing.T, srv *storaged.Server, tenant string, opts storage.RemoteOptions) *storage.Remote {
+// quiesce ends a test: it closes the daemon, which waits for every
+// connection handler, and then requires that none of the named tenants
+// still has staged bytes in flight and that the daemon's goroutines are
+// gone. Every test calls it last, so a handler that leaks a staging or
+// outlives its connection fails the test that caused it.
+func quiesce(t testing.TB, srv *testServer, tenants ...string) {
+	t.Helper()
+	if err := srv.Close(); err != nil {
+		t.Errorf("daemon close: %v", err)
+	}
+	for _, name := range tenants {
+		if u, ok := srv.Usage(name); ok && u.InflightBytes != 0 {
+			t.Errorf("tenant %s: %d bytes still in flight after shutdown", name, u.InflightBytes)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > srv.goroutines {
+		if time.Now().After(deadline) {
+			t.Errorf("%d goroutines after shutdown, %d before start", runtime.NumGoroutine(), srv.goroutines)
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func dialTenant(t testing.TB, srv *testServer, tenant string, opts storage.RemoteOptions) *storage.Remote {
 	t.Helper()
 	r, err := storage.DialRemote(srv.Addr(), tenant, opts)
 	if err != nil {
@@ -99,25 +133,52 @@ func TestRemoteStoreContract(t *testing.T) {
 	if _, err := r.Size("diff-000000000001.ckpt"); !storage.IsNotExist(err) {
 		t.Fatal("deleted object still has a size")
 	}
+	quiesce(t, srv, "contract")
+}
+
+// countingDial is a RemoteOptions.Dial that counts the connections a client
+// opens, so a test can require that a rejected upload left its pooled
+// connection usable instead of costing a reconnect.
+func countingDial(dials *atomic.Int64) func(string) (net.Conn, error) {
+	return func(addr string) (net.Conn, error) {
+		dials.Add(1)
+		return net.Dial("tcp", addr)
+	}
 }
 
 // TestQuotaEnforced checks that a commit pushing the tenant over its byte
 // quota fails with ErrQuotaExceeded, leaves the store unchanged, and that
-// same-name overwrites are charged by delta, not by gross size.
+// same-name overwrites are charged by delta, not by gross size. The
+// over-quota upload goes out in 8-byte chunks, so the rejection lands in
+// the middle of a stream of DATA frames; the client must come out of it
+// with the same pooled connection, still usable.
 func TestQuotaEnforced(t *testing.T) {
 	reg := obs.New()
 	srv := startServer(t, storaged.Config{
 		Tenants:  map[string]storaged.TenantConfig{"capped": {QuotaBytes: 100}},
 		Registry: reg,
 	})
-	r := dialTenant(t, srv, "capped", storage.RemoteOptions{})
+	var dials atomic.Int64
+	r := dialTenant(t, srv, "capped", storage.RemoteOptions{ChunkSize: 8, Dial: countingDial(&dials)})
 
 	if err := storage.WriteObject(r, "obj-a", bytes.Repeat([]byte{1}, 60)); err != nil {
 		t.Fatal(err)
 	}
-	err := storage.WriteObject(r, "obj-b", bytes.Repeat([]byte{2}, 60))
+	// 60 committed + 40 staged is the quota exactly: the sixth of these
+	// fifteen frames is the one over it.
+	w, err := r.Create("obj-b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = w.Write(bytes.Repeat([]byte{2}, 120))
 	if !errors.Is(err, storage.ErrQuotaExceeded) {
 		t.Fatalf("over-quota write: got %v, want ErrQuotaExceeded", err)
+	}
+	if err := w.Close(); !errors.Is(err, storage.ErrQuotaExceeded) {
+		t.Fatalf("close after over-quota write: got %v, want ErrQuotaExceeded", err)
+	}
+	if u, _ := srv.Usage("capped"); u.InflightBytes != 0 {
+		t.Fatalf("rejected upload left %d bytes in flight", u.InflightBytes)
 	}
 
 	// The rejected object must not exist and the survivor must be intact.
@@ -147,6 +208,12 @@ func TestQuotaEnforced(t *testing.T) {
 	if v := reg.Counter("storaged_quota_rejects_total", obs.L("tenant", "capped")).Value(); v != 1 {
 		t.Fatalf("quota reject counter = %d, want 1", v)
 	}
+	// Everything above, the rejection included, ran on the one connection
+	// DialRemote opened.
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("client dialed %d connections, want 1", n)
+	}
+	quiesce(t, srv, "capped")
 }
 
 // TestBackpressureRetry holds staged bytes above the tenant's in-flight
@@ -199,11 +266,14 @@ func TestBackpressureRetry(t *testing.T) {
 	if !ok || u.InflightBytes != 0 {
 		t.Fatalf("inflight after commits = %+v (ok %v), want 0", u, ok)
 	}
+	quiesce(t, srv, "busy")
 }
 
 // TestTransientBackingFault drives commits into a backing store that
 // fails a bounded run of writes: each failed commit surfaces as an error
-// with nothing published, and a plain retry rides out the outage.
+// with nothing published, and a plain retry rides out the outage. A failed
+// commit must hand the connection back usable: the whole test, its uploads
+// in 4-byte chunks, runs on the one connection DialRemote opened.
 func TestTransientBackingFault(t *testing.T) {
 	var faulty *storage.Faulty
 	srv := startServer(t, storaged.Config{
@@ -213,7 +283,8 @@ func TestTransientBackingFault(t *testing.T) {
 			return f, err
 		},
 	})
-	r := dialTenant(t, srv, "flaky", storage.RemoteOptions{})
+	var dials atomic.Int64
+	r := dialTenant(t, srv, "flaky", storage.RemoteOptions{ChunkSize: 4, Dial: countingDial(&dials)})
 
 	if err := storage.WriteObject(r, "obj-0", []byte("healthy")); err != nil {
 		t.Fatal(err)
@@ -229,9 +300,13 @@ func TestTransientBackingFault(t *testing.T) {
 		if storage.IsNotExist(err) || errors.Is(err, storage.ErrQuotaExceeded) {
 			t.Fatalf("injected fault surfaced as %v", err)
 		}
-		// The failed commit must not have published anything.
+		// The failed commit must not have published anything, nor left
+		// anything staged.
 		if _, serr := r.Size("obj-1"); !storage.IsNotExist(serr) {
 			t.Fatalf("torn object visible after failed commit (size err %v)", serr)
+		}
+		if u, _ := srv.Usage("flaky"); u.InflightBytes != 0 {
+			t.Fatalf("failed commit left %d bytes in flight", u.InflightBytes)
 		}
 		if attempts > 10 {
 			t.Fatal("writes still failing after the transient window")
@@ -247,6 +322,10 @@ func TestTransientBackingFault(t *testing.T) {
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("post-outage read: %q, err %v", got, err)
 	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("client dialed %d connections, want 1", n)
+	}
+	quiesce(t, srv, "flaky")
 }
 
 // TestSeededChaosEventuallyCommits retries uploads against a chaotic
@@ -291,6 +370,7 @@ func TestSeededChaosEventuallyCommits(t *testing.T) {
 	if u.Objects != 8 {
 		t.Fatalf("objects = %d, want 8", u.Objects)
 	}
+	quiesce(t, srv, "chaotic")
 }
 
 // TestConcurrentSameNameLastCloseWins opens two streamed uploads for the
@@ -329,6 +409,7 @@ func TestConcurrentSameNameLastCloseWins(t *testing.T) {
 	if !ok || u.Objects != 1 || u.UsedBytes != int64(len("first writer, closed last")) {
 		t.Fatalf("usage after race = %+v, want 1 object of %d bytes", u, len("first writer, closed last"))
 	}
+	quiesce(t, srv, "racy")
 }
 
 // TestValidateFullsFlagsGarbage commits an undecodable object under a
@@ -359,6 +440,7 @@ func TestValidateFullsFlagsGarbage(t *testing.T) {
 	if v := reg.Counter("storaged_validations_total", obs.L("tenant", "audited")).Value(); v != 1 {
 		t.Fatalf("diff commit triggered validation (count %d)", v)
 	}
+	quiesce(t, srv, "audited")
 }
 
 // TestAccountingRebuildOnRestart pre-populates a backing store before the
@@ -391,6 +473,7 @@ func TestAccountingRebuildOnRestart(t *testing.T) {
 	if err := storage.WriteObject(r, "post", make([]byte, 10)); err != nil {
 		t.Fatalf("in-quota write after rebuild: %v", err)
 	}
+	quiesce(t, srv, "returning")
 }
 
 // TestTieredBackingStore runs the daemon over a memory->disk tiered store
@@ -428,6 +511,7 @@ func TestTieredBackingStore(t *testing.T) {
 	if err != nil || len(names) != 10 {
 		t.Fatalf("List = %d names, err %v", len(names), err)
 	}
+	quiesce(t, srv, "tiered")
 }
 
 // TestBadHelloRejected covers tenant-name validation and protocol-version
@@ -459,6 +543,7 @@ func TestBadHelloRejected(t *testing.T) {
 	if err != nil || op != storage.OpErr {
 		t.Fatalf("future-version HELLO: op %#x, err %v, want ERR frame", op, err)
 	}
+	quiesce(t, srv)
 }
 
 // TestInflightReleasedOnDisconnect stages bytes on a raw connection and
@@ -514,4 +599,5 @@ func TestInflightReleasedOnDisconnect(t *testing.T) {
 	if u.UsedBytes != 0 || u.Objects != 0 {
 		t.Fatalf("abandoned staging became visible: %+v", u)
 	}
+	quiesce(t, srv, "dropped")
 }

@@ -5,8 +5,10 @@
 # baseline vs k-way/pooled compress+merge, pooled decompress) and writes
 # them to BENCH_dataplane.json, then the step-phase profiler overhead
 # benchmarks (enabled recorder vs nil fast path) into BENCH_trace.json,
-# and finally the overlapped-vs-sequential step-schedule benchmarks
-# (PP engine against a latency-injecting store) into BENCH_overlap.json
+# then the overlapped-vs-sequential step-schedule benchmarks (PP engine
+# against a latency-injecting store) into BENCH_overlap.json, and finally
+# the checkpoint pool's wire path (one full-sized object through Remote ->
+# storaged -> Tiered(File), up and down) into BENCH_pool.json
 # (benchmark name -> ns/op, B/op, allocs/op).
 #
 #   BENCHTIME=1x scripts/bench.sh     # CI smoke: one iteration per benchmark
@@ -30,6 +32,7 @@ BENCH_OUT="${BENCH_OUT:-BENCH_obs.json}"
 BENCH_DATAPLANE_OUT="${BENCH_DATAPLANE_OUT:-BENCH_dataplane.json}"
 BENCH_TRACE_OUT="${BENCH_TRACE_OUT:-BENCH_trace.json}"
 BENCH_OVERLAP_OUT="${BENCH_OVERLAP_OUT:-BENCH_overlap.json}"
+BENCH_POOL_OUT="${BENCH_POOL_OUT:-BENCH_pool.json}"
 GATE_BENCHTIME="${GATE_BENCHTIME:-100x}"
 
 if [ "${SKIP_ALLOC_GATE:-0}" != "1" ] && [ -f BENCH_dataplane.json ]; then
@@ -56,6 +59,21 @@ if [ "${SKIP_ALLOC_GATE:-0}" != "1" ] && [ -f BENCH_overlap.json ]; then
     echo "== allocs/op gate: overlap step schedule vs checked-in BENCH_overlap.json (benchtime $GATE_BENCHTIME) ==" >&2
     go test -run '^$' -bench 'OverlapStep' -benchmem -benchtime "$GATE_BENCHTIME" ./internal/core |
         go run ./cmd/benchfmt -gate BENCH_overlap.json -gate-match OverlapStep -slack 0.25
+fi
+
+# Pool wire-path gate: a put may allocate the stored copy of the object and
+# nothing else of its size, a get nothing of its size at all. The get
+# baseline is a few KB, against which one miss in the frame pool (1 MiB,
+# spread over the run) is a large factor, so its slack is wide: the gate is
+# there to catch a copy of the object coming back, which is a factor of a
+# thousand.
+if [ "${SKIP_ALLOC_GATE:-0}" != "1" ] && [ -f BENCH_pool.json ]; then
+    echo "== allocs/op gate: pool wire path vs checked-in BENCH_pool.json (benchtime $GATE_BENCHTIME) ==" >&2
+    pooltmp=$(mktemp)
+    go test -run '^$' -bench 'PoolFull' -benchmem -benchtime "$GATE_BENCHTIME" ./internal/storaged >"$pooltmp"
+    go run ./cmd/benchfmt -gate BENCH_pool.json -gate-match PoolFull/put -slack 0.25 <"$pooltmp"
+    go run ./cmd/benchfmt -gate BENCH_pool.json -gate-match PoolFull/get -slack 9 <"$pooltmp"
+    rm -f "$pooltmp"
 fi
 
 tmp=$(mktemp)
@@ -98,3 +116,13 @@ go test -run '^$' -bench 'OverlapStep' -benchmem -benchtime "$BENCHTIME" ./inter
 
 go run ./cmd/benchfmt <"$ovtmp" >"$BENCH_OVERLAP_OUT"
 echo "wrote $BENCH_OVERLAP_OUT" >&2
+
+pltmp=$(mktemp)
+trap 'rm -f "$tmp" "$dptmp" "$trtmp" "$ovtmp" "$pltmp"' EXIT
+
+echo "== go test -bench PoolFull ./internal/storaged (benchtime $BENCHTIME) ==" >&2
+go test -run '^$' -bench 'PoolFull' -benchmem -benchtime "$BENCHTIME" ./internal/storaged |
+    tee "$pltmp" >&2
+
+go run ./cmd/benchfmt <"$pltmp" >"$BENCH_POOL_OUT"
+echo "wrote $BENCH_POOL_OUT" >&2

@@ -57,7 +57,7 @@ func (e *Engine) initDP() error {
 		topo.staging = parallel.NewDoubleBuf(opts.Spec.NumParams())
 	}
 	e.topo = topo
-	e.snap = &chainSnapshotter{e: e}
+	e.snap = &chainSnapshotter{e: e, sink: chainSink{e: e, requestFull: true}}
 	return nil
 }
 
@@ -144,9 +144,9 @@ func (d *dpTopology) begin(rc *runCtx) {
 	}
 }
 
-// end joins the scheduler before the Snapshotter's end closes the queue
-// and the engine stops the full persister: every deposited slot retires
-// (and its writes are enqueued) while both sinks are still open.
+// end joins the scheduler before the Snapshotter's end closes the queue:
+// every deposited slot retires (its gradient queued, its full handed off)
+// while the queue is still open.
 func (d *dpTopology) end(*runCtx) {
 	if d.sched != nil {
 		d.sched.stop()
@@ -314,24 +314,25 @@ func (r *dpRank) step(rc *runCtx, t int64) error {
 	// Full checkpoint regularly — and on demand when the
 	// fault-tolerance ladder requests a fresh chain base:
 	// synchronous snapshot, asynchronous persist.
-	if w == 0 && rc.fulls != nil {
+	if w == 0 && e.fulls != nil {
 		fallback := e.needFull.CompareAndSwap(true, false)
 		if fallback || t%int64(e.opts.FullEvery) == 0 {
 			snapDone := tr.Begin1(trace.TrackTrain, trace.PhaseSnapshot, "iter", t)
 			var full *checkpoint.Full
 			e.FullSnapshotTimer.Time(func() { full = snapshotFull(t, r.p.Flat, r.o) })
 			snapDone()
-			rc.fulls <- fullJob{f: full}
+			e.fulls.handOff(fullJob{f: full})
 		}
 	}
 	return nil
 }
 
 // chainSnapshotter persists the LowDiff differential chain: an asynchronous
-// diff consumer draining the reuse queue into a chainSink. Boundary and
-// fallback fulls go to the engine's full persister (CheckFreq-style).
+// diff consumer draining the reuse queue into the engine's chainSink. Boundary
+// and fallback fulls go to the engine's full persister (CheckFreq-style).
 type chainSnapshotter struct {
-	e *Engine
+	e    *Engine
+	sink chainSink
 	// dormant, when set, is polled per queue item: while it reports true the
 	// chain is parked, and the chain only ever starts from a fallback base
 	// (the Peer strategy's storage fallback).
@@ -356,8 +357,8 @@ func (s *chainSnapshotter) begin(rc *runCtx) error {
 }
 
 func (s *chainSnapshotter) initialFull(rc *runCtx) error {
-	if rc.fulls != nil {
-		rc.fulls <- fullJob{f: snapshotFull(0, s.e.params[0].Flat, s.e.opts2[0])}
+	if e := s.e; e.fulls != nil {
+		e.fulls.handOff(fullJob{f: snapshotFull(0, e.params[0].Flat, e.opts2[0])})
 	}
 	return nil
 }
@@ -411,7 +412,6 @@ func (e *Engine) registerWriterMetrics(reg *obs.Registry) {
 func (s *chainSnapshotter) consumeDiffs(rc *runCtx) {
 	defer s.wg.Done()
 	e := s.e
-	sink := &chainSink{e: e, rc: rc, requestFull: true, suspended: s.dormant != nil}
 	for {
 		getDone := e.opts.Trace.Begin(trace.TrackCheckpoint, trace.PhaseQueueWait, nil)
 		it, err := rc.queue.Get()
@@ -420,9 +420,9 @@ func (s *chainSnapshotter) consumeDiffs(rc *runCtx) {
 			return // closed and drained
 		}
 		if s.dormant != nil && s.dormant() {
-			sink.park()
+			s.sink.park()
 			continue
 		}
-		sink.add(it.Iter, it.Grad)
+		s.sink.add(rc, it.Iter, it.Grad)
 	}
 }

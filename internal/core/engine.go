@@ -235,7 +235,7 @@ type RunStats struct {
 	Iterations    int
 	DiffWrites    int64         // store writes of differential batches
 	DiffBytes     int64         // differential payload bytes persisted
-	FullWrites    int64         // full checkpoints persisted
+	FullWrites    int64         // full checkpoints taken and handed to the persist stream (durable after Flush)
 	SnapshotTime  time.Duration // trainer time spent snapshotting state
 	BlockedPuts   int64         // queue back-pressure events
 	QueueHighMark int64         // peak queue occupancy
@@ -273,6 +273,8 @@ type Engine struct {
 	live   atomic.Int64 // newest iteration worker 0 has entered (live gauge)
 
 	events     *obs.EventLog
+	fulls      *fullPersister  // the one ordered full-persist stream; nil without a store
+	fullsTaken metrics.Counter // fulls given to the stream (handed off or inline), across Run calls
 	fullWrites metrics.Counter // full checkpoints persisted, across Run calls
 
 	// LowDiff+ accounting (maintained by the replica snapshotter).
@@ -323,6 +325,9 @@ func NewEngine(opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{opts: opts, oracle: oracle, events: opts.Events}
+	if opts.Store != nil {
+		e.fulls = newFullPersister(e)
+	}
 	if opts.FaultTolerance != nil {
 		// Copy so wiring the backoff observer never mutates the caller's
 		// options struct; a caller-supplied observer still runs.
@@ -539,7 +544,7 @@ func (e *Engine) WorkersInSync() bool {
 // runBaseline records counter values at Run entry so per-Run deltas can be
 // reported for counters that accumulate across Run calls.
 type runBaseline struct {
-	fullWrites     int64
+	fullsTaken     int64
 	layerSnapshots int64
 	snapshotBytes  int64
 	replicaSteps   int64
@@ -548,6 +553,13 @@ type runBaseline struct {
 // Run trains iters iterations through the canonical step loop with the
 // strategy's checkpointing riding alongside, returning aggregate statistics.
 // Run may be called repeatedly; iteration numbering continues.
+//
+// When Run returns, training is done, the differential queue is consumed, the
+// LowDiff+ replica is in lock-step, and every full checkpoint the Run took has
+// been handed to the engine's persist stream — not necessarily written: a
+// full taken on the last iterations persists while the caller goes on, and
+// Flush is the durability barrier. The first error of such a persist is
+// returned once, by the next Run or by Flush, whichever comes first.
 func (e *Engine) Run(iters int) (RunStats, error) {
 	if iters <= 0 {
 		return RunStats{}, fmt.Errorf("core: Run(%d): iteration count must be positive", iters)
@@ -557,7 +569,7 @@ func (e *Engine) Run(iters int) (RunStats, error) {
 
 	rc := &runCtx{start: e.iter, iters: iters, errCh: make(chan error, e.topo.ranks()+2)}
 	base := runBaseline{
-		fullWrites:     e.fullWrites.Value(),
+		fullsTaken:     e.fullsTaken.Value(),
 		layerSnapshots: e.layerSnapshots.Value(),
 		snapshotBytes:  e.snapshotBytes.Value(),
 		replicaSteps:   e.replicaSteps.Value(),
@@ -566,12 +578,7 @@ func (e *Engine) Run(iters int) (RunStats, error) {
 		"start_iter": e.iter, "iters": iters, e.topo.rankKey(): e.topo.ranks(),
 	}))
 
-	stopPersister := func() {}
-	if e.opts.Store != nil {
-		stopPersister = e.startFullPersister(rc)
-	}
 	if err := e.snap.begin(rc); err != nil {
-		stopPersister()
 		return stats, err
 	}
 	// Persist the initial state once so the differential chain always has
@@ -580,7 +587,6 @@ func (e *Engine) Run(iters int) (RunStats, error) {
 	if rc.start == 0 {
 		if err := e.snap.initialFull(rc); err != nil {
 			e.snap.end(rc)
-			stopPersister()
 			return stats, err
 		}
 	}
@@ -602,13 +608,15 @@ func (e *Engine) Run(iters int) (RunStats, error) {
 	}
 	trainWG.Wait()
 	e.topo.end(rc)
-	e.snap.end(rc)
-	stopPersister() // after the consumers: the LowDiff+ assembler feeds it while draining
+	e.snap.end(rc) // the last hand-offs happen here: the LowDiff+ assembler persists while draining
 
 	select {
 	case err := <-rc.errCh:
 		return stats, err
 	default:
+	}
+	if err := e.fulls.takeErr(); err != nil {
+		return stats, err
 	}
 
 	e.iter = rc.start + int64(iters)
@@ -627,7 +635,7 @@ func (e *Engine) fillStats(stats *RunStats, rc *runCtx, base runBaseline) {
 		stats.BlockedPuts = rc.queue.BlockedPuts.Value()
 		stats.QueueHighMark = rc.queue.Depth.High()
 	}
-	stats.FullWrites = e.fullWrites.Value() - base.fullWrites
+	stats.FullWrites = e.fullsTaken.Value() - base.fullsTaken
 	stats.SnapshotTime = e.FullSnapshotTimer.Total() + e.snapTimer.Total()
 	stats.LayerSnapshots = e.layerSnapshots.Value() - base.layerSnapshots
 	stats.SnapshotBytes = e.snapshotBytes.Value() - base.snapshotBytes
@@ -635,9 +643,9 @@ func (e *Engine) fillStats(stats *RunStats, rc *runCtx, base runBaseline) {
 }
 
 // persistFull is the shared full-checkpoint persistence path: retry ladder,
-// health transitions, retention GC, and the ckpt.full.* events. It is called
-// from the full persister goroutine (startFullPersister) or inline from the
-// trainer where the persist must be synchronous (Peer, sequential PP).
+// health transitions, retention GC, and the ckpt.full.* events. Only the
+// fullPersister calls it — from its worker, or from persistInline — so the
+// engine's fulls land one at a time, in the order they were taken.
 func (e *Engine) persistFull(f *checkpoint.Full) error {
 	if e.ft != nil && e.Health() == HealthDegraded {
 		return nil // ladder bottom: checkpointing suspended
@@ -690,13 +698,18 @@ func (e *Engine) persistFull(f *checkpoint.Full) error {
 	return nil
 }
 
-// Flush persists any open differential batch (call after Run, e.g. before
-// recovery), persists unpersisted replica progress under the Plus strategy,
-// and, when a retention policy is set, applies it once more now that the
-// asynchronous checkpointers are quiescent (during Run the diff consumer can
-// lag the full persister, so a stale differential may land after the
-// persister's GC pass).
+// Flush is the durability barrier (call after Run, e.g. before recovery): it
+// joins the full persists still in flight, persists any open differential
+// batch and, under the Plus strategy, unpersisted replica progress, and, when
+// a retention policy is set, applies it once more now that the asynchronous
+// checkpointers are quiescent (during Run the diff consumer can lag the full
+// persister, so a stale differential may land after the persister's GC pass).
+// A nil return means everything Run took is in the store.
 func (e *Engine) Flush() error {
+	e.fulls.join()
+	if err := e.fulls.takeErr(); err != nil {
+		return err
+	}
 	if e.writer != nil {
 		if err := e.writer.Cut(); err != nil {
 			if e.ft == nil {
@@ -709,9 +722,11 @@ func (e *Engine) Flush() error {
 			e.writer.Drop()
 		}
 	}
-	if e.rep != nil && e.opts.Store != nil {
+	if e.rep != nil && e.fulls != nil {
+		// After the join: a persist that was in flight may already cover
+		// the replica's newest iteration.
 		if f := e.rep.pendingFull(); f != nil {
-			if err := e.persistFull(f); err != nil {
+			if err := e.fulls.persistInline(f); err != nil {
 				return err
 			}
 		}

@@ -96,6 +96,7 @@ func TestEngineCheckpointsWritten(t *testing.T) {
 	if stats.DiffWrites != 15 {
 		t.Fatalf("DiffWrites = %d, want 15", stats.DiffWrites)
 	}
+	e.joinFulls() // the full taken at iteration 30 is still in flight
 	m, err := checkpoint.Scan(mem)
 	if err != nil {
 		t.Fatal(err)
@@ -212,6 +213,7 @@ func TestEngineDisableDiffs(t *testing.T) {
 	if _, err := e.Run(10); err != nil {
 		t.Fatal(err)
 	}
+	e.joinFulls()
 	m, _ := checkpoint.Scan(mem)
 	if len(m.Fulls) != 3 || len(m.Diffs) != 0 { // initial + 2 periodic
 		t.Fatalf("full-only mode wrote %d fulls, %d diffs", len(m.Fulls), len(m.Diffs))

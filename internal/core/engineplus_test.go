@@ -10,6 +10,7 @@ import (
 )
 
 func TestPlusValidation(t *testing.T) {
+	quiesce(t)
 	spec := model.Tiny(3, 16)
 	cases := []Options{
 		{Plus: &PlusSpec{}},
@@ -25,6 +26,7 @@ func TestPlusValidation(t *testing.T) {
 }
 
 func TestPlusTrainsAndConverges(t *testing.T) {
+	quiesce(t)
 	e, err := NewEngine(Options{
 		Spec:    model.Tiny(4, 32),
 		Workers: 2,
@@ -58,6 +60,7 @@ func TestPlusTrainsAndConverges(t *testing.T) {
 // bit-identical to the GPU model — per-iteration in-memory checkpointing
 // with zero divergence.
 func TestPlusReplicaMatchesModelBitExact(t *testing.T) {
+	quiesce(t)
 	for _, optName := range []string{"adam", "sgd"} {
 		e, err := NewEngine(Options{
 			Spec:      model.Tiny(5, 24),
@@ -85,6 +88,7 @@ func TestPlusReplicaMatchesModelBitExact(t *testing.T) {
 }
 
 func TestPlusPersistence(t *testing.T) {
+	quiesce(t)
 	mem := storage.NewMem()
 	e, err := NewEngine(Options{
 		Spec:    model.Tiny(3, 16),
@@ -103,6 +107,7 @@ func TestPlusPersistence(t *testing.T) {
 	if stats.FullWrites != 5 { // initial replica + 4 periodic
 		t.Fatalf("Persists = %d, want 5", stats.FullWrites)
 	}
+	e.joinFulls() // the persist of iteration 20 is still in flight
 	if e.Replica().PersistedIter() != 20 {
 		t.Fatalf("PersistedIter = %d, want 20", e.Replica().PersistedIter())
 	}
@@ -126,6 +131,7 @@ func TestPlusPersistence(t *testing.T) {
 }
 
 func TestPlusSoftwareVsHardwareRecoveryGap(t *testing.T) {
+	quiesce(t)
 	// Software recovery sees the per-iteration replica; hardware recovery
 	// only the last persisted checkpoint. After 23 iterations with
 	// PersistEvery=10, software is at 23, hardware at 20.
@@ -147,12 +153,14 @@ func TestPlusSoftwareVsHardwareRecoveryGap(t *testing.T) {
 	if soft.Iter != 23 {
 		t.Fatalf("software recovery at iter %d, want 23", soft.Iter)
 	}
+	e.joinFulls()
 	if e.Replica().PersistedIter() != 20 {
 		t.Fatalf("hardware recovery base at %d, want 20", e.Replica().PersistedIter())
 	}
 }
 
 func TestPlusWithoutStore(t *testing.T) {
+	quiesce(t)
 	e, err := NewEngine(Options{Spec: model.Tiny(2, 8), Workers: 1, Seed: 5, Plus: &PlusSpec{}})
 	if err != nil {
 		t.Fatal(err)
@@ -170,6 +178,7 @@ func TestPlusWithoutStore(t *testing.T) {
 }
 
 func TestPlusRunsAccumulate(t *testing.T) {
+	quiesce(t)
 	e, err := NewEngine(Options{Spec: model.Tiny(2, 8), Workers: 2, Seed: 6, Plus: &PlusSpec{}})
 	if err != nil {
 		t.Fatal(err)
@@ -195,6 +204,7 @@ func TestPlusRunsAccumulate(t *testing.T) {
 // LowDiff+ must produce the same trajectory as plain dense training: the
 // checkpointing machinery cannot perturb training.
 func TestPlusMatchesDenseBaseline(t *testing.T) {
+	quiesce(t)
 	spec := model.Tiny(4, 16)
 	plus, err := NewEngine(Options{Spec: spec, Workers: 2, LR: 0.02, Seed: 7, Plus: &PlusSpec{}})
 	if err != nil {

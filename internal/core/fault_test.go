@@ -289,13 +289,17 @@ func decodeLadderEvents(t *testing.T, raw []byte) []ladderEvent {
 // through the same rung of the ladder — they share one chain sink: the write
 // fails after its retry, ckpt.diff.fallback, a contiguous run of
 // ckpt.diff.drop up to the fresh full base, and the chain restarts at the
-// gradient right after that base, with identical fault counters. How long
-// the drop run is depends on the strategy and on scheduling (DP and Peer ask
-// for an on-demand full, PP waits for the next periodic one; DP persists it
-// asynchronously and can lose the race against the next gradient, see
-// chainSink.add), so the sequences are compared with the run collapsed.
+// gradient right after that base, with identical fault counters. The chain
+// restarts no later than the first boundary after the store heals — the sink
+// waits for a base that is handed off but not landed instead of dropping past
+// it (chainSink.add) — so two boundaries are enough for every strategy. How
+// long the drop run is still depends on the strategy and on how far the
+// trainer runs ahead of the sink (DP and Peer ask for an on-demand full, PP
+// waits for the next periodic one), so the sequences are compared with the
+// run collapsed.
 func TestDiffWriteFaultLadderSharedAcrossStrategies(t *testing.T) {
-	const fullEvery, warm, faulted = 4, 4, 120
+	quiesce(t)
+	const fullEvery, warm, faulted = 4, 4, 8
 	failAt := int64(warm + 1)
 	type outcome struct {
 		Chain  []string         // sink events, drop run collapsed
@@ -322,7 +326,7 @@ func TestDiffWriteFaultLadderSharedAcrossStrategies(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			mem := storage.NewMem()
 			store := &prefixFaultStore{Store: mem, prefix: "diff-"}
-			var log bytes.Buffer // read only between Run calls, when no goroutine emits
+			var log bytes.Buffer // read only once the persister is joined, when no goroutine emits
 			events := obs.NewEventLog(&log)
 			opts := Options{
 				Spec: model.Tiny(4, 16), Optimizer: "sgd", LR: 0.05, Rho: 0.3,
@@ -338,6 +342,7 @@ func TestDiffWriteFaultLadderSharedAcrossStrategies(t *testing.T) {
 			if _, err := e.Run(warm); err != nil {
 				t.Fatal(err)
 			}
+			e.joinFulls()
 			before := e.FaultCounters().Snapshot()
 			mark := log.Len()
 			store.arm(2) // the next differential write and its one retry
@@ -384,9 +389,9 @@ func TestDiffWriteFaultLadderSharedAcrossStrategies(t *testing.T) {
 					rungs = append(rungs, ev.To)
 				}
 			}
-			if restart != base+1 || !fulls[base] {
-				t.Fatalf("chain restarted at %d after drops up to %d (full at %d persisted: %v); want restart at lastFullIter+1",
-					restart, base, base, fulls[base])
+			if restart != base+1 || !fulls[base] || base > warm+fullEvery {
+				t.Fatalf("chain restarted at %d after drops up to %d (full at %d persisted: %v); want restart at lastFullIter+1, no later than the first boundary after the fault (%d)",
+					restart, base, base, fulls[base], warm+fullEvery+1)
 			}
 			if len(got.Chain) == 2 { // the base landed before the next gradient: an empty drop run
 				got.Chain = []string{got.Chain[0], "ckpt.diff.drop*", got.Chain[1]}

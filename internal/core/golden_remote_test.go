@@ -76,6 +76,7 @@ func runGoldenRemote(t *testing.T, wrap func(storage.Store) (storage.Store, erro
 // daemon: every engine family (data-parallel, LowDiff+, pipeline-parallel)
 // checkpoints over TCP into its own tenant.
 func TestGoldenEquivalenceRemote(t *testing.T) {
+	quiesce(t)
 	runGoldenRemote(t, nil, nil)
 }
 
@@ -88,6 +89,7 @@ func TestGoldenEquivalenceRemote(t *testing.T) {
 // fixtures exactly. Only the dp configurations participate: the Plus and
 // pipeline engines have no retry ladder.
 func TestGoldenEquivalenceRemoteChaos(t *testing.T) {
+	quiesce(t)
 	goldenFaultTolerance = &FaultToleranceOptions{Retry: RetryPolicy{MaxRetries: 40, Seed: 7}}
 	defer func() { goldenFaultTolerance = nil }()
 	wrap := func(s storage.Store) (storage.Store, error) {

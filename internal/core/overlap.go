@@ -37,7 +37,7 @@ import (
 //	  compute(t+1)                           queue.Put(grad t)   [ungated]
 //	  allgather(t+1) opens span
 //	    openGate(t) ── close(gate) ──▶       delta/snapshot slices [gated]
-//	    AllGatherSparse wave                 rc.fulls ◀── staged full
+//	    AllGatherSparse wave                 e.fulls ◀── staged full
 //	    rendezvous(t) ◀── close(done) ──     recycle slot to freeCh
 //	  allgather(t+1) span closes
 //	  apply(t+1)
@@ -257,7 +257,7 @@ func (s *overlapScheduler) process(slot *overlapSlot) {
 		})
 		snapDone()
 		e.overlapSlices.Inc()
-		s.rc.fulls <- fullJob{f: full, release: func() { s.staging.Release(buf) }}
+		e.fulls.handOff(fullJob{f: full, release: func() { s.staging.Release(buf) }})
 	}
 }
 

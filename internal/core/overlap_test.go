@@ -17,6 +17,7 @@ import (
 // stateful compressor cannot be replayed by the scheduler's own
 // compressor instance.
 func TestOverlapValidation(t *testing.T) {
+	quiesce(t)
 	cases := []struct {
 		name string
 		opts Options
@@ -77,6 +78,7 @@ func TestOverlapValidation(t *testing.T) {
 // ends, so nesting is enforced by synchronization, not by timing — the
 // manually advanced clock only makes every timestamp distinct.
 func TestOverlapSpansNestInsideNextAllgather(t *testing.T) {
+	quiesce(t)
 	var mu sync.Mutex
 	cur := time.Unix(0, 0)
 	rec := trace.NewWithClock(func() time.Time {
@@ -147,6 +149,7 @@ func TestOverlapSpansNestInsideNextAllgather(t *testing.T) {
 // training. The halving margin is generous; the real gap is ~the whole
 // persist latency.
 func TestOverlapReducesTrainStall(t *testing.T) {
+	quiesce(t)
 	stall := func(overlap bool) time.Duration {
 		t.Helper()
 		mem := storage.NewMem()

@@ -77,7 +77,10 @@ func (e *Engine) initPeer() error {
 	e.topo = &peerTopology{dpTopology{e: e}}
 	// The storage fallback is the DP chain, parked while the peer plane is
 	// healthy (so it makes zero storage writes).
-	e.snap = &peerSnapshotter{chainSnapshotter{e: e, dormant: func() bool { return !e.peerFallback.Load() }}}
+	e.snap = &peerSnapshotter{chainSnapshotter{
+		e: e, dormant: func() bool { return !e.peerFallback.Load() },
+		sink: chainSink{e: e, requestFull: true, suspended: true},
+	}}
 	return nil
 }
 
@@ -193,7 +196,7 @@ func (r *peerRank) persistInlineFull(t int64) error {
 	var full *checkpoint.Full
 	e.FullSnapshotTimer.Time(func() { full = snapshotFull(t, r.p.Flat, r.o) })
 	snapDone()
-	return e.persistFull(full)
+	return e.fulls.persistInline(full)
 }
 
 // maybeRestorePeer re-validates the peer plane after a scheduled full
@@ -243,7 +246,7 @@ func (s *peerSnapshotter) initialFull(rc *runCtx) error {
 	e := s.e
 	var full *checkpoint.Full
 	e.FullSnapshotTimer.Time(func() { full = snapshotFull(0, e.params[0].Flat, e.opts2[0]) })
-	return e.persistFull(full)
+	return e.fulls.persistInline(full)
 }
 
 func (s *peerSnapshotter) runEndFields(stats *RunStats) map[string]any {

@@ -46,6 +46,7 @@ func recoverFromPeers(t *testing.T, store storage.Store, e *Engine) (*recovery.S
 // storage writes), yet recovery from the windows plus the last full is
 // bit-exact with the live state.
 func TestPeerStrategyZeroDiffWritesAndBitExactRecovery(t *testing.T) {
+	quiesce(t)
 	e, store := newPeerEngine(t, 3, 4, 4, nil, nil)
 	stats, err := e.Run(10)
 	if err != nil {
@@ -77,6 +78,7 @@ func TestPeerStrategyZeroDiffWritesAndBitExactRecovery(t *testing.T) {
 // TestPeerCrashRecoveryFromSurvivors crashes W−1 of 3 workers mid-run and
 // recovers the lost state bit-exactly from the lone survivor's window.
 func TestPeerCrashRecoveryFromSurvivors(t *testing.T) {
+	quiesce(t)
 	e, store := newPeerEngine(t, 3, 4, 8, &comm.ChaosConfig{
 		Crashes: []comm.Crash{{Rank: 1, Iter: 6}, {Rank: 2, Iter: 6}},
 	}, nil)
@@ -111,6 +113,7 @@ func TestPeerCrashRecoveryFromSurvivors(t *testing.T) {
 // degraded-peer, persist a fresh base, and complete the run on the storage
 // differential path without losing a step.
 func TestPeerDegradesToStorageWhenAllPeersCrash(t *testing.T) {
+	quiesce(t)
 	var eventBuf bytes.Buffer
 	events := obs.NewEventLog(&eventBuf)
 	e, store := newPeerEngine(t, 2, 4, 8, &comm.ChaosConfig{
@@ -155,6 +158,7 @@ func TestPeerDegradesToStorageWhenAllPeersCrash(t *testing.T) {
 // checksum verification must keep the window out of the coverage set and
 // push the engine onto the storage path, with the corruption counted.
 func TestPeerCorruptPayloadsDegradeExplicitly(t *testing.T) {
+	quiesce(t)
 	e, store := newPeerEngine(t, 1, 4, 4, &comm.ChaosConfig{Seed: 9, CorruptProb: 1}, nil)
 	if _, err := e.Run(10); err != nil {
 		t.Fatal(err)
@@ -179,6 +183,7 @@ func TestPeerCorruptPayloadsDegradeExplicitly(t *testing.T) {
 // on storage, then re-validates the peer plane at the next full boundary
 // and returns to zero-write checkpointing.
 func TestPeerRepromotionAfterTransientGap(t *testing.T) {
+	quiesce(t)
 	// LateProb 1 delays every payload by one iteration, so coverage at the
 	// decision point is always one short: the engine must be on the
 	// explicit storage path rather than silently losing steps.
@@ -208,6 +213,7 @@ func TestPeerRepromotionAfterTransientGap(t *testing.T) {
 // plane, so those runs must end explicitly degraded; the full-depth runs
 // must stay healthy with zero diff writes (rank 0 survives every crash).
 func TestPeerCrashAtEveryIterationProperty(t *testing.T) {
+	quiesce(t)
 	const iters, fullEvery = 12, 4
 	for _, depth := range []int{1, 2, 8} {
 		for crash := int64(1); crash <= iters; crash++ {
@@ -241,6 +247,7 @@ func TestPeerCrashAtEveryIterationProperty(t *testing.T) {
 // degrade explicitly, always recover to the final iteration bit-exactly,
 // and reproduce the exact same outcome when re-run with the same seed.
 func TestPeerChaosMatrix(t *testing.T) {
+	quiesce(t)
 	type outcome struct {
 		health    Health
 		counters  comm.ChaosCounters
@@ -284,6 +291,7 @@ func TestPeerChaosMatrix(t *testing.T) {
 // TestPeerRunContinuation checks iteration numbering and window coverage
 // survive repeated Run calls on one engine.
 func TestPeerRunContinuation(t *testing.T) {
+	quiesce(t)
 	e, store := newPeerEngine(t, 2, 4, 4, nil, nil)
 	if _, err := e.Run(5); err != nil {
 		t.Fatal(err)
@@ -298,6 +306,7 @@ func TestPeerRunContinuation(t *testing.T) {
 }
 
 func TestPeerOptionsValidation(t *testing.T) {
+	quiesce(t)
 	base := Options{Spec: model.Tiny(2, 16), Workers: 1, Store: storage.NewMem(), Peer: &PeerSpec{}}
 	cases := []func(o *Options){
 		func(o *Options) { o.Store = nil },

@@ -412,8 +412,8 @@ func (s *replicaSnapshotter) begin(rc *runCtx) error {
 // initialFull persists the initial replica once so hardware-failure
 // recovery has a base before the first periodic persist.
 func (s *replicaSnapshotter) initialFull(rc *runCtx) error {
-	if rc.fulls != nil {
-		rc.fulls <- fullJob{f: snapshotFull(0, s.rep.params.Flat, s.rep.opt)}
+	if s.e.fulls != nil {
+		s.e.fulls.handOff(fullJob{f: snapshotFull(0, s.rep.params.Flat, s.rep.opt)})
 	}
 	return nil
 }
@@ -492,12 +492,12 @@ func (s *replicaSnapshotter) assemble(rc *runCtx) {
 		r.iter = curIter
 		e.replicaSteps.Inc()
 		var toPersist *checkpoint.Full
-		if rc.fulls != nil && curIter%int64(e.opts.Plus.PersistEvery) == 0 {
+		if e.fulls != nil && curIter%int64(e.opts.Plus.PersistEvery) == 0 {
 			toPersist = snapshotFull(curIter, r.params.Flat, r.opt)
 		}
 		r.mu.Unlock()
 		if toPersist != nil {
-			rc.fulls <- fullJob{f: toPersist}
+			e.fulls.handOff(fullJob{f: toPersist})
 		}
 	}
 }

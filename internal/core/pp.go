@@ -117,7 +117,7 @@ func (e *Engine) initPP() error {
 			return err
 		}
 	}
-	merge := &mergeSnapshotter{e: e}
+	merge := &mergeSnapshotter{e: e, sink: chainSink{e: e}}
 	e.tag = "pp"
 	e.topo = &ppTopology{e: e, merge: merge}
 	e.snap = merge
@@ -287,10 +287,10 @@ func (r *ppRank) step(rc *runCtx, t int64) error {
 			// drains off the critical path.
 			e.overlapDeposits.Inc()
 			putDone := tr.Begin1(trace.TrackOverlap, trace.PhaseQueueWait, "iter", t)
-			rc.fulls <- fullJob{f: full}
+			e.fulls.handOff(fullJob{f: full})
 			putDone()
 			e.overlapSlices.Inc()
-		} else if err := e.persistFull(full); err != nil {
+		} else if err := e.fulls.persistInline(full); err != nil {
 			return err
 		}
 	}
@@ -310,6 +310,7 @@ type ppPart struct {
 // iteration, and batches cut at full-checkpoint boundaries.
 type mergeSnapshotter struct {
 	e      *Engine
+	sink   chainSink
 	partCh chan ppPart
 	wg     sync.WaitGroup
 }
@@ -336,7 +337,7 @@ func (s *mergeSnapshotter) initialFull(rc *runCtx) error {
 	if err != nil {
 		return err
 	}
-	return e.persistFull(&checkpoint.Full{Iter: 0, Params: e.params[0].Flat.Clone(), Opt: st})
+	return e.fulls.persistInline(&checkpoint.Full{Iter: 0, Params: e.params[0].Flat.Clone(), Opt: st})
 }
 
 func (s *mergeSnapshotter) end(rc *runCtx) {
@@ -367,9 +368,8 @@ func (s *mergeSnapshotter) coordinate(rc *runCtx) {
 	defer s.wg.Done()
 	e := s.e
 	pending := map[int64][]*compress.Compressed{}
-	sink := &chainSink{e: e, rc: rc}
 	for p := range s.partCh {
-		if sink.broken {
+		if s.sink.broken {
 			continue
 		}
 		pending[p.iter] = append(pending[p.iter], p.c)
@@ -383,10 +383,10 @@ func (s *mergeSnapshotter) coordinate(rc *runCtx) {
 		delete(pending, p.iter)
 		if err != nil {
 			rc.errCh <- err
-			sink.broken = true
+			s.sink.broken = true
 			continue
 		}
-		sink.add(p.iter, merged)
+		s.sink.add(rc, p.iter, merged)
 	}
 }
 

@@ -41,9 +41,6 @@ type runCtx struct {
 	// It is created by the Snapshotter in begin when the strategy
 	// checkpoints through a queue, and nil otherwise.
 	queue *ReusingQueue
-	// fulls feeds the engine's asynchronous full persister
-	// (startFullPersister); nil when the run has no store.
-	fulls chan fullJob
 }
 
 // Topology supplies the parallelism shape of a run: how many ranks train,

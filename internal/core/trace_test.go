@@ -81,6 +81,7 @@ func TestEngineTraceRecordsTimeline(t *testing.T) {
 // the Seq tie-break) and checks the peer plane's phase coverage: retain
 // spans for every rank, inline snapshots, and boundary full writes.
 func TestPeerEngineTraceSpans(t *testing.T) {
+	quiesce(t)
 	rec := trace.NewWithClock(sim.New().Clock())
 	e, err := NewEngine(Options{
 		Spec: model.Tiny(2, 16), Workers: 2, Rho: 0.3,
@@ -118,6 +119,7 @@ func TestPeerEngineTraceSpans(t *testing.T) {
 // phase taxonomies: the LowDiff+ snapshot offload pool and the
 // pipeline-parallel stage-0 loop with coordinator merges.
 func TestPlusAndPPTraceSpans(t *testing.T) {
+	quiesce(t)
 	recPlus := trace.NewWithClock(sim.New().Clock())
 	pe, err := NewEngine(Options{
 		Spec: model.Tiny(3, 16), Workers: 2, Store: storage.NewMem(),

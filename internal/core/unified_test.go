@@ -22,6 +22,7 @@ import (
 // trajectory is bit-identical to an uninterrupted run (mirrors
 // TestResumeTransparentFailover via the §5.3 in-memory recovery path).
 func TestResumePlusTransparentFailover(t *testing.T) {
+	quiesce(t)
 	for _, optName := range []string{"adam", "sgd"} {
 		opts := Options{
 			Spec: model.Tiny(4, 24), Workers: 2, Optimizer: optName,
@@ -135,6 +136,7 @@ func TestResumePPTransparentFailover(t *testing.T) {
 }
 
 func TestResumePlusPPValidation(t *testing.T) {
+	quiesce(t)
 	spec := model.Tiny(2, 8)
 	st := optStateFor(t, spec)
 	if _, err := ResumeEngine(Options{Spec: spec, Workers: 1, Seed: 1, Plus: &PlusSpec{}}, tensor.New(3), st, 5); err == nil {
@@ -206,6 +208,7 @@ func TestPPCheckpointGCBoundsStore(t *testing.T) {
 // the last periodic persist, so a run ending mid-interval no longer leaves
 // the newest iterations only in volatile memory.
 func TestPlusFlushPersistsReplicaTail(t *testing.T) {
+	quiesce(t)
 	store := storage.NewMem()
 	e, err := NewEngine(Options{
 		Spec: model.Tiny(3, 16), Workers: 1, Plus: &PlusSpec{PersistEvery: 10},
@@ -217,6 +220,7 @@ func TestPlusFlushPersistsReplicaTail(t *testing.T) {
 	if _, err := e.Run(23); err != nil {
 		t.Fatal(err)
 	}
+	e.joinFulls()
 	if e.Replica().PersistedIter() != 20 {
 		t.Fatalf("persisted iter %d before Flush, want 20", e.Replica().PersistedIter())
 	}

@@ -77,6 +77,10 @@ func TestHealthzFollowsFaultLadder(t *testing.T) {
 	if _, err := engine.Load().Run(8); err != nil {
 		t.Fatal(err)
 	}
+	// Flush joins the full still persisting: the event buffer is read below.
+	if err := engine.Load().Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if code, body := healthz(t, base); code != http.StatusOK || !strings.Contains(body, `"status":"ok"`) {
 		t.Fatalf("healthy phase = %d %s", code, body)
 	}
@@ -94,6 +98,9 @@ func TestHealthzFollowsFaultLadder(t *testing.T) {
 	engine.Store(bad)
 	if _, err := bad.Run(30); err != nil {
 		t.Fatalf("fault-tolerant run aborted: %v", err)
+	}
+	if err := bad.Flush(); err != nil {
+		t.Fatalf("degraded flush errored: %v", err)
 	}
 	if got := bad.Health(); got != core.HealthDegraded {
 		t.Fatalf("health after chaos = %v, want degraded", got)
@@ -149,7 +156,9 @@ func TestHealthzFollowsFaultLadder(t *testing.T) {
 }
 
 // TestEngineEventLogDeterministic runs the same fixed-seed training twice.
-// The checkpoint persister is deliberately asynchronous, so the global
+// The checkpoint persister is deliberately asynchronous — a full taken on
+// the last iteration persists past Run's return, so its ckpt.full.persist
+// can follow run.end; Flush joins it before the log is read — and the global
 // interleaving of its events with the worker's is scheduler-dependent; what
 // the design guarantees — and this test asserts — is that the set of events
 // (seq stripped) is identical and that each emitter's events appear in the

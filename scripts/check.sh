@@ -31,4 +31,10 @@ go test -race ./internal/core/... ./internal/storage/... ./internal/storaged/...
 echo "== go test -race -count=5 (obs, storaged) =="
 go test -race -count=5 ./internal/obs/... ./internal/storaged/...
 
+# A full checkpoint persists past Run's return, so the tests that read a
+# store, an event log or a replica's persisted iteration after Run race the
+# persister unless they join it: repeat them so a missing join shows up.
+echo "== go test -race -count=10 (core: goldens, Plus, full persists, fault ladder) =="
+go test -race -count=10 -run 'Golden|Plus|EngineCheckpointsWritten|DisableDiffs|FaultLadder' ./internal/core/
+
 echo "all checks passed"

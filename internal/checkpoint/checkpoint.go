@@ -203,33 +203,6 @@ func readString(r io.Reader) (string, error) {
 // maxElems bounds decoded element counts (8G floats is certainly corrupt).
 const maxElems = 1 << 33
 
-// readChunked reads exactly n bytes in bounded chunks, so a corrupt length
-// field fails at EOF with memory proportional to the actual stream instead
-// of pre-allocating the claimed size.
-func readChunked(r io.Reader, n uint64) ([]byte, error) {
-	const chunk = 4 << 20
-	out := make([]byte, 0, min64(n, chunk))
-	for uint64(len(out)) < n {
-		step := n - uint64(len(out))
-		if step > chunk {
-			step = chunk
-		}
-		start := len(out)
-		out = append(out, make([]byte, step)...)
-		if _, err := io.ReadFull(r, out[start:]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func readF32s(r io.Reader, pool *parallel.Pool) ([]float32, error) {
 	n, err := readU64(r)
 	if err != nil {
@@ -238,17 +211,7 @@ func readF32s(r io.Reader, pool *parallel.Pool) ([]float32, error) {
 	if n > maxElems {
 		return nil, fmt.Errorf("checkpoint: implausible vector length %d", n)
 	}
-	buf, err := readChunked(r, 4*n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float32, n)
-	pool.ForEach(len(out), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-		}
-	})
-	return out, nil
+	return compress.ReadVector[float32](r, n, pool)
 }
 
 // Encode writes a full checkpoint record.
@@ -521,7 +484,7 @@ func SaveFullWith(s storage.Store, f *Full, pool *parallel.Pool) (string, error)
 		return "", err
 	}
 	if err := f.EncodeWith(w, pool); err != nil {
-		_ = w.Close() // encode failed; surface that error, not the abort's
+		_ = storage.AbortWriter(w) // encode failed; surface that error, not the abort's
 		return "", err
 	}
 	return name, w.Close()
@@ -557,7 +520,7 @@ func SaveDiffWith(s storage.Store, d *Diff, pool *parallel.Pool) (string, error)
 		return "", err
 	}
 	if err := d.EncodeWith(w, pool); err != nil {
-		_ = w.Close() // encode failed; surface that error, not the abort's
+		_ = storage.AbortWriter(w) // encode failed; surface that error, not the abort's
 		return "", err
 	}
 	return name, w.Close()

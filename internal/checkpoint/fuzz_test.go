@@ -24,6 +24,17 @@ func FuzzDecodeFull(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0x43, 0x46, 0x44, 0x4c, 1, 0, 0, 0})
+	// The slice decoder's boundaries: a valid record whose one vector runs an
+	// element past a read slice, and short streams claiming lengths around the
+	// slice, around the whole-allocation threshold, and the maximum.
+	var past bytes.Buffer
+	if err := ruleFull(f, "sgd", sliceElems+1).Encode(&past); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(past.Bytes())
+	for _, claim := range boundaryClaims {
+		f.Add(claimLength(buf.Bytes(), fullParamsLen, claim))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeFull(bytes.NewReader(data))
@@ -61,6 +72,18 @@ func FuzzDecodeDiff(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
+	// The slice decoder's boundaries, as in FuzzDecodeFull.
+	dense := tensor.New(sliceElems + 1)
+	tensor.NewRNG(3).FillUniform(dense, -1, 1)
+	var past bytes.Buffer
+	d = &Diff{Kind: KindStateDelta, FirstIter: 3, LastIter: 3, Count: 1, Payload: &compress.Compressed{Codec: "identity", N: len(dense), Vals: dense}}
+	if err := d.Encode(&past); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(past.Bytes())
+	for _, claim := range boundaryClaims {
+		f.Add(claimLength(buf.Bytes(), diffIdxLen, claim))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeDiff(bytes.NewReader(data))

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"lowdiff/internal/tensor"
@@ -28,6 +29,21 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x47, 0x43, 0x44, 0x4c})
+	// The slice decoder's boundaries: a valid record one element past a read
+	// slice, and short streams whose value-count field claims lengths around
+	// the slice, around the whole-allocation threshold, and the maximum.
+	var past bytes.Buffer
+	if err := wireFixture("dense", readSlice/4+1).Encode(&past); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(past.Bytes())
+	nvals := 7 + len("identity") + 16
+	for _, claim := range []uint64{readSlice/4 - 1, readSlice / 4, readSlice/4 + 1, wholeBytes / 4, wholeBytes/4 + 1, maxWireElems} {
+		short := append([]byte{}, past.Bytes()[:nvals+200]...)
+		binary.LittleEndian.PutUint64(short[nvals-16:], claim) // dense length, so the record could be valid
+		binary.LittleEndian.PutUint64(short[nvals:], claim)
+		f.Add(short)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := Decode(bytes.NewReader(data))

@@ -32,29 +32,85 @@ const (
 // than this (8G elements) is certainly corrupt.
 const maxWireElems = 1 << 33
 
-// readChunked reads exactly n bytes in bounded chunks, so a corrupt length
-// field fails at EOF with memory proportional to the actual stream instead
-// of pre-allocating the claimed size.
-func readChunked(r io.Reader, n uint64) ([]byte, error) {
-	const chunk = 4 << 20
-	initial := n
-	if initial > chunk {
-		initial = chunk
+// ReadVector's two constants bound what a corrupt length field can make a
+// decode hold before the stream runs out: readSlice of pooled scratch and
+// wholeBytes of result, plus at most three times what the stream really
+// delivered (a result and its doubled successor, while one is copied).
+const (
+	// readSlice is how much is read, and folded into the caller's CRC, at a
+	// time: it is converted while still in cache.
+	readSlice = 1 << 20
+	// wholeBytes is the largest result allocated at once on the length
+	// field's word; a longer one starts there and doubles as bytes arrive.
+	wholeBytes = 8 << 20
+)
+
+// ReadVector reads n little-endian elements from r — the one slice decoder
+// under every vector of a differential and of a full checkpoint: a bounded
+// slice of the stream at a time through pooled scratch, converted on pool's
+// chunk grid straight into the result, which is the only thing of its size
+// the call allocates. The result is fresh (never pooled) and identical at any
+// worker count. A stream shorter than n elements fails with the reader's
+// error (io.ErrUnexpectedEOF from a reader that just ends).
+func ReadVector[T int32 | float32 | byte](r io.Reader, n uint64, pool *parallel.Pool) ([]T, error) {
+	size, stage := uint64(4), uint64(readSlice)
+	if _, raw := any([]T(nil)).([]byte); raw {
+		size, stage = 1, 0 // bytes need no conversion: they are read in place
 	}
-	out := make([]byte, 0, initial)
-	for uint64(len(out)) < n {
-		step := n - uint64(len(out))
-		if step > chunk {
-			step = chunk
+	scratch := getBytes(int(min(n*size, stage)))
+	defer scratch.release()
+	out := make([]T, min(n, wholeBytes/size))
+	for have := uint64(0); have < n; {
+		k := min(n-have, readSlice/size)
+		if have+k > uint64(len(out)) {
+			//lint:allow hotalloc the decoded vector is the fresh result; doubling past wholeBytes keeps what a corrupt length allocates proportional to the actual stream
+			grown := make([]T, min(n, 2*have))
+			copy(grown, out)
+			out = grown
 		}
-		start := len(out)
-		//lint:allow hotalloc decoded payload is the fresh result; chunked growth keeps allocation proportional to the actual stream
-		out = append(out, make([]byte, step)...)
-		if _, err := io.ReadFull(r, out[start:]); err != nil {
+		var err error
+		switch dst := any(out[have : have+k]).(type) {
+		case []byte:
+			_, err = io.ReadFull(r, dst)
+		case []int32:
+			if _, err = io.ReadFull(r, scratch.b[:4*k]); err == nil {
+				i32sFromLE(dst, scratch.b, pool)
+			}
+		case []float32:
+			if _, err = io.ReadFull(r, scratch.b[:4*k]); err == nil {
+				f32sFromLE(dst, scratch.b, pool)
+			}
+		}
+		if err != nil {
 			return nil, err
 		}
+		have += k
 	}
 	return out, nil
+}
+
+// i32sFromLE and f32sFromLE convert the little-endian words at the head of
+// src into dst, sharded over pool. They must not be inlined: the copy of
+// their loop that lands in ReadVector's generic instance is compiled with
+// binary.LittleEndian.Uint32 and math.Float32frombits as calls, which
+// doubles the time of a decode.
+//
+//go:noinline
+func i32sFromLE(dst []int32, src []byte, pool *parallel.Pool) {
+	pool.ForEach(len(dst), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
+		}
+	})
+}
+
+//go:noinline
+func f32sFromLE(dst []float32, src []byte, pool *parallel.Pool) {
+	pool.ForEach(len(dst), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+		}
+	})
 }
 
 // EncodedBytes returns the exact wire size of the record.
@@ -166,38 +222,21 @@ func DecodeWith(r io.Reader, pool *parallel.Pool) (*Compressed, error) {
 		}
 	}
 	c := &Compressed{Codec: name, N: int(n), Scale: scale}
+	var err error
 	if nidx > 0 {
-		buf, err := readChunked(r, 4*nidx)
-		if err != nil {
+		if c.Idx, err = ReadVector[int32](r, nidx, pool); err != nil {
 			return nil, fmt.Errorf("compress: decode idx: %w", err)
 		}
-		idx := make([]int32, nidx)
-		pool.ForEach(len(idx), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				idx[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
-			}
-		})
-		c.Idx = idx
 	}
 	if nvals > 0 {
-		buf, err := readChunked(r, 4*nvals)
-		if err != nil {
+		if c.Vals, err = ReadVector[float32](r, nvals, pool); err != nil {
 			return nil, fmt.Errorf("compress: decode vals: %w", err)
 		}
-		vals := make([]float32, nvals)
-		pool.ForEach(len(vals), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-			}
-		})
-		c.Vals = vals
 	}
 	if nq > 0 {
-		q, err := readChunked(r, nq)
-		if err != nil {
+		if c.Q, err = ReadVector[byte](r, nq, pool); err != nil {
 			return nil, fmt.Errorf("compress: decode quantized payload: %w", err)
 		}
-		c.Q = q
 	}
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("compress: decoded gradient invalid: %w", err)

@@ -57,10 +57,18 @@ func payload(t *testing.T, r *tensor.RNG, family string, n int) *compress.Compre
 	return nil
 }
 
-// buildChain writes one full checkpoint at iteration 10 (parameters and
-// optimizer state after a few live steps of rule) and diffs differentials
-// of the given kind and payload family after it, and returns the store.
+// buildChain is fillChain into a fresh memory store.
 func buildChain(t *testing.T, rule, family string, kind checkpoint.DiffKind, diffs int, seed uint64) *storage.Mem {
+	t.Helper()
+	store := storage.NewMem()
+	fillChain(t, store, rule, family, kind, diffs, seed)
+	return store
+}
+
+// fillChain writes one full checkpoint at iteration 10 (parameters and
+// optimizer state after a few live steps of rule) and diffs differentials
+// of the given kind and payload family after it into store.
+func fillChain(t *testing.T, store storage.Store, rule, family string, kind checkpoint.DiffKind, diffs int, seed uint64) {
 	t.Helper()
 	r := tensor.NewRNG(seed)
 	var o optim.Optimizer
@@ -82,7 +90,6 @@ func buildChain(t *testing.T, rule, family string, kind checkpoint.DiffKind, dif
 			t.Fatal(err)
 		}
 	}
-	store := storage.NewMem()
 	if _, err := checkpoint.SaveFull(store, &checkpoint.Full{Iter: 10, Params: params, Opt: o.Snapshot()}); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +100,6 @@ func buildChain(t *testing.T, rule, family string, kind checkpoint.DiffKind, dif
 			t.Fatal(err)
 		}
 	}
-	return store
 }
 
 // serialReference is the retained reference the pipeline is held to: every
@@ -186,13 +192,15 @@ func TestPipelineBitIdenticalToSerialReference(t *testing.T) {
 // gateStore is the instrumented store of the pipeline tests. It logs every
 // operation, counts differential loads in flight (Open requested, reader
 // not yet closed), and can hold the Open of differential i until i+1 has
-// been requested, fail one Open, and check that no differential is asked
-// for while a full checkpoint is still being read.
+// been requested, hold every differential Open until a given number are in
+// flight at once, fail one Open, and check that no differential is asked for
+// while a full checkpoint is still being read.
 type gateStore struct {
 	storage.Store
-	gate   bool   // hold each diff Open until the next one is requested
-	last   string // with gate: the one differential nothing follows
-	failOn string // Open of this object fails with errInjected
+	gate      bool   // hold each diff Open until the next one is requested
+	last      string // with gate: the one differential nothing follows
+	holdUntil int    // hold every diff Open until this many have been in flight at once
+	failOn    string // Open of this object fails with errInjected
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -249,16 +257,20 @@ func (g *gateStore) Open(name string) (io.ReadCloser, error) {
 		g.maxInFlight = max(g.maxInFlight, g.inFlight)
 		g.overlapFull = g.overlapFull || g.fullsOpen > 0
 		g.cond.Broadcast()
-		if g.gate && name != g.last {
-			// Serial loads would wait here forever; give up instead.
-			next := checkpoint.DiffName(e.LastIter+1, e.LastIter+1)
+		next := checkpoint.DiffName(e.LastIter+1, e.LastIter+1)
+		held := func() bool {
+			return g.gate && name != g.last && !g.requested[next] || g.maxInFlight < g.holdUntil
+		}
+		if held() {
+			// A loader with too narrow a window would wait here forever;
+			// give up instead.
 			timer := time.AfterFunc(10*time.Second, func() {
 				g.mu.Lock()
 				g.timedOut = true
 				g.cond.Broadcast()
 				g.mu.Unlock()
 			})
-			for !g.requested[next] && !g.timedOut {
+			for held() && !g.timedOut {
 				g.cond.Wait()
 			}
 			timer.Stop()
@@ -342,23 +354,128 @@ func TestExactPathsOverlapLoadsWithinLookAhead(t *testing.T) {
 	}
 }
 
-// (b, continued) LatestParallel keeps Parallelism loads in flight, and the
-// validating path exactly one.
-func TestLoadWindowOfParallelAndValidatingPaths(t *testing.T) {
-	mem := buildChain(t, "sgd", "sparse", checkpoint.KindGradient, 12, 8)
+// (b, continued) The load window is the one constant on every strict path,
+// whatever Parallelism says: with every differential Open held until lookAhead
+// of them are in flight at once, Latest and LatestParallel{Parallelism: 2}
+// both get there (a narrower window would wait in vain) and never go beyond.
+// The validating path keeps exactly one. No goroutine outlives any of them.
+func TestLoadWindowContract(t *testing.T) {
+	const diffs = 3 * lookAhead
+	mem := buildChain(t, "sgd", "sparse", checkpoint.KindGradient, diffs, 8)
+	base := runtime.NumGoroutine()
+	for name, run := range map[string]func(storage.Store) (*State, int, error){
+		"Latest":         Latest,
+		"LatestParallel": func(s storage.Store) (*State, int, error) { return LatestParallel(s, Options{Parallelism: 2}) },
+	} {
+		g := newGateStore(mem)
+		g.holdUntil = lookAhead
+		if _, n, err := run(g); err != nil || n != diffs {
+			t.Fatalf("%s: %d differentials, %v", name, n, err)
+		}
+		_, maxInFlight, overlapFull, timedOut := g.snapshot()
+		if timedOut || maxInFlight != lookAhead {
+			t.Fatalf("%s: at most %d loads in flight (gave up waiting: %v), want exactly %d", name, maxInFlight, timedOut, lookAhead)
+		}
+		if overlapFull {
+			t.Fatalf("%s: a differential was requested while the full was still being read", name)
+		}
+		settleGoroutines(t, base)
+	}
 	g := newGateStore(mem)
-	if _, _, err := LatestParallel(g, Options{Parallelism: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, maxInFlight, _, _ := g.snapshot(); maxInFlight > 3 {
-		t.Fatalf("LatestParallel at Parallelism 3 had %d loads in flight", maxInFlight)
-	}
-	g = newGateStore(mem)
 	if _, _, err := LatestValid(g, ValidateOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, maxInFlight, overlapFull, _ := g.snapshot(); maxInFlight != 1 || overlapFull {
 		t.Fatalf("LatestValid had %d loads in flight (full overlapped: %v), want exactly 1", maxInFlight, overlapFull)
+	}
+	settleGoroutines(t, base)
+}
+
+// jitterStore delays differential Opens by a few hundred microseconds that
+// depend on the iteration, so loads in a window complete out of chain order.
+type jitterStore struct{ storage.Store }
+
+func (j jitterStore) Open(name string) (io.ReadCloser, error) {
+	if e, err := checkpoint.ParseName(name); err == nil && !e.IsFull {
+		time.Sleep(time.Duration(e.LastIter*7%4) * 200 * time.Microsecond)
+	}
+	return j.Store.Open(name)
+}
+
+// (b, continued) The window is not a semantic input. A 40-differential chain
+// with a kind change in it and a gap that ends it early recovers to the same
+// bits at window 1, 2, 8 and 16 with loads arriving out of order: exactly the
+// serial reference without the merge, and one merged state with it (the
+// pairing is a function of the chain, not of what arrived first).
+func TestRecoveredStateIndependentOfWindow(t *testing.T) {
+	mem := buildChain(t, "adam", "sparse", checkpoint.KindGradient, 12, 41)
+	r := tensor.NewRNG(42)
+	for iter := int64(23); iter <= 50; iter++ {
+		d := &checkpoint.Diff{Kind: checkpoint.KindStateDelta, FirstIter: iter, LastIter: iter, Count: 1, Payload: payload(t, r, "sparse", fixtureN)}
+		if _, err := checkpoint.SaveDiff(mem, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mem.Delete(checkpoint.DiffName(41, 41)); err != nil {
+		t.Fatal(err)
+	}
+	exact := serialReference(t, mem)
+	if exact.Iter != 40 {
+		t.Fatalf("reference stopped at iteration %d, want 40 (the gap)", exact.Iter)
+	}
+	var merged *State
+	for _, window := range []int{1, 2, 8, 16} {
+		for _, merge := range []bool{false, true} {
+			what := fmt.Sprintf("window %d, merge %v", window, merge)
+			got, n, err := newPipeline(jitterStore{mem}, 2, window, nil).strict(math.MaxInt64, merge)
+			if err != nil || n != 30 {
+				t.Fatalf("%s: %d differentials, %v", what, n, err)
+			}
+			switch {
+			case !merge:
+				assertSameState(t, what, got, exact)
+			case merged == nil:
+				merged = got
+			default:
+				assertSameState(t, what, got, merged)
+			}
+		}
+	}
+	if merged.Params.Equal(exact.Params) {
+		t.Fatal("the merged replay equals the exact one: the fixture does not exercise the merge")
+	}
+}
+
+// A rejected save (checkpoint.TestRejectedSaveLeavesStoreUnchanged) must not
+// poison recovery: after a differential and a full that fail to encode were
+// "saved" under the names that would continue the chain, every kind of store
+// still recovers the chain it holds, bit for bit.
+func TestLatestAfterRejectedSave(t *testing.T) {
+	file, err := storage.NewFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiered, err := storage.NewTiered(storage.NewMem(), 64<<20, 32<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, store := range map[string]storage.Store{"Mem": storage.NewMem(), "File": file, "Tiered": tiered} {
+		fillChain(t, store, "adam", "sparse", checkpoint.KindGradient, 4, 51)
+		want := serialReference(t, store)
+		bad := &checkpoint.Diff{Kind: checkpoint.KindGradient, FirstIter: 15, LastIter: 15, Payload: payload(t, tensor.NewRNG(1), "sparse", fixtureN)}
+		if _, err := checkpoint.SaveDiff(store, bad); err == nil {
+			t.Fatalf("%s: a differential with count 0 was saved", what)
+		}
+		full := &checkpoint.Full{Iter: 20, Params: want.Params.Clone(), Opt: want.Opt.Clone()}
+		full.Opt.Name = strings.Repeat("x", math.MaxUint16+1)
+		if _, err := checkpoint.SaveFull(store, full); err == nil {
+			t.Fatalf("%s: a full with an unframeable optimizer name was saved", what)
+		}
+		got, n, err := Latest(store)
+		if err != nil || n != 4 {
+			t.Fatalf("%s: Latest after the rejected saves: %d differentials, %v", what, n, err)
+		}
+		assertSameState(t, what, got, want)
 	}
 }
 
@@ -384,19 +501,22 @@ func TestStrictPathsFailAtFirstDamage(t *testing.T) {
 
 	// A read fault.
 	mem := buildChain(t, "adam", "sparse", checkpoint.KindGradient, diffs, 9)
-	g := newGateStore(mem)
-	g.failOn = bad
 	want := fmt.Sprintf("recovery: load %s: %v", bad, errInjected)
-	for name, run := range map[string]func() error{
-		"Latest":         func() error { _, _, err := Latest(g); return err },
-		"ToIter":         func() error { _, _, err := ToIter(g, 10+diffs); return err },
-		"LatestParallel": func() error { _, _, err := LatestParallel(g, Options{Parallelism: 2}); return err },
+	for name, run := range map[string]func(storage.Store) error{
+		"Latest":         func(s storage.Store) error { _, _, err := Latest(s); return err },
+		"ToIter":         func(s storage.Store) error { _, _, err := ToIter(s, 10+diffs); return err },
+		"LatestParallel": func(s storage.Store) error { _, _, err := LatestParallel(s, Options{Parallelism: 2}); return err },
 	} {
-		if err := run(); err == nil || err.Error() != want || !errors.Is(err, errInjected) {
+		g := newGateStore(mem)
+		g.failOn, g.holdUntil = bad, lookAhead // objects past the damaged one are in flight when it fails
+		if err := run(g); err == nil || err.Error() != want || !errors.Is(err, errInjected) {
 			t.Fatalf("%s: error %q, want %q", name, err, want)
 		}
+		if _, maxInFlight, _, timedOut := g.snapshot(); timedOut || maxInFlight != lookAhead {
+			t.Fatalf("%s: %d loads in flight at the fault (gave up waiting: %v), want %d", name, maxInFlight, timedOut, lookAhead)
+		}
+		settleGoroutines(t, base)
 	}
-	settleGoroutines(t, base)
 
 	// A corrupt object: the cause is whatever decoding it reports.
 	flipBit(t, mem, bad, 400)

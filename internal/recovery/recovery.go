@@ -36,10 +36,14 @@ import (
 	"lowdiff/internal/trace"
 )
 
-// lookAhead is how many differential loads the exact paths (Latest, ToIter)
-// keep in flight ahead of the apply stage: one apply costs a few round trips
-// of a remote store, so a handful hides them, and no more are ever buffered.
-const lookAhead = 8
+// lookAhead is how many differential loads the strict paths (Latest, ToIter,
+// LatestParallel) keep in flight ahead of the consumer, and the most that are
+// ever buffered. Loads wait on the store, kernels on the pool: one apply costs
+// a few round trips of a remote store, so a handful of loads hides them
+// whatever the core count; the tree-merge takes loads as fast as they come,
+// and there 16 measured 9% ahead of 8 with nothing else moved (EXPERIMENTS.md
+// "Restore path: before / after").
+const lookAhead = 16
 
 // State is a recovered training state.
 type State struct {
@@ -50,8 +54,8 @@ type State struct {
 
 // Options controls recovery.
 type Options struct {
-	// Parallelism bounds concurrent differential loads and sizes the pool
-	// of the merge and apply stages in LatestParallel (default: 4).
+	// Parallelism sizes the pool of the merge and apply stages in
+	// LatestParallel (default: 4). Loads in flight do not depend on it.
 	Parallelism int
 	// Trace, when non-nil, records a recovery/recovery envelope over the
 	// whole LatestParallel rebuild with the merge and apply spans nested
@@ -97,14 +101,17 @@ func Latest(store storage.Store) (*State, int, error) {
 }
 
 // LatestParallel is Latest with the parallel recovery module: the chain is
-// loaded opts.Parallelism at a time and merged in a binary tree, then
-// applied. Merging is gradient accumulation, so under Adam the result is
-// the accumulation-approximate tier, not the exact one.
+// loaded through the same window, merged in a binary tree, then applied, on
+// a pool of opts.Parallelism workers. Merging is gradient accumulation, so
+// under Adam the result is at most accumulation-approximate, not exact (a
+// chain of one differential has nothing to merge and replays exactly). The
+// merge pays from two differentials up (BenchmarkRecoverChain), so no chain
+// length skips it.
 func LatestParallel(store storage.Store, opts Options) (*State, int, error) {
 	if opts.Parallelism == 0 {
 		opts.Parallelism = 4
 	}
-	return newPipeline(store, opts.Parallelism, opts.Parallelism, opts.Trace).strict(math.MaxInt64, true)
+	return newPipeline(store, opts.Parallelism, lookAhead, opts.Trace).strict(math.MaxInt64, true)
 }
 
 // strict recovers to the newest state at or before target and fails on the

@@ -2,8 +2,9 @@
 # Benchmark baseline refresh: runs the tier-1 benchmark suites plus the
 # observability-layer benchmarks and writes the parsed results to
 # BENCH_obs.json, then runs the data-plane composite benchmarks (serial
-# baseline vs k-way/pooled compress+merge, pooled decompress) and writes
-# them to BENCH_dataplane.json, then the step-phase profiler overhead
+# baseline vs k-way/pooled compress+merge, pooled decompress) and the restore
+# path's decode benchmarks (B/op and allocs/op only) and writes them to
+# BENCH_dataplane.json, then the step-phase profiler overhead
 # benchmarks (enabled recorder vs nil fast path) into BENCH_trace.json,
 # then the overlapped-vs-sequential step-schedule benchmarks (PP engine
 # against a latency-injecting store) into BENCH_overlap.json, and finally
@@ -39,6 +40,15 @@ if [ "${SKIP_ALLOC_GATE:-0}" != "1" ] && [ -f BENCH_dataplane.json ]; then
     echo "== allocs/op gate: pooled merge vs checked-in BENCH_dataplane.json (benchtime $GATE_BENCHTIME) ==" >&2
     go test -run '^$' -bench 'DataplaneCompressMerge' -benchmem -benchtime "$GATE_BENCHTIME" ./internal/compress |
         go run ./cmd/benchfmt -gate BENCH_dataplane.json -gate-match kway-pooled -slack 0.25
+fi
+
+# Restore-path gate: decoding a full checkpoint may allocate the decoded
+# vectors and nothing else of their size (1.003x the state; the two-copy
+# decoder this replaced allocated 3.0x).
+if [ "${SKIP_ALLOC_GATE:-0}" != "1" ] && [ -f BENCH_dataplane.json ]; then
+    echo "== allocs/op gate: full-checkpoint decode vs checked-in BENCH_dataplane.json (benchtime $GATE_BENCHTIME) ==" >&2
+    go test -run '^$' -bench 'RestoreFull' -benchmem -benchtime "$GATE_BENCHTIME" ./internal/checkpoint |
+        go run ./cmd/benchfmt -gate BENCH_dataplane.json -gate-match RestoreFull -slack 0.25
 fi
 
 # Profiler-overhead gate: the enabled-recorder step-span path must not
@@ -93,6 +103,11 @@ trap 'rm -f "$tmp" "$dptmp"' EXIT
 echo "== go test -bench Dataplane ./internal/compress (benchtime $BENCHTIME) ==" >&2
 go test -run '^$' -bench 'Dataplane' -benchmem -benchtime "$BENCHTIME" ./internal/compress |
     tee "$dptmp" >&2
+# The restore benchmarks are kept for their allocation figures only: their
+# ns/op is written as 0 so the baseline carries no machine-dependent number.
+echo "== go test -bench Restore ./internal/checkpoint (benchtime $BENCHTIME) ==" >&2
+go test -run '^$' -bench 'Restore' -benchmem -benchtime "$BENCHTIME" ./internal/checkpoint |
+    tee /dev/stderr | sed -E 's/[0-9.]+ ns\/op/0 ns\/op/' >>"$dptmp"
 
 go run ./cmd/benchfmt <"$dptmp" >"$BENCH_DATAPLANE_OUT"
 echo "wrote $BENCH_DATAPLANE_OUT" >&2

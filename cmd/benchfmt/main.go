@@ -2,7 +2,7 @@
 // repository's BENCH_*.json baseline format on stdout: benchmark name →
 // ns/op, B/op, allocs/op, with deterministic (sorted) key order.
 //
-//	go test -run '^$' -bench . -benchmem ./... | benchfmt > BENCH_obs.json
+//	go test -run '^$' -bench PoolFull -benchmem ./internal/storaged | benchfmt > BENCH_pool.json
 //
 // With -gate it instead compares the run on stdin against a checked-in
 // baseline and exits 1 if any gated benchmark's allocs/op or B/op exceeds

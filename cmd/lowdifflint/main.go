@@ -1,7 +1,7 @@
 // Command lowdifflint runs the repository's custom static-analysis passes
-// — determinism, checkederr, floateq, mutexcopy, lockbalance, hotalloc,
-// wgmisuse, sendblock — over the given package patterns and exits 1 on
-// any finding.
+// — determinism, checkederr, floateq, lockbalance, hotalloc, wgmisuse,
+// sendblock — over the given package patterns and exits 1 on any finding.
+// Locks copied by value are left to go vet's copylocks.
 //
 //	lowdifflint ./...
 //	lowdifflint ./internal/sim ./internal/cluster/...

@@ -5,10 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"reflect"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -172,33 +171,15 @@ func TestRetryPolicyWriteDeadline(t *testing.T) {
 	}
 }
 
-// prefixFaultStore rejects writes of objects with a given name prefix a
-// bounded number of times — faults scoped to one checkpoint kind.
-type prefixFaultStore struct {
-	storage.Store
-	mu     sync.Mutex
-	prefix string
-	fails  int
-}
-
-// arm makes the next n matching writes fail.
-func (s *prefixFaultStore) arm(n int) {
-	s.mu.Lock()
-	s.fails = n
-	s.mu.Unlock()
-}
-
-func (s *prefixFaultStore) Create(name string) (io.WriteCloser, error) {
-	s.mu.Lock()
-	doomed := strings.HasPrefix(name, s.prefix) && s.fails > 0
-	if doomed {
-		s.fails--
-	}
-	s.mu.Unlock()
-	if doomed {
-		return nil, storage.ErrInjectedFault
-	}
-	return s.Store.Create(name)
+// diffFaults rejects the next fails differential writes into s — faults
+// scoped to one checkpoint kind; storing into fails re-arms it.
+func diffFaults(s storage.Store, fails *atomic.Int64) storage.Store {
+	return &storage.Interposer{Store: s, Op: func(op, name string, call func() error) error {
+		if op == "create" && strings.HasPrefix(name, "diff-") && fails.Add(-1) >= 0 {
+			return storage.ErrInjectedFault
+		}
+		return call()
+	}}
 }
 
 // Persistent differential-write failure: the engine falls back to a full
@@ -209,7 +190,9 @@ func TestEngineFallsBackToFullOnDiffFailure(t *testing.T) {
 	// Two rejections cover the first diff write and its single retry, so
 	// the first differential fails persistently and everything after the
 	// fallback succeeds.
-	store := &prefixFaultStore{Store: mem, prefix: "diff-", fails: 2}
+	var fails atomic.Int64
+	fails.Store(2)
+	store := diffFaults(mem, &fails)
 	e, err := NewEngine(Options{
 		Spec: model.Tiny(2, 16), Workers: 1, Optimizer: "sgd", LR: 0.05,
 		Rho: 0.3, Store: store, FullEvery: 6, BatchSize: 1, QueueCap: 2,
@@ -325,7 +308,8 @@ func TestDiffWriteFaultLadderSharedAcrossStrategies(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mem := storage.NewMem()
-			store := &prefixFaultStore{Store: mem, prefix: "diff-"}
+			var fails atomic.Int64
+			store := diffFaults(mem, &fails)
 			var log bytes.Buffer // read only once the persister is joined, when no goroutine emits
 			events := obs.NewEventLog(&log)
 			opts := Options{
@@ -345,7 +329,7 @@ func TestDiffWriteFaultLadderSharedAcrossStrategies(t *testing.T) {
 			e.joinFulls()
 			before := e.FaultCounters().Snapshot()
 			mark := log.Len()
-			store.arm(2) // the next differential write and its one retry
+			fails.Store(2) // the next differential write and its one retry
 			if _, err := e.Run(faulted); err != nil {
 				t.Fatalf("fault-tolerant run aborted: %v", err)
 			}
@@ -512,13 +496,13 @@ func TestEngineDegradesInsteadOfAborting(t *testing.T) {
 // Fault tolerance must be opt-in: without it, the first storage error
 // still aborts the run (the historical fail-fast contract).
 func TestEngineWithoutFaultToleranceStillFailsFast(t *testing.T) {
-	faulty, err := storage.NewFaulty(storage.NewMem(), 2)
+	dying, err := storage.NewChaos(storage.NewMem(), storage.ChaosConfig{FailWritesAfter: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e, err := NewEngine(Options{
 		Spec: model.Tiny(2, 16), Workers: 1, Rho: 0.3,
-		Store: faulty, FullEvery: 4, BatchSize: 1, QueueCap: 2, Seed: 3,
+		Store: dying, FullEvery: 4, BatchSize: 1, QueueCap: 2, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -212,19 +212,6 @@ func TestPlusFlushJoinsBeforeReplicaTail(t *testing.T) {
 	}
 }
 
-// nameFaultStore fails every Create of one object name.
-type nameFaultStore struct {
-	storage.Store
-	name string
-}
-
-func (s *nameFaultStore) Create(name string) (io.WriteCloser, error) {
-	if name == s.name {
-		return nil, storage.ErrInjectedFault
-	}
-	return s.Store.Create(name)
-}
-
 // A differential-write fault that no fresh base has healed when Run returns
 // must still hold the chain back in the next Run: a differential appended
 // before the new base lands could never be replayed. The run then "crashes"
@@ -244,9 +231,15 @@ func TestChainFaultStateSurvivesRunBoundary(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			quiesce(t)
 			mem := storage.NewMem()
+			failing := checkpoint.DiffName(tc.failIter, tc.failIter)
 			opts := Options{
 				Spec: model.Tiny(4, 16), Optimizer: "sgd", LR: 0.05, Rho: 0.3,
-				Store:     &nameFaultStore{Store: mem, name: checkpoint.DiffName(tc.failIter, tc.failIter)},
+				Store: &storage.Interposer{Store: mem, Op: func(op, name string, call func() error) error {
+					if op == "create" && name == failing {
+						return storage.ErrInjectedFault
+					}
+					return call()
+				}},
 				FullEvery: 8, BatchSize: 1, QueueCap: 2, Seed: 35,
 				FaultTolerance: &FaultToleranceOptions{Retry: RetryPolicy{MaxRetries: 1}},
 			}

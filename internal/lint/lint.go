@@ -15,8 +15,12 @@
 //   - floateq: no ==/!= on floating-point operands outside an explicit
 //     allowlist of bit-exact comparison helpers. Bit-exact recovery is
 //     verified by comparing float bit patterns, not approximate values.
-//   - mutexcopy / lockbalance: no locks passed by value, no Lock without a
-//     paired Unlock on some control-flow path.
+//   - lockbalance: no Lock without a paired Unlock on some control-flow
+//     path. (Locks copied by value — receivers, parameters, returns — are
+//     go vet's copylocks, which check.sh and CI run.)
+//   - hotalloc, wgmisuse, sendblock: no heap allocation on the configured
+//     hot paths, no WaitGroup protocol violations, no goroutine leaked
+//     on an unbuffered send.
 //
 // Findings can be suppressed per line with a directive comment:
 //
@@ -190,7 +194,6 @@ func DefaultAnalyzers() []*Analyzer {
 		DeterminismAnalyzer,
 		CheckedErrAnalyzer,
 		FloatEqAnalyzer,
-		MutexCopyAnalyzer,
 		LockBalanceAnalyzer,
 		HotAllocAnalyzer,
 		WgMisuseAnalyzer,

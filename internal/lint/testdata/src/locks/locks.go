@@ -1,39 +1,13 @@
-// Package locks is a lint fixture for lock misuse: signatures that copy
-// sync locks by value, and Lock/RLock calls with no paired release.
+// Package locks is a lint fixture for lock misuse: Lock/RLock calls with no
+// paired release. (Locks copied by value are go vet's copylocks.)
 package locks
 
 import "sync"
 
-// Guarded embeds a mutex by value, which is fine for the type itself —
-// only signatures that copy it are flagged.
+// Guarded carries the write-lock cases.
 type Guarded struct {
 	mu sync.Mutex
 	n  int
-}
-
-// ByValueReceiver copies the receiver's lock (violation: receiver).
-func (g Guarded) ByValueReceiver() int {
-	return g.n
-}
-
-// TakeLock copies a bare mutex parameter (violation: parameter).
-func TakeLock(mu sync.Mutex) {
-	_ = mu
-}
-
-// TakeStruct copies a struct containing a lock (violation: parameter).
-func TakeStruct(g Guarded) int {
-	return g.n
-}
-
-// GiveLock returns a lock by value (violation: result).
-func GiveLock() sync.Mutex {
-	return sync.Mutex{}
-}
-
-// ByPointer shares the lock (allowed).
-func ByPointer(g *Guarded) int {
-	return g.n
 }
 
 // Leak locks without ever unlocking (violation: lockbalance).

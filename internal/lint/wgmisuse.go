@@ -11,8 +11,7 @@ package lint
 //     always a lost count. Reachability runs on the CFG with back edges
 //     excluded.
 //  3. Copied WaitGroups: assigning or passing a sync.WaitGroup by value
-//     splits the counter. (Signatures are already covered by mutexcopy;
-//     this adds assignment/composite copies.)
+//     splits the counter. (go vet's copylocks covers signatures too.)
 
 import (
 	"go/ast"

@@ -99,7 +99,8 @@ func TestToIterRespectsBatchBoundaries(t *testing.T) {
 // Crash consistency: the job dies mid-run because the store starts
 // rejecting writes; everything that was committed stays recoverable.
 func TestCrashConsistencyWithFaultyStore(t *testing.T) {
-	faulty, err := storage.NewFaulty(storage.NewMem(), 7) // initial full + 6 more writes
+	// Initial full + 6 more writes, then the device dies.
+	faulty, err := storage.NewChaos(storage.NewMem(), storage.ChaosConfig{FailWritesAfter: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestCrashConsistencyWithFaultyStore(t *testing.T) {
 	// The run must surface the injected fault, not swallow it.
 	_, runErr := e.Run(40)
 	flushErr := e.Flush()
-	if runErr == nil && flushErr == nil && !faulty.Tripped() {
+	if runErr == nil && flushErr == nil && !faulty.Counters().PermanentFault {
 		t.Fatal("fault never triggered; test misconfigured")
 	}
 	if runErr != nil && !errors.Is(runErr, storage.ErrInjectedFault) {

@@ -11,6 +11,9 @@ import (
 	"lowdiff/internal/obs"
 )
 
+// ErrInjectedFault is the error of every write a Chaos store fails.
+var ErrInjectedFault = fmt.Errorf("storage: injected fault")
+
 // ChaosConfig selects which faults a Chaos store injects and how often.
 // All probabilities are per operation in [0, 1]; zero disables that fault.
 // Injection is driven by a seeded SplitMix64 generator consumed once per
@@ -83,11 +86,11 @@ type ChaosCounters struct {
 // Chaos wraps a store with seeded, deterministic fault injection spanning
 // the failure modes a checkpointing system must survive: transient and
 // permanent write failures, torn reads, bit-flip corruption (both durable,
-// at write time, and transient, at read time), and latency spikes. It
-// generalizes the trip-once Faulty wrapper for chaos-style testing of the
-// retry, degradation, and quarantine machinery.
+// at write time, and transient, at read time), and latency spikes. It is
+// an Interposer whose Writer and Reader hooks draw each Create's and Open's
+// faults before the inner store is reached.
 type Chaos struct {
-	Store
+	Interposer
 	cfg ChaosConfig
 
 	mu     sync.Mutex
@@ -109,7 +112,9 @@ func NewChaos(s Store, cfg ChaosConfig) (*Chaos, error) {
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
 	}
-	return &Chaos{Store: s, cfg: cfg, rng: cfg.Seed}, nil
+	c := &Chaos{cfg: cfg, rng: cfg.Seed}
+	c.Interposer = Interposer{Store: s, Writer: c.writer, Reader: c.reader}
+	return c, nil
 }
 
 // Counters returns a snapshot of the injected-fault counters.
@@ -146,50 +151,28 @@ func (c *Chaos) draw(p float64) bool {
 	return float64(c.next()>>11)/(1<<53) < p
 }
 
-// chaosWriter buffers the object so a write-time bit flip can corrupt the
-// committed payload before it reaches the underlying store.
-type chaosWriter struct {
-	buf    bytes.Buffer
-	c      *Chaos
-	name   string
-	flip   bool
-	closed bool
+// pick draws a position below n.
+func (c *Chaos) pick(n int) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return int(c.next() % uint64(n))
 }
 
-func (w *chaosWriter) Write(p []byte) (int, error) {
-	if w.closed {
-		return 0, fmt.Errorf("storage: write after close")
-	}
-	return w.buf.Write(p)
+// flipBit flips one drawn bit of data in place.
+func (c *Chaos) flipBit(data []byte) {
+	bit := c.pick(8 * len(data))
+	data[bit/8] ^= 1 << (bit % 8)
 }
 
-func (w *chaosWriter) Close() error {
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	data := w.buf.Bytes()
-	if w.flip && len(data) > 0 {
-		w.c.mu.Lock()
-		bit := w.c.next() % uint64(8*len(data))
-		w.c.mu.Unlock()
-		data = append([]byte(nil), data...)
-		data[bit/8] ^= 1 << (bit % 8)
-		w.c.writeBitFlips.Add(1)
-		w.c.cfg.Events.Emit("chaos.write_bitflip", map[string]any{"object": w.name})
-	}
-	return WriteObject(w.c.Store, w.name, data)
+func (c *Chaos) spike(name, op string) {
+	c.latencySpikes.Add(1)
+	c.cfg.Events.Emit("chaos.latency", map[string]any{"object": name, "op": op})
+	c.cfg.Sleep(c.cfg.Latency)
 }
 
-// Abort discards the buffered object; nothing reaches the wrapped store.
-func (w *chaosWriter) Abort() error {
-	w.closed = true
-	return nil
-}
-
-// Create implements Store. Fault decisions are drawn when the writer is
-// created, so the injected outcome is fixed per attempt.
-func (c *Chaos) Create(name string) (io.WriteCloser, error) {
+// writer is the Create hook. Fault decisions are drawn before the inner
+// store is reached, so the injected outcome is fixed per attempt.
+func (c *Chaos) writer(name string, create func() (io.WriteCloser, error)) (io.WriteCloser, error) {
 	c.mu.Lock()
 	c.writes++
 	permanent := c.cfg.FailWritesAfter > 0 && c.writes > c.cfg.FailWritesAfter
@@ -198,34 +181,76 @@ func (c *Chaos) Create(name string) (io.WriteCloser, error) {
 	stall := c.draw(c.cfg.LatencyProb)
 	c.mu.Unlock()
 	if stall {
-		c.latencySpikes.Add(1)
-		c.cfg.Events.Emit("chaos.latency", map[string]any{"object": name, "op": "write"})
-		c.cfg.Sleep(c.cfg.Latency)
+		c.spike(name, "write")
 	}
 	if permanent || transient {
 		c.writeFaults.Add(1)
 		c.cfg.Events.Emit("chaos.write_fault", map[string]any{"object": name, "permanent": permanent})
-		// The write never reaches the device: nothing becomes visible.
-		return &faultyWriter{doomed: true}, nil
+		return doomedWriter{}, nil
 	}
-	return &chaosWriter{c: c, name: name, flip: flip}, nil
+	if flip {
+		return &flipWriter{c: c, name: name}, nil
+	}
+	return create()
 }
 
-// Open implements Store. Torn and bit-flipped reads affect only the bytes
+// doomedWriter is a write that never reaches the device: Write and Close
+// fail, nothing becomes visible, and Abort has nothing to discard.
+type doomedWriter struct{}
+
+func (doomedWriter) Write([]byte) (int, error) { return 0, ErrInjectedFault }
+func (doomedWriter) Close() error              { return ErrInjectedFault }
+func (doomedWriter) Abort() error              { return nil }
+
+// flipWriter buffers the object so one bit of the committed payload can be
+// flipped before it reaches the wrapped store.
+type flipWriter struct {
+	buf    bytes.Buffer
+	c      *Chaos
+	name   string
+	closed bool
+}
+
+func (w *flipWriter) Write(p []byte) (int, error) {
+	if w.closed {
+		return 0, fmt.Errorf("storage: write after close")
+	}
+	return w.buf.Write(p)
+}
+
+func (w *flipWriter) Close() error {
+	if w.closed {
+		return nil
+	}
+	w.closed = true
+	data := w.buf.Bytes()
+	if len(data) > 0 {
+		w.c.flipBit(data)
+		w.c.writeBitFlips.Add(1)
+		w.c.cfg.Events.Emit("chaos.write_bitflip", map[string]any{"object": w.name})
+	}
+	return WriteObject(w.c.Store, w.name, data)
+}
+
+// Abort discards the buffered object; nothing reaches the wrapped store.
+func (w *flipWriter) Abort() error {
+	w.closed = true
+	return nil
+}
+
+// reader is the Open hook. Torn and bit-flipped reads affect only the bytes
 // this call observes; the stored object is untouched, so retries can
 // distinguish transient read faults from durable corruption.
-func (c *Chaos) Open(name string) (io.ReadCloser, error) {
+func (c *Chaos) reader(name string, open func() (io.ReadCloser, error)) (io.ReadCloser, error) {
 	c.mu.Lock()
 	torn := c.draw(c.cfg.TornReadProb)
 	flip := !torn && c.draw(c.cfg.BitFlipReadProb)
 	stall := c.draw(c.cfg.LatencyProb)
 	c.mu.Unlock()
 	if stall {
-		c.latencySpikes.Add(1)
-		c.cfg.Events.Emit("chaos.latency", map[string]any{"object": name, "op": "read"})
-		c.cfg.Sleep(c.cfg.Latency)
+		c.spike(name, "read")
 	}
-	r, err := c.Store.Open(name)
+	r, err := open()
 	if err != nil || (!torn && !flip) {
 		return r, err
 	}
@@ -235,18 +260,11 @@ func (c *Chaos) Open(name string) (io.ReadCloser, error) {
 		return nil, err
 	}
 	if torn && len(data) > 0 {
-		c.mu.Lock()
-		n := int(c.next() % uint64(len(data)))
-		c.mu.Unlock()
-		data = data[:n]
+		data = data[:c.pick(len(data))]
 		c.tornReads.Add(1)
 		c.cfg.Events.Emit("chaos.torn_read", map[string]any{"object": name})
 	} else if flip && len(data) > 0 {
-		c.mu.Lock()
-		bit := c.next() % uint64(8*len(data))
-		c.mu.Unlock()
-		data = append([]byte(nil), data...)
-		data[bit/8] ^= 1 << (bit % 8)
+		c.flipBit(data)
 		c.readBitFlips.Add(1)
 		c.cfg.Events.Emit("chaos.read_bitflip", map[string]any{"object": name})
 	}

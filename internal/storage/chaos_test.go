@@ -110,6 +110,37 @@ func TestChaosPermanentFault(t *testing.T) {
 	}
 }
 
+// A rejected write never reaches the device: its writer fails both Write and
+// Close, its Abort has nothing to discard, and nothing becomes visible.
+func TestChaosDoomedWriterBothOpsFail(t *testing.T) {
+	c, err := NewChaos(NewMem(), ChaosConfig{FailWritesAfter: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteObject(c, "a", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		w, err := c.Create("x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write([]byte("y")); !errors.Is(err, ErrInjectedFault) {
+			t.Fatalf("write err = %v", err)
+		}
+		if i == 0 {
+			if err := w.Close(); !errors.Is(err, ErrInjectedFault) {
+				t.Fatalf("close err = %v", err)
+			}
+		} else if err := AbortWriter(w); err != nil {
+			t.Fatalf("abort err = %v", err)
+		}
+	}
+	if names, _ := c.List(""); len(names) != 1 {
+		t.Fatalf("store holds %v, want only a", names)
+	}
+}
+
 func TestChaosTornRead(t *testing.T) {
 	mem := NewMem()
 	orig := []byte("0123456789abcdef")

@@ -263,16 +263,17 @@ func (l *ChunkList) Release() {
 
 // Commit writes the held bytes to s as one object, with WriteObject's
 // contract: on error nothing became visible. A writer of this package's
-// in-memory kind is told the total up front, so it stages the object in a
-// buffer of exactly that size; any other writer just sees the chunks in
-// order. The list keeps its buffers; the caller releases them.
+// in-memory kind, directly or behind an interposer, is told the total up
+// front, so it stages the object in a buffer of exactly that size; any
+// other writer just sees the chunks in order. The list keeps its buffers;
+// the caller releases them.
 func (l *ChunkList) Commit(s Store, name string) error {
 	w, err := s.Create(name)
 	if err != nil {
 		return err
 	}
-	if mw, ok := w.(*memWriter); ok {
-		mw.presize(l.size)
+	if p, ok := w.(presizer); ok {
+		p.presize(l.size)
 	}
 	for _, c := range l.chunks {
 		if _, err := w.Write(c.Body); err != nil {

@@ -1,8 +1,10 @@
 // Package storage provides the checkpoint stores the paper persists to:
 // an in-memory store (Gemini-style CPU-memory checkpoints and tests), a
-// file store with atomic create (local SSD), a bandwidth-throttled wrapper
-// that emulates a storage device of a given write bandwidth, and a stats
-// wrapper for accounting bytes and operations.
+// file store with atomic create (local SSD), a memory-over-disk tiered
+// store and a remote client of the lowdiffd pool, plus wrappers built on
+// one Interposer: a bandwidth-throttled one that emulates a storage device
+// of a given write bandwidth, a per-operation latency, a stats counter and
+// the seeded Chaos fault injector.
 //
 // Writes are atomic at object granularity: an object is either fully
 // present under its final name or absent, so a crash mid-write never leaves
@@ -20,7 +22,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Store is an object store keyed by flat names. Implementations must be
@@ -75,6 +76,17 @@ func ReadObject(s Store, name string) ([]byte, error) {
 	return io.ReadAll(r)
 }
 
+// CheckName is the one object-name rule of every store: a name is not
+// empty, ".", or "..", holds no path separator, and does not contain
+// ".tmp." — the infix File stages uncommitted objects under and its List
+// hides, so such an object could be written but never listed.
+func CheckName(name string) error {
+	if name == "" || name == "." || name == ".." || strings.ContainsAny(name, `/\`) || strings.Contains(name, ".tmp.") {
+		return fmt.Errorf("storage: invalid object name %q", name)
+	}
+	return nil
+}
+
 // ErrNotExist reports a missing object.
 type notExistError struct{ name string }
 
@@ -124,6 +136,10 @@ type memWriter struct {
 	closed bool
 	err    error // latched write error; set means Close must not commit
 }
+
+// presizer is a writer that can be told the object's length ahead of the
+// first Write (ChunkList.Commit does); the interposer's writer forwards it.
+type presizer interface{ presize(n int64) }
 
 // presize makes the staging buffer exactly n bytes long ahead of the first
 // Write, for a caller that knows the object's length.
@@ -188,8 +204,8 @@ func (w *memWriter) Abort() error {
 
 // Create implements Store.
 func (m *Mem) Create(name string) (io.WriteCloser, error) {
-	if name == "" {
-		return nil, fmt.Errorf("storage: empty object name")
+	if err := CheckName(name); err != nil {
+		return nil, err
 	}
 	return &memWriter{commit: func(data []byte) {
 		cp := append([]byte(nil), data...)
@@ -272,10 +288,11 @@ func NewFile(dir string) (*File, error) {
 	return &File{dir: dir}, nil
 }
 
-// path maps an object name to a file path, rejecting path escapes.
+// path maps an object name to a file path, rejecting path escapes and
+// staging names.
 func (f *File) path(name string) (string, error) {
-	if name == "" || strings.Contains(name, "/") || strings.Contains(name, "\\") || name == "." || name == ".." {
-		return "", fmt.Errorf("storage: invalid object name %q", name)
+	if err := CheckName(name); err != nil {
+		return "", err
 	}
 	return filepath.Join(f.dir, name), nil
 }
@@ -440,192 +457,4 @@ func (f *File) Size(name string) (int64, error) {
 		return 0, err
 	}
 	return info.Size(), nil
-}
-
-// Throttled wraps a store and limits write throughput to emulate a storage
-// device of a given bandwidth (e.g. an SSD or a 25 Gbps remote link). Reads
-// are not throttled; checkpoint writes are the contended path the paper
-// studies.
-type Throttled struct {
-	Store
-	bytesPerSec float64
-	sleep       func(time.Duration) // test seam
-	mu          sync.Mutex
-	debt        time.Duration
-	slept       atomic.Int64 // nanoseconds charged, for tests/metrics
-}
-
-// NewThrottled wraps s with a write-bandwidth limit in bytes/second.
-func NewThrottled(s Store, bytesPerSec float64) (*Throttled, error) {
-	if bytesPerSec <= 0 {
-		return nil, fmt.Errorf("storage: throttle bandwidth %v must be positive", bytesPerSec)
-	}
-	return &Throttled{Store: s, bytesPerSec: bytesPerSec, sleep: time.Sleep}, nil
-}
-
-// ThrottledNanos returns the total nanoseconds of write delay charged.
-func (t *Throttled) ThrottledNanos() int64 { return t.slept.Load() }
-
-type throttledWriter struct {
-	io.WriteCloser
-	t *Throttled
-}
-
-func (w *throttledWriter) Write(p []byte) (int, error) {
-	n, err := w.WriteCloser.Write(p)
-	if n > 0 {
-		w.t.charge(n)
-	}
-	return n, err
-}
-
-// Close settles any unpaid sub-millisecond debt before committing: a
-// workload of short objects (manifests, diffs) otherwise writes faster
-// than the configured bandwidth because each object's tail debt is
-// silently forgiven when its writer goes away.
-func (w *throttledWriter) Close() error {
-	w.t.flushDebt()
-	return w.WriteCloser.Close()
-}
-
-// Abort settles the debt too — the bytes crossed the emulated device even
-// though the object is being discarded — then aborts the staged write.
-func (w *throttledWriter) Abort() error {
-	w.t.flushDebt()
-	return AbortWriter(w.WriteCloser)
-}
-
-// charge sleeps long enough to keep write throughput at the configured
-// bandwidth, batching sub-millisecond debts to avoid timer churn.
-func (t *Throttled) charge(n int) {
-	d := time.Duration(float64(n) / t.bytesPerSec * float64(time.Second))
-	t.mu.Lock()
-	t.debt += d
-	var pay time.Duration
-	if t.debt >= time.Millisecond {
-		pay = t.debt
-		t.debt = 0
-	}
-	t.mu.Unlock()
-	if pay > 0 {
-		t.slept.Add(int64(pay))
-		t.sleep(pay)
-	}
-}
-
-// flushDebt pays whatever debt has accrued, however small.
-func (t *Throttled) flushDebt() {
-	t.mu.Lock()
-	pay := t.debt
-	t.debt = 0
-	t.mu.Unlock()
-	if pay > 0 {
-		t.slept.Add(int64(pay))
-		t.sleep(pay)
-	}
-}
-
-// Create implements Store.
-func (t *Throttled) Create(name string) (io.WriteCloser, error) {
-	w, err := t.Store.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &throttledWriter{WriteCloser: w, t: t}, nil
-}
-
-// Stats wraps a store and counts operations and bytes.
-type Stats struct {
-	Store
-	writes       atomic.Int64
-	writtenBytes atomic.Int64
-	reads        atomic.Int64
-	readBytes    atomic.Int64
-	deletes      atomic.Int64
-}
-
-// NewStats wraps s with counters.
-func NewStats(s Store) *Stats { return &Stats{Store: s} }
-
-// Writes returns the number of completed object writes.
-func (s *Stats) Writes() int64 { return s.writes.Load() }
-
-// WrittenBytes returns the total bytes written.
-func (s *Stats) WrittenBytes() int64 { return s.writtenBytes.Load() }
-
-// Reads returns the number of opened objects.
-func (s *Stats) Reads() int64 { return s.reads.Load() }
-
-// ReadBytes returns the total bytes read.
-func (s *Stats) ReadBytes() int64 { return s.readBytes.Load() }
-
-// Deletes returns the number of deletions.
-func (s *Stats) Deletes() int64 { return s.deletes.Load() }
-
-type statsWriter struct {
-	io.WriteCloser
-	s      *Stats
-	n      int64
-	closed bool
-}
-
-func (w *statsWriter) Write(p []byte) (int, error) {
-	n, err := w.WriteCloser.Write(p)
-	w.n += int64(n)
-	return n, err
-}
-
-func (w *statsWriter) Close() error {
-	err := w.WriteCloser.Close()
-	if !w.closed && err == nil {
-		w.closed = true
-		w.s.writes.Add(1)
-		w.s.writtenBytes.Add(w.n)
-	}
-	return err
-}
-
-// Abort forwards the abort; a discarded object is not a completed write.
-func (w *statsWriter) Abort() error {
-	w.closed = true
-	return AbortWriter(w.WriteCloser)
-}
-
-// Create implements Store.
-func (s *Stats) Create(name string) (io.WriteCloser, error) {
-	w, err := s.Store.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &statsWriter{WriteCloser: w, s: s}, nil
-}
-
-type statsReader struct {
-	io.ReadCloser
-	s *Stats
-}
-
-func (r *statsReader) Read(p []byte) (int, error) {
-	n, err := r.ReadCloser.Read(p)
-	r.s.readBytes.Add(int64(n))
-	return n, err
-}
-
-// Open implements Store.
-func (s *Stats) Open(name string) (io.ReadCloser, error) {
-	r, err := s.Store.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	s.reads.Add(1)
-	return &statsReader{ReadCloser: r, s: s}, nil
-}
-
-// Delete implements Store.
-func (s *Stats) Delete(name string) error {
-	err := s.Store.Delete(name)
-	if err == nil {
-		s.deletes.Add(1)
-	}
-	return err
 }

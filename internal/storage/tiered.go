@@ -64,8 +64,8 @@ func (t *Tiered) SpilledBytes() int64 { return t.spillBytes.Load() }
 // A staging buffer that ended exactly full becomes the hot copy as it is;
 // one that grew by appending is copied, so its slack is not kept hot.
 func (t *Tiered) Create(name string) (io.WriteCloser, error) {
-	if name == "" {
-		return nil, fmt.Errorf("storage: empty object name")
+	if err := CheckName(name); err != nil {
+		return nil, err
 	}
 	return &memWriter{commit: func(data []byte) {
 		if len(data) != cap(data) {

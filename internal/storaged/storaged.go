@@ -442,6 +442,9 @@ func (s *Server) dispatch(nc net.Conn, t *tenant, up *staging, f *storage.Frame)
 
 func (s *Server) handleCreate(nc net.Conn, t *tenant, up *staging, body []byte) (*staging, error) {
 	name, err := decodeName(body)
+	if err == nil {
+		err = storage.CheckName(name)
+	}
 	if err != nil {
 		return up, writeErr(nc, storage.CodeBadRequest, err.Error())
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -275,12 +276,17 @@ func TestBackpressureRetry(t *testing.T) {
 // commit must hand the connection back usable: the whole test, its uploads
 // in 4-byte chunks, runs on the one connection DialRemote opened.
 func TestTransientBackingFault(t *testing.T) {
-	var faulty *storage.Faulty
+	var creates atomic.Int64 // the first succeeds, the next two fail
 	srv := startServer(t, storaged.Config{
 		OpenStore: func(string) (storage.Store, error) {
-			f, err := storage.NewFaultyTransient(storage.NewMem(), 1, 2)
-			faulty = f
-			return f, err
+			return &storage.Interposer{Store: storage.NewMem(), Op: func(op, _ string, call func() error) error {
+				if op == "create" {
+					if n := creates.Add(1); n == 2 || n == 3 {
+						return storage.ErrInjectedFault
+					}
+				}
+				return call()
+			}}, nil
 		},
 	})
 	var dials atomic.Int64
@@ -315,8 +321,8 @@ func TestTransientBackingFault(t *testing.T) {
 	if attempts != 3 {
 		t.Fatalf("succeeded after %d attempts, want 3 (2 injected faults)", attempts)
 	}
-	if faulty.Faults() != 2 {
-		t.Fatalf("backing store rejected %d writes, want 2", faulty.Faults())
+	if n := creates.Load(); n != 4 {
+		t.Fatalf("backing store saw %d creates, want 4 (1 + 2 rejected + 1)", n)
 	}
 	got, err := storage.ReadObject(r, "obj-1")
 	if err != nil || !bytes.Equal(got, payload) {
@@ -326,6 +332,58 @@ func TestTransientBackingFault(t *testing.T) {
 		t.Fatalf("client dialed %d connections, want 1", n)
 	}
 	quiesce(t, srv, "flaky")
+}
+
+// TestCreateRefusesInvalidNames: CREATE of a name no store may hold — here
+// one a File store would hide as a staging temp — is refused before anything
+// is staged, on a connection that stays usable, so the tenant's usage after
+// a restart, rebuilt from the store, is what the store lists. (Accepted, the
+// object counted against the quota and GET served it, but List never showed
+// it and the rebuilt usage forgot it.)
+func TestCreateRefusesInvalidNames(t *testing.T) {
+	root := t.TempDir()
+	cfg := storaged.Config{OpenStore: func(tenant string) (storage.Store, error) {
+		return storage.NewFile(filepath.Join(root, tenant))
+	}}
+	srv := startServer(t, cfg)
+	var dials atomic.Int64
+	r := dialTenant(t, srv, "names", storage.RemoteOptions{Dial: countingDial(&dials)})
+	if err := storage.WriteObject(r, "x.tmp.1", make([]byte, 500)); err == nil {
+		t.Fatal("CREATE x.tmp.1 was accepted")
+	}
+	if u, _ := srv.Usage("names"); u != (storage.Usage{}) {
+		t.Fatalf("refused CREATE left usage %+v", u)
+	}
+	if err := storage.WriteObject(r, "kept", make([]byte, 300)); err != nil {
+		t.Fatal(err)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("client dialed %d connections, want 1", n)
+	}
+	quiesce(t, srv, "names")
+
+	srv = startServer(t, cfg)
+	r = dialTenant(t, srv, "names", storage.RemoteOptions{})
+	names, err := r.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed int64
+	for _, n := range names {
+		size, err := r.Size(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		listed += size
+	}
+	u, err := r.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u.UsedBytes != listed || u.Objects != int64(len(names)) || u.Objects != 1 {
+		t.Fatalf("usage after restart %+v, store lists %v (%d bytes)", u, names, listed)
+	}
+	quiesce(t, srv, "names")
 }
 
 // TestSeededChaosEventuallyCommits retries uploads against a chaotic

@@ -1,10 +1,8 @@
 #!/bin/sh
-# Benchmark baseline refresh: runs the tier-1 benchmark suites plus the
-# observability-layer benchmarks and writes the parsed results to
-# BENCH_obs.json, then runs the data-plane composite benchmarks (serial
-# baseline vs k-way/pooled compress+merge, pooled decompress) and the restore
-# path's decode benchmarks (B/op and allocs/op only) and writes them to
-# BENCH_dataplane.json, then the step-phase profiler overhead
+# Benchmark baseline refresh: runs the data-plane composite benchmarks
+# (serial baseline vs k-way/pooled compress+merge, pooled decompress) and the
+# restore path's decode benchmarks (B/op and allocs/op only) and writes them
+# to BENCH_dataplane.json, then the step-phase profiler overhead
 # benchmarks (enabled recorder vs nil fast path) into BENCH_trace.json,
 # then the overlapped-vs-sequential step-schedule benchmarks (PP engine
 # against a latency-injecting store) into BENCH_overlap.json, and finally
@@ -13,7 +11,7 @@
 # (benchmark name -> ns/op, B/op, allocs/op).
 #
 #   BENCHTIME=1x scripts/bench.sh     # CI smoke: one iteration per benchmark
-#   BENCH_OUT=/tmp/b.json BENCH_DATAPLANE_OUT=/tmp/d.json scripts/bench.sh
+#   BENCH_DATAPLANE_OUT=/tmp/d.json BENCH_POOL_OUT=/tmp/p.json scripts/bench.sh
 #
 # Run from the repository root. The baselines are checked in so reviewers can
 # spot order-of-magnitude regressions in diffs; ns/op values are machine-
@@ -29,7 +27,6 @@ set -eu
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-1s}"
-BENCH_OUT="${BENCH_OUT:-BENCH_obs.json}"
 BENCH_DATAPLANE_OUT="${BENCH_DATAPLANE_OUT:-BENCH_dataplane.json}"
 BENCH_TRACE_OUT="${BENCH_TRACE_OUT:-BENCH_trace.json}"
 BENCH_OVERLAP_OUT="${BENCH_OVERLAP_OUT:-BENCH_overlap.json}"
@@ -86,19 +83,8 @@ if [ "${SKIP_ALLOC_GATE:-0}" != "1" ] && [ -f BENCH_pool.json ]; then
     rm -f "$pooltmp"
 fi
 
-tmp=$(mktemp)
-trap 'rm -f "$tmp"' EXIT
-
-for pkg in ./internal/comm ./internal/compress ./internal/obs .; do
-    echo "== go test -bench $pkg (benchtime $BENCHTIME) ==" >&2
-    go test -run '^$' -bench . -benchmem -benchtime "$BENCHTIME" "$pkg" | tee -a "$tmp" >&2
-done
-
-go run ./cmd/benchfmt <"$tmp" >"$BENCH_OUT"
-echo "wrote $BENCH_OUT" >&2
-
 dptmp=$(mktemp)
-trap 'rm -f "$tmp" "$dptmp"' EXIT
+trap 'rm -f "$dptmp"' EXIT
 
 echo "== go test -bench Dataplane ./internal/compress (benchtime $BENCHTIME) ==" >&2
 go test -run '^$' -bench 'Dataplane' -benchmem -benchtime "$BENCHTIME" ./internal/compress |
@@ -113,7 +99,7 @@ go run ./cmd/benchfmt <"$dptmp" >"$BENCH_DATAPLANE_OUT"
 echo "wrote $BENCH_DATAPLANE_OUT" >&2
 
 trtmp=$(mktemp)
-trap 'rm -f "$tmp" "$dptmp" "$trtmp"' EXIT
+trap 'rm -f "$dptmp" "$trtmp"' EXIT
 
 echo "== go test -bench Trace ./internal/trace (benchtime $BENCHTIME) ==" >&2
 go test -run '^$' -bench 'BenchmarkTrace' -benchmem -benchtime "$BENCHTIME" ./internal/trace |
@@ -123,7 +109,7 @@ go run ./cmd/benchfmt <"$trtmp" >"$BENCH_TRACE_OUT"
 echo "wrote $BENCH_TRACE_OUT" >&2
 
 ovtmp=$(mktemp)
-trap 'rm -f "$tmp" "$dptmp" "$trtmp" "$ovtmp"' EXIT
+trap 'rm -f "$dptmp" "$trtmp" "$ovtmp"' EXIT
 
 echo "== go test -bench OverlapStep ./internal/core (benchtime $BENCHTIME) ==" >&2
 go test -run '^$' -bench 'OverlapStep' -benchmem -benchtime "$BENCHTIME" ./internal/core |
@@ -133,7 +119,7 @@ go run ./cmd/benchfmt <"$ovtmp" >"$BENCH_OVERLAP_OUT"
 echo "wrote $BENCH_OVERLAP_OUT" >&2
 
 pltmp=$(mktemp)
-trap 'rm -f "$tmp" "$dptmp" "$trtmp" "$ovtmp" "$pltmp"' EXIT
+trap 'rm -f "$dptmp" "$trtmp" "$ovtmp" "$pltmp"' EXIT
 
 echo "== go test -bench PoolFull ./internal/storaged (benchtime $BENCHTIME) ==" >&2
 go test -run '^$' -bench 'PoolFull' -benchmem -benchtime "$BENCHTIME" ./internal/storaged |

@@ -14,10 +14,10 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "== go vet =="
+echo "== go vet (copylocks: locks passed, received or returned by value) =="
 go vet ./...
 
-echo "== lowdifflint (determinism, checkederr, floateq, mutexcopy, lockbalance, hotalloc, wgmisuse, sendblock) =="
+echo "== lowdifflint (determinism, checkederr, floateq, lockbalance, hotalloc, wgmisuse, sendblock) =="
 go run ./cmd/lowdifflint ./...
 
 echo "== go test -race (core, storage, storaged, recovery, obs, trace, data plane, optimizer kernels, peer comm, cluster sim) =="

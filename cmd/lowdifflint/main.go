@@ -1,7 +1,10 @@
 // Command lowdifflint runs the repository's custom static-analysis passes
-// — determinism, checkederr, floateq, lockbalance, hotalloc, wgmisuse,
-// sendblock — over the given package patterns and exits 1 on any finding.
-// Locks copied by value are left to go vet's copylocks.
+// — determinism, checkederr, floateq, lockbalance, hotalloc — over the given
+// package patterns and exits 1 on any finding. Locks copied by value are left
+// to go vet's copylocks. hotalloc reads the escape analysis of
+// `go build -gcflags=-m=2`, so the go command must be on PATH: if it is
+// missing or the build fails, lowdifflint prints the compiler's output and
+// exits 2.
 //
 //	lowdifflint ./...
 //	lowdifflint ./internal/sim ./internal/cluster/...
@@ -49,7 +52,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	diags := lint.Run(pkgs, lint.DefaultAnalyzers(), lint.DefaultConfig())
+	diags, err := lint.Run(pkgs, lint.DefaultAnalyzers(), lint.DefaultConfig())
+	if err != nil {
+		fatal(err)
+	}
 	if *asJSON {
 		if diags == nil {
 			diags = []lint.Diagnostic{}

@@ -158,6 +158,7 @@ func (c *Compressed) AddIntoWith(pool *parallel.Pool, dense tensor.Vector) error
 	}
 	switch {
 	case len(c.Q) > 0:
+		//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 		pool.ForEach(len(c.Q), func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				dense[i] += float32(int8(c.Q[i])) * c.Scale
@@ -166,6 +167,7 @@ func (c *Compressed) AddIntoWith(pool *parallel.Pool, dense tensor.Vector) error
 	case c.Idx != nil:
 		es := getErrs(pool.NumChunks(len(c.Idx)))
 		errs := es.v
+		//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 		pool.ForEach(len(c.Idx), func(s, lo, hi int) {
 			prev := int32(-1)
 			if lo > 0 {
@@ -191,6 +193,7 @@ func (c *Compressed) AddIntoWith(pool *parallel.Pool, dense tensor.Vector) error
 		}
 		es.release()
 	default:
+		//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 		pool.ForEach(len(c.Vals), func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				dense[i] += c.Vals[i]
@@ -295,6 +298,7 @@ func (t *TopK) Compress(grad tensor.Vector) (*Compressed, error) {
 	k := ceilK(n, t.R)
 	idx := t.selectIndices(grad, k)
 	vals := make([]float32, len(idx))
+	//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 	t.Pool.ForEach(len(idx), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			vals[i] = grad[idx[i]]
@@ -323,6 +327,7 @@ func (t *TopK) selectIndices(grad tensor.Vector, k int) []int32 {
 	cand := scratch.v
 	cs := getInts(chunks)
 	counts := cs.v
+	//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 	pool.ForEach(n, func(s, lo, hi int) {
 		kk := k
 		if kk > hi-lo {
@@ -522,6 +527,7 @@ func (r *RandK) Compress(grad tensor.Vector) (*Compressed, error) {
 	k := ceilK(n, r.R)
 	scratch := getI32(n)
 	perm := scratch.v
+	//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 	r.Pool.ForEach(n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			perm[i] = int32(i)
@@ -536,6 +542,7 @@ func (r *RandK) Compress(grad tensor.Vector) (*Compressed, error) {
 	scratch.release()
 	sortI32(idx)
 	vals := make([]float32, k)
+	//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 	r.Pool.ForEach(k, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			vals[i] = grad[idx[i]]
@@ -566,6 +573,7 @@ func (q8 Int8) Compress(grad tensor.Vector) (*Compressed, error) {
 		// insensitive to grouping, so this is exactly grad.AbsMax().
 		ms := getF32(pool.NumChunks(n))
 		maxes := ms.v
+		//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 		pool.ForEach(n, func(s, lo, hi int) {
 			maxes[s] = grad[lo:hi].AbsMax()
 		})
@@ -583,6 +591,7 @@ func (q8 Int8) Compress(grad tensor.Vector) (*Compressed, error) {
 	}
 	scale := mx / 127
 	inv := 1 / scale
+	//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 	pool.ForEach(n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			x := grad[i] * inv
@@ -714,6 +723,7 @@ func MergeWith(pool *parallel.Pool, parts ...*Compressed) (*Compressed, error) {
 	vs := getF32(chunks * segCap)
 	ls := getInts(chunks)
 	segIdx, segVals, lens := is.v, vs.v, ls.v
+	//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 	pool.ForEach(n, func(s, lo, hi int) {
 		seg := s * segCap
 		i, _ := kwayMergeRange(parts, int32(lo), int32(hi),
@@ -740,7 +750,8 @@ func MergeWith(pool *parallel.Pool, parts ...*Compressed) (*Compressed, error) {
 // kwayMergeRange appends the union-sum of the parts restricted to dense
 // indices [lo, hi) onto idx/vals. Parts must be sparse with strictly
 // increasing indices. For each output index the contributions are added in
-// part order, matching the serial single-pass reference bit for bit.
+// part order, matching the serial single-pass reference bit for bit. Callers
+// pass destinations pre-sized to the union bound, so the appends never grow.
 func kwayMergeRange(parts []*Compressed, lo, hi int32, idx []int32, vals []float32) ([]int32, []float32) {
 	ps := getInts(len(parts))
 	defer ps.release()
@@ -765,7 +776,7 @@ func kwayMergeRange(parts []*Compressed, lo, hi int32, idx []int32, vals []float
 				pos[pi]++
 			}
 		}
-		idx = append(idx, best)  //lint:allow hotalloc callers pass pre-sized buffers; this append never grows
-		vals = append(vals, sum) //lint:allow hotalloc callers pass pre-sized buffers; this append never grows
+		idx = append(idx, best)
+		vals = append(vals, sum)
 	}
 }

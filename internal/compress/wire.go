@@ -63,7 +63,8 @@ func ReadVector[T int32 | float32 | byte](r io.Reader, n uint64, pool *parallel.
 	for have := uint64(0); have < n; {
 		k := min(n-have, readSlice/size)
 		if have+k > uint64(len(out)) {
-			//lint:allow hotalloc the decoded vector is the fresh result; doubling past wholeBytes keeps what a corrupt length allocates proportional to the actual stream
+			// Doubling past wholeBytes keeps what a corrupt length allocates
+			// proportional to the actual stream.
 			grown := make([]T, min(n, 2*have))
 			copy(grown, out)
 			out = grown
@@ -97,6 +98,7 @@ func ReadVector[T int32 | float32 | byte](r io.Reader, n uint64, pool *parallel.
 //
 //go:noinline
 func i32sFromLE(dst []int32, src []byte, pool *parallel.Pool) {
+	//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 	pool.ForEach(len(dst), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
@@ -106,6 +108,7 @@ func i32sFromLE(dst []int32, src []byte, pool *parallel.Pool) {
 
 //go:noinline
 func f32sFromLE(dst []float32, src []byte, pool *parallel.Pool) {
+	//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 	pool.ForEach(len(dst), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
@@ -149,6 +152,7 @@ func (c *Compressed) EncodeWith(w io.Writer, pool *parallel.Pool) error {
 	if len(c.Idx) > 0 {
 		scratch := getBytes(4 * len(c.Idx))
 		buf := scratch.b
+		//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 		pool.ForEach(len(c.Idx), func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				binary.LittleEndian.PutUint32(buf[4*i:], uint32(c.Idx[i]))
@@ -163,6 +167,7 @@ func (c *Compressed) EncodeWith(w io.Writer, pool *parallel.Pool) error {
 	if len(c.Vals) > 0 {
 		scratch := getBytes(4 * len(c.Vals))
 		buf := scratch.b
+		//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 		pool.ForEach(len(c.Vals), func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(c.Vals[i]))
@@ -192,6 +197,7 @@ func Decode(r io.Reader) (*Compressed, error) {
 // result's slices are freshly allocated (never pooled): a decoded gradient
 // may outlive the call arbitrarily.
 func DecodeWith(r io.Reader, pool *parallel.Pool) (*Compressed, error) {
+	//lint:allow hotalloc 7 header bytes per decoded gradient, not per element; they escape through io.ReadFull's reader
 	var fixed [7]byte // magic + version + name length
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {
 		return nil, fmt.Errorf("compress: decode header: %w", err)

@@ -785,6 +785,7 @@ func applyCompressed(o optim.Optimizer, params tensor.Vector, c *compress.Compre
 		return o.StepSparse(params, c.Idx, c.Vals)
 	}
 	if len(c.Q) > 0 {
+		//lint:allow hotalloc int8 payloads only: the dense step needs a dequantized gradient; Top-K and random-K take the fused sparse step
 		dense := tensor.New(c.N)
 		if err := c.DecompressWith(pool, dense); err != nil {
 			return err

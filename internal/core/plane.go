@@ -190,6 +190,17 @@ func (s *chainSink) add(rc *runCtx, iter int64, g *compress.Compressed) {
 	if s.broken {
 		return
 	}
+	if iter == 1 {
+		// The chain's first differential applies to the iteration-0 base.
+		// PP and Peer persist it inline; DP hands it off so that it overlaps
+		// the first iterations, and its chain waits here. Either way no
+		// differential is written before its base has landed.
+		e.fulls.await(0)
+		if err := e.fulls.takeErr(); err != nil {
+			s.fail(rc, iter, err)
+			return
+		}
+	}
 	if s.suspended {
 		// Only the first gradient after a freshly persisted full base can
 		// restart the differential chain; everything else is dropped (and

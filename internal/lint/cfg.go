@@ -372,26 +372,3 @@ func (b *cfgBuilder) branch(s *ast.BranchStmt) {
 		b.cur = nil
 	}
 }
-
-// backEdges returns the set of back edges (src,dst index pairs) found by a
-// DFS from Entry. Analyses that need loop-free reachability (for example
-// wgmisuse's Add-after-Wait check) exclude these.
-func (g *CFG) backEdges() map[[2]int]bool {
-	back := map[[2]int]bool{}
-	state := make([]int, len(g.Blocks)) // 0 unvisited, 1 on stack, 2 done
-	var dfs func(b *Block)
-	dfs = func(b *Block) {
-		state[b.Index] = 1
-		for _, s := range b.Succs {
-			switch state[s.Index] {
-			case 0:
-				dfs(s)
-			case 1:
-				back[[2]int{b.Index, s.Index}] = true
-			}
-		}
-		state[b.Index] = 2
-	}
-	dfs(g.Entry)
-	return back
-}

@@ -30,7 +30,7 @@ var CheckedErrAnalyzer = &Analyzer{
 	Run: runCheckedErr,
 }
 
-func runCheckedErr(pass *Pass) {
+func runCheckedErr(pass *Pass) error {
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -61,6 +61,7 @@ func runCheckedErr(pass *Pass) {
 			return true
 		})
 	}
+	return nil
 }
 
 // watchedErrFunc reports whether name is on the persistence-critical

@@ -6,8 +6,7 @@ package lint
 // set of distinct states that reach it along some path, and the transfer
 // function advances one state across one node. Joins are set unions, so
 // the solver is path-sensitive up to state dedup — exactly what
-// lockbalance and sendblock need ("held on SOME path", "no receive on
-// SOME path") without a meet operator per client.
+// lockbalance needs ("held on SOME path") without a meet operator.
 //
 // Termination: states are canonicalized to strings and deduplicated; the
 // solver aborts (ok=false) if any block's state set exceeds maxStates or

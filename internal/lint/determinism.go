@@ -28,9 +28,9 @@ var seededRandFuncs = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true,
 }
 
-func runDeterminism(pass *Pass) {
+func runDeterminism(pass *Pass) error {
 	if !pass.Config.deterministic(pass.Pkg.Path) {
-		return
+		return nil
 	}
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
@@ -79,4 +79,5 @@ func runDeterminism(pass *Pass) {
 			return true
 		})
 	}
+	return nil
 }

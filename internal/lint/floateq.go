@@ -27,7 +27,7 @@ var FloatEqAnalyzer = &Analyzer{
 	Run: runFloatEq,
 }
 
-func runFloatEq(pass *Pass) {
+func runFloatEq(pass *Pass) error {
 	allowed := make(map[string]bool, len(pass.Config.FloatEqAllowFuncs))
 	for _, fn := range pass.Config.FloatEqAllowFuncs {
 		allowed[fn] = true
@@ -47,6 +47,7 @@ func runFloatEq(pass *Pass) {
 			}
 		}
 	}
+	return nil
 }
 
 func checkFloatEq(pass *Pass, root ast.Node) {

@@ -18,22 +18,23 @@
 //   - lockbalance: no Lock without a paired Unlock on some control-flow
 //     path. (Locks copied by value — receivers, parameters, returns — are
 //     go vet's copylocks, which check.sh and CI run.)
-//   - hotalloc, wgmisuse, sendblock: no heap allocation on the configured
-//     hot paths, no WaitGroup protocol violations, no goroutine leaked
-//     on an unbuffered send.
+//   - hotalloc: no heap allocation on the configured hot paths, as the Go
+//     compiler's escape analysis reports it.
 //
 // Findings can be suppressed per line with a directive comment:
 //
 //	//lint:allow <rule>[,<rule>...] <reason>
 //
 // placed on the offending line or the line directly above it. The reason
-// is mandatory; a bare directive is itself reported (rule "lintdirective").
+// is mandatory; a bare directive, and one that suppresses no finding, is
+// itself reported (rule "lintdirective").
 package lint
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -58,7 +59,7 @@ func (d Diagnostic) String() string {
 type Analyzer struct {
 	Name string // rule name used in diagnostics and //lint:allow directives
 	Doc  string
-	Run  func(*Pass)
+	Run  func(*Pass) error
 }
 
 // Pass hands an analyzer one package plus the reporting sink.
@@ -196,8 +197,6 @@ func DefaultAnalyzers() []*Analyzer {
 		FloatEqAnalyzer,
 		LockBalanceAnalyzer,
 		HotAllocAnalyzer,
-		WgMisuseAnalyzer,
-		SendBlockAnalyzer,
 	}
 }
 
@@ -212,7 +211,9 @@ func (c *Config) deterministic(pkgPath string) bool {
 
 // Run executes the analyzers over the packages, applies //lint:allow
 // suppressions, and returns the surviving diagnostics sorted by position.
-func Run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Diagnostic {
+// An analyzer that cannot run (hotalloc without a working compiler) is an
+// error, never an empty finding set.
+func Run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Diagnostic, error) {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		known[a.Name] = true
@@ -228,8 +229,11 @@ func Run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Diagnostic {
 					diags = append(diags, d)
 				}
 			}
-			a.Run(pass)
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Path, err)
+			}
 		}
+		diags = append(diags, sup.stale()...)
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -244,15 +248,49 @@ func Run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Diagnostic {
 		}
 		return a.Rule < b.Rule
 	})
-	return diags
+	return diags, nil
 }
 
-// suppressions maps "file:line" to the set of rules allowed on that line.
-type suppressions map[string]map[string]bool
+// directive is one well-formed //lint:allow comment.
+type directive struct {
+	file      string
+	line, col int
+	rules     []string
+	used      map[string]bool // rules that suppressed at least one finding
+}
 
-func (s suppressions) allows(d Diagnostic) bool {
-	rules, ok := s[d.File+":"+strconv.Itoa(d.Line)]
-	return ok && rules[d.Rule]
+// suppressions indexes a package's directives by the "file:line" keys they
+// cover.
+type suppressions struct {
+	dirs   []*directive
+	byLine map[string][]*directive
+}
+
+func (s *suppressions) allows(d Diagnostic) bool {
+	for _, dir := range s.byLine[d.File+":"+strconv.Itoa(d.Line)] {
+		if slices.Contains(dir.rules, d.Rule) {
+			dir.used[d.Rule] = true
+			return true
+		}
+	}
+	return false
+}
+
+// stale reports every directive rule that suppressed no finding, so a
+// suppression cannot outlive the finding it was written for.
+func (s *suppressions) stale() []Diagnostic {
+	var diags []Diagnostic
+	for _, dir := range s.dirs {
+		for _, r := range dir.rules {
+			if !dir.used[r] {
+				diags = append(diags, Diagnostic{
+					File: dir.file, Line: dir.line, Col: dir.col, Rule: "lintdirective",
+					Message: fmt.Sprintf("lint:allow %s suppresses no finding; delete it", r),
+				})
+			}
+		}
+	}
+	return diags
 }
 
 const allowDirective = "lint:allow"
@@ -269,8 +307,8 @@ const allowDirective = "lint:allow"
 // so one directive can never blanket a whole block body. Malformed
 // directives — no rules, an unknown rule, or a missing reason — are
 // reported as diagnostics so suppressions stay auditable.
-func collectSuppressions(pkg *Package, known map[string]bool) (suppressions, []Diagnostic) {
-	sup := make(suppressions)
+func collectSuppressions(pkg *Package, known map[string]bool) (*suppressions, []Diagnostic) {
+	sup := &suppressions{byLine: map[string][]*directive{}}
 	var diags []Diagnostic
 	for _, f := range pkg.Files {
 		spans := simpleStmtSpans(pkg, f)
@@ -308,6 +346,8 @@ func collectSuppressions(pkg *Package, known map[string]bool) (suppressions, []D
 				if !valid {
 					continue
 				}
+				dir := &directive{file: file, line: line, col: col, rules: rules, used: map[string]bool{}}
+				sup.dirs = append(sup.dirs, dir)
 				endFile, endLine, _ := pkg.Position(c.End())
 				lines := map[int]bool{endLine: true, endLine + 1: true}
 				// Extend over multi-line simple statements anchored at
@@ -321,14 +361,7 @@ func collectSuppressions(pkg *Package, known map[string]bool) (suppressions, []D
 				}
 				for l := range lines {
 					key := endFile + ":" + strconv.Itoa(l)
-					set := sup[key]
-					if set == nil {
-						set = make(map[string]bool)
-						sup[key] = set
-					}
-					for _, r := range rules {
-						set[r] = true
-					}
+					sup.byLine[key] = append(sup.byLine[key], dir)
 				}
 			}
 		}

@@ -1,8 +1,10 @@
 package lint
 
 import (
+	"errors"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -42,7 +44,10 @@ func loadFixtures(t *testing.T, patterns ...string) []*Package {
 // with -update to rewrite the goldens.
 func TestGoldenFixtures(t *testing.T) {
 	pkgs := loadFixtures(t, "./...")
-	diags := Run(pkgs, DefaultAnalyzers(), fixtureConfig())
+	diags, err := Run(pkgs, DefaultAnalyzers(), fixtureConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	byDir := make(map[string][]string)
 	for _, d := range diags {
@@ -106,7 +111,10 @@ func TestPatternSelection(t *testing.T) {
 	if len(pkgs) != 2 || pkgs[0].Path != "fixture/multi/a" || pkgs[1].Path != "fixture/multi/b" {
 		t.Fatalf("loaded %v, want [fixture/multi/a fixture/multi/b]", paths)
 	}
-	diags := Run(pkgs, DefaultAnalyzers(), fixtureConfig())
+	diags, err := Run(pkgs, DefaultAnalyzers(), fixtureConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(diags) != 2 {
 		t.Fatalf("got %d diagnostics, want 2 (one per multi package): %v", len(diags), diags)
 	}
@@ -144,8 +152,35 @@ func TestRepoIsLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(pkgs, DefaultAnalyzers(), DefaultConfig())
+	diags, err := Run(pkgs, DefaultAnalyzers(), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range diags {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestCompilerFailureIsLoud checks that hotalloc without a working compiler
+// fails the run with the compiler's output instead of reporting nothing.
+func TestCompilerFailureIsLoud(t *testing.T) {
+	pkgs := loadFixtures(t, "./hotalloc")
+	defer func(orig func(string, ...string) ([]byte, []byte, error)) { runGo = orig }(runGo)
+	for name, fail := range map[string]func(string, ...string) ([]byte, []byte, error){
+		"missing": func(string, ...string) ([]byte, []byte, error) {
+			return nil, nil, exec.ErrNotFound
+		},
+		"failing": func(string, ...string) ([]byte, []byte, error) {
+			return nil, []byte("hotalloc/hotalloc.go:1:1: compiler says no"), errors.New("exit status 1")
+		},
+	} {
+		runGo = fail
+		diags, err := Run(pkgs, DefaultAnalyzers(), fixtureConfig())
+		if err == nil {
+			t.Fatalf("%s compiler: no error, %d findings", name, len(diags))
+		}
+		if name == "failing" && !strings.Contains(err.Error(), "compiler says no") {
+			t.Errorf("failing compiler: error %q does not carry its output", err)
+		}
 	}
 }

@@ -1,16 +1,19 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -23,10 +26,10 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	root string // load root, for relative diagnostic paths
+	root string // module root, for relative diagnostic paths
 }
 
-// Position resolves pos to a load-root-relative file path, line, and column.
+// Position resolves pos to a module-root-relative file path, line, and column.
 func (p *Package) Position(pos token.Pos) (file string, line, col int) {
 	ps := p.Fset.Position(pos)
 	file = ps.Filename
@@ -36,261 +39,75 @@ func (p *Package) Position(pos token.Pos) (file string, line, col int) {
 	return file, ps.Line, ps.Column
 }
 
-// Load parses and type-checks the Go module containing dir and returns the
-// packages matched by patterns ("./...", "./sub/...", "./sub", "."),
-// resolved relative to dir. The whole module is type-checked so that
-// matched packages can import unmatched ones; only matched packages are
-// returned. Test files are not loaded: the invariants the analyzers
-// enforce guard production code paths, and tests legitimately use wall
-// clocks and drop errors.
-//
-// Standard-library imports are type-checked from $GOROOT source via the
-// stdlib "source" importer; module-local imports resolve to the packages
-// loaded here, type-checked in dependency order.
+// runGo runs the go command in dir. Tests replace it to stand in for a
+// missing or failing toolchain.
+var runGo = func(dir string, args ...string) (stdout, stderr []byte, err error) {
+	var o, e bytes.Buffer
+	cmd := exec.Command("go", args...)
+	cmd.Dir, cmd.Stdout, cmd.Stderr = dir, &o, &e
+	err = cmd.Run()
+	return o.Bytes(), e.Bytes(), err
+}
+
+// Load returns the packages of the module containing dir that the go-style
+// patterns ("./...", "./sub/...", "./sub", ".") match, resolved relative to
+// dir. `go list -deps -export` resolves the patterns and compiles every
+// dependency; each matched package's non-test sources are then parsed and
+// type-checked against that export data. Test files are not loaded: the
+// invariants the analyzers enforce guard production code paths, and tests
+// legitimately use wall clocks and drop errors.
 func Load(dir string, patterns []string) ([]*Package, error) {
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
-	root, modPath, err := findModule(dir)
+	out, stderr, err := runGo(dir, append([]string{"list", "-deps", "-export", "-json"}, patterns...)...)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lint: go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr)
 	}
 	fset := token.NewFileSet()
-	raw, err := parseModule(fset, root, modPath)
-	if err != nil {
-		return nil, err
-	}
-	if err := typeCheck(fset, raw); err != nil {
-		return nil, err
-	}
-	match, err := compileMatcher(dir, root, patterns)
-	if err != nil {
-		return nil, err
-	}
-	var out []*Package
-	for _, p := range raw {
-		if match(p.Dir) {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	if len(out) == 0 {
-		return nil, fmt.Errorf("lint: no packages match %v under %s", patterns, dir)
-	}
-	return out, nil
-}
-
-// findModule walks up from dir to the enclosing go.mod and returns the
-// module root and module path.
-func findModule(dir string) (root, modPath string, err error) {
-	for d := dir; ; {
-		data, err := os.ReadFile(filepath.Join(d, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module"); ok {
-					mp := strings.TrimSpace(rest)
-					if unq, err := strconv.Unquote(mp); err == nil {
-						mp = unq
-					}
-					if mp != "" {
-						return d, mp, nil
-					}
-				}
-			}
-			return "", "", fmt.Errorf("lint: %s/go.mod has no module directive", d)
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return "", "", fmt.Errorf("lint: no go.mod found above %s", dir)
-		}
-		d = parent
-	}
-}
-
-// parseModule walks the module tree and parses every package's non-test
-// sources. Directories named testdata or vendor, hidden/underscore
-// directories, and nested modules are skipped, mirroring the go tool.
-func parseModule(fset *token.FileSet, root, modPath string) ([]*Package, error) {
+	exports := map[string]string{}
 	var pkgs []*Package
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var lp struct {
+			ImportPath, Dir, Export string
+			GoFiles                 []string
+			DepOnly                 bool
+			Module                  *struct{ Dir string }
 		}
-		if !d.IsDir() {
-			return nil
+		if err := dec.Decode(&lp); err != nil {
+			return nil, fmt.Errorf("lint: go list output: %w", err)
 		}
-		name := d.Name()
-		if path != root {
-			if name == "testdata" || name == "vendor" ||
-				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-				return filepath.SkipDir
-			}
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
-				return filepath.SkipDir // nested module
-			}
-		}
-		pkg, err := parseDir(fset, root, modPath, path)
-		if err != nil {
-			return err
-		}
-		if pkg != nil {
-			pkgs = append(pkgs, pkg)
-		}
-		return nil
-	})
-	return pkgs, err
-}
-
-// parseDir parses one directory's non-test Go files; nil if it holds none.
-func parseDir(fset *token.FileSet, root, modPath, dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+		exports[lp.ImportPath] = lp.Export
+		if lp.DepOnly || lp.Module == nil || len(lp.GoFiles) == 0 {
 			continue
 		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, nil
-	}
-	path := modPath
-	if dir != root {
-		rel, err := filepath.Rel(root, dir)
-		if err != nil {
-			return nil, err
-		}
-		path = modPath + "/" + filepath.ToSlash(rel)
-	}
-	return &Package{Path: path, Dir: dir, Fset: fset, Files: files, root: root}, nil
-}
-
-// moduleImporter resolves module-local imports from the packages loaded
-// here and everything else (the standard library) from $GOROOT source.
-type moduleImporter struct {
-	std   types.Importer
-	local map[string]*types.Package
-}
-
-func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	if p, ok := m.local[path]; ok {
-		if p == nil {
-			return nil, fmt.Errorf("lint: import cycle through %q", path)
-		}
-		return p, nil
-	}
-	return m.std.Import(path)
-}
-
-// typeCheck type-checks all packages in module dependency order, filling
-// each Package's Types and Info.
-func typeCheck(fset *token.FileSet, pkgs []*Package) error {
-	byPath := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.Path] = p
-	}
-	imp := &moduleImporter{
-		std:   importer.ForCompiler(fset, "source", nil),
-		local: make(map[string]*types.Package, len(pkgs)),
-	}
-	conf := types.Config{Importer: imp}
-
-	var check func(p *Package) error
-	checking := make(map[string]bool)
-	check = func(p *Package) error {
-		if p.Types != nil {
-			return nil
-		}
-		if checking[p.Path] {
-			return fmt.Errorf("lint: import cycle through %q", p.Path)
-		}
-		checking[p.Path] = true
-		defer delete(checking, p.Path)
-		for _, f := range p.Files {
-			for _, spec := range f.Imports {
-				ipath, err := strconv.Unquote(spec.Path.Value)
-				if err != nil {
-					continue
-				}
-				if dep, ok := byPath[ipath]; ok {
-					if err := check(dep); err != nil {
-						return err
-					}
-				}
+		p := &Package{Path: lp.ImportPath, Dir: lp.Dir, Fset: fset, root: lp.Module.Dir}
+		for _, name := range lp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
 			}
+			p.Files = append(p.Files, f)
 		}
+		pkgs = append(pkgs, p)
+	}
+	if len(pkgs) == 0 {
+		return nil, fmt.Errorf("lint: no packages match %v under %s", patterns, dir)
+	}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})}
+	for _, p := range pkgs {
 		p.Info = &types.Info{
 			Types:      make(map[ast.Expr]types.TypeAndValue),
 			Defs:       make(map[*ast.Ident]types.Object),
 			Uses:       make(map[*ast.Ident]types.Object),
 			Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		}
-		tp, err := conf.Check(p.Path, fset, p.Files, p.Info)
-		if err != nil {
-			return fmt.Errorf("lint: type-check %s: %w", p.Path, err)
-		}
-		p.Types = tp
-		imp.local[p.Path] = tp
-		return nil
-	}
-	for _, p := range pkgs {
-		if err := check(p); err != nil {
-			return err
+		if p.Types, err = conf.Check(p.Path, fset, p.Files, p.Info); err != nil {
+			return nil, fmt.Errorf("lint: type-check %s: %w", p.Path, err)
 		}
 	}
-	return nil
-}
-
-// compileMatcher turns go-style package patterns into a directory matcher.
-func compileMatcher(cwd, root string, patterns []string) (func(dir string) bool, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	type pat struct {
-		dir       string
-		recursive bool
-	}
-	var pats []pat
-	for _, raw := range patterns {
-		p := raw
-		recursive := false
-		if p == "..." {
-			p, recursive = ".", true
-		} else if rest, ok := strings.CutSuffix(p, "/..."); ok {
-			p, recursive = rest, true
-		}
-		if p == "" {
-			p = "."
-		}
-		abs := p
-		if !filepath.IsAbs(abs) {
-			abs = filepath.Join(cwd, p)
-		}
-		abs = filepath.Clean(abs)
-		if rel, err := filepath.Rel(root, abs); err != nil || strings.HasPrefix(rel, "..") {
-			return nil, fmt.Errorf("lint: pattern %q resolves outside module root %s", raw, root)
-		}
-		pats = append(pats, pat{dir: abs, recursive: recursive})
-	}
-	return func(dir string) bool {
-		for _, p := range pats {
-			if dir == p.dir {
-				return true
-			}
-			if p.recursive && strings.HasPrefix(dir, p.dir+string(filepath.Separator)) {
-				return true
-			}
-		}
-		return false
-	}, nil
+	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
+	return pkgs, nil
 }

@@ -67,7 +67,7 @@ func (s lockState) canon() string {
 	return b.String()
 }
 
-func runLockBalance(pass *Pass) {
+func runLockBalance(pass *Pass) error {
 	for _, file := range pass.Pkg.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -85,6 +85,7 @@ func runLockBalance(pass *Pass) {
 			})
 		}
 	}
+	return nil
 }
 
 // syncLockCall decodes a call as a sync lock or unlock operation.

@@ -1,8 +1,9 @@
 // Package lockbalance is a lint fixture for path-sensitive Lock/Unlock
-// pairing: leaks that exist on only one control-flow path, double
-// write-locks, and the balanced shapes — deferred release before an early
-// return, per-branch release, defer inside a per-iteration literal — that
-// a whole-body check cannot tell apart.
+// pairing: plain leaks of write and read locks, leaks that exist on only
+// one control-flow path, double write-locks, and the balanced shapes —
+// deferred release before an early return, per-branch release, defer
+// inside a per-iteration literal — that a whole-body check cannot tell
+// apart. (Locks copied by value are go vet's copylocks.)
 package lockbalance
 
 import "sync"
@@ -12,6 +13,25 @@ type Counter struct {
 	mu sync.Mutex
 	rw sync.RWMutex
 	n  int
+}
+
+// Leak locks without ever unlocking (violation).
+func (c *Counter) Leak() {
+	c.mu.Lock()
+	c.n++
+}
+
+// ReadLeak never releases the read lock (violation).
+func (c *Counter) ReadLeak() int {
+	c.rw.RLock()
+	return c.n
+}
+
+// ReadBalanced pairs RLock with a deferred RUnlock (allowed).
+func (c *Counter) ReadBalanced() int {
+	c.rw.RLock()
+	defer c.rw.RUnlock()
+	return c.n
 }
 
 // LeakOnOnePath unlocks on the fall-through path but not before the early

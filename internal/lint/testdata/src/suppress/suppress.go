@@ -1,6 +1,7 @@
 // Package suppress is a lint fixture for //lint:allow directives: trailing
-// and leading placement, multi-rule directives, and the malformed shapes
-// that are themselves reported and suppress nothing.
+// and leading placement, multi-rule directives, the malformed shapes that
+// are themselves reported and suppress nothing, and stale directives that
+// suppress nothing and are reported too.
 package suppress
 
 import "io"
@@ -17,7 +18,7 @@ func LeadingAllow(w io.WriteCloser) {
 }
 
 // WrongRule names a rule that did not fire here, so the floateq finding
-// survives (violation).
+// survives and the directive is stale (two findings).
 func WrongRule(a, b float64) bool {
 	return a != b //lint:allow checkederr fixture: names the wrong rule
 }
@@ -53,11 +54,19 @@ func MultiLineStatement(a, b float64) []bool {
 
 // MultiLineFuncLit does NOT extend into a statement containing a function
 // literal — the body is a different scope and would make the directive a
-// blanket waiver — so the finding inside survives (violation).
+// blanket waiver — so the finding inside survives and the directive is
+// stale (two findings).
 func MultiLineFuncLit(a, b float64) func() bool {
 	//lint:allow floateq fixture: must not leak into the literal body
 	cmp := func() bool {
 		return a == b
 	}
 	return cmp
+}
+
+// StaleAllow waives a rule on a line where it finds nothing: integers
+// compare exactly. The directive outlived its finding and is reported
+// (one finding).
+func StaleAllow(a, b int) bool {
+	return a == b //lint:allow floateq fixture: nothing here for floateq to find
 }

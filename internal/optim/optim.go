@@ -214,6 +214,7 @@ func (a *Adam) advance(pool *parallel.Pool, params, grad tensor.Vector) {
 		adamRange(params, a.m, a.v, grad, k)
 		return
 	}
+	//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 	pool.ForEach(len(params), func(_, lo, hi int) {
 		adamRange(params[lo:hi], a.m[lo:hi], a.v[lo:hi], grad[lo:hi], k)
 	})
@@ -397,6 +398,7 @@ func (s *SGD) advance(pool *parallel.Pool, params, grad tensor.Vector) {
 		sgdRange(params, s.buf, grad, lr, mu)
 		return
 	}
+	//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 	pool.ForEach(len(params), func(_, lo, hi int) {
 		var buf []float32
 		if s.buf != nil {

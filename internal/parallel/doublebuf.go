@@ -57,6 +57,7 @@ func (d *DoubleBuf) CopyFrom(p *Pool, src []float32) []float32 {
 		panic("parallel: CopyFrom source length mismatch")
 	}
 	buf := d.Acquire()
+	//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 	p.ForEach(len(src), func(_, lo, hi int) {
 		copy(buf[lo:hi], src[lo:hi])
 	})

@@ -142,8 +142,11 @@ func (p *Pool) ForEach(n int, fn func(shard, lo, hi int)) {
 		return
 	}
 	p.Dispatches.Inc()
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	//lint:allow hotalloc one shard cursor and one WaitGroup per dispatch, shared with the workers
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		//lint:allow hotalloc one bounded worker spawn per dispatch, amortized over the whole shard sweep

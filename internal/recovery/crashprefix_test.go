@@ -49,10 +49,11 @@ func recording(s storage.Store) (storage.Store, func() []stored) {
 	}
 }
 
-// A crash at any point of a run leaves a store that recovers: every prefix of
-// the object-level operation log of a DP run — its fulls persisting past
-// Run's return, retention GC deleting a full and then its differentials, the
-// Flush at the end — replayed into a fresh store, recovers through
+// A crash at any point of a run leaves a store that recovers: the iteration-0
+// base is durable before anything else, and every prefix of the object-level
+// operation log of a DP run — its fulls persisting past Run's return,
+// retention GC deleting a full and then its differentials, the Flush at the
+// end — replayed into a fresh store, recovers through
 // LatestValid to a state no older than the newest full acknowledged in that
 // prefix and bit-identical to the live run's state at that iteration.
 func TestEveryCrashPrefixRecovers(t *testing.T) {
@@ -95,6 +96,9 @@ func TestEveryCrashPrefixRecovers(t *testing.T) {
 	assertSameState(t, "the recorded run against its twin", &State{Iter: e.Iter(), Params: e.Params(), Opt: e.OptState()}, live[20])
 
 	log := logged()
+	if c, err := checkpoint.ParseName(log[0].name); err != nil || !c.IsFull || c.Iter != 0 {
+		t.Fatalf("first durable object is %s, not the iteration-0 full: differentials could land with no base", log[0].name)
+	}
 	deletes := 0
 	for k := 1; k <= len(log); k++ {
 		mem := storage.NewMem()
@@ -117,15 +121,6 @@ func TestEveryCrashPrefixRecovers(t *testing.T) {
 			deletes++
 		}
 		st, _, err := LatestValid(mem, ValidateOptions{})
-		if newestFull < 0 {
-			// The iteration-0 base persists behind Run like every full, so
-			// the first differentials can land before it: nothing is
-			// recoverable yet, and recovery must say so.
-			if err == nil {
-				t.Fatalf("crash after operation %d: recovered iteration %d from a store without a full", k, st.Iter)
-			}
-			continue
-		}
 		if err != nil {
 			t.Fatalf("crash after operation %d of %d (%s): %v", k, len(log), log[k-1].name, err)
 		}

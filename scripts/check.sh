@@ -17,7 +17,7 @@ fi
 echo "== go vet (copylocks: locks passed, received or returned by value) =="
 go vet ./...
 
-echo "== lowdifflint (determinism, checkederr, floateq, lockbalance, hotalloc, wgmisuse, sendblock) =="
+echo "== lowdifflint (determinism, checkederr, floateq, lockbalance, hotalloc) =="
 go run ./cmd/lowdifflint ./...
 
 echo "== go test -race (core, storage, storaged, recovery, obs, trace, data plane, optimizer kernels, peer comm, cluster sim) =="

@@ -157,16 +157,23 @@ func DefaultConfig() *Config {
 			"lowdiff/internal/core.shiftToGlobal",
 			"lowdiff/internal/core.applyCompressed",
 			// The optimizer kernels run once per training step and once per
-			// replayed differential; the rest of optim (construction,
-			// snapshots, restore) is cold.
+			// replayed differential or run; the rest of optim
+			// (construction, snapshots, restore) is cold.
 			"lowdiff/internal/optim.Adam.StepWith",
 			"lowdiff/internal/optim.Adam.StepSparseWith",
+			"lowdiff/internal/optim.Adam.StepSparseRun",
+			"lowdiff/internal/optim.Adam.next",
 			"lowdiff/internal/optim.Adam.advance",
 			"lowdiff/internal/optim.SGD.StepWith",
 			"lowdiff/internal/optim.SGD.StepSparseWith",
+			"lowdiff/internal/optim.SGD.StepSparseRun",
 			"lowdiff/internal/optim.SGD.advance",
 			"lowdiff/internal/optim.adamRange",
+			"lowdiff/internal/optim.adamPacked",
+			"lowdiff/internal/optim.adamGo",
 			"lowdiff/internal/optim.sgdRange",
+			"lowdiff/internal/optim.tiled",
+			"lowdiff/internal/optim.checkRun",
 			"lowdiff/internal/optim.checkSparse",
 			"lowdiff/internal/optim.scatter",
 			"lowdiff/internal/optim.scratchPool.get",

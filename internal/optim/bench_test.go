@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"lowdiff/internal/parallel"
 	"lowdiff/internal/tensor"
 )
 
@@ -76,5 +77,81 @@ func BenchmarkAdamSnapshot(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = a.Snapshot()
+	}
+}
+
+// replayN is the parameter count of the recover_chain workload's model.
+const replayN = 1_169_955
+
+// BenchmarkAdamKernel is one pass of the Adam rule over replayN parameters:
+// the Go loop against adamRange, which is the packed kernel plus a Go tail on
+// amd64 and the Go loop elsewhere.
+func BenchmarkAdamKernel(b *testing.B) {
+	p, g := benchVecs(replayN)
+	m, v := tensor.New(replayN), tensor.New(replayN)
+	k := NewAdam(0, AdamConfig{}).next()
+	for _, kern := range []struct {
+		name string
+		f    func(p, m, v, g []float32, k adamCoef)
+	}{{"go", adamGo}, {"packed", adamRange}} {
+		b.Run(kern.name, func(b *testing.B) {
+			b.SetBytes(int64(replayN * 4))
+			for i := 0; i < b.N; i++ {
+				kern.f(p, m, v, g, k)
+			}
+		})
+	}
+}
+
+// BenchmarkSparseReplay replays the recover_chain chain's apply: 130 Top-K
+// steps at ρ = 0.01 over replayN Adam parameters, one StepSparseWith per step
+// against StepSparseRun over runs of 16 (the recovery load window), at 1 and
+// 2 workers.
+func BenchmarkSparseReplay(b *testing.B) {
+	const steps, window = 130, 16
+	r := tensor.NewRNG(3)
+	run := make([]Sparse, steps)
+	for s := range run {
+		for j := 0; j < replayN; j++ {
+			if r.Intn(100) == 0 {
+				run[s].Idx = append(run[s].Idx, int32(j))
+			}
+		}
+		run[s].Vals = randVec(r, len(run[s].Idx))
+	}
+	base, _ := benchVecs(replayN)
+	for _, workers := range []int{1, 2} {
+		pool, err := parallel.New(workers)
+		if err != nil {
+			b.Fatal(err)
+		}
+		modes := []struct {
+			name  string
+			apply func(a *Adam, params tensor.Vector, w []Sparse) error
+		}{
+			{"per-step", func(a *Adam, params tensor.Vector, w []Sparse) error {
+				for _, g := range w {
+					if err := a.StepSparseWith(pool, params, g.Idx, g.Vals); err != nil {
+						return err
+					}
+				}
+				return nil
+			}},
+			{"tiled", func(a *Adam, params tensor.Vector, w []Sparse) error { return a.StepSparseRun(pool, params, w) }},
+		}
+		for _, mode := range modes {
+			b.Run(fmt.Sprintf("%s/workers=%d", mode.name, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					a, params := NewAdam(replayN, AdamConfig{}), base.Clone()
+					b.StartTimer()
+					for lo := 0; lo < steps; lo += window {
+						if err := mode.apply(a, params, run[lo:min(lo+window, steps)]); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
+		}
 	}
 }

@@ -33,7 +33,7 @@ func sameState(t *testing.T, what string, got, want State) {
 		t.Fatalf("%s: step %d with %d slots, want %d with %d", what, got.Step, len(got.Slots), want.Step, len(want.Slots))
 	}
 	for _, k := range want.SlotNames() {
-		if !tensor.Vector(got.Slots[k]).Equal(want.Slots[k]) {
+		if !tensor.Vector(got.Slots[k]).Identical(want.Slots[k]) {
 			t.Fatalf("%s: slot %q differs", what, k)
 		}
 	}
@@ -73,7 +73,7 @@ func TestStepWithBitIdenticalAtAnyWorkerCount(t *testing.T) {
 					}
 				}
 			}
-			if !pGot.Equal(pRef) {
+			if !pGot.Identical(pRef) {
 				t.Fatalf("%s at %d workers: parameters differ from the serial step", rule.name, workers)
 			}
 			sameState(t, rule.name, got.Snapshot(), ref.Snapshot())
@@ -106,15 +106,110 @@ func TestRejectedSparseStepMutatesNothing(t *testing.T) {
 		if o.StepCount() != before.Step {
 			t.Fatalf("%s: rejected steps moved the step counter %d -> %d", rule.name, before.Step, o.StepCount())
 		}
-		if !params.Equal(pBefore) {
+		if !params.Identical(pBefore) {
 			t.Fatalf("%s: rejected steps changed the parameters", rule.name)
 		}
 		sameState(t, rule.name, o.Snapshot(), before)
 	}
 }
 
-// Pooled scratch is all-zero by invariant: after successful steps, and
-// after steps that failed, every buffer the pool holds is zero over its
+// sortedGrad is sparseGrad with its indices in increasing order, the shape
+// a run takes.
+func sortedGrad(r *tensor.RNG, n, k int) Sparse {
+	mask := make([]bool, n)
+	for _, j := range r.Perm(n)[:k] {
+		mask[j] = true
+	}
+	var g Sparse
+	for j, on := range mask {
+		if on {
+			g.Idx = append(g.Idx, int32(j))
+		}
+	}
+	g.Vals = randVec(r, k)
+	return g
+}
+
+// A time-tiled run is one StepSparseWith per gradient, bit for bit, at every
+// run length, worker count and chunk size, for every rule.
+func TestStepSparseRunMatchesPerStep(t *testing.T) {
+	const n = 5*97 + 13
+	for _, rule := range rules {
+		for _, length := range []int{1, 2, 8, 16} {
+			for _, workers := range []int{0, 1, 2, 7} {
+				var pool *parallel.Pool // nil: the serial call on the default grid
+				if workers > 0 {
+					var err error
+					if pool, err = parallel.NewWithChunk(workers, 97); err != nil {
+						t.Fatal(err)
+					}
+				}
+				r := tensor.NewRNG(uint64(23 + length))
+				ref, got := rule.mk(n), rule.mk(n)
+				pRef := randVec(r, n)
+				pGot := pRef.Clone()
+				run := make([]Sparse, length)
+				for i := range run {
+					run[i] = sortedGrad(r, n, 1+r.Intn(n/4))
+					if err := ref.StepSparse(pRef, run[i].Idx, run[i].Vals); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := got.StepSparseRun(pool, pGot, run); err != nil {
+					t.Fatal(err)
+				}
+				if !pGot.Identical(pRef) {
+					t.Fatalf("%s: run of %d at %d workers: parameters differ from per-step", rule.name, length, workers)
+				}
+				sameState(t, rule.name, got.Snapshot(), ref.Snapshot())
+			}
+		}
+	}
+}
+
+// A run with one bad gradient anywhere in it — out of range, out of order,
+// short of values — is rejected whole: no step of it is taken.
+func TestRejectedRunMutatesNothing(t *testing.T) {
+	const n = 300
+	bad := map[string]func(g *Sparse){
+		"out of range": func(g *Sparse) { g.Idx[len(g.Idx)-1] = n },
+		"out of order": func(g *Sparse) { g.Idx[0], g.Idx[1] = g.Idx[1], g.Idx[0] },
+		"duplicate":    func(g *Sparse) { g.Idx[1] = g.Idx[0] },
+		"short values": func(g *Sparse) { g.Vals = g.Vals[1:] },
+	}
+	pool, err := parallel.NewWithChunk(2, 97)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rule := range rules {
+		for name, damage := range bad {
+			for _, k := range []int{0, 3, 7} {
+				r := tensor.NewRNG(41)
+				o := rule.mk(n)
+				params := randVec(r, n)
+				if err := o.Step(params, randVec(r, n)); err != nil {
+					t.Fatal(err)
+				}
+				run := make([]Sparse, 8)
+				for i := range run {
+					run[i] = sortedGrad(r, n, 20)
+				}
+				damage(&run[k])
+				before, pBefore := o.Snapshot(), params.Clone()
+				if err := o.StepSparseRun(pool, params, run); err == nil {
+					t.Fatalf("%s: run with %s at step %d accepted", rule.name, name, k)
+				}
+				if !params.Identical(pBefore) {
+					t.Fatalf("%s: rejected run (%s at step %d) changed the parameters", rule.name, name, k)
+				}
+				sameState(t, rule.name+" "+name, o.Snapshot(), before)
+			}
+		}
+	}
+}
+
+// Pooled scratch is all-zero by invariant: after successful steps and runs,
+// and after steps that failed, every buffer the pool holds is zero over its
 // whole capacity, so get never has to clear one.
 func TestScratchPoolStaysZero(t *testing.T) {
 	const n = 256
@@ -131,6 +226,9 @@ func TestScratchPoolStaysZero(t *testing.T) {
 		}
 		if err := o.StepSparse(params, []int32{7, n + 3}, tensor.Vector{1, 2}); err == nil {
 			t.Fatal("out-of-range index accepted")
+		}
+		if err := o.StepSparseRun(nil, params, []Sparse{sortedGrad(r, n, 40), sortedGrad(r, n, 3)}); err != nil {
+			t.Fatal(err) // the tiled scratch is chunk-sized and comes from the same pool
 		}
 	}
 	densePool.mu.Lock()
@@ -180,7 +278,7 @@ func TestAdoptDetachMoveBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := moved.Detach()
-		if !pMoved.Equal(pCopied) {
+		if !pMoved.Identical(pCopied) {
 			t.Fatalf("%s: adopted optimizer stepped differently", rule.name)
 		}
 		sameState(t, rule.name, out, copied.Snapshot())

@@ -36,6 +36,13 @@ type Optimizer interface {
 	// idx (values vals). Must be exactly equivalent to a dense Step on the
 	// scattered gradient.
 	StepSparse(params tensor.Vector, idx []int32, vals tensor.Vector) error
+	// StepSparseRun applies run's gradients in order, bit-identical to one
+	// StepSparseWith per gradient, but time-tiled: on each chunk of pool's
+	// grid every step of the run is taken before the next chunk is touched,
+	// so the state streams through memory once per run instead of once per
+	// step. Each gradient's indices must be strictly increasing. Nothing is
+	// mutated unless every gradient of the run is valid.
+	StepSparseRun(pool *parallel.Pool, params tensor.Vector, run []Sparse) error
 	// StepWith and StepSparseWith are Step and StepSparse with the
 	// per-parameter loop sharded over pool's fixed chunk grid. The rules are
 	// elementwise, so the result is bit-identical at any worker count; a nil
@@ -198,18 +205,43 @@ func (a *Adam) StepSparseWith(pool *parallel.Pool, params tensor.Vector, idx []i
 	return nil
 }
 
-// advance takes one step with a dense gradient of checked length.
-func (a *Adam) advance(pool *parallel.Pool, params, grad tensor.Vector) {
+// StepSparseRun implements Optimizer.
+func (a *Adam) StepSparseRun(pool *parallel.Pool, params tensor.Vector, run []Sparse) error {
+	if len(params) != len(a.m) {
+		return fmt.Errorf("optim: adam sparse run size mismatch: params %d, state %d", len(params), len(a.m))
+	}
+	if err := checkRun("adam", run, len(params)); err != nil || len(run) == 0 {
+		return err
+	}
+	//lint:allow hotalloc one coefficient set per step of a run, allocated per run, not per element
+	ks := make([]adamCoef, len(run))
+	for s := range ks {
+		ks[s] = a.next()
+	}
+	//lint:allow hotalloc two closures per run, not per element: tiled inlines here, and the pool's workers capture both
+	tiled(pool, run, len(params), func(s, lo, hi int, g []float32) {
+		adamRange(params[lo:hi], a.m[lo:hi], a.v[lo:hi], g, ks[s])
+	})
+	return nil
+}
+
+// next advances the step counter and returns the new step's coefficients.
+func (a *Adam) next() adamCoef {
 	a.step++
 	b1 := float32(a.cfg.Beta1)
 	b2 := float32(a.cfg.Beta2)
-	k := adamCoef{
+	return adamCoef{
 		b1: b1, b2: b2, c1: 1 - b1, c2: 1 - b2,
 		corr1: float32(1 / (1 - math.Pow(a.cfg.Beta1, float64(a.step)))),
 		corr2: float32(1 / (1 - math.Pow(a.cfg.Beta2, float64(a.step)))),
 		lr:    float32(a.cfg.LR),
 		eps:   float32(a.cfg.Eps),
 	}
+}
+
+// advance takes one step with a dense gradient of checked length.
+func (a *Adam) advance(pool *parallel.Pool, params, grad tensor.Vector) {
+	k := a.next()
 	if pool.Workers() == 1 {
 		adamRange(params, a.m, a.v, grad, k)
 		return
@@ -221,13 +253,14 @@ func (a *Adam) advance(pool *parallel.Pool, params, grad tensor.Vector) {
 }
 
 // adamCoef is one step's coefficients, computed once so that every shard
-// of the step uses the same values.
+// of the step uses the same values. adam_amd64.s reads its fields by offset.
 type adamCoef struct{ b1, b2, c1, c2, corr1, corr2, lr, eps float32 }
 
-// adamRange is the Adam rule over one range: the only place it is written,
-// so dense and sparse steps, serial or sharded, live or replayed, round
-// identically. The four slices cover the same range.
-func adamRange(p, m, v, g []float32, k adamCoef) {
+// adamGo is the Adam rule over one range as Go code: the whole kernel off
+// amd64, the tail of adamRange on it, and the oracle the packed body is
+// tested against. The packed body repeats its operation order — (c2*g)*g,
+// lr*mh before the divide, sqrt(vh)+eps — so both round alike.
+func adamGo(p, m, v, g []float32, k adamCoef) {
 	p, m, v = p[:len(g)], m[:len(g)], v[:len(g)]
 	for i, gi := range g {
 		mi := k.b1*m[i] + k.c1*gi
@@ -426,6 +459,30 @@ func sgdRange(p, buf, g []float32, lr, mu float32) {
 	}
 }
 
+// StepSparseRun implements Optimizer. Without momentum a sparse step is
+// O(len(idx)) already, so the run is taken one step at a time.
+func (s *SGD) StepSparseRun(pool *parallel.Pool, params tensor.Vector, run []Sparse) error {
+	if len(params) != s.n {
+		return fmt.Errorf("optim: sgd sparse run size mismatch: params %d, want %d", len(params), s.n)
+	}
+	if err := checkRun("sgd", run, s.n); err != nil {
+		return err
+	}
+	if s.buf == nil {
+		for _, g := range run {
+			_ = s.StepSparseWith(pool, params, g.Idx, g.Vals) // checked above: cannot fail
+		}
+		return nil
+	}
+	s.step += int64(len(run))
+	lr, mu := float32(s.cfg.LR), float32(s.cfg.Momentum)
+	//lint:allow hotalloc two closures per run, not per element: tiled inlines here, and the pool's workers capture both
+	tiled(pool, run, s.n, func(_, lo, hi int, g []float32) {
+		sgdRange(params[lo:hi], s.buf[lo:hi], g, lr, mu)
+	})
+	return nil
+}
+
 // Snapshot implements Optimizer.
 func (s *SGD) Snapshot() State { return s.state(s.buf.Clone()) }
 
@@ -551,6 +608,56 @@ func checkSparse(rule string, idx []int32, vals tensor.Vector, n int) error {
 		}
 	}
 	return nil
+}
+
+// Sparse is one sparse gradient of a run: Vals at strictly increasing Idx.
+type Sparse struct {
+	Idx  []int32
+	Vals tensor.Vector
+}
+
+// checkRun is checkSparse over every gradient of a run, plus the strict
+// index order tiled relies on.
+func checkRun(rule string, run []Sparse, n int) error {
+	for s, g := range run {
+		if err := checkSparse(rule, g.Idx, g.Vals, n); err != nil {
+			return fmt.Errorf("%w (step %d of a run of %d)", err, s+1, len(run))
+		}
+		for i := 1; i < len(g.Idx); i++ {
+			if g.Idx[i] <= g.Idx[i-1] {
+				return fmt.Errorf("optim: %s sparse run: step %d indices not strictly increasing at %d", rule, s+1, g.Idx[i])
+			}
+		}
+	}
+	return nil
+}
+
+// tiled applies a checked run over n parameters one chunk of pool's grid at
+// a time: on each chunk it scatters run[s]'s part into a chunk-sized all-zero
+// scratch, calls step(s, lo, hi, scratch), and clears the scratch again,
+// for s in run order. The rules are coordinate-wise, so this is the
+// per-step order for every coordinate, and the scratch holds what a dense
+// scatter holds on [lo, hi): the result is bit-identical at any run length,
+// chunk size or worker count.
+func tiled(pool *parallel.Pool, run []Sparse, n int, step func(s, lo, hi int, g []float32)) {
+	//lint:allow hotalloc one closure per run, not per element: the pool's workers capture it
+	pool.ForEach(n, func(_, lo, hi int) {
+		g := densePool.get(hi - lo)
+		for s, sp := range run {
+			// Sparse indices are int32, so the bounds compare as int32 too.
+			a, _ := slices.BinarySearch(sp.Idx, int32(lo))
+			b, _ := slices.BinarySearch(sp.Idx[a:], int32(hi))
+			idx, vals := sp.Idx[a:a+b], sp.Vals[a:a+b]
+			for i, j := range idx {
+				g[int(j)-lo] += vals[i]
+			}
+			step(s, lo, hi, g)
+			for _, j := range idx {
+				g[int(j)-lo] = 0
+			}
+		}
+		densePool.put(g, nil)
+	})
 }
 
 // scatter adds a checked sparse gradient into an all-zero dense buffer.

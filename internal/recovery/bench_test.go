@@ -26,14 +26,15 @@ func (s firstDiffs) List(prefix string) ([]string, error) {
 	return names, err
 }
 
-// BenchmarkRecoverChain measures where the tree-merge starts to pay: a chain
-// of the end-to-end benchmark's recover_chain shape (one Adam full of
-// 1,169,955 parameters and k unbatched Top-K differentials at ρ = 0.01, on a
-// File store, two workers) recovered by applying every differential (exact)
-// and by tree-merging first (merge). Under Adam every apply is a dense pass
-// over the moments and a pair's merge touches 2ρ of them, so merging wins from
-// the first pair on: there is no length below which LatestParallel should
-// skip it (EXPERIMENTS.md "Restore path" has the table).
+// BenchmarkRecoverChain compares the two tiers on a chain of the end-to-end
+// benchmark's recover_chain shape (one Adam full of 1,169,955 parameters and
+// k unbatched Top-K differentials at ρ = 0.01, on a File store, two workers):
+// applying every differential (exact: time-tiled runs of up to lookAhead on
+// the packed kernel) and tree-merging first (merge). The gradients are
+// uniform noise, so the merged union of a long chain is nearly dense: merging
+// saves passes only until exact replay tiles them. Up to eight differentials
+// the two are within noise of each other; from 16 on exact replay is ahead
+// (EXPERIMENTS.md "Restore path" has the table).
 func BenchmarkRecoverChain(b *testing.B) {
 	const n, longest = 1_169_955, 130
 	file, err := storage.NewFile(b.TempDir())

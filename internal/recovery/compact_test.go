@@ -51,7 +51,7 @@ func TestCompactFoldsChain(t *testing.T) {
 	if n != 0 || again.Iter != 17 {
 		t.Fatalf("post-compact recovery: iter %d, %d diffs", again.Iter, n)
 	}
-	if !again.Params.Equal(e.Params()) {
+	if !again.Params.Identical(e.Params()) {
 		t.Fatal("compacted state diverged from live")
 	}
 	// Training continues cleanly on the compacted store: new diffs chain
@@ -78,7 +78,7 @@ func TestCompactFoldsChain(t *testing.T) {
 	if final.Iter != 22 || n != 2 {
 		t.Fatalf("post-compact chain broken: iter %d, %d diffs", final.Iter, n)
 	}
-	if !final.Params.Equal(resumed.Params()) {
+	if !final.Params.Identical(resumed.Params()) {
 		t.Fatal("post-compact recovery diverged from live")
 	}
 }

@@ -46,7 +46,7 @@ func TestNaiveDCParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("NaiveDC parallel vs serial off by %v", md)
 	}
 	// Lossless (rho=1) deltas recover the live parameters exactly.
-	if !serial.Params.Equal(e2.Params()) {
+	if !serial.Params.Identical(e2.Params()) {
 		t.Fatal("lossless NaiveDC serial recovery diverged")
 	}
 }
@@ -111,15 +111,14 @@ func TestTreeMergeRespectsBoundaries(t *testing.T) {
 
 // The apply stage rejects unknown kinds and invalid payloads.
 func TestApplyDiffRejects(t *testing.T) {
-	params := tensor.New(4)
-	o := optim.NewSGD(4, optim.SGDConfig{})
+	full := &checkpoint.Full{Params: tensor.New(4), Opt: optim.NewSGD(4, optim.SGDConfig{}).Snapshot()}
 	bad := &checkpoint.Diff{Kind: 9, FirstIter: 1, LastIter: 1, Count: 1,
 		Payload: &compress.Compressed{Codec: "x", N: 4, Idx: []int32{0}, Vals: []float32{1}}}
-	if err := (&pipeline{}).apply(o, params, bad); err == nil {
+	if _, err := Replay(full, []*checkpoint.Diff{bad}); err == nil {
 		t.Fatal("want unknown-kind error")
 	}
 	nilPayload := &checkpoint.Diff{Kind: checkpoint.KindGradient, FirstIter: 1, LastIter: 1, Count: 1}
-	if err := (&pipeline{}).apply(o, params, nilPayload); err == nil {
+	if _, err := Replay(full, []*checkpoint.Diff{nilPayload}); err == nil {
 		t.Fatal("want invalid-diff error")
 	}
 }

@@ -65,12 +65,27 @@ func buildChain(t *testing.T, rule, family string, kind checkpoint.DiffKind, dif
 	return store
 }
 
-// fillChain writes one full checkpoint at iteration 10 (parameters and
-// optimizer state after a few live steps of rule) and diffs differentials
-// of the given kind and payload family after it into store.
+// fillChain writes fixtureFull and diffs differentials of the given kind and
+// payload family after it into store.
 func fillChain(t *testing.T, store storage.Store, rule, family string, kind checkpoint.DiffKind, diffs int, seed uint64) {
 	t.Helper()
 	r := tensor.NewRNG(seed)
+	if _, err := checkpoint.SaveFull(store, fixtureFull(t, r, rule)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < diffs; i++ {
+		iter := int64(11 + i)
+		d := &checkpoint.Diff{Kind: kind, FirstIter: iter, LastIter: iter, Count: 1, Payload: payload(t, r, family, fixtureN)}
+		if _, err := checkpoint.SaveDiff(store, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// fixtureFull is a full checkpoint at iteration 10: fixtureN parameters and
+// the optimizer state after three live steps of rule.
+func fixtureFull(t *testing.T, r *tensor.RNG, rule string) *checkpoint.Full {
+	t.Helper()
 	var o optim.Optimizer
 	switch rule {
 	case "adam":
@@ -90,21 +105,12 @@ func fillChain(t *testing.T, store storage.Store, rule, family string, kind chec
 			t.Fatal(err)
 		}
 	}
-	if _, err := checkpoint.SaveFull(store, &checkpoint.Full{Iter: 10, Params: params, Opt: o.Snapshot()}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < diffs; i++ {
-		iter := int64(11 + i)
-		d := &checkpoint.Diff{Kind: kind, FirstIter: iter, LastIter: iter, Count: 1, Payload: payload(t, r, family, fixtureN)}
-		if _, err := checkpoint.SaveDiff(store, d); err != nil {
-			t.Fatal(err)
-		}
-	}
+	return &checkpoint.Full{Iter: 10, Params: params, Opt: o.Snapshot()}
 }
 
 // serialReference is the retained reference the pipeline is held to: every
-// object loaded in order with a nil pool and no prefetch, applied by the
-// same loop on the serial kernels.
+// object loaded in order with a nil pool and no prefetch, applied one
+// differential at a time on the serial kernels (perDiffReplay).
 func serialReference(t *testing.T, store storage.Store) *State {
 	t.Helper()
 	m, err := checkpoint.Scan(store)
@@ -127,7 +133,7 @@ func serialReference(t *testing.T, store storage.Store) *State {
 		}
 		diffs = append(diffs, d)
 	}
-	st, err := (&pipeline{}).replay(full, fromSlice(diffs))
+	st, err := perDiffReplay(full, diffs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +145,7 @@ func assertSameState(t *testing.T, what string, got, want *State) {
 	if got.Iter != want.Iter {
 		t.Fatalf("%s: iteration %d, want %d", what, got.Iter, want.Iter)
 	}
-	if !got.Params.Equal(want.Params) {
+	if !got.Params.Identical(want.Params) {
 		md, _ := got.Params.MaxAbsDiff(want.Params)
 		t.Fatalf("%s: parameters differ from the reference (max diff %v)", what, md)
 	}
@@ -148,7 +154,7 @@ func assertSameState(t *testing.T, what string, got, want *State) {
 			got.Opt.Name, got.Opt.Step, len(got.Opt.Slots), want.Opt.Name, want.Opt.Step, len(want.Opt.Slots))
 	}
 	for _, k := range want.Opt.SlotNames() {
-		if !tensor.Vector(got.Opt.Slots[k]).Equal(want.Opt.Slots[k]) {
+		if !tensor.Vector(got.Opt.Slots[k]).Identical(want.Opt.Slots[k]) {
 			t.Fatalf("%s: optimizer slot %q differs from the reference", what, k)
 		}
 	}
@@ -727,11 +733,11 @@ func TestReplayRejectsNonContiguousList(t *testing.T) {
 			t.Fatalf("Replay: %v, %v", st, err)
 		}
 	}
-	if !before.Equal(full.Params) {
+	if !before.Identical(full.Params) {
 		t.Fatal("Replay mutated the caller's full checkpoint")
 	}
 	for name, slot := range beforeOpt.Slots {
-		if !tensor.Vector(slot).Equal(full.Opt.Slots[name]) {
+		if !tensor.Vector(slot).Identical(full.Opt.Slots[name]) {
 			t.Fatalf("Replay mutated the caller's optimizer slot %q", name)
 		}
 	}

@@ -35,7 +35,7 @@ func TestPPRecoveryBitExact(t *testing.T) {
 		if st.Iter != 17 || applied != 7 {
 			t.Fatalf("%s: recovered to %d with %d diffs", optName, st.Iter, applied)
 		}
-		if !st.Params.Equal(e.Params()) {
+		if !st.Params.Identical(e.Params()) {
 			md, _ := st.Params.MaxAbsDiff(e.Params())
 			t.Fatalf("%s: PP recovery diverged (max diff %v)", optName, md)
 		}
@@ -65,7 +65,7 @@ func TestPPRecoveryResumesViaGlobalEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Params.Equal(pp.Params()) {
+	if !st.Params.Identical(pp.Params()) {
 		t.Fatal("PP recovery not exact")
 	}
 	// Continue the job on a data-parallel engine from the recovered state:
@@ -84,7 +84,7 @@ func TestPPRecoveryResumesViaGlobalEngine(t *testing.T) {
 	if _, err := pp.Run(7); err != nil {
 		t.Fatal(err)
 	}
-	if !resumed.Params().Equal(pp.Params()) {
+	if !resumed.Params().Identical(pp.Params()) {
 		md, _ := resumed.Params().MaxAbsDiff(pp.Params())
 		t.Fatalf("cross-engine resume diverged (max diff %v)", md)
 	}

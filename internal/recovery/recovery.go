@@ -16,7 +16,8 @@
 // Every entry point runs one pipeline (DESIGN.md "Recovery pipeline"): scan,
 // load the full, load differentials a bounded number ahead of the consumer,
 // tree-merge them (the paper's pairwise merging, log n depth — LatestParallel
-// only), and apply in chain order on the shared pool's optimizer kernels.
+// only), and apply in chain order on the shared pool's optimizer kernels,
+// consecutive sparse gradients a time-tiled run at a time.
 package recovery
 
 import (
@@ -37,12 +38,13 @@ import (
 )
 
 // lookAhead is how many differential loads the strict paths (Latest, ToIter,
-// LatestParallel) keep in flight ahead of the consumer, and the most that are
-// ever buffered. Loads wait on the store, kernels on the pool: one apply costs
-// a few round trips of a remote store, so a handful of loads hides them
-// whatever the core count; the tree-merge takes loads as fast as they come,
-// and there 16 measured 9% ahead of 8 with nothing else moved (EXPERIMENTS.md
-// "Restore path: before / after").
+// LatestParallel) keep in flight ahead of the consumer, the most that are
+// ever buffered, and so the longest run replay tiles. Loads wait on the
+// store, kernels on the pool: one apply costs a few round trips of a remote
+// store, so a handful of loads hides them whatever the core count; the
+// tree-merge takes loads as fast as they come, and there 16 measured 9% ahead
+// of 8 with nothing else moved (EXPERIMENTS.md "Restore path: before /
+// after").
 const lookAhead = 16
 
 // State is a recovered training state.
@@ -68,9 +70,10 @@ type pipeline struct {
 	store storage.Store
 	pool  *parallel.Pool // nil: serial kernels
 	trace *trace.Recorder
-	// depth is the number of differential loads in flight ahead of apply.
-	// At 1 a load is issued only once the one before it has succeeded,
-	// which is what keeps the validating paths reproducible.
+	// depth is the number of differential loads in flight ahead of apply,
+	// and the longest run replay applies in one tiled pass. At 1 a load is
+	// issued only once the one before it has succeeded, which is what keeps
+	// the validating paths reproducible.
 	depth    int
 	attempts int           // tries per object load
 	dense    tensor.Vector // dequantization scratch of the apply stage
@@ -104,9 +107,9 @@ func Latest(store storage.Store) (*State, int, error) {
 // loaded through the same window, merged in a binary tree, then applied, on
 // a pool of opts.Parallelism workers. Merging is gradient accumulation, so
 // under Adam the result is at most accumulation-approximate, not exact (a
-// chain of one differential has nothing to merge and replays exactly). The
-// merge pays from two differentials up (BenchmarkRecoverChain), so no chain
-// length skips it.
+// chain of one differential has nothing to merge and replays exactly). Since
+// Latest time-tiles its replay, merging no longer makes a long chain faster
+// to recover than Latest does (BenchmarkRecoverChain, DESIGN.md §13).
 func LatestParallel(store storage.Store, opts Options) (*State, int, error) {
 	if opts.Parallelism == 0 {
 		opts.Parallelism = 4
@@ -293,10 +296,15 @@ func (p *pipeline) treeMerge(next source) (source, error) {
 	}
 }
 
-// replay is the in-order apply stage, the one replay loop. The full's
-// parameter and moment buffers become the optimizer's and then the returned
-// State's without a copy, so the caller must own the full (have decoded or
-// copied it) and not use it afterwards.
+// replay is the in-order apply stage, the one replay loop. Consecutive
+// sparse gradient differentials are gathered into runs of up to p.depth —
+// what the load window holds — and each run is one time-tiled optimizer pass
+// (optim.StepSparseRun), bit-identical to applying them one by one; any other
+// differential ends the run and is applied on its own. Every differential is
+// checked (continuity, Validate) as it arrives, before the run holding it
+// touches any state. The full's parameter and moment buffers become the
+// optimizer's and then the returned State's without a copy, so the caller
+// must own the full (have decoded or copied it) and not use it afterwards.
 func (p *pipeline) replay(full *checkpoint.Full, next source) (*State, error) {
 	params := full.Params
 	o, err := optim.Adopt(full.Opt, len(params))
@@ -304,12 +312,27 @@ func (p *pipeline) replay(full *checkpoint.Full, next source) (*State, error) {
 		return nil, err
 	}
 	iter := full.Iter
+	var run []optim.Sparse
+	flush := func() error {
+		if len(run) == 0 {
+			return nil
+		}
+		done := p.trace.Begin1(trace.TrackRecovery, trace.PhaseApply, "iter", iter)
+		err := o.StepSparseRun(p.pool, params, run)
+		done()
+		clear(run) // drop the payloads: the run's differentials are applied
+		run = run[:0]
+		return err
+	}
 	for {
 		d, err := next()
 		if err != nil {
 			return nil, err
 		}
 		if d == nil {
+			if err := flush(); err != nil {
+				return nil, err
+			}
 			// The optimizer is private to this call: its state moves out.
 			return &State{Iter: iter, Params: params, Opt: o.Detach()}, nil
 		}
@@ -317,26 +340,32 @@ func (p *pipeline) replay(full *checkpoint.Full, next source) (*State, error) {
 			return nil, fmt.Errorf("recovery: differential [%d,%d] does not continue from iteration %d",
 				d.FirstIter, d.LastIter, iter)
 		}
-		done := p.trace.Begin1(trace.TrackRecovery, trace.PhaseApply, "iter", d.LastIter)
-		err = p.apply(o, params, d)
-		done()
+		if err := d.Validate(); err != nil {
+			return nil, err
+		}
+		if c := d.Payload; d.Kind == checkpoint.KindGradient && c.Idx != nil {
+			run = append(run, optim.Sparse{Idx: c.Idx, Vals: c.Vals})
+			iter = d.LastIter
+			if len(run) >= p.depth {
+				err = flush()
+			}
+		} else if err = flush(); err == nil {
+			done := p.trace.Begin1(trace.TrackRecovery, trace.PhaseApply, "iter", d.LastIter)
+			err = p.apply(o, params, d)
+			done()
+			iter = d.LastIter
+		}
 		if err != nil {
 			return nil, err
 		}
-		iter = d.LastIter
 	}
 }
 
-// apply applies one differential checkpoint to (o, params).
+// apply applies one validated differential checkpoint other than a sparse
+// gradient (those go through runs) to (o, params).
 func (p *pipeline) apply(o optim.Optimizer, params tensor.Vector, d *checkpoint.Diff) error {
-	if err := d.Validate(); err != nil {
-		return err
-	}
 	switch c := d.Payload; d.Kind {
 	case checkpoint.KindGradient:
-		if c.Idx != nil {
-			return o.StepSparseWith(p.pool, params, c.Idx, c.Vals)
-		}
 		if len(c.Q) == 0 {
 			return o.StepWith(p.pool, params, c.Vals)
 		}
@@ -359,5 +388,5 @@ func (p *pipeline) apply(o optim.Optimizer, params tensor.Vector, d *checkpoint.
 // callers keep using it.
 func Replay(full *checkpoint.Full, diffs []*checkpoint.Diff) (*State, error) {
 	own := &checkpoint.Full{Iter: full.Iter, Params: full.Params.Clone(), Opt: full.Opt.Clone()}
-	return newPipeline(nil, 0, 0, nil).replay(own, fromSlice(diffs))
+	return newPipeline(nil, 0, lookAhead, nil).replay(own, fromSlice(diffs))
 }

@@ -58,7 +58,7 @@ func TestSerialRecoveryBitExactAdam(t *testing.T) {
 	if applied != 7 {
 		t.Fatalf("applied %d diffs, want 7", applied)
 	}
-	if !st.Params.Equal(e.Params()) {
+	if !st.Params.Identical(e.Params()) {
 		md, _ := st.Params.MaxAbsDiff(e.Params())
 		t.Fatalf("recovered params differ from live (max diff %v)", md)
 	}
@@ -69,7 +69,7 @@ func TestSerialRecoveryBitExactAdam(t *testing.T) {
 		t.Fatalf("optimizer step %d, want %d", st.Opt.Step, live.Step)
 	}
 	for k, v := range live.Slots {
-		if !tensor.Vector(st.Opt.Slots[k]).Equal(v) {
+		if !tensor.Vector(st.Opt.Slots[k]).Identical(v) {
 			t.Fatalf("optimizer slot %q differs", k)
 		}
 	}
@@ -90,7 +90,7 @@ func TestSerialRecoveryBitExactSGD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Iter != 29 || !st.Params.Equal(e.Params()) {
+	if st.Iter != 29 || !st.Params.Identical(e.Params()) {
 		t.Fatal("SGD recovery not bit-exact")
 	}
 }
@@ -120,7 +120,7 @@ func TestBatchedRecoveryExactUnderSGD(t *testing.T) {
 		// point that leaves batched diffs pending.
 		t.Fatalf("applied = %d", applied)
 	}
-	if !st.Params.Equal(e.Params()) {
+	if !st.Params.Identical(e.Params()) {
 		t.Fatal("recovery at a full checkpoint boundary must be exact")
 	}
 
@@ -218,7 +218,7 @@ func TestParallelRecoveryMatchesSerialSGD(t *testing.T) {
 	if md, _ := parallel.Params.MaxAbsDiff(serial.Params); md > 1e-6 {
 		t.Fatalf("parallel differs from serial beyond rounding (max diff %v)", md)
 	}
-	if !serial.Params.Equal(e.Params()) {
+	if !serial.Params.Identical(e.Params()) {
 		t.Fatal("serial unbatched SGD recovery must be bit-exact")
 	}
 }
@@ -319,7 +319,7 @@ func TestNaiveDCRecoveryApproximate(t *testing.T) {
 	if st.Iter != 13 || applied != 5 {
 		t.Fatalf("iter=%d applied=%d", st.Iter, applied)
 	}
-	if !st.Params.Equal(e.Params()) {
+	if !st.Params.Identical(e.Params()) {
 		md, _ := st.Params.MaxAbsDiff(e.Params())
 		t.Fatalf("lossless NaiveDC params diverged (max diff %v)", md)
 	}
@@ -418,7 +418,7 @@ func TestRecoveryProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return serial.Params.Equal(e.Params()) && // serial: bit-exact
+		return serial.Params.Identical(e.Params()) && // serial: bit-exact
 			pmd <= 1e-6 && // parallel: exact up to merge rounding
 			serial.Iter == int64(iters)
 	}

@@ -54,7 +54,7 @@ func TestEndToEndFailoverBitExact(t *testing.T) {
 	if _, err := resumed.Run(17); err != nil {
 		t.Fatal(err)
 	}
-	if !resumed.Params().Equal(ref.Params()) {
+	if !resumed.Params().Identical(ref.Params()) {
 		md, _ := resumed.Params().MaxAbsDiff(ref.Params())
 		t.Fatalf("end-to-end failover diverged (max diff %v)", md)
 	}
@@ -103,7 +103,7 @@ func TestResumeFromPointInTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Deterministic oracle: replaying 13..20 reproduces the original run.
-	if !resumed.Params().Equal(e.Params()) {
+	if !resumed.Params().Identical(e.Params()) {
 		t.Fatal("replay from the restore point diverged")
 	}
 }

@@ -58,11 +58,11 @@ func TestRecoveryUnaffectedByListOrder(t *testing.T) {
 		t.Fatalf("shuffled listing recovered to iter %d (%d diffs), sorted listing to %d (%d diffs)",
 			got.Iter, gotApplied, want.Iter, wantApplied)
 	}
-	if !tensor.Vector(got.Params).Equal(want.Params) {
+	if !tensor.Vector(got.Params).Identical(want.Params) {
 		t.Fatal("recovered params depend on store listing order")
 	}
 	for k, v := range want.Opt.Slots {
-		if !tensor.Vector(got.Opt.Slots[k]).Equal(v) {
+		if !tensor.Vector(got.Opt.Slots[k]).Identical(v) {
 			t.Fatalf("optimizer slot %q depends on store listing order", k)
 		}
 	}

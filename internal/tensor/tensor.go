@@ -110,14 +110,29 @@ func (v Vector) AbsMax() float32 {
 	return m
 }
 
-// Equal reports whether v and x have identical length and bit-identical
-// elements. NaNs compare unequal, matching float comparison semantics.
+// Equal reports whether v and x have identical length and equal elements
+// under float comparison: NaNs compare unequal and -0 equals +0. Bit-identity
+// claims use Identical.
 func (v Vector) Equal(x Vector) bool {
 	if len(v) != len(x) {
 		return false
 	}
 	for i, a := range v {
 		if a != x[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Identical reports whether v and x have identical length and bit-identical
+// elements: -0 differs from +0, and a NaN matches only the same NaN.
+func (v Vector) Identical(x Vector) bool {
+	if len(v) != len(x) {
+		return false
+	}
+	for i, a := range v {
+		if math.Float32bits(a) != math.Float32bits(x[i]) {
 			return false
 		}
 	}

@@ -346,3 +346,19 @@ func TestFillDistributions(t *testing.T) {
 		t.Fatalf("normal fill mean = %v, want ~1", mean)
 	}
 }
+
+// Equal is float comparison; Identical is bit comparison: it tells the
+// signed zeros apart and matches a NaN with itself.
+func TestIdenticalComparesBits(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	nan := float32(math.NaN())
+	if !(Vector{0}).Equal(Vector{negZero}) || (Vector{0}).Identical(Vector{negZero}) {
+		t.Fatal("+0 and -0: Equal must hold, Identical must not")
+	}
+	if (Vector{nan}).Equal(Vector{nan}) || !(Vector{nan}).Identical(Vector{nan}) {
+		t.Fatal("one NaN: Equal must not hold, Identical must")
+	}
+	if (Vector{1, 2}).Identical(Vector{1}) || !(Vector{1, negZero}).Identical(Vector{1, negZero}) {
+		t.Fatal("Identical: length or equal bits misjudged")
+	}
+}

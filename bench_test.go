@@ -10,7 +10,6 @@ import (
 
 	"lowdiff/internal/experiments"
 	"lowdiff/internal/model"
-	"lowdiff/internal/recovery"
 	"lowdiff/internal/storage"
 )
 
@@ -119,23 +118,13 @@ func recoveryStore(b *testing.B) Store {
 	return store
 }
 
-// BenchmarkRecoverySerial measures serial differential replay (48 diffs).
-func BenchmarkRecoverySerial(b *testing.B) {
+// BenchmarkRecovery measures recovery through the facade: one full and 48
+// replayed differentials.
+func BenchmarkRecovery(b *testing.B) {
 	store := recoveryStore(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Recover(store); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRecoveryParallel measures the parallel log-n merge recovery.
-func BenchmarkRecoveryParallel(b *testing.B) {
-	store := recoveryStore(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := RecoverParallel(store, recovery.Options{Parallelism: 8}); err != nil {
 			b.Fatal(err)
 		}
 	}

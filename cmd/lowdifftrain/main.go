@@ -44,7 +44,6 @@ func main() {
 	batch := flag.Int("batch", 5, "batched gradient write size")
 	crash := flag.Int("crash", 0, "simulate a crash after this many iterations (0: none)")
 	doRecover := flag.Bool("recover", false, "recover from -dir and print the state instead of training")
-	parallel := flag.Bool("parallel", true, "use parallel recovery")
 	overlap := flag.Bool("overlap", false,
 		"pipelined step schedule: overlap checkpoint work with the next iteration's communication wave (results are bit-identical)")
 	parallelism := flag.Int("parallelism", runtime.NumCPU(),
@@ -104,14 +103,7 @@ func main() {
 		if *dir == "" && *storeURL == "" {
 			fatal(fmt.Errorf("-recover needs -dir or -store"))
 		}
-		var st *recovery.State
-		var applied int
-		var err error
-		if *parallel {
-			st, applied, err = recovery.LatestParallel(store, recovery.Options{Parallelism: 8, Trace: rec})
-		} else {
-			st, applied, err = recovery.Latest(store)
-		}
+		st, applied, err := recovery.LatestParallel(store, recovery.Options{Trace: rec})
 		if err != nil {
 			fatal(err)
 		}
@@ -240,9 +232,8 @@ func main() {
 		reportPeerRecovery(e, store)
 	}
 	if *selfcheck {
-		// Serial replay: parallel recovery's log-n merge reorders float
-		// adds (~1 ULP), which optimizer nonlinearity amplifies — only the
-		// serial path is bit-exact for every optimizer (DESIGN.md §6).
+		// Unbatched replay (checked above) is bit-exact for every
+		// optimizer: recovery must land on the live parameters.
 		st, applied, err := recovery.Latest(store)
 		if err != nil {
 			fatal(err)

@@ -50,28 +50,18 @@ func main() {
 	}
 	fmt.Println("victim crashed at iteration 67 (simulated)")
 
-	// Recovery: parallel log-n merge over the differential chain.
-	state, applied, err := lowdiff.RecoverParallel(store, lowdiff.RecoverOptions{Parallelism: 4})
+	// Recovery: the full checkpoint at 40 plus the replayed differential
+	// chain, bit-exact with unbatched differentials.
+	state, applied, err := lowdiff.Recover(store)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("recovered to iteration %d after applying %d differential records\n",
 		state.Iter, applied)
 
-	// Serial recovery is bit-exact under SGD with unbatched differentials.
-	serial, _, err := lowdiff.Recover(store)
-	if err != nil {
-		log.Fatal(err)
-	}
-	md, err := serial.Params.MaxAbsDiff(state.Params)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("serial vs parallel recovery at 67: max diff %g\n", md)
-
 	// Resume a fresh engine directly from the recovered state and finish
 	// the job; the trajectory must rejoin the uninterrupted reference.
-	resumed, err := lowdiff.Resume(opts, serial)
+	resumed, err := lowdiff.Resume(opts, state)
 	if err != nil {
 		log.Fatal(err)
 	}

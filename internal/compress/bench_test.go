@@ -63,7 +63,7 @@ func BenchmarkMerge(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Merge(parts...); err != nil {
+		if _, err := MergeWith(nil, parts...); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -184,7 +184,7 @@ func BenchmarkDataplaneCompressMerge(b *testing.B) {
 		tk, _ := NewTopK(rho)
 		runOne(b,
 			func() (*Compressed, error) { return tk.Compress(g) },
-			func() (*Compressed, error) { return Merge(parts...) })
+			func() (*Compressed, error) { return MergeWith(nil, parts...) })
 	})
 	b.Run("kway-pooled8", func(b *testing.B) {
 		tk, _ := NewTopKPooled(rho, pool8)

@@ -5,7 +5,7 @@
 // A Compressed value is the unit that flows through the whole system: it is
 // what workers synchronize, what the reusing queue carries, what a
 // differential checkpoint stores, and what the batched writer accumulates.
-// Sparse accumulation (Merge) is the "gradient batching" primitive of
+// Sparse accumulation (MergeWith) is the "gradient batching" primitive of
 // §4.2 — the union-sum of sparse gradients.
 //
 // Every hot loop in this package has a pool-aware variant (AddIntoWith,
@@ -649,21 +649,16 @@ func NewPooled(name string, rho float64, seed uint64, pool *parallel.Pool) (Comp
 	}
 }
 
-// Merge returns the union-sum of sparse compressed gradients: the batching
-// primitive behind §4.2's batched gradient writes and the paper's gradient
-// accumulation. All inputs must be valid and sparse (or identity) with the
-// same N; quantized, mismatched, or invalid inputs fail with typed errors
-// rather than producing a corrupt union. Merging is associative and
-// commutative, which is what makes the parallel log-n recovery tree valid.
-func Merge(parts ...*Compressed) (*Compressed, error) {
-	return MergeWith(nil, parts...)
-}
-
-// MergeWith is Merge sharded over pool. Sparse parts are combined with a
-// k-way walk over their sorted index lists (per index, values add in part
-// order — exactly the serial reference); the parallel path shards the dense
-// index space and concatenates per-chunk unions in ascending chunk order,
-// so the result is bit-identical at any worker count.
+// MergeWith returns the union-sum of sparse compressed gradients, sharded
+// over pool (nil means serial): the batching primitive behind §4.2's batched
+// gradient writes and the paper's gradient accumulation. All inputs must be
+// valid and sparse (or identity) with the same N; quantized, mismatched, or
+// invalid inputs fail with typed errors rather than producing a corrupt
+// union. Sparse parts are combined with a k-way walk over their sorted index
+// lists (per index, values add in part order — exactly the serial
+// reference); the parallel path shards the dense index space and
+// concatenates per-chunk unions in ascending chunk order, so the result is
+// bit-identical at any worker count.
 func MergeWith(pool *parallel.Pool, parts ...*Compressed) (*Compressed, error) {
 	if len(parts) == 0 {
 		return nil, ErrMergeEmpty

@@ -246,7 +246,7 @@ func TestBytesAccounting(t *testing.T) {
 func TestMergeUnionSums(t *testing.T) {
 	a := &Compressed{Codec: "topk", N: 10, Idx: []int32{1, 5}, Vals: []float32{1, 2}}
 	b := &Compressed{Codec: "topk", N: 10, Idx: []int32{5, 7}, Vals: []float32{3, 4}}
-	m, err := Merge(a, b)
+	m, err := MergeWith(nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,16 +265,16 @@ func TestMergeUnionSums(t *testing.T) {
 }
 
 func TestMergeErrors(t *testing.T) {
-	if _, err := Merge(); err == nil {
+	if _, err := MergeWith(nil); err == nil {
 		t.Fatal("want error for empty merge")
 	}
 	a := &Compressed{Codec: "topk", N: 10, Idx: []int32{1}, Vals: []float32{1}}
 	b := &Compressed{Codec: "topk", N: 11, Idx: []int32{1}, Vals: []float32{1}}
-	if _, err := Merge(a, b); err == nil {
+	if _, err := MergeWith(nil, a, b); err == nil {
 		t.Fatal("want length-mismatch error")
 	}
 	q := &Compressed{Codec: "int8", N: 10, Q: make([]byte, 10)}
-	if _, err := Merge(a.Clone(), q); err == nil {
+	if _, err := MergeWith(nil, a.Clone(), q); err == nil {
 		t.Fatal("want quantized-merge error")
 	}
 }
@@ -282,7 +282,7 @@ func TestMergeErrors(t *testing.T) {
 func TestMergeDenseMix(t *testing.T) {
 	sparse := &Compressed{Codec: "topk", N: 4, Idx: []int32{2}, Vals: []float32{5}}
 	dense := &Compressed{Codec: "identity", N: 4, Vals: []float32{1, 1, 1, 1}}
-	m, err := Merge(sparse, dense)
+	m, err := MergeWith(nil, sparse, dense)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestMergePropertyEqualsDenseSum(t *testing.T) {
 				return false
 			}
 		}
-		m, err := Merge(parts...)
+		m, err := MergeWith(nil, parts...)
 		if err != nil {
 			return false
 		}

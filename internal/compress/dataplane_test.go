@@ -159,32 +159,32 @@ func TestValidateZeroScaleTyped(t *testing.T) {
 }
 
 func TestMergeTypedErrors(t *testing.T) {
-	if _, err := Merge(); !errors.Is(err, ErrMergeEmpty) {
+	if _, err := MergeWith(nil); !errors.Is(err, ErrMergeEmpty) {
 		t.Fatalf("want ErrMergeEmpty, got %v", err)
 	}
 	a := &Compressed{Codec: "topk", N: 10, Idx: []int32{1}, Vals: []float32{1}}
 	b := &Compressed{Codec: "topk", N: 11, Idx: []int32{1}, Vals: []float32{1}}
-	if _, err := Merge(a, b); !errors.Is(err, ErrMergeLength) {
+	if _, err := MergeWith(nil, a, b); !errors.Is(err, ErrMergeLength) {
 		t.Fatalf("want ErrMergeLength, got %v", err)
 	}
 	q := &Compressed{Codec: "int8", N: 10, Q: make([]byte, 10), Scale: 1}
-	if _, err := Merge(a, q); !errors.Is(err, ErrMergeQuantized) {
+	if _, err := MergeWith(nil, a, q); !errors.Is(err, ErrMergeQuantized) {
 		t.Fatalf("want ErrMergeQuantized, got %v", err)
 	}
 	unsorted := &Compressed{Codec: "topk", N: 10, Idx: []int32{5, 2}, Vals: []float32{1, 1}}
-	if _, err := Merge(a, unsorted); !errors.Is(err, ErrMergeInvalid) {
+	if _, err := MergeWith(nil, a, unsorted); !errors.Is(err, ErrMergeInvalid) {
 		t.Fatalf("want ErrMergeInvalid for unsorted part, got %v", err)
 	}
 	dup := &Compressed{Codec: "topk", N: 10, Idx: []int32{2, 2}, Vals: []float32{1, 1}}
-	if _, err := Merge(dup); !errors.Is(err, ErrMergeInvalid) {
+	if _, err := MergeWith(nil, dup); !errors.Is(err, ErrMergeInvalid) {
 		t.Fatalf("want ErrMergeInvalid for duplicate indices, got %v", err)
 	}
 	oob := &Compressed{Codec: "topk", N: 10, Idx: []int32{12}, Vals: []float32{1}}
-	if _, err := Merge(oob); !errors.Is(err, ErrMergeInvalid) {
+	if _, err := MergeWith(nil, oob); !errors.Is(err, ErrMergeInvalid) {
 		t.Fatalf("want ErrMergeInvalid for out-of-range index, got %v", err)
 	}
 	mixed := &Compressed{Codec: "topk", N: 10, Idx: []int32{1}, Vals: []float32{1, 2}}
-	if _, err := Merge(a, mixed); !errors.Is(err, ErrMergeInvalid) {
+	if _, err := MergeWith(nil, a, mixed); !errors.Is(err, ErrMergeInvalid) {
 		t.Fatalf("want ErrMergeInvalid for idx/vals length mismatch, got %v", err)
 	}
 }
@@ -393,7 +393,7 @@ func TestSerialVsParallelProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		wantMerge, err := Merge(parts...)
+		wantMerge, err := MergeWith(nil, parts...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -397,11 +397,11 @@ func TestAblationShapes(t *testing.T) {
 			t.Errorf("queue cap %s: high-water %s exceeds bound", row[0], row[2])
 		}
 	}
-	// Recovery stays correct in every mode.
+	// Unbatched SGD replay is exact at every pool size.
 	tab = runExp(t, "ablation-recovery")
 	for _, row := range tab.Rows {
-		if err := cell(t, row[2]); err > 1e-5 {
-			t.Errorf("%s: recovery error %v", row[0], err)
+		if err := cell(t, row[2]); err != 0 {
+			t.Errorf("pool of %s: recovery error %v, want 0", row[0], err)
 		}
 	}
 	// EF beats plain top-k at every ratio under noise.

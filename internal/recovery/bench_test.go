@@ -1,8 +1,8 @@
 package recovery
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 	"testing"
 
 	"lowdiff/internal/checkpoint"
@@ -26,15 +26,12 @@ func (s firstDiffs) List(prefix string) ([]string, error) {
 	return names, err
 }
 
-// BenchmarkRecoverChain compares the two tiers on a chain of the end-to-end
-// benchmark's recover_chain shape (one Adam full of 1,169,955 parameters and
-// k unbatched Top-K differentials at ρ = 0.01, on a File store, two workers):
-// applying every differential (exact: time-tiled runs of up to lookAhead on
-// the packed kernel) and tree-merging first (merge). The gradients are
-// uniform noise, so the merged union of a long chain is nearly dense: merging
-// saves passes only until exact replay tiles them. Up to eight differentials
-// the two are within noise of each other; from 16 on exact replay is ahead
-// (EXPERIMENTS.md "Restore path" has the table).
+// BenchmarkRecoverChain recovers chains of the end-to-end benchmark's
+// recover_chain shape (one Adam full of 1,169,955 parameters and k unbatched
+// Top-K differentials at ρ = 0.01, on a File store, two workers), applying
+// every differential in time-tiled runs of up to lookAhead on the packed
+// kernel. Sub-benchmarks are named by k (EXPERIMENTS.md "Restore path" has
+// the tables).
 func BenchmarkRecoverChain(b *testing.B) {
 	const n, longest = 1_169_955, 130
 	file, err := storage.NewFile(b.TempDir())
@@ -68,16 +65,13 @@ func BenchmarkRecoverChain(b *testing.B) {
 		}
 	}
 	for _, k := range []int{1, 2, 3, 4, 8, 16, longest} {
-		for _, merge := range []bool{false, true} {
-			mode := map[bool]string{false: "exact", true: "merge"}[merge]
-			b.Run(fmt.Sprintf("%d/%s", k, mode), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					st, applied, err := newPipeline(firstDiffs{file, k}, 2, lookAhead, nil).strict(math.MaxInt64, merge)
-					if err != nil || applied != k || st.Iter != int64(1+k) {
-						b.Fatalf("recovered %d differentials to %v: %v", applied, st, err)
-					}
+		b.Run(strconv.Itoa(k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				st, applied, err := newPipeline(firstDiffs{file, k}, 2, lookAhead, nil).strict(math.MaxInt64)
+				if err != nil || applied != k || st.Iter != int64(1+k) {
+					b.Fatalf("recovered %d differentials to %v: %v", applied, st, err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -176,7 +176,7 @@ func TestPipelineBitIdenticalToSerialReference(t *testing.T) {
 				}
 				for _, workers := range []int{1, 2, 7, runtime.NumCPU()} {
 					what := fmt.Sprintf("%s/%s/%v at %d workers", rule, family, kind, workers)
-					got, n, err := newPipeline(store, workers, lookAhead, nil).strict(math.MaxInt64, false)
+					got, n, err := newPipeline(store, workers, lookAhead, nil).strict(math.MaxInt64)
 					if err != nil {
 						t.Fatalf("%s: %v", what, err)
 					}
@@ -409,10 +409,9 @@ func (j jitterStore) Open(name string) (io.ReadCloser, error) {
 }
 
 // (b, continued) The window is not a semantic input. A 40-differential chain
-// with a kind change in it and a gap that ends it early recovers to the same
-// bits at window 1, 2, 8 and 16 with loads arriving out of order: exactly the
-// serial reference without the merge, and one merged state with it (the
-// pairing is a function of the chain, not of what arrived first).
+// with a kind change in it and a gap that ends it early recovers to exactly
+// the serial reference at window 1, 2, 8 and 16 with loads arriving out of
+// order.
 func TestRecoveredStateIndependentOfWindow(t *testing.T) {
 	mem := buildChain(t, "adam", "sparse", checkpoint.KindGradient, 12, 41)
 	r := tensor.NewRNG(42)
@@ -429,26 +428,13 @@ func TestRecoveredStateIndependentOfWindow(t *testing.T) {
 	if exact.Iter != 40 {
 		t.Fatalf("reference stopped at iteration %d, want 40 (the gap)", exact.Iter)
 	}
-	var merged *State
 	for _, window := range []int{1, 2, 8, 16} {
-		for _, merge := range []bool{false, true} {
-			what := fmt.Sprintf("window %d, merge %v", window, merge)
-			got, n, err := newPipeline(jitterStore{mem}, 2, window, nil).strict(math.MaxInt64, merge)
-			if err != nil || n != 30 {
-				t.Fatalf("%s: %d differentials, %v", what, n, err)
-			}
-			switch {
-			case !merge:
-				assertSameState(t, what, got, exact)
-			case merged == nil:
-				merged = got
-			default:
-				assertSameState(t, what, got, merged)
-			}
+		what := fmt.Sprintf("window %d", window)
+		got, n, err := newPipeline(jitterStore{mem}, 2, window, nil).strict(math.MaxInt64)
+		if err != nil || n != 30 {
+			t.Fatalf("%s: %d differentials, %v", what, n, err)
 		}
-	}
-	if merged.Params.Equal(exact.Params) {
-		t.Fatal("the merged replay equals the exact one: the fixture does not exercise the merge")
+		assertSameState(t, what, got, exact)
 	}
 }
 
@@ -641,14 +627,16 @@ func stateDigest(st *State) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// (d) LatestParallel keeps the parent's load-all-then-pairwise-merge order:
-// on a fixed fixture (an odd chain, so one differential rides up a level
-// unpaired) the recovered state is, at every Parallelism, the one the
-// goroutine-and-semaphore tree of the previous implementation produced.
-// The digest was taken from that implementation on this same fixture.
-func TestLatestParallelMatchesPreviousTreeBitForBit(t *testing.T) {
-	const parentDigest = "88737a33af41392da1f719142a0837c325d0290cf33365da8c491354cef4cd38"
+// (d) There is one tier: under Adam, where merging differentials would only
+// approximate, LatestParallel recovers the very state Latest does at every
+// Parallelism — parameters, moments and step count hash alike.
+func TestLatestParallelIdenticalToLatest(t *testing.T) {
 	store := buildChain(t, "adam", "sparse", checkpoint.KindGradient, 9, 21)
+	serial, _, err := Latest(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := stateDigest(serial)
 	for _, par := range []int{1, 2, 8} {
 		st, n, err := LatestParallel(store, Options{Parallelism: par})
 		if err != nil {
@@ -657,8 +645,8 @@ func TestLatestParallelMatchesPreviousTreeBitForBit(t *testing.T) {
 		if n != 9 || st.Iter != 19 {
 			t.Fatalf("Parallelism %d: %d differentials to iteration %d", par, n, st.Iter)
 		}
-		if got := stateDigest(st); got != parentDigest {
-			t.Fatalf("Parallelism %d: state digest %s, want the previous implementation's %s", par, got, parentDigest)
+		if got := stateDigest(st); got != want {
+			t.Fatalf("Parallelism %d: state digest %s, want Latest's %s", par, got, want)
 		}
 	}
 }
@@ -747,11 +735,11 @@ func TestReplayRejectsNonContiguousList(t *testing.T) {
 }
 
 // Recovery is no longer one opaque span: with a recorder, every path
-// records a recovery envelope on the recovery track with its merge and
-// apply spans nested inside it, from the existing phase taxonomy only.
+// records a recovery envelope on the recovery track with its apply spans
+// nested inside it, from the existing phase taxonomy only.
 func TestRecoverySpansNestInEnvelope(t *testing.T) {
 	store := buildChain(t, "adam", "sparse", checkpoint.KindGradient, 6, 41)
-	check := func(what string, rec *trace.Recorder, merges, applies int) {
+	check := func(what string, rec *trace.Recorder, applies int) {
 		t.Helper()
 		var env *trace.Event
 		counts := map[string]int{}
@@ -765,8 +753,8 @@ func TestRecoverySpansNestInEnvelope(t *testing.T) {
 				env = &events[i]
 			}
 		}
-		if counts[trace.PhaseRecovery] != 1 || counts[trace.PhaseMerge] != merges || counts[trace.PhaseApply] != applies || len(counts) > 3 {
-			t.Fatalf("%s: spans %v, want 1 recovery, %d merge, %d apply", what, counts, merges, applies)
+		if counts[trace.PhaseRecovery] != 1 || counts[trace.PhaseApply] != applies || len(counts) > 2 {
+			t.Fatalf("%s: spans %v, want 1 recovery and %d apply", what, counts, applies)
 		}
 		for _, e := range events {
 			if e.Start < env.Start || e.Start+e.Dur > env.Start+env.Dur {
@@ -778,17 +766,17 @@ func TestRecoverySpansNestInEnvelope(t *testing.T) {
 	if _, _, err := LatestParallel(store, Options{Parallelism: 2, Trace: rec}); err != nil {
 		t.Fatal(err)
 	}
-	check("LatestParallel", rec, 1, 1) // six differentials merge into one
+	check("LatestParallel", rec, 1) // six sparse differentials make one tiled run
 	rec = trace.New()
 	if _, _, err := LatestValid(store, ValidateOptions{Trace: rec}); err != nil {
 		t.Fatal(err)
 	}
-	check("LatestValid", rec, 0, 6)
+	check("LatestValid", rec, 6)
 	// FromPeers: the storage part and the peer window share one envelope.
 	e, peerStore, _ := trainPeer(t, 2, 4, 8, 10)
 	rec = trace.New()
 	if _, _, err := FromPeers(peerStore, e.Peers(), ValidateOptions{Trace: rec}); err != nil {
 		t.Fatal(err)
 	}
-	check("FromPeers", rec, 0, 2) // fulls only in the store; iterations 9 and 10 from a window
+	check("FromPeers", rec, 2) // fulls only in the store; iterations 9 and 10 from a window
 }

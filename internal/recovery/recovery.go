@@ -1,5 +1,5 @@
 // Package recovery rebuilds model state from checkpoints (paper §4.1
-// recovery process and the parallel recovery module of §6.1).
+// recovery process).
 //
 // Two differential semantics are supported, matching the checkpoint kinds:
 //
@@ -15,13 +15,15 @@
 //
 // Every entry point runs one pipeline (DESIGN.md "Recovery pipeline"): scan,
 // load the full, load differentials a bounded number ahead of the consumer,
-// tree-merge them (the paper's pairwise merging, log n depth — LatestParallel
-// only), and apply in chain order on the shared pool's optimizer kernels,
-// consecutive sparse gradients a time-tiled run at a time.
+// and apply them in chain order on the shared pool's optimizer kernels,
+// consecutive sparse gradients a time-tiled run at a time. There is one
+// tier: every differential is replayed, never merged with its neighbours as
+// the paper's parallel recovery module (§6.1) does, so the only
+// approximation left is the one a batched record (Count > 1) under Adam
+// already carries.
 package recovery
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -29,7 +31,6 @@ import (
 	"sync"
 
 	"lowdiff/internal/checkpoint"
-	"lowdiff/internal/compress"
 	"lowdiff/internal/optim"
 	"lowdiff/internal/parallel"
 	"lowdiff/internal/storage"
@@ -41,10 +42,10 @@ import (
 // LatestParallel) keep in flight ahead of the consumer, the most that are
 // ever buffered, and so the longest run replay tiles. Loads wait on the
 // store, kernels on the pool: one apply costs a few round trips of a remote
-// store, so a handful of loads hides them whatever the core count; the
-// tree-merge takes loads as fast as they come, and there 16 measured 9% ahead
-// of 8 with nothing else moved (EXPERIMENTS.md "Restore path: before /
-// after").
+// store, so a handful of loads hides them whatever the core count. 16 is
+// set by replay: runs of 16 tiled on the packed kernel measured 14-24% ahead
+// of stepping them one by one (BenchmarkSparseReplay, EXPERIMENTS.md
+// "Restore path: exact recovery at SIMD speed").
 const lookAhead = 16
 
 // State is a recovered training state.
@@ -56,12 +57,13 @@ type State struct {
 
 // Options controls recovery.
 type Options struct {
-	// Parallelism sizes the pool of the merge and apply stages in
-	// LatestParallel (default: 4). Loads in flight do not depend on it.
+	// Parallelism sizes the pool the decode and apply kernels of
+	// LatestParallel run on; 0 takes every processor, as Latest does. The
+	// recovered state and the loads in flight do not depend on it.
 	Parallelism int
 	// Trace, when non-nil, records a recovery/recovery envelope over the
-	// whole LatestParallel rebuild with the merge and apply spans nested
-	// in it; the envelope's self time is scan plus loads.
+	// whole LatestParallel rebuild with its apply spans nested in it; the
+	// envelope's self time is scan plus loads.
 	Trace *trace.Recorder
 }
 
@@ -97,29 +99,26 @@ func (p *pipeline) envelope() func() {
 
 // Latest recovers to the newest state reachable in the store: the latest
 // full checkpoint plus the contiguous chain of differentials after it,
-// applied one by one in order (Alg. 1 recovery process) — the exact tier.
-// It returns the state and the number of differential records applied.
+// applied in order (Alg. 1 recovery process) on every processor. It returns
+// the state and the number of differential records applied.
 func Latest(store storage.Store) (*State, int, error) {
-	return newPipeline(store, 0, lookAhead, nil).strict(math.MaxInt64, false)
+	return LatestParallel(store, Options{})
 }
 
-// LatestParallel is Latest with the parallel recovery module: the chain is
-// loaded through the same window, merged in a binary tree, then applied, on
-// a pool of opts.Parallelism workers. Merging is gradient accumulation, so
-// under Adam the result is at most accumulation-approximate, not exact (a
-// chain of one differential has nothing to merge and replays exactly). Since
-// Latest time-tiles its replay, merging no longer makes a long chain faster
-// to recover than Latest does (BenchmarkRecoverChain, DESIGN.md §13).
+// LatestParallel is Latest on a pool of opts.Parallelism workers, recording
+// into opts.Trace. It replays the chain exactly as Latest does, bit for bit
+// at any worker count: the parallelism is in the sharded decode and apply
+// kernels. It does not merge the chain pairwise first, as the paper's
+// parallel recovery module does: under Adam that is only
+// accumulation-approximate, and time-tiled replay recovers a long chain at
+// least as fast (BenchmarkRecoverChain, DESIGN.md §13).
 func LatestParallel(store storage.Store, opts Options) (*State, int, error) {
-	if opts.Parallelism == 0 {
-		opts.Parallelism = 4
-	}
-	return newPipeline(store, opts.Parallelism, lookAhead, opts.Trace).strict(math.MaxInt64, true)
+	return newPipeline(store, opts.Parallelism, lookAhead, opts.Trace).strict(math.MaxInt64)
 }
 
 // strict recovers to the newest state at or before target and fails on the
 // first object that does not load, decode or match its name.
-func (p *pipeline) strict(target int64, merge bool) (*State, int, error) {
+func (p *pipeline) strict(target int64) (*State, int, error) {
 	defer p.envelope()()
 	m, err := checkpoint.Scan(p.store)
 	if err != nil {
@@ -156,11 +155,6 @@ func (p *pipeline) strict(target int64, merge bool) (*State, int, error) {
 		return d, nil
 	})
 	defer wait()
-	if merge {
-		if next, err = p.treeMerge(next); err != nil {
-			return nil, 0, err
-		}
-	}
 	st, err := p.replay(full, next)
 	if err != nil {
 		return nil, 0, err
@@ -251,49 +245,6 @@ func (p *pipeline) prefetch(chain []checkpoint.Entry, load func(checkpoint.Entry
 		return l.d, l.err
 	}
 	return next, wg.Wait
-}
-
-// treeMerge drains next and merges adjacent differentials pairwise, round
-// by round, until no adjacent pair (same kind, contiguous ranges) is left; a
-// round's pairs merge concurrently, one per pool shard. Gradient merging is
-// gradient accumulation; state-delta merging is exact addition. The pairing
-// depends only on the chain and Merge only on its inputs: so does the result.
-func (p *pipeline) treeMerge(next source) (source, error) {
-	var cur []*checkpoint.Diff
-	for d, err := next(); d != nil || err != nil; d, err = next() {
-		if err != nil {
-			return nil, err
-		}
-		cur = append(cur, d)
-	}
-	defer p.trace.Begin1(trace.TrackRecovery, trace.PhaseMerge, "diffs", int64(len(cur)))()
-	pairs, _ := parallel.NewWithChunk(p.pool.Workers(), 1) // the pool's workers over a grid of pairs
-	for {
-		var lefts []int // where in cur each of the round's pairs starts
-		for i := 0; i+1 < len(cur); i++ {
-			if cur[i].Kind == cur[i+1].Kind && cur[i].LastIter+1 == cur[i+1].FirstIter {
-				lefts = append(lefts, i)
-				i++
-			}
-		}
-		if len(lefts) == 0 {
-			return fromSlice(cur), nil
-		}
-		errs := make([]error, len(lefts))
-		pairs.ForEach(len(lefts), func(j, _, _ int) {
-			a, b := cur[lefts[j]], cur[lefts[j]+1]
-			payload, err := compress.Merge(a.Payload, b.Payload)
-			// The merged record takes the left slot; the right one empties.
-			cur[lefts[j]], cur[lefts[j]+1], errs[j] = &checkpoint.Diff{
-				Kind: a.Kind, FirstIter: a.FirstIter, LastIter: b.LastIter,
-				Count: a.Count + b.Count, Payload: payload,
-			}, nil, err
-		})
-		if err := errors.Join(errs...); err != nil {
-			return nil, err
-		}
-		cur = slices.DeleteFunc(cur, func(d *checkpoint.Diff) bool { return d == nil })
-	}
 }
 
 // replay is the in-order apply stage, the one replay loop. Consecutive

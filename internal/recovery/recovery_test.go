@@ -210,20 +210,16 @@ func TestParallelRecoveryMatchesSerialSGD(t *testing.T) {
 	if serial.Iter != parallel.Iter {
 		t.Fatalf("iters: %d vs %d", serial.Iter, parallel.Iter)
 	}
-	// The merge tree reorders float32 additions; parallel recovery is
-	// exact up to rounding under SGD.
-	if md, _ := parallel.Params.MaxAbsDiff(e.Params()); md > 1e-6 {
-		t.Fatalf("parallel SGD recovery diverged beyond rounding (max diff %v)", md)
-	}
-	if md, _ := parallel.Params.MaxAbsDiff(serial.Params); md > 1e-6 {
-		t.Fatalf("parallel differs from serial beyond rounding (max diff %v)", md)
-	}
+	assertSameState(t, "parallel SGD", parallel, serial)
 	if !serial.Params.Identical(e.Params()) {
 		t.Fatal("serial unbatched SGD recovery must be bit-exact")
 	}
 }
 
-func TestParallelRecoveryApproximatesAdam(t *testing.T) {
+// Parallel recovery replays every differential as serial recovery does, so
+// unbatched Adam comes back bit-exactly: parameters, both moments and the
+// step count.
+func TestParallelRecoveryExactAdam(t *testing.T) {
 	e, store := trainLowDiff(t, core.Options{
 		Spec:      model.Tiny(4, 32),
 		Workers:   1,
@@ -234,14 +230,14 @@ func TestParallelRecoveryApproximatesAdam(t *testing.T) {
 		BatchSize: 1,
 		Seed:      6,
 	}, 24)
-	st, _, err := LatestParallel(store, Options{Parallelism: 3})
+	st, n, err := LatestParallel(store, Options{Parallelism: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	md, _ := st.Params.MaxAbsDiff(e.Params())
-	if md > 0.1 {
-		t.Fatalf("parallel Adam recovery error %v too large", md)
+	if n != 8 {
+		t.Fatalf("applied %d differentials, want 8", n)
 	}
+	assertSameState(t, "parallel Adam", st, &State{Iter: 24, Params: e.Params(), Opt: e.OptState()})
 }
 
 func TestRecoveryEmptyStore(t *testing.T) {
@@ -375,8 +371,8 @@ func TestReplayBuildingBlock(t *testing.T) {
 	}
 }
 
-// Property: for random small runs with BS=1, serial recovery is always
-// bit-exact and parallel recovery matches serial under SGD.
+// Property: for random small runs with BS=1, serial and parallel recovery
+// are always bit-exact under SGD.
 func TestRecoveryProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := tensor.NewRNG(seed)
@@ -414,12 +410,9 @@ func TestRecoveryProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pmd, err := parallel.Params.MaxAbsDiff(e.Params())
-		if err != nil {
-			return false
-		}
-		return serial.Params.Identical(e.Params()) && // serial: bit-exact
-			pmd <= 1e-6 && // parallel: exact up to merge rounding
+		return serial.Params.Identical(e.Params()) && // bit-exact, both tiers
+			parallel.Params.Identical(e.Params()) &&
+			parallel.Opt.Step == serial.Opt.Step &&
 			serial.Iter == int64(iters)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {

@@ -20,5 +20,5 @@ func ToIter(store storage.Store, target int64) (*State, int, error) {
 	if target < 0 {
 		return nil, 0, fmt.Errorf("recovery: negative target iteration %d", target)
 	}
-	return newPipeline(store, 0, lookAhead, nil).strict(target, false)
+	return newPipeline(store, 0, lookAhead, nil).strict(target)
 }

@@ -107,8 +107,8 @@ type ValidateOptions struct {
 	// quarantines, completion) during LatestValid. Nil disables emission.
 	Events *obs.EventLog
 	// Trace, when non-nil, records the recovery envelope and the apply
-	// spans of LatestValid and FromPeers, as Options.Trace does for
-	// LatestParallel.
+	// spans of LatestValid and FromPeers, the same spans Options.Trace
+	// records for LatestParallel.
 	Trace *trace.Recorder
 }
 

@@ -15,8 +15,9 @@
 //     replica (Engine.Replica) with asynchronous persistence, and in-memory
 //     recovery from software failures. TrainPP runs pipeline-parallel
 //     stages.
-//   - Recover / RecoverParallel rebuild training state from a checkpoint
-//     store, serially (bit-exact) or with the parallel log-n merge tree.
+//   - Recover rebuilds training state from a checkpoint store: the latest
+//     full checkpoint plus its differential chain, replayed in order (bit-exact
+//     for unbatched differentials).
 //   - Tune computes the closed-form optimal full-checkpoint frequency and
 //     batching size from the paper's wasted-time model (Eq. 5).
 //   - The simulator (internal/cluster, surfaced through the experiments
@@ -55,8 +56,6 @@ type (
 	Config = core.Config
 	// RecoveredState is a training state rebuilt from checkpoints.
 	RecoveredState = recovery.State
-	// RecoverOptions controls parallel recovery.
-	RecoverOptions = recovery.Options
 	// Spec describes a model's layer structure.
 	Spec = model.Spec
 	// Store is the checkpoint object store interface.
@@ -94,15 +93,10 @@ func Resume(opts TrainOptions, state *RecoveredState) (*Engine, error) {
 }
 
 // Recover rebuilds the newest reachable training state from store by
-// loading the latest full checkpoint and replaying the differential chain
-// serially. The replay is bit-exact for unbatched differentials.
+// loading the latest full checkpoint and replaying the differential chain in
+// order, with loads overlapped and kernels sharded over every processor. The
+// replay is bit-exact for unbatched differentials.
 func Recover(store Store) (*RecoveredState, int, error) { return recovery.Latest(store) }
-
-// RecoverParallel is Recover using the parallel recovery module: concurrent
-// differential loads and a pairwise log-n merge tree (paper §6.1).
-func RecoverParallel(store Store, opts RecoverOptions) (*RecoveredState, int, error) {
-	return recovery.LatestParallel(store, opts)
-}
 
 // Compact folds the store's newest recoverable state into a fresh full
 // checkpoint and garbage-collects superseded records (log compaction for

@@ -2,10 +2,12 @@ package lowdiff
 
 import (
 	"testing"
+
+	"lowdiff/internal/tensor"
 )
 
 // The facade drives the full public workflow: model lookup, training with
-// checkpointing, recovery (both modes), resume, tuning, and stores.
+// checkpointing, recovery, resume, tuning, and stores.
 func TestFacadeEndToEnd(t *testing.T) {
 	if len(Models()) != 8 {
 		t.Fatalf("zoo has %d models", len(Models()))
@@ -43,15 +45,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if serial.Iter != 23 || n != 3 {
 		t.Fatalf("recovered to %d with %d diffs", serial.Iter, n)
 	}
-	if !serial.Params.Equal(engine.Params()) {
-		t.Fatal("serial recovery not bit-exact via facade")
+	live := engine.OptState()
+	if !serial.Params.Identical(engine.Params()) || serial.Opt.Step != live.Step {
+		t.Fatal("recovery not bit-exact via facade")
 	}
-	par, _, err := RecoverParallel(store, RecoverOptions{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if md, _ := par.Params.MaxAbsDiff(engine.Params()); md > 1e-6 {
-		t.Fatalf("parallel recovery off by %v", md)
+	for k, v := range live.Slots {
+		if !tensor.Vector(serial.Opt.Slots[k]).Identical(v) {
+			t.Fatalf("optimizer slot %q not bit-exact via facade", k)
+		}
 	}
 
 	resumed, err := Resume(opts, serial)

@@ -28,8 +28,6 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	parallelism := flag.Int("parallelism", runtime.NumCPU(),
 		"data-plane pool workers for the functional experiments (1: serial; results are bit-identical either way)")
-	overlap := flag.Bool("overlap", false,
-		"pipelined step schedule: overlap checkpoint work with the next iteration's communication wave (results are bit-identical)")
 	storeURL := flag.String("store", "",
 		"route functional experiments' checkpoints to a lowdiffd daemon, tcp://host:port/tenant (empty: in-memory)")
 	opsAddr := flag.String("ops-addr", "", "serve /metrics, /healthz, /snapshot, and pprof on this address while experiments run (empty: off)")
@@ -37,7 +35,6 @@ func main() {
 	flag.Parse()
 
 	experiments.SetParallelism(*parallelism)
-	experiments.SetOverlap(*overlap)
 	experiments.SetStoreURL(*storeURL)
 
 	var rec *trace.Recorder

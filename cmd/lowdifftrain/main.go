@@ -44,8 +44,6 @@ func main() {
 	batch := flag.Int("batch", 5, "batched gradient write size")
 	crash := flag.Int("crash", 0, "simulate a crash after this many iterations (0: none)")
 	doRecover := flag.Bool("recover", false, "recover from -dir and print the state instead of training")
-	overlap := flag.Bool("overlap", false,
-		"pipelined step schedule: overlap checkpoint work with the next iteration's communication wave (results are bit-identical)")
 	parallelism := flag.Int("parallelism", runtime.NumCPU(),
 		"data-plane pool workers for compression, merge, and checkpoint encode (1: serial; bit-identical either way)")
 	plus := flag.Bool("plus", false, "run the LowDiff+ engine (no compression)")
@@ -182,7 +180,7 @@ func main() {
 	e, err := core.NewEngine(core.Options{
 		Spec: scaled, Workers: *workers, Optimizer: *optName, Rho: *rho,
 		Store: store, FullEvery: *fullEvery, BatchSize: *batch,
-		Parallelism: *parallelism, Overlap: *overlap, Seed: *seed, Plus: plusSpec, Peer: peerSpec,
+		Parallelism: *parallelism, Seed: *seed, Plus: plusSpec, Peer: peerSpec,
 		Trace: rec, Metrics: reg, Events: events,
 	})
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"lowdiff/internal/model"
 	"lowdiff/internal/obs"
 	"lowdiff/internal/optim"
-	"lowdiff/internal/parallel"
 	"lowdiff/internal/tensor"
 	"lowdiff/internal/trace"
 )
@@ -26,9 +25,6 @@ func (e *Engine) initDP() error {
 	if err := validateChain(opts); err != nil {
 		return err
 	}
-	if err := validateOverlap(opts); err != nil {
-		return err
-	}
 	if err := e.initDPWorkers(); err != nil {
 		return err
 	}
@@ -41,22 +37,7 @@ func (e *Engine) initDP() error {
 			return err
 		}
 	}
-	topo := &dpTopology{e: e}
-	// The overlap schedule's long-lived pieces — the scheduler-owned
-	// Naïve-DC compressor and the snapshot staging double buffer — are
-	// built once here so chunked Run calls reuse them (and so codec
-	// errors surface at init, where they can be returned).
-	if opts.Overlap && opts.Store != nil {
-		if opts.NaiveDC && !opts.DisableDiffs {
-			comp, err := compress.NewPooled(opts.Codec, opts.Rho, opts.Seed, e.pool)
-			if err != nil {
-				return err
-			}
-			topo.overlapComp = comp
-		}
-		topo.staging = parallel.NewDoubleBuf(opts.Spec.NumParams())
-	}
-	e.topo = topo
+	e.topo = &dpTopology{e: e}
 	e.snap = &chainSnapshotter{e: e, sink: chainSink{e: e, requestFull: true}}
 	return nil
 }
@@ -125,43 +106,18 @@ func (e *Engine) initDPWorkers() error {
 // dpTopology runs Workers data-parallel ranks over replicated parameters.
 type dpTopology struct {
 	e *Engine
-
-	// Overlap schedule (DESIGN.md §11), active when opts.Overlap and a
-	// store is configured: overlapComp/staging live across Run calls,
-	// sched is rebuilt per Run in begin and joined in end.
-	overlapComp compress.Compressor
-	staging     *parallel.DoubleBuf
-	sched       *overlapScheduler
 }
 
 func (d *dpTopology) ranks() int      { return d.e.opts.Workers }
 func (d *dpTopology) rankKey() string { return "workers" }
-
-func (d *dpTopology) begin(rc *runCtx) {
-	e := d.e
-	if e.opts.Overlap && e.opts.Store != nil {
-		d.sched = newOverlapScheduler(e, rc, d.overlapComp, d.staging)
-	}
-}
-
-// end joins the scheduler before the Snapshotter's end closes the queue:
-// every deposited slot retires (its gradient queued, its full handed off)
-// while the queue is still open.
-func (d *dpTopology) end(*runCtx) {
-	if d.sched != nil {
-		d.sched.stop()
-		d.sched = nil
-	}
-}
+func (d *dpTopology) begin(*runCtx)   {}
+func (d *dpTopology) end(*runCtx)     {}
 
 func (d *dpTopology) registerMetrics(reg *obs.Registry) {
 	e := d.e
 	reg.FuncGauge("engine.iter", func() float64 { return float64(e.live.Load()) })
 	reg.FuncGauge("engine.health", func() float64 { return float64(e.Health()) })
 	reg.FuncGauge("engine.workers", func() float64 { return float64(e.opts.Workers) })
-	if e.opts.Overlap {
-		e.registerOverlapMetrics(reg)
-	}
 }
 
 func (d *dpTopology) newTrainRank(w int) trainRank {
@@ -172,13 +128,9 @@ func (d *dpTopology) newTrainRank(w int) trainRank {
 func (d *dpTopology) newRank(rc *runCtx, w int) rankRunner {
 	e := d.e
 	r := &dpRank{trainRank: d.newTrainRank(w)}
-	if w == 0 {
-		r.sched = d.sched
-	}
 	// Naïve DC retains the previous model state to compute the
-	// differential from — the extra memory cost §3.4 points out. Under
-	// the overlap schedule that state lives on the scheduler instead.
-	if e.opts.NaiveDC && w == 0 && rc.queue != nil && r.sched == nil {
+	// differential from — the extra memory cost §3.4 points out.
+	if e.opts.NaiveDC && w == 0 && rc.queue != nil {
 		r.prev = r.p.Flat.Clone()
 		r.delta = tensor.New(len(r.p.Flat))
 	}
@@ -191,12 +143,11 @@ func (d *dpTopology) newRank(rc *runCtx, w int) rankRunner {
 // all-gather and the apply (queue hand-off or peer retain) stays in its own
 // step.
 type trainRank struct {
-	e     *Engine
-	w     int
-	p     *model.Params
-	o     optim.Optimizer
-	g     tensor.Vector
-	sched *overlapScheduler // overlap schedule (DP worker 0, when enabled)
+	e *Engine
+	w int
+	p *model.Params
+	o optim.Optimizer
+	g tensor.Vector
 }
 
 // syncGradient opens iteration t and runs its backward pass, compression and
@@ -225,19 +176,9 @@ func (r *trainRank) syncGradient(t int64) (synced *compress.Compressed, iterDone
 	if err != nil {
 		return nil, nil, err
 	}
-	// Synchronize. Under the overlap schedule the previous iteration's
-	// gated checkpoint slices run inside this wave: the gate opens as
-	// the span opens (params are quiescent until the post-wave apply)
-	// and the rendezvous completes before the span closes, so the
-	// scheduler's spans nest inside this allgather span by construction.
+	// Synchronize.
 	syncDone := tr.Begin1(trace.TrackTrain, trace.PhaseAllGather, "iter", t)
-	if r.sched != nil {
-		r.sched.openGate()
-	}
 	synced, err = e.group.AllGatherSparse(w, local)
-	if r.sched != nil {
-		r.sched.rendezvous()
-	}
 	syncDone()
 	return synced, iterDone, err
 }
@@ -256,7 +197,7 @@ func (r *trainRank) applyGradient(t int64, synced *compress.Compressed) error {
 // dpRank is one data-parallel worker's per-iteration state.
 type dpRank struct {
 	trainRank
-	prev, delta tensor.Vector // Naïve DC state (worker 0, sequential schedule)
+	prev, delta tensor.Vector // Naïve DC state (worker 0)
 }
 
 func (r *dpRank) step(rc *runCtx, t int64) error {
@@ -267,9 +208,8 @@ func (r *dpRank) step(rc *runCtx, t int64) error {
 		return err
 	}
 	// Reuse: zero-copy hand-off to the checkpointing process
-	// (LowDiff path; Naïve DC checkpoints after the update). The
-	// overlap schedule hands off through the scheduler after apply.
-	if w == 0 && rc.queue != nil && !e.opts.NaiveDC && r.sched == nil {
+	// (LowDiff path; Naïve DC checkpoints after the update).
+	if w == 0 && rc.queue != nil && !e.opts.NaiveDC {
 		putDone := tr.Begin1(trace.TrackTrain, trace.PhaseQueueWait, "iter", t)
 		err := rc.queue.Put(Item{Iter: t, Layer: -1, Grad: synced})
 		putDone()
@@ -296,21 +236,6 @@ func (r *dpRank) step(rc *runCtx, t int64) error {
 		}
 	}
 	iterDone()
-	if r.sched != nil {
-		// Overlap schedule: deposit this iteration's checkpoint-plane
-		// work — the queue hand-off, the Naïve-DC delta, and any
-		// boundary/fallback full — for dispatch during the next wave.
-		// The fallback CAS happens here, at the same point in the
-		// trainer's timeline as the sequential branch below.
-		var gradItem *compress.Compressed
-		if rc.queue != nil && !e.opts.NaiveDC {
-			gradItem = synced
-		}
-		fallback := e.needFull.CompareAndSwap(true, false)
-		doFull := fallback || t%int64(e.opts.FullEvery) == 0
-		r.sched.deposit(t, gradItem, doFull)
-		return nil
-	}
 	// Full checkpoint regularly — and on demand when the
 	// fault-tolerance ladder requests a fresh chain base:
 	// synchronous snapshot, asynchronous persist.
@@ -321,7 +246,7 @@ func (r *dpRank) step(rc *runCtx, t int64) error {
 			var full *checkpoint.Full
 			e.FullSnapshotTimer.Time(func() { full = snapshotFull(t, r.p.Flat, r.o) })
 			snapDone()
-			e.fulls.handOff(fullJob{f: full})
+			e.fulls.handOff(full)
 		}
 	}
 	return nil
@@ -358,7 +283,7 @@ func (s *chainSnapshotter) begin(rc *runCtx) error {
 
 func (s *chainSnapshotter) initialFull(rc *runCtx) error {
 	if e := s.e; e.fulls != nil {
-		e.fulls.handOff(fullJob{f: snapshotFull(0, e.params[0].Flat, e.opts2[0])})
+		e.fulls.handOff(snapshotFull(0, e.params[0].Flat, e.opts2[0]))
 	}
 	return nil
 }

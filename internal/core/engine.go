@@ -90,21 +90,8 @@ type Options struct {
 	// throughput: golden fixtures and recovery replay are unaffected.
 	Parallelism int
 
-	// Overlap replaces the strictly sequential phase chain with the
-	// pipelined step schedule (DESIGN.md §11): checkpoint-plane work for
-	// iteration i — queue hand-off, Naïve-DC delta compression, and the
-	// partitioned full-snapshot slices — is deposited into a
-	// double-buffered scheduler and dispatched during the communication
-	// wave of iteration i+1 instead of stalling the step boundary.
-	// Results and checkpoint bytes are bit-identical to the sequential
-	// schedule (the gated slices only read state the wave leaves
-	// quiescent, on the same fixed chunk grid), so golden fixtures are
-	// unaffected at any worker count. DP runs the full scheduler; Plus
-	// defers the H_s offload wait by one step behind a second gradient
-	// buffer; PP persists boundary fulls asynchronously. The Peer
-	// strategy rejects Overlap (its durability story requires the
-	// synchronous boundary persist), as does NaiveDC with a stateful
-	// compressor (randk or ErrorFeedback).
+	// Deprecated: has no effect. Every strategy runs one step schedule
+	// (DESIGN.md §11); the field remains only for callers that still set it.
 	Overlap bool
 
 	Seed  uint64
@@ -295,10 +282,6 @@ type Engine struct {
 	peerFallback  atomic.Bool     // storage-differential fallback engaged
 	peerFallbacks metrics.Counter // peer→storage fallbacks engaged
 	peerRestores  metrics.Counter // peer plane re-validated (fallback left)
-
-	// Overlap-schedule accounting (active when opts.Overlap).
-	overlapDeposits metrics.Counter // slots deposited into the step schedule
-	overlapSlices   metrics.Counter // checkpoint slices dispatched in idle windows
 
 	// FullSnapshotTimer observes snapshot (state-clone) costs.
 	FullSnapshotTimer metrics.Timer

@@ -15,9 +15,9 @@ func (e *Engine) joinFulls() { e.fulls.join() }
 // quiesce, called first in a test, requires at the test's end that nothing
 // the test started is still running: the goroutine count must come back to
 // what it was, with no call from the test to make it — an engine's persister
-// outlives Run and exits by itself once its queue is empty. Every overlap,
-// Plus and Peer test calls it, so a scheduler, offload pool, sequencer or
-// persister that outlives its work fails the test that leaked it.
+// outlives Run and exits by itself once its queue is empty. Every Plus and
+// Peer test calls it, so an offload pool or persister that outlives its work
+// fails the test that leaked it.
 func quiesce(t testing.TB) {
 	t.Helper()
 	start := runtime.NumGoroutine()

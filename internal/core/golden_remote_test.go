@@ -17,7 +17,7 @@ import (
 // checkpoints through the wire protocol, the daemon's staging path, and
 // its backing store must not change a single byte of checkpoint output,
 // loss bit pattern, or counter — the same determinism contract the
-// parallel and overlap replays enforce (DESIGN.md §8, §12). The chaos
+// parallel replay enforces (DESIGN.md §8, §12). The chaos
 // variant additionally injects write failures and latency into the
 // daemon's backing store and relies on the engines' fault-tolerance retry
 // ladder: retried commits re-encode identical bytes, so even a flaky pool

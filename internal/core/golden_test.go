@@ -80,10 +80,8 @@ type goldenConfig struct {
 // parallelism. The fixtures were captured serially (par 0); any par value
 // must reproduce them bit for bit — the data-plane determinism contract
 // (DESIGN.md §8) — so TestGoldenEquivalenceParallel replays the SAME
-// fixtures with a sharded pool. The overlap flag enables the pipelined
-// step schedule (DESIGN.md §11) on every configuration; it too must
-// reproduce the serially captured fixtures byte for byte, which is what
-// TestGoldenEquivalenceOverlap asserts.
+// fixtures with a sharded pool. overlap sets the deprecated Options.Overlap
+// on every configuration, which must change nothing.
 func goldenConfigs(par int, overlap bool) []goldenConfig {
 	dp := func(opts Options) goldenConfig {
 		return goldenConfig{
@@ -155,7 +153,7 @@ func goldenConfigs(par int, overlap bool) []goldenConfig {
 			return NewEngine(Options{
 				Spec: model.Tiny(5, 24), Workers: 2, LR: 0.03,
 				Store: store, Plus: &PlusSpec{PersistEvery: 5}, Parallelism: par,
-				Seed: 105, Events: events,
+				Overlap: overlap, Seed: 105, Events: events,
 			})
 		},
 		run: func(e goldenEngine, iters int) (int64, int64, error) {
@@ -177,7 +175,7 @@ func goldenConfigs(par int, overlap bool) []goldenConfig {
 			return NewEngine(Options{
 				Spec: model.Tiny(8, 32), PP: &PPSpec{Stages: 4}, Rho: 0.2,
 				Store: store, FullEvery: 10, BatchSize: 2, Parallelism: par,
-				Seed: 106, Events: events,
+				Overlap: overlap, Seed: 106, Events: events,
 			})
 		},
 		run: func(e goldenEngine, iters int) (int64, int64, error) {
@@ -210,11 +208,11 @@ func TestGoldenEquivalenceParallel(t *testing.T) {
 	runGolden(t, 3, false, false)
 }
 
-// TestGoldenEquivalenceOverlap replays every golden configuration with
-// the pipelined overlap schedule enabled, at several data-plane widths:
-// moving checkpoint work off the step's critical path must never change
-// a single byte of checkpoint output, loss bit pattern, or event line
-// (DESIGN.md §11). Fixtures are never regenerated from this test.
+// TestGoldenEquivalenceOverlap replays every golden configuration at several
+// data-plane widths with the deprecated Options.Overlap set: neither the
+// pool width nor the inert field may change a single byte of checkpoint
+// output, loss bit pattern, or event line (DESIGN.md §8, §11). Fixtures are
+// never regenerated from this test.
 func TestGoldenEquivalenceOverlap(t *testing.T) {
 	quiesce(t)
 	for _, par := range []int{1, 2, 7, runtime.NumCPU()} {
@@ -258,10 +256,7 @@ func captureGolden(t *testing.T, cfg goldenConfig) *goldenFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx := &goldenFixture{
-		InitialLoss: f64bits(e.Loss()),
-		Store:       map[string]string{},
-	}
+	fx := &goldenFixture{InitialLoss: f64bits(e.Loss())}
 	for _, n := range cfg.chunks {
 		dw, fw, err := cfg.run(e, n)
 		if err != nil {
@@ -280,19 +275,7 @@ func captureGolden(t *testing.T, cfg goldenConfig) *goldenFixture {
 	e.(*Engine).joinFulls()
 	fx.FinalParams = paramsHash(e.Params())
 	fx.FinalOpt = optStateHash(st)
-	if cfg.store != nil {
-		names, err := cfg.store.List("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range names {
-			obj, err := storage.ReadObject(cfg.store, name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fx.Store[name] = sha256hex(obj)
-		}
-	}
+	fx.Store = storeDigest(t, cfg.store)
 	if cfg.events {
 		if err := events.Err(); err != nil {
 			t.Fatal(err)
@@ -302,6 +285,74 @@ func captureGolden(t *testing.T, cfg goldenConfig) *goldenFixture {
 		}
 	}
 	return fx
+}
+
+// storeDigest maps every object in store (nil: none) to its SHA-256.
+func storeDigest(t *testing.T, store storage.Store) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	if store == nil {
+		return out
+	}
+	names, err := store.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		obj, err := storage.ReadObject(store, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = sha256hex(obj)
+	}
+	return out
+}
+
+// TestOverlapIsInert pins the deprecated Options.Overlap as a no-op: every
+// strategy, including the combinations the removed pipelined schedule
+// rejected (Peer, Naïve DC with randk), builds with it set and writes the
+// same store objects, byte for byte, as without it.
+func TestOverlapIsInert(t *testing.T) {
+	quiesce(t)
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"dp", Options{Spec: model.Tiny(4, 32), Workers: 2, Rho: 0.1, FullEvery: 5, Seed: 111}},
+		{"dp-naivedc-randk", Options{Spec: model.Tiny(2, 16), Workers: 1, Codec: "randk", Rho: 0.5,
+			FullEvery: 4, NaiveDC: true, Seed: 112}},
+		{"peer", Options{Spec: model.Tiny(3, 16), Workers: 2, Rho: 0.3, FullEvery: 4,
+			Peer: &PeerSpec{Window: 4}, Seed: 113}},
+		{"plus", Options{Spec: model.Tiny(5, 24), Workers: 2, Plus: &PlusSpec{PersistEvery: 5}, Seed: 114}},
+		{"pp", Options{Spec: model.Tiny(8, 32), PP: &PPSpec{Stages: 4}, Rho: 0.2,
+			FullEvery: 5, BatchSize: 1, Seed: 115}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			digest := func(overlap bool) map[string]string {
+				o := tc.opts
+				o.Store = storage.NewMem()
+				o.Overlap = overlap
+				e, err := NewEngine(o)
+				if err != nil {
+					t.Fatalf("Overlap=%v: %v", overlap, err)
+				}
+				if _, err := e.Run(12); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				return storeDigest(t, o.Store)
+			}
+			off, on := digest(false), digest(true)
+			if len(off) < 2 {
+				t.Fatalf("only %d objects written: nothing to compare", len(off))
+			}
+			if fmt.Sprint(off) != fmt.Sprint(on) {
+				t.Fatalf("Overlap changed the store:\noff %v\non  %v", off, on)
+			}
+		})
+	}
 }
 
 func compareGolden(t *testing.T, want, got *goldenFixture) {

@@ -42,9 +42,6 @@ func (e *Engine) initPeer() error {
 	if opts.Peer.Window < 1 {
 		return fmt.Errorf("core: peer window depth %d must be >= 1", opts.Peer.Window)
 	}
-	if err := validateOverlap(opts); err != nil {
-		return err
-	}
 	if err := e.initDPWorkers(); err != nil {
 		return err
 	}
@@ -93,8 +90,7 @@ func (e *Engine) Peers() *comm.Peers { return e.peers }
 func (e *Engine) PeerFallbackActive() bool { return e.peerFallback.Load() }
 
 // peerTopology is the data-parallel topology with ranks whose received
-// gradients are retained in peer windows (Overlap is rejected at init, so
-// the embedded scheduler hooks stay idle).
+// gradients are retained in peer windows.
 type peerTopology struct {
 	dpTopology
 }

@@ -18,7 +18,8 @@ import (
 
 // These tests pin the contract between Run, Flush and the engine's full
 // persister: Run returns with its fulls handed off, not written; Flush is the
-// barrier; a persist error surfaces once; the worker needs no Close.
+// barrier; a persist error surfaces once; the worker needs no Close. DP and PP
+// boundary fulls both go through it.
 
 // gatedStore holds every Create of a full checkpoint after the iteration-0
 // base until the gate opens, counts them, and can fail the ones of one name.
@@ -67,22 +68,58 @@ func listed(t *testing.T, s storage.Store, prefix string) int {
 	return len(names)
 }
 
+// runPastGate runs iters iterations and fails the test if Run waits for a
+// full held at the gate: no boundary full may hold the trainer.
+func runPastGate(t *testing.T, e *Engine, store *gatedStore, iters int) RunStats {
+	t.Helper()
+	type result struct {
+		stats RunStats
+		err   error
+	}
+	ran := make(chan result, 1)
+	go func() {
+		stats, err := e.Run(iters)
+		ran <- result{stats, err}
+	}()
+	select {
+	case r := <-ran:
+		if r.err != nil {
+			t.Fatalf("Run reported a persist that had not been attempted: %v", r.err)
+		}
+		return r.stats
+	case <-time.After(5 * time.Second):
+		close(store.gate) // a persist that then fails can leave the Run hung: do not wait for it
+		t.Fatal("Run waited for a full persist held at the gate")
+		return RunStats{}
+	}
+}
+
 func TestRunHandsOffFlushIsTheBarrier(t *testing.T) {
+	checkFlushIsTheBarrier(t, func(o *Options) { o.Workers = 1; o.Seed = 31 })
+}
+
+// PP's boundary full leaves the stages the same way: stage 0 hands it to the
+// persister at the aligned boundary, so neither barrier waits for the store.
+func TestPPBoundaryFullLeavesTheBarrier(t *testing.T) {
+	pp := func(o *Options) { o.PP = &PPSpec{Stages: 2}; o.Seed = 36 }
+	t.Run("barrier", func(t *testing.T) { checkFlushIsTheBarrier(t, pp) })
+	for _, first := range []string{"Flush", "Run"} {
+		t.Run("error-surfaces-once-"+first, func(t *testing.T) { checkPersistErrorOnce(t, pp, first) })
+	}
+}
+
+func checkFlushIsTheBarrier(t *testing.T, strategy func(o *Options)) {
 	quiesce(t)
 	store := newGatedStore()
-	e, err := NewEngine(Options{
-		Spec: model.Tiny(2, 16), Workers: 1, Rho: 0.3,
-		Store: store, FullEvery: 5, BatchSize: 1, Seed: 31,
-	})
+	opts := Options{Spec: model.Tiny(2, 16), Rho: 0.3, Store: store, FullEvery: 5, BatchSize: 1}
+	strategy(&opts)
+	e, err := NewEngine(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Run returns while the store still refuses every full after the base:
 	// the one of iteration 5 is stuck in the worker.
-	stats, err := e.Run(5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := runPastGate(t, e, store, 5)
 	last := checkpoint.FullName(5)
 	if stats.FullWrites != 2 || stats.DiffWrites != 5 {
 		t.Fatalf("Run counted %d fulls handed off and %d diff writes, want 2 and 5", stats.FullWrites, stats.DiffWrites)
@@ -118,39 +155,40 @@ func TestRunHandsOffFlushIsTheBarrier(t *testing.T) {
 func TestCrossedPersistErrorSurfacesOnce(t *testing.T) {
 	for _, first := range []string{"Flush", "Run"} {
 		t.Run(first, func(t *testing.T) {
-			quiesce(t)
-			store := newGatedStore()
-			store.fail = checkpoint.FullName(5)
-			e, err := NewEngine(Options{
-				Spec: model.Tiny(2, 16), Workers: 1, Rho: 0.3,
-				Store: store, FullEvery: 5, DisableDiffs: true, Seed: 32,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.Run(5); err != nil {
-				t.Fatalf("Run reported a persist that had not been attempted: %v", err)
-			}
-			close(store.gate)
-			var errs [2]error
-			if first == "Flush" {
-				errs[0] = e.Flush()
-				_, errs[1] = e.Run(3)
-			} else {
-				e.joinFulls() // the failure has happened; nobody has seen it
-				_, errs[0] = e.Run(3)
-				errs[1] = e.Flush()
-			}
-			if !errors.Is(errs[0], storage.ErrInjectedFault) {
-				t.Fatalf("%s returned %v, want the injected persist fault", first, errs[0])
-			}
-			if errs[1] != nil {
-				t.Fatalf("the persist fault surfaced a second time: %v", errs[1])
-			}
-			if err := e.Flush(); err != nil {
-				t.Fatalf("Flush after the fault was reported: %v", err)
-			}
+			checkPersistErrorOnce(t, func(o *Options) { o.Workers = 1; o.Seed = 32 }, first)
 		})
+	}
+}
+
+func checkPersistErrorOnce(t *testing.T, strategy func(o *Options), first string) {
+	quiesce(t)
+	store := newGatedStore()
+	store.fail = checkpoint.FullName(5)
+	opts := Options{Spec: model.Tiny(2, 16), Rho: 0.3, Store: store, FullEvery: 5, DisableDiffs: true}
+	strategy(&opts)
+	e, err := NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runPastGate(t, e, store, 5)
+	close(store.gate)
+	var errs [2]error
+	if first == "Flush" {
+		errs[0] = e.Flush()
+		_, errs[1] = e.Run(3)
+	} else {
+		e.joinFulls() // the failure has happened; nobody has seen it
+		_, errs[0] = e.Run(3)
+		errs[1] = e.Flush()
+	}
+	if !errors.Is(errs[0], storage.ErrInjectedFault) {
+		t.Fatalf("%s returned %v, want the injected persist fault", first, errs[0])
+	}
+	if errs[1] != nil {
+		t.Fatalf("the persist fault surfaced a second time: %v", errs[1])
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatalf("Flush after the fault was reported: %v", err)
 	}
 }
 

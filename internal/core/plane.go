@@ -18,15 +18,6 @@ func snapshotFull(iter int64, params tensor.Vector, opt optim.Optimizer) *checkp
 	return &checkpoint.Full{Iter: iter, Params: params.Clone(), Opt: opt.Snapshot()}
 }
 
-// fullJob carries one full checkpoint to the persist goroutine. release,
-// when set, returns the snapshot's staging buffer to the overlap
-// schedule's double buffer after the persist attempt (the params must
-// not be touched once released).
-type fullJob struct {
-	f       *checkpoint.Full
-	release func()
-}
-
 // fullQueueDepth bounds the snapshotted-but-unpersisted fulls: deep enough
 // that a fallback full taken right behind a boundary full does not stall the
 // trainer on a slow store, shallow enough to bound snapshot memory.
@@ -34,8 +25,8 @@ const fullQueueDepth = 4
 
 // fullPersister is the engine's one ordered full-checkpoint persist stream
 // (CheckFreq-style: synchronous snapshot, asynchronous persist). DP boundary
-// and fallback fulls, LowDiff+ replica persists and PP's overlapped boundary
-// fulls are handed off to it FIFO; the inline persists (Peer, sequential PP,
+// and fallback fulls, LowDiff+ replica persists and PP's boundary fulls are
+// handed off to it FIFO; the inline persists (Peer, PP's iteration-0 base,
 // Flush's replica tail) go through persistInline, behind every hand-off
 // already made. The stream belongs to the engine, not to a Run: a full handed
 // off on a Run's last iterations persists while the caller goes on, and Flush
@@ -45,11 +36,11 @@ type fullPersister struct {
 	e *Engine
 
 	mu      sync.Mutex
-	cond    *sync.Cond       // broadcast when a job is picked up or done, and when the worker exits
-	queue   []fullJob        // handed off, not picked up yet; at most fullQueueDepth
-	cur     *checkpoint.Full // being persisted
-	running bool             // the worker goroutine is alive
-	err     error            // first persist error no Run or Flush has returned yet
+	cond    *sync.Cond         // broadcast when a job is picked up or done, and when the worker exits
+	queue   []*checkpoint.Full // handed off, not picked up yet; at most fullQueueDepth
+	cur     *checkpoint.Full   // being persisted
+	running bool               // the worker goroutine is alive
+	err     error              // first persist error no Run or Flush has returned yet
 }
 
 func newFullPersister(e *Engine) *fullPersister {
@@ -60,13 +51,13 @@ func newFullPersister(e *Engine) *fullPersister {
 
 // handOff queues one full for the worker, blocking while fullQueueDepth
 // are already waiting (the trainer's back-pressure on a slow store).
-func (p *fullPersister) handOff(job fullJob) {
+func (p *fullPersister) handOff(f *checkpoint.Full) {
 	p.e.fullsTaken.Inc()
 	p.mu.Lock()
 	for len(p.queue) >= fullQueueDepth {
 		p.cond.Wait()
 	}
-	p.queue = append(p.queue, job)
+	p.queue = append(p.queue, f)
 	if !p.running {
 		p.running = true
 		go p.work()
@@ -79,11 +70,11 @@ func (p *fullPersister) work() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for len(p.queue) > 0 {
-		job := p.queue[0]
+		f := p.queue[0]
 		n := copy(p.queue, p.queue[1:])
-		p.queue[n] = fullJob{} // the slot must not pin a persisted snapshot
+		p.queue[n] = nil // the slot must not pin a persisted snapshot
 		p.queue = p.queue[:n]
-		p.cur = job.f
+		p.cur = f
 		// An error nobody has collected yet means a dead sink: keep draining
 		// without persisting so producers never block on it.
 		broken := p.err != nil
@@ -91,12 +82,7 @@ func (p *fullPersister) work() {
 		p.mu.Unlock()
 		var err error
 		if !broken {
-			err = p.e.persistFull(job.f)
-		}
-		// Release staging buffers even in drain mode: the overlap
-		// scheduler blocks in Acquire when both buffers are out.
-		if job.release != nil {
-			job.release()
+			err = p.e.persistFull(f)
 		}
 		p.mu.Lock()
 		if err != nil {
@@ -148,8 +134,8 @@ func (p *fullPersister) inFlight(iter int64) bool {
 	if p.cur != nil && p.cur.Iter == iter {
 		return true
 	}
-	for _, job := range p.queue {
-		if job.f.Iter == iter {
+	for _, f := range p.queue {
+		if f.Iter == iter {
 			return true
 		}
 	}

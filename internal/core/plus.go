@@ -51,9 +51,6 @@ func (e *Engine) initPlus() error {
 	if ps.SnapshotWorkers < 1 {
 		return fmt.Errorf("core: SnapshotWorkers %d must be >= 1", ps.SnapshotWorkers)
 	}
-	if err := validateOverlap(opts); err != nil {
-		return err
-	}
 	group, err := comm.NewGroupPooled(opts.Workers, e.pool)
 	if err != nil {
 		return err
@@ -163,15 +160,6 @@ type plusTopology struct {
 	e      *Engine
 	snapCh chan snapJob
 	poolWG sync.WaitGroup
-
-	// Overlap schedule (DESIGN.md §11): with two iterations of offloads
-	// in flight, pool workers can finish layers of iteration t+1 before
-	// the last layers of iteration t. The sequencer re-serializes their
-	// queue hand-offs into the iteration-monotonic order the replica
-	// assembler requires; pool workers release the trainer's handle
-	// (hs.Done) as soon as the host copy exists, before sequencing.
-	seqCh chan Item
-	seqWG sync.WaitGroup
 }
 
 func (p *plusTopology) ranks() int      { return p.e.opts.Workers }
@@ -181,11 +169,6 @@ func (p *plusTopology) begin(rc *runCtx) {
 	e := p.e
 	rec := e.opts.Trace
 	p.snapCh = make(chan snapJob, e.opts.Plus.SnapshotWorkers*2)
-	if e.opts.Overlap {
-		p.seqCh = make(chan Item, e.opts.Plus.SnapshotWorkers*2)
-		p.seqWG.Add(1)
-		go p.sequence(rc)
-	}
 	for i := 0; i < e.opts.Plus.SnapshotWorkers; i++ {
 		p.poolWG.Add(1)
 		go func() {
@@ -199,14 +182,6 @@ func (p *plusTopology) begin(rc *runCtx) {
 					Vals:  append([]float32(nil), job.src...),
 				}
 				snapDone()
-				if p.seqCh != nil {
-					// Overlap: the host copy exists, so the trainer's
-					// buffer handle can be released immediately; the
-					// sequencer takes over the queue hand-off.
-					job.hs.Done()
-					p.seqCh <- Item{Iter: job.iter, Layer: job.layer, Grad: host}
-					continue
-				}
 				putDone := rec.Begin2(trace.TrackSnapshot, trace.PhaseQueueWait,
 					"iter", job.iter, "layer", int64(job.layer))
 				err := rc.queue.Put(Item{Iter: job.iter, Layer: job.layer, Grad: host})
@@ -220,76 +195,16 @@ func (p *plusTopology) begin(rc *runCtx) {
 	}
 }
 
-// sequence re-establishes iteration-monotonic queue order for the
-// overlap schedule. Items for the current iteration are emitted in
-// arrival order (the assembler scatters by layer, so intra-iteration
-// order is free); items for later iterations are buffered until the
-// current one has produced all of its layers. The emitted stream is
-// therefore item-for-item identical to the sequential schedule's, which
-// keeps the replica — and every persisted checkpoint — bit-identical.
-func (p *plusTopology) sequence(rc *runCtx) {
-	defer p.seqWG.Done()
-	e := p.e
-	rec := e.opts.Trace
-	nLayers := len(e.opts.Spec.Layers)
-	cur := rc.start + 1
-	count := 0
-	pending := make(map[int64][]Item)
-	broken := false
-	emit := func(it Item) {
-		if broken {
-			return
-		}
-		putDone := rec.Begin2(trace.TrackOverlap, trace.PhaseQueueWait,
-			"iter", it.Iter, "layer", int64(it.Layer))
-		err := rc.queue.Put(it)
-		putDone()
-		if err != nil {
-			rc.errCh <- err
-			broken = true
-			return
-		}
-		e.overlapSlices.Inc()
-		count++
-	}
-	for it := range p.seqCh {
-		if it.Iter == cur {
-			emit(it)
-		} else {
-			pending[it.Iter] = append(pending[it.Iter], it)
-		}
-		for count == nLayers {
-			e.overlapDeposits.Inc()
-			cur++
-			count = 0
-			buf := pending[cur]
-			delete(pending, cur)
-			for _, b := range buf {
-				emit(b)
-			}
-		}
-	}
-}
-
 func (p *plusTopology) end(*runCtx) {
 	close(p.snapCh)
 	p.poolWG.Wait() // all snapshots issued before the queue closes
-	if p.seqCh != nil {
-		close(p.seqCh)
-		p.seqWG.Wait() // the sequencer flushes before the queue closes
-		p.seqCh = nil
-	}
 }
 
-func (p *plusTopology) registerMetrics(reg *obs.Registry) {
-	if p.e.opts.Overlap {
-		p.e.registerOverlapMetrics(reg)
-	}
-}
+func (p *plusTopology) registerMetrics(*obs.Registry) {}
 
 func (p *plusTopology) newRank(rc *runCtx, w int) rankRunner {
 	e := p.e
-	r := &plusRank{
+	return &plusRank{
 		e:        e,
 		topo:     p,
 		w:        w,
@@ -298,12 +213,7 @@ func (p *plusTopology) newRank(rc *runCtx, w int) rankRunner {
 		g:        tensor.New(e.opts.Spec.NumParams()),
 		layerBuf: tensor.New(maxLayerSize(e.opts.Spec)),
 		offsets:  e.opts.Spec.LayerOffsets(),
-		overlap:  e.opts.Overlap,
 	}
-	if r.overlap && w == 0 {
-		r.galt = tensor.New(e.opts.Spec.NumParams())
-	}
-	return r
 }
 
 // plusRank is one dense data-parallel worker's per-iteration state.
@@ -314,11 +224,8 @@ type plusRank struct {
 	p        *model.Params
 	o        optim.Optimizer
 	g        tensor.Vector
-	galt     tensor.Vector // overlap: second gradient buffer (odd iterations)
 	layerBuf tensor.Vector
 	offsets  []int
-	overlap  bool
-	hs       [2]sync.WaitGroup // overlap: H_s handles per in-flight buffer
 }
 
 func (r *plusRank) step(rc *runCtx, t int64) error {
@@ -332,23 +239,7 @@ func (r *plusRank) step(rc *runCtx, t int64) error {
 	// Backward pass, layer by layer in reverse order; each
 	// layer synchronizes as soon as its gradient exists
 	// (Alg. 2 sync threads) and is snapshotted for reuse.
-	g := r.g
-	var localHS sync.WaitGroup
-	hs := &localHS // H_s: outstanding snapshot handles
-	if r.overlap && w == 0 {
-		// Pipelined schedule (DESIGN.md §11): alternate between two
-		// gradient buffers and defer each H_s wait by one iteration —
-		// before reusing buffer t%2 we only need the offloads of
-		// iteration t-2 (its previous occupant) to have drained, so
-		// iteration t-1's offload tail hides behind this compute.
-		if t%2 != 0 {
-			g = r.galt
-		}
-		hs = &r.hs[t%2]
-		waitDone := tr.Begin1(trace.TrackTrain, trace.PhaseQueueWait, "iter", t)
-		e.snapTimer.Time(hs.Wait)
-		waitDone()
-	}
+	var hs sync.WaitGroup // H_s: outstanding snapshot handles
 	for _, l := range e.oracle.BackwardOrder() {
 		size := spec.Layers[l].Size
 		lg := r.layerBuf[:size]
@@ -363,26 +254,25 @@ func (r *plusRank) step(rc *runCtx, t int64) error {
 		}
 		gatherDone()
 		lg.Scale(1 / float32(e.opts.Workers))
-		view := g[r.offsets[l] : r.offsets[l]+size]
+		view := r.g[r.offsets[l] : r.offsets[l]+size]
 		copy(view, lg)
 		if w == 0 {
 			// Hand the layer to the offload pool; the copy to
 			// host memory overlaps the remaining layers'
 			// compute and synchronization.
 			hs.Add(1)
-			r.topo.snapCh <- snapJob{iter: t, layer: l, src: view, hs: hs}
+			r.topo.snapCh <- snapJob{iter: t, layer: l, src: view, hs: &hs}
 		}
 	}
 	// H_s.wait(): the gradient buffer may not be reused until every
-	// layer snapshot has been taken. The overlap schedule already
-	// waited — one iteration late — at the top of the step.
-	if w == 0 && !r.overlap {
+	// layer snapshot has been taken.
+	if w == 0 {
 		waitDone := tr.Begin1(trace.TrackTrain, trace.PhaseQueueWait, "iter", t)
 		e.snapTimer.Time(hs.Wait)
 		waitDone()
 	}
 	applyDone := tr.Begin1(trace.TrackTrain, trace.PhaseApply, "iter", t)
-	err := r.o.Step(r.p.Flat, g)
+	err := r.o.Step(r.p.Flat, r.g)
 	applyDone()
 	iterDone()
 	return err
@@ -413,7 +303,7 @@ func (s *replicaSnapshotter) begin(rc *runCtx) error {
 // recovery has a base before the first periodic persist.
 func (s *replicaSnapshotter) initialFull(rc *runCtx) error {
 	if s.e.fulls != nil {
-		s.e.fulls.handOff(fullJob{f: snapshotFull(0, s.rep.params.Flat, s.rep.opt)})
+		s.e.fulls.handOff(snapshotFull(0, s.rep.params.Flat, s.rep.opt))
 	}
 	return nil
 }
@@ -497,7 +387,7 @@ func (s *replicaSnapshotter) assemble(rc *runCtx) {
 		}
 		r.mu.Unlock()
 		if toPersist != nil {
-			e.fulls.handOff(fullJob{f: toPersist})
+			e.fulls.handOff(toPersist)
 		}
 	}
 }

@@ -88,9 +88,6 @@ func (e *Engine) initPP() error {
 	default:
 		return fmt.Errorf("core: pp codec %q not supported (topk or identity)", opts.Codec)
 	}
-	if err := validateOverlap(opts); err != nil {
-		return err
-	}
 	group, err := comm.NewGroupPooled(opts.PP.Stages, e.pool)
 	if err != nil {
 		return err
@@ -267,10 +264,12 @@ func (r *ppRank) step(rc *runCtx, t int64) error {
 		return err
 	}
 	iterDone()
-	// Stage 0 coordinates the periodic full checkpoint, taken
-	// at the aligned boundary. The iteration envelope is already
-	// closed, so the snapshot and write land between envelopes and
-	// the profiler charges them to this step's window as a stall.
+	// Stage 0 coordinates the periodic full checkpoint, taken at the
+	// aligned boundary. The iteration envelope is already closed, so the
+	// snapshot lands between envelopes and the profiler charges it to this
+	// step's window as a stall; the write goes to the engine's full
+	// persister, so the barrier below releases the stages while the store
+	// I/O drains off the critical path.
 	if s == 0 && e.opts.Store != nil && t%int64(e.opts.FullEvery) == 0 {
 		snapDone := tr.Begin1(trace.TrackSnapshot, trace.PhaseSnapshot, "iter", t)
 		gst, err := e.GlobalOptState()
@@ -280,19 +279,7 @@ func (r *ppRank) step(rc *runCtx, t int64) error {
 		//lint:allow hotalloc full-checkpoint path runs every FullEvery iterations; ownership moves to the store
 		full := &checkpoint.Full{Iter: t, Params: e.params[0].Flat.Clone(), Opt: gst}
 		snapDone()
-		if e.opts.Overlap {
-			// Overlap (DESIGN.md §11): the snapshot above froze the
-			// state; hand the write to the engine's full persister so
-			// the barrier below releases the stages while the store I/O
-			// drains off the critical path.
-			e.overlapDeposits.Inc()
-			putDone := tr.Begin1(trace.TrackOverlap, trace.PhaseQueueWait, "iter", t)
-			e.fulls.handOff(fullJob{f: full})
-			putDone()
-			e.overlapSlices.Inc()
-		} else if err := e.fulls.persistInline(full); err != nil {
-			return err
-		}
+		e.fulls.handOff(full)
 	}
 	// Second barrier: no stage starts the next iteration while
 	// the full snapshot is being taken.
@@ -355,9 +342,6 @@ func (s *mergeSnapshotter) runEndFields(stats *RunStats) map[string]any {
 
 func (s *mergeSnapshotter) registerMetrics(reg *obs.Registry) {
 	e := s.e
-	if e.opts.Overlap {
-		e.registerOverlapMetrics(reg)
-	}
 	reg.FuncCounter("pp.full_writes", e.fullWrites.Value)
 	e.registerWriterMetrics(reg)
 }

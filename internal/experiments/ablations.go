@@ -52,7 +52,7 @@ func ablationBatch() (*Table, error) {
 		stats := storage.NewStats(throttled)
 		e, err := core.NewEngine(core.Options{
 			Spec: scaled, Workers: 1, Rho: 0.05, Store: stats,
-			FullEvery: iters, BatchSize: bs, QueueCap: 4, Parallelism: dataPlaneParallelism, Overlap: overlapEnabled, Trace: traceRecorder, Seed: 21,
+			FullEvery: iters, BatchSize: bs, QueueCap: 4, Parallelism: dataPlaneParallelism, Trace: traceRecorder, Seed: 21,
 		})
 		if err != nil {
 			return nil, err
@@ -102,7 +102,7 @@ func ablationQueue() (*Table, error) {
 		}
 		e, err := core.NewEngine(core.Options{
 			Spec: scaled, Workers: 1, Rho: 0.05, Store: throttled,
-			FullEvery: iters, BatchSize: 1, QueueCap: cap, Parallelism: dataPlaneParallelism, Overlap: overlapEnabled, Trace: traceRecorder, Seed: 22,
+			FullEvery: iters, BatchSize: 1, QueueCap: cap, Parallelism: dataPlaneParallelism, Trace: traceRecorder, Seed: 22,
 		})
 		if err != nil {
 			return nil, err
@@ -140,7 +140,7 @@ func ablationRecovery() (*Table, error) {
 	defer release()
 	e, err := core.NewEngine(core.Options{
 		Spec: scaled, Workers: 1, Optimizer: "sgd", LR: 0.05, Rho: 0.02,
-		Store: store, FullEvery: 96, BatchSize: 1, Parallelism: dataPlaneParallelism, Overlap: overlapEnabled, Trace: traceRecorder, Seed: 23,
+		Store: store, FullEvery: 96, BatchSize: 1, Parallelism: dataPlaneParallelism, Trace: traceRecorder, Seed: 23,
 	})
 	if err != nil {
 		return nil, err
@@ -184,7 +184,7 @@ func ablationEF() (*Table, error) {
 	run := func(rho float64, ef bool) (float64, error) {
 		e, err := core.NewEngine(core.Options{
 			Spec: spec, Workers: 2, Optimizer: "sgd", LR: 0.002,
-			Rho: rho, ErrorFeedback: ef, Noise: 0.3, Parallelism: dataPlaneParallelism, Overlap: overlapEnabled, Trace: traceRecorder, Seed: 24,
+			Rho: rho, ErrorFeedback: ef, Noise: 0.3, Parallelism: dataPlaneParallelism, Trace: traceRecorder, Seed: 24,
 		})
 		if err != nil {
 			return 0, err

@@ -115,16 +115,6 @@ var dataPlaneParallelism int
 // (DESIGN.md §8); only wall-clock columns change.
 func SetParallelism(n int) { dataPlaneParallelism = n }
 
-// overlapEnabled mirrors core Options.Overlap for the functional
-// experiments; set through SetOverlap before running.
-var overlapEnabled bool
-
-// SetOverlap enables the pipelined overlap schedule (DESIGN.md §11) on
-// every experiment engine that supports it; the peer experiment keeps
-// its synchronous boundary persist, which peer durability requires.
-// Results are bit-identical either way; only wall-clock columns change.
-func SetOverlap(on bool) { overlapEnabled = on }
-
 // traceRecorder, when non-nil, is threaded into every functional
 // experiment's engine so one lowdiffbench invocation yields a step-phase
 // timeline alongside the tables. Set through SetTrace before running.

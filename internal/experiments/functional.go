@@ -40,7 +40,7 @@ func funcTrain() (*Table, error) {
 	run := func(store storage.Store) (time.Duration, *core.RunStats, error) {
 		e, err := core.NewEngine(core.Options{
 			Spec: scaled, Workers: 2, Rho: 0.01, Store: store,
-			FullEvery: 50, BatchSize: 5, Parallelism: dataPlaneParallelism, Overlap: overlapEnabled, Trace: traceRecorder, Seed: 42,
+			FullEvery: 50, BatchSize: 5, Parallelism: dataPlaneParallelism, Trace: traceRecorder, Seed: 42,
 		})
 		if err != nil {
 			return 0, nil, err
@@ -97,7 +97,7 @@ func funcRecovery() (*Table, error) {
 	defer release()
 	e, err := core.NewEngine(core.Options{
 		Spec: scaled, Workers: 1, Optimizer: "sgd", LR: 0.05, Rho: 0.02,
-		Store: store, FullEvery: 64, BatchSize: 1, Parallelism: dataPlaneParallelism, Overlap: overlapEnabled, Trace: traceRecorder, Seed: 7,
+		Store: store, FullEvery: 64, BatchSize: 1, Parallelism: dataPlaneParallelism, Trace: traceRecorder, Seed: 7,
 	})
 	if err != nil {
 		return nil, err
@@ -168,7 +168,7 @@ func funcBatch() (*Table, error) {
 		stats := storage.NewStats(base)
 		e, err := core.NewEngine(core.Options{
 			Spec: scaled, Workers: 1, Rho: 0.02, Store: stats,
-			FullEvery: iters, BatchSize: bs, Parallelism: dataPlaneParallelism, Overlap: overlapEnabled, Trace: traceRecorder, Seed: 3,
+			FullEvery: iters, BatchSize: bs, Parallelism: dataPlaneParallelism, Trace: traceRecorder, Seed: 3,
 		})
 		if err != nil {
 			return nil, err
@@ -211,7 +211,7 @@ func funcPP() (*Table, error) {
 		defer release()
 		e, err := core.NewEngine(core.Options{
 			Spec: scaled, PP: &core.PPSpec{Stages: stages}, Rho: 0.05, LR: 0.02,
-			Store: store, FullEvery: 20, BatchSize: 1, Parallelism: dataPlaneParallelism, Overlap: overlapEnabled, Trace: traceRecorder, Seed: 9,
+			Store: store, FullEvery: 20, BatchSize: 1, Parallelism: dataPlaneParallelism, Trace: traceRecorder, Seed: 9,
 		})
 		if err != nil {
 			return nil, err
@@ -337,7 +337,7 @@ func funcStorage() (*Table, error) {
 		defer release()
 		e, err := core.NewEngine(core.Options{
 			Spec: scaled, Workers: 2, Rho: 0.01, Store: store,
-			FullEvery: 4, BatchSize: 1, Parallelism: dataPlaneParallelism, Overlap: overlapEnabled, Trace: traceRecorder, Seed: 5,
+			FullEvery: 4, BatchSize: 1, Parallelism: dataPlaneParallelism, Trace: traceRecorder, Seed: 5,
 		})
 		if err != nil {
 			return nil, err

@@ -4,9 +4,7 @@
 # restore path's decode benchmarks (B/op and allocs/op only) and writes them
 # to BENCH_dataplane.json, then the step-phase profiler overhead
 # benchmarks (enabled recorder vs nil fast path) into BENCH_trace.json,
-# then the overlapped-vs-sequential step-schedule benchmarks (PP engine
-# against a latency-injecting store) into BENCH_overlap.json, and finally
-# the checkpoint pool's wire path (one full-sized object through Remote ->
+# and finally the checkpoint pool's wire path (one full-sized object through Remote ->
 # storaged -> Tiered(File), up and down) into BENCH_pool.json
 # (benchmark name -> ns/op, B/op, allocs/op).
 #
@@ -29,7 +27,6 @@ cd "$(dirname "$0")/.."
 BENCHTIME="${BENCHTIME:-1s}"
 BENCH_DATAPLANE_OUT="${BENCH_DATAPLANE_OUT:-BENCH_dataplane.json}"
 BENCH_TRACE_OUT="${BENCH_TRACE_OUT:-BENCH_trace.json}"
-BENCH_OVERLAP_OUT="${BENCH_OVERLAP_OUT:-BENCH_overlap.json}"
 BENCH_POOL_OUT="${BENCH_POOL_OUT:-BENCH_pool.json}"
 GATE_BENCHTIME="${GATE_BENCHTIME:-100x}"
 
@@ -56,16 +53,6 @@ if [ "${SKIP_ALLOC_GATE:-0}" != "1" ] && [ -f BENCH_trace.json ]; then
     echo "== allocs/op gate: trace step spans vs checked-in BENCH_trace.json (benchtime $GATE_BENCHTIME) ==" >&2
     go test -run '^$' -bench 'TraceStepSpansEnabled' -benchmem -benchtime "$GATE_BENCHTIME" ./internal/trace |
         go run ./cmd/benchfmt -gate BENCH_trace.json -gate-match StepSpansEnabled -slack 0.25
-fi
-
-# Overlap-schedule gate: the pipelined step schedule must not grow the
-# per-iteration allocation footprint over the sequential baseline (both
-# sub-benchmarks are gated; the checked-in ns/op gap documents the
-# step-time reduction but is never gated).
-if [ "${SKIP_ALLOC_GATE:-0}" != "1" ] && [ -f BENCH_overlap.json ]; then
-    echo "== allocs/op gate: overlap step schedule vs checked-in BENCH_overlap.json (benchtime $GATE_BENCHTIME) ==" >&2
-    go test -run '^$' -bench 'OverlapStep' -benchmem -benchtime "$GATE_BENCHTIME" ./internal/core |
-        go run ./cmd/benchfmt -gate BENCH_overlap.json -gate-match OverlapStep -slack 0.25
 fi
 
 # Pool wire-path gate: a put may allocate the stored copy of the object and
@@ -108,18 +95,8 @@ go test -run '^$' -bench 'BenchmarkTrace' -benchmem -benchtime "$BENCHTIME" ./in
 go run ./cmd/benchfmt <"$trtmp" >"$BENCH_TRACE_OUT"
 echo "wrote $BENCH_TRACE_OUT" >&2
 
-ovtmp=$(mktemp)
-trap 'rm -f "$dptmp" "$trtmp" "$ovtmp"' EXIT
-
-echo "== go test -bench OverlapStep ./internal/core (benchtime $BENCHTIME) ==" >&2
-go test -run '^$' -bench 'OverlapStep' -benchmem -benchtime "$BENCHTIME" ./internal/core |
-    tee "$ovtmp" >&2
-
-go run ./cmd/benchfmt <"$ovtmp" >"$BENCH_OVERLAP_OUT"
-echo "wrote $BENCH_OVERLAP_OUT" >&2
-
 pltmp=$(mktemp)
-trap 'rm -f "$dptmp" "$trtmp" "$ovtmp" "$pltmp"' EXIT
+trap 'rm -f "$dptmp" "$trtmp" "$pltmp"' EXIT
 
 echo "== go test -bench PoolFull ./internal/storaged (benchtime $BENCHTIME) ==" >&2
 go test -run '^$' -bench 'PoolFull' -benchmem -benchtime "$BENCHTIME" ./internal/storaged |

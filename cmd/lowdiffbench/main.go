@@ -15,6 +15,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"time"
 
 	"lowdiff/internal/experiments"
 	"lowdiff/internal/obs"
@@ -64,16 +65,6 @@ func main() {
 		}
 		return t.Render(os.Stdout)
 	}
-	runOne := func(id string) (*experiments.Table, error) {
-		var t *experiments.Table
-		var err error
-		reg.Timer("bench.experiment_seconds", obs.L("id", id)).Time(func() {
-			t, err = experiments.Run(id)
-		})
-		reg.Counter("bench.experiments").Inc()
-		return t, err
-	}
-
 	switch {
 	case *list:
 		for _, id := range experiments.IDs() {
@@ -81,7 +72,7 @@ func main() {
 		}
 	case *all:
 		for _, id := range experiments.IDs() {
-			t, err := runOne(id)
+			t, err := runExperiment(reg, id)
 			if err != nil {
 				fatal(fmt.Errorf("%s: %w", id, err))
 			}
@@ -91,7 +82,7 @@ func main() {
 		}
 	case *exp != "":
 		for _, id := range strings.Split(*exp, ",") {
-			t, err := runOne(strings.TrimSpace(id))
+			t, err := runExperiment(reg, strings.TrimSpace(id))
 			if err != nil {
 				fatal(err)
 			}
@@ -119,6 +110,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%d spans written to %s (analyze with: lowdifftrace report %s)\n",
 			rec.Len(), *traceOut, *traceOut)
 	}
+}
+
+// runExperiment runs one experiment, counting it and observing its wall
+// time in the bench.experiment_seconds histogram under its id.
+func runExperiment(reg *obs.Registry, id string) (*experiments.Table, error) {
+	start := time.Now()
+	t, err := experiments.Run(id)
+	reg.Histogram("bench.experiment_seconds", obs.DefBuckets, obs.L("id", id)).Observe(time.Since(start).Seconds())
+	reg.Counter("bench.experiments").Inc()
+	return t, err
 }
 
 func fatal(err error) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"lowdiff/internal/metrics"
 	"lowdiff/internal/obs"
 )
 
@@ -94,10 +93,10 @@ type Chaos struct {
 	cfg     ChaosConfig
 	crashAt map[int]int64 // rank → earliest scheduled crash iteration
 
-	drops       metrics.Counter
-	corruptions metrics.Counter
-	late        metrics.Counter
-	crashes     metrics.Counter
+	drops       obs.Counter
+	corruptions obs.Counter
+	late        obs.Counter
+	crashes     obs.Counter
 }
 
 // Counters returns a snapshot of the injected-fault counters.

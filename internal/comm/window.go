@@ -13,7 +13,7 @@ import (
 	"sync"
 
 	"lowdiff/internal/compress"
-	"lowdiff/internal/metrics"
+	"lowdiff/internal/obs"
 )
 
 // castagnoli is the CRC-32C table shared with the checkpoint wire format:
@@ -76,9 +76,9 @@ type Window struct {
 	newest  int64 // newest iteration ever retained (0: none yet)
 
 	// Retained/Evicted/Corrupt count ring traffic for occupancy metrics.
-	Retained metrics.Counter
-	Evicted  metrics.Counter
-	Corrupt  metrics.Counter
+	Retained obs.Counter
+	Evicted  obs.Counter
+	Corrupt  obs.Counter
 }
 
 // NewWindow returns an empty ring of the given depth (>= 1).

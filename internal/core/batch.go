@@ -5,7 +5,6 @@ import (
 
 	"lowdiff/internal/checkpoint"
 	"lowdiff/internal/compress"
-	"lowdiff/internal/metrics"
 	"lowdiff/internal/obs"
 	"lowdiff/internal/parallel"
 	"lowdiff/internal/storage"
@@ -54,10 +53,10 @@ type BatchedWriter struct {
 	// Writes counts store writes, Batches full-size flushes, Bytes the
 	// payload bytes persisted; PendingBytes gauges CPU-buffer occupancy
 	// (the memory offloaded from GPU, Exp. 6(b)).
-	Writes       metrics.Counter
-	Batches      metrics.Counter
-	Bytes        metrics.Counter
-	PendingBytes metrics.Gauge
+	Writes       obs.Counter
+	Batches      obs.Counter
+	Bytes        obs.Counter
+	PendingBytes obs.Gauge
 }
 
 // NewBatchedWriter returns a writer that persists to store, flushing every

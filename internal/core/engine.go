@@ -10,7 +10,6 @@ import (
 	"lowdiff/internal/comm"
 	"lowdiff/internal/compress"
 	"lowdiff/internal/grad"
-	"lowdiff/internal/metrics"
 	"lowdiff/internal/model"
 	"lowdiff/internal/obs"
 	"lowdiff/internal/optim"
@@ -260,15 +259,15 @@ type Engine struct {
 	live   atomic.Int64 // newest iteration worker 0 has entered (live gauge)
 
 	events     *obs.EventLog
-	fulls      *fullPersister  // the one ordered full-persist stream; nil without a store
-	fullsTaken metrics.Counter // fulls given to the stream (handed off or inline), across Run calls
-	fullWrites metrics.Counter // full checkpoints persisted, across Run calls
+	fulls      *fullPersister // the one ordered full-persist stream; nil without a store
+	fullsTaken obs.Counter    // fulls given to the stream (handed off or inline), across Run calls
+	fullWrites obs.Counter    // full checkpoints persisted, across Run calls
 
 	// LowDiff+ accounting (maintained by the replica snapshotter).
-	layerSnapshots metrics.Counter
-	snapshotBytes  metrics.Counter
-	replicaSteps   metrics.Counter
-	snapTimer      metrics.Timer // trainer time waiting on layer offloads
+	layerSnapshots obs.Counter
+	snapshotBytes  obs.Counter
+	replicaSteps   obs.Counter
+	snapTimer      obs.Timer // trainer time waiting on layer offloads
 
 	// Fault-tolerance state (active when opts.FaultTolerance != nil).
 	ft           *FaultToleranceOptions
@@ -279,12 +278,12 @@ type Engine struct {
 
 	// Peer-replication state (active under the Peer strategy).
 	peers         *comm.Peers
-	peerFallback  atomic.Bool     // storage-differential fallback engaged
-	peerFallbacks metrics.Counter // peer→storage fallbacks engaged
-	peerRestores  metrics.Counter // peer plane re-validated (fallback left)
+	peerFallback  atomic.Bool // storage-differential fallback engaged
+	peerFallbacks obs.Counter // peer→storage fallbacks engaged
+	peerRestores  obs.Counter // peer plane re-validated (fallback left)
 
 	// FullSnapshotTimer observes snapshot (state-clone) costs.
-	FullSnapshotTimer metrics.Timer
+	FullSnapshotTimer obs.Timer
 }
 
 // NewEngine validates options and builds the engine for the selected

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"lowdiff/internal/metrics"
+	"lowdiff/internal/obs"
+	"lowdiff/internal/tensor"
 )
 
 // RetryPolicy bounds how hard a persist operation fights a failing store:
@@ -114,18 +115,9 @@ func (p RetryPolicy) attempt(op func() error) error {
 	}
 }
 
-// splitmix64 advances a SplitMix64 state and returns the next 64 bits.
-func splitmix64(s *uint64) uint64 {
-	*s += 0x9e3779b97f4a7c15
-	z := *s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // backoffFor computes attempt k's backoff: exponential doubling from the
 // base, capped, then jittered downward from the seeded stream.
-func (p RetryPolicy) backoffFor(attempt int, rng *uint64) time.Duration {
+func (p RetryPolicy) backoffFor(attempt int, rng *tensor.RNG) time.Duration {
 	if p.Backoff <= 0 {
 		return 0
 	}
@@ -141,8 +133,7 @@ func (p RetryPolicy) backoffFor(attempt int, rng *uint64) time.Duration {
 		d = p.MaxBackoff
 	}
 	if p.Jitter > 0 {
-		u := float64(splitmix64(rng)>>11) / (1 << 53)
-		d = time.Duration(float64(d) * (1 - p.Jitter*u))
+		d = time.Duration(float64(d) * (1 - p.Jitter*rng.Float64()))
 	}
 	return d
 }
@@ -155,7 +146,7 @@ func (p RetryPolicy) backoffFor(attempt int, rng *uint64) time.Duration {
 func (p RetryPolicy) Do(op func() error, onRetry func(attempt int, err error)) error {
 	p = p.withDefaults()
 	start := p.Now()
-	rng := p.Seed
+	rng := tensor.NewRNG(p.Seed)
 	attempts := 1
 	err := p.attempt(op)
 	for attempt := 1; err != nil && attempt <= p.MaxRetries; attempt++ {
@@ -165,7 +156,7 @@ func (p RetryPolicy) Do(op func() error, onRetry func(attempt int, err error)) e
 		if onRetry != nil {
 			onRetry(attempt, err)
 		}
-		if d := p.backoffFor(attempt, &rng); d > 0 {
+		if d := p.backoffFor(attempt, rng); d > 0 {
 			if p.OnBackoff != nil {
 				p.OnBackoff(attempt, d)
 			}
@@ -230,16 +221,16 @@ type FaultToleranceOptions struct {
 // FaultStats counts fault-handling events. All counters are cumulative
 // across Run calls and safe to read concurrently.
 type FaultStats struct {
-	DiffRetries   metrics.Counter // differential persist attempts retried
-	FullRetries   metrics.Counter // full-checkpoint persist attempts retried
-	DiffFailures  metrics.Counter // differential batches lost after retries
-	FullFailures  metrics.Counter // full checkpoints lost after retries
-	FullFallbacks metrics.Counter // diff→full degradations triggered
-	DroppedDiffs  metrics.Counter // gradients dropped while awaiting a new base
-	GCFailures    metrics.Counter // retention sweeps that failed
-	Degradations  metrics.Counter // downward ladder transitions
-	Recoveries    metrics.Counter // upward ladder transitions (health restored)
-	RetryBackoffs metrics.Counter // backoff sleeps taken by retrying persists
+	DiffRetries   obs.Counter // differential persist attempts retried
+	FullRetries   obs.Counter // full-checkpoint persist attempts retried
+	DiffFailures  obs.Counter // differential batches lost after retries
+	FullFailures  obs.Counter // full checkpoints lost after retries
+	FullFallbacks obs.Counter // diff→full degradations triggered
+	DroppedDiffs  obs.Counter // gradients dropped while awaiting a new base
+	GCFailures    obs.Counter // retention sweeps that failed
+	Degradations  obs.Counter // downward ladder transitions
+	Recoveries    obs.Counter // upward ladder transitions (health restored)
+	RetryBackoffs obs.Counter // backoff sleeps taken by retrying persists
 }
 
 // Snapshot returns the counters as a name → value map (for reports).

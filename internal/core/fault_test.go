@@ -100,6 +100,25 @@ func TestRetryPolicyExponentialBackoffCappedAndJittered(t *testing.T) {
 	}
 }
 
+// TestRetryJitterSchedulePinned pins a seeded, jittered sleep schedule: the
+// ladder and every draw of the jitter stream, in order.
+func TestRetryJitterSchedulePinned(t *testing.T) {
+	var got []time.Duration
+	p := RetryPolicy{
+		MaxRetries: 8,
+		Backoff:    10 * time.Millisecond,
+		MaxBackoff: time.Second,
+		Jitter:     0.5,
+		Seed:       42,
+		Sleep:      func(d time.Duration) { got = append(got, d) },
+	}
+	_ = p.Do(func() error { return fmt.Errorf("transient") }, nil)
+	want := []time.Duration{6292175, 18400896, 34427977, 66232371, 156957586, 181083507, 570110338, 599684061}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("jittered schedule\n got %#v\nwant %#v", got, want)
+	}
+}
+
 func TestRetryPolicyTypedExhaustion(t *testing.T) {
 	fake := fmt.Errorf("dead")
 	err := RetryPolicy{MaxRetries: 2}.Do(func() error { return fake }, nil)

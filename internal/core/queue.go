@@ -23,7 +23,7 @@ import (
 	"sync"
 
 	"lowdiff/internal/compress"
-	"lowdiff/internal/metrics"
+	"lowdiff/internal/obs"
 )
 
 // Item is one queue element: the synchronized compressed gradient of one
@@ -55,10 +55,10 @@ type ReusingQueue struct {
 
 	// Depth tracks occupancy with a high-water mark; Puts/Gets count
 	// hand-offs; BlockedPuts counts Puts that found the queue full.
-	Depth       metrics.Gauge
-	Puts        metrics.Counter
-	Gets        metrics.Counter
-	BlockedPuts metrics.Counter
+	Depth       obs.Gauge
+	Puts        obs.Counter
+	Gets        obs.Counter
+	BlockedPuts obs.Counter
 }
 
 // NewReusingQueue returns a queue with the given capacity bound.

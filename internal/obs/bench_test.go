@@ -29,7 +29,7 @@ func BenchmarkGaugeSet(b *testing.B) {
 }
 
 func BenchmarkTimerObserve(b *testing.B) {
-	t := New().Timer("bench.timer")
+	var t Timer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -70,7 +70,7 @@ func benchRegistry() *Registry {
 	for _, name := range []string{"engine.iter", "queue.depth", "engine.health"} {
 		r.Gauge(name).Set(42)
 	}
-	r.Timer("snapshot.t").Observe(250 * time.Millisecond)
+	r.Histogram("snapshot.write_seconds", DefBuckets).Observe(0.25)
 	h := r.Histogram("persist.latency", nil)
 	for i := 0; i < 64; i++ {
 		h.Observe(float64(i) / 100)

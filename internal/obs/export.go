@@ -35,7 +35,6 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 //	counter   -> <name> counter
 //	gauge     -> <name> gauge, plus <name>_high gauge when a high-water
 //	             mark exists
-//	timer     -> <name>_seconds summary (_sum seconds, _count samples)
 //	histogram -> <name> histogram (_bucket le=..., _sum, _count)
 //
 // Dots in metric names become underscores.
@@ -81,12 +80,6 @@ func writePromFamily(b *strings.Builder, family []Metric) {
 			for _, m := range family {
 				fmt.Fprintf(b, "%s_high%s %s\n", name, promLabels(m.Labels, "", 0), formatFloat(m.High))
 			}
-		}
-	case KindTimer:
-		fmt.Fprintf(b, "# TYPE %s_seconds summary\n", name)
-		for _, m := range family {
-			fmt.Fprintf(b, "%s_seconds_sum%s %s\n", name, promLabels(m.Labels, "", 0), formatFloat(m.Sum))
-			fmt.Fprintf(b, "%s_seconds_count%s %d\n", name, promLabels(m.Labels, "", 0), m.Count)
 		}
 	case KindHistogram:
 		fmt.Fprintf(b, "# TYPE %s histogram\n", name)

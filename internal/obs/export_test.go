@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 func exportFixture() *Registry {
@@ -19,7 +18,7 @@ func exportFixture() *Registry {
 	g := r.Gauge("queue.depth")
 	g.Set(7)
 	g.Set(3)
-	r.Timer("snapshot.t").Observe(250 * time.Millisecond)
+	r.Histogram("bench.experiment_seconds", DefBuckets, L("id", "fig1a")).Observe(0.25)
 	h := r.Histogram("persist.latency", []float64{0.001, 0.01, 0.1})
 	h.Observe(0.0005)
 	h.Observe(0.05)
@@ -54,7 +53,7 @@ func TestWriteJSONDeterministicAndInfSafe(t *testing.T) {
 	found := false
 	for _, m := range decoded.Metrics {
 		for _, b := range m.Buckets {
-			if b.LE == "+Inf" {
+			if b.LE == "+Inf" && m.Name == "persist.latency" {
 				found = true
 				if b.Count != 3 {
 					t.Fatalf("+Inf bucket count = %d, want 3", b.Count)
@@ -133,16 +132,22 @@ func TestWritePrometheusFormat(t *testing.T) {
 		`ckpt_diff_bytes{worker="1"} 2048`,
 		"queue_depth 3",
 		"queue_depth_high 7",
-		"snapshot_t_seconds_sum 0.25",
-		"snapshot_t_seconds_count 1",
 		`persist_latency_bucket{le="0.001"} 1`,
 		`persist_latency_bucket{le="0.1"} 2`,
 		`persist_latency_bucket{le="+Inf"} 3`,
 		"persist_latency_count 3",
+		// A histogram already named …_seconds keeps exactly one suffix.
+		"# TYPE bench_experiment_seconds histogram\n",
+		`bench_experiment_seconds_bucket{id="fig1a",le="1"} 1`,
+		`bench_experiment_seconds_sum{id="fig1a"} 0.25`,
+		`bench_experiment_seconds_count{id="fig1a"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("missing %q in exposition:\n%s", want, text)
 		}
+	}
+	if strings.Contains(text, "_seconds_seconds") {
+		t.Fatalf("doubled _seconds suffix in exposition:\n%s", text)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"lowdiff/internal/model"
 	"lowdiff/internal/obs"
 	"lowdiff/internal/storage"
+	"lowdiff/internal/trace"
 )
 
 func healthz(t *testing.T, base string) (int, string) {
@@ -294,5 +295,50 @@ func TestEngineSnapshotDeterministic(t *testing.T) {
 	a, b := snapshot(), snapshot()
 	if !bytes.Equal(a, b) {
 		t.Fatalf("fixed-seed snapshots differ:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestEngineScrapeSecondsFamilies scrapes a registry a DP and a LowDiff+
+// engine (both traced) have exported into: every duration family ends in
+// _seconds exactly once.
+func TestEngineScrapeSecondsFamilies(t *testing.T) {
+	reg := obs.New()
+	for _, plus := range []*core.PlusSpec{nil, {PersistEvery: 3}} {
+		e, err := core.NewEngine(core.Options{
+			Spec: model.Tiny(2, 16), Workers: 1, Optimizer: "sgd", LR: 0.05,
+			Rho: 0.3, Store: storage.NewMem(), FullEvery: 4, BatchSize: 2,
+			Seed: 11, Metrics: reg, Trace: trace.New(), Plus: plus,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(6); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := reg.Snapshot().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var seconds []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		family, ok := strings.CutPrefix(line, "# TYPE ")
+		if !ok {
+			continue
+		}
+		family = strings.Fields(family)[0]
+		if strings.HasSuffix(family, "_seconds_seconds") {
+			t.Fatalf("family %s doubles its _seconds suffix", family)
+		}
+		if strings.HasSuffix(family, "_seconds") {
+			seconds = append(seconds, family)
+		}
+	}
+	want := []string{"ckpt_full_snapshot_seconds", "plus_snapshot_seconds", "trace_phase_seconds"}
+	if !reflect.DeepEqual(seconds, want) {
+		t.Fatalf("_seconds families = %v, want %v", seconds, want)
 	}
 }

@@ -8,11 +8,14 @@
 // instrumented code needs no conditionals and pays near-zero cost when
 // observability is disabled.
 //
-// The package is on the lowdifflint determinism allowlist: it never reads
-// the wall clock directly (clocks are injected; the default is only ever a
-// caller-supplied time.Now) and never iterates a map, so snapshots, the
-// Prometheus text, and the event log are reproducible byte-for-byte for a
-// fixed sequence of observations.
+// Counter, Gauge and Timer are also the value types the engines, queues
+// and data plane embed directly; obs is the repo's one metrics package.
+//
+// The package is on the lowdifflint determinism allowlist: it never
+// iterates a map, and the only clock it reads is the wall clock inside
+// Timer.Time (event-log timestamps come from an injected clock), so
+// snapshots, the Prometheus text, and the event log are reproducible
+// byte-for-byte for a fixed sequence of observations.
 package obs
 
 import (
@@ -20,16 +23,14 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"lowdiff/internal/metrics"
 )
 
 // Metric kinds as they appear in snapshots and exports.
 const (
 	KindCounter   = "counter"
 	KindGauge     = "gauge"
-	KindTimer     = "timer"
 	KindHistogram = "histogram"
 )
 
@@ -51,7 +52,6 @@ func L(key, value string) Label { return Label{Key: key, Value: value} }
 // at instrumentation sites, not runtime conditions.
 type Registry struct {
 	mu      sync.Mutex
-	now     func() time.Time // Timer clock seam; nil leaves Timer on wall time
 	entries map[string]*entry
 	order   []string          // registry keys, kept sorted (no map iteration)
 	kinds   map[string]string // metric name -> kind, across label sets
@@ -64,7 +64,6 @@ type entry struct {
 
 	c *Counter
 	g *Gauge
-	t *Timer
 	h *Histogram
 
 	// Func-backed instruments read an external source at snapshot time
@@ -78,14 +77,6 @@ type entry struct {
 // New returns an empty registry.
 func New() *Registry {
 	return &Registry{entries: map[string]*entry{}, kinds: map[string]string{}}
-}
-
-// NewWithClock returns a registry whose Timers use now as their clock —
-// inject a virtual clock (e.g. sim.Sim.Clock) to record virtual time.
-func NewWithClock(now func() time.Time) *Registry {
-	r := New()
-	r.now = now
-	return r
 }
 
 // Counter returns the named counter, creating it on first use.
@@ -104,16 +95,6 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 		return nil
 	}
 	return e.g
-}
-
-// Timer returns the named timer, creating it on first use. Timers export
-// as a Prometheus summary pair (<name>_seconds_sum / _count).
-func (r *Registry) Timer(name string, labels ...Label) *Timer {
-	e := r.get(name, KindTimer, labels, false)
-	if e == nil {
-		return nil
-	}
-	return e.t
 }
 
 // Histogram returns the named histogram, creating it with the given
@@ -181,9 +162,6 @@ func (r *Registry) get(name, kind string, labels []Label, funcBacked bool) *entr
 			e.c = &Counter{}
 		case KindGauge:
 			e.g = &Gauge{}
-		case KindTimer:
-			e.t = &Timer{}
-			e.t.t.Now = r.now
 		case KindHistogram:
 			e.h = &Histogram{}
 		}
@@ -254,21 +232,19 @@ func seriesKey(name string, labels []Label) string {
 	return b.String()
 }
 
-// Counter is a monotonically increasing counter handle. Nil handles
-// (from a nil registry) are safe no-ops.
-type Counter struct{ c metrics.Counter }
+// Counter is a monotonically increasing, concurrency-safe counter. It is a
+// value type: components embed one as a field, and the registry hands out
+// pointers to the ones it owns. Methods on a nil *Counter (from a nil
+// registry) are no-ops.
+type Counter struct{ v atomic.Int64 }
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.c.Inc()
-	}
-}
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add increments the counter by n (n must be >= 0 to stay monotonic).
 func (c *Counter) Add(n int64) {
 	if c != nil {
-		c.c.Add(n)
+		c.v.Add(n)
 	}
 }
 
@@ -277,25 +253,36 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.c.Value()
+	return c.v.Load()
 }
 
-// Gauge is an instantaneous-value handle with a high-water mark. Nil
-// handles are safe no-ops.
-type Gauge struct{ g metrics.Gauge }
+// Gauge is a concurrency-safe instantaneous value with a high-water mark.
+// Like Counter it is a value type; nil handles are safe no-ops.
+type Gauge struct {
+	mu      sync.Mutex
+	v, high int64
+}
 
-// Set replaces the gauge value.
+// Set replaces the gauge value, updating the high-water mark.
 func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.g.Set(v)
+	if g == nil {
+		return
 	}
+	g.mu.Lock()
+	g.v = v
+	g.high = max(g.high, v)
+	g.mu.Unlock()
 }
 
-// Add adjusts the gauge by delta.
+// Add adjusts the gauge by delta, updating the high-water mark.
 func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.g.Add(delta)
+	if g == nil {
+		return
 	}
+	g.mu.Lock()
+	g.v += delta
+	g.high = max(g.high, g.v)
+	g.mu.Unlock()
 }
 
 // Value returns the current value (0 on a nil handle).
@@ -303,7 +290,9 @@ func (g *Gauge) Value() int64 {
 	if g == nil {
 		return 0
 	}
-	return g.g.Value()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.v
 }
 
 // High returns the high-water mark (0 on a nil handle).
@@ -311,43 +300,51 @@ func (g *Gauge) High() int64 {
 	if g == nil {
 		return 0
 	}
-	return g.g.High()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.high
 }
 
-// Timer accumulates durations. Nil handles are safe no-ops; Time still
-// runs the function.
-type Timer struct{ t metrics.Timer }
+// Timer accumulates wall-clock durations: a count and a total. It is a
+// value type with no registry kind — components that time something keep
+// a Timer field and export it through FuncCounter/FuncGauge. Nil handles
+// are safe no-ops; Time still runs the function.
+type Timer struct{ nanos, count atomic.Int64 }
 
 // Observe adds one duration sample.
 func (t *Timer) Observe(d time.Duration) {
 	if t != nil {
-		t.t.Observe(d)
+		t.nanos.Add(int64(d))
+		t.count.Add(1)
 	}
 }
 
-// Time runs fn and records its duration on the registry's clock.
+// Time runs fn and records how long it took on the wall clock.
 func (t *Timer) Time(fn func()) {
 	if t == nil {
 		fn()
 		return
 	}
-	t.t.Time(fn)
+	now := time.Now
+	start := now()
+	fn()
+	t.Observe(now().Sub(start))
 }
 
-// Count returns the number of samples.
+// Count returns the number of samples (0 on a nil handle).
 func (t *Timer) Count() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.t.Count()
+	return t.count.Load()
 }
 
-// Total returns the accumulated duration.
+// Total returns the accumulated duration (0 on a nil handle).
 func (t *Timer) Total() time.Duration {
 	if t == nil {
 		return 0
 	}
-	return t.t.Total()
+	return time.Duration(t.nanos.Load())
 }
 
 // Histogram counts observations into fixed ascending buckets (Prometheus
@@ -419,8 +416,8 @@ type Metric struct {
 	Kind    string   `json:"kind"`
 	Value   float64  `json:"value"`             // counter/gauge current value
 	High    float64  `json:"high,omitempty"`    // gauge high-water mark
-	Count   int64    `json:"count,omitempty"`   // timer/histogram samples
-	Sum     float64  `json:"sum,omitempty"`     // timer seconds / histogram sum
+	Count   int64    `json:"count,omitempty"`   // histogram samples
+	Sum     float64  `json:"sum,omitempty"`     // histogram sum
 	Buckets []Bucket `json:"buckets,omitempty"` // histogram, cumulative
 }
 
@@ -463,9 +460,6 @@ func (r *Registry) Snapshot() Snapshot {
 		case e.g != nil:
 			m.Value = float64(e.g.Value())
 			m.High = float64(e.g.High())
-		case e.t != nil:
-			m.Count = e.t.Count()
-			m.Sum = e.t.Total().Seconds()
 		case e.h != nil:
 			e.h.mu.Lock()
 			m.Count = e.h.count

@@ -2,9 +2,69 @@ package obs
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
+
+func TestCounter(t *testing.T) {
+	var c Counter
+	c.Inc()
+	c.Add(4)
+	if c.Value() != 5 {
+		t.Fatalf("Value = %d", c.Value())
+	}
+}
+
+func TestCounterConcurrent(t *testing.T) {
+	var c Counter
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 1000; j++ {
+				c.Inc()
+			}
+		}()
+	}
+	wg.Wait()
+	if c.Value() != 8000 {
+		t.Fatalf("Value = %d, want 8000", c.Value())
+	}
+}
+
+func TestGauge(t *testing.T) {
+	var g Gauge
+	g.Set(5)
+	g.Add(-2)
+	if g.Value() != 3 {
+		t.Fatalf("Value = %d", g.Value())
+	}
+	if g.High() != 5 {
+		t.Fatalf("High = %d", g.High())
+	}
+	g.Add(10)
+	if g.High() != 13 {
+		t.Fatalf("High = %d", g.High())
+	}
+}
+
+func TestTimer(t *testing.T) {
+	var tm Timer
+	tm.Observe(10 * time.Millisecond)
+	tm.Observe(30 * time.Millisecond)
+	if tm.Count() != 2 {
+		t.Fatalf("Count = %d", tm.Count())
+	}
+	if tm.Total() != 40*time.Millisecond {
+		t.Fatalf("Total = %v", tm.Total())
+	}
+	tm.Time(func() { time.Sleep(time.Millisecond) })
+	if tm.Count() != 3 || tm.Total() < 41*time.Millisecond {
+		t.Fatalf("after Time: count=%d total=%v", tm.Count(), tm.Total())
+	}
+}
 
 func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
@@ -12,11 +72,12 @@ func TestNilRegistrySafe(t *testing.T) {
 	r.Counter("a.b").Add(3)
 	r.Gauge("a.g").Set(7)
 	r.Gauge("a.g").Add(1)
-	r.Timer("a.t").Observe(time.Second)
+	var tm *Timer
+	tm.Observe(time.Second)
 	ran := false
-	r.Timer("a.t").Time(func() { ran = true })
-	if !ran {
-		t.Fatal("nil Timer.Time must still run the function")
+	tm.Time(func() { ran = true })
+	if !ran || tm.Count() != 0 || tm.Total() != 0 {
+		t.Fatal("nil Timer.Time must still run the function and record nothing")
 	}
 	r.Histogram("a.h", nil).Observe(1)
 	r.FuncCounter("a.f", func() int64 { return 1 })
@@ -131,7 +192,6 @@ func TestSnapshotValues(t *testing.T) {
 	g := r.Gauge("g.v")
 	g.Set(9)
 	g.Set(4)
-	r.Timer("t.v").Observe(1500 * time.Millisecond)
 	h := r.Histogram("h.v", []float64{1, 10})
 	h.Observe(0.5)
 	h.Observe(5)
@@ -146,9 +206,6 @@ func TestSnapshotValues(t *testing.T) {
 	}
 	if m := byName["g.v"]; m.Value != 4 || m.High != 9 {
 		t.Fatalf("gauge = %+v", m)
-	}
-	if m := byName["t.v"]; m.Count != 1 || m.Sum != 1.5 {
-		t.Fatalf("timer = %+v", m)
 	}
 	m := byName["h.v"]
 	if m.Count != 3 || m.Sum != 105.5 {
@@ -170,19 +227,6 @@ func TestHistogramDefaultBuckets(t *testing.T) {
 		t.Fatalf("got %d buckets, want %d", got, len(DefBuckets)+1)
 	}
 	mustPanic(t, "non-ascending buckets", func() { r.Histogram("bad.h", []float64{2, 1}) })
-}
-
-func TestRegistryTimerClock(t *testing.T) {
-	now := time.Unix(0, 0)
-	r := NewWithClock(func() time.Time {
-		now = now.Add(time.Second)
-		return now
-	})
-	r.Timer("op.t").Time(func() {})
-	snap := r.Snapshot()
-	if snap.Metrics[0].Sum != 1 {
-		t.Fatalf("timer sum = %v, want exactly 1s from the injected clock", snap.Metrics[0].Sum)
-	}
 }
 
 func mustPanic(t *testing.T, what string, fn func()) {

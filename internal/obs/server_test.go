@@ -134,7 +134,6 @@ func TestConcurrentRegistrationSnapshotScrape(t *testing.T) {
 				}
 				r.Counter(fmt.Sprintf("load.c%d.n%d", g, i%17)).Inc()
 				r.Gauge("load.depth", L("g", fmt.Sprintf("%d", g))).Set(int64(i))
-				r.Timer("load.t").Observe(time.Microsecond)
 				r.Histogram("load.h", nil).Observe(float64(i % 3))
 				r.FuncCounter(fmt.Sprintf("load.fn%d", g), func() int64 { return int64(i) })
 			}

@@ -29,7 +29,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"lowdiff/internal/metrics"
+	"lowdiff/internal/obs"
 )
 
 // DefaultChunk is the default shard width in elements. It is part of the
@@ -48,9 +48,9 @@ type Pool struct {
 	// Inline those that ran on the caller's goroutine (single chunk or a
 	// one-worker pool), and Shards every chunk executed either way. The
 	// counters feed the obs registry as parallel.* series.
-	Dispatches metrics.Counter
-	Inline     metrics.Counter
-	Shards     metrics.Counter
+	Dispatches obs.Counter
+	Inline     obs.Counter
+	Shards     obs.Counter
 }
 
 // New returns a pool of the given worker count with the default chunk size.

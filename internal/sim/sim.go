@@ -78,10 +78,11 @@ func (s *Sim) RunUntil(t float64) error {
 func (s *Sim) Pending() int { return s.events.Len() }
 
 // Clock returns a virtual-time clock: the Unix epoch advanced by the
-// simulator's current virtual time. Injecting it into trace.NewWithClock,
-// a metrics.Timer, or an obs registry/event log makes those instruments
-// record virtual rather than wall time, so simulator-driven timelines and
-// metrics replay byte-identically.
+// simulator's current virtual time. Injecting it into trace.NewWithClock
+// or obs.EventLog.WithClock makes span timelines and event timestamps
+// record virtual rather than wall time, so simulator-driven runs replay
+// byte-identically. (obs.Timer has no clock seam: it times wall-clock
+// work only.)
 func (s *Sim) Clock() func() time.Time {
 	epoch := time.Unix(0, 0).UTC()
 	return func() time.Time {

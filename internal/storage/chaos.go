@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"lowdiff/internal/obs"
+	"lowdiff/internal/tensor"
 )
 
 // ErrInjectedFault is the error of every write a Chaos store fails.
@@ -94,8 +95,8 @@ type Chaos struct {
 	cfg ChaosConfig
 
 	mu     sync.Mutex
-	rng    uint64 // SplitMix64 state
-	writes int    // Create attempts so far
+	rng    *tensor.RNG // the seeded decision stream
+	writes int         // Create attempts so far
 
 	writeFaults   atomic.Int64
 	writeBitFlips atomic.Int64
@@ -112,7 +113,7 @@ func NewChaos(s Store, cfg ChaosConfig) (*Chaos, error) {
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
 	}
-	c := &Chaos{cfg: cfg, rng: cfg.Seed}
+	c := &Chaos{cfg: cfg, rng: tensor.NewRNG(cfg.Seed)}
 	c.Interposer = Interposer{Store: s, Writer: c.writer, Reader: c.reader}
 	return c, nil
 }
@@ -134,28 +135,19 @@ func (c *Chaos) Counters() ChaosCounters {
 	}
 }
 
-// next draws 64 pseudo-random bits (SplitMix64; callers hold c.mu).
-func (c *Chaos) next() uint64 {
-	c.rng += 0x9e3779b97f4a7c15
-	z := c.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // draw consumes one decision with probability p (callers hold c.mu).
 func (c *Chaos) draw(p float64) bool {
 	if p <= 0 {
 		return false
 	}
-	return float64(c.next()>>11)/(1<<53) < p
+	return c.rng.Float64() < p
 }
 
 // pick draws a position below n.
 func (c *Chaos) pick(n int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return int(c.next() % uint64(n))
+	return c.rng.Intn(n)
 }
 
 // flipBit flips one drawn bit of data in place.

@@ -3,6 +3,8 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -84,6 +86,81 @@ func TestChaosDeterministicReplay(t *testing.T) {
 			t.Fatalf("same seed diverged at op %d", i)
 		}
 	}
+}
+
+// TestChaosDecisionSequencePinned pins a seeded Chaos store's whole decision
+// stream: every write, flip, stall, torn-read and read-flip draw and every
+// drawn bit position or prefix length, in order.
+func TestChaosDecisionSequencePinned(t *testing.T) {
+	mem := NewMem()
+	orig := []byte("0123456789abcdef")
+	if err := WriteObject(mem, "base", orig); err != nil {
+		t.Fatal(err)
+	}
+	stalls := 0
+	c, err := NewChaos(mem, ChaosConfig{
+		Seed: 2024, WriteFailProb: 0.3, BitFlipWriteProb: 0.3,
+		TornReadProb: 0.3, BitFlipReadProb: 0.3, LatencyProb: 0.2,
+		Sleep: func(time.Duration) { stalls++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	note := func(outcome string, before int) {
+		if stalls > before {
+			outcome += "+stall"
+		}
+		got = append(got, outcome)
+	}
+	for i := 0; i < 16; i++ {
+		before, name := stalls, fmt.Sprintf("o%d", i)
+		switch err := WriteObject(c, name, orig); {
+		case errors.Is(err, ErrInjectedFault):
+			note("fault", before)
+		case err != nil:
+			t.Fatal(err)
+		default:
+			stored, err := ReadObject(mem, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			note(fmt.Sprintf("w%d", flippedBit(orig, stored)), before)
+		}
+		before = stalls
+		data, err := ReadObject(c, "base")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) < len(orig) {
+			note(fmt.Sprintf("torn%d", len(data)), before)
+		} else {
+			note(fmt.Sprintf("r%d", flippedBit(orig, data)), before)
+		}
+	}
+	want := []string{
+		"w89", "r-1+stall", "w57", "r-1", "fault", "r-1", "w-1", "torn7",
+		"w-1", "torn4+stall", "fault", "torn1+stall", "w-1", "r-1", "fault", "r-1",
+		"fault", "r61", "fault", "torn2", "w-1", "r-1", "w-1", "r-1",
+		"fault", "torn2", "w-1+stall", "r-1", "w-1", "r-1", "w40", "r124",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decision sequence\n got %#v\nwant %#v", got, want)
+	}
+}
+
+// flippedBit returns the first bit position where a and b differ, or -1.
+func flippedBit(a, b []byte) int {
+	for i := range a {
+		if x := a[i] ^ b[i]; x != 0 {
+			for bit := 0; bit < 8; bit++ {
+				if x>>bit&1 == 1 {
+					return 8*i + bit
+				}
+			}
+		}
+	}
+	return -1
 }
 
 func TestChaosPermanentFault(t *testing.T) {

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"lowdiff/internal/tensor"
 )
 
 // ErrQuotaExceeded reports a write the daemon rejected because it would
@@ -93,7 +95,7 @@ type Remote struct {
 
 	mu     sync.Mutex
 	free   []*remoteConn
-	rng    uint64 // jitter stream, guarded by mu
+	rng    *tensor.RNG // jitter stream, guarded by mu
 	closed bool
 }
 
@@ -103,7 +105,7 @@ func DialRemote(addr, tenant string, opts RemoteOptions) (*Remote, error) {
 	if tenant == "" {
 		return nil, fmt.Errorf("storage: empty tenant name")
 	}
-	r := &Remote{addr: addr, tenant: tenant, opts: opts.withDefaults(), rng: opts.Seed}
+	r := &Remote{addr: addr, tenant: tenant, opts: opts.withDefaults(), rng: tensor.NewRNG(opts.Seed)}
 	c, err := r.dial()
 	if err != nil {
 		return nil, err
@@ -264,20 +266,11 @@ func (r *Remote) backoffFor(attempt int, hint time.Duration) time.Duration {
 	}
 	if r.opts.Jitter > 0 {
 		r.mu.Lock()
-		u := float64(splitmix64r(&r.rng)>>11) / (1 << 53)
+		u := r.rng.Float64()
 		r.mu.Unlock()
 		d = time.Duration(float64(d) * (1 - r.opts.Jitter*u))
 	}
 	return d
-}
-
-// splitmix64r advances a SplitMix64 state (jitter stream).
-func splitmix64r(s *uint64) uint64 {
-	*s += 0x9e3779b97f4a7c15
-	z := *s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // Create implements Store. RETRY answers from the daemon's admission

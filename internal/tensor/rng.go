@@ -3,8 +3,9 @@ package tensor
 import "math"
 
 // RNG is a small, fast, deterministic pseudo-random generator
-// (SplitMix64 core) used for reproducible synthetic data. It is not
-// cryptographic. The zero value is a valid generator with seed 0.
+// (SplitMix64 core): the repo's one seeded stream, behind synthetic data,
+// storage chaos decisions and retry jitter. It is not cryptographic. The
+// zero value is a valid generator with seed 0.
 type RNG struct {
 	state uint64
 }

@@ -1,10 +1,10 @@
 package trace
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"time"
-
-	"lowdiff/internal/metrics"
 )
 
 // profile.go folds a recorded span timeline into the signals the overlap
@@ -14,11 +14,6 @@ import (
 // train busy while the checkpoint side has nothing to do). Everything is
 // computed from the deterministic event ordering, uses no map iteration,
 // and is therefore byte-stable for a fixed timeline.
-
-// profileSummaryCap bounds the per-phase quantile reservoirs. Below this
-// many samples the reservoir is exhaustive, so quantiles are exact and
-// deterministic; the golden fixtures stay well under it.
-const profileSummaryCap = 4096
 
 // PhaseStats is the latency distribution of one (track, phase) pair.
 type PhaseStats struct {
@@ -226,11 +221,13 @@ func BuildProfile(events []Event) *Profile {
 	return p
 }
 
-// phaseStats folds every span into per-(track, phase) distributions.
+// phaseStats folds every span into per-(track, phase) distributions. The
+// spans are all in memory, so each phase keeps every duration and the
+// quantiles are exact nearest-rank over the sorted list.
 func phaseStats(evs []Event) []PhaseStats {
 	type acc struct {
 		stats PhaseStats
-		sum   *metrics.Summary
+		durs  []time.Duration
 	}
 	byKey := map[string]*acc{}
 	var order []string
@@ -238,33 +235,36 @@ func phaseStats(evs []Event) []PhaseStats {
 		k := e.Track + "\x00" + e.Name
 		a, ok := byKey[k]
 		if !ok {
-			a = &acc{
-				stats: PhaseStats{Track: e.Track, Phase: e.Name},
-				sum:   &metrics.Summary{Cap: profileSummaryCap},
-			}
+			a = &acc{stats: PhaseStats{Track: e.Track, Phase: e.Name}}
 			byKey[k] = a
 			order = append(order, k)
 		}
 		a.stats.Count++
 		a.stats.Total += e.Dur
-		a.sum.Observe(float64(e.Dur))
+		a.durs = append(a.durs, e.Dur)
 	}
 	out := make([]PhaseStats, 0, len(order))
 	for _, k := range order {
 		a := byKey[k]
 		s := a.stats
-		if s.Count > 0 {
-			s.Mean = time.Duration(float64(s.Total) / float64(s.Count))
-		}
-		s.P50 = time.Duration(a.sum.Quantile(0.5))
-		s.P95 = time.Duration(a.sum.Quantile(0.95))
-		s.Max = time.Duration(a.sum.Max())
+		s.Mean = time.Duration(float64(s.Total) / float64(s.Count))
+		slices.Sort(a.durs)
+		s.P50 = nearestRank(a.durs, 0.5)
+		s.P95 = nearestRank(a.durs, 0.95)
+		s.Max = a.durs[len(a.durs)-1]
 		out = append(out, s)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		return phaseLess(out[i].Track, out[i].Phase, out[j].Track, out[j].Phase)
 	})
 	return out
+}
+
+// nearestRank returns the q-quantile (0 < q < 1) of sorted, non-empty
+// durations: the smallest value with at least q of the samples at or
+// below it.
+func nearestRank(sorted []time.Duration, q float64) time.Duration {
+	return sorted[max(int(math.Ceil(q*float64(len(sorted))))-1, 0)]
 }
 
 // window is one iteration's analysis scratch state.

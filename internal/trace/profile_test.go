@@ -194,6 +194,27 @@ func TestBuildProfileEmptyAndNoEnvelopes(t *testing.T) {
 	}
 }
 
+// TestPhaseQuantilesExactAtScale: 20,000 spans of one phase, durations
+// 1–20,000 µs in interleaved order. p50, p95 and max are nearest-rank over
+// all of them, however many there are.
+func TestPhaseQuantilesExactAtScale(t *testing.T) {
+	const n = 20000
+	evs := make([]Event, n)
+	for i := range evs {
+		// 7919 is coprime with n, so this visits every duration once.
+		dur := time.Duration(i*7919%n+1) * time.Microsecond
+		evs[i] = Event{Track: TrackPersist, Name: PhaseDiffWrite, Start: time.Duration(i) * time.Millisecond, Dur: dur, Seq: uint64(i + 1)}
+	}
+	p := BuildProfile(evs)
+	if len(p.Phases) != 1 {
+		t.Fatalf("got %d phases, want 1", len(p.Phases))
+	}
+	got := p.Phases[0]
+	if got.Count != n || got.P50 != 10*time.Millisecond || got.P95 != 19*time.Millisecond || got.Max != 20*time.Millisecond {
+		t.Fatalf("count %d p50 %v p95 %v max %v, want %d 10ms 19ms 20ms", got.Count, got.P50, got.P95, got.Max, n)
+	}
+}
+
 func TestDiffProfilesSelfIsZero(t *testing.T) {
 	p := BuildProfile(goldenTimeline())
 	d := DiffProfiles(p, p)

@@ -45,14 +45,18 @@ if [ "${SKIP_ALLOC_GATE:-0}" != "1" ] && [ -f BENCH_dataplane.json ]; then
         go run ./cmd/benchfmt -gate BENCH_dataplane.json -gate-match RestoreFull -slack 0.25
 fi
 
-# Profiler-overhead gate: the enabled-recorder step-span path must not
-# grow its allocation footprint (the nil fast path is pinned at zero
-# allocs by TestNilFastPathAllocationFree; benchfmt skips zero baselines,
-# so only the enabled path is gated here).
+# Profiler gates: the enabled-recorder step-span path and the analyzer
+# (BuildProfile, exact per-phase quantiles over every span) must not grow
+# their allocation footprint (the nil fast path is pinned at zero allocs
+# by TestNilFastPathAllocationFree; benchfmt skips zero baselines, so only
+# the enabled path is gated here).
 if [ "${SKIP_ALLOC_GATE:-0}" != "1" ] && [ -f BENCH_trace.json ]; then
-    echo "== allocs/op gate: trace step spans vs checked-in BENCH_trace.json (benchtime $GATE_BENCHTIME) ==" >&2
-    go test -run '^$' -bench 'TraceStepSpansEnabled' -benchmem -benchtime "$GATE_BENCHTIME" ./internal/trace |
-        go run ./cmd/benchfmt -gate BENCH_trace.json -gate-match StepSpansEnabled -slack 0.25
+    echo "== allocs/op gate: trace step spans and BuildProfile vs checked-in BENCH_trace.json (benchtime $GATE_BENCHTIME) ==" >&2
+    trgate=$(mktemp)
+    go test -run '^$' -bench 'TraceStepSpansEnabled|TraceBuildProfile' -benchmem -benchtime "$GATE_BENCHTIME" ./internal/trace >"$trgate"
+    go run ./cmd/benchfmt -gate BENCH_trace.json -gate-match StepSpansEnabled -slack 0.25 <"$trgate"
+    go run ./cmd/benchfmt -gate BENCH_trace.json -gate-match BuildProfile -slack 0.25 <"$trgate"
+    rm -f "$trgate"
 fi
 
 # Pool wire-path gate: a put may allocate the stored copy of the object and

@@ -1,5 +1,6 @@
 // Command lowdiffbench regenerates the paper's evaluation tables and
-// figures from the calibrated simulator and the functional implementation.
+// figures from the calibrated simulator. Every table is deterministic: the
+// same build prints the same bytes.
 //
 // Usage:
 //
@@ -13,13 +14,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
 	"lowdiff/internal/experiments"
 	"lowdiff/internal/obs"
-	"lowdiff/internal/trace"
 )
 
 func main() {
@@ -27,22 +26,8 @@ func main() {
 	exp := flag.String("exp", "", "comma-separated experiment IDs to run")
 	all := flag.Bool("all", false, "run every experiment")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	parallelism := flag.Int("parallelism", runtime.NumCPU(),
-		"data-plane pool workers for the functional experiments (1: serial; results are bit-identical either way)")
-	storeURL := flag.String("store", "",
-		"route functional experiments' checkpoints to a lowdiffd daemon, tcp://host:port/tenant (empty: in-memory)")
 	opsAddr := flag.String("ops-addr", "", "serve /metrics, /healthz, /snapshot, and pprof on this address while experiments run (empty: off)")
-	traceOut := flag.String("trace-out", "", "write the functional experiments' span timeline as JSONL to this file (input for lowdifftrace)")
 	flag.Parse()
-
-	experiments.SetParallelism(*parallelism)
-	experiments.SetStoreURL(*storeURL)
-
-	var rec *trace.Recorder
-	if *traceOut != "" {
-		rec = trace.New()
-		experiments.SetTrace(rec)
-	}
 
 	var reg *obs.Registry
 	if *opsAddr != "" {
@@ -50,13 +35,12 @@ func main() {
 		srv, err := obs.Serve(*opsAddr, obs.ServerOptions{
 			Registry: reg,
 			Health:   func() obs.HealthStatus { return obs.HealthStatus{Status: "ok", OK: true} },
-			Trace:    rec,
 		})
 		if err != nil {
 			fatal(err)
 		}
 		defer func() { _ = srv.Close() }()
-		fmt.Fprintf(os.Stderr, "ops endpoint on http://%s (/metrics, /healthz, /snapshot, /trace, /debug/pprof)\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "ops endpoint on http://%s (/metrics, /healthz, /snapshot, /debug/pprof)\n", srv.Addr())
 	}
 
 	render := func(t *experiments.Table) error {
@@ -93,22 +77,6 @@ func main() {
 	default:
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	if rec != nil {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rec.WriteJSONL(f); err != nil {
-			_ = f.Close() // trace write failed; that error is primary
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "%d spans written to %s (analyze with: lowdifftrace report %s)\n",
-			rec.Len(), *traceOut, *traceOut)
 	}
 }
 

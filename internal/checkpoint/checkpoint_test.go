@@ -6,9 +6,11 @@ import (
 	"testing/quick"
 
 	"lowdiff/internal/compress"
+	"lowdiff/internal/model"
 	"lowdiff/internal/optim"
 	"lowdiff/internal/storage"
 	"lowdiff/internal/tensor"
+	"lowdiff/internal/timemodel"
 )
 
 func sampleFull(t *testing.T, n int, seed uint64) *Full {
@@ -101,6 +103,44 @@ func TestDiffRoundTrip(t *testing.T) {
 	}
 	if !a.Equal(b) {
 		t.Fatal("payload differs after round trip")
+	}
+}
+
+// The Exp. 7 size model is the encoder's, byte for byte: an Adam full
+// checkpoint is timemodel.FullCheckpointBytes (3Ψ float32s) plus a framing
+// header that does not depend on Ψ, and a sparse differential is 8 bytes
+// per non-zero (int32 index + float32 value) plus a constant.
+func TestEncodedSizesMatchSizeModel(t *testing.T) {
+	// magic, version, iter, params length (4+4+8+8); the "adam" name and
+	// step (2+4+8); scalars lr, beta1, beta2, eps (4 + 12+15+15+13); slots
+	// m and v (4 + 11+11); CRC (4).
+	const fullHeader = 24 + 14 + 59 + 26 + 4
+	// magic, version, kind, first, last, count (4+4+1+8+8+4); the payload's
+	// header for codec "topk" (4+2+1+4+4*8+4); CRC (4).
+	const diffHeader = 29 + 47 + 4
+	for _, name := range []string{"BERT-B", "GPT2-S", "GPT2-L"} {
+		spec, err := model.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scaled := spec.Scaled(2000)
+		n := scaled.NumParams()
+		var buf bytes.Buffer
+		if err := sampleFull(t, n, 1).Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := int64(buf.Len()), int64(timemodel.FullCheckpointBytes(scaled))+fullHeader; got != want {
+			t.Errorf("%s (Ψ=%d): full encodes to %d bytes, want %d", name, n, got, want)
+		}
+		buf.Reset()
+		d := sampleDiff(t, n, 2)
+		if err := d.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		nnz := int64(len(d.Payload.Idx))
+		if got, want := int64(buf.Len()), 8*nnz+diffHeader; got != want {
+			t.Errorf("%s: diff with %d non-zeros encodes to %d bytes, want %d", name, nnz, got, want)
+		}
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"lowdiff/internal/compress"
+	"lowdiff/internal/model"
+	"lowdiff/internal/storage"
 )
 
 func testGrad(n int, v float32) *compress.Compressed {
@@ -205,5 +207,39 @@ func TestQueueConcurrentProducerConsumer(t *testing.T) {
 	}
 	if q.Depth.High() > 4 {
 		t.Fatalf("depth high-water %d exceeds capacity", q.Depth.High())
+	}
+}
+
+// The bound holds end to end: against a store too slow to keep up, the
+// engine's reusing queue back-pressures training instead of growing past
+// QueueCap, so retained gradients stay bounded (the paper's Limitation 2).
+func TestEngineQueueHighWaterWithinCap(t *testing.T) {
+	for _, queueCap := range []int{1, 4} {
+		// ~190-byte differentials at 100 kB/s: each write takes ~2 ms,
+		// far longer than a step of this model.
+		slow, err := storage.NewThrottled(storage.NewMem(), 100e3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEngine(Options{
+			Spec: model.Tiny(2, 128), Workers: 1, Rho: 0.05, Store: slow,
+			FullEvery: 1000, BatchSize: 1, QueueCap: queueCap, Seed: 22,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := e.Run(30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if stats.QueueHighMark > int64(queueCap) {
+			t.Fatalf("cap %d: queue high-water %d exceeds the cap", queueCap, stats.QueueHighMark)
+		}
+		if queueCap == 1 && (stats.QueueHighMark != 1 || stats.BlockedPuts == 0) {
+			t.Fatalf("cap 1: high-water %d, %d blocked puts; want 1 and > 0", stats.QueueHighMark, stats.BlockedPuts)
+		}
 	}
 }

@@ -1,8 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§7): one generator per experiment, each returning a Table
-// with the same rows/series the paper reports. Cluster-scale experiments
-// run on the calibrated performance simulator; the func-* experiments
-// additionally measure the functional Go implementation for real.
+// evaluation (§7) on the calibrated performance simulator: one generator
+// per experiment, each returning a Table with the same rows/series the
+// paper reports. Every generator is deterministic — no wall-clock reads,
+// no engine runs — so a table's bytes depend only on the code. Measurements
+// of the functional implementation live in bench/ (paired workloads) and in
+// the tests of the packages that own each mechanism.
 //
 // Absolute numbers are not expected to match the authors' testbed — the
 // shapes (who wins, rough factors, crossovers) are the reproduction target.
@@ -15,9 +17,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-
-	"lowdiff/internal/storage"
-	"lowdiff/internal/trace"
 )
 
 // Table is a rendered experiment result.
@@ -105,61 +104,6 @@ func (t *Table) RenderCSV(w io.Writer) error {
 	return err
 }
 
-// dataPlaneParallelism is the pool width the functional experiments build
-// their engines with (core Options.Parallelism); 0 or 1 keeps the data
-// plane serial. Set through SetParallelism before running experiments.
-var dataPlaneParallelism int
-
-// SetParallelism sets the engine data-plane pool width used by the
-// functional experiments. Results are bit-identical at any width
-// (DESIGN.md §8); only wall-clock columns change.
-func SetParallelism(n int) { dataPlaneParallelism = n }
-
-// traceRecorder, when non-nil, is threaded into every functional
-// experiment's engine so one lowdiffbench invocation yields a step-phase
-// timeline alongside the tables. Set through SetTrace before running.
-var traceRecorder *trace.Recorder
-
-// SetTrace sets the span recorder the functional experiments record into.
-// Nil (the default) disables tracing.
-func SetTrace(rec *trace.Recorder) { traceRecorder = rec }
-
-// storeURL, when non-empty, points the functional experiments at a shared
-// lowdiffd checkpoint daemon ("tcp://host:port/tenant") instead of private
-// in-memory stores. Set through SetStoreURL before running.
-var storeURL string
-
-// SetStoreURL routes every functional experiment's checkpoint traffic to a
-// lowdiffd daemon. Each experiment gets its own tenant namespace —
-// "<tenant>-<label>" — so concurrent experiments never collide, and each
-// namespace is cleared before use so runs start from a clean slate.
-// Results are bit-identical to the in-memory default; only the transport
-// changes. Empty (the default) keeps experiments on storage.NewMem.
-func SetStoreURL(u string) { storeURL = u }
-
-// newStore returns the checkpoint store an experiment should persist to
-// plus a release func for when the experiment is done with it. Labels are
-// reused across a sweep's iterations; the clean-slate Clear between
-// iterations keeps their manifests from bleeding into each other.
-func newStore(label string) (storage.Store, func(), error) {
-	if storeURL == "" {
-		return storage.NewMem(), func() {}, nil
-	}
-	addr, tenant, err := storage.ParseURL(storeURL)
-	if err != nil {
-		return nil, nil, err
-	}
-	r, err := storage.DialRemote(addr, tenant+"-"+label, storage.RemoteOptions{})
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := storage.Clear(r); err != nil {
-		_ = r.Close() // the Clear failure is primary
-		return nil, nil, err
-	}
-	return r, func() { _ = r.Close() }, nil
-}
-
 // Generator produces one experiment's table.
 type Generator func() (*Table, error)
 
@@ -177,7 +121,7 @@ func register(id string, g Generator) {
 // IDs returns the registered experiment IDs, sorted.
 func IDs() []string {
 	out := make([]string, 0, len(registry))
-	for id := range registry {
+	for id := range registry { //lint:allow determinism keys are sorted below; nothing leaves in map order
 		out = append(out, id)
 	}
 	sort.Strings(out)

@@ -12,8 +12,6 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig1a", "fig1b", "table1",
 		"exp1", "exp2", "exp3", "exp4", "exp5", "exp6a", "exp6b", "exp7", "exp8", "exp9", "exp10",
-		"func-train", "func-recovery", "func-batch", "func-storage", "func-pp", "func-peer",
-		"ablation-batch", "ablation-queue", "ablation-recovery", "ablation-ef",
 	}
 	have := map[string]bool{}
 	for _, id := range IDs() {
@@ -370,55 +368,7 @@ func TestExp9Exp10Shapes(t *testing.T) {
 	}
 }
 
-func TestFunctionalExperiments(t *testing.T) {
-	if testing.Short() {
-		t.Skip("functional experiments are slower")
-	}
-	for _, id := range []string{"func-train", "func-recovery", "func-batch", "func-storage", "func-pp", "func-peer"} {
-		runExp(t, id)
-	}
-}
-
-func TestAblationShapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablations run the functional engine")
-	}
-	// Batched writing divides the write count.
-	tab := runExp(t, "ablation-batch")
-	w1 := cell(t, tab.Rows[0][2])
-	wN := cell(t, tab.Rows[len(tab.Rows)-1][2])
-	if wN >= w1/4 {
-		t.Errorf("batching should cut store writes: %v -> %v", w1, wN)
-	}
-	// Queue high-water never exceeds the capacity.
-	tab = runExp(t, "ablation-queue")
-	for _, row := range tab.Rows {
-		if cell(t, row[2]) > cell(t, row[0]) {
-			t.Errorf("queue cap %s: high-water %s exceeds bound", row[0], row[2])
-		}
-	}
-	// Unbatched SGD replay is exact at every pool size.
-	tab = runExp(t, "ablation-recovery")
-	for _, row := range tab.Rows {
-		if err := cell(t, row[2]); err != 0 {
-			t.Errorf("pool of %s: recovery error %v, want 0", row[0], err)
-		}
-	}
-	// EF beats plain top-k at every ratio under noise.
-	tab = runExp(t, "ablation-ef")
-	for _, row := range tab.Rows {
-		plain := cell(t, row[1])
-		ef := cell(t, row[2])
-		if ef >= plain {
-			t.Errorf("rho=%s: EF loss %v not better than plain %v", row[0], ef, plain)
-		}
-	}
-}
-
 func TestRunAll(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every experiment")
-	}
 	tabs, err := RunAll()
 	if err != nil {
 		t.Fatal(err)

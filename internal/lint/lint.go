@@ -136,6 +136,10 @@ func DefaultConfig() *Config {
 			// for byte over the wire; its quota accounting and admission
 			// decisions may not depend on wall clocks or map order.
 			"lowdiff/internal/storaged",
+			// The paper's tables come from the simulator alone: the same
+			// build must print the same bytes, so no generator may read a
+			// clock or depend on map order.
+			"lowdiff/internal/experiments",
 		},
 		FloatEqAllowFuncs: []string{
 			"lowdiff/internal/tensor.Vector.Equal",

@@ -10,34 +10,36 @@ import (
 
 // Pipeline-parallel checkpoints recover with the ordinary global replay:
 // the merged stage-disjoint gradients applied by one global optimizer
-// reproduce the per-stage updates bit-exactly.
+// reproduce the per-stage updates bit-exactly, at every stage count.
 func TestPPRecoveryBitExact(t *testing.T) {
-	for _, optName := range []string{"adam", "sgd"} {
-		store := storage.NewMem()
-		e, err := core.NewEngine(core.Options{
-			Spec: model.Tiny(8, 24), PP: &core.PPSpec{Stages: 4}, Optimizer: optName,
-			LR: 0.02, Rho: 0.25, Store: store,
-			FullEvery: 10, BatchSize: 1, Seed: 7,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Run(17); err != nil { // full at 10, diffs to 17
-			t.Fatal(err)
-		}
-		if err := e.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		st, applied, err := Latest(store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Iter != 17 || applied != 7 {
-			t.Fatalf("%s: recovered to %d with %d diffs", optName, st.Iter, applied)
-		}
-		if !st.Params.Identical(e.Params()) {
-			md, _ := st.Params.MaxAbsDiff(e.Params())
-			t.Fatalf("%s: PP recovery diverged (max diff %v)", optName, md)
+	for _, stages := range []int{1, 2, 4} {
+		for _, optName := range []string{"adam", "sgd"} {
+			store := storage.NewMem()
+			e, err := core.NewEngine(core.Options{
+				Spec: model.Tiny(8, 24), PP: &core.PPSpec{Stages: stages}, Optimizer: optName,
+				LR: 0.02, Rho: 0.25, Store: store,
+				FullEvery: 10, BatchSize: 1, Seed: 7,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Run(17); err != nil { // full at 10, diffs to 17
+				t.Fatal(err)
+			}
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			st, applied, err := Latest(store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Iter != 17 || applied != 7 {
+				t.Fatalf("%d stages, %s: recovered to %d with %d diffs", stages, optName, st.Iter, applied)
+			}
+			if !st.Params.Identical(e.Params()) {
+				md, _ := st.Params.MaxAbsDiff(e.Params())
+				t.Fatalf("%d stages, %s: PP recovery diverged (max diff %v)", stages, optName, md)
+			}
 		}
 	}
 }

@@ -114,8 +114,8 @@ func DialRemote(addr, tenant string, opts RemoteOptions) (*Remote, error) {
 	return r, nil
 }
 
-// ParseURL splits a "tcp://host:port/tenant" store URL.
-func ParseURL(raw string) (addr, tenant string, err error) {
+// parseURL splits a "tcp://host:port/tenant" store URL.
+func parseURL(raw string) (addr, tenant string, err error) {
 	rest, ok := strings.CutPrefix(raw, "tcp://")
 	if !ok {
 		return "", "", fmt.Errorf("storage: store URL %q must start with tcp://", raw)
@@ -129,7 +129,7 @@ func ParseURL(raw string) (addr, tenant string, err error) {
 
 // DialURL dials a "tcp://host:port/tenant" store URL.
 func DialURL(raw string, opts RemoteOptions) (*Remote, error) {
-	addr, tenant, err := ParseURL(raw)
+	addr, tenant, err := parseURL(raw)
 	if err != nil {
 		return nil, err
 	}
@@ -610,19 +610,4 @@ func (r *Remote) Stat() (Usage, error) {
 	}
 	r.put(c)
 	return u, nil
-}
-
-// Clear deletes every object in a store — used to give a tenant namespace
-// a clean slate before a fresh run (experiments, golden tests).
-func Clear(s Store) error {
-	names, err := s.List("")
-	if err != nil {
-		return err
-	}
-	for _, n := range names {
-		if err := s.Delete(n); err != nil && !IsNotExist(err) {
-			return err
-		}
-	}
-	return nil
 }

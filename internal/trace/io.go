@@ -11,7 +11,7 @@ import (
 
 // io.go persists and reloads span timelines. The native format is span
 // JSONL — one event per line, nanosecond offsets, lossless — which
-// lowdifftrain/lowdiffbench write via --trace-out and cmd/lowdifftrace
+// lowdifftrain writes via --trace-out and cmd/lowdifftrace
 // reads back. Chrome trace-event JSON (the --trace/perfetto format) can
 // also be read, at its native microsecond granularity.
 

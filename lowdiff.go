@@ -20,9 +20,10 @@
 //     for unbatched differentials).
 //   - Tune computes the closed-form optimal full-checkpoint frequency and
 //     batching size from the paper's wasted-time model (Eq. 5).
-//   - The simulator (internal/cluster, surfaced through the experiments
-//     in cmd/lowdiffbench) reproduces every table and figure of the
-//     paper's evaluation.
+//   - The simulator (internal/cluster, surfaced through the deterministic
+//     experiments in cmd/lowdiffbench) reproduces every table and figure
+//     of the paper's evaluation. The functional stack is timed only by
+//     the paired workloads in bench/.
 //
 // See examples/ for runnable end-to-end scenarios.
 package lowdiff

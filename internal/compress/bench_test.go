@@ -15,22 +15,40 @@ func benchGrad(n int) tensor.Vector {
 	return g
 }
 
+// workloadGradLen is the parameter count of the benchmark harness's
+// training model, the shape every DP step compresses.
+const workloadGradLen = 1169955
+
+// workloadGrad is a gradient shaped like the harness's: a signal near 1
+// under uniform noise of half-width 2.
+func workloadGrad(n int) tensor.Vector {
+	g := tensor.New(n)
+	tensor.NewRNG(1).FillUniform(g, -2, 2)
+	for i := range g {
+		g[i]++
+	}
+	return g
+}
+
 func BenchmarkTopKCompress(b *testing.B) {
+	run := func(name string, g tensor.Vector, rho float64) {
+		b.Run(name, func(b *testing.B) {
+			tk, _ := NewTopK(rho)
+			b.SetBytes(int64(len(g) * 4))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := tk.Compress(g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	for _, n := range []int{1 << 14, 1 << 18} {
 		for _, rho := range []float64{0.01, 0.1} {
-			b.Run(fmt.Sprintf("n=%d/rho=%v", n, rho), func(b *testing.B) {
-				g := benchGrad(n)
-				tk, _ := NewTopK(rho)
-				b.SetBytes(int64(n * 4))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := tk.Compress(g); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+			run(fmt.Sprintf("n=%d/rho=%v", n, rho), benchGrad(n), rho)
 		}
 	}
+	run(fmt.Sprintf("workload/n=%d/rho=0.01", workloadGradLen), workloadGrad(workloadGradLen), 0.01)
 }
 
 func BenchmarkInt8Compress(b *testing.B) {
@@ -151,9 +169,10 @@ func compressHeapReference(g tensor.Vector, rho float64) *Compressed {
 // plus one 16-part union-sum merge (the batched writer's flush path).
 // baseline replays the retired implementation — heap selection plus the
 // map-based union-sum (both kept in dataplane_test.go as oracles);
-// kway-serial and kway-pooled8 run the replacement quickselect compression
-// and k-way merge at 1 and 8 pool workers. scripts/bench.sh records these
-// in BENCH_dataplane.json.
+// kway-serial and kway-pooled8 run the radix-select compression and the
+// k-way merge at 1 and 8 pool workers (the select is serial in both; the
+// pool shards the value gather and the merge). scripts/bench.sh records
+// these in BENCH_dataplane.json.
 func BenchmarkDataplaneCompressMerge(b *testing.B) {
 	const n, nParts = 1 << 16, 16
 	const rho = 0.01

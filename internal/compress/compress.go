@@ -13,8 +13,8 @@
 // compressor constructors). Sharding follows the fixed-chunk-grid contract
 // of package parallel, so results are bit-identical to the serial reference
 // at any worker count. NaN gradient entries are out of contract for TopK:
-// they break the strict (|v| desc, index asc) total order the parallel
-// selection relies on.
+// they break the strict (|v| desc, index asc) total order the selection
+// relies on.
 package compress
 
 import (
@@ -278,7 +278,8 @@ func NewTopK(rho float64) (*TopK, error) {
 	return NewTopKPooled(rho, nil)
 }
 
-// NewTopKPooled returns a Top-K compressor sharding selection over pool.
+// NewTopKPooled returns a Top-K compressor sharding the value gather over
+// pool; the selection itself is serial.
 func NewTopKPooled(rho float64, pool *parallel.Pool) (*TopK, error) {
 	if rho <= 0 || rho > 1 {
 		return nil, fmt.Errorf("compress: topk ratio %v out of (0,1]", rho)
@@ -295,8 +296,7 @@ func (t *TopK) Ratio() float64 { return t.R }
 // Compress implements Compressor.
 func (t *TopK) Compress(grad tensor.Vector) (*Compressed, error) {
 	n := len(grad)
-	k := ceilK(n, t.R)
-	idx := t.selectIndices(grad, k)
+	idx := topKSelect(grad, ceilK(n, t.R))
 	vals := make([]float32, len(idx))
 	//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 	t.Pool.ForEach(len(idx), func(_, lo, hi int) {
@@ -307,55 +307,14 @@ func (t *TopK) Compress(grad tensor.Vector) (*Compressed, error) {
 	return &Compressed{Codec: "topk", N: n, Idx: idx, Vals: vals}, nil
 }
 
-// selectIndices picks the top-k set. The parallel path selects per-chunk
-// candidates and reselects globally: under the strict (|v| desc, index asc)
-// total order, the global top-k members inside any chunk are necessarily
-// among that chunk's local top-k, so the candidate union contains the exact
-// serial answer. It is used only when the candidate list stays well below
-// n, otherwise sharding is pure overhead.
-func (t *TopK) selectIndices(grad tensor.Vector, k int) []int32 {
-	n := len(grad)
-	pool := t.Pool
-	chunks := pool.NumChunks(n)
-	if pool.Workers() == 1 || chunks <= 1 || 2*k*chunks >= n {
-		return topKRange(grad, 0, n, k)
-	}
-	// Each chunk writes its candidates into its own disjoint segment of one
-	// shared scratch buffer; compaction then packs them in ascending shard
-	// order.
-	scratch := getI32(k * chunks)
-	cand := scratch.v
-	cs := getInts(chunks)
-	counts := cs.v
-	//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
-	pool.ForEach(n, func(s, lo, hi int) {
-		kk := k
-		if kk > hi-lo {
-			kk = hi - lo
-		}
-		counts[s] = kk
-		topKUnsortedInto(grad, lo, hi, cand[s*k:s*k+kk])
-	})
-	w := counts[0]
-	for s := 1; s < chunks; s++ {
-		copy(cand[w:], cand[s*k:s*k+counts[s]])
-		w += counts[s]
-	}
-	// Reselect under the same total order; strictness (unique indices)
-	// makes the selected set independent of candidate order.
-	out := topKOf(grad, cand[:w], k)
-	cs.release()
-	scratch.release()
-	return out
-}
-
-// Selection runs on packed strength keys: |v|'s float bits in the high
-// word and the bitwise complement of the index in the low word, so one
-// uint64 compare is exactly the (|v| desc, lower-index-wins) total order.
-// IEEE-754 bit patterns of non-negative floats order the same as their
-// values, which is what lets the magnitude ride in the high bits. Keys are
-// unique (the index bits differ), so the selected SET is independent of
-// the pivot sequence — quickselect stays deterministic by construction.
+// Selection is one strict total order: |v| descending, the lower index
+// winning ties. A strength key packs |v|'s float bits in the high word and
+// the bitwise complement of the index in the low word, so one uint64
+// compare is exactly that order. IEEE-754 bit patterns of non-negative
+// floats order the same as their values, which is what lets the magnitude
+// ride in the high bits. Keys are unique (the index bits differ), so the
+// selected SET is independent of the pivot sequence — quickselect stays
+// deterministic by construction.
 
 // strengthKey packs g's entry at index j into its selection key.
 func strengthKey(v float32, j int32) uint64 {
@@ -366,73 +325,61 @@ func strengthKey(v float32, j int32) uint64 {
 // keyIndex recovers the dense index from a strength key.
 func keyIndex(key uint64) int32 { return int32(^uint32(key)) }
 
-// topKRange returns the indices of the k largest-magnitude entries of
-// g[lo:hi] as global indices in increasing order. Ties break toward the
-// lower index.
-func topKRange(g tensor.Vector, lo, hi, k int) []int32 {
-	out := topKUnsorted(g, lo, hi, k)
-	sortI32(out)
-	return out
-}
+// radixBucket is the top of v's strength key: |v|'s exponent and the high 7
+// mantissa bits. A higher bucket is a strictly stronger entry; within a
+// bucket the full key decides.
+func radixBucket(v float32) uint32 { return (math.Float32bits(v) &^ (1 << 31)) >> 16 }
 
-// topKUnsorted is topKRange without the final ascending sort — the selected
-// set in unspecified order.
-func topKUnsorted(g tensor.Vector, lo, hi, k int) []int32 {
-	span := hi - lo
-	if k > span {
-		k = span
-	}
+// radixBuckets is the number of distinct radixBucket values (2^15).
+const radixBuckets = 1 << 15
+
+// topKSelect returns the indices of the k largest-magnitude entries of g in
+// increasing order, ties breaking toward the lower index. It is a two-pass
+// radix threshold select: pass 1 histograms the radix buckets and walks
+// them from the top to the boundary bucket b where the running count first
+// reaches k; pass 2 takes every entry above b and packs the strength keys
+// of b's entries, of which quickselect keeps the k − above strongest.
+// Because the bucket is a prefix of the key, the set is exactly the top k
+// of the total order. When every entry shares one bucket (a constant
+// gradient) the quickselect runs over all n keys.
+func topKSelect(g tensor.Vector, k int) []int32 {
 	out := make([]int32, k)
-	topKUnsortedInto(g, lo, hi, out)
-	return out
-}
-
-// topKUnsortedInto writes the len(out) strongest indices of g[lo:hi] into
-// out in unspecified order — the per-chunk candidate pass, where each chunk
-// owns a disjoint segment of a shared scratch buffer. len(out) must be at
-// most hi-lo.
-func topKUnsortedInto(g tensor.Vector, lo, hi int, out []int32) {
-	span, k := hi-lo, len(out)
-	if k >= span {
+	if k >= len(g) {
 		for i := range out {
-			out[i] = int32(lo + i)
+			out[i] = int32(i)
 		}
-		return
-	}
-	ks := getU64(span)
-	keys := ks.v
-	for i := 0; i < span; i++ {
-		j := lo + i
-		keys[i] = strengthKey(g[j], int32(j))
-	}
-	quickSelectKeys(keys, k)
-	for i := range out {
-		out[i] = keyIndex(keys[i])
-	}
-	ks.release()
-}
-
-// topKOf returns the indices of the k strongest entries among cand (global
-// indices into g, assumed unique) in increasing index order, under the same
-// total order as topKRange — the reselect step of the sharded selection.
-func topKOf(g tensor.Vector, cand []int32, k int) []int32 {
-	if k >= len(cand) {
-		out := make([]int32, len(cand))
-		copy(out, cand)
-		sortI32(out)
 		return out
 	}
-	ks := getU64(len(cand))
-	keys := ks.v
-	for i, j := range cand {
-		keys[i] = strengthKey(g[j], j)
+	hist := histPool.Get().(*radixHist)
+	clear(hist[:])
+	for _, v := range g {
+		hist[radixBucket(v)]++
 	}
-	quickSelectKeys(keys, k)
-	out := make([]int32, k)
-	for i := range out {
-		out[i] = keyIndex(keys[i])
+	b, above := uint32(radixBuckets-1), 0
+	for above+int(hist[b]) < k {
+		above += int(hist[b])
+		b--
 	}
-	ks.release()
+	cs := getU64(int(hist[b]))
+	histPool.Put(hist)
+	cand, w, c := cs.v, 0, 0
+	for i, v := range g {
+		switch bk := radixBucket(v); {
+		case bk > b:
+			out[w] = int32(i)
+			w++
+		case bk == b:
+			cand[c] = strengthKey(v, int32(i))
+			c++
+		}
+	}
+	need := k - above
+	quickSelectKeys(cand, need)
+	for _, key := range cand[:need] {
+		out[w] = keyIndex(key)
+		w++
+	}
+	cs.release()
 	sortI32(out)
 	return out
 }

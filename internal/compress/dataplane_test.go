@@ -260,9 +260,9 @@ func mergeMapReference(parts ...*Compressed) *Compressed {
 }
 
 // topKHeapReference is the retired bounded-min-heap Top-K selection, kept
-// as the test oracle (and benchmark baseline) for the packed-key
-// quickselect that replaced it. Same strict total order: |v| descending,
-// lower index wins ties.
+// as the test oracle (and benchmark baseline) for the radix threshold
+// select that replaced it. Same strict total order: |v| descending, lower
+// index wins ties.
 func topKHeapReference(g tensor.Vector, k int) []int32 {
 	if k >= len(g) {
 		idx := make([]int32, len(g))
@@ -325,10 +325,91 @@ func topKHeapReference(g tensor.Vector, k int) []int32 {
 	return h
 }
 
-// TestTopKQuickselectMatchesHeapOracle pins the packed-key quickselect to
-// the retired heap selection across shapes that stress the tie-break rule:
-// duplicated magnitudes, sign flips, zeros, and denormal-scale values all
-// must resolve to the identical index set.
+// checkTopKOracle fails t unless the radix select and the heap oracle pick
+// the same indices for g and k.
+func checkTopKOracle(t *testing.T, tag string, g tensor.Vector, k int) {
+	t.Helper()
+	got, want := topKSelect(g, k), topKHeapReference(g, k)
+	if len(got) != len(want) {
+		t.Fatalf("%s n=%d k=%d: got %d indices, want %d", tag, len(g), k, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s n=%d k=%d: index %d: got %d, want %d", tag, len(g), k, i, got[i], want[i])
+		}
+	}
+}
+
+// bucketCuts returns, for each radix bucket of g from the strongest down,
+// the number of entries at or above it: the k at which that bucket is the
+// boundary and exactly completes the selection.
+func bucketCuts(g tensor.Vector) []int {
+	hist := map[uint32]int{}
+	for _, v := range g {
+		hist[radixBucket(v)]++
+	}
+	buckets := make([]uint32, 0, len(hist))
+	for b := range hist {
+		buckets = append(buckets, b)
+	}
+	sort.Slice(buckets, func(i, j int) bool { return buckets[i] > buckets[j] })
+	cuts, sum := make([]int, len(buckets)), 0
+	for i, b := range buckets {
+		sum += hist[b]
+		cuts[i] = sum
+	}
+	return cuts
+}
+
+// TestTopKSelectRadixEdges pins the radix threshold select to the heap
+// oracle where the buckets decide: one bucket holding everything, a
+// boundary bucket that exactly completes k (and k one either side of it),
+// equal magnitudes on both sides of a bucket edge, and the special values
+// (±0, denormals, ±Inf). Every n here is below the bucket count.
+func TestTopKSelectRadixEdges(t *testing.T) {
+	r := tensor.NewRNG(31)
+	// The lowest value of a bucket and the highest of the one below it.
+	edge := math.Float32frombits(0x3f80 << 16) // 1.0
+	below := math.Float32frombits(0x3f80<<16 - 1)
+	special := []float32{0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32,
+		-math.SmallestNonzeroFloat32, 1e-40, -3e-39, float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.MaxFloat32, -math.MaxFloat32, edge, -below}
+	pick := func(vals ...float32) func() float32 {
+		return func() float32 { return vals[r.Intn(len(vals))] }
+	}
+	for _, shape := range []struct {
+		name string
+		draw func() float32
+	}{
+		{"constant", pick(0.75)},
+		{"signed-constant", pick(0.75, -0.75)},
+		{"straddle", pick(edge, -below, below, 0.5, -0.25)},
+		{"special", pick(special...)},
+		{"uniform", func() float32 { return 2*r.Float32() - 1 }},
+	} {
+		for _, n := range []int{1, 2, 3, 17, 300, 2500} {
+			g := tensor.New(n)
+			for i := range g {
+				g[i] = shape.draw()
+			}
+			ks := []int{1, n - 1, n, n / 3}
+			cuts := bucketCuts(g)
+			for i := 0; i < len(cuts); i += 1 + len(cuts)/20 {
+				ks = append(ks, cuts[i]-1, cuts[i], cuts[i]+1)
+			}
+			for _, k := range ks {
+				if k >= 1 && k <= n {
+					checkTopKOracle(t, shape.name, g, k)
+				}
+			}
+		}
+	}
+}
+
+// TestTopKQuickselectMatchesHeapOracle pins the radix select to the retired
+// heap selection across shapes that stress the tie-break rule: duplicated
+// magnitudes, sign flips, zeros, and denormal-scale values all must resolve
+// to the identical index set.
 func TestTopKQuickselectMatchesHeapOracle(t *testing.T) {
 	r := tensor.NewRNG(77)
 	for trial := 0; trial < 40; trial++ {
@@ -345,18 +426,8 @@ func TestTopKQuickselectMatchesHeapOracle(t *testing.T) {
 			g[i] = v
 		}
 		for _, k := range []int{1, 2, n / 7, n / 2, n - 1, n} {
-			if k < 1 {
-				continue
-			}
-			got := topKRange(g, 0, n, k)
-			want := topKHeapReference(g, k)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d n=%d k=%d: got %d indices, want %d", trial, n, k, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d n=%d k=%d: index %d: got %d, want %d", trial, n, k, i, got[i], want[i])
-				}
+			if k >= 1 {
+				checkTopKOracle(t, fmt.Sprintf("trial %d", trial), g, k)
 			}
 		}
 	}

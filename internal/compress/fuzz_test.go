@@ -3,10 +3,44 @@ package compress
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 
 	"lowdiff/internal/tensor"
 )
+
+// FuzzTopKSelect holds the radix threshold select to the heap oracle on
+// arbitrary vectors. The first two bytes pick k in [1, n]; every following
+// four bytes are one float32's bits. NaN is out of contract, so an input
+// holding one is skipped.
+func FuzzTopKSelect(f *testing.F) {
+	f32 := func(k uint16, vals ...float32) []byte {
+		b := binary.LittleEndian.AppendUint16(nil, k)
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+		}
+		return b
+	}
+	inf := float32(math.Inf(1))
+	f.Add(f32(2, 1, 1, 1, 1, 1))
+	f.Add(f32(1, 0, float32(math.Copysign(0, -1)), 1e-45, -1e-45, inf, -inf))
+	f.Add(f32(3, 1, math.Nextafter32(1, 0), -1, -math.Nextafter32(1, 0), 2, 0.5))
+	f.Add(f32(7, 0.1, -0.2, 0.3, -0.4, 0.5, -0.6, 0.7, -0.8, 0.9))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 6 {
+			return
+		}
+		g := tensor.New((len(data) - 2) / 4)
+		for i := range g {
+			g[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[2+4*i:]))
+			if math.IsNaN(float64(g[i])) {
+				return
+			}
+		}
+		k := 1 + int(binary.LittleEndian.Uint16(data))%len(g)
+		checkTopKOracle(t, "fuzz", g, k)
+	})
+}
 
 // FuzzDecode hardens the wire decoder: arbitrary bytes must never panic or
 // over-allocate, and any record that decodes must re-encode to an

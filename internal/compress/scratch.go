@@ -4,8 +4,8 @@ import "sync"
 
 // Scratch pools for the per-iteration slices the hot path would otherwise
 // allocate on every call: wire-encode byte staging, RandK's dense-stride
-// sample buffer, Top-K's per-shard candidate lists, and the packed
-// strength-key buffers its quickselect runs over.
+// sample buffer, and Top-K's radix histogram and the packed strength keys
+// of its boundary bucket.
 //
 // Ownership rule (see DESIGN.md §8): a pooled buffer never escapes the call
 // that got it. Anything stored in a Compressed — which may be handed to the
@@ -48,8 +48,8 @@ type u64Scratch struct{ v []uint64 }
 
 var u64Pool = sync.Pool{New: func() any { return new(u64Scratch) }}
 
-// getU64 returns a pooled uint64 slice of length n — the strength-key
-// buffer for Top-K quickselect.
+// getU64 returns a pooled uint64 slice of length n — the strength keys of
+// Top-K's boundary bucket.
 func getU64(n int) *u64Scratch {
 	s := u64Pool.Get().(*u64Scratch)
 	if cap(s.v) < n {
@@ -60,6 +60,12 @@ func getU64(n int) *u64Scratch {
 }
 
 func (s *u64Scratch) release() { u64Pool.Put(s) }
+
+// radixHist is Top-K's bucket histogram. Counts fit int32 because indices
+// do; pooled whole, cleared by the caller.
+type radixHist [radixBuckets]int32
+
+var histPool = sync.Pool{New: func() any { return new(radixHist) }}
 
 type f32Scratch struct{ v []float32 }
 

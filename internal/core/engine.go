@@ -663,6 +663,7 @@ func (e *Engine) persistFull(f *checkpoint.Full) error {
 	e.fullWrites.Inc()
 	e.events.Emit("ckpt.full.persist", e.fields(map[string]any{"iter": f.Iter}))
 	e.lastFullIter.Store(f.Iter)
+	e.fulls.persisted(f.Iter)
 	if e.rep != nil {
 		e.rep.persisted(f.Iter)
 	}

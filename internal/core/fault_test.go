@@ -291,14 +291,15 @@ func decodeLadderEvents(t *testing.T, raw []byte) []ladderEvent {
 // through the same rung of the ladder — they share one chain sink: the write
 // fails after its retry, ckpt.diff.fallback, a contiguous run of
 // ckpt.diff.drop up to the fresh full base, and the chain restarts at the
-// gradient right after that base, with identical fault counters. The chain
-// restarts no later than the first boundary after the store heals — the sink
-// waits for a base that is handed off but not landed instead of dropping past
-// it (chainSink.add) — so two boundaries are enough for every strategy. How
-// long the drop run is still depends on the strategy and on how far the
-// trainer runs ahead of the sink (DP and Peer ask for an on-demand full, PP
-// waits for the next periodic one), so the sequences are compared with the
-// run collapsed.
+// gradient right after that base, with identical fault counters. The base is
+// the first full at or after the failed iteration: the sink waits for a base
+// that is handed off but not landed, and a newer full landing meanwhile does
+// not void it (chainSink.add), so the drop run never crosses the boundary
+// and two boundaries are enough for every strategy. How long the drop run is
+// still depends on the strategy and on how far the trainer runs ahead of the
+// sink (DP and Peer ask for an on-demand full, which may come before the
+// boundary or after it; PP waits for the next periodic one), so the sequences
+// are compared with the run collapsed.
 func TestDiffWriteFaultLadderSharedAcrossStrategies(t *testing.T) {
 	quiesce(t)
 	const fullEvery, warm, faulted = 4, 4, 8
@@ -392,9 +393,15 @@ func TestDiffWriteFaultLadderSharedAcrossStrategies(t *testing.T) {
 					rungs = append(rungs, ev.To)
 				}
 			}
-			if restart != base+1 || !fulls[base] || base > warm+fullEvery {
-				t.Fatalf("chain restarted at %d after drops up to %d (full at %d persisted: %v); want restart at lastFullIter+1, no later than the first boundary after the fault (%d)",
-					restart, base, base, fulls[base], warm+fullEvery+1)
+			first := int64(warm + fullEvery) // the boundary full always persists
+			for it := range fulls {
+				if it >= failAt && it < first {
+					first = it
+				}
+			}
+			if restart != base+1 || !fulls[base] || base != first {
+				t.Fatalf("chain restarted at %d after drops up to %d (full at %d persisted: %v); want restart right behind the first full at or after the fault (%d)",
+					restart, base, base, fulls[base], first)
 			}
 			if len(got.Chain) == 2 { // the base landed before the next gradient: an empty drop run
 				got.Chain = []string{got.Chain[0], "ckpt.diff.drop*", got.Chain[1]}

@@ -41,6 +41,13 @@ type fullPersister struct {
 	cur     *checkpoint.Full   // being persisted
 	running bool               // the worker goroutine is alive
 	err     error              // first persist error no Run or Flush has returned yet
+	// landed holds the iterations of the newest persisted fulls, oldest
+	// first: the bases a suspended chain sink may restart behind. A DP or
+	// Peer sink trails the trainer by at most the reusing queue plus the
+	// gradient each side holds, and the trainer takes at most one full per
+	// iteration, so QueueCap+3 entries reach every base it can ask for. A
+	// base that fell out only makes the sink drop on to a newer one.
+	landed []int64
 }
 
 func newFullPersister(e *Engine) *fullPersister {
@@ -130,6 +137,28 @@ func (p *fullPersister) await(iter int64) {
 	}
 }
 
+// persisted records that the full of iteration iter has landed.
+func (p *fullPersister) persisted(iter int64) {
+	p.mu.Lock()
+	if len(p.landed) == p.e.opts.QueueCap+3 {
+		p.landed = p.landed[:copy(p.landed, p.landed[1:])]
+	}
+	p.landed = append(p.landed, iter)
+	p.mu.Unlock()
+}
+
+// hasLanded reports whether the full of iteration iter has been persisted.
+func (p *fullPersister) hasLanded(iter int64) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, it := range p.landed {
+		if it == iter {
+			return true
+		}
+	}
+	return false
+}
+
 func (p *fullPersister) inFlight(iter int64) bool {
 	if p.cur != nil && p.cur.Iter == iter {
 		return true
@@ -188,12 +217,14 @@ func (s *chainSink) add(rc *runCtx, iter int64, g *compress.Compressed) {
 		}
 	}
 	if s.suspended {
-		// Only the first gradient after a freshly persisted full base can
-		// restart the differential chain; everything else is dropped (and
+		// Only a gradient right behind a persisted full base can restart
+		// the differential chain; everything else is dropped (and
 		// accounted). That base was handed off before this gradient was
-		// produced, so if it has not landed yet, wait for it.
+		// produced, so if it has not landed yet, wait for it. A newer full
+		// that landed meanwhile does not void it: the trainer runs ahead of
+		// the sink, and a drop run must not cross a durable base.
 		e.fulls.await(iter - 1)
-		if e.Health() == HealthDegraded || iter != e.lastFullIter.Load()+1 {
+		if e.Health() == HealthDegraded || !e.fulls.hasLanded(iter-1) {
 			e.faults.DroppedDiffs.Inc()
 			e.events.Emit("ckpt.diff.drop", e.fields(map[string]any{"iter": iter}))
 			return

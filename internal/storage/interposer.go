@@ -232,33 +232,24 @@ func (t *Throttled) pay(d, due time.Duration) {
 	}
 }
 
-// Stats wraps a store and counts committed object writes and their bytes.
+// Stats wraps a store and counts committed object writes.
 type Stats struct {
 	Interposer
-	writes       atomic.Int64
-	writtenBytes atomic.Int64
+	writes atomic.Int64
 }
 
-// NewStats wraps s with counters.
+// NewStats wraps s with a counter.
 func NewStats(s Store) *Stats {
 	st := &Stats{}
 	st.Interposer = Interposer{Store: s, Writer: func(_ string, create func() (io.WriteCloser, error)) (io.WriteCloser, error) {
-		var n int64
-		return WriteHooks{
-			Write: func(p []byte) { n += int64(len(p)) },
-			Closed: func(committed bool) {
-				if committed {
-					st.writes.Add(1)
-					st.writtenBytes.Add(n)
-				}
-			},
-		}.Wrap(create())
+		return WriteHooks{Closed: func(committed bool) {
+			if committed {
+				st.writes.Add(1)
+			}
+		}}.Wrap(create())
 	}}
 	return st
 }
 
 // Writes returns the number of committed object writes.
 func (s *Stats) Writes() int64 { return s.writes.Load() }
-
-// WrittenBytes returns the total bytes of committed writes.
-func (s *Stats) WrittenBytes() int64 { return s.writtenBytes.Load() }

@@ -173,7 +173,7 @@ func DefaultConfig() *Config {
 			"lowdiff/internal/optim.SGD.StepSparseRun",
 			"lowdiff/internal/optim.SGD.advance",
 			"lowdiff/internal/optim.adamRange",
-			"lowdiff/internal/optim.adamPacked",
+			"lowdiff/internal/optim.adamAVX",
 			"lowdiff/internal/optim.adamGo",
 			"lowdiff/internal/optim.sgdRange",
 			"lowdiff/internal/optim.tiled",

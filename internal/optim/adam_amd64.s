@@ -1,79 +1,93 @@
 #include "textflag.h"
 
-// func adamPacked(p, m, v, g []float32, k *adamCoef)
+// func adamAVX(p, m, v, g []float32, k *adamCoef)
 //
-// The Adam rule of adamGo, four lanes at a time over len(g)/4*4 elements,
-// with the scalar expression's operation order: every lane rounds exactly as
-// adamGo rounds that element. SSE2 is the amd64 baseline, so there is no
-// feature check. X15 is left alone (the register ABI keeps zero in it).
-TEXT ·adamPacked(SB), NOSPLIT, $0-104
+// The Adam rule of adamGo, eight AVX lanes at a time over len(g)/8*8
+// elements, with the scalar expression's operation order and no fused
+// multiply-add: every lane rounds exactly as adamGo rounds that element.
+// Callers check hasAVX first. Y15 is left alone (the register ABI keeps zero
+// in X15).
+TEXT ·adamAVX(SB), NOSPLIT, $0-104
 	MOVQ p_base+0(FP), DI
 	MOVQ m_base+24(FP), SI
 	MOVQ v_base+48(FP), DX
 	MOVQ g_base+72(FP), BX
 	MOVQ g_len+80(FP), CX
 	MOVQ k+96(FP), AX
-	SHRQ $2, CX
+	SHRQ $3, CX
 	JZ   done
 
 	// adamCoef{b1, b2, c1, c2, corr1, corr2, lr, eps}, each broadcast.
-	MOVSS  0(AX), X7
-	SHUFPS $0, X7, X7 // b1
-	MOVSS  4(AX), X8
-	SHUFPS $0, X8, X8 // b2
-	MOVSS  8(AX), X9
-	SHUFPS $0, X9, X9 // c1
-	MOVSS  12(AX), X10
-	SHUFPS $0, X10, X10 // c2
-	MOVSS  16(AX), X11
-	SHUFPS $0, X11, X11 // corr1
-	MOVSS  20(AX), X12
-	SHUFPS $0, X12, X12 // corr2
-	MOVSS  24(AX), X13
-	SHUFPS $0, X13, X13 // lr
-	MOVSS  28(AX), X14
-	SHUFPS $0, X14, X14 // eps
+	VBROADCASTSS 0(AX), Y7   // b1
+	VBROADCASTSS 4(AX), Y8   // b2
+	VBROADCASTSS 8(AX), Y9   // c1
+	VBROADCASTSS 12(AX), Y10 // c2
+	VBROADCASTSS 16(AX), Y11 // corr1
+	VBROADCASTSS 20(AX), Y12 // corr2
+	VBROADCASTSS 24(AX), Y13 // lr
+	VBROADCASTSS 28(AX), Y14 // eps
 
 loop:
-	MOVUPS (BX), X0 // g
+	VMOVUPS (BX), Y0 // g
 
-	// m = b1*m + c1*g. The sums take the gradient's term as their first
-	// operand, as the compiled Go loop does: where both terms are NaN, both
-	// kernels return the gradient term's payload.
-	MOVUPS (SI), X2
-	MULPS  X7, X2
-	MOVAPS X9, X1
-	MULPS  X0, X1
-	ADDPS  X2, X1
-	MOVUPS X1, (SI)
+	// m = b1*m + c1*g. Go's three-operand order is src2, src1, dst. The sums
+	// take the gradient's term as src1, as the compiled Go loop does: where
+	// both terms are NaN, both kernels return the gradient term's payload.
+	VMOVUPS (SI), Y2
+	VMULPS  Y7, Y2, Y2
+	VMULPS  Y0, Y9, Y1
+	VADDPS  Y2, Y1, Y1
+	VMOVUPS Y1, (SI)
 
 	// v = b2*v + (c2*g)*g
-	MOVUPS (DX), X4
-	MULPS  X8, X4
-	MOVAPS X10, X3
-	MULPS  X0, X3
-	MULPS  X0, X3
-	ADDPS  X4, X3
-	MOVUPS X3, (DX)
+	VMOVUPS (DX), Y4
+	VMULPS  Y8, Y4, Y4
+	VMULPS  Y0, Y10, Y3
+	VMULPS  Y0, Y3, Y3
+	VADDPS  Y4, Y3, Y3
+	VMOVUPS Y3, (DX)
 
 	// p -= lr*(m*corr1) / (sqrt(v*corr2) + eps)
-	MULPS  X11, X1
-	MOVAPS X13, X5
-	MULPS  X1, X5
-	MULPS  X12, X3
-	SQRTPS X3, X6
-	ADDPS  X14, X6
-	DIVPS  X6, X5
-	MOVUPS (DI), X0
-	SUBPS  X5, X0
-	MOVUPS X0, (DI)
+	VMULPS  Y11, Y1, Y1
+	VMULPS  Y1, Y13, Y5
+	VMULPS  Y12, Y3, Y3
+	VSQRTPS Y3, Y6
+	VADDPS  Y14, Y6, Y6
+	VDIVPS  Y6, Y5, Y5
+	VMOVUPS (DI), Y0
+	VSUBPS  Y5, Y0, Y0
+	VMOVUPS Y0, (DI)
 
-	ADDQ $16, DI
-	ADDQ $16, SI
-	ADDQ $16, DX
-	ADDQ $16, BX
+	ADDQ $32, DI
+	ADDQ $32, SI
+	ADDQ $32, DX
+	ADDQ $32, BX
 	DECQ CX
 	JNZ  loop
+	VZEROUPPER
 
 done:
+	RET
+
+// func cpuAVX() bool
+//
+// Whether the CPU has AVX and the OS saves its state: CPUID.1:ECX has OSXSAVE
+// (bit 27) and AVX (bit 28), and XCR0 has the XMM and YMM state bits.
+TEXT ·cpuAVX(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  no
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  no
+	MOVB $1, ret+0(FP)
+	RET
+
+no:
+	MOVB $0, ret+0(FP)
 	RET

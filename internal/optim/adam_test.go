@@ -35,7 +35,7 @@ func coefs() []adamCoef {
 }
 
 // at returns a length-n slice starting off elements into a fresh backing
-// array, so the packed loads and stores run unaligned for off 1–3.
+// array, so the packed loads and stores run unaligned for off 1–7.
 func at(off, n int) []float32 { return make([]float32, off+n)[off:] }
 
 // checkKernel runs adamRange and the pure-Go adamGo on copies of the same
@@ -75,13 +75,13 @@ func checkKernel(t *testing.T, what string, off int, p, m, v, g []float32, k ada
 }
 
 // The packed body plus the Go tail is the Go loop, bit for bit, at every
-// length around the four-lane boundaries and at every misalignment, over
+// length around the eight-lane boundaries and at every misalignment, over
 // random values and over every special value in every operand.
 func TestAdamKernelMatchesGoLoop(t *testing.T) {
 	r := tensor.NewRNG(17)
 	for _, k := range coefs() {
 		for n := 0; n <= 67; n++ {
-			for off := 0; off < 4; off++ {
+			for off := 0; off < 8; off++ {
 				in := [4][]float32{}
 				for i := range in {
 					in[i] = randVec(r, n)
@@ -103,12 +103,20 @@ func TestAdamKernelMatchesGoLoop(t *testing.T) {
 		// Every special in every operand, against ordinary values elsewhere.
 		for _, x := range specials {
 			for op := 0; op < 4; op++ {
-				const n = 9 // two packed blocks and a tail element
+				const n = 17 // two packed blocks and a tail element
+				ordinary := []float32{0.5, -0.25, 2, 1e-3, -7, 0.125, 3, -1, 0.75}
+				moments := []float32{0.25, 1e-6, 4, 0, 9, 1e-2, 0.5, 2, 1}
 				in := [4][]float32{}
 				for i := range in {
-					in[i] = tensor.Vector{0.5, -0.25, 2, 1e-3, -7, 0.125, 3, -1, 0.75}
+					src := ordinary
+					if i == 2 {
+						src = moments
+					}
+					in[i] = at(0, n)
+					for e := range n {
+						in[i][e] = src[e%len(src)]
+					}
 				}
-				in[2] = tensor.Vector{0.25, 1e-6, 4, 0, 9, 1e-2, 0.5, 2, 1}
 				for i := 0; i < n; i++ {
 					in[op][i] = x
 				}
@@ -126,7 +134,7 @@ func TestAdamKernelPropagatesNaN(t *testing.T) {
 	nan := float32(math.NaN())
 	k := coefs()[0]
 	for op := 0; op < 4; op++ {
-		for n := 1; n <= 9; n++ {
+		for n := 1; n <= 17; n++ {
 			in := [4][]float32{at(0, n), at(0, n), at(0, n), at(0, n)}
 			for i := range n {
 				in[0][i], in[1][i], in[2][i], in[3][i] = 1, 0.5, 0.25, 0.1
@@ -154,12 +162,12 @@ func TestAdamKernelPropagatesNaN(t *testing.T) {
 // FuzzAdamKernel feeds arbitrary bit patterns (each element is 16 bytes: p,
 // m, v, g) at an arbitrary misalignment through both kernels.
 func FuzzAdamKernel(f *testing.F) {
-	for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 9, 63, 64, 65, 67} {
+	for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 67} {
 		raw := make([]byte, 16*n)
 		for i := 0; i < len(raw); i += 4 {
 			binary.LittleEndian.PutUint32(raw[i:], math.Float32bits(specials[(i/4)%len(specials)]))
 		}
-		f.Add(raw, uint8(n%4), uint8(n))
+		f.Add(raw, uint8(n%8), uint8(n))
 	}
 	ks := coefs()
 	f.Fuzz(func(t *testing.T, raw []byte, off, which uint8) {
@@ -173,6 +181,6 @@ func FuzzAdamKernel(f *testing.F) {
 				in[i][e] = math.Float32frombits(binary.LittleEndian.Uint32(raw[16*e+4*i:]))
 			}
 		}
-		checkKernel(t, "fuzz", int(off%4), in[0], in[1], in[2], in[3], ks[int(which)%len(ks)])
+		checkKernel(t, "fuzz", int(off%8), in[0], in[1], in[2], in[3], ks[int(which)%len(ks)])
 	})
 }

@@ -84,8 +84,8 @@ func BenchmarkAdamSnapshot(b *testing.B) {
 const replayN = 1_169_955
 
 // BenchmarkAdamKernel is one pass of the Adam rule over replayN parameters:
-// the Go loop against adamRange, which is the packed kernel plus a Go tail on
-// amd64 and the Go loop elsewhere.
+// the Go loop against adamRange, which is the AVX kernel plus a Go tail on
+// amd64 with AVX and the Go loop elsewhere.
 func BenchmarkAdamKernel(b *testing.B) {
 	p, g := benchVecs(replayN)
 	m, v := tensor.New(replayN), tensor.New(replayN)
@@ -105,10 +105,10 @@ func BenchmarkAdamKernel(b *testing.B) {
 
 // BenchmarkSparseReplay replays the recover_chain chain's apply: 130 Top-K
 // steps at ρ = 0.01 over replayN Adam parameters, one StepSparseWith per step
-// against StepSparseRun over runs of 16 (the recovery load window), at 1 and
-// 2 workers.
+// against StepSparseRun over runs of 8, 16 and 32 (16 is the recovery load
+// window), at 1 and 2 workers.
 func BenchmarkSparseReplay(b *testing.B) {
-	const steps, window = 130, 16
+	const steps = 130
 	r := tensor.NewRNG(3)
 	run := make([]Sparse, steps)
 	for s := range run {
@@ -125,19 +125,23 @@ func BenchmarkSparseReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		modes := []struct {
-			name  string
-			apply func(a *Adam, params tensor.Vector, w []Sparse) error
-		}{
-			{"per-step", func(a *Adam, params tensor.Vector, w []Sparse) error {
-				for _, g := range w {
-					if err := a.StepSparseWith(pool, params, g.Idx, g.Vals); err != nil {
-						return err
-					}
+		type mode struct {
+			name   string
+			window int
+			apply  func(a *Adam, params tensor.Vector, w []Sparse) error
+		}
+		modes := []mode{{"per-step", steps, func(a *Adam, params tensor.Vector, w []Sparse) error {
+			for _, g := range w {
+				if err := a.StepSparseWith(pool, params, g.Idx, g.Vals); err != nil {
+					return err
 				}
-				return nil
-			}},
-			{"tiled", func(a *Adam, params tensor.Vector, w []Sparse) error { return a.StepSparseRun(pool, params, w) }},
+			}
+			return nil
+		}}}
+		for _, window := range []int{8, 16, 32} {
+			modes = append(modes, mode{fmt.Sprintf("tiled/window=%d", window), window, func(a *Adam, params tensor.Vector, w []Sparse) error {
+				return a.StepSparseRun(pool, params, w)
+			}})
 		}
 		for _, mode := range modes {
 			b.Run(fmt.Sprintf("%s/workers=%d", mode.name, workers), func(b *testing.B) {
@@ -145,8 +149,8 @@ func BenchmarkSparseReplay(b *testing.B) {
 					b.StopTimer()
 					a, params := NewAdam(replayN, AdamConfig{}), base.Clone()
 					b.StartTimer()
-					for lo := 0; lo < steps; lo += window {
-						if err := mode.apply(a, params, run[lo:min(lo+window, steps)]); err != nil {
+					for lo := 0; lo < steps; lo += mode.window {
+						if err := mode.apply(a, params, run[lo:min(lo+mode.window, steps)]); err != nil {
 							b.Fatal(err)
 						}
 					}

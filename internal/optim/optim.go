@@ -256,10 +256,11 @@ func (a *Adam) advance(pool *parallel.Pool, params, grad tensor.Vector) {
 // of the step uses the same values. adam_amd64.s reads its fields by offset.
 type adamCoef struct{ b1, b2, c1, c2, corr1, corr2, lr, eps float32 }
 
-// adamGo is the Adam rule over one range as Go code: the whole kernel off
-// amd64, the tail of adamRange on it, and the oracle the packed body is
-// tested against. The packed body repeats its operation order — (c2*g)*g,
-// lr*mh before the divide, sqrt(vh)+eps — so both round alike.
+// adamGo is the Adam rule over one range as Go code: the whole kernel where
+// there is no AVX, the tail of adamRange where there is, and the oracle the
+// packed body is tested against. The packed body repeats its operation
+// order — (c2*g)*g, lr*mh before the divide, sqrt(vh)+eps — so both round
+// alike.
 func adamGo(p, m, v, g []float32, k adamCoef) {
 	p, m, v = p[:len(g)], m[:len(g)], v[:len(g)]
 	for i, gi := range g {

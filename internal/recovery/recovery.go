@@ -43,9 +43,10 @@ import (
 // ever buffered, and so the longest run replay tiles. Loads wait on the
 // store, kernels on the pool: one apply costs a few round trips of a remote
 // store, so a handful of loads hides them whatever the core count. 16 is
-// set by replay: runs of 16 tiled on the packed kernel measured 14-24% ahead
-// of stepping them one by one (BenchmarkSparseReplay, EXPERIMENTS.md
-// "Restore path: exact recovery at SIMD speed").
+// set by replay: runs of 16 tiled on the AVX kernel measured 21-33% ahead
+// of stepping them one by one; runs of 8 and 32 read within the noise of 16
+// at two workers, and 8 about 7% behind at one (BenchmarkSparseReplay,
+// EXPERIMENTS.md "Eight-lane AVX Adam kernel").
 const lookAhead = 16
 
 // State is a recovered training state.

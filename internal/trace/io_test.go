@@ -82,6 +82,12 @@ func TestReadEventsSniffsFormats(t *testing.T) {
 		{"chrome", chrome.String()},
 		{"jsonl-leading-ws", "\n  " + jsonl.String()},
 		{"chrome-leading-ws", "\n\t" + chrome.String()},
+		// A trace recorded while the retired pipelined schedule still put
+		// checkpoint slices on an "overlap" track.
+		{"jsonl-overlap-track", `{"track":"train","name":"iteration","start_ns":0,"dur_ns":10000000,"seq":1,"args":{"iter":1}}
+{"track":"overlap","name":"compress","start_ns":4000000,"dur_ns":1000000,"seq":2,"args":{"iter":1}}
+{"track":"train","name":"iteration","start_ns":10000000,"dur_ns":10000000,"seq":3,"args":{"iter":2}}
+`},
 	} {
 		got, err := ReadEvents(strings.NewReader(tc.input))
 		if err != nil {

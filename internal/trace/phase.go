@@ -7,7 +7,6 @@ package trace
 const (
 	TrackTrain      = "train"      // the training step loop (worker/stage 0)
 	TrackComm       = "comm"       // peer retain plane (internal/comm)
-	TrackOverlap    = "overlap"    // pipelined step schedule: checkpoint slices in idle windows
 	TrackSnapshot   = "snapshot"   // async snapshot offload workers (Plus)
 	TrackCheckpoint = "checkpoint" // snapshot consumers: merge/assemble/apply
 	TrackPersist    = "persist"    // storage writes: diff batches and fulls
@@ -58,16 +57,14 @@ func trackPriority(track string) int {
 		return 0
 	case TrackComm:
 		return 1
-	case TrackOverlap:
-		return 2
 	case TrackSnapshot:
-		return 3
+		return 2
 	case TrackCheckpoint:
-		return 4
+		return 3
 	case TrackPersist:
-		return 5
+		return 4
 	case TrackRecovery:
-		return 6
+		return 5
 	}
-	return 7
+	return 6
 }

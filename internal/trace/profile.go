@@ -444,7 +444,7 @@ func buildWindow(w *window, evs []Event) {
 			otherBusy = append(otherBusy, iv)
 		}
 		switch c.ev.Track {
-		case TrackOverlap, TrackSnapshot, TrackCheckpoint, TrackPersist:
+		case TrackSnapshot, TrackCheckpoint, TrackPersist:
 			ckptBusy = append(ckptBusy, iv)
 		}
 	}

@@ -96,7 +96,7 @@ func TestBuildProfileWindowsAndGaps(t *testing.T) {
 	}
 }
 
-// TestBuildProfileAchievedOverlap scripts a pipelined run: the overlap
+// TestBuildProfileAchievedOverlap scripts a pipelined run: the checkpoint
 // track compresses and snapshots iteration i's checkpoint state while
 // the train track runs iteration i+1's wave. The achieved-overlap ratio
 // must be the overlapped work divided by the train-busy headroom.
@@ -116,8 +116,8 @@ func TestBuildProfileAchievedOverlap(t *testing.T) {
 		// Checkpoint slices for the previous iteration, nested inside
 		// this wave: 2ms of the 10ms train-busy window is reclaimed.
 		if i > 1 {
-			span(TrackOverlap, PhaseCompress, base+4000, base+5000, i-1)
-			span(TrackOverlap, PhaseSnapshot, base+5000, base+6000, i-1)
+			span(TrackCheckpoint, PhaseCompress, base+4000, base+5000, i-1)
+			span(TrackCheckpoint, PhaseSnapshot, base+5000, base+6000, i-1)
 		}
 		span(TrackTrain, PhaseApply, base+8000, base+10000, i)
 		span(TrackTrain, PhaseIteration, base, base+10000, i)

@@ -194,7 +194,8 @@ func runVerify(args []string) {
 }
 
 // openStore opens either a local checkpoint directory or a lowdiffd
-// tenant; exactly one of the two must be given.
+// tenant; exactly one of the two must be given. The directory must exist:
+// inspecting a mistyped path is an error, not an empty store to create.
 func openStore(dir, storeURL string) (storage.Store, error) {
 	switch {
 	case dir != "" && storeURL != "":
@@ -202,6 +203,9 @@ func openStore(dir, storeURL string) (storage.Store, error) {
 	case storeURL != "":
 		return storage.DialURL(storeURL, storage.RemoteOptions{})
 	default:
+		if _, err := os.Stat(dir); err != nil {
+			return nil, err
+		}
 		return storage.NewFile(dir)
 	}
 }

@@ -71,6 +71,13 @@ func main() {
 		defer func() { _ = r.Close() }()
 		store = r
 	case *dir != "":
+		if *doRecover {
+			// Recovery only reads: a missing directory is an error, not
+			// an empty store to create.
+			if _, err := os.Stat(*dir); err != nil {
+				fatal(err)
+			}
+		}
 		fs, err := storage.NewFile(*dir)
 		if err != nil {
 			fatal(err)
@@ -101,7 +108,7 @@ func main() {
 		if *dir == "" && *storeURL == "" {
 			fatal(fmt.Errorf("-recover needs -dir or -store"))
 		}
-		st, applied, err := recovery.LatestParallel(store, recovery.Options{Trace: rec})
+		st, applied, err := recovery.LatestParallel(store, recovery.Options{Parallelism: *parallelism, Trace: rec})
 		if err != nil {
 			fatal(err)
 		}

@@ -140,15 +140,6 @@ func (g *Group) AllReduceSum(rank int, v tensor.Vector) error {
 	return nil
 }
 
-// AllReduceMean is AllReduceSum followed by division by the group size.
-func (g *Group) AllReduceMean(rank int, v tensor.Vector) error {
-	if err := g.AllReduceSum(rank, v); err != nil {
-		return err
-	}
-	v.Scale(1 / float32(g.n))
-	return nil
-}
-
 // RingAllReduceSum performs the bandwidth-optimal ring all-reduce in place:
 // a reduce-scatter phase (n-1 steps) followed by an all-gather phase
 // (n-1 steps), each rank exchanging one chunk with its ring neighbours per
@@ -232,38 +223,4 @@ func (g *Group) AllGatherSparse(rank int, c *compress.Compressed) (*compress.Com
 	})
 	g.exchange(rank, nil) // release inputs only after all ranks merged
 	return merged, nil
-}
-
-// Broadcast copies root's vector into every rank's v. Lengths must match.
-func (g *Group) Broadcast(rank, root int, v tensor.Vector) error {
-	if err := g.checkRank(rank); err != nil {
-		return err
-	}
-	if err := g.checkRank(root); err != nil {
-		return err
-	}
-	all := g.exchange(rank, v)
-	src := all[root].(tensor.Vector)
-	if len(src) != len(v) {
-		return fmt.Errorf("comm: broadcast length mismatch: root has %d, rank %d has %d", len(src), rank, len(v))
-	}
-	if rank != root {
-		copy(v, src)
-	}
-	g.exchange(rank, nil)
-	return nil
-}
-
-// Gather returns, on every rank, the slice of all ranks' scalar deposits.
-// It is a convenience for collecting per-worker metrics.
-func (g *Group) Gather(rank int, value float64) ([]float64, error) {
-	if err := g.checkRank(rank); err != nil {
-		return nil, err
-	}
-	all := g.exchange(rank, value)
-	out := make([]float64, g.n)
-	for r := 0; r < g.n; r++ {
-		out[r] = all[r].(float64)
-	}
-	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"lowdiff/internal/allocgate"
 	"lowdiff/internal/parallel"
 	"lowdiff/internal/tensor"
 )
@@ -134,8 +135,8 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 
 // benchSortedParts builds nParts sparse Top-K gradients with overlapping
 // index sets — the batched writer's flush input shape.
-func benchSortedParts(b *testing.B, n, nParts int, rho float64) []*Compressed {
-	b.Helper()
+func benchSortedParts(t testing.TB, n, nParts int, rho float64) []*Compressed {
+	t.Helper()
 	tk, _ := NewTopK(rho)
 	parts := make([]*Compressed, nParts)
 	for i := range parts {
@@ -143,7 +144,7 @@ func benchSortedParts(b *testing.B, n, nParts int, rho float64) []*Compressed {
 		tensor.NewRNG(uint64(i+1)).FillUniform(g, -1, 1)
 		c, err := tk.Compress(g)
 		if err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
 		parts[i] = c
 	}
@@ -171,19 +172,17 @@ func compressHeapReference(g tensor.Vector, rho float64) *Compressed {
 // map-based union-sum (both kept in dataplane_test.go as oracles);
 // kway-serial and kway-pooled8 run the radix-select compression and the
 // k-way merge at 1 and 8 pool workers (the select is serial in both; the
-// pool shards the value gather and the merge). scripts/bench.sh records
-// these in BENCH_dataplane.json.
+// pool shards the value gather and the merge).
+// TestDataplaneCompressMergeAllocs holds kway-pooled8's allocations.
 func BenchmarkDataplaneCompressMerge(b *testing.B) {
-	const n, nParts = 1 << 16, 16
-	const rho = 0.01
-	g := benchGrad(n)
-	parts := benchSortedParts(b, n, nParts, rho)
+	g := benchGrad(dataplaneN)
+	parts := benchSortedParts(b, dataplaneN, dataplaneParts, dataplaneRho)
 	pool8, err := parallel.New(8)
 	if err != nil {
 		b.Fatal(err)
 	}
 	runOne := func(b *testing.B, compress func() (*Compressed, error), merge func() (*Compressed, error)) {
-		b.SetBytes(int64(n * 4))
+		b.SetBytes(int64(dataplaneN * 4))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := compress(); err != nil {
@@ -196,20 +195,50 @@ func BenchmarkDataplaneCompressMerge(b *testing.B) {
 	}
 	b.Run("baseline-serial", func(b *testing.B) {
 		runOne(b,
-			func() (*Compressed, error) { return compressHeapReference(g, rho), nil },
+			func() (*Compressed, error) { return compressHeapReference(g, dataplaneRho), nil },
 			func() (*Compressed, error) { return mergeMapReference(parts...), nil })
 	})
 	b.Run("kway-serial", func(b *testing.B) {
-		tk, _ := NewTopK(rho)
+		tk, _ := NewTopK(dataplaneRho)
 		runOne(b,
 			func() (*Compressed, error) { return tk.Compress(g) },
 			func() (*Compressed, error) { return MergeWith(nil, parts...) })
 	})
 	b.Run("kway-pooled8", func(b *testing.B) {
-		tk, _ := NewTopKPooled(rho, pool8)
+		tk, _ := NewTopKPooled(dataplaneRho, pool8)
 		runOne(b,
 			func() (*Compressed, error) { return tk.Compress(g) },
 			func() (*Compressed, error) { return MergeWith(pool8, parts...) })
+	})
+}
+
+// The data-plane composite's shape: a 64 Ki-parameter gradient at ρ = 0.01,
+// merged with 16 flushed parts.
+const (
+	dataplaneN     = 1 << 16
+	dataplaneParts = 16
+	dataplaneRho   = 0.01
+)
+
+// TestDataplaneCompressMergeAllocs holds the pooled compress + merge at
+// its allocation bounds: one Top-K compression and one 16-part merge at
+// eight pool workers. The bounds are 1.25× the 14 allocs and 92,575 B one
+// operation took when the gate was set.
+func TestDataplaneCompressMergeAllocs(t *testing.T) {
+	g := benchGrad(dataplaneN)
+	parts := benchSortedParts(t, dataplaneN, dataplaneParts, dataplaneRho)
+	pool8, err := parallel.New(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, _ := NewTopKPooled(dataplaneRho, pool8)
+	allocgate.Check(t, 100, 17.5, 115_719, func() {
+		if _, err := tk.Compress(g); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := MergeWith(pool8, parts...); err != nil {
+			t.Fatal(err)
+		}
 	})
 }
 

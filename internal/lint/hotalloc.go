@@ -20,8 +20,8 @@ package lint
 //
 // A string constant that -m reports escaping into an interface is not a
 // site: the compiler emits it as read-only data. Append growth is invisible
-// to -m; the allocs/op gate of scripts/bench.sh covers it. A compiler
-// failure is an error, never an empty finding set.
+// to -m; the allocation-bound tests of the hot packages (allocgate) cover
+// it. A compiler failure is an error, never an empty finding set.
 
 import (
 	"fmt"

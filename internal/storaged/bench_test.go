@@ -5,6 +5,7 @@ import (
 	"io"
 	"testing"
 
+	"lowdiff/internal/allocgate"
 	"lowdiff/internal/storage"
 	"lowdiff/internal/storaged"
 )
@@ -36,16 +37,14 @@ func writeFullShaped(s storage.Store, name string, obj []byte) error {
 	return w.Close()
 }
 
-// BenchmarkPoolFull is the pool's baseline: one full-sized object through
-// Remote → storaged → Tiered(File), up and down. B/op is the gated figure
-// (scripts/bench.sh, BENCH_pool.json): every copy of the object that the
-// path allocates shows in it as a multiple of the object's size, and the
-// path is meant to allocate the stored copy and nothing else of that size.
-// The hot tier is sized like plus_pool's (4.8 fulls), so the three names the
-// benchmark cycles through stay hot and File sees no traffic.
-func BenchmarkPoolFull(b *testing.B) {
-	dir := b.TempDir()
-	srv := startServer(b, storaged.Config{
+// startPoolFull starts a daemon over Tiered(File) and fills the three
+// names the pool benchmark and its allocation gate cycle through. The hot
+// tier is sized like plus_pool's (4.8 fulls), so those names stay hot and
+// File sees no traffic.
+func startPoolFull(t testing.TB) (*testServer, *storage.Remote, []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	srv := startServer(t, storaged.Config{
 		OpenStore: func(tenant string) (storage.Store, error) {
 			file, err := storage.NewFile(dir + "/" + tenant)
 			if err != nil {
@@ -54,20 +53,43 @@ func BenchmarkPoolFull(b *testing.B) {
 			return storage.NewTiered(file, fullSize*48/10, fullSize*24/10)
 		},
 	})
-	r := dialTenant(b, srv, "bench", storage.RemoteOptions{})
+	r := dialTenant(t, srv, "bench", storage.RemoteOptions{})
 	obj := patterned(1, fullSize)
-	name := func(i int) string { return fmt.Sprintf("full-%012d.ckpt", i%3) }
 	for i := 0; i < 3; i++ {
-		if err := writeFullShaped(r, name(i), obj); err != nil {
-			b.Fatal(err)
+		if err := writeFullShaped(r, poolName(i), obj); err != nil {
+			t.Fatal(err)
 		}
 	}
+	return srv, r, obj
+}
 
+func poolName(i int) string { return fmt.Sprintf("full-%012d.ckpt", i%3) }
+
+// readFull reads name the way the decoder does: into its own
+// vector-sized buffer.
+func readFull(r storage.Store, name string, buf []byte) error {
+	rc, err := r.Open(name)
+	if err != nil {
+		return err
+	}
+	n, err := io.CopyBuffer(struct{ io.Writer }{io.Discard}, rc, buf)
+	if err != nil || n != fullSize {
+		_ = rc.Close() // the short read is the error to report
+		return fmt.Errorf("read %d bytes, err %v", n, err)
+	}
+	return rc.Close()
+}
+
+// BenchmarkPoolFull is the pool's baseline: one full-sized object through
+// Remote → storaged → Tiered(File), up and down. TestPoolFullAllocs holds
+// its allocations.
+func BenchmarkPoolFull(b *testing.B) {
+	srv, r, obj := startPoolFull(b)
 	b.Run("put", func(b *testing.B) {
 		b.SetBytes(fullSize)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := writeFullShaped(r, name(i), obj); err != nil {
+			if err := writeFullShaped(r, poolName(i), obj); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -75,7 +97,6 @@ func BenchmarkPoolFull(b *testing.B) {
 	b.Run("get", func(b *testing.B) {
 		b.SetBytes(fullSize)
 		b.ReportAllocs()
-		// Read the way the decoder does: into its own vector-sized buffer.
 		// The first, untimed read fills the frame pool, so B/op is what a
 		// read costs and not the pool's warm-up divided by b.N.
 		buf := make([]byte, 4*fullParams)
@@ -83,18 +104,42 @@ func BenchmarkPoolFull(b *testing.B) {
 			if i == 0 {
 				b.ResetTimer()
 			}
-			rc, err := r.Open(name(i + 1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			n, err := io.CopyBuffer(struct{ io.Writer }{io.Discard}, rc, buf)
-			if err != nil || n != fullSize {
-				b.Fatalf("read %d bytes, err %v", n, err)
-			}
-			if err := rc.Close(); err != nil {
+			if err := readFull(r, poolName(i+1), buf); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	quiesce(b, srv, "bench")
+}
+
+// TestPoolFullAllocs holds the pool's wire path at its allocation bounds.
+// A put is meant to allocate the stored copy of the object (14.0 MB) and
+// nothing else of its size; a get nothing of its size at all, so a copy of
+// the object coming back is a factor of a thousand. The put's bounds are
+// 1.25× the 156 allocs and 14,088,068 B one call took when the gate was
+// set; the get's are 10× its 90 allocs and 15,850 B, because one miss in
+// the 1 MiB frame pool is a large share of so small a figure. That is also
+// why the get runs 100 times: over 10, one miss alone reads 105 KB a call.
+func TestPoolFullAllocs(t *testing.T) {
+	srv, r, obj := startPoolFull(t)
+	t.Run("put", func(t *testing.T) {
+		var i int
+		allocgate.Check(t, 10, 195, 17_610_085, func() {
+			if err := writeFullShaped(r, poolName(i), obj); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	})
+	t.Run("get", func(t *testing.T) {
+		buf := make([]byte, 4*fullParams)
+		var i int
+		allocgate.Check(t, 100, 900, 158_500, func() {
+			if err := readFull(r, poolName(i), buf); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	})
+	quiesce(t, srv, "bench")
 }

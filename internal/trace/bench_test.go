@@ -2,6 +2,8 @@ package trace
 
 import (
 	"testing"
+
+	"lowdiff/internal/allocgate"
 )
 
 // benchStep replays one step loop's worth of instrumentation — the exact
@@ -18,7 +20,7 @@ func benchStep(r *Recorder, i int64) {
 
 // BenchmarkTraceStepSpansEnabled is the enabled-recorder overhead per
 // instrumented step (ring-capped, as a long-running trainer configures
-// it). Gated in BENCH_trace.json.
+// it). TestTraceAllocs holds its allocations.
 func BenchmarkTraceStepSpansEnabled(b *testing.B) {
 	r := New()
 	r.SetCap(4096)
@@ -31,8 +33,7 @@ func BenchmarkTraceStepSpansEnabled(b *testing.B) {
 
 // BenchmarkTraceStepSpansNil is the disabled (nil recorder) fast path —
 // the production default. Must stay at zero allocs; enforced exactly by
-// TestNilFastPathAllocationFree since the benchfmt gate skips zero
-// baselines.
+// TestNilFastPathAllocationFree.
 func BenchmarkTraceStepSpansNil(b *testing.B) {
 	var r *Recorder
 	b.ReportAllocs()
@@ -59,6 +60,7 @@ func BenchmarkTraceSpanRingSaturated(b *testing.B) {
 
 // BenchmarkTraceBuildProfile folds the scripted fixture timeline; the
 // analyzer runs offline so this is about scaling, not hot-path cost.
+// TestTraceAllocs holds its allocations.
 func BenchmarkTraceBuildProfile(b *testing.B) {
 	events := goldenTimeline()
 	b.ReportAllocs()
@@ -68,4 +70,29 @@ func BenchmarkTraceBuildProfile(b *testing.B) {
 			b.Fatal("empty profile")
 		}
 	}
+}
+
+// TestTraceAllocs holds the profiler at its allocation bounds: one
+// instrumented step on an enabled, ring-capped recorder, and one
+// BuildProfile of the fixture timeline. Each bound is 1.25× what one call
+// took when the gate was set: 18 allocs and 3,351 B per step, 387 allocs
+// and 33,048 B per profile.
+func TestTraceAllocs(t *testing.T) {
+	t.Run("step_spans", func(t *testing.T) {
+		r := New()
+		r.SetCap(4096)
+		var i int64
+		allocgate.Check(t, 1000, 22.5, 4_189, func() {
+			benchStep(r, i)
+			i++
+		})
+	})
+	t.Run("build_profile", func(t *testing.T) {
+		events := goldenTimeline()
+		allocgate.Check(t, 100, 483.75, 41_310, func() {
+			if p := BuildProfile(events); p.Events == 0 {
+				t.Fatal("empty profile")
+			}
+		})
+	})
 }

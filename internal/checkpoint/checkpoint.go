@@ -153,23 +153,12 @@ func writeString(w io.Writer, s string) error {
 	return err
 }
 
-// writeF32s stages the float-to-byte conversion through a pooled scratch
-// buffer, sharding the conversion loop over pool. The emitted bytes are
-// identical at any worker count (each element converts independently).
+// writeF32s writes v's length and then v (compress.WriteVector).
 func writeF32s(w io.Writer, v []float32, pool *parallel.Pool) error {
 	if err := writeU64(w, uint64(len(v))); err != nil {
 		return err
 	}
-	scratch := getScratch(4 * len(v))
-	buf := scratch.b
-	pool.ForEach(len(v), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v[i]))
-		}
-	})
-	_, err := w.Write(buf)
-	scratch.release()
-	return err
+	return compress.WriteVector(w, v, pool)
 }
 
 func readU64(r io.Reader) (uint64, error) {
@@ -219,8 +208,10 @@ func (f *Full) Encode(w io.Writer) error {
 	return f.EncodeWith(w, nil)
 }
 
-// EncodeWith is Encode with the float-to-byte conversion loops sharded over
-// pool; the record bytes (and CRC) are identical at any worker count.
+// EncodeWith is Encode with the big-endian byte swap of the vectors sharded
+// over pool; the record bytes (and CRC) are identical at any worker count.
+// On a little-endian host each vector goes to w straight from its own
+// memory, so w must neither modify nor retain the slice passed to Write.
 func (f *Full) EncodeWith(w io.Writer, pool *parallel.Pool) error {
 	cw := newCRCWriter(w)
 	if err := writeU32(cw, fullMagic); err != nil {
@@ -282,7 +273,7 @@ func DecodeFull(r io.Reader) (*Full, error) {
 	return DecodeFullWith(r, nil)
 }
 
-// DecodeFullWith is DecodeFull with the byte-to-float conversion loops
+// DecodeFullWith is DecodeFull with the big-endian byte swap of the vectors
 // sharded over pool; the decoded state is identical at any worker count.
 func DecodeFullWith(r io.Reader, pool *parallel.Pool) (*Full, error) {
 	cr := newCRCReader(r)
@@ -374,8 +365,11 @@ func (d *Diff) Encode(w io.Writer) error {
 	return d.EncodeWith(w, nil)
 }
 
-// EncodeWith is Encode with the payload's conversion loops sharded over
-// pool; the record bytes (and CRC) are identical at any worker count.
+// EncodeWith is Encode with the big-endian byte swap of the payload's
+// vectors sharded over pool; the record bytes (and CRC) are identical at any
+// worker count. On a little-endian host the payload's vectors go to w
+// straight from their own memory, so w must neither modify nor retain the
+// slice passed to Write.
 func (d *Diff) EncodeWith(w io.Writer, pool *parallel.Pool) error {
 	if err := d.Validate(); err != nil {
 		return err
@@ -410,8 +404,9 @@ func DecodeDiff(r io.Reader) (*Diff, error) {
 	return DecodeDiffWith(r, nil)
 }
 
-// DecodeDiffWith is DecodeDiff with the payload's conversion loops sharded
-// over pool; the decoded record is identical at any worker count.
+// DecodeDiffWith is DecodeDiff with the big-endian byte swap of the
+// payload's vectors sharded over pool; the decoded record is identical at
+// any worker count.
 func DecodeDiffWith(r io.Reader, pool *parallel.Pool) (*Diff, error) {
 	cr := newCRCReader(r)
 	magic, err := readU32(cr)

@@ -12,7 +12,7 @@ import (
 )
 
 // Pooled encode/decode must produce byte-identical records and bit-identical
-// state at every worker count.
+// state at every worker count, on both vector paths.
 func TestPooledEncodeDecodeBitExact(t *testing.T) {
 	r := tensor.NewRNG(11)
 	params := tensor.New(5000)
@@ -45,42 +45,44 @@ func TestPooledEncodeDecodeBitExact(t *testing.T) {
 	if err := d.Encode(&wantDiff); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 7, runtime.NumCPU()} {
-		pool, err := parallel.NewWithChunk(workers, 128)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var gotFull, gotDiff bytes.Buffer
-		if err := f.EncodeWith(&gotFull, pool); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wantFull.Bytes(), gotFull.Bytes()) {
-			t.Fatalf("workers=%d: full record bytes differ", workers)
-		}
-		if err := d.EncodeWith(&gotDiff, pool); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wantDiff.Bytes(), gotDiff.Bytes()) {
-			t.Fatalf("workers=%d: diff record bytes differ", workers)
-		}
-		df, err := DecodeFullWith(bytes.NewReader(gotFull.Bytes()), pool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !df.Params.Equal(f.Params) || !tensor.Vector(df.Opt.Slots["m"]).Equal(m) {
-			t.Fatalf("workers=%d: decoded full state differs", workers)
-		}
-		dd, err := DecodeDiffWith(bytes.NewReader(gotDiff.Bytes()), pool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dd.FirstIter != 7 || dd.LastIter != 9 || len(dd.Payload.Idx) != len(payload.Idx) {
-			t.Fatalf("workers=%d: decoded diff differs", workers)
-		}
-		for i := range payload.Idx {
-			if dd.Payload.Idx[i] != payload.Idx[i] || dd.Payload.Vals[i] != payload.Vals[i] {
-				t.Fatalf("workers=%d: decoded payload entry %d differs", workers, i)
+	eachVectorPath(func(path string) {
+		for _, workers := range []int{1, 2, 7, runtime.NumCPU()} {
+			pool, err := parallel.NewWithChunk(workers, 128)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var gotFull, gotDiff bytes.Buffer
+			if err := f.EncodeWith(&gotFull, pool); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(wantFull.Bytes(), gotFull.Bytes()) {
+				t.Fatalf("%s path, workers=%d: full record bytes differ", path, workers)
+			}
+			if err := d.EncodeWith(&gotDiff, pool); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(wantDiff.Bytes(), gotDiff.Bytes()) {
+				t.Fatalf("%s path, workers=%d: diff record bytes differ", path, workers)
+			}
+			df, err := DecodeFullWith(bytes.NewReader(gotFull.Bytes()), pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !df.Params.Equal(f.Params) || !tensor.Vector(df.Opt.Slots["m"]).Equal(m) {
+				t.Fatalf("%s path, workers=%d: decoded full state differs", path, workers)
+			}
+			dd, err := DecodeDiffWith(bytes.NewReader(gotDiff.Bytes()), pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dd.FirstIter != 7 || dd.LastIter != 9 || len(dd.Payload.Idx) != len(payload.Idx) {
+				t.Fatalf("%s path, workers=%d: decoded diff differs", path, workers)
+			}
+			for i := range payload.Idx {
+				if dd.Payload.Idx[i] != payload.Idx[i] || dd.Payload.Vals[i] != payload.Vals[i] {
+					t.Fatalf("%s path, workers=%d: decoded payload entry %d differs", path, workers, i)
+				}
 			}
 		}
-	}
+	})
 }

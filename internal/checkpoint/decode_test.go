@@ -24,11 +24,11 @@ import (
 // The slice decoder's constants (compress.ReadVector), in float32 elements:
 // it reads sliceElems at a time and allocates a result whole up to wholeElems.
 // decodeBound is what a corrupt length may cost before the stream ends
-// (DESIGN.md §13): 8 MiB of result, 1 MiB of scratch and change.
+// (DESIGN.md §13): 8 MiB of result and change.
 const (
 	sliceElems  = 1 << 18
 	wholeElems  = 2 << 20
-	decodeBound = 9<<20 + 64<<10
+	decodeBound = 8<<20 + 64<<10
 )
 
 // oracleReadF32s and oracleDecodeFull are the full-checkpoint decoder as it
@@ -178,7 +178,8 @@ func sameDiff(a, b *Diff) bool {
 		slices.Equal(p.Idx, q.Idx) && slices.Equal(p.Vals, q.Vals) && bytes.Equal(p.Q, q.Q)
 }
 
-// (a) Fulls of every rule decode, at every worker count and at the slice and
+// (a) Fulls of every rule encode to the same record on both vector paths,
+// and decode, on both paths, at every worker count and at the slice and
 // threshold boundaries, to exactly what the two-copy decoder returned.
 func TestDecodeFullMatchesTwoCopyOracle(t *testing.T) {
 	for _, rule := range []string{"adam", "sgd", "sgd-momentum"} {
@@ -187,23 +188,32 @@ func TestDecodeFullMatchesTwoCopyOracle(t *testing.T) {
 			lengths = append([]int{pastWhole}, lengths...)
 		}
 		for _, n := range lengths {
-			var rec bytes.Buffer
-			if err := ruleFull(t, rule, n).Encode(&rec); err != nil {
-				t.Fatal(err)
-			}
-			want, err := oracleDecodeFull(bytes.NewReader(rec.Bytes()))
-			if err != nil {
-				t.Fatalf("%s length %d: %v", rule, n, err)
-			}
-			for _, pool := range decodePools(t) {
-				got, err := DecodeFullWith(bytes.NewReader(rec.Bytes()), pool)
+			f := ruleFull(t, rule, n)
+			var host []byte
+			eachVectorPath(func(path string) {
+				var rec bytes.Buffer
+				if err := f.Encode(&rec); err != nil {
+					t.Fatal(err)
+				}
+				if host == nil {
+					host = rec.Bytes()
+				} else if !bytes.Equal(rec.Bytes(), host) {
+					t.Fatalf("%s path: %s length %d: record differs from the host path's", path, rule, n)
+				}
+				want, err := oracleDecodeFull(bytes.NewReader(rec.Bytes()))
 				if err != nil {
-					t.Fatalf("%s length %d at %d workers: %v", rule, n, pool.Workers(), err)
+					t.Fatalf("%s path: %s length %d: %v", path, rule, n, err)
 				}
-				if !sameFull(got, want) {
-					t.Fatalf("%s length %d at %d workers: decoded full differs from the two-copy decoder's", rule, n, pool.Workers())
+				for _, pool := range decodePools(t) {
+					got, err := DecodeFullWith(bytes.NewReader(rec.Bytes()), pool)
+					if err != nil {
+						t.Fatalf("%s path: %s length %d at %d workers: %v", path, rule, n, pool.Workers(), err)
+					}
+					if !sameFull(got, want) {
+						t.Fatalf("%s path: %s length %d at %d workers: decoded full differs from the two-copy decoder's", path, rule, n, pool.Workers())
+					}
 				}
-			}
+			})
 		}
 	}
 }

@@ -9,12 +9,15 @@
 // §4.2 — the union-sum of sparse gradients.
 //
 // Every hot loop in this package has a pool-aware variant (AddIntoWith,
-// DecompressWith, MergeWith, EncodeWith, DecodeWith, and the pooled
-// compressor constructors). Sharding follows the fixed-chunk-grid contract
-// of package parallel, so results are bit-identical to the serial reference
-// at any worker count. NaN gradient entries are out of contract for TopK:
-// they break the strict (|v| desc, index asc) total order the selection
-// relies on.
+// DecompressWith, MergeWith, and the pooled compressor constructors).
+// Sharding follows the fixed-chunk-grid contract of package parallel, so
+// results are bit-identical to the serial reference at any worker count.
+// The wire codec (EncodeWith, DecodeWith, and WriteVector and ReadVector
+// under them and under package checkpoint) has no loop on a little-endian
+// host: a vector's memory is its wire bytes, read and written in place. Its
+// pool shards only a big-endian host's byte swap. NaN gradient entries are
+// out of contract for TopK: they break the strict (|v| desc, index asc)
+// total order the selection relies on.
 package compress
 
 import (

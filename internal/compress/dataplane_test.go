@@ -515,20 +515,22 @@ func TestSerialVsParallelProperty(t *testing.T) {
 			if err := sameCompressed(wantMerge, gotMerge); err != nil {
 				t.Fatalf("%s: merge: %v", tag, err)
 			}
-			var wire bytes.Buffer
-			if err := wantTK.EncodeWith(&wire, pool); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(wantWire.Bytes(), wire.Bytes()) {
-				t.Fatalf("%s: encoded bytes differ", tag)
-			}
-			dec, err := DecodeWith(bytes.NewReader(wire.Bytes()), pool)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sameCompressed(wantTK, dec); err != nil {
-				t.Fatalf("%s: decode: %v", tag, err)
-			}
+			eachVectorPath(func(path string) {
+				var wire bytes.Buffer
+				if err := wantTK.EncodeWith(&wire, pool); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(wantWire.Bytes(), wire.Bytes()) {
+					t.Fatalf("%s, %s path: encoded bytes differ", tag, path)
+				}
+				dec, err := DecodeWith(bytes.NewReader(wire.Bytes()), pool)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameCompressed(wantTK, dec); err != nil {
+					t.Fatalf("%s, %s path: decode: %v", tag, path, err)
+				}
+			})
 			dense := tensor.New(n)
 			if err := wantMerge.AddIntoWith(pool, dense); err != nil {
 				t.Fatal(err)

@@ -92,6 +92,22 @@ func oracleDecode(r io.Reader) (*Compressed, error) {
 	return c, nil
 }
 
+// eachVectorPath calls fn on this host's vector path and then on the
+// big-endian one: hostLE cleared, so every word read is converted in place
+// and every write goes through the staging buffer. On a little-endian host
+// those conversions rewrite each word unchanged, so both paths must give
+// the same bytes and the same values. The host's path is restored after.
+func eachVectorPath(fn func(path string)) {
+	defer func(le bool) { hostLE = le }(hostLE)
+	for _, p := range []struct {
+		name string
+		le   bool
+	}{{"host", hostLE}, {"big-endian", false}} {
+		hostLE = p.le
+		fn(p.name)
+	}
+}
+
 // boundaryLengths are the vector lengths around one read slice of elements of
 // the given size; with past, also one beyond the whole-allocation threshold,
 // where the result has to double once while the stream is read.
@@ -132,7 +148,7 @@ func randomBytes(seed uint64, n int) []byte {
 
 // checkReadVector compares ReadVector[T] with the two-copy decoder by bit
 // pattern (bits of an element; NaNs do not compare equal as floats).
-func checkReadVector[T int32 | float32 | byte](t *testing.T, size int, bits func(T) uint32) {
+func checkReadVector[T int32 | float32 | byte](t *testing.T, path string, size int, bits func(T) uint32) {
 	t.Helper()
 	for _, n := range boundaryLengths(size, true) {
 		stream := append(randomBytes(uint64(n)+1, n*size), "tail"...)
@@ -144,7 +160,7 @@ func checkReadVector[T int32 | float32 | byte](t *testing.T, size int, bits func
 			r := bytes.NewReader(stream)
 			got, err := ReadVector[T](r, uint64(n), pool)
 			if err != nil || got == nil || len(got) != n {
-				t.Fatalf("%T length %d at %d workers: %d elements, %v", got, n, pool.Workers(), len(got), err)
+				t.Fatalf("%s path: %T length %d at %d workers: %d elements, %v", path, got, n, pool.Workers(), len(got), err)
 			}
 			for i, x := range got {
 				want := uint32(ref[i])
@@ -152,11 +168,11 @@ func checkReadVector[T int32 | float32 | byte](t *testing.T, size int, bits func
 					want = binary.LittleEndian.Uint32(ref[4*i:])
 				}
 				if bits(x) != want {
-					t.Fatalf("%T length %d at %d workers: element %d is %#x, the two-copy decoder's %#x", got, n, pool.Workers(), i, bits(x), want)
+					t.Fatalf("%s path: %T length %d at %d workers: element %d is %#x, the two-copy decoder's %#x", path, got, n, pool.Workers(), i, bits(x), want)
 				}
 			}
 			if r.Len() != len("tail") {
-				t.Fatalf("%T length %d: %d bytes left on the stream, want %d", got, n, r.Len(), len("tail"))
+				t.Fatalf("%s path: %T length %d: %d bytes left on the stream, want %d", path, got, n, r.Len(), len("tail"))
 			}
 		}
 	}
@@ -164,11 +180,13 @@ func checkReadVector[T int32 | float32 | byte](t *testing.T, size int, bits func
 
 // (a) ReadVector returns, bit for bit, what the two-copy decoder returned, for
 // each element type, at the slice and threshold boundaries, at every worker
-// count, and reads exactly the vector's bytes.
+// count, on both vector paths, and reads exactly the vector's bytes.
 func TestReadVectorMatchesTwoCopyOracle(t *testing.T) {
-	checkReadVector(t, 4, math.Float32bits)
-	checkReadVector(t, 4, func(x int32) uint32 { return uint32(x) })
-	checkReadVector(t, 1, func(x byte) uint32 { return uint32(x) })
+	eachVectorPath(func(path string) {
+		checkReadVector(t, path, 4, math.Float32bits)
+		checkReadVector(t, path, 4, func(x int32) uint32 { return uint32(x) })
+		checkReadVector(t, path, 1, func(x byte) uint32 { return uint32(x) })
+	})
 }
 
 // wireFixture builds a valid record of the family whose payload vectors have
@@ -194,9 +212,30 @@ func wireFixture(family string, length int) *Compressed {
 	}
 }
 
-// (a, continued) Whole records: sparse, dense and quantized payloads decode
-// to what the two-copy decoder made of the same bytes (past the threshold
-// for the dense family only: the vectors themselves are covered above).
+// oracleEncode is the encoder WriteVector replaced, kept as the reference:
+// every element converted into a byte buffer of its own.
+func oracleEncode(c *Compressed) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, wireMagic)
+	out = binary.LittleEndian.AppendUint16(out, wireVersion)
+	out = append(append(out, byte(len(c.Codec))), c.Codec...)
+	for _, v := range []int{c.N, len(c.Idx), len(c.Vals), len(c.Q)} {
+		out = binary.LittleEndian.AppendUint64(out, uint64(v))
+	}
+	out = binary.LittleEndian.AppendUint32(out, math.Float32bits(c.Scale))
+	for _, x := range c.Idx {
+		out = binary.LittleEndian.AppendUint32(out, uint32(x))
+	}
+	for _, x := range c.Vals {
+		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(x))
+	}
+	return append(out, c.Q...)
+}
+
+// (a, continued) Whole records: sparse, dense and quantized payloads encode,
+// on both vector paths and at every worker count, to the reference encoder's
+// bytes, and decode to what the two-copy decoder made of them (past the
+// threshold for the dense family only: the vectors themselves are covered
+// above).
 func TestDecodeMatchesTwoCopyOracle(t *testing.T) {
 	for _, family := range []string{"sparse", "dense", "quantized"} {
 		size := 4
@@ -204,24 +243,31 @@ func TestDecodeMatchesTwoCopyOracle(t *testing.T) {
 			size = 1
 		}
 		for _, length := range boundaryLengths(size, family == "dense") {
-			var rec bytes.Buffer
-			if err := wireFixture(family, length).Encode(&rec); err != nil {
-				t.Fatal(err)
-			}
-			want, err := oracleDecode(bytes.NewReader(rec.Bytes()))
+			fixture := wireFixture(family, length)
+			rec := oracleEncode(fixture)
+			want, err := oracleDecode(bytes.NewReader(rec))
 			if err != nil {
 				t.Fatalf("%s length %d: oracle: %v", family, length, err)
 			}
-			for _, pool := range testPools(t) {
-				got, err := DecodeWith(bytes.NewReader(rec.Bytes()), pool)
-				if err != nil {
-					t.Fatalf("%s length %d at %d workers: %v", family, length, pool.Workers(), err)
+			eachVectorPath(func(path string) {
+				for _, pool := range testPools(t) {
+					var enc bytes.Buffer
+					if err := fixture.EncodeWith(&enc, pool); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(enc.Bytes(), rec) {
+						t.Fatalf("%s path: %s length %d at %d workers: record differs from the reference encoder's", path, family, length, pool.Workers())
+					}
+					got, err := DecodeWith(bytes.NewReader(rec), pool)
+					if err != nil {
+						t.Fatalf("%s path: %s length %d at %d workers: %v", path, family, length, pool.Workers(), err)
+					}
+					if got.Codec != want.Codec || got.N != want.N || got.Scale != want.Scale || (got.Idx == nil) != (want.Idx == nil) ||
+						!slices.Equal(got.Idx, want.Idx) || !slices.Equal(got.Vals, want.Vals) || !bytes.Equal(got.Q, want.Q) {
+						t.Fatalf("%s path: %s length %d at %d workers: decoded record differs from the two-copy decoder's", path, family, length, pool.Workers())
+					}
 				}
-				if got.Codec != want.Codec || got.N != want.N || got.Scale != want.Scale || (got.Idx == nil) != (want.Idx == nil) ||
-					!slices.Equal(got.Idx, want.Idx) || !slices.Equal(got.Vals, want.Vals) || !bytes.Equal(got.Q, want.Q) {
-					t.Fatalf("%s length %d at %d workers: decoded record differs from the two-copy decoder's", family, length, pool.Workers())
-				}
-			}
+			})
 		}
 	}
 }
@@ -236,7 +282,7 @@ func allocatedBy(fn func()) uint64 {
 }
 
 // (b) A corrupt length field fails when the stream ends, having allocated a
-// constant (wholeBytes of result and readSlice of scratch) plus, over all its
+// constant (wholeBytes of result; there is no scratch) plus, over all its
 // doublings together, at most four times what the stream really held — never
 // what the field claims.
 func TestCorruptLengthAllocationBounded(t *testing.T) {
@@ -249,9 +295,9 @@ func TestCorruptLengthAllocationBounded(t *testing.T) {
 		stream []byte
 		bound  uint64
 	}{
-		{"maxWireElems over 100 bytes", maxWireElems, short, wholeBytes + readSlice + slack},
-		{"just above the whole-allocation threshold over 100 bytes", wholeBytes/4 + 1, short, wholeBytes + readSlice + slack},
-		{"maxWireElems over two thresholds of stream", maxWireElems, long, wholeBytes + readSlice + 4*uint64(len(long)) + slack},
+		{"maxWireElems over 100 bytes", maxWireElems, short, wholeBytes + slack},
+		{"just above the whole-allocation threshold over 100 bytes", wholeBytes/4 + 1, short, wholeBytes + slack},
+		{"maxWireElems over two thresholds of stream", maxWireElems, long, wholeBytes + 4*uint64(len(long)) + slack},
 	} {
 		var err error
 		got := allocatedBy(func() { _, err = ReadVector[float32](bytes.NewReader(c.stream), c.claim, nil) })
@@ -276,7 +322,7 @@ func TestCorruptLengthAllocationBounded(t *testing.T) {
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("length field %d: error %v, want io.ErrUnexpectedEOF", field, err)
 		}
-		if bound := uint64(wholeBytes + readSlice + slack); got > bound {
+		if bound := uint64(wholeBytes + slack); got > bound {
 			t.Fatalf("length field %d: allocated %d bytes, bound %d", field, got, bound)
 		}
 	}

@@ -3,9 +3,9 @@ package compress
 import "sync"
 
 // Scratch pools for the per-iteration slices the hot path would otherwise
-// allocate on every call: wire-encode byte staging, RandK's dense-stride
-// sample buffer, and Top-K's radix histogram and the packed strength keys
-// of its boundary bucket.
+// allocate on every call: wire byte staging (a decoded header, a big-endian
+// host's writes), RandK's dense-stride sample buffer, and Top-K's radix
+// histogram and the packed strength keys of its boundary bucket.
 //
 // Ownership rule (see DESIGN.md §8): a pooled buffer never escapes the call
 // that got it. Anything stored in a Compressed — which may be handed to the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 
 	"lowdiff/internal/parallel"
 )
@@ -32,33 +33,43 @@ const (
 // than this (8G elements) is certainly corrupt.
 const maxWireElems = 1 << 33
 
+// hostLE reports whether this host stores an int32 or float32 in little-endian
+// byte order, so that a vector's memory already is its wire bytes. It is a
+// variable, not a constant, so that the tests run the big-endian path too:
+// with it cleared on a little-endian host, that path's conversions rewrite
+// every word unchanged, and must give the same records and values.
+var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
 // ReadVector's two constants bound what a corrupt length field can make a
-// decode hold before the stream runs out: readSlice of pooled scratch and
-// wholeBytes of result, plus at most three times what the stream really
-// delivered (a result and its doubled successor, while one is copied).
+// decode hold before the stream runs out: wholeBytes of result, plus at most
+// three times what the stream really delivered (a result and its doubled
+// successor, while one is copied).
 const (
 	// readSlice is how much is read, and folded into the caller's CRC, at a
-	// time: it is converted while still in cache.
+	// time: the CRC reads each slice while it is still in cache. It is also
+	// the staging buffer of a big-endian host's writes.
 	readSlice = 1 << 20
 	// wholeBytes is the largest result allocated at once on the length
 	// field's word; a longer one starts there and doubles as bytes arrive.
 	wholeBytes = 8 << 20
 )
 
+// wireBytes is v's memory as bytes: on a little-endian host, exactly its
+// wire encoding.
+func wireBytes[T int32 | float32 | byte](v []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*int(unsafe.Sizeof(v[0])))
+}
+
 // ReadVector reads n little-endian elements from r — the one slice decoder
-// under every vector of a differential and of a full checkpoint: a bounded
-// slice of the stream at a time through pooled scratch, converted on pool's
-// chunk grid straight into the result, which is the only thing of its size
-// the call allocates. The result is fresh (never pooled) and identical at any
-// worker count. A stream shorter than n elements fails with the reader's
-// error (io.ErrUnexpectedEOF from a reader that just ends).
+// under every vector of a differential and of a full checkpoint. Each slice
+// of the stream is read straight into the result's memory; a big-endian host
+// then swaps its words into host order in place, sharded over pool. The
+// result is the only thing the call allocates, fresh (never pooled) and
+// identical at any worker count. A stream shorter than n elements fails with
+// the reader's error (io.ErrUnexpectedEOF from a reader that just ends).
 func ReadVector[T int32 | float32 | byte](r io.Reader, n uint64, pool *parallel.Pool) ([]T, error) {
-	size, stage := uint64(4), uint64(readSlice)
-	if _, raw := any([]T(nil)).([]byte); raw {
-		size, stage = 1, 0 // bytes need no conversion: they are read in place
-	}
-	scratch := getBytes(int(min(n*size, stage)))
-	defer scratch.release()
+	var zero T
+	size := uint64(unsafe.Sizeof(zero))
 	out := make([]T, min(n, wholeBytes/size))
 	for have := uint64(0); have < n; {
 		k := min(n-have, readSlice/size)
@@ -69,51 +80,53 @@ func ReadVector[T int32 | float32 | byte](r io.Reader, n uint64, pool *parallel.
 			copy(grown, out)
 			out = grown
 		}
-		var err error
-		switch dst := any(out[have : have+k]).(type) {
-		case []byte:
-			_, err = io.ReadFull(r, dst)
-		case []int32:
-			if _, err = io.ReadFull(r, scratch.b[:4*k]); err == nil {
-				i32sFromLE(dst, scratch.b, pool)
-			}
-		case []float32:
-			if _, err = io.ReadFull(r, scratch.b[:4*k]); err == nil {
-				f32sFromLE(dst, scratch.b, pool)
-			}
-		}
-		if err != nil {
+		b := wireBytes(out[have : have+k])
+		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, err
+		}
+		if !hostLE && size == 4 {
+			//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
+			pool.ForEach(int(k), func(_, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					binary.NativeEndian.PutUint32(b[4*i:], binary.LittleEndian.Uint32(b[4*i:]))
+				}
+			})
 		}
 		have += k
 	}
 	return out, nil
 }
 
-// i32sFromLE and f32sFromLE convert the little-endian words at the head of
-// src into dst, sharded over pool. They must not be inlined: the copy of
-// their loop that lands in ReadVector's generic instance is compiled with
-// binary.LittleEndian.Uint32 and math.Float32frombits as calls, which
-// doubles the time of a decode.
-//
-//go:noinline
-func i32sFromLE(dst []int32, src []byte, pool *parallel.Pool) {
-	//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
-	pool.ForEach(len(dst), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
+// WriteVector writes v to w as little-endian elements — the one vector
+// encoder of both record formats; an empty v writes nothing. A little-endian
+// host hands w the vector's own memory in one Write, so w must neither
+// modify nor retain it (the io.Writer contract). A big-endian host converts
+// at most readSlice bytes at a time into pooled scratch, sharded over pool.
+func WriteVector[T int32 | float32 | byte](w io.Writer, v []T, pool *parallel.Pool) error {
+	b := wireBytes(v)
+	if len(b) == 0 {
+		return nil
+	}
+	if hostLE || len(b) == len(v) { // bytes have no order to swap
+		_, err := w.Write(b)
+		return err
+	}
+	scratch := getBytes(min(len(b), readSlice))
+	defer scratch.release()
+	for off := 0; off < len(b); off += len(scratch.b) {
+		src := b[off:min(off+len(scratch.b), len(b))]
+		dst := scratch.b[:len(src)]
+		//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
+		pool.ForEach(len(src)/4, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				binary.LittleEndian.PutUint32(dst[4*i:], binary.NativeEndian.Uint32(src[4*i:]))
+			}
+		})
+		if _, err := w.Write(dst); err != nil {
+			return err
 		}
-	})
-}
-
-//go:noinline
-func f32sFromLE(dst []float32, src []byte, pool *parallel.Pool) {
-	//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
-	pool.ForEach(len(dst), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-		}
-	})
+	}
+	return nil
 }
 
 // EncodedBytes returns the exact wire size of the record.
@@ -126,11 +139,11 @@ func (c *Compressed) Encode(w io.Writer) error {
 	return c.EncodeWith(w, nil)
 }
 
-// EncodeWith is Encode with the element-to-byte conversion loops sharded
-// over pool and staged through pooled scratch buffers instead of per-call
-// allocations. The emitted bytes are identical to Encode's at any worker
-// count. w must not retain the slice passed to Write beyond the call (the
-// usual io.Writer contract) — the staging buffer is reused.
+// EncodeWith is Encode with the big-endian byte swap of the payload vectors
+// sharded over pool; the emitted bytes are identical to Encode's at any
+// worker count. On a little-endian host each vector goes to w straight from
+// its own memory, so w must neither modify nor retain the slice passed to
+// Write (the io.Writer contract).
 func (c *Compressed) EncodeWith(w io.Writer, pool *parallel.Pool) error {
 	if len(c.Codec) > 255 {
 		return fmt.Errorf("compress: codec name too long: %d", len(c.Codec))
@@ -149,40 +162,14 @@ func (c *Compressed) EncodeWith(w io.Writer, pool *parallel.Pool) error {
 	if _, err := w.Write(hdr); err != nil {
 		return fmt.Errorf("compress: encode header: %w", err)
 	}
-	if len(c.Idx) > 0 {
-		scratch := getBytes(4 * len(c.Idx))
-		buf := scratch.b
-		//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
-		pool.ForEach(len(c.Idx), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				binary.LittleEndian.PutUint32(buf[4*i:], uint32(c.Idx[i]))
-			}
-		})
-		_, err := w.Write(buf)
-		scratch.release()
-		if err != nil {
-			return fmt.Errorf("compress: encode idx: %w", err)
-		}
+	if err := WriteVector(w, c.Idx, pool); err != nil {
+		return fmt.Errorf("compress: encode idx: %w", err)
 	}
-	if len(c.Vals) > 0 {
-		scratch := getBytes(4 * len(c.Vals))
-		buf := scratch.b
-		//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
-		pool.ForEach(len(c.Vals), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(c.Vals[i]))
-			}
-		})
-		_, err := w.Write(buf)
-		scratch.release()
-		if err != nil {
-			return fmt.Errorf("compress: encode vals: %w", err)
-		}
+	if err := WriteVector(w, c.Vals, pool); err != nil {
+		return fmt.Errorf("compress: encode vals: %w", err)
 	}
-	if len(c.Q) > 0 {
-		if _, err := w.Write(c.Q); err != nil {
-			return fmt.Errorf("compress: encode quantized payload: %w", err)
-		}
+	if err := WriteVector(w, c.Q, pool); err != nil {
+		return fmt.Errorf("compress: encode quantized payload: %w", err)
 	}
 	return nil
 }
@@ -192,8 +179,8 @@ func Decode(r io.Reader) (*Compressed, error) {
 	return DecodeWith(r, nil)
 }
 
-// DecodeWith is Decode with the byte-to-element conversion loops sharded
-// over pool; the decoded gradient is identical at any worker count. The
+// DecodeWith is Decode with the big-endian byte swap of the payload vectors
+// sharded over pool; the decoded gradient is identical at any worker count. The
 // result's slices are freshly allocated (never pooled): a decoded gradient
 // may outlive the call arbitrarily.
 func DecodeWith(r io.Reader, pool *parallel.Pool) (*Compressed, error) {

@@ -492,12 +492,25 @@ func LoadFull(s storage.Store, name string) (*Full, error) {
 
 // LoadFullWith is LoadFull with decoding sharded over pool.
 func LoadFullWith(s storage.Store, name string, pool *parallel.Pool) (*Full, error) {
+	return load(s, name, pool, DecodeFullWith)
+}
+
+// load opens name and decodes one record from it. A decode stops at its
+// record's end; Close reads the rest of the object, and a streaming store
+// checks its last bytes only there, so Close's error counts as the load's.
+func load[T any](s storage.Store, name string, pool *parallel.Pool, decode func(io.Reader, *parallel.Pool) (*T, error)) (*T, error) {
 	r, err := s.Open(name)
 	if err != nil {
 		return nil, err
 	}
-	defer r.Close()
-	return DecodeFullWith(r, pool)
+	v, err := decode(r, pool)
+	if cerr := r.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 // SaveDiff persists a differential checkpoint under its canonical name and
@@ -528,10 +541,5 @@ func LoadDiff(s storage.Store, name string) (*Diff, error) {
 
 // LoadDiffWith is LoadDiff with decoding sharded over pool.
 func LoadDiffWith(s storage.Store, name string, pool *parallel.Pool) (*Diff, error) {
-	r, err := s.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	return DecodeDiffWith(r, pool)
+	return load(s, name, pool, DecodeDiffWith)
 }

@@ -207,7 +207,12 @@ func TestPersisterNeedsNoClose(t *testing.T) {
 	if _, err := e.Run(10); err != nil {
 		t.Fatal(err)
 	}
-	if runtime.NumGoroutine() <= start {
+	// The worker's own flag, not the goroutine count: a goroutine of an
+	// earlier test that exits meanwhile would hide a rise in the count.
+	e.fulls.mu.Lock()
+	running := e.fulls.running
+	e.fulls.mu.Unlock()
+	if !running {
 		t.Fatal("no persister goroutine while fulls are in flight")
 	}
 	close(store.gate)

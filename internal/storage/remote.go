@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"strings"
@@ -69,7 +70,7 @@ func (o RemoteOptions) withDefaults() RemoteOptions {
 		o.Sleep = time.Sleep
 	}
 	if o.ChunkSize <= 0 {
-		o.ChunkSize = chunkSize
+		o.ChunkSize = ChunkSize
 	}
 	if o.ChunkSize > DefaultMaxFrame {
 		o.ChunkSize = DefaultMaxFrame
@@ -85,9 +86,8 @@ func (o RemoteOptions) withDefaults() RemoteOptions {
 // speaks for one tenant namespace. It is safe for concurrent use: each
 // in-flight operation owns a pooled connection, and connections are
 // discarded on any protocol or transport error so a poisoned stream never
-// serves a second request. Reads buffer the whole object before returning
-// — checkpoint objects are consumed whole by the recovery layer anyway —
-// so a ReadCloser never pins a connection.
+// serves a second request. A reader from Open holds its connection until
+// it is closed.
 type Remote struct {
 	addr   string
 	tenant string
@@ -294,7 +294,9 @@ func (r *Remote) Create(name string) (io.WriteCloser, error) {
 		}
 		switch op {
 		case OpOK:
-			return &remoteWriter{r: r, c: c, chunk: r.opts.ChunkSize}, nil
+			w := &remoteWriter{r: r, c: c}
+			w.frames = Framer{send: w.send, chunk: r.opts.ChunkSize}
+			return w, nil
 		case OpRetry:
 			r.put(c) // the connection is healthy; the server is just busy
 			wr := &WireReader{b: body}
@@ -321,16 +323,11 @@ func (r *Remote) Create(name string) (io.WriteCloser, error) {
 // committing a torn object. Server-side rejections (quota, backing-store
 // errors) arrive as well-formed frames on a healthy stream — the server
 // has already discarded the staging — while transport and framing failures
-// poison the connection.
-//
-// Whole chunks leave straight from the slice handed to Write; only what is
-// left under a chunk waits in tail for the next Write to fill it up.
+// poison the connection. Its Framer cuts the stream into DATA frames.
 type remoteWriter struct {
 	r        *Remote
 	c        *remoteConn
-	chunk    int
-	tail     []byte // under one chunk of bytes not yet sent
-	tailBuf  Frame  // the pooled buffer behind tail, when chunk fits one
+	frames   Framer
 	closed   bool
 	err      error
 	rejected bool // server refused the staging; nothing left to abort
@@ -362,51 +359,13 @@ func (w *remoteWriter) Write(p []byte) (int, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
-	total := 0
-	for len(p) > 0 {
-		if len(w.tail) == 0 && len(p) >= w.chunk {
-			if err := w.send(p[:w.chunk]); err != nil {
-				return total, err
-			}
-			p = p[w.chunk:]
-			total += w.chunk
-			continue
-		}
-		if w.tail == nil && w.chunk <= chunkSize {
-			w.tailBuf = BorrowFrame()
-			w.tail = w.tailBuf.Body[:0]
-		}
-		n := w.chunk - len(w.tail)
-		if n > len(p) {
-			n = len(p)
-		}
-		w.tail = append(w.tail, p[:n]...)
-		p = p[n:]
-		total += n
-		if len(w.tail) == w.chunk {
-			if err := w.flush(); err != nil {
-				return total, err
-			}
-		}
-	}
-	return total, nil
-}
-
-// flush sends the buffered tail, if any, as one DATA frame.
-func (w *remoteWriter) flush() error {
-	if len(w.tail) == 0 {
-		return nil
-	}
-	err := w.send(w.tail)
-	w.tail = w.tail[:0]
-	return err
+	return w.frames.Write(p)
 }
 
 // release hands the connection back to the pool (healthy) or discards it
 // (poisoned stream), and severs the writer from it.
 func (w *remoteWriter) release(healthy bool) {
-	w.tailBuf.Release()
-	w.tail = nil
+	w.frames.Release()
 	if w.c == nil {
 		return
 	}
@@ -430,7 +389,7 @@ func (w *remoteWriter) Close() error {
 		_ = w.abortStaging()
 		return w.err
 	}
-	if err := w.flush(); err != nil {
+	if err := w.frames.Flush(); err != nil {
 		return err
 	}
 	op, body, err := w.c.call(OpCommit, nil)
@@ -472,10 +431,17 @@ func (w *remoteWriter) abortStaging() error {
 	return nil
 }
 
-// Open implements Store. The object is buffered fully before returning,
-// so transport errors surface here (not mid-read) and the connection goes
-// straight back to the pool. It is held as the frames it arrived in, whose
-// buffers go back to the frame pool when the reader is closed.
+// Open implements Store. It reads the first frame of the reply, so a
+// missing object, a refusal or a broken connection fails here; the object
+// itself streams. Each Read takes CHUNK payload from the connection
+// straight into the caller's buffer and checks each frame's CRC at that
+// frame's end, and io.EOF comes only once the server's OK has followed
+// frames that all checked out. The reader holds its connection, and the
+// server's handler, until Close. Close before EOF drains the reply to its
+// OK, checking every CRC on the way — a checkpoint decoder stops at its
+// record's end, so draining is what checks the last frame — and returns
+// the first error the stream had; only a fully verified connection goes
+// back to the pool.
 func (r *Remote) Open(name string) (io.ReadCloser, error) {
 	c, err := r.get()
 	if err != nil {
@@ -485,36 +451,134 @@ func (r *Remote) Open(name string) (io.ReadCloser, error) {
 		r.discard(c)
 		return nil, err
 	}
-	var obj ChunkList
-	for {
-		f, err := ReadPooledFrame(c.nc)
-		if err != nil {
-			obj.Release()
-			r.discard(c)
-			return nil, err
+	rr := &remoteReader{r: r, c: c, first: true}
+	rr.next()
+	if rr.err != nil && rr.err != io.EOF {
+		return nil, rr.err
+	}
+	return rr, nil
+}
+
+// remoteReader is one streaming GET reply: CHUNK*, then OK or an error.
+type remoteReader struct {
+	r      *Remote
+	c      *remoteConn // nil once the reply has ended
+	first  bool        // no frame of the reply read yet
+	left   int         // body bytes of the current CHUNK frame not yet read
+	crc    uint32      // CRC of the current CHUNK frame's bytes read so far
+	err    error       // io.EOF after a verified OK, or the reply's failure
+	closed bool
+}
+
+func (rr *remoteReader) Read(p []byte) (int, error) {
+	if rr.closed {
+		return 0, fmt.Errorf("storage: read after close")
+	}
+	if rr.left == 0 {
+		rr.next()
+	}
+	if rr.err != nil {
+		return 0, rr.err
+	}
+	if len(p) > rr.left {
+		p = p[:rr.left]
+	}
+	n, err := rr.c.nc.Read(p)
+	rr.crc = crc32.Update(rr.crc, crc32.IEEETable, p[:n])
+	rr.left -= n
+	if err != nil {
+		rr.fail(err)
+	} else if rr.left == 0 {
+		rr.endChunk()
+	}
+	return n, rr.err
+}
+
+// next reads frames up to the start of the next non-empty CHUNK body, or
+// to the end of the reply: OK ends it at io.EOF and hands the connection
+// back, anything else ends it with an error. Only an error reply that
+// opens the reply leaves the connection usable; after data, or on an
+// opcode out of place, the stream is out of step and the connection goes.
+func (rr *remoteReader) next() {
+	for rr.err == nil && rr.left == 0 {
+		var hdr [5]byte
+		if _, err := io.ReadFull(rr.c.nc, hdr[:]); err != nil {
+			rr.fail(err)
+			return
 		}
-		switch f.Op {
-		case OpChunk:
-			obj.Add(&f)
-			f.Release()
-		case OpOK:
-			f.Release()
-			r.put(c)
-			return obj.reader(), nil
-		default:
-			rerr := remoteError(f.Op, f.Body)
-			f.Release()
-			// An error after data chunks means the server failed
-			// mid-stream; the prefix cannot be trusted to be complete.
-			if obj.Len() > 0 {
-				r.discard(c)
-			} else {
-				r.put(c)
+		n, err := frameLen([4]byte(hdr[:4]), DefaultMaxFrame)
+		if err != nil {
+			rr.fail(err)
+			return
+		}
+		op, first := hdr[4], rr.first
+		rr.first = false
+		if op == OpChunk {
+			rr.left, rr.crc = n-1, crc32.ChecksumIEEE(hdr[4:])
+			if rr.left == 0 {
+				rr.endChunk()
 			}
-			obj.Release()
-			return nil, rerr
+			continue
+		}
+		body := make([]byte, n-1)
+		_, err = io.ReadFull(rr.c.nc, body)
+		if err == nil {
+			err = readTrailer(rr.c.nc, op, crc32.Update(crc32.ChecksumIEEE(hdr[4:]), crc32.IEEETable, body))
+		}
+		switch {
+		case err != nil:
+			rr.fail(err)
+		case op == OpOK && n == 1:
+			rr.end(io.EOF, true)
+		case op == OpErr:
+			rr.end(remoteError(op, body), first)
+		default:
+			rr.end(fmt.Errorf("storage: unexpected %s frame in a GET reply", OpName(op)), false)
 		}
 	}
+}
+
+// endChunk checks the trailer of the CHUNK frame whose body was just read.
+func (rr *remoteReader) endChunk() {
+	if err := readTrailer(rr.c.nc, OpChunk, rr.crc); err != nil {
+		rr.fail(err)
+	}
+}
+
+// fail ends the reply on a transport or framing error. The connection
+// closing before the reply's OK is never a clean end of the object.
+func (rr *remoteReader) fail(err error) {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	rr.end(err, false)
+}
+
+// end latches the reply's outcome and releases its connection.
+func (rr *remoteReader) end(err error, healthy bool) {
+	rr.err = err
+	if healthy {
+		rr.r.put(rr.c)
+	} else {
+		rr.r.discard(rr.c)
+	}
+	rr.c = nil
+}
+
+// Close drains an unfinished reply, so the connection is reused only after
+// every frame of it has checked out, and returns the reply's error.
+func (rr *remoteReader) Close() error {
+	if rr.closed {
+		return nil
+	}
+	if rr.err == nil {
+		_, _ = io.Copy(io.Discard, rr) // the outcome is latched in rr.err
+	}
+	rr.closed = true
+	if rr.err == io.EOF {
+		return nil
+	}
+	return rr.err
 }
 
 // List implements Store.

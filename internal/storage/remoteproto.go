@@ -35,10 +35,10 @@ const ProtoVersion = 1
 // a receiver allocate unbounded memory.
 const DefaultMaxFrame = 8 << 20
 
-// chunkSize is the unit objects are streamed in, in both directions: the
+// ChunkSize is the unit objects are streamed in, in both directions: the
 // client's default DATA frame, the server's CHUNK frame, and the one buffer
 // size the frame pool holds.
-const chunkSize = 1 << 20
+const ChunkSize = 1 << 20
 
 // smallFrame is the largest body WriteFrame assembles into one buffer
 // instead of a vectored write: every reply but CHUNK and NAMES fits.
@@ -140,7 +140,7 @@ func WriteFrame(w io.Writer, op byte, body []byte) error {
 
 // framePool holds the payload buffers of received frames: one opcode byte
 // plus one chunk. Pointers to arrays go in and out without allocating.
-var framePool = sync.Pool{New: func() any { return new([1 + chunkSize]byte) }}
+var framePool = sync.Pool{New: func() any { return new([1 + ChunkSize]byte) }}
 
 // Frame is one received frame whose payload may live in a buffer borrowed
 // from the frame pool. Whoever holds the Frame owns that buffer until
@@ -149,7 +149,7 @@ var framePool = sync.Pool{New: func() any { return new([1 + chunkSize]byte) }}
 type Frame struct {
 	Op   byte
 	Body []byte
-	buf  *[1 + chunkSize]byte // nil when Body is not pooled
+	buf  *[1 + ChunkSize]byte // nil when Body is not pooled
 }
 
 // Release returns the frame's buffer to the pool. It is a no-op on a frame
@@ -162,10 +162,10 @@ func (f *Frame) Release() {
 	f.Body = nil
 }
 
-// BorrowFrame returns a frame whose Body is one empty chunk-sized buffer
-// from the pool, for streaming an object out chunk by chunk.
-func BorrowFrame() Frame {
-	buf := framePool.Get().(*[1 + chunkSize]byte)
+// borrowFrame returns a frame whose Body is one empty chunk-sized buffer
+// from the pool.
+func borrowFrame() Frame {
+	buf := framePool.Get().(*[1 + ChunkSize]byte)
 	return Frame{Body: buf[1:], buf: buf}
 }
 
@@ -189,28 +189,21 @@ func readFrame(r io.Reader, maxFrame int, pooled bool) (Frame, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Frame{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n < 1 || int(n) > maxFrame+1 {
-		return Frame{}, fmt.Errorf("storage: frame length %d out of range (max %d)", n, maxFrame)
+	n, err := frameLen(hdr, maxFrame)
+	if err != nil {
+		return Frame{}, err
 	}
 	var f Frame
 	var payload []byte
-	if pooled && n <= 1+chunkSize {
-		f.buf = framePool.Get().(*[1 + chunkSize]byte)
+	if pooled && n <= 1+ChunkSize {
+		f.buf = framePool.Get().(*[1 + ChunkSize]byte)
 		payload = f.buf[:n]
 	} else {
 		payload = make([]byte, n)
 	}
-	var trailer [4]byte
-	_, err := io.ReadFull(r, payload)
+	_, err = io.ReadFull(r, payload)
 	if err == nil {
-		_, err = io.ReadFull(r, trailer[:])
-	}
-	if err == nil {
-		if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(trailer[:]); got != want {
-			err = fmt.Errorf("storage: frame CRC mismatch on %s (got %08x want %08x)",
-				OpName(payload[0]), got, want)
-		}
+		err = readTrailer(r, payload[0], crc32.ChecksumIEEE(payload))
 	}
 	if err != nil {
 		f.Release()
@@ -220,11 +213,145 @@ func readFrame(r io.Reader, maxFrame int, pooled bool) (Frame, error) {
 	return f, nil
 }
 
+// frameLen decodes and bounds a frame's length prefix: the opcode byte
+// plus a body of at most maxFrame bytes.
+func frameLen(hdr [4]byte, maxFrame int) (int, error) {
+	n := binary.BigEndian.Uint32(hdr[:])
+	if n < 1 || int(n) > maxFrame+1 {
+		return 0, fmt.Errorf("storage: frame length %d out of range (max %d)", n, maxFrame)
+	}
+	return int(n), nil
+}
+
+// readTrailer reads a frame's CRC trailer and checks it against crc, the
+// CRC of the frame's opcode and body as they were read.
+func readTrailer(r io.Reader, op byte, crc uint32) error {
+	var trailer [4]byte
+	if _, err := io.ReadFull(r, trailer[:]); err != nil {
+		return err
+	}
+	if want := binary.BigEndian.Uint32(trailer[:]); crc != want {
+		return fmt.Errorf("storage: frame CRC mismatch on %s (got %08x want %08x)", OpName(op), crc, want)
+	}
+	return nil
+}
+
+// Framer cuts a byte stream into frame bodies of one chunk each, the last
+// one shorter, and hands each to the send function it was made with: the
+// one cutter behind an upload's DATA frames and a download's CHUNK frames.
+// Whole chunks of a Write leave straight from its slice; only a remainder
+// under a chunk is copied, into one pooled tail that the next Write or
+// ReadFrom fills up and Flush sends. ReadFrom reads into that tail, so a
+// source without bytes of its own in memory costs one chunk of buffer. The
+// first error from send sticks: every later call returns it. Not safe for
+// concurrent use.
+type Framer struct {
+	send    func(body []byte) error
+	chunk   int
+	tail    []byte // under one chunk of bytes not yet sent
+	tailBuf Frame  // the pooled buffer behind tail, when chunk fits one
+	err     error
+}
+
+// NewFramer returns a Framer that cuts chunk-byte bodies for send. The
+// body send is handed is only valid for the length of the call.
+func NewFramer(chunk int, send func(body []byte) error) *Framer {
+	return &Framer{send: send, chunk: chunk}
+}
+
+// Err returns the error send failed with, if it has.
+func (f *Framer) Err() error { return f.err }
+
+func (f *Framer) emit(body []byte) error {
+	if f.err == nil {
+		f.err = f.send(body)
+	}
+	return f.err
+}
+
+// grow gives the framer a tail buffer with room for one whole chunk.
+func (f *Framer) grow() {
+	if f.tail != nil {
+		return
+	}
+	if f.chunk <= ChunkSize {
+		f.tailBuf = borrowFrame()
+		f.tail = f.tailBuf.Body[:0]
+	} else {
+		f.tail = make([]byte, 0, f.chunk)
+	}
+}
+
+// Write implements io.Writer.
+func (f *Framer) Write(p []byte) (int, error) {
+	total := 0
+	for len(p) > 0 && f.err == nil {
+		if len(f.tail) == 0 && len(p) >= f.chunk {
+			if err := f.emit(p[:f.chunk]); err != nil {
+				return total, err
+			}
+			p = p[f.chunk:]
+			total += f.chunk
+			continue
+		}
+		f.grow()
+		n := min(f.chunk-len(f.tail), len(p))
+		f.tail = append(f.tail, p[:n]...)
+		p = p[n:]
+		total += n
+		if len(f.tail) == f.chunk {
+			if err := f.Flush(); err != nil {
+				return total, err
+			}
+		}
+	}
+	return total, f.err
+}
+
+// ReadFrom implements io.ReaderFrom: r is read into the tail, and every
+// chunk it fills is sent. The error it returns is r's or send's; Err tells
+// them apart.
+func (f *Framer) ReadFrom(r io.Reader) (int64, error) {
+	var total int64
+	for f.err == nil {
+		f.grow()
+		n, err := r.Read(f.tail[len(f.tail):f.chunk])
+		f.tail = f.tail[:len(f.tail)+n]
+		total += int64(n)
+		if len(f.tail) == f.chunk {
+			_ = f.Flush() // a send error sticks in f.err, returned below
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, f.err
+}
+
+// Flush sends the buffered tail, if any, as one short body.
+func (f *Framer) Flush() error {
+	if len(f.tail) > 0 {
+		body := f.tail
+		f.tail = f.tail[:0]
+		return f.emit(body)
+	}
+	return f.err
+}
+
+// Release returns the tail buffer to the frame pool, dropping any bytes
+// still in it.
+func (f *Framer) Release() {
+	f.tailBuf.Release()
+	f.tail = nil
+}
+
 // ChunkList is an object held as the list of frame payloads it arrived in:
-// the daemon's upload staging and the client's downloaded object. Adding a
-// frame moves its buffer into the list instead of copying it, so the bytes
-// are touched once on the way in. The zero value is an empty list. Not safe
-// for concurrent use.
+// the daemon's upload staging. Adding a frame moves its buffer into the
+// list instead of copying it, so the bytes are touched once on the way in.
+// The zero value is an empty list. Not safe for concurrent use.
 type ChunkList struct {
 	chunks []Frame
 	size   int64
@@ -282,36 +409,6 @@ func (l *ChunkList) Commit(s Store, name string) error {
 		}
 	}
 	return w.Close()
-}
-
-// reader serves the held bytes and releases the list's buffers on Close.
-func (l *ChunkList) reader() io.ReadCloser { return &chunkReader{l: l} }
-
-type chunkReader struct {
-	l   *ChunkList
-	i   int // chunk being read
-	off int // bytes of it already served
-}
-
-func (r *chunkReader) Read(p []byte) (int, error) {
-	total := 0
-	for total < len(p) && r.i < len(r.l.chunks) {
-		n := copy(p[total:], r.l.chunks[r.i].Body[r.off:])
-		total += n
-		r.off += n
-		if r.off == len(r.l.chunks[r.i].Body) {
-			r.i, r.off = r.i+1, 0
-		}
-	}
-	if total == 0 && len(p) > 0 {
-		return 0, io.EOF
-	}
-	return total, nil
-}
-
-func (r *chunkReader) Close() error {
-	r.l.Release()
-	return nil
 }
 
 // Body encoding helpers: strings are uint32-length-prefixed, integers are

@@ -191,11 +191,11 @@ func TestWriteFrameWireBytes(t *testing.T) {
 }
 
 // TestChunkListBoundsPinnedMemory feeds a list frames of every awkward
-// size and checks both what it stores and what it pins: the bytes read
-// back in order, and no more than two chunks of buffer per chunk of data.
+// size and checks both what it stores and what it pins: the bytes it
+// commits, in order, and no more than two chunks of buffer per chunk of data.
 func TestChunkListBoundsPinnedMemory(t *testing.T) {
 	var wire, want bytes.Buffer
-	sizes := []int{1, 1, chunkSize / 2, chunkSize/2 + 1, 3, chunkSize, 0, chunkSize - 1, 2, 2 * chunkSize, 5}
+	sizes := []int{1, 1, ChunkSize / 2, ChunkSize/2 + 1, 3, ChunkSize, 0, ChunkSize - 1, 2, 2 * ChunkSize, 5}
 	for i, n := range sizes {
 		body := bytes.Repeat([]byte{byte(i + 1)}, n)
 		want.Write(body)
@@ -219,21 +219,16 @@ func TestChunkListBoundsPinnedMemory(t *testing.T) {
 	for _, c := range l.chunks {
 		pinned += cap(c.Body)
 	}
-	if limit := 2*want.Len() + chunkSize; pinned > limit {
+	if limit := 2*want.Len() + ChunkSize; pinned > limit {
 		t.Fatalf("list pins %d bytes of buffer for %d stored, limit %d", pinned, want.Len(), limit)
 	}
-	rc := l.reader()
-	got, err := io.ReadAll(rc)
+	mem := NewMem()
+	if err := l.Commit(mem, "obj"); err != nil {
+		t.Fatal(err)
+	}
+	l.Release()
+	got, err := ReadObject(mem, "obj")
 	if err != nil || !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("read back %d bytes (err %v), want %d identical ones", len(got), err, want.Len())
-	}
-	if err := rc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rc.Close(); err != nil { // a second Close must not return buffers twice
-		t.Fatal(err)
-	}
-	if n, err := rc.Read(make([]byte, 1)); n != 0 || err != io.EOF {
-		t.Fatalf("read after close: %d bytes, err %v", n, err)
 	}
 }

@@ -72,8 +72,14 @@ func ReadObject(s Store, name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer r.Close()
-	return io.ReadAll(r)
+	data, err := io.ReadAll(r)
+	if cerr := r.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // CheckName is the one object-name rule of every store: a name is not

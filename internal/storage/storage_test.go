@@ -506,10 +506,10 @@ func TestAbortWriter(t *testing.T) {
 // once into a buffer that ends exactly full and the commit allocates the
 // object and little else. A wrapper that hid the hint made it about 2×.
 func TestPresizeThroughWrappers(t *testing.T) {
-	const size = 14 * chunkSize
+	const size = 14 * ChunkSize
 	var wire bytes.Buffer
-	for off := 0; off < size; off += chunkSize {
-		if err := WriteFrame(&wire, OpData, bytes.Repeat([]byte{byte(off >> 20)}, chunkSize)); err != nil {
+	for off := 0; off < size; off += ChunkSize {
+		if err := WriteFrame(&wire, OpData, bytes.Repeat([]byte{byte(off >> 20)}, ChunkSize)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -215,7 +215,7 @@ func TestTieredWatermarkValidation(t *testing.T) {
 // adopted the staging buffer or copied it, the stored bytes are its own.
 func TestTieredHotCopyOwnsItsBytes(t *testing.T) {
 	tr, _ := newTestTiered(t, 64<<20, 32<<20)
-	want := make([]byte, 2*chunkSize+4097)
+	want := make([]byte, 2*ChunkSize+4097)
 	for i := range want {
 		want[i] = byte(i*13 + i>>9)
 	}
@@ -238,8 +238,8 @@ func TestTieredHotCopyOwnsItsBytes(t *testing.T) {
 	}
 
 	var wire bytes.Buffer
-	for off := 0; off < len(src); off += chunkSize {
-		if err := WriteFrame(&wire, OpData, src[off:min(off+chunkSize, len(src))]); err != nil {
+	for off := 0; off < len(src); off += ChunkSize {
+		if err := WriteFrame(&wire, OpData, src[off:min(off+ChunkSize, len(src))]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -556,6 +556,10 @@ func (s *Server) commit(t *tenant, up *staging) error {
 	return nil
 }
 
+// handleGet streams an object back as CHUNK frames and an OK. The store's
+// reader is copied into a Framer: a hot object, held in memory, goes out
+// from its own bytes, and anything else is read a chunk at a time into one
+// pooled buffer.
 func (s *Server) handleGet(nc net.Conn, t *tenant, body []byte) error {
 	name, err := decodeName(body)
 	if err != nil {
@@ -566,24 +570,23 @@ func (s *Server) handleGet(nc net.Conn, t *tenant, body []byte) error {
 		return writeStoreErr(nc, err)
 	}
 	defer rc.Close()
-	chunk := storage.BorrowFrame()
-	defer chunk.Release()
-	for {
-		n, rerr := rc.Read(chunk.Body)
-		if n > 0 {
-			if werr := storage.WriteFrame(nc, storage.OpChunk, chunk.Body[:n]); werr != nil {
-				return werr
-			}
-		}
-		if rerr == io.EOF {
-			return storage.WriteFrame(nc, storage.OpOK, nil)
-		}
-		if rerr != nil {
-			// Mid-stream read failure: the client has a prefix it cannot
-			// trust, so the error frame doubles as a poison pill.
-			return writeErr(nc, storage.CodeInternal, rerr.Error())
-		}
+	fr := storage.NewFramer(storage.ChunkSize, func(body []byte) error {
+		return storage.WriteFrame(nc, storage.OpChunk, body)
+	})
+	defer fr.Release()
+	_, err = io.Copy(fr, rc)
+	if err == nil {
+		err = fr.Flush()
 	}
+	if werr := fr.Err(); werr != nil {
+		return werr
+	}
+	if err != nil {
+		// Mid-stream read failure: the client has a prefix it cannot
+		// trust, so the error frame doubles as a poison pill.
+		return writeErr(nc, storage.CodeInternal, err.Error())
+	}
+	return storage.WriteFrame(nc, storage.OpOK, nil)
 }
 
 func (s *Server) handleList(nc net.Conn, t *tenant, body []byte) error {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -109,6 +110,98 @@ func TestStopAndWaitClientInterop(t *testing.T) {
 		t.Fatalf("downloaded %d bytes, want the %d uploaded", len(got), len(want))
 	}
 	quiesce(t, srv, "oldclient")
+}
+
+// failingReader serves its object up to a point and then fails, the way a
+// backing store's read dies half way through.
+type failingReader struct {
+	io.Reader
+}
+
+func (r failingReader) Read(p []byte) (int, error) {
+	n, err := r.Reader.Read(p)
+	if err == io.EOF {
+		return n, storage.ErrInjectedFault
+	}
+	return n, err
+}
+
+func (failingReader) Close() error { return nil }
+
+// TestGetChunkFraming reads GET replies frame by frame: whether the object
+// streams from memory (the hot path, written from the object's own bytes)
+// or from a file (read a chunk at a time), every CHUNK but the last is
+// exactly one chunk and the bytes are the object's. An empty object's
+// reply is a bare OK, and a store read that fails half way ends the reply
+// with an error frame after the whole chunks it had read.
+func TestGetChunkFraming(t *testing.T) {
+	root := t.TempDir()
+	srv := startServer(t, storaged.Config{
+		OpenStore: func(tenant string) (storage.Store, error) {
+			switch tenant {
+			case "cold":
+				return storage.NewFile(filepath.Join(root, tenant))
+			case "broken":
+				return &storage.Interposer{Store: storage.NewMem(),
+					Reader: func(name string, open func() (io.ReadCloser, error)) (io.ReadCloser, error) {
+						rc, err := open()
+						if err != nil {
+							return nil, err
+						}
+						data, err := io.ReadAll(rc)
+						_ = rc.Close() // an in-memory reader; the data decides
+						return failingReader{bytes.NewReader(data[:len(data)/2])}, err
+					}}, nil
+			}
+			return storage.NewMem(), nil
+		},
+	})
+	get := func(c *rawConn, name string) (bodies [][]byte, end byte) {
+		if err := storage.WriteFrame(c.nc, storage.OpGet, storage.AppendString(nil, name)); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			op, body, err := storage.ReadFrame(c.nc, storage.DefaultMaxFrame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if op != storage.OpChunk {
+				return bodies, op
+			}
+			bodies = append(bodies, body)
+		}
+	}
+	for _, tenant := range []string{"hot", "cold", "broken"} {
+		r := dialTenant(t, srv, tenant, storage.RemoteOptions{})
+		c := dialRaw(t, srv, tenant)
+		for _, size := range []int{0, 1, storage.ChunkSize, 2*storage.ChunkSize + 17} {
+			want := patterned(size, size)
+			if err := storage.WriteObject(r, "obj", want); err != nil {
+				t.Fatal(err)
+			}
+			bodies, end := get(c, "obj")
+			if tenant == "broken" { // the whole chunks of the half it could read
+				want = want[:size/2/storage.ChunkSize*storage.ChunkSize]
+			}
+			if got := bytes.Join(bodies, nil); !bytes.Equal(got, want) {
+				t.Fatalf("%s, %d bytes: read back %d bytes, want %d identical ones", tenant, size, len(got), len(want))
+			}
+			for i, b := range bodies[:max(len(bodies)-1, 0)] {
+				if len(b) != storage.ChunkSize {
+					t.Fatalf("%s, %d bytes: CHUNK %d carries %d bytes, want %d", tenant, size, i, len(b), storage.ChunkSize)
+				}
+			}
+			wantEnd := storage.OpOK
+			if tenant == "broken" {
+				wantEnd = storage.OpErr
+			}
+			if end != wantEnd || (size == 0 && len(bodies) != 0) {
+				t.Fatalf("%s, %d bytes: %d CHUNKs ended by %s, want %s", tenant, size, len(bodies),
+					storage.OpName(end), storage.OpName(wantEnd))
+			}
+		}
+	}
+	quiesce(t, srv, "hot", "cold", "broken")
 }
 
 // TestRejectionWithFramesInFlight is a client that does not wait for acks:

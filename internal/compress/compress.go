@@ -24,6 +24,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"unsafe"
 
 	"lowdiff/internal/parallel"
 	"lowdiff/internal/tensor"
@@ -270,24 +272,17 @@ func ceilK(n int, rho float64) int {
 
 // TopK selects the k = ceil(ρ·N) entries of largest magnitude (the common
 // sparsification scheme; ties break toward the lower index so compression
-// is deterministic).
+// is deterministic). The selection is serial (DESIGN.md §8 rule 3).
 type TopK struct {
-	R    float64 // ratio ρ in (0, 1]
-	Pool *parallel.Pool
+	R float64 // ratio ρ in (0, 1]
 }
 
-// NewTopK returns a serial Top-K compressor with ratio ρ.
+// NewTopK returns a Top-K compressor with ratio ρ.
 func NewTopK(rho float64) (*TopK, error) {
-	return NewTopKPooled(rho, nil)
-}
-
-// NewTopKPooled returns a Top-K compressor sharding the value gather over
-// pool; the selection itself is serial.
-func NewTopKPooled(rho float64, pool *parallel.Pool) (*TopK, error) {
 	if rho <= 0 || rho > 1 {
 		return nil, fmt.Errorf("compress: topk ratio %v out of (0,1]", rho)
 	}
-	return &TopK{R: rho, Pool: pool}, nil
+	return &TopK{R: rho}, nil
 }
 
 // Name implements Compressor.
@@ -298,16 +293,8 @@ func (t *TopK) Ratio() float64 { return t.R }
 
 // Compress implements Compressor.
 func (t *TopK) Compress(grad tensor.Vector) (*Compressed, error) {
-	n := len(grad)
-	idx := topKSelect(grad, ceilK(n, t.R))
-	vals := make([]float32, len(idx))
-	//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
-	t.Pool.ForEach(len(idx), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			vals[i] = grad[idx[i]]
-		}
-	})
-	return &Compressed{Codec: "topk", N: n, Idx: idx, Vals: vals}, nil
+	idx, vals := topKSelect(grad, ceilK(len(grad), t.R))
+	return &Compressed{Codec: "topk", N: len(grad), Idx: idx, Vals: vals}, nil
 }
 
 // Selection is one strict total order: |v| descending, the lower index
@@ -328,63 +315,138 @@ func strengthKey(v float32, j int32) uint64 {
 // keyIndex recovers the dense index from a strength key.
 func keyIndex(key uint64) int32 { return int32(^uint32(key)) }
 
-// radixBucket is the top of v's strength key: |v|'s exponent and the high 7
-// mantissa bits. A higher bucket is a strictly stronger entry; within a
-// bucket the full key decides.
-func radixBucket(v float32) uint32 { return (math.Float32bits(v) &^ (1 << 31)) >> 16 }
-
-// radixBuckets is the number of distinct radixBucket values (2^15).
-const radixBuckets = 1 << 15
-
 // topKSelect returns the indices of the k largest-magnitude entries of g in
-// increasing order, ties breaking toward the lower index. It is a two-pass
-// radix threshold select: pass 1 histograms the radix buckets and walks
-// them from the top to the boundary bucket b where the running count first
-// reaches k; pass 2 takes every entry above b and packs the strength keys
-// of b's entries, of which quickselect keeps the k − above strongest.
-// Because the bucket is a prefix of the key, the set is exactly the top k
-// of the total order. When every entry shares one bucket (a constant
-// gradient) the quickselect runs over all n keys.
-func topKSelect(g tensor.Vector, k int) []int32 {
-	out := make([]int32, k)
+// increasing order, ties breaking toward the lower index, and their values.
+// A strided sample sets a magnitude threshold t a little below the k-th
+// strongest (threshold); one pass keeps, in index order, the strength keys
+// of every entry whose |v| bits reach t (keepAtLeast); quickselect over a
+// copy of those keys finds the k-th key, and a walk of the kept keys emits
+// every index at or above it, already sorted. Whenever at least k entries
+// reach t, the top k of the total order is among them, so the sample sets
+// only the speed, never the result.
+func topKSelect(g tensor.Vector, k int) ([]int32, []float32) {
+	idx, vals := make([]int32, k), make([]float32, k)
 	if k >= len(g) {
-		for i := range out {
-			out[i] = int32(i)
+		for i := range idx {
+			idx[i] = int32(i)
 		}
-		return out
+		copy(vals, g)
+		return idx, vals
 	}
-	hist := histPool.Get().(*radixHist)
-	clear(hist[:])
-	for _, v := range g {
-		hist[radixBucket(v)]++
-	}
-	b, above := uint32(radixBuckets-1), 0
-	for above+int(hist[b]) < k {
-		above += int(hist[b])
-		b--
-	}
-	cs := getU64(int(hist[b]))
-	histPool.Put(hist)
-	cand, w, c := cs.v, 0, 0
-	for i, v := range g {
-		switch bk := radixBucket(v); {
-		case bk > b:
-			out[w] = int32(i)
+	s := topKPool.Get().(*topKScratch)
+	kept := s.keepAtLeast(g, k, s.threshold(g, k))
+	s.sel = append(s.sel[:0], kept...)
+	quickSelectKeys(s.sel, k)
+	kth := slices.Min(s.sel[:k])
+	w := 0
+	for _, key := range kept {
+		if key >= kth {
+			j := keyIndex(key)
+			idx[w], vals[w] = j, g[j]
 			w++
-		case bk == b:
-			cand[c] = strengthKey(v, int32(i))
-			c++
 		}
 	}
-	need := k - above
-	quickSelectKeys(cand, need)
-	for _, key := range cand[:need] {
-		out[w] = keyIndex(key)
-		w++
+	topKPool.Put(s)
+	return idx, vals
+}
+
+// sampleSize is how many entries threshold samples. Below sampleMin
+// entries the sample would be most of the gradient, so every entry is kept.
+const (
+	sampleSize = 4096
+	sampleMin  = 4 * sampleSize
+)
+
+// threshold returns the |v| float bits that a little more than k of g's
+// entries reach, estimated from a strided sample of sampleSize entries: the
+// r-th strongest sampled magnitude, r = r₀ + 4√r₀ + 8 for the
+// r₀ = k·sampleSize/n a perfect sample would need. The margin makes a sample that lies (fewer
+// than k entries reach t) rare; keepAtLeast corrects one anyway. It returns
+// 0, which every entry reaches, when the gradient is too small to sample or
+// k is too large a share of it.
+func (s *topKScratch) threshold(g tensor.Vector, k int) uint32 {
+	n := len(g)
+	if n < sampleMin {
+		return 0
 	}
-	cs.release()
-	sortI32(out)
-	return out
+	r0 := float64(sampleSize) * float64(k) / float64(n)
+	r := int(math.Ceil(r0 + 4*math.Sqrt(r0) + 8))
+	if r >= sampleSize {
+		return 0
+	}
+	stride := n / sampleSize
+	for i := range s.sample {
+		j := i * stride
+		s.sample[i] = strengthKey(g[j], int32(j))
+	}
+	quickSelectKeys(s.sample[:], r)
+	return uint32(slices.Min(s.sample[:r]) >> 32)
+}
+
+// keepAtLeast returns the strength keys, in index order, of g's entries
+// whose |v| bits reach t, or of every entry when fewer than k do: the
+// candidates the top k is chosen from. The keys live in s.kept, which
+// grows as needed and is reused by the next call.
+func (s *topKScratch) keepAtLeast(g tensor.Vector, k int, t uint32) []uint64 {
+	s.kept = keep(s.kept[:0], g, t)
+	if len(s.kept) < k {
+		s.kept = keep(s.kept[:0], g, 0)
+	}
+	return s.kept
+}
+
+// signBits is the sign bit of both float32 lanes of a 64-bit word.
+const signBits = 0x80000000_80000000
+
+// keep appends to kept the strength keys of g's entries whose |v| bits
+// reach t, in index order. With the sign cleared an entry's bits are
+// a < 2³¹, and a + (2³¹ − t) lies in [1, 2³² − 1]: the sum's top bit is set
+// exactly when a ≥ t. keep tests eight entries at a time, two per 64-bit
+// word of g's 8-byte-aligned body; the sum never carries out of its 32-bit
+// lane, so the test holds in either byte order. Only a block with a hit is
+// walked entry by entry, and so are the head and tail outside the body's
+// whole blocks.
+func keep(kept []uint64, g tensor.Vector, t uint32) []uint64 {
+	add := 1<<31 - t
+	head := 0
+	if len(g) > 0 && uintptr(unsafe.Pointer(&g[0]))%8 != 0 {
+		head = 1
+	}
+	kept = keepBlock(kept, g[:head], 0, add)
+	blocks := (len(g) - head) / 8
+	if blocks > 0 {
+		body := unsafe.Slice((*uint64)(unsafe.Pointer(&g[head])), 4*blocks)
+		lanes := uint64(add) * 0x00000001_00000001
+		for b := 0; b < len(body); b += 4 {
+			w := body[b : b+4 : b+4]
+			hit := (w[0]&^signBits + lanes) | (w[1]&^signBits + lanes) |
+				(w[2]&^signBits + lanes) | (w[3]&^signBits + lanes)
+			if hit&signBits != 0 {
+				lo := head + 2*b
+				kept = keepBlock(kept, g[lo:lo+8], lo, add)
+			}
+		}
+	}
+	tail := head + 8*blocks
+	return keepBlock(kept, g[tail:], tail, add)
+}
+
+// keepBlock appends the keys of the hits among g's at most eight entries,
+// the first of which is dense index base; add is 2³¹ − t. It stores every
+// entry's key and steps past it only on a hit, so a block costs no branch
+// mispredicts however dense its hits.
+func keepBlock(kept []uint64, g tensor.Vector, base int, add uint32) []uint64 {
+	c := len(kept)
+	for cap(kept)-c < len(g) {
+		kept = append(kept[:cap(kept)], 0) // grows the capacity as append does
+	}
+	kept = kept[:c+len(g)]
+	for i, v := range g {
+		a := math.Float32bits(v) &^ (1 << 31)
+		kept[c] = uint64(a)<<32 | uint64(^uint32(base+i))
+		c += int((a + add) >> 31)
+	}
+	return kept[:c]
 }
 
 // quickSelectKeys partitions keys so keys[:k] holds the k largest, in
@@ -425,11 +487,17 @@ func partitionKeys(keys []uint64, lo, hi int) int {
 	keys[mid], keys[hi] = keys[hi], keys[mid]
 	pivot := keys[hi]
 	i := lo
+	// Branch-free Lomuto: every key swaps into keys[i], which advances past
+	// it only when it beats the pivot, so random keys cost no mispredicts.
 	for j := lo; j < hi; j++ {
-		if keys[j] > pivot {
-			keys[i], keys[j] = keys[j], keys[i]
-			i++
+		x := keys[j]
+		keys[j] = keys[i]
+		keys[i] = x
+		step := 0
+		if x > pivot {
+			step = 1
 		}
+		i += step
 	}
 	keys[i], keys[hi] = keys[hi], keys[i]
 	return i
@@ -587,7 +655,7 @@ func New(name string, rho float64, seed uint64) (Compressor, error) {
 func NewPooled(name string, rho float64, seed uint64, pool *parallel.Pool) (Compressor, error) {
 	switch name {
 	case "topk":
-		return NewTopKPooled(rho, pool)
+		return NewTopK(rho)
 	case "randk":
 		return NewRandKPooled(rho, seed, pool)
 	case "int8":

@@ -260,7 +260,7 @@ func mergeMapReference(parts ...*Compressed) *Compressed {
 }
 
 // topKHeapReference is the retired bounded-min-heap Top-K selection, kept
-// as the test oracle (and benchmark baseline) for the radix threshold
+// as the test oracle (and benchmark baseline) for the sampled-threshold
 // select that replaced it. Same strict total order: |v| descending, lower
 // index wins ties.
 func topKHeapReference(g tensor.Vector, k int) []int32 {
@@ -325,75 +325,88 @@ func topKHeapReference(g tensor.Vector, k int) []int32 {
 	return h
 }
 
-// checkTopKOracle fails t unless the radix select and the heap oracle pick
-// the same indices for g and k.
+// checkTopKOracle fails t unless the sampled-threshold select and the heap
+// oracle pick the same indices for g and k, and the select returns each
+// picked entry's value bits.
 func checkTopKOracle(t *testing.T, tag string, g tensor.Vector, k int) {
 	t.Helper()
-	got, want := topKSelect(g, k), topKHeapReference(g, k)
-	if len(got) != len(want) {
-		t.Fatalf("%s n=%d k=%d: got %d indices, want %d", tag, len(g), k, len(got), len(want))
+	got, vals := topKSelect(g, k)
+	want := topKHeapReference(g, k)
+	if len(got) != len(want) || len(vals) != len(want) {
+		t.Fatalf("%s n=%d k=%d: got %d indices and %d values, want %d", tag, len(g), k, len(got), len(vals), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("%s n=%d k=%d: index %d: got %d, want %d", tag, len(g), k, i, got[i], want[i])
 		}
+		if math.Float32bits(vals[i]) != math.Float32bits(g[got[i]]) {
+			t.Fatalf("%s n=%d k=%d: value %d: got %v, want g[%d] = %v", tag, len(g), k, i, vals[i], got[i], g[got[i]])
+		}
 	}
 }
 
-// bucketCuts returns, for each radix bucket of g from the strongest down,
-// the number of entries at or above it: the k at which that bucket is the
-// boundary and exactly completes the selection.
-func bucketCuts(g tensor.Vector) []int {
-	hist := map[uint32]int{}
+// magnitudeCuts returns, for each distinct |v| of g from the strongest
+// down, the number of entries at or above it: the k at which that
+// magnitude's ties exactly complete the selection.
+func magnitudeCuts(g tensor.Vector) []int {
+	count := map[uint32]int{}
 	for _, v := range g {
-		hist[radixBucket(v)]++
+		count[math.Float32bits(v)&^(1<<31)]++
 	}
-	buckets := make([]uint32, 0, len(hist))
-	for b := range hist {
-		buckets = append(buckets, b)
+	mags := make([]uint32, 0, len(count))
+	for m := range count {
+		mags = append(mags, m)
 	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i] > buckets[j] })
-	cuts, sum := make([]int, len(buckets)), 0
-	for i, b := range buckets {
-		sum += hist[b]
+	sort.Slice(mags, func(i, j int) bool { return mags[i] > mags[j] })
+	cuts, sum := make([]int, len(mags)), 0
+	for i, m := range mags {
+		sum += count[m]
 		cuts[i] = sum
 	}
 	return cuts
 }
 
-// TestTopKSelectRadixEdges pins the radix threshold select to the heap
-// oracle where the buckets decide: one bucket holding everything, a
-// boundary bucket that exactly completes k (and k one either side of it),
-// equal magnitudes on both sides of a bucket edge, and the special values
-// (±0, denormals, ±Inf). Every n here is below the bucket count.
-func TestTopKSelectRadixEdges(t *testing.T) {
-	r := tensor.NewRNG(31)
-	// The lowest value of a bucket and the highest of the one below it.
-	edge := math.Float32frombits(0x3f80 << 16) // 1.0
-	below := math.Float32frombits(0x3f80<<16 - 1)
+// edgeShapes are the value distributions the edge tests draw from: one
+// magnitude everywhere, a few magnitudes with many ties, the special
+// values (±0, denormals, ±Inf), and the workload's uniform noise around 1.
+func edgeShapes(r *tensor.RNG) []struct {
+	name string
+	draw func() float32
+} {
+	one := float32(1)
+	below := math.Nextafter32(1, 0)
 	special := []float32{0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32,
 		-math.SmallestNonzeroFloat32, 1e-40, -3e-39, float32(math.Inf(1)), float32(math.Inf(-1)),
-		math.MaxFloat32, -math.MaxFloat32, edge, -below}
+		math.MaxFloat32, -math.MaxFloat32, one, -below}
 	pick := func(vals ...float32) func() float32 {
 		return func() float32 { return vals[r.Intn(len(vals))] }
 	}
-	for _, shape := range []struct {
+	return []struct {
 		name string
 		draw func() float32
 	}{
 		{"constant", pick(0.75)},
 		{"signed-constant", pick(0.75, -0.75)},
-		{"straddle", pick(edge, -below, below, 0.5, -0.25)},
+		{"straddle", pick(one, -below, below, 0.5, -0.25)},
 		{"special", pick(special...)},
-		{"uniform", func() float32 { return 2*r.Float32() - 1 }},
-	} {
+		{"uniform", func() float32 { return 4*r.Float32() - 1 }},
+	}
+}
+
+// TestTopKSelectUnsampledEdges pins the select to the heap oracle below
+// sampleMin, where every entry is a candidate: one magnitude everywhere,
+// ties that exactly complete k (and k one either side of that), and the
+// special values.
+func TestTopKSelectUnsampledEdges(t *testing.T) {
+	r := tensor.NewRNG(31)
+	for _, shape := range edgeShapes(r) {
 		for _, n := range []int{1, 2, 3, 17, 300, 2500} {
 			g := tensor.New(n)
 			for i := range g {
 				g[i] = shape.draw()
 			}
 			ks := []int{1, n - 1, n, n / 3}
-			cuts := bucketCuts(g)
+			cuts := magnitudeCuts(g)
 			for i := 0; i < len(cuts); i += 1 + len(cuts)/20 {
 				ks = append(ks, cuts[i]-1, cuts[i], cuts[i]+1)
 			}
@@ -406,7 +419,96 @@ func TestTopKSelectRadixEdges(t *testing.T) {
 	}
 }
 
-// TestTopKQuickselectMatchesHeapOracle pins the radix select to the retired
+// reaching counts g's entries whose |v| bits reach t.
+func reaching(g tensor.Vector, t uint32) int {
+	c := 0
+	for _, v := range g {
+		if math.Float32bits(v)&^(1<<31) >= t {
+			c++
+		}
+	}
+	return c
+}
+
+// TestTopKSelectSampledEdges pins the sampled path to the heap oracle: n
+// where sampling starts, 256 Ki and the workload's length; the edge shapes
+// (a constant gradient keeps every entry, so the key buffer grows to n);
+// and k at 1, at ρ = 0.01, around the count the threshold keeps, where the
+// sample rank nears the sample size, and at n − 1 and n. A sample that lies
+// must send keepAtLeast down its keep-everything retry.
+func TestTopKSelectSampledEdges(t *testing.T) {
+	t.Run("lying-sample", testLyingSample)
+	r := tensor.NewRNG(47)
+	sizes := []int{sampleMin - 1, sampleMin, sampleMin + 1, 1 << 18, workloadGradLen}
+	for _, shape := range edgeShapes(r) {
+		for _, n := range sizes {
+			g := tensor.New(n)
+			for i := range g {
+				g[i] = shape.draw()
+			}
+			s := new(topKScratch)
+			kept := reaching(g, s.threshold(g, n/100))
+			ks := []int{1, n / 100, kept - 1, kept, kept + 1, n - 1, n}
+			// Near the largest k whose sample rank stays below the sample size.
+			if kr := int(float64(n) * 0.937); kr > 0 {
+				ks = append(ks, kr)
+			}
+			for _, k := range ks {
+				// The heap oracle costs O(n log k): k near n runs up to
+				// 256 Ki, and k = n takes the keep-everything branch.
+				if k >= 1 && k <= n && (k <= n/2 || n <= 1<<18 || k == n) {
+					checkTopKOracle(t, shape.name, g, k)
+				}
+			}
+		}
+	}
+}
+
+// testLyingSample plants the strongest entries exactly at the sampled
+// positions, so the threshold lets fewer than k entries through.
+// keepAtLeast must then keep every entry, and the select still match the
+// heap oracle.
+func testLyingSample(t *testing.T) {
+	for _, n := range []int{sampleMin, 1 << 18} {
+		g := tensor.New(n)
+		tensor.NewRNG(5).FillUniform(g, -1, 1)
+		stride := n / sampleSize
+		for i := 0; i < sampleSize; i++ {
+			g[i*stride] = float32(2 + i)
+		}
+		k := n / 100
+		s := new(topKScratch)
+		th := s.threshold(g, k)
+		if c := reaching(g, th); c >= k {
+			t.Fatalf("n=%d: %d entries reach the threshold, want fewer than k=%d", n, c, k)
+		}
+		if kept := s.keepAtLeast(g, k, th); len(kept) != n {
+			t.Fatalf("n=%d: keepAtLeast kept %d keys, want all %d", n, len(kept), n)
+		}
+		checkTopKOracle(t, "lying", g, k)
+	}
+}
+
+// TestTopKSelectUnalignedHead runs the select over gradients that start
+// off the 8-byte boundary, so keep's scalar head runs, and over lengths
+// that leave every tail length. The entries of every head and tail are the
+// strongest, so the result holds each of them exactly once.
+func TestTopKSelectUnalignedHead(t *testing.T) {
+	base := workloadGrad(sampleMin + 64)
+	for i := range base {
+		if i < 2 || i >= sampleMin-9 {
+			base[i] = float32(10 + i)
+		}
+	}
+	for off := 0; off < 2; off++ {
+		for tail := 0; tail < 9; tail++ {
+			g := base[off : sampleMin+off+tail]
+			checkTopKOracle(t, fmt.Sprintf("off=%d tail=%d", off, tail), g, len(g)/100)
+		}
+	}
+}
+
+// TestTopKQuickselectMatchesHeapOracle pins the select to the retired
 // heap selection across shapes that stress the tie-break rule: duplicated
 // magnitudes, sign flips, zeros, and denormal-scale values all must resolve
 // to the identical index set.
@@ -485,7 +587,7 @@ func TestSerialVsParallelProperty(t *testing.T) {
 
 		for pi, pool := range pools {
 			tag := fmt.Sprintf("trial %d pool %d (workers %d)", trial, pi, pool.Workers())
-			tk, _ := NewTopKPooled(rho, pool)
+			tk, _ := NewPooled("topk", rho, 0, pool)
 			got, err := tk.Compress(g)
 			if err != nil {
 				t.Fatal(err)
@@ -579,7 +681,7 @@ func TestPoolSharedAcrossGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			tk, _ := NewTopKPooled(0.01, pool)
+			tk, _ := NewTopK(0.01)
 			for it := 0; it < 10; it++ {
 				got, err := tk.Compress(g)
 				if err != nil {

@@ -9,10 +9,13 @@ import (
 	"lowdiff/internal/tensor"
 )
 
-// FuzzTopKSelect holds the radix threshold select to the heap oracle on
-// arbitrary vectors. The first two bytes pick k in [1, n]; every following
-// four bytes are one float32's bits. NaN is out of contract, so an input
-// holding one is skipped.
+// FuzzTopKSelect holds the sampled-threshold select to the heap oracle on
+// arbitrary vectors. The first two bytes pick k; every following four
+// bytes are one float32's bits. The select runs on that vector, where every
+// entry is a candidate, and on its tiling to at least sampleMin entries,
+// which takes the sampled path: tile i is scaled by a factor in {½, 1, 1½,
+// 2} that byte i of the input picks, so ties cross tiles. NaN is out of
+// contract, so an input holding one is skipped.
 func FuzzTopKSelect(f *testing.F) {
 	f32 := func(k uint16, vals ...float32) []byte {
 		b := binary.LittleEndian.AppendUint16(nil, k)
@@ -26,6 +29,7 @@ func FuzzTopKSelect(f *testing.F) {
 	f.Add(f32(1, 0, float32(math.Copysign(0, -1)), 1e-45, -1e-45, inf, -inf))
 	f.Add(f32(3, 1, math.Nextafter32(1, 0), -1, -math.Nextafter32(1, 0), 2, 0.5))
 	f.Add(f32(7, 0.1, -0.2, 0.3, -0.4, 0.5, -0.6, 0.7, -0.8, 0.9))
+	f.Add(f32(180, 0.1, -0.2, 0.3, -0.4, 0.5, -0.6, 0.7, -0.8, 0.9))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 6 {
 			return
@@ -37,8 +41,17 @@ func FuzzTopKSelect(f *testing.F) {
 				return
 			}
 		}
-		k := 1 + int(binary.LittleEndian.Uint16(data))%len(g)
-		checkTopKOracle(t, "fuzz", g, k)
+		pick := int(binary.LittleEndian.Uint16(data))
+		checkTopKOracle(t, "fuzz", g, 1+pick%len(g))
+		tiles := (sampleMin + len(g) - 1) / len(g)
+		tiled := tensor.New(tiles * len(g))
+		for i := 0; i < tiles; i++ {
+			scale := float32(1+data[i%len(data)]%4) / 2
+			for j, v := range g {
+				tiled[i*len(g)+j] = v * scale
+			}
+		}
+		checkTopKOracle(t, "fuzz-tiled", tiled, 1+pick%len(tiled))
 	})
 }
 

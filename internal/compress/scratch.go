@@ -4,8 +4,8 @@ import "sync"
 
 // Scratch pools for the per-iteration slices the hot path would otherwise
 // allocate on every call: wire byte staging (a decoded header, a big-endian
-// host's writes), RandK's dense-stride sample buffer, and Top-K's radix
-// histogram and the packed strength keys of its boundary bucket.
+// host's writes), RandK's dense-stride sample buffer, Top-K's sample and
+// candidate keys, and the merge's per-shard segments.
 //
 // Ownership rule (see DESIGN.md §8): a pooled buffer never escapes the call
 // that got it. Anything stored in a Compressed — which may be handed to the
@@ -44,28 +44,15 @@ func getI32(n int) *i32Scratch {
 
 func (s *i32Scratch) release() { i32Pool.Put(s) }
 
-type u64Scratch struct{ v []uint64 }
-
-var u64Pool = sync.Pool{New: func() any { return new(u64Scratch) }}
-
-// getU64 returns a pooled uint64 slice of length n — the strength keys of
-// Top-K's boundary bucket.
-func getU64(n int) *u64Scratch {
-	s := u64Pool.Get().(*u64Scratch)
-	if cap(s.v) < n {
-		s.v = make([]uint64, n)
-	}
-	s.v = s.v[:n]
-	return s
+// topKScratch is Top-K's working set, pooled whole so a selection
+// allocates nothing beyond its output: the threshold's sample, the kept
+// candidate keys in index order, and the copy quickselect permutes.
+type topKScratch struct {
+	sample    [sampleSize]uint64
+	kept, sel []uint64
 }
 
-func (s *u64Scratch) release() { u64Pool.Put(s) }
-
-// radixHist is Top-K's bucket histogram. Counts fit int32 because indices
-// do; pooled whole, cleared by the caller.
-type radixHist [radixBuckets]int32
-
-var histPool = sync.Pool{New: func() any { return new(radixHist) }}
+var topKPool = sync.Pool{New: func() any { return new(topKScratch) }}
 
 type f32Scratch struct{ v []float32 }
 

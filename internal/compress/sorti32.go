@@ -3,8 +3,8 @@ package compress
 // Closure-free replacements for the sort package calls on the compression
 // hot path. sort.Slice costs an interface conversion (the slice header
 // escapes to the heap) plus a closure allocation per call, and sort.Search
-// a closure per call — measurable when Top-K/RandK run every training
-// iteration. Sorting plain int32 values is order-deterministic (equal
+// a closure per call — measurable when RandK and the merge run every
+// training iteration. Sorting plain int32 values is order-deterministic (equal
 // elements are indistinguishable), so swapping the algorithm cannot change
 // any result bit.
 

@@ -69,6 +69,9 @@ func (e *Engine) initDPWorkers() error {
 	if opts.Workers < 1 {
 		return fmt.Errorf("core: %d workers; need at least 1", opts.Workers)
 	}
+	if opts.Codec == "int8" {
+		return fmt.Errorf("core: int8 cannot train here: every step merges the workers' gradients in an all-gather, and a quantized gradient has no union-sum; use topk, randk or identity")
+	}
 	if opts.Codec == "randk" && opts.Workers > 1 {
 		return fmt.Errorf("core: randk selects different indices per worker; use topk or identity for multi-worker runs")
 	}
@@ -187,7 +190,7 @@ func (r *trainRank) syncGradient(t int64) (synced *compress.Compressed, iterDone
 // (StepSparse fuses the two).
 func (r *trainRank) applyGradient(t int64, synced *compress.Compressed) error {
 	applyDone := r.e.trace0(r.w).Begin1(trace.TrackTrain, trace.PhaseApply, "iter", t)
-	if err := applyCompressed(r.o, r.p.Flat, synced, r.e.pool); err != nil {
+	if err := applyCompressed(r.o, r.p.Flat, synced); err != nil {
 		return err
 	}
 	applyDone()

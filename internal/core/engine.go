@@ -761,19 +761,10 @@ func (e *Engine) gcOldCheckpoints() error {
 
 // applyCompressed applies a synchronized compressed gradient to params via
 // the optimizer: sparse payloads use the fused sparse step; dense payloads
-// take a dense step directly. Quantized payloads dequantize through pool
-// (nil: serial), bit-identically at any worker count.
-func applyCompressed(o optim.Optimizer, params tensor.Vector, c *compress.Compressed, pool *parallel.Pool) error {
+// take a dense step directly. No strategy trains on quantized payloads.
+func applyCompressed(o optim.Optimizer, params tensor.Vector, c *compress.Compressed) error {
 	if c.Idx != nil {
 		return o.StepSparse(params, c.Idx, c.Vals)
-	}
-	if len(c.Q) > 0 {
-		//lint:allow hotalloc int8 payloads only: the dense step needs a dequantized gradient; Top-K and random-K take the fused sparse step
-		dense := tensor.New(c.N)
-		if err := c.DecompressWith(pool, dense); err != nil {
-			return err
-		}
-		return o.Step(params, dense)
 	}
 	return o.Step(params, c.Vals)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"lowdiff/internal/checkpoint"
@@ -27,6 +28,20 @@ func TestNewEngineValidation(t *testing.T) {
 		}
 		if _, err := NewEngine(o); err == nil {
 			t.Errorf("case %d (%+v): want error", i, o)
+		}
+	}
+}
+
+// TestNewEngineRejectsInt8 holds the int8 codec out of training at
+// construction: every data-parallel step merges the workers' gradients in
+// an all-gather, which a quantized payload cannot take part in, even alone.
+func TestNewEngineRejectsInt8(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		for _, store := range []storage.Store{nil, storage.NewMem()} {
+			_, err := NewEngine(Options{Spec: model.Tiny(3, 16), Workers: workers, Codec: "int8", Store: store})
+			if err == nil || !strings.Contains(err.Error(), "all-gather") {
+				t.Errorf("workers %d, store %v: err = %v, want a rejection naming the all-gather", workers, store != nil, err)
+			}
 		}
 	}
 }

@@ -255,7 +255,7 @@ func (r *ppRank) step(rc *runCtx, t int64) error {
 	}
 	// Update this stage's parameters only.
 	applyDone := tr.Begin1(trace.TrackTrain, trace.PhaseApply, "iter", t)
-	if err := applyCompressed(e.opts2[s], r.slice, local, e.pool); err != nil {
+	if err := applyCompressed(e.opts2[s], r.slice, local); err != nil {
 		return err
 	}
 	applyDone()

@@ -1,11 +1,17 @@
 package comm
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"lowdiff/internal/allocgate"
 	"lowdiff/internal/compress"
+	"lowdiff/internal/model"
 	"lowdiff/internal/tensor"
 )
 
@@ -28,6 +34,45 @@ func runRanks(t *testing.T, n int, fn func(rank int) error) {
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
+}
+
+// AllReduceSum is the reference the ring is checked against: it replaces
+// v on every rank with the elementwise sum of all ranks' v, accumulated in
+// rank order through one rendezvous, so every rank computes a
+// bit-identical result. Vectors must have equal length on all ranks.
+func (g *Group) AllReduceSum(rank int, v tensor.Vector) error {
+	if err := g.checkRank(rank); err != nil {
+		return err
+	}
+	all := g.exchange(rank, v)
+	first := all[0].(tensor.Vector)
+	for r := 1; r < g.n; r++ {
+		if len(all[r].(tensor.Vector)) != len(first) {
+			return fmt.Errorf("comm: allreduce length mismatch: rank %d has %d, rank 0 has %d",
+				r, len(all[r].(tensor.Vector)), len(first))
+		}
+	}
+	// Segment scatter-add: each shard owns [lo, hi) of the sum and adds the
+	// ranks' segments in rank order, so the result is bit-identical to the
+	// serial rank-order accumulation at any worker count.
+	sum := tensor.New(len(first))
+	vecs := make([]tensor.Vector, g.n)
+	for r := 0; r < g.n; r++ {
+		vecs[r] = all[r].(tensor.Vector)
+	}
+	g.pool.ForEach(len(first), func(_, lo, hi int) {
+		for _, src := range vecs { // rank order
+			for i := lo; i < hi; i++ {
+				sum[i] += src[i]
+			}
+		}
+	})
+	// Every rank writes its own v only after computing the sum from the
+	// snapshot; a barrier keeps writers from racing readers of the inputs.
+	g.exchange(rank, nil)
+	copy(v, sum)
+	g.exchange(rank, nil)
+	return nil
 }
 
 func TestNewGroupRejectsBadSize(t *testing.T) {
@@ -202,6 +247,178 @@ func TestMismatchedLengthsError(t *testing.T) {
 	if errs[0] == nil && errs[1] == nil {
 		t.Fatal("want length-mismatch error on at least one rank")
 	}
+}
+
+// ringCall runs one ring all-reduce on every rank of g and returns each
+// rank's error, failing t if the ranks do not all return within a
+// deadline.
+func ringCall(t *testing.T, g *Group, mean bool, vecs []tensor.Vector) []error {
+	t.Helper()
+	errs := make([]error, g.Size())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for r := range vecs {
+			wg.Add(1)
+			go func(rank int) {
+				defer wg.Done()
+				if mean {
+					errs[rank] = g.RingAllReduceMean(rank, vecs[rank])
+				} else {
+					errs[rank] = g.RingAllReduceSum(rank, vecs[rank])
+				}
+			}(r)
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("ring all-reduce deadlocked")
+	}
+	return errs
+}
+
+// A length mismatch anywhere in the ring must reach every rank as an
+// error, and no rank may block; the group stays usable afterwards.
+func TestRingMismatchedLengthsError(t *testing.T) {
+	for _, n := range []int{2, 3, 5} {
+		same := func(m int) []int {
+			l := make([]int, n)
+			for r := range l {
+				l[r] = m
+			}
+			return l
+		}
+		first, last, all, empty := same(7), same(7), same(7), same(n+3)
+		first[0], last[n-1], empty[1] = 8, 8, 0
+		for r := range all {
+			all[r] = 7 + r
+		}
+		for name, lens := range map[string][]int{"first": first, "last": last, "all": all, "empty": empty} {
+			for _, mean := range []bool{false, true} {
+				g, _ := NewGroup(n)
+				vecs := make([]tensor.Vector, n)
+				for r := range vecs {
+					vecs[r] = tensor.New(lens[r])
+				}
+				for r, err := range ringCall(t, g, mean, vecs) {
+					if err == nil {
+						t.Fatalf("n=%d %s mean=%v: rank %d returned no error", n, name, mean, r)
+					}
+				}
+				for r := range vecs {
+					vecs[r] = tensor.Vector{float32(r), 1}
+				}
+				for r, err := range ringCall(t, g, false, vecs) {
+					if err != nil {
+						t.Fatalf("n=%d %s mean=%v: call after the mismatch: rank %d: %v", n, name, mean, r, err)
+					}
+				}
+				if want := float32(n * (n - 1) / 2); vecs[0][0] != want || vecs[0][1] != float32(n) {
+					t.Fatalf("n=%d %s mean=%v: call after the mismatch summed to %v", n, name, mean, vecs[0])
+				}
+			}
+		}
+	}
+}
+
+// gpt2LayerSizes returns the layer sizes of GPT2-S scaled down 100 times
+// in backward order: the sequence of calls one LowDiff+ step makes.
+func gpt2LayerSizes() []int {
+	layers := model.GPT2Small().Scaled(100).Layers
+	out := make([]int, len(layers))
+	for i, l := range layers {
+		out[len(layers)-1-i] = l.Size
+	}
+	return out
+}
+
+// RingAllReduceMean must be bit-identical to RingAllReduceSum followed by
+// Scale(1/n). Each group serves every length in turn, so send-buffer
+// growth and rotation cross call boundaries.
+func TestRingAllReduceMeanMatchesSumThenScale(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 8} {
+		lengths := append([]int{1, max(n-1, 0), 257}, gpt2LayerSizes()...)
+		lengths = append(lengths, 257, 1)
+		g, err := NewGroup(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Rank r's input of length m is src[r*1009 : r*1009+m]; wide
+		// exponents make the rounding of the sum matter.
+		rng := tensor.NewRNG(uint64(n))
+		src := tensor.New(slices.Max(lengths) + n*1009)
+		rng.FillUniform(src, -1, 1)
+		for i := range src {
+			src[i] *= float32(math.Ldexp(1, rng.Intn(60)-30))
+		}
+		for _, m := range lengths {
+			mean := make([]tensor.Vector, n)
+			sum := make([]tensor.Vector, n)
+			for r := 0; r < n; r++ {
+				mean[r] = src[r*1009 : r*1009+m].Clone()
+				sum[r] = mean[r].Clone()
+			}
+			for _, err := range ringCall(t, g, true, mean) {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, err := range ringCall(t, g, false, sum) {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for r := 0; r < n; r++ {
+				sum[r].Scale(1 / float32(n))
+				for i := range sum[r] {
+					if math.Float32bits(mean[r][i]) != math.Float32bits(sum[r][i]) {
+						t.Fatalf("n=%d m=%d rank %d [%d]: mean %v, sum then scale %v",
+							n, m, r, i, mean[r][i], sum[r][i])
+					}
+					if math.Float32bits(mean[r][i]) != math.Float32bits(mean[0][i]) {
+						t.Fatalf("n=%d m=%d: rank %d differs from rank 0 at %d", n, m, r, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRingAllReduceAllocs: once its send buffers have grown, a ring
+// all-reduce allocates nothing. Rank 1 is a persistent goroutine, as a
+// training worker is, so the gate sees only the collective.
+func TestRingAllReduceAllocs(t *testing.T) {
+	const n = 2
+	g, _ := NewGroup(n)
+	vecs := make([]tensor.Vector, n)
+	for r := range vecs {
+		vecs[r] = tensor.New(23623) // a GPT2-S/100 attention layer
+		tensor.NewRNG(uint64(r)).FillUniform(vecs[r], -1, 1)
+	}
+	start, done := make(chan struct{}), make(chan error)
+	defer close(start)
+	go func() {
+		for range start {
+			done <- g.RingAllReduceMean(1, vecs[1])
+		}
+	}()
+	call := func() {
+		start <- struct{}{}
+		if err := g.RingAllReduceMean(0, vecs[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A call sends two messages per rank, so a rank's third send buffer
+	// is first used in the second call: make one call here, and the
+	// gate's own warm-up call is the second.
+	call()
+	allocgate.Check(t, 200, 0, 0, call)
 }
 
 // Property: ring all-reduce agrees with the centralized reference within

@@ -235,13 +235,32 @@ func (c *Compressed) Decompress(out tensor.Vector) error {
 }
 
 // DecompressWith is Decompress sharded over pool; bit-identical to the
-// serial path.
+// serial path. A dense payload is written in one pass as 0 + v, the value
+// Zero then AddInto produce: not a copy, because 0 + (−0) is +0.
 func (c *Compressed) DecompressWith(pool *parallel.Pool, out tensor.Vector) error {
 	if len(out) != c.N {
 		return fmt.Errorf("compress: decompress into length %d, want %d", len(out), c.N)
 	}
+	if len(c.Q) == 0 && c.Idx == nil && len(c.Vals) == c.N {
+		if pool.Workers() == 1 {
+			zeroPlus(out, c.Vals)
+			return nil
+		}
+		//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
+		pool.ForEach(len(out), func(_, lo, hi int) { zeroPlus(out[lo:hi], c.Vals[lo:hi]) })
+		return nil
+	}
 	out.Zero()
 	return c.AddIntoWith(pool, out)
+}
+
+// zeroPlus sets out[i] = 0 + v[i]; len(v) must be at least len(out).
+func zeroPlus(out, v tensor.Vector) {
+	v = v[:len(out)]
+	var zero float32
+	for i := range out {
+		out[i] = zero + v[i]
+	}
 }
 
 // Compressor turns a dense gradient into a Compressed payload.

@@ -649,6 +649,53 @@ func TestSerialVsParallelProperty(t *testing.T) {
 	}
 }
 
+// TestDecompressDenseOnePass: the one-pass dense DecompressWith writes
+// what Zero then AddIntoWith write, bit for bit, serial and sharded, on
+// signed zeros, NaN payloads, denormals and infinities. A plain copy
+// would fail on −0, which 0 + −0 turns into +0.
+func TestDecompressDenseOnePass(t *testing.T) {
+	specials := []uint32{
+		0x80000000, 0x00000000, // −0, +0
+		0x7fc00001, 0xffc12345, 0x7f800001, 0xff9abcde, // quiet and signalling NaNs with payloads
+		0x00000001, 0x807fffff, 0x00400000, 0x80000001, // denormals
+		0x7f800000, 0xff800000, 0x7f7fffff, 0x00800000, // ±Inf, max, min normal
+	}
+	const n = 3001
+	vals := make([]float32, n)
+	tensor.NewRNG(7).FillUniform(vals, -1, 1)
+	for i := range vals {
+		if i%3 == 0 {
+			vals[i] = math.Float32frombits(specials[(i/3)%len(specials)])
+		}
+	}
+	for _, m := range []int{0, 1, len(specials), n} {
+		c := &Compressed{Codec: "identity", N: m, Vals: vals[:m]}
+		for pi, pool := range propPools(t) {
+			want := tensor.New(m)
+			want.Zero()
+			if err := c.AddIntoWith(pool, want); err != nil {
+				t.Fatal(err)
+			}
+			got := tensor.New(m)
+			for i := range got {
+				got[i] = math.Float32frombits(0x7fc0dead) // stale contents
+			}
+			if err := c.DecompressWith(pool, got); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("n=%d pool %d: out[%d] = %#08x, want %#08x (input %#08x)",
+						m, pi, i, math.Float32bits(got[i]), math.Float32bits(want[i]), math.Float32bits(vals[i]))
+				}
+			}
+			if m > 0 && math.Float32bits(got[0]) != 0 {
+				t.Fatalf("n=%d pool %d: −0 decompressed to %#08x, want +0", m, pi, math.Float32bits(got[0]))
+			}
+		}
+	}
+}
+
 // TestParallelAddIntoRejectsInvalidSparse: the parallel scatter path must
 // detect invalid hand-built payloads instead of racing on them.
 func TestParallelAddIntoRejectsInvalidSparse(t *testing.T) {

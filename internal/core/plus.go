@@ -205,27 +205,25 @@ func (p *plusTopology) registerMetrics(*obs.Registry) {}
 func (p *plusTopology) newRank(rc *runCtx, w int) rankRunner {
 	e := p.e
 	return &plusRank{
-		e:        e,
-		topo:     p,
-		w:        w,
-		p:        e.params[w],
-		o:        e.opts2[w],
-		g:        tensor.New(e.opts.Spec.NumParams()),
-		layerBuf: tensor.New(maxLayerSize(e.opts.Spec)),
-		offsets:  e.opts.Spec.LayerOffsets(),
+		e:       e,
+		topo:    p,
+		w:       w,
+		p:       e.params[w],
+		o:       e.opts2[w],
+		g:       tensor.New(e.opts.Spec.NumParams()),
+		offsets: e.opts.Spec.LayerOffsets(),
 	}
 }
 
 // plusRank is one dense data-parallel worker's per-iteration state.
 type plusRank struct {
-	e        *Engine
-	topo     *plusTopology
-	w        int
-	p        *model.Params
-	o        optim.Optimizer
-	g        tensor.Vector
-	layerBuf tensor.Vector
-	offsets  []int
+	e       *Engine
+	topo    *plusTopology
+	w       int
+	p       *model.Params
+	o       optim.Optimizer
+	g       tensor.Vector
+	offsets []int
 }
 
 func (r *plusRank) step(rc *runCtx, t int64) error {
@@ -238,24 +236,22 @@ func (r *plusRank) step(rc *runCtx, t int64) error {
 	spec := e.opts.Spec
 	// Backward pass, layer by layer in reverse order; each
 	// layer synchronizes as soon as its gradient exists
-	// (Alg. 2 sync threads) and is snapshotted for reuse.
+	// (Alg. 2 sync threads) and is snapshotted for reuse. Backward
+	// writes the layer straight into the gradient buffer and the mean
+	// all-reduce runs in place there.
 	var hs sync.WaitGroup // H_s: outstanding snapshot handles
 	for _, l := range e.oracle.BackwardOrder() {
-		size := spec.Layers[l].Size
-		lg := r.layerBuf[:size]
+		view := r.g[r.offsets[l] : r.offsets[l]+spec.Layers[l].Size]
 		computeDone := tr.Begin2(trace.TrackTrain, trace.PhaseCompute, "iter", t, "layer", int64(l))
-		if err := e.oracle.LayerGrad(r.p.Flat, w, int(t), l, lg); err != nil {
+		if err := e.oracle.LayerGrad(r.p.Flat, w, int(t), l, view); err != nil {
 			return err
 		}
 		computeDone()
 		gatherDone := tr.Begin2(trace.TrackTrain, trace.PhaseAllGather, "iter", t, "layer", int64(l))
-		if err := e.group.RingAllReduceSum(w, lg); err != nil {
+		if err := e.group.RingAllReduceMean(w, view); err != nil {
 			return err
 		}
 		gatherDone()
-		lg.Scale(1 / float32(e.opts.Workers))
-		view := r.g[r.offsets[l] : r.offsets[l]+size]
-		copy(view, lg)
 		if w == 0 {
 			// Hand the layer to the offload pool; the copy to
 			// host memory overlaps the remaining layers'
@@ -390,14 +386,4 @@ func (s *replicaSnapshotter) assemble(rc *runCtx) {
 			e.fulls.handOff(toPersist)
 		}
 	}
-}
-
-func maxLayerSize(spec model.Spec) int {
-	m := 0
-	for _, l := range spec.Layers {
-		if l.Size > m {
-			m = l.Size
-		}
-	}
-	return m
 }

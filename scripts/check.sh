@@ -37,4 +37,10 @@ go test -race -count=5 ./internal/obs/... ./internal/storaged/...
 echo "== go test -race -count=10 (core: goldens, Plus, full persists, PP boundary fulls, fault ladder) =="
 go test -race -count=10 -run 'Golden|Plus|EngineCheckpointsWritten|DisableDiffs|PPBoundary|FaultLadder' ./internal/core/
 
+# The ring all-reduce reuses each rank's send buffers across calls, and
+# whether a buffer is free when it is rewritten depends on scheduling:
+# repeat the ring tests so a reuse race shows up.
+echo "== go test -race -count=20 -run 'Ring' (comm: ring send-buffer reuse) =="
+go test -race -count=20 -run 'Ring' ./internal/comm/
+
 echo "all checks passed"

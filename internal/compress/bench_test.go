@@ -78,56 +78,30 @@ func BenchmarkInt8Compress(b *testing.B) {
 	}
 }
 
+// BenchmarkMerge is the union at the shape the benchmark trains: k = 2
+// (the all-gather of two workers' Top-K parts) and k = 4 (dp_file's batch
+// of four) parts of 11,700 indices over workloadGradLen, serial and on a
+// two-worker pool.
 func BenchmarkMerge(b *testing.B) {
-	const n = 1 << 16
-	g := benchGrad(n)
-	tk, _ := NewTopK(0.01)
-	parts := make([]*Compressed, 8)
-	for i := range parts {
-		c, err := tk.Compress(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Shift indices a little so the union is non-trivial.
-		for j := range c.Idx {
-			c.Idx[j] = (c.Idx[j] + int32(i*7)) % n
-		}
-		d := c.Clone()
-		d.Idx = dedupSort(d.Idx, d.Vals)
-		parts[i] = d
+	pool2, err := parallel.New(2)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MergeWith(nil, parts...); err != nil {
-			b.Fatal(err)
+	for _, k := range []int{2, 4} {
+		parts := benchSortedParts(b, workloadGradLen, k, 0.01)
+		for _, arm := range []struct {
+			name string
+			pool *parallel.Pool
+		}{{"serial", nil}, {"pooled2", pool2}} {
+			b.Run(fmt.Sprintf("k=%d/%s", k, arm.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := MergeWith(arm.pool, parts...); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
-}
-
-// dedupSort restores the strictly-increasing index invariant after the
-// synthetic shifting above.
-func dedupSort(idx []int32, vals []float32) []int32 {
-	type pair struct {
-		j int32
-		v float32
-	}
-	m := map[int32]float32{}
-	for i, j := range idx {
-		m[j] = vals[i]
-	}
-	out := idx[:0]
-	for j := range m {
-		out = append(out, j)
-	}
-	for i := 1; i < len(out); i++ {
-		for k := i; k > 0 && out[k] < out[k-1]; k-- {
-			out[k], out[k-1] = out[k-1], out[k]
-		}
-	}
-	for i, j := range out {
-		vals[i] = m[j]
-	}
-	return out
 }
 
 func BenchmarkWireEncodeDecode(b *testing.B) {
@@ -187,8 +161,9 @@ func compressHeapReference(g tensor.Vector, rho float64) *Compressed {
 // baseline replays the retired implementation — heap selection plus the
 // map-based union-sum (both kept in dataplane_test.go as oracles);
 // kway-serial and kway-pooled8 run the sampled-threshold compression and
-// the k-way merge at 1 and 8 pool workers (the select is serial in both;
-// the pool shards the merge).
+// the folded two-way merge at 1 and 8 pool workers (the select is serial in
+// both, and the merge's 10,496 part entries are under MergeWith's pooled
+// crossover, so it runs inline at 8 workers too).
 // TestDataplaneCompressMergeAllocs holds kway-pooled8's allocations.
 func BenchmarkDataplaneCompressMerge(b *testing.B) {
 	g := benchGrad(dataplaneN)
@@ -241,7 +216,9 @@ const (
 // eight pool workers. The bounds are 1.25× the 14 allocs and 92,575 B one
 // operation took when the gate was set. Without Top-K's pooled gather the
 // maximum over -count=20 was 15.1 allocs and 102,971 B, whose 1.25× is
-// looser, so the bounds stand.
+// looser, so the bounds stand. Since the union became one two-way kernel
+// with a pooled crossover, a merge this size runs inline at any worker
+// count: one operation took 7 allocs and 106,818 B.
 func TestDataplaneCompressMergeAllocs(t *testing.T) {
 	g := benchGrad(dataplaneN)
 	parts := benchSortedParts(t, dataplaneN, dataplaneParts, dataplaneRho)

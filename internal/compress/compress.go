@@ -691,17 +691,20 @@ func NewPooled(name string, rho float64, seed uint64, pool *parallel.Pool) (Comp
 // gradient writes and the paper's gradient accumulation. All inputs must be
 // valid and sparse (or identity) with the same N; quantized, mismatched, or
 // invalid inputs fail with typed errors rather than producing a corrupt
-// union. Sparse parts are combined with a k-way walk over their sorted index
-// lists (per index, values add in part order — exactly the serial
-// reference); the parallel path shards the dense index space and
-// concatenates per-chunk unions in ascending chunk order, so the result is
-// bit-identical at any worker count.
+// union. Sparse parts fold left to right through one branch-free two-way
+// merge (merge2), so per index the values add in part order — exactly the
+// serial reference. The pooled path shards the dense index space, sizes
+// each shard's segment of the result from the parts' counts inside it, and
+// closes the gaps between segments in ascending shard order, so the result
+// is bit-identical at any worker count and the result is the only
+// allocation.
 func MergeWith(pool *parallel.Pool, parts ...*Compressed) (*Compressed, error) {
 	if len(parts) == 0 {
 		return nil, ErrMergeEmpty
 	}
 	n := parts[0].N
 	dense := false
+	total := 0
 	for pi, p := range parts {
 		if p.N != n {
 			return nil, fmt.Errorf("%w: part %d has N=%d, want %d", ErrMergeLength, pi, p.N, n)
@@ -715,6 +718,7 @@ func MergeWith(pool *parallel.Pool, parts ...*Compressed) (*Compressed, error) {
 		if p.Idx == nil {
 			dense = true
 		}
+		total += len(p.Idx)
 	}
 	if dense {
 		// Any dense input forces a dense result.
@@ -727,88 +731,148 @@ func MergeWith(pool *parallel.Pool, parts ...*Compressed) (*Compressed, error) {
 		}
 		return &Compressed{Codec: "merged", N: n, Vals: out}, nil
 	}
-	bound := 0
-	for _, p := range parts {
-		bound += len(p.Idx)
+	shards := 1
+	if pool.Workers() > 1 && total >= mergeInlineBelow {
+		shards = pool.NumChunks(n)
 	}
-	if bound > n {
-		bound = n
+	// cut[b*k+p] is where shard b starts in part p, so shard s owns part
+	// p's entries [cut[s*k+p], cut[(s+1)*k+p]). Shard s's segment of the
+	// result is [off[s], off[s+1]): room for the most its union can hold,
+	// the smaller of its parts' counts and its span. lens[s] is what it
+	// wrote there.
+	k := len(parts)
+	cs := getInts((shards+1)*k + 2*shards + 1)
+	cut, off, lens := cs.v[:(shards+1)*k], cs.v[(shards+1)*k:(shards+1)*(k+1)], cs.v[(shards+1)*(k+1):]
+	for b := 0; b <= shards; b++ {
+		for p, part := range parts {
+			c := len(part.Idx)
+			if b < shards {
+				lo, _ := pool.Bounds(b, n)
+				c = searchI32GE(part.Idx, int32(lo))
+			}
+			cut[b*k+p] = c
+		}
 	}
-	chunks := pool.NumChunks(n)
-	if pool.Workers() == 1 || chunks <= 1 {
-		idx := make([]int32, 0, bound)
-		vals := make([]float32, 0, bound)
-		idx, vals = kwayMergeRange(parts, 0, int32(n), idx, vals)
-		return &Compressed{Codec: "merged", N: n, Idx: idx, Vals: vals}, nil
+	off[0] = 0
+	for s := 0; s < shards; s++ {
+		lo, hi := pool.Bounds(s, n)
+		if shards == 1 {
+			hi = n // one shard spans the whole index space, whatever the grid
+		}
+		seg := 0
+		for p := range parts {
+			seg += cut[(s+1)*k+p] - cut[s*k+p]
+		}
+		off[s+1] = off[s] + min(seg, hi-lo)
 	}
-	// Every shard appends into its own disjoint, exactly-bounded segment
-	// of one pooled buffer (a shard's union size is at most its dense
-	// span and at most the global index total), so the per-shard merges
-	// never grow their destinations and the only per-call allocations are
-	// the exact-size result slices.
-	span := pool.ChunkSize()
-	segCap := span
-	if bound < segCap {
-		segCap = bound
+	// The result, the merge's one allocation: the shards fill their
+	// segments of it in place, so it is captured by the workers' closure.
+	//lint:allow hotalloc the fresh result, one pair of slices per merge, filled in place by the shards
+	idx, vals := make([]int32, off[shards]), make([]float32, off[shards])
+	m := 0
+	if shards == 1 {
+		m = fold(parts, cut, idx, vals)
+	} else {
+		// The workers capture a copy of the part list, so the caller's
+		// (often an implicit variadic slice) never moves to the heap.
+		//lint:allow hotalloc one copy of the part pointers per pooled merge, not per element
+		own := slices.Clone(parts)
+		//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
+		pool.ForEach(n, func(s, _, _ int) {
+			lens[s] = fold(own, cut[s*k:(s+2)*k], idx[off[s]:off[s+1]], vals[off[s]:off[s+1]])
+		})
+		for s := 0; s < shards; s++ { // ascending shard order = ascending index order
+			copy(idx[m:], idx[off[s]:off[s]+lens[s]])
+			copy(vals[m:], vals[off[s]:off[s]+lens[s]])
+			m += lens[s]
+		}
 	}
-	is := getI32(chunks * segCap)
-	vs := getF32(chunks * segCap)
-	ls := getInts(chunks)
-	segIdx, segVals, lens := is.v, vs.v, ls.v
-	//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
-	pool.ForEach(n, func(s, lo, hi int) {
-		seg := s * segCap
-		i, _ := kwayMergeRange(parts, int32(lo), int32(hi),
-			segIdx[seg:seg:seg+segCap], segVals[seg:seg:seg+segCap])
-		lens[s] = len(i)
-	})
-	total := 0
-	for s := 0; s < chunks; s++ {
-		total += lens[s]
-	}
-	idx := make([]int32, 0, total)
-	vals := make([]float32, 0, total)
-	for s := 0; s < chunks; s++ { // ascending chunk order = ascending index order
-		seg := s * segCap
-		idx = append(idx, segIdx[seg:seg+lens[s]]...)
-		vals = append(vals, segVals[seg:seg+lens[s]]...)
-	}
-	ls.release()
-	vs.release()
-	is.release()
-	return &Compressed{Codec: "merged", N: n, Idx: idx, Vals: vals}, nil
+	cs.release()
+	return &Compressed{Codec: "merged", N: n, Idx: idx[:m], Vals: vals[:m]}, nil
 }
 
-// kwayMergeRange appends the union-sum of the parts restricted to dense
-// indices [lo, hi) onto idx/vals. Parts must be sparse with strictly
-// increasing indices. For each output index the contributions are added in
-// part order, matching the serial single-pass reference bit for bit. Callers
-// pass destinations pre-sized to the union bound, so the appends never grow.
-func kwayMergeRange(parts []*Compressed, lo, hi int32, idx []int32, vals []float32) ([]int32, []float32) {
-	ps := getInts(len(parts))
-	defer ps.release()
-	pos := ps.v
-	for pi, p := range parts {
-		pos[pi] = searchI32GE(p.Idx, lo)
+// mergeInlineBelow is the total part length below which a pooled MergeWith
+// runs inline: under it the dispatch and the per-shard searches cost more
+// than the second worker saves. Measured at the benchmark's gradient
+// length on two workers (EXPERIMENTS.md "One sparse apply path"): two
+// parts lose 12% pooled at 32,760 entries and win 11% at 46,800; three
+// parts break even at 35,100.
+const mergeInlineBelow = 40_000
+
+// fold writes the union-sum of part p's entries [cut[p], cut[k+p]), for
+// the k parts, into idx/vals, which have room for the union, and returns
+// its length. The parts fold left to right through merge2, the
+// intermediates in pooled scratch, so per index the values add in part
+// order, as the reference's single pass adds them.
+func fold(parts []*Compressed, cut []int, idx []int32, vals []float32) int {
+	k := len(parts)
+	part := func(p int) ([]int32, []float32) {
+		lo, hi := cut[p], cut[k+p]
+		return parts[p].Idx[lo:hi], parts[p].Vals[lo:hi]
 	}
-	for {
-		best := hi
-		for pi, p := range parts {
-			if pos[pi] < len(p.Idx) && p.Idx[pos[pi]] < best {
-				best = p.Idx[pos[pi]]
-			}
-		}
-		if best >= hi {
-			return idx, vals
-		}
-		var sum float32
-		for pi, p := range parts {
-			if pos[pi] < len(p.Idx) && p.Idx[pos[pi]] == best {
-				sum += p.Vals[pos[pi]]
-				pos[pi]++
-			}
-		}
-		idx = append(idx, best)
-		vals = append(vals, sum)
+	ai, av := part(0)
+	if k == 1 {
+		return merge2(ai, av, nil, nil, idx, vals)
 	}
+	var ti [2]*i32Scratch
+	var tv [2]*f32Scratch
+	if k > 2 {
+		for t := range ti {
+			ti[t], tv[t] = getI32(len(idx)), getF32(len(idx))
+		}
+	}
+	for p := 1; p < k; p++ {
+		bi, bv := part(p)
+		oi, ov := idx, vals
+		if p < k-1 {
+			oi, ov = ti[p%2].v, tv[p%2].v
+		}
+		m := merge2(ai, av, bi, bv, oi, ov)
+		ai, av = oi[:m], ov[:m]
+	}
+	if k > 2 {
+		for t := range ti {
+			ti[t].release()
+			tv[t].release()
+		}
+	}
+	return len(ai)
+}
+
+// merge2 writes the union-sum of two sorted sparse vectors into oi/ov,
+// which have room for it, and returns its length. Per output it takes the
+// smaller head index, and the value of each side whose head is that index
+// (a side that is not adds +0), through sign masks rather than a
+// data-dependent branch. It sums as the reference does — 0, then a's
+// value, then b's — so a lone -0 lands as +0, and adding a masked +0 to a
+// partial sum (which is never -0) changes no bit.
+func merge2(ai []int32, av []float32, bi []int32, bv []float32, oi []int32, ov []float32) int {
+	i, j, o := mergeHeads(ai, av, bi, bv, oi, ov)
+	// One side is spent: the other's tail is summed alone.
+	o += copy(oi[o:], ai[i:])
+	zeroPlus(ov[o-(len(ai)-i):o], av[i:])
+	o += copy(oi[o:], bi[j:])
+	zeroPlus(ov[o-(len(bi)-j):o], bv[j:])
+	return o
+}
+
+// mergeHeads is merge2's loop while both sides have entries left; it
+// returns how far it got in a, in b and in the output.
+func mergeHeads(ai []int32, av []float32, bi []int32, bv []float32, oi []int32, ov []float32) (i, j, o int) {
+	av, bv, ov = av[:len(ai)], bv[:len(bi)], ov[:len(oi)]
+	for i < len(ai) && j < len(bi) {
+		x, y := ai[i], bi[j]
+		// Indices are non-negative, so the differences cannot overflow:
+		// ta is all ones when a's head is in the output, tb when b's is.
+		ta, tb := uint32(^((y - x) >> 31)), uint32(^((x - y) >> 31))
+		var s float32
+		s += math.Float32frombits(math.Float32bits(av[i]) & ta)
+		s += math.Float32frombits(math.Float32bits(bv[j]) & tb)
+		oi[o] = min(x, y)
+		ov[o] = s
+		i += int(ta & 1)
+		j += int(tb & 1)
+		o++
+	}
+	return i, j, o
 }

@@ -1,0 +1,110 @@
+package compress
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"lowdiff/internal/allocgate"
+	"lowdiff/internal/parallel"
+	"lowdiff/internal/tensor"
+)
+
+// mergeShape builds k sorted parts over n indices: each index goes to a
+// part with probability density, and every value is random or, one time in
+// four, one of -0, +0, NaN and a denormal.
+func mergeShape(r *tensor.RNG, n, k int, density float64, pick func(p, j int) bool) []*Compressed {
+	specials := []float32{float32(math.Copysign(0, -1)), 0, float32(math.NaN()), math.Float32frombits(1)}
+	parts := make([]*Compressed, k)
+	for p := range parts {
+		c := &Compressed{Codec: "topk", N: n, Idx: []int32{}, Vals: []float32{}}
+		for j := 0; j < n; j++ {
+			if !pick(p, j) || r.Float64() >= density {
+				continue
+			}
+			v := r.Float32()*2 - 1
+			if r.Intn(4) == 0 {
+				v = specials[r.Intn(len(specials))]
+			}
+			c.Idx = append(c.Idx, int32(j))
+			c.Vals = append(c.Vals, v)
+		}
+		parts[p] = c
+	}
+	return parts
+}
+
+// MergeWith is one two-way kernel folded left to right over the parts. It
+// matches the map reference bit for bit at every part count, serially and
+// sharded over two and seven workers, on random, disjoint, identical and
+// partly empty parts, with -0 and NaN among the values. The parts hold at
+// least mergeInlineBelow entries, so the pools really shard.
+func TestMergeMatchesReference(t *testing.T) {
+	const n = 60_000
+	pool2, err := parallel.New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool7, err := parallel.NewWithChunk(7, 997) // a short last shard
+	if err != nil {
+		t.Fatal(err)
+	}
+	pools := []*parallel.Pool{nil, pool2, pool7}
+	for _, k := range []int{1, 2, 3, 4, 16} {
+		same := mergeShape(tensor.NewRNG(uint64(k)), n, 1, 0.9, func(int, int) bool { return true })[0]
+		shapes := map[string][]*Compressed{
+			"random":   mergeShape(tensor.NewRNG(uint64(k)), n, k, 0.9, func(int, int) bool { return true }),
+			"disjoint": mergeShape(tensor.NewRNG(uint64(k)), n, k, 1, func(p, j int) bool { return j%k == p }),
+			"some empty": mergeShape(tensor.NewRNG(uint64(k)), n, k, 0.9, func(p, _ int) bool {
+				return k == 1 || p%2 == 1
+			}),
+			"all empty": mergeShape(tensor.NewRNG(uint64(k)), n, k, 0, func(int, int) bool { return false }),
+		}
+		shapes["identical"] = make([]*Compressed, k)
+		for p := range shapes["identical"] {
+			shapes["identical"][p] = same
+		}
+		for name, parts := range shapes {
+			want := mergeMapReference(parts...)
+			total := 0
+			for _, p := range parts {
+				total += len(p.Idx)
+			}
+			for _, pool := range pools {
+				tag := fmt.Sprintf("k=%d %s at %d workers", k, name, pool.Workers())
+				before := dispatches(pool)
+				got, err := MergeWith(pool, parts...)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				if err := sameCompressed(got, want); err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				if sharded := dispatches(pool) > before; pool != nil && sharded != (total >= mergeInlineBelow) {
+					t.Fatalf("%s: %d entries sharded=%v, want sharding from %d", tag, total, sharded, mergeInlineBelow)
+				}
+			}
+		}
+	}
+}
+
+// dispatches is how many times pool has fanned out; nil never does.
+func dispatches(pool *parallel.Pool) int64 {
+	if pool == nil {
+		return 0
+	}
+	return pool.Dispatches.Value()
+}
+
+// A two-part merge at the shape the benchmark trains allocates its result
+// and nothing else: the Compressed and its two slices, sized to the parts'
+// total (rounded up to whole pages).
+func TestMergeAllocs(t *testing.T) {
+	parts := benchSortedParts(t, workloadGradLen, 2, 0.01)
+	total := len(parts[0].Idx) + len(parts[1].Idx)
+	allocgate.Check(t, 40, 3.5, float64(8*total+2*8192+128), func() {
+		if _, err := MergeWith(nil, parts...); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -760,8 +760,11 @@ func (e *Engine) gcOldCheckpoints() error {
 }
 
 // applyCompressed applies a synchronized compressed gradient to params via
-// the optimizer: sparse payloads use the fused sparse step; dense payloads
-// take a dense step directly. No strategy trains on quantized payloads.
+// the optimizer: a sparse payload takes one sparse step, the optimizer's
+// tiled run of one, which allocates nothing and relies on the strictly
+// increasing indices every synchronized payload has (Validate, MergeWith);
+// a dense payload takes a dense step directly. No strategy trains on
+// quantized payloads.
 func applyCompressed(o optim.Optimizer, params tensor.Vector, c *compress.Compressed) error {
 	if c.Idx != nil {
 		return o.StepSparse(params, c.Idx, c.Vals)

@@ -164,22 +164,23 @@ func DefaultConfig() *Config {
 			// replayed differential or run; the rest of optim
 			// (construction, snapshots, restore) is cold.
 			"lowdiff/internal/optim.Adam.StepWith",
-			"lowdiff/internal/optim.Adam.StepSparseWith",
+			"lowdiff/internal/optim.Adam.StepSparse",
 			"lowdiff/internal/optim.Adam.StepSparseRun",
+			"lowdiff/internal/optim.Adam.stepTile",
 			"lowdiff/internal/optim.Adam.next",
 			"lowdiff/internal/optim.Adam.advance",
 			"lowdiff/internal/optim.SGD.StepWith",
-			"lowdiff/internal/optim.SGD.StepSparseWith",
+			"lowdiff/internal/optim.SGD.StepSparse",
 			"lowdiff/internal/optim.SGD.StepSparseRun",
+			"lowdiff/internal/optim.SGD.stepTile",
 			"lowdiff/internal/optim.SGD.advance",
 			"lowdiff/internal/optim.adamRange",
 			"lowdiff/internal/optim.adamAVX",
 			"lowdiff/internal/optim.adamGo",
 			"lowdiff/internal/optim.sgdRange",
 			"lowdiff/internal/optim.tiled",
+			"lowdiff/internal/optim.tile",
 			"lowdiff/internal/optim.checkRun",
-			"lowdiff/internal/optim.checkSparse",
-			"lowdiff/internal/optim.scatter",
 			"lowdiff/internal/optim.scratchPool.get",
 			"lowdiff/internal/optim.scratchPool.put",
 			"lowdiff/internal/comm.Window.Retain",

@@ -1,7 +1,9 @@
 package optim
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"lowdiff/internal/parallel"
@@ -33,24 +35,39 @@ func BenchmarkAdamStep(b *testing.B) {
 	}
 }
 
+// BenchmarkAdamStepSparse is the training apply at the shape the benchmark
+// trains: one sparse Adam step over replayN parameters with a synchronized
+// Top-K union of 23,000 sorted indices (two workers' parts of 11,700 at
+// ρ = 0.01, a few shared). replicas=2 has two replicas step their own
+// state at once, as the two ranks of a DP job do.
 func BenchmarkAdamStepSparse(b *testing.B) {
-	const n = 1 << 18
-	params, _ := benchVecs(n)
-	a := NewAdam(n, AdamConfig{})
-	k := n / 100
-	idx := make([]int32, k)
-	vals := tensor.New(k)
-	r := tensor.NewRNG(2)
-	for i := range idx {
-		idx[i] = int32(i * 100)
-		vals[i] = r.Float32()
-	}
-	b.SetBytes(int64(n * 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := a.StepSparse(params, idx, vals); err != nil {
-			b.Fatal(err)
-		}
+	g := sortedGrad(tensor.NewRNG(2), replayN, 23_000)
+	for _, replicas := range []int{1, 2} {
+		b.Run(fmt.Sprintf("replicas=%d", replicas), func(b *testing.B) {
+			opts := make([]*Adam, replicas)
+			params := make([]tensor.Vector, replicas)
+			for i := range opts {
+				opts[i] = NewAdam(replayN, AdamConfig{})
+				params[i], _ = benchVecs(replayN)
+			}
+			b.SetBytes(int64(replicas * replayN * 4))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				errs := make([]error, replicas)
+				for w := range opts {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						errs[w] = opts[w].StepSparse(params[w], g.Idx, g.Vals)
+					}()
+				}
+				wg.Wait()
+				if err := errors.Join(errs...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -104,9 +121,9 @@ func BenchmarkAdamKernel(b *testing.B) {
 }
 
 // BenchmarkSparseReplay replays the recover_chain chain's apply: 130 Top-K
-// steps at ρ = 0.01 over replayN Adam parameters, one StepSparseWith per step
-// against StepSparseRun over runs of 8, 16 and 32 (16 is the recovery load
-// window), at 1 and 2 workers.
+// steps at ρ = 0.01 over replayN Adam parameters, one run of one per step
+// against runs of 8, 16 and 32 (16 is the recovery load window), at 1 and 2
+// workers.
 func BenchmarkSparseReplay(b *testing.B) {
 	const steps = 130
 	r := tensor.NewRNG(3)
@@ -131,8 +148,8 @@ func BenchmarkSparseReplay(b *testing.B) {
 			apply  func(a *Adam, params tensor.Vector, w []Sparse) error
 		}
 		modes := []mode{{"per-step", steps, func(a *Adam, params tensor.Vector, w []Sparse) error {
-			for _, g := range w {
-				if err := a.StepSparseWith(pool, params, g.Idx, g.Vals); err != nil {
+			for s := range w {
+				if err := a.StepSparseRun(pool, params, w[s:s+1]); err != nil {
 					return err
 				}
 			}

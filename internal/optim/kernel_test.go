@@ -1,9 +1,12 @@
 package optim
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
+	"lowdiff/internal/allocgate"
 	"lowdiff/internal/parallel"
 	"lowdiff/internal/tensor"
 )
@@ -16,15 +19,6 @@ var rules = []struct {
 	{"adam", func(n int) Optimizer { return NewAdam(n, AdamConfig{LR: 0.01}) }},
 	{"sgd", func(n int) Optimizer { return NewSGD(n, SGDConfig{LR: 0.05}) }},
 	{"sgd-momentum", func(n int) Optimizer { return NewSGD(n, SGDConfig{LR: 0.05, Momentum: 0.9}) }},
-}
-
-// sparseGrad draws k distinct indices below n, unsorted, with random values.
-func sparseGrad(r *tensor.RNG, n, k int) ([]int32, tensor.Vector) {
-	idx := make([]int32, 0, k)
-	for _, j := range r.Perm(n)[:k] {
-		idx = append(idx, int32(j))
-	}
-	return idx, randVec(r, k)
 }
 
 func sameState(t *testing.T, what string, got, want State) {
@@ -64,11 +58,11 @@ func TestStepWithBitIdenticalAtAnyWorkerCount(t *testing.T) {
 						t.Fatal(err)
 					}
 				} else {
-					idx, vals := sparseGrad(r, n, n/10)
-					if err := ref.StepSparse(pRef, idx, vals); err != nil {
+					g := sortedGrad(r, n, n/10)
+					if err := ref.StepSparse(pRef, g.Idx, g.Vals); err != nil {
 						t.Fatal(err)
 					}
-					if err := got.StepSparseWith(pool, pGot, idx, vals); err != nil {
+					if err := got.StepSparseRun(pool, pGot, []Sparse{g}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -81,10 +75,10 @@ func TestStepWithBitIdenticalAtAnyWorkerCount(t *testing.T) {
 	}
 }
 
-// A sparse step that is rejected — here for an out-of-range index after
-// valid ones — leaves the step counter, the moments and the parameters
-// bit-unchanged. (Adam used to advance its step counter, and with it every
-// later bias correction, before it range-checked.)
+// A sparse step that is rejected — for an out-of-range, unsorted or
+// duplicate index after valid ones — leaves the step counter, the moments
+// and the parameters bit-unchanged. (Adam used to advance its step counter,
+// and with it every later bias correction, before it range-checked.)
 func TestRejectedSparseStepMutatesNothing(t *testing.T) {
 	const n = 64
 	for _, rule := range rules {
@@ -95,7 +89,7 @@ func TestRejectedSparseStepMutatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		before, pBefore := o.Snapshot(), params.Clone()
-		for _, bad := range [][]int32{{3, 9, n}, {3, -1, 9}} {
+		for _, bad := range [][]int32{{3, 9, n}, {3, -1, 9}, {3, 9, 5}, {3, 9, 9}, {0, 0, 1}} {
 			if err := o.StepSparse(params, bad, tensor.Vector{1, 2, 3}); err == nil {
 				t.Fatalf("%s: index set %v accepted", rule.name, bad)
 			}
@@ -113,8 +107,8 @@ func TestRejectedSparseStepMutatesNothing(t *testing.T) {
 	}
 }
 
-// sortedGrad is sparseGrad with its indices in increasing order, the shape
-// a run takes.
+// sortedGrad draws k distinct indices below n in increasing order, the
+// shape every sparse step takes, with random values.
 func sortedGrad(r *tensor.RNG, n, k int) Sparse {
 	mask := make([]bool, n)
 	for _, j := range r.Perm(n)[:k] {
@@ -130,7 +124,7 @@ func sortedGrad(r *tensor.RNG, n, k int) Sparse {
 	return g
 }
 
-// A time-tiled run is one StepSparseWith per gradient, bit for bit, at every
+// A time-tiled run is one StepSparse per gradient, bit for bit, at every
 // run length, worker count and chunk size, for every rule.
 func TestStepSparseRunMatchesPerStep(t *testing.T) {
 	const n = 5*97 + 13
@@ -210,19 +204,21 @@ func TestRejectedRunMutatesNothing(t *testing.T) {
 
 // Pooled scratch is all-zero by invariant: after successful steps and runs,
 // and after steps that failed, every buffer the pool holds is zero over its
-// whole capacity, so get never has to clear one.
+// whole capacity, so get never has to clear one. Duplicate indices are
+// rejected like out-of-range ones: every sparse step is a tiled run, whose
+// contract is strictly increasing indices.
 func TestScratchPoolStaysZero(t *testing.T) {
 	const n = 256
 	r := tensor.NewRNG(9)
 	for _, rule := range rules {
 		o := rule.mk(n)
 		params := randVec(r, n)
-		idx, vals := sparseGrad(r, n, 40)
-		if err := o.StepSparse(params, idx, vals); err != nil {
+		g := sortedGrad(r, n, 40)
+		if err := o.StepSparse(params, g.Idx, g.Vals); err != nil {
 			t.Fatal(err)
 		}
-		if err := o.StepSparse(params, []int32{0, 5, 5}, tensor.Vector{1, 2, 3}); err != nil {
-			t.Fatal(err) // duplicates accumulate; they are not an error
+		if err := o.StepSparse(params, []int32{0, 5, 5}, tensor.Vector{1, 2, 3}); err == nil {
+			t.Fatal("duplicate index accepted")
 		}
 		if err := o.StepSparse(params, []int32{7, n + 3}, tensor.Vector{1, 2}); err == nil {
 			t.Fatal("out-of-range index accepted")
@@ -293,5 +289,96 @@ func TestAdoptDetachMoveBuffers(t *testing.T) {
 	}
 	if _, err := Adopt(State{Name: "rmsprop"}, 3); err == nil {
 		t.Fatal("Adopt accepted an unknown rule")
+	}
+}
+
+// Every sparse step is a tiled run on the serial grid. At lengths around the
+// chunk edges, with indices on the edges and at both ends, and with signed
+// zeros, NaN, infinities and denormals among the values and the
+// parameters, it is bit-identical to a dense Step on the scattered
+// gradient, for every rule.
+func TestSparseStepMatchesDenseAtChunkEdges(t *testing.T) {
+	const c = parallel.DefaultChunk
+	negZero := float32(math.Copysign(0, -1))
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	denorm := math.Float32frombits(1)
+	specials := []float32{0, negZero, nan, inf, -inf, denorm, -denorm, 3 * denorm, 1.5, -2.25}
+	for _, n := range []int{1, c - 1, c, c + 1, 3*c + 7} {
+		r := tensor.NewRNG(uint64(n))
+		on := map[int]bool{0: true, n - 1: true}
+		for edge := c; edge <= n; edge += c {
+			for _, j := range []int{edge - 1, edge, edge + 1} {
+				if j < n {
+					on[j] = true
+				}
+			}
+		}
+		for i := 0; i < n/50; i++ {
+			on[r.Intn(n)] = true
+		}
+		var idx []int32
+		for j := 0; j < n; j++ {
+			if on[j] {
+				idx = append(idx, int32(j))
+			}
+		}
+		for _, rule := range rules {
+			dense, sparse := rule.mk(n), rule.mk(n)
+			pDense := randVec(r, n)
+			for i := 0; i < n; i += 3 {
+				pDense[i] = specials[i%len(specials)] // signed zeros among the parameters too
+			}
+			for i := 0; i < len(idx); i += 4 {
+				pDense[idx[i]] = negZero // where a ±0 value meets it below
+			}
+			pSparse := pDense.Clone()
+			for step := 0; step < 3; step++ {
+				vals := randVec(r, len(idx))
+				for i := range vals {
+					switch {
+					case i%4 == 0:
+						vals[i] = specials[(i/4+step)%len(specials)]
+					case (i+step)%2 == 0:
+						vals[i] = specials[(i+step)%len(specials)]
+					}
+				}
+				g := tensor.New(n)
+				if err := g.ScatterAdd(idx, vals); err != nil {
+					t.Fatal(err)
+				}
+				if err := dense.Step(pDense, g); err != nil {
+					t.Fatal(err)
+				}
+				if err := sparse.StepSparse(pSparse, idx, vals); err != nil {
+					t.Fatal(err)
+				}
+				// Every step, before a later NaN can hide a difference.
+				if !pSparse.Identical(pDense) {
+					t.Fatalf("%s at n=%d, step %d: sparse parameters differ from the dense step's", rule.name, n, step)
+				}
+				sameState(t, fmt.Sprintf("%s at n=%d, step %d", rule.name, n, step), sparse.Snapshot(), dense.Snapshot())
+			}
+		}
+	}
+}
+
+// A training step at the shape the benchmark trains — replayN parameters
+// and a synchronized Top-K union of 23,000 sorted indices — allocates
+// nothing: the run of one lives on the stack, the coefficients in the
+// optimizer, and the chunk scratch in the pool. The bounds sit under one
+// allocation per call, so any allocation in the step fails the gate; the
+// slack absorbs the few objects the runtime itself allocates, now and
+// then, when the gate's ReadMemStats starts a thread.
+func TestStepSparseAllocs(t *testing.T) {
+	r := tensor.NewRNG(1)
+	g := sortedGrad(r, replayN, 23_000)
+	for _, rule := range rules {
+		o, params := rule.mk(replayN), randVec(r, replayN)
+		allocgate.Check(t, 40, 0.5, 512, func() {
+			if err := o.StepSparse(params, g.Idx, g.Vals); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -11,8 +11,10 @@
 //     the live model state bit-exactly (paper Finding 1: C^D_t = Adam(G_t)).
 //
 // A sparse step (compressed gradient applied without materializing the
-// dense vector) is provided and is exactly equivalent to decompressing and
-// taking a dense step; tests assert the equivalence.
+// dense vector) is exactly equivalent to decompressing and taking a dense
+// step; tests assert the equivalence. Every sparse step, live or replayed,
+// is a time-tiled run (StepSparseRun); a single training step is a run of
+// one.
 package optim
 
 import (
@@ -33,22 +35,23 @@ type Optimizer interface {
 	// Step applies one dense update: params <- params + rule(grad).
 	Step(params, grad tensor.Vector) error
 	// StepSparse applies one update where the gradient is zero except at
-	// idx (values vals). Must be exactly equivalent to a dense Step on the
-	// scattered gradient.
+	// idx (values vals), bit-identical to a dense Step on the scattered
+	// gradient. It is StepSparseRun of one gradient with a nil pool, under
+	// the same contract, and allocates nothing.
 	StepSparse(params tensor.Vector, idx []int32, vals tensor.Vector) error
 	// StepSparseRun applies run's gradients in order, bit-identical to one
-	// StepSparseWith per gradient, but time-tiled: on each chunk of pool's
-	// grid every step of the run is taken before the next chunk is touched,
-	// so the state streams through memory once per run instead of once per
-	// step. Each gradient's indices must be strictly increasing. Nothing is
-	// mutated unless every gradient of the run is valid.
+	// dense Step per scattered gradient, but time-tiled: on each chunk of
+	// pool's grid every step of the run is taken on a chunk-sized scratch
+	// before the next chunk is touched, so the state streams through memory
+	// once per run instead of once per step. Each gradient's indices must
+	// be strictly increasing and in range, with one value per index; a run
+	// with any other gradient is rejected before anything is mutated.
 	StepSparseRun(pool *parallel.Pool, params tensor.Vector, run []Sparse) error
-	// StepWith and StepSparseWith are Step and StepSparse with the
-	// per-parameter loop sharded over pool's fixed chunk grid. The rules are
-	// elementwise, so the result is bit-identical at any worker count; a nil
-	// pool is the serial call (Step and StepSparse are exactly that).
+	// StepWith is Step with the per-parameter loop sharded over pool's
+	// fixed chunk grid. The rules are elementwise, so the result is
+	// bit-identical at any worker count; a nil pool is the serial call
+	// (Step is exactly that).
 	StepWith(pool *parallel.Pool, params, grad tensor.Vector) error
-	StepSparseWith(pool *parallel.Pool, params tensor.Vector, idx []int32, vals tensor.Vector) error
 	// Snapshot returns a deep copy of the optimizer state.
 	Snapshot() State
 	// Detach hands the optimizer's state out without copying it: the
@@ -150,6 +153,7 @@ type Adam struct {
 	cfg  AdamConfig
 	m, v tensor.Vector
 	step int64
+	ks   []adamCoef // the current run's per-step coefficients, reused across runs
 }
 
 // NewAdam returns an Adam optimizer for n parameters.
@@ -180,49 +184,32 @@ func (a *Adam) StepWith(pool *parallel.Pool, params, grad tensor.Vector) error {
 	return nil
 }
 
-// StepSparse implements Optimizer.
+// StepSparse implements Optimizer: a run of one.
 func (a *Adam) StepSparse(params tensor.Vector, idx []int32, vals tensor.Vector) error {
-	return a.StepSparseWith(nil, params, idx, vals)
+	run := [1]Sparse{{Idx: idx, Vals: vals}}
+	return a.StepSparseRun(nil, params, run[:])
 }
 
-// StepSparseWith implements Optimizer. All moments decay (the mathematically
-// dense behaviour), and gradient values contribute only at idx. Nothing is
-// mutated — not the step counter, the moments or the parameters — unless
-// every index is in range.
-func (a *Adam) StepSparseWith(pool *parallel.Pool, params tensor.Vector, idx []int32, vals tensor.Vector) error {
-	if len(params) != len(a.m) {
-		return fmt.Errorf("optim: adam sparse step size mismatch: params %d, state %d", len(params), len(a.m))
-	}
-	if err := checkSparse("adam", idx, vals, len(params)); err != nil {
-		return err
-	}
-	// Scatter the gradient first so the one pass below matches the dense
-	// computation order bit for bit.
-	dense := densePool.get(len(params))
-	scatter(dense, idx, vals)
-	a.advance(pool, params, dense)
-	densePool.put(dense, idx)
-	return nil
-}
-
-// StepSparseRun implements Optimizer.
+// StepSparseRun implements Optimizer. All moments decay (the mathematically
+// dense behaviour), and gradient values contribute only at their indices.
 func (a *Adam) StepSparseRun(pool *parallel.Pool, params tensor.Vector, run []Sparse) error {
 	if len(params) != len(a.m) {
-		return fmt.Errorf("optim: adam sparse run size mismatch: params %d, state %d", len(params), len(a.m))
+		return fmt.Errorf("optim: adam sparse step size mismatch: params %d, state %d", len(params), len(a.m))
 	}
 	if err := checkRun("adam", run, len(params)); err != nil || len(run) == 0 {
 		return err
 	}
-	//lint:allow hotalloc one coefficient set per step of a run, allocated per run, not per element
-	ks := make([]adamCoef, len(run))
-	for s := range ks {
-		ks[s] = a.next()
+	a.ks = a.ks[:0]
+	for range run {
+		a.ks = append(a.ks, a.next())
 	}
-	//lint:allow hotalloc two closures per run, not per element: tiled inlines here, and the pool's workers capture both
-	tiled(pool, run, len(params), func(s, lo, hi int, g []float32) {
-		adamRange(params[lo:hi], a.m[lo:hi], a.v[lo:hi], g, ks[s])
-	})
+	tiled(pool, a, params, run)
 	return nil
+}
+
+// stepTile implements tileRule.
+func (a *Adam) stepTile(s int, params []float32, lo, hi int, g []float32) {
+	adamRange(params[lo:hi], a.m[lo:hi], a.v[lo:hi], g, a.ks[s])
 }
 
 // next advances the step counter and returns the new step's coefficients.
@@ -389,39 +376,10 @@ func (s *SGD) StepWith(pool *parallel.Pool, params, grad tensor.Vector) error {
 	return nil
 }
 
-// StepSparse implements Optimizer.
+// StepSparse implements Optimizer: a run of one.
 func (s *SGD) StepSparse(params tensor.Vector, idx []int32, vals tensor.Vector) error {
-	return s.StepSparseWith(nil, params, idx, vals)
-}
-
-// StepSparseWith implements Optimizer. With zero momentum only the indexed
-// entries change; with momentum all entries decay like the dense step.
-func (s *SGD) StepSparseWith(pool *parallel.Pool, params tensor.Vector, idx []int32, vals tensor.Vector) error {
-	if len(params) != s.n {
-		return fmt.Errorf("optim: sgd sparse step size mismatch: params %d, want %d", len(params), s.n)
-	}
-	if err := checkSparse("sgd", idx, vals, s.n); err != nil {
-		return err
-	}
-	dense := densePool.get(len(params))
-	scatter(dense, idx, vals)
-	if s.buf != nil {
-		s.advance(pool, params, dense)
-	} else {
-		// Pure SGD: zero gradient entries are no-ops, so update only idx.
-		// Duplicate indices accumulated in the scatter; a second visit
-		// finds the entry already consumed.
-		s.step++
-		lr := float32(s.cfg.LR)
-		for _, j := range idx {
-			if g := dense[j]; g != 0 {
-				params[j] -= lr * g
-				dense[j] = 0
-			}
-		}
-	}
-	densePool.put(dense, idx)
-	return nil
+	run := [1]Sparse{{Idx: idx, Vals: vals}}
+	return s.StepSparseRun(nil, params, run[:])
 }
 
 // advance takes one step with a dense gradient of checked length.
@@ -460,28 +418,37 @@ func sgdRange(p, buf, g []float32, lr, mu float32) {
 	}
 }
 
-// StepSparseRun implements Optimizer. Without momentum a sparse step is
-// O(len(idx)) already, so the run is taken one step at a time.
+// StepSparseRun implements Optimizer. With momentum every entry decays, so
+// the run is tiled like Adam's. Without it a zero gradient entry leaves its
+// parameter as it is, so each step walks its indices alone, O(len(Idx)):
+// p -= lr*(0+v) is what the dense step computes there, signed zeros
+// included, and p -= lr*(+0) everywhere else changes no bit.
 func (s *SGD) StepSparseRun(pool *parallel.Pool, params tensor.Vector, run []Sparse) error {
 	if len(params) != s.n {
-		return fmt.Errorf("optim: sgd sparse run size mismatch: params %d, want %d", len(params), s.n)
+		return fmt.Errorf("optim: sgd sparse step size mismatch: params %d, want %d", len(params), s.n)
 	}
 	if err := checkRun("sgd", run, s.n); err != nil {
 		return err
 	}
-	if s.buf == nil {
-		for _, g := range run {
-			_ = s.StepSparseWith(pool, params, g.Idx, g.Vals) // checked above: cannot fail
-		}
+	s.step += int64(len(run))
+	if s.buf != nil {
+		tiled(pool, s, params, run)
 		return nil
 	}
-	s.step += int64(len(run))
-	lr, mu := float32(s.cfg.LR), float32(s.cfg.Momentum)
-	//lint:allow hotalloc two closures per run, not per element: tiled inlines here, and the pool's workers capture both
-	tiled(pool, run, s.n, func(_, lo, hi int, g []float32) {
-		sgdRange(params[lo:hi], s.buf[lo:hi], g, lr, mu)
-	})
+	lr := float32(s.cfg.LR)
+	var zero float32
+	for _, g := range run {
+		vals := g.Vals[:len(g.Idx)]
+		for i, j := range g.Idx {
+			params[j] -= lr * (zero + vals[i])
+		}
+	}
 	return nil
+}
+
+// stepTile implements tileRule.
+func (s *SGD) stepTile(_ int, params []float32, lo, hi int, g []float32) {
+	sgdRange(params[lo:hi], s.buf[lo:hi], g, float32(s.cfg.LR), float32(s.cfg.Momentum))
 }
 
 // Snapshot implements Optimizer.
@@ -596,86 +563,99 @@ func fromState(st State, n int, adopt bool) (Optimizer, error) {
 
 func sqrt32(x float32) float32 { return float32(math.Sqrt(float64(x))) }
 
-// checkSparse validates a sparse gradient against n parameters. Sparse
-// steps call it before they touch any state, so a rejected step leaves the
-// optimizer exactly as it was.
-func checkSparse(rule string, idx []int32, vals tensor.Vector, n int) error {
-	if len(idx) != len(vals) {
-		return fmt.Errorf("optim: %s sparse step: idx %d, vals %d", rule, len(idx), len(vals))
-	}
-	for _, j := range idx {
-		if j < 0 || int(j) >= n {
-			return fmt.Errorf("optim: %s sparse step index %d out of range [0,%d)", rule, j, n)
-		}
-	}
-	return nil
-}
-
 // Sparse is one sparse gradient of a run: Vals at strictly increasing Idx.
 type Sparse struct {
 	Idx  []int32
 	Vals tensor.Vector
 }
 
-// checkRun is checkSparse over every gradient of a run, plus the strict
-// index order tiled relies on.
+// checkRun validates a run of sparse gradients against n parameters: one
+// value per index, and indices strictly increasing in [0, n). Sparse steps
+// call it before they touch any state, so a rejected step or run leaves the
+// optimizer exactly as it was.
 func checkRun(rule string, run []Sparse, n int) error {
 	for s, g := range run {
-		if err := checkSparse(rule, g.Idx, g.Vals, n); err != nil {
-			return fmt.Errorf("%w (step %d of a run of %d)", err, s+1, len(run))
+		if len(g.Idx) != len(g.Vals) {
+			return fmt.Errorf("optim: %s sparse step %d of %d: idx %d, vals %d", rule, s+1, len(run), len(g.Idx), len(g.Vals))
 		}
-		for i := 1; i < len(g.Idx); i++ {
-			if g.Idx[i] <= g.Idx[i-1] {
-				return fmt.Errorf("optim: %s sparse run: step %d indices not strictly increasing at %d", rule, s+1, g.Idx[i])
+		prev := int32(-1)
+		for _, j := range g.Idx {
+			if j <= prev || int(j) >= n {
+				return fmt.Errorf("optim: %s sparse step %d of %d: index %d after %d: indices must be strictly increasing in [0,%d)",
+					rule, s+1, len(run), j, prev, n)
 			}
+			prev = j
 		}
 	}
 	return nil
 }
 
-// tiled applies a checked run over n parameters one chunk of pool's grid at
-// a time: on each chunk it scatters run[s]'s part into a chunk-sized all-zero
-// scratch, calls step(s, lo, hi, scratch), and clears the scratch again,
-// for s in run order. The rules are coordinate-wise, so this is the
-// per-step order for every coordinate, and the scratch holds what a dense
-// scatter holds on [lo, hi): the result is bit-identical at any run length,
-// chunk size or worker count.
-func tiled(pool *parallel.Pool, run []Sparse, n int, step func(s, lo, hi int, g []float32)) {
-	//lint:allow hotalloc one closure per run, not per element: the pool's workers capture it
+// tileRule is a coordinate-wise update rule as tiled drives it: stepTile
+// takes step s of the current run on params[lo:hi], whose gradient there is
+// g. An interface rather than a closure, so that a serial run allocates
+// nothing.
+type tileRule interface {
+	stepTile(s int, params []float32, lo, hi int, g []float32)
+}
+
+// tiled applies a checked run over params one chunk of pool's grid at a
+// time, taking every step of the run on a chunk before the next (tile). The
+// rules are coordinate-wise, so this is the per-step order for every
+// coordinate, and the chunk scratch holds what a dense scatter holds on
+// [lo, hi): the result is bit-identical at any run length, chunk size or
+// worker count. A one-worker pool walks the grid inline on one scratch.
+func tiled(pool *parallel.Pool, r tileRule, params tensor.Vector, run []Sparse) {
+	n := len(params)
+	if pool.Workers() == 1 {
+		g := densePool.get(min(n, pool.ChunkSize()))
+		for c := range pool.NumChunks(n) {
+			lo, hi := pool.Bounds(c, n)
+			tile(r, params, run, lo, hi, g)
+		}
+		densePool.put(g)
+		return
+	}
+	// The workers capture a copy of the run's headers, so the caller's run
+	// (a single step's stack array) never moves to the heap.
+	//lint:allow hotalloc one copy of the run's headers per pooled run, not per element
+	own := slices.Clone(run)
+	//lint:allow hotalloc one closure per pooled run, not per element: the pool's workers capture it
 	pool.ForEach(n, func(_, lo, hi int) {
 		g := densePool.get(hi - lo)
-		for s, sp := range run {
-			// Sparse indices are int32, so the bounds compare as int32 too.
-			a, _ := slices.BinarySearch(sp.Idx, int32(lo))
-			b, _ := slices.BinarySearch(sp.Idx[a:], int32(hi))
-			idx, vals := sp.Idx[a:a+b], sp.Vals[a:a+b]
-			for i, j := range idx {
-				g[int(j)-lo] += vals[i]
-			}
-			step(s, lo, hi, g)
-			for _, j := range idx {
-				g[int(j)-lo] = 0
-			}
-		}
-		densePool.put(g, nil)
+		tile(r, params, own, lo, hi, g)
+		densePool.put(g)
 	})
 }
 
-// scatter adds a checked sparse gradient into an all-zero dense buffer.
-func scatter(dense tensor.Vector, idx []int32, vals tensor.Vector) {
-	for i, j := range idx {
-		dense[j] += vals[i]
+// tile takes every step of a checked run on parameters [lo, hi), in run
+// order: it scatters run[s]'s part into the all-zero scratch g (with the
+// same += a dense scatter does, so a -0 lands as +0), steps rule s on it,
+// and clears g again.
+func tile(r tileRule, params []float32, run []Sparse, lo, hi int, g []float32) {
+	g = g[:hi-lo]
+	for s, sp := range run {
+		// Sparse indices are int32, so the bounds compare as int32 too.
+		a, _ := slices.BinarySearch(sp.Idx, int32(lo))
+		b, _ := slices.BinarySearch(sp.Idx[a:], int32(hi))
+		idx, vals := sp.Idx[a:a+b], sp.Vals[a:a+b]
+		for i, j := range idx {
+			g[int(j)-lo] += vals[i]
+		}
+		r.stepTile(s, params, lo, hi, g)
+		for _, j := range idx {
+			g[int(j)-lo] = 0
+		}
 	}
 }
 
-// densePool recycles the dense scratch vectors the sparse steps scatter
+// densePool recycles the chunk-sized scratch the sparse steps scatter
 // into, so hot loops do not allocate per iteration. Optimizers on different
 // workers run concurrently, so the pool is mutex-guarded.
 //
 // Pooled buffers are all-zero by invariant, over their whole capacity: get
-// hands one out as it is, and put clears exactly the entries the step
-// touched. A sparse step therefore costs O(len(idx)) of scratch upkeep, not
-// a memset of the dense length.
+// hands one out as it is, and tile clears exactly the entries each step
+// wrote. A sparse step therefore costs O(len(idx)) of scratch upkeep, not a
+// memset per chunk.
 var densePool = &scratchPool{}
 
 type scratchPool struct {
@@ -699,12 +679,8 @@ func (p *scratchPool) get(n int) tensor.Vector {
 	return tensor.New(n)
 }
 
-// put returns b to the pool after zeroing the entries at touched, the only
-// ones its user wrote.
-func (p *scratchPool) put(b tensor.Vector, touched []int32) {
-	for _, j := range touched {
-		b[j] = 0
-	}
+// put returns an all-zero b to the pool.
+func (p *scratchPool) put(b tensor.Vector) {
 	p.mu.Lock()
 	if p.n < len(p.bufs) {
 		p.bufs[p.n] = b

@@ -98,13 +98,8 @@ func sparseEqualsDense(t *testing.T, mk func() Optimizer, n int, seed uint64) {
 	oDense := mk()
 	oSparse := mk()
 	for it := 0; it < 10; it++ {
-		k := 1 + r.Intn(n/2)
-		idx := make([]int32, k)
-		vals := tensor.New(k)
-		for i := 0; i < k; i++ {
-			idx[i] = int32(r.Intn(n)) // duplicates allowed
-			vals[i] = r.Float32()*2 - 1
-		}
+		g := sortedGrad(r, n, 1+r.Intn(n/2))
+		idx, vals := g.Idx, g.Vals
 		dense := tensor.New(n)
 		if err := dense.ScatterAdd(idx, vals); err != nil {
 			t.Fatal(err)

@@ -8,6 +8,7 @@ package allocgate
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -16,12 +17,24 @@ import (
 // TotalAlloc per call is over maxAllocs or maxBytes. It skips under the
 // race detector, where sync.Pool drops a share of its Puts at random and
 // every pooled buffer becomes a fresh allocation.
+//
+// Warm-up and measurement run at GOMAXPROCS 1, as testing.AllocsPerRun
+// runs: a sync.Pool keeps each P's last Put in a slot no other P can take,
+// so a goroutine that the scheduler moves to another P between a Put and
+// the next Get finds the pool empty and allocates, although nothing was
+// collected. The collector is off for the same interval, and turning it
+// off waits out a collection already running; the runtime's cleanup after
+// a collection allocates, so one yield before the first read lets the last
+// collection's cleanup run outside the measured interval.
 func Check(t testing.TB, n int, maxAllocs, maxBytes float64, op func()) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("allocgate: allocation figures do not hold under -race (sync.Pool drops Puts at random)")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	op()
+	runtime.Gosched()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {

@@ -10,6 +10,13 @@
 // layer-structured gradients in reverse layer order (backward-pass order),
 // training genuinely converges, and recovered models can be compared
 // bit-exactly against live ones.
+//
+// The oracle is every strategy's backward pass, so every measured step is
+// measured against its cost. A layer is one pass over parameters and
+// target: the noise stream's SplitMix64 counter stays in a register (in
+// four 64-bit lanes per register on an AVX2 CPU, see kernel_amd64.s), and
+// the result equals, bit for bit, the two-pass loop the oracle once ran,
+// which its tests keep as the reference.
 package grad
 
 import (
@@ -21,10 +28,12 @@ import (
 
 // Oracle produces deterministic synthetic gradients for a model spec.
 type Oracle struct {
-	spec   model.Spec
-	target tensor.Vector // the bowl minimum x*
-	noise  float64       // uniform noise half-width added per worker
-	seed   uint64
+	spec    model.Spec
+	target  tensor.Vector // the bowl minimum x*
+	noise   float64       // uniform noise half-width added per worker
+	seed    uint64
+	offsets []int // flat offset of each layer, from spec.LayerOffsets
+	order   []int // BackwardOrder's layer indices
 }
 
 // New creates an oracle for spec. seed fixes the bowl minimum and the noise
@@ -36,7 +45,12 @@ func New(spec model.Spec, seed uint64, noise float64) (*Oracle, error) {
 	if noise < 0 {
 		return nil, fmt.Errorf("grad: negative noise %v", noise)
 	}
-	o := &Oracle{spec: spec, noise: noise, seed: seed}
+	o := &Oracle{spec: spec, noise: noise, seed: seed, offsets: spec.LayerOffsets()}
+	n := len(spec.Layers)
+	o.order = make([]int, n)
+	for i := range o.order {
+		o.order[i] = n - 1 - i
+	}
 	o.target = tensor.New(spec.NumParams())
 	r := tensor.NewRNG(seed ^ 0xa5a5a5a5a5a5a5a5)
 	r.FillUniform(o.target, -0.5, 0.5)
@@ -59,14 +73,15 @@ func (o *Oracle) Loss(params tensor.Vector) (float64, error) {
 	return s, nil
 }
 
-// noiseRNG returns the generator for (worker, iter, layer), independent of
-// call order so layer-wise and whole-model gradients agree exactly.
-func (o *Oracle) noiseRNG(worker, iter, layer int) *tensor.RNG {
+// noiseSeed returns the seed of the noise stream for (worker, iter,
+// layer), independent of call order so layer-wise and whole-model
+// gradients agree exactly.
+func (o *Oracle) noiseSeed(worker, iter, layer int) uint64 {
 	h := o.seed
 	h ^= uint64(worker+1) * 0x9e3779b97f4a7c15
 	h ^= uint64(iter+1) * 0xc2b2ae3d27d4eb4f
 	h ^= uint64(layer+1) * 0x165667b19e3779f9
-	return tensor.NewRNG(h)
+	return h
 }
 
 // Local computes worker w's full gradient at iteration iter for params,
@@ -76,12 +91,9 @@ func (o *Oracle) Local(params tensor.Vector, worker, iter int, out tensor.Vector
 		return fmt.Errorf("grad: local gradient size mismatch: params %d, out %d, want %d",
 			len(params), len(out), len(o.target))
 	}
-	offsets := o.spec.LayerOffsets()
 	for l, layer := range o.spec.Layers {
-		off := offsets[l]
-		if err := o.layerInto(params, worker, iter, l, out[off:off+layer.Size], off); err != nil {
-			return err
-		}
+		off := o.offsets[l]
+		o.layerInto(params, worker, iter, l, out[off:off+layer.Size])
 	}
 	return nil
 }
@@ -96,31 +108,40 @@ func (o *Oracle) LayerGrad(params tensor.Vector, worker, iter, layer int, out te
 	if len(out) != o.spec.Layers[layer].Size {
 		return fmt.Errorf("grad: layer %d gradient length %d, want %d", layer, len(out), o.spec.Layers[layer].Size)
 	}
-	off := o.spec.LayerOffsets()[layer]
-	return o.layerInto(params, worker, iter, layer, out, off)
-}
-
-func (o *Oracle) layerInto(params tensor.Vector, worker, iter, layer int, out tensor.Vector, off int) error {
-	for i := range out {
-		out[i] = 2 * (params[off+i] - o.target[off+i])
-	}
-	if o.noise > 0 {
-		r := o.noiseRNG(worker, iter, layer)
-		half := float32(o.noise)
-		for i := range out {
-			out[i] += half * (2*r.Float32() - 1)
-		}
-	}
+	o.layerInto(params, worker, iter, layer, out)
 	return nil
 }
 
-// BackwardOrder returns the layer indices in gradient-production order
-// (last layer first), the order LowDiff+ snapshots layers in.
-func (o *Oracle) BackwardOrder() []int {
-	n := len(o.spec.Layers)
-	out := make([]int, n)
-	for i := range out {
-		out[i] = n - 1 - i
+// layerInto writes layer's gradient into out in one pass: 2(p − x*), plus
+// half·(2u − 1) when there is noise, u the layer stream's next Float32.
+func (o *Oracle) layerInto(params tensor.Vector, worker, iter, layer int, out tensor.Vector) {
+	off := o.offsets[layer]
+	p, t := params[off:off+len(out)], o.target[off:off+len(out)]
+	if o.noise > 0 {
+		noisyGrad(out, p, t, float32(o.noise), o.noiseSeed(worker, iter, layer))
+		return
 	}
-	return out
+	for i := range out {
+		out[i] = 2 * (p[i] - t[i])
+	}
 }
+
+// gradGo writes a layer's noisy gradient: element i is the draw
+// half·(2u − 1) plus 2(p[i] − t[i]), u the i-th Float32 of
+// tensor.NewRNG(s), with the stream's counter in a register instead of
+// behind a pointer. Both terms are rounded to float32 before the sum, so
+// no multiply-add is fused. For a finite half-width the draw is never NaN,
+// so a NaN result carries the gradient term's payload, as the two-pass
+// loop's did. p and t are at least as long as out.
+func gradGo(out, p, t []float32, half float32, s uint64) {
+	p, t = p[:len(out)], t[:len(out)]
+	for i := range out {
+		s += tensor.Gamma
+		out[i] = float32(half*(2*tensor.Unit32(tensor.Mix64(s))-1)) + float32(2*(p[i]-t[i]))
+	}
+}
+
+// BackwardOrder returns the layer indices in gradient-production order
+// (last layer first), the order LowDiff+ snapshots layers in. The slice is
+// the oracle's own; callers must not modify it.
+func (o *Oracle) BackwardOrder() []int { return o.order }

@@ -1,17 +1,13 @@
 package optim
 
+import "lowdiff/internal/cpu"
+
 // adamAVX is adamGo over len(g)/8*8 elements, eight AVX lanes at a time
 // (adam_amd64.s). p, m and v must be at least as long as g. Only call it
-// where hasAVX holds.
+// where cpu.AVX holds.
 //
 //go:noescape
 func adamAVX(p, m, v, g []float32, k *adamCoef)
-
-// cpuAVX reports whether the CPU and the OS support AVX (adam_amd64.s).
-func cpuAVX() bool
-
-// hasAVX selects the packed body, once per process.
-var hasAVX = cpuAVX()
 
 // adamRange is the Adam rule over one range, the one entry point of every
 // Adam step: dense and sparse, serial, sharded or tiled, live or replayed.
@@ -21,7 +17,7 @@ var hasAVX = cpuAVX()
 // amd64. The four slices cover the same range.
 func adamRange(p, m, v, g []float32, k adamCoef) {
 	n := 0
-	if hasAVX {
+	if cpu.AVX {
 		n = len(g) &^ 7
 		adamAVX(p[:n], m[:n], v[:n], g[:n], &k)
 	}

@@ -5,7 +5,7 @@
 // The Adam rule of adamGo, eight AVX lanes at a time over len(g)/8*8
 // elements, with the scalar expression's operation order and no fused
 // multiply-add: every lane rounds exactly as adamGo rounds that element.
-// Callers check hasAVX first. Y15 is left alone (the register ABI keeps zero
+// Callers check cpu.AVX first. Y15 is left alone (the register ABI keeps zero
 // in X15).
 TEXT ·adamAVX(SB), NOSPLIT, $0-104
 	MOVQ p_base+0(FP), DI
@@ -67,27 +67,4 @@ loop:
 	VZEROUPPER
 
 done:
-	RET
-
-// func cpuAVX() bool
-//
-// Whether the CPU has AVX and the OS saves its state: CPUID.1:ECX has OSXSAVE
-// (bit 27) and AVX (bit 28), and XCR0 has the XMM and YMM state bits.
-TEXT ·cpuAVX(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE  no
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  no
-	MOVB $1, ret+0(FP)
-	RET
-
-no:
-	MOVB $0, ret+0(FP)
 	RET

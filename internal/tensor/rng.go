@@ -15,13 +15,30 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// Uint64 returns the next 64 pseudo-random bits.
-func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+// Gamma is SplitMix64's state increment. The generator's i-th output
+// (counting from 1) is Mix64(seed + i*Gamma), so a loop that keeps the
+// state in a local counter produces the same stream as repeated Uint64
+// calls without a store and reload through the RNG on every element.
+const Gamma uint64 = 0x9e3779b97f4a7c15
+
+// Mix64 is SplitMix64's output finalizer, the one definition of the
+// generator's mixing: Uint64 returns Mix64 of the advanced state.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// Unit32 maps 64 random bits to a uniform float32 in [0, 1): the top 24
+// bits over 2^24, exact in float32.
+func Unit32(z uint64) float32 {
+	return float32(z>>40) / (1 << 24)
+}
+
+// Uint64 returns the next 64 pseudo-random bits.
+func (r *RNG) Uint64() uint64 {
+	r.state += Gamma
+	return Mix64(r.state)
 }
 
 // Float64 returns a uniform value in [0, 1).
@@ -31,7 +48,7 @@ func (r *RNG) Float64() float64 {
 
 // Float32 returns a uniform value in [0, 1).
 func (r *RNG) Float32() float32 {
-	return float32(r.Uint64()>>40) / (1 << 24)
+	return Unit32(r.Uint64())
 }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
@@ -61,12 +78,19 @@ func (r *RNG) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// FillUniform fills v with uniform values in [lo, hi).
+// FillUniform fills v with uniform values in [lo, hi): element i is
+// lo + (hi-lo)·u for the i-th Float32 draw u, and r ends where len(v)
+// Float32 calls would leave it, so consecutive fills continue one stream.
+// The state stays in a local counter for the whole fill; the conversion
+// rounds the product before the sum, so no GOAMD64 level fuses the two.
 func (r *RNG) FillUniform(v Vector, lo, hi float32) {
 	span := hi - lo
+	s := r.state
 	for i := range v {
-		v[i] = lo + span*r.Float32()
+		s += Gamma
+		v[i] = lo + float32(span*Unit32(Mix64(s)))
 	}
+	r.state = s
 }
 
 // FillNormal fills v with normal samples of the given mean and stddev.

@@ -1,6 +1,9 @@
 package tensor
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -360,5 +363,64 @@ func TestIdenticalComparesBits(t *testing.T) {
 	}
 	if (Vector{1, 2}).Identical(Vector{1}) || !(Vector{1, negZero}).Identical(Vector{1, negZero}) {
 		t.Fatal("Identical: length or equal bits misjudged")
+	}
+}
+
+// FillUniform equals the per-element loop it replaced, lo + span*Float32()
+// per element, bit for bit at every length 0–67 and over ranges that
+// include a signed zero, and leaves the generator where that loop leaves
+// it: consecutive fills continue one stream, as Params.InitUniform's
+// per-layer fills do.
+func TestFillUniformMatchesFloat32Loop(t *testing.T) {
+	for _, rng := range [][2]float32{{-0.5, 0.5}, {-2, 2}, {0, 1}, {float32(math.Copysign(0, -1)), 3}, {-1e-30, 1e30}} {
+		lo, hi := rng[0], rng[1]
+		span := hi - lo
+		fill, ref := NewRNG(17), NewRNG(17)
+		for n := 0; n <= 67; n++ {
+			got, want := New(n), New(n)
+			fill.FillUniform(got, lo, hi)
+			for i := range want {
+				want[i] = lo + span*ref.Float32()
+			}
+			if !got.Identical(want) {
+				t.Fatalf("[%v, %v) n %d: FillUniform differs from the Float32 loop\ngot  %v\nwant %v", lo, hi, n, got, want)
+			}
+			if fill.state != ref.state {
+				t.Fatalf("[%v, %v) n %d: state %#x after the fill, want %#x", lo, hi, n, fill.state, ref.state)
+			}
+		}
+	}
+}
+
+// One fill at the benchmark's model size, pinned: the hash and the next
+// draw were taken from the per-element loop.
+func TestFillUniformSHA256(t *testing.T) {
+	r := NewRNG(1)
+	v := New(1_169_955)
+	r.FillUniform(v, -0.5, 0.5)
+	h := sha256.New()
+	var b [4]byte
+	for _, x := range v {
+		binary.LittleEndian.PutUint32(b[:], math.Float32bits(x))
+		h.Write(b[:])
+	}
+	const want = "9c02a3ec67d221d81934df01b3f9118a4ee3b5c8d5cbc70dc100a749858db7e1"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("fill SHA-256 = %s, want %s", got, want)
+	}
+	if next := r.Uint64(); next != 9215328106336789369 {
+		t.Fatalf("draw after the fill = %d, want 9215328106336789369", next)
+	}
+}
+
+// BenchmarkFillUniform fills one vector of the benchmark's model size
+// (GPT2-S at 1/100), the set-up fill of the oracle's target and of each
+// worker's parameters.
+func BenchmarkFillUniform(b *testing.B) {
+	v := New(1_169_955)
+	r := NewRNG(1)
+	b.SetBytes(int64(len(v) * 4))
+	for i := 0; i < b.N; i++ {
+		r.FillUniform(v, -0.5, 0.5)
 	}
 }

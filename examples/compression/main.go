@@ -1,4 +1,4 @@
-// Compression: compare the gradient codecs (Top-K, random-K, int8,
+// Compression: compare the gradient codecs (Top-K at two ratios, and
 // identity) on a real gradient — sizes, reconstruction error, and the
 // effect on differential-checkpoint size, illustrating the paper's
 // Finding 2 (a compressed gradient is one third of a compressed
@@ -43,7 +43,7 @@ func main() {
 		name string
 		rho  float64
 	}{
-		{"topk", 0.01}, {"topk", 0.1}, {"randk", 0.01}, {"int8", 0}, {"identity", 0},
+		{"topk", 0.01}, {"topk", 0.1}, {"identity", 0},
 	}
 	for _, c := range codecs {
 		comp, err := compress.New(c.name, c.rho, 42)

@@ -174,8 +174,7 @@ func sameFull(a, b *Full) bool {
 func sameDiff(a, b *Diff) bool {
 	p, q := a.Payload, b.Payload
 	return a.Kind == b.Kind && a.FirstIter == b.FirstIter && a.LastIter == b.LastIter && a.Count == b.Count &&
-		p.Codec == q.Codec && p.N == q.N && p.Scale == q.Scale &&
-		slices.Equal(p.Idx, q.Idx) && slices.Equal(p.Vals, q.Vals) && bytes.Equal(p.Q, q.Q)
+		p.Codec == q.Codec && p.N == q.N && slices.Equal(p.Idx, q.Idx) && slices.Equal(p.Vals, q.Vals)
 }
 
 // (a) Fulls of every rule encode to the same record on both vector paths,
@@ -218,11 +217,11 @@ func TestDecodeFullMatchesTwoCopyOracle(t *testing.T) {
 	}
 }
 
-// (a, continued) Differentials — sparse, dense and quantized payloads at the
+// (a, continued) Differentials — sparse and dense payloads at the
 // same boundaries — decode to the record that was encoded. The payload
 // decoder has its own two-copy oracle in internal/compress.
 func TestDecodeDiffAtSliceBoundaries(t *testing.T) {
-	for _, family := range []string{"sparse", "dense", "quantized"} {
+	for _, family := range []string{"sparse", "dense"} {
 		lengths := boundaryLengths[1:]
 		if family == "dense" {
 			lengths = append([]int{pastWhole}, lengths...)
@@ -238,13 +237,8 @@ func TestDecodeDiffAtSliceBoundaries(t *testing.T) {
 				for i := range c.Idx {
 					c.Idx[i] = int32(2*i + r.Intn(2))
 				}
-			case "dense":
+			default: // dense
 				c = &compress.Compressed{Codec: "identity", N: n, Vals: vals}
-			default:
-				var err error
-				if c, err = (compress.Int8{}).Compress(vals); err != nil {
-					t.Fatal(err)
-				}
 			}
 			want := &Diff{Kind: KindStateDelta, FirstIter: 3, LastIter: 6, Count: 4, Payload: c}
 			var rec bytes.Buffer

@@ -3,6 +3,8 @@ package comm
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -390,7 +392,18 @@ func TestRingAllReduceMeanMatchesSumThenScale(t *testing.T) {
 // TestRingAllReduceAllocs: once its send buffers have grown, a ring
 // all-reduce allocates nothing. Rank 1 is a persistent goroutine, as a
 // training worker is, so the gate sees only the collective.
+//
+// A goroutine that blocks on a channel takes a wait record (a sudog) from
+// its P's cache, and the runtime allocates one when the cache is empty. How
+// many the two ranks hold at once depends on how the scheduler interleaves
+// them, which a loaded host varies, so the warm-up calls alone do not
+// bound it. The test therefore runs at the gate's one P from the start and
+// fills that P's cache beyond what two goroutines can hold.
 func TestRingAllReduceAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for range 4 {
+		fillSudogCache(8)
+	}
 	const n = 2
 	g, _ := NewGroup(n)
 	vecs := make([]tensor.Vector, n)
@@ -419,6 +432,25 @@ func TestRingAllReduceAllocs(t *testing.T) {
 	// gate's own warm-up call is the second.
 	call()
 	allocgate.Check(t, 200, 0, 0, call)
+}
+
+// fillSudogCache parks this goroutine in one select over k channels, so
+// that it holds k sudogs at once, until a helper goroutine wakes it; they
+// then go back to the current P's cache. If the helper happens to run
+// first, the select does not block and nothing is filled, so callers
+// repeat it.
+func fillSudogCache(k int) {
+	cases := make([]reflect.SelectCase, k)
+	wake := make(chan struct{})
+	for i := range cases {
+		c := wake
+		if i > 0 {
+			c = make(chan struct{})
+		}
+		cases[i] = reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(c)}
+	}
+	go func() { wake <- struct{}{} }()
+	reflect.Select(cases)
 }
 
 // Property: ring all-reduce agrees with the centralized reference within

@@ -191,9 +191,6 @@ func flipOneBit(grad *compress.Compressed, key uint64) *compress.Compressed {
 	if len(c.Vals) > 0 {
 		i := int(key % uint64(len(c.Vals)))
 		c.Vals[i] = math.Float32frombits(math.Float32bits(c.Vals[i]) ^ (1 << (key % 32)))
-	} else if len(c.Q) > 0 {
-		i := int(key % uint64(len(c.Q)))
-		c.Q[i] ^= 1 << (key % 8)
 	}
 	return c
 }

@@ -68,20 +68,6 @@ func TestTopKAllocs(t *testing.T) {
 	})
 }
 
-func BenchmarkInt8Compress(b *testing.B) {
-	g := benchGrad(1 << 16)
-	b.SetBytes(int64(len(g) * 4))
-	for i := 0; i < b.N; i++ {
-		if _, err := (Int8{}).Compress(g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMerge is the union at the shape the benchmark trains: k = 2
-// (the all-gather of two workers' Top-K parts) and k = 4 (dp_file's batch
-// of four) parts of 11,700 indices over workloadGradLen, serial and on a
-// two-worker pool.
 func BenchmarkMerge(b *testing.B) {
 	pool2, err := parallel.New(2)
 	if err != nil {
@@ -268,16 +254,4 @@ func BenchmarkDataplaneDecompress(b *testing.B) {
 			}
 		}
 	})
-}
-
-func BenchmarkErrorFeedback(b *testing.B) {
-	g := benchGrad(1 << 16)
-	tk, _ := NewTopK(0.01)
-	ef, _ := NewErrorFeedback(tk, len(g))
-	b.SetBytes(int64(len(g) * 4))
-	for i := 0; i < b.N; i++ {
-		if _, err := ef.Compress(g); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

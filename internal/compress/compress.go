@@ -1,6 +1,6 @@
-// Package compress implements the gradient compression codecs the paper
-// builds on (§2.3): Top-K and random-K sparsification, int8 quantization,
-// and an identity codec for the non-compressed LowDiff+ path.
+// Package compress implements the gradient codecs the system trains with:
+// Top-K sparsification (§2.3), whose output LowDiff reuses as its
+// differential, and an identity codec for the dense paths.
 //
 // A Compressed value is the unit that flows through the whole system: it is
 // what workers synchronize, what the reusing queue carries, what a
@@ -9,7 +9,7 @@
 // §4.2 — the union-sum of sparse gradients.
 //
 // Every hot loop in this package has a pool-aware variant (AddIntoWith,
-// DecompressWith, MergeWith, and the pooled compressor constructors).
+// DecompressWith, MergeWith).
 // Sharding follows the fixed-chunk-grid contract of package parallel, so
 // results are bit-identical to the serial reference at any worker count.
 // The wire codec (EncodeWith, DecodeWith, and WriteVector and ReadVector
@@ -34,32 +34,23 @@ import (
 // Typed sentinel errors for payload shapes that would otherwise produce
 // silently corrupt unions. Callers match with errors.Is.
 var (
-	// ErrZeroScale marks an int8 payload claiming Scale == 0 while carrying
-	// nonzero quantized bytes: those bytes would silently decompress to an
-	// all-zero gradient.
-	ErrZeroScale = errors.New("compress: zero-scale quantized payload carries nonzero bytes")
 	// ErrMergeEmpty marks a merge of zero gradients.
 	ErrMergeEmpty = errors.New("compress: merge of zero gradients")
 	// ErrMergeLength marks a merge of payloads with mismatched dense length.
 	ErrMergeLength = errors.New("compress: merge dense-length mismatch")
-	// ErrMergeQuantized marks a merge involving a quantized payload, whose
-	// union-sum is undefined without dequantizing first.
-	ErrMergeQuantized = errors.New("compress: cannot merge quantized gradient")
 	// ErrMergeInvalid marks a merge input that fails Validate; the k-way
 	// union relies on the strictly-increasing index invariant.
 	ErrMergeInvalid = errors.New("compress: merge input invalid")
 )
 
-// Compressed is a compressed gradient. Exactly one payload family is
-// populated: sparse codecs use Idx/Vals, quantized codecs use Q/Scale, and
-// the identity codec uses Vals alone (Idx nil, len(Vals) == N).
+// Compressed is a compressed gradient: sparse (Idx and Vals, as Top-K
+// writes them) or dense (Vals alone, Idx nil, len(Vals) == N, as identity
+// writes them).
 type Compressed struct {
-	Codec string  // codec name ("topk", "randk", "int8", "identity")
+	Codec string  // codec name ("topk", "identity", "merged")
 	N     int     // dense (logical) length
 	Idx   []int32 // sparse indices, strictly increasing
 	Vals  []float32
-	Q     []byte  // quantized payload
-	Scale float32 // quantization scale
 }
 
 // Bytes returns the wire size of the compressed payload: the transmission
@@ -68,32 +59,20 @@ func (c *Compressed) Bytes() int64 {
 	var n int64
 	n += int64(len(c.Idx)) * 4
 	n += int64(len(c.Vals)) * 4
-	n += int64(len(c.Q))
-	if len(c.Q) > 0 {
-		n += 4 // scale
-	}
 	return n
 }
 
 // NNZ returns the number of carried values.
-func (c *Compressed) NNZ() int {
-	if len(c.Q) > 0 {
-		return len(c.Q)
-	}
-	return len(c.Vals)
-}
+func (c *Compressed) NNZ() int { return len(c.Vals) }
 
 // Clone deep-copies the compressed gradient.
 func (c *Compressed) Clone() *Compressed {
-	out := &Compressed{Codec: c.Codec, N: c.N, Scale: c.Scale}
+	out := &Compressed{Codec: c.Codec, N: c.N}
 	if c.Idx != nil {
 		out.Idx = append([]int32(nil), c.Idx...)
 	}
 	if c.Vals != nil {
 		out.Vals = append([]float32(nil), c.Vals...)
-	}
-	if c.Q != nil {
-		out.Q = append([]byte(nil), c.Q...)
 	}
 	return out
 }
@@ -104,20 +83,6 @@ func (c *Compressed) Validate() error {
 		return fmt.Errorf("compress: negative dense length %d", c.N)
 	}
 	switch {
-	case len(c.Q) > 0:
-		if len(c.Idx) != 0 || len(c.Vals) != 0 {
-			return fmt.Errorf("compress: quantized payload mixed with sparse payload")
-		}
-		if len(c.Q) != c.N {
-			return fmt.Errorf("compress: quantized payload length %d != N %d", len(c.Q), c.N)
-		}
-		if c.Scale == 0 {
-			for i, q := range c.Q {
-				if q != 0 {
-					return fmt.Errorf("%w (first at byte %d)", ErrZeroScale, i)
-				}
-			}
-		}
 	case c.Idx != nil:
 		if len(c.Idx) != len(c.Vals) {
 			return fmt.Errorf("compress: idx length %d != vals length %d", len(c.Idx), len(c.Vals))
@@ -147,8 +112,8 @@ func (c *Compressed) AddInto(dense tensor.Vector) error {
 	return c.AddIntoWith(nil, dense)
 }
 
-// AddIntoWith is AddInto sharded over pool. The quantized and dense paths
-// are element-independent; the sparse path writes each dense[Idx[i]] from
+// AddIntoWith is AddInto sharded over pool. The dense path is
+// element-independent; the sparse path writes each dense[Idx[i]] from
 // exactly one shard because indices are strictly increasing (the parallel
 // path verifies that invariant before applying, so hand-built invalid
 // payloads fail with an error rather than racing). On error the contents
@@ -162,13 +127,6 @@ func (c *Compressed) AddIntoWith(pool *parallel.Pool, dense tensor.Vector) error
 		return c.addIntoSerial(dense)
 	}
 	switch {
-	case len(c.Q) > 0:
-		//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
-		pool.ForEach(len(c.Q), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				dense[i] += float32(int8(c.Q[i])) * c.Scale
-			}
-		})
 	case c.Idx != nil:
 		es := getErrs(pool.NumChunks(len(c.Idx)))
 		errs := es.v
@@ -210,10 +168,6 @@ func (c *Compressed) AddIntoWith(pool *parallel.Pool, dense tensor.Vector) error
 
 func (c *Compressed) addIntoSerial(dense tensor.Vector) error {
 	switch {
-	case len(c.Q) > 0:
-		for i, q := range c.Q {
-			dense[i] += float32(int8(q)) * c.Scale
-		}
 	case c.Idx != nil:
 		for i, j := range c.Idx {
 			if j < 0 || int(j) >= c.N {
@@ -241,7 +195,7 @@ func (c *Compressed) DecompressWith(pool *parallel.Pool, out tensor.Vector) erro
 	if len(out) != c.N {
 		return fmt.Errorf("compress: decompress into length %d, want %d", len(out), c.N)
 	}
-	if len(c.Q) == 0 && c.Idx == nil && len(c.Vals) == c.N {
+	if c.Idx == nil && len(c.Vals) == c.N {
 		if pool.Workers() == 1 {
 			zeroPlus(out, c.Vals)
 			return nil
@@ -274,8 +228,8 @@ type Compressor interface {
 	Ratio() float64
 }
 
-// ceilK returns k = ceil(ρ·n) clamped to [1, n] — the exact count both
-// sparsifiers document. (A previous revision used int(ρ·n + 0.999999),
+// ceilK returns k = ceil(ρ·n) clamped to [1, n] — the exact count TopK
+// documents. (A previous revision used int(ρ·n + 0.999999),
 // which floors products with a fractional part below 1e-6 and so
 // under-counts right where ρ·n is meant to land on an exact boundary.)
 func ceilK(n int, rho float64) int {
@@ -522,132 +476,6 @@ func partitionKeys(keys []uint64, lo, hi int) int {
 	return i
 }
 
-// RandK selects k = ceil(ρ·N) pseudo-random indices per call from a seeded
-// stream via a partial Fisher–Yates shuffle over a pooled dense-stride
-// buffer: exactly k generator draws per call, O(n + k) work, no per-call
-// map. Determinism contract: the same construction seed and the same
-// sequence of Compress calls (gradient lengths) yield the same indices —
-// each call of length n consumes exactly k draws, independent of the
-// gradient values. Compress is not safe for concurrent use (the generator
-// stream is inherently serial).
-type RandK struct {
-	R    float64
-	Pool *parallel.Pool
-	rng  *tensor.RNG
-}
-
-// NewRandK returns a serial random-K compressor with ratio ρ and the given
-// seed.
-func NewRandK(rho float64, seed uint64) (*RandK, error) {
-	return NewRandKPooled(rho, seed, nil)
-}
-
-// NewRandKPooled returns a random-K compressor sharding the dense scans
-// (buffer reset, value gather) over pool; the draw sequence itself stays
-// serial so the seeded-stream contract holds at any worker count.
-func NewRandKPooled(rho float64, seed uint64, pool *parallel.Pool) (*RandK, error) {
-	if rho <= 0 || rho > 1 {
-		return nil, fmt.Errorf("compress: randk ratio %v out of (0,1]", rho)
-	}
-	return &RandK{R: rho, Pool: pool, rng: tensor.NewRNG(seed)}, nil
-}
-
-// Name implements Compressor.
-func (r *RandK) Name() string { return "randk" }
-
-// Ratio implements Compressor.
-func (r *RandK) Ratio() float64 { return r.R }
-
-// Compress implements Compressor.
-func (r *RandK) Compress(grad tensor.Vector) (*Compressed, error) {
-	n := len(grad)
-	k := ceilK(n, r.R)
-	scratch := getI32(n)
-	perm := scratch.v
-	//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
-	r.Pool.ForEach(n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			perm[i] = int32(i)
-		}
-	})
-	// Partial Fisher–Yates: after i swaps, perm[:i] is a uniform i-subset.
-	for i := 0; i < k; i++ {
-		j := i + r.rng.Intn(n-i)
-		perm[i], perm[j] = perm[j], perm[i]
-	}
-	idx := append([]int32(nil), perm[:k]...)
-	scratch.release()
-	sortI32(idx)
-	vals := make([]float32, k)
-	//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
-	r.Pool.ForEach(k, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			vals[i] = grad[idx[i]]
-		}
-	})
-	return &Compressed{Codec: "randk", N: n, Idx: idx, Vals: vals}, nil
-}
-
-// Int8 quantizes each element to 8 bits with a per-tensor absmax scale.
-type Int8 struct {
-	Pool *parallel.Pool
-}
-
-// Name implements Compressor.
-func (Int8) Name() string { return "int8" }
-
-// Ratio implements Compressor.
-func (Int8) Ratio() float64 { return 1 }
-
-// Compress implements Compressor.
-func (q8 Int8) Compress(grad tensor.Vector) (*Compressed, error) {
-	n := len(grad)
-	q := make([]byte, n)
-	pool := q8.Pool
-	var mx float32
-	if pool.Workers() > 1 && pool.NumChunks(n) > 1 {
-		// Per-shard absmax, combined in ascending shard order. Max is
-		// insensitive to grouping, so this is exactly grad.AbsMax().
-		ms := getF32(pool.NumChunks(n))
-		maxes := ms.v
-		//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
-		pool.ForEach(n, func(s, lo, hi int) {
-			maxes[s] = grad[lo:hi].AbsMax()
-		})
-		for _, m := range maxes {
-			if m > mx {
-				mx = m
-			}
-		}
-		ms.release()
-	} else {
-		mx = grad.AbsMax()
-	}
-	if mx == 0 {
-		return &Compressed{Codec: "int8", N: n, Q: q, Scale: 0}, nil
-	}
-	scale := mx / 127
-	inv := 1 / scale
-	//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
-	pool.ForEach(n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x := grad[i] * inv
-			switch {
-			case x > 127:
-				x = 127
-			case x < -127:
-				x = -127
-			}
-			if x >= 0 {
-				q[i] = byte(int8(x + 0.5))
-			} else {
-				q[i] = byte(int8(x - 0.5))
-			}
-		}
-	})
-	return &Compressed{Codec: "int8", N: n, Q: q, Scale: scale}, nil
-}
-
 // Identity passes the gradient through uncompressed (the LowDiff+ setting).
 type Identity struct{}
 
@@ -662,23 +490,18 @@ func (Identity) Compress(grad tensor.Vector) (*Compressed, error) {
 	return &Compressed{Codec: "identity", N: len(grad), Vals: append([]float32(nil), grad...)}, nil
 }
 
-// New constructs a serial compressor by name. rho is ignored by
-// non-sparsifying codecs; seed is used only by randk.
+// New constructs a compressor by name: "topk", or "identity" (also "none"
+// and ""). rho is ignored by identity; seed is unused.
 func New(name string, rho float64, seed uint64) (Compressor, error) {
 	return NewPooled(name, rho, seed, nil)
 }
 
-// NewPooled constructs a compressor by name with its dense loops sharded
-// over pool (nil pool means serial). Compression output is bit-identical
-// at any worker count.
+// NewPooled is New with a pool argument. Neither codec shards its work, so
+// seed and pool are unused; the signature stays for its callers.
 func NewPooled(name string, rho float64, seed uint64, pool *parallel.Pool) (Compressor, error) {
 	switch name {
 	case "topk":
 		return NewTopK(rho)
-	case "randk":
-		return NewRandKPooled(rho, seed, pool)
-	case "int8":
-		return Int8{Pool: pool}, nil
 	case "identity", "none", "":
 		return Identity{}, nil
 	default:
@@ -689,8 +512,8 @@ func NewPooled(name string, rho float64, seed uint64, pool *parallel.Pool) (Comp
 // MergeWith returns the union-sum of sparse compressed gradients, sharded
 // over pool (nil means serial): the batching primitive behind §4.2's batched
 // gradient writes and the paper's gradient accumulation. All inputs must be
-// valid and sparse (or identity) with the same N; quantized, mismatched, or
-// invalid inputs fail with typed errors rather than producing a corrupt
+// valid and sparse (or identity) with the same N; mismatched or invalid
+// inputs fail with typed errors rather than producing a corrupt
 // union. Sparse parts fold left to right through one branch-free two-way
 // merge (merge2), so per index the values add in part order — exactly the
 // serial reference. The pooled path shards the dense index space, sizes
@@ -708,9 +531,6 @@ func MergeWith(pool *parallel.Pool, parts ...*Compressed) (*Compressed, error) {
 	for pi, p := range parts {
 		if p.N != n {
 			return nil, fmt.Errorf("%w: part %d has N=%d, want %d", ErrMergeLength, pi, p.N, n)
-		}
-		if len(p.Q) > 0 {
-			return nil, fmt.Errorf("%w (part %d, codec %q); dequantize first", ErrMergeQuantized, pi, p.Codec)
 		}
 		if err := p.Validate(); err != nil {
 			return nil, fmt.Errorf("%w: part %d (codec %q): %v", ErrMergeInvalid, pi, p.Codec, err)
@@ -789,6 +609,21 @@ func MergeWith(pool *parallel.Pool, parts ...*Compressed) (*Compressed, error) {
 	}
 	cs.release()
 	return &Compressed{Codec: "merged", N: n, Idx: idx[:m], Vals: vals[:m]}, nil
+}
+
+// searchI32GE returns the smallest i with ix[i] >= lo — the closure-free
+// equivalent of sort.Search over a sorted []int32.
+func searchI32GE(ix []int32, lo int32) int {
+	i, j := 0, len(ix)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if ix[h] < lo {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
 }
 
 // mergeInlineBelow is the total part length below which a pooled MergeWith

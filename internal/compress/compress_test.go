@@ -121,71 +121,6 @@ func TestTopKMatchesSortReference(t *testing.T) {
 	}
 }
 
-func TestRandKDeterministicAndValid(t *testing.T) {
-	g := randVec(tensor.NewRNG(1), 100)
-	a, _ := NewRandK(0.1, 42)
-	b, _ := NewRandK(0.1, 42)
-	ca, err := a.Compress(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb, err := b.Compress(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ca.Idx) != 10 {
-		t.Fatalf("got %d entries, want 10", len(ca.Idx))
-	}
-	for i := range ca.Idx {
-		if ca.Idx[i] != cb.Idx[i] {
-			t.Fatal("same seed must select same indices")
-		}
-	}
-	if err := ca.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for i, j := range ca.Idx {
-		if ca.Vals[i] != g[j] {
-			t.Fatal("randk carries wrong values")
-		}
-	}
-}
-
-func TestInt8RoundTripError(t *testing.T) {
-	g := randVec(tensor.NewRNG(2), 1000)
-	c, err := Int8{}.Compress(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	out := tensor.New(1000)
-	if err := c.Decompress(out); err != nil {
-		t.Fatal(err)
-	}
-	maxErr := float64(g.AbsMax()) / 127 * 0.51
-	for i := range g {
-		if d := math.Abs(float64(g[i] - out[i])); d > maxErr+1e-7 {
-			t.Fatalf("int8 error %v at %d exceeds half-step %v", d, i, maxErr)
-		}
-	}
-}
-
-func TestInt8ZeroVector(t *testing.T) {
-	c, err := Int8{}.Compress(tensor.New(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := tensor.New(8)
-	if err := c.Decompress(out); err != nil {
-		t.Fatal(err)
-	}
-	if !out.Equal(tensor.New(8)) {
-		t.Fatalf("zero vector round trip: %v", out)
-	}
-}
-
 func TestIdentityRoundTrip(t *testing.T) {
 	g := randVec(tensor.NewRNG(3), 64)
 	c, err := Identity{}.Compress(g)
@@ -207,21 +142,20 @@ func TestIdentityRoundTrip(t *testing.T) {
 }
 
 func TestNewByName(t *testing.T) {
-	for _, name := range []string{"topk", "randk", "int8", "identity", "none", ""} {
+	for _, name := range []string{"topk", "identity", "none", ""} {
 		if _, err := New(name, 0.1, 1); err != nil {
 			t.Fatalf("New(%q): %v", name, err)
 		}
 	}
-	if _, err := New("zstd", 0.1, 1); err == nil {
-		t.Fatal("want unknown-codec error")
+	for _, name := range []string{"zstd", "randk", "int8"} {
+		if _, err := New(name, 0.1, 1); err == nil {
+			t.Fatalf("New(%q): want unknown-codec error", name)
+		}
 	}
 	if _, err := NewTopK(0); err == nil {
 		t.Fatal("want ratio error")
 	}
 	if _, err := NewTopK(1.5); err == nil {
-		t.Fatal("want ratio error")
-	}
-	if _, err := NewRandK(-0.1, 1); err == nil {
 		t.Fatal("want ratio error")
 	}
 }
@@ -232,10 +166,6 @@ func TestBytesAccounting(t *testing.T) {
 	c, _ := tk.Compress(g)
 	if c.Bytes() != 10*8 {
 		t.Fatalf("topk Bytes = %d, want 80 (10 idx + 10 vals)", c.Bytes())
-	}
-	q, _ := Int8{}.Compress(g)
-	if q.Bytes() != 1004 {
-		t.Fatalf("int8 Bytes = %d, want 1004", q.Bytes())
 	}
 	id, _ := Identity{}.Compress(g)
 	if id.Bytes() != 4000 {
@@ -272,10 +202,6 @@ func TestMergeErrors(t *testing.T) {
 	b := &Compressed{Codec: "topk", N: 11, Idx: []int32{1}, Vals: []float32{1}}
 	if _, err := MergeWith(nil, a, b); err == nil {
 		t.Fatal("want length-mismatch error")
-	}
-	q := &Compressed{Codec: "int8", N: 10, Q: make([]byte, 10)}
-	if _, err := MergeWith(nil, a.Clone(), q); err == nil {
-		t.Fatal("want quantized-merge error")
 	}
 }
 
@@ -340,10 +266,8 @@ func TestWireRoundTrip(t *testing.T) {
 	tk, _ := NewTopK(0.05)
 	c1, _ := tk.Compress(g)
 	cases = append(cases, c1)
-	c2, _ := Int8{}.Compress(g)
+	c2, _ := Identity{}.Compress(g)
 	cases = append(cases, c2)
-	c3, _ := Identity{}.Compress(g)
-	cases = append(cases, c3)
 	for _, c := range cases {
 		var buf bytes.Buffer
 		if err := c.Encode(&buf); err != nil {
@@ -356,7 +280,7 @@ func TestWireRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Codec != c.Codec || got.N != c.N || got.Scale != c.Scale {
+		if got.Codec != c.Codec || got.N != c.N {
 			t.Fatalf("%s: header mismatch", c.Codec)
 		}
 		a, b := tensor.New(c.N), tensor.New(c.N)
@@ -431,6 +355,14 @@ func TestWireCorruption(t *testing.T) {
 	if _, err := Decode(bytes.NewReader(bad2)); err == nil {
 		t.Fatal("want implausible-count error")
 	}
+	// A quantized count or scale: nq sits 24 bytes past n, scale 32.
+	for _, at := range []int{11 + 24, 11 + 32} {
+		q := append([]byte(nil), full...)
+		q[at] = 1
+		if _, err := Decode(bytes.NewReader(q)); err == nil {
+			t.Fatalf("nonzero byte at %d: want quantized-payload error", at)
+		}
+	}
 }
 
 func TestValidateRejects(t *testing.T) {
@@ -440,8 +372,6 @@ func TestValidateRejects(t *testing.T) {
 		{Codec: "x", N: 4, Idx: []int32{3, 1}, Vals: []float32{1, 1}}, // decreasing
 		{Codec: "x", N: 4, Idx: []int32{5}, Vals: []float32{1}},       // out of range
 		{Codec: "x", N: 4, Idx: []int32{1}, Vals: []float32{1, 2}},    // len mismatch
-		{Codec: "x", N: 4, Q: make([]byte, 3)},                        // wrong q len
-		{Codec: "x", N: 4, Q: make([]byte, 4), Vals: []float32{1}},    // mixed payloads
 		{Codec: "x", N: 4, Vals: []float32{1}},                        // dense wrong len
 	}
 	for i, c := range cases {

@@ -64,99 +64,9 @@ func TestCeilKTinyFractionRegression(t *testing.T) {
 	if len(c.Idx) != 4 {
 		t.Fatalf("topk kept %d entries, want ceil semantics 4", len(c.Idx))
 	}
-	rk, _ := NewRandK(rho, 1)
-	cr, err := rk.Compress(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cr.Idx) != 4 {
-		t.Fatalf("randk kept %d entries, want ceil semantics 4", len(cr.Idx))
-	}
 }
 
-// --- RandK Fisher–Yates sampler --------------------------------------------
-
-// The determinism contract: same construction seed + same sequence of
-// Compress calls (gradient lengths) ⇒ same indices, at any pool size.
-func TestRandKSeededStreamContract(t *testing.T) {
-	pool, _ := parallel.NewWithChunk(4, 64)
-	mk := func(p *parallel.Pool) *RandK {
-		r, err := NewRandKPooled(0.2, 77, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	a, b, c := mk(nil), mk(nil), mk(pool)
-	for call, n := range []int{100, 353, 7, 2048} {
-		g := randVec(tensor.NewRNG(uint64(call)), n)
-		ca, _ := a.Compress(g)
-		cb, _ := b.Compress(g)
-		cc, _ := c.Compress(g)
-		if err := ca.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		for i := range ca.Idx {
-			if ca.Idx[i] != cb.Idx[i] {
-				t.Fatalf("call %d: same seed diverged at entry %d", call, i)
-			}
-			if ca.Idx[i] != cc.Idx[i] {
-				t.Fatalf("call %d: pooled sampler diverged from serial at entry %d", call, i)
-			}
-		}
-	}
-	// Different seeds must (overwhelmingly) pick different sets.
-	d := func() *RandK { r, _ := NewRandK(0.2, 78); return r }()
-	g := randVec(tensor.NewRNG(0), 500)
-	cd, _ := d.Compress(g)
-	ce, _ := mk(nil).Compress(g)
-	same := true
-	for i := range cd.Idx {
-		if cd.Idx[i] != ce.Idx[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("distinct seeds selected identical index sets")
-	}
-}
-
-func TestRandKFullRatioIsIdentitySet(t *testing.T) {
-	// ρ = 1 degenerates to a full permutation: sorted, that is every index,
-	// and the old rejection sampler's coupon-collector pathology is gone
-	// (exactly n draws).
-	rk, _ := NewRandK(1, 5)
-	g := randVec(tensor.NewRNG(5), 257)
-	c, err := rk.Compress(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Idx) != 257 {
-		t.Fatalf("rho=1 kept %d of 257", len(c.Idx))
-	}
-	for i, j := range c.Idx {
-		if int(j) != i {
-			t.Fatalf("rho=1 sorted index %d = %d", i, j)
-		}
-		if c.Vals[i] != g[j] {
-			t.Fatalf("value mismatch at %d", i)
-		}
-	}
-}
-
-// --- typed validation / merge errors ---------------------------------------
-
-func TestValidateZeroScaleTyped(t *testing.T) {
-	bad := &Compressed{Codec: "int8", N: 4, Q: []byte{0, 3, 0, 0}, Scale: 0}
-	if err := bad.Validate(); !errors.Is(err, ErrZeroScale) {
-		t.Fatalf("want ErrZeroScale, got %v", err)
-	}
-	ok := &Compressed{Codec: "int8", N: 4, Q: make([]byte, 4), Scale: 0}
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("all-zero zero-scale payload must validate: %v", err)
-	}
-}
+// --- typed merge errors ---------------------------------------------------
 
 func TestMergeTypedErrors(t *testing.T) {
 	if _, err := MergeWith(nil); !errors.Is(err, ErrMergeEmpty) {
@@ -166,10 +76,6 @@ func TestMergeTypedErrors(t *testing.T) {
 	b := &Compressed{Codec: "topk", N: 11, Idx: []int32{1}, Vals: []float32{1}}
 	if _, err := MergeWith(nil, a, b); !errors.Is(err, ErrMergeLength) {
 		t.Fatalf("want ErrMergeLength, got %v", err)
-	}
-	q := &Compressed{Codec: "int8", N: 10, Q: make([]byte, 10), Scale: 1}
-	if _, err := MergeWith(nil, a, q); !errors.Is(err, ErrMergeQuantized) {
-		t.Fatalf("want ErrMergeQuantized, got %v", err)
 	}
 	unsorted := &Compressed{Codec: "topk", N: 10, Idx: []int32{5, 2}, Vals: []float32{1, 1}}
 	if _, err := MergeWith(nil, a, unsorted); !errors.Is(err, ErrMergeInvalid) {
@@ -211,12 +117,9 @@ func sameCompressed(a, b *Compressed) error {
 	if a.Codec != b.Codec || a.N != b.N {
 		return fmt.Errorf("header mismatch: %s/%d vs %s/%d", a.Codec, a.N, b.Codec, b.N)
 	}
-	if math.Float32bits(a.Scale) != math.Float32bits(b.Scale) {
-		return fmt.Errorf("scale bits differ")
-	}
-	if len(a.Idx) != len(b.Idx) || len(a.Vals) != len(b.Vals) || len(a.Q) != len(b.Q) {
-		return fmt.Errorf("payload lengths differ: idx %d/%d vals %d/%d q %d/%d",
-			len(a.Idx), len(b.Idx), len(a.Vals), len(b.Vals), len(a.Q), len(b.Q))
+	if len(a.Idx) != len(b.Idx) || len(a.Vals) != len(b.Vals) {
+		return fmt.Errorf("payload lengths differ: idx %d/%d vals %d/%d",
+			len(a.Idx), len(b.Idx), len(a.Vals), len(b.Vals))
 	}
 	for i := range a.Idx {
 		if a.Idx[i] != b.Idx[i] {
@@ -226,11 +129,6 @@ func sameCompressed(a, b *Compressed) error {
 	for i := range a.Vals {
 		if math.Float32bits(a.Vals[i]) != math.Float32bits(b.Vals[i]) {
 			return fmt.Errorf("vals[%d] bits differ", i)
-		}
-	}
-	for i := range a.Q {
-		if a.Q[i] != b.Q[i] {
-			return fmt.Errorf("q[%d]: %d vs %d", i, a.Q[i], b.Q[i])
 		}
 	}
 	return nil
@@ -548,13 +446,7 @@ func TestSerialVsParallelProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantI8, err := Int8{}.Compress(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seed := uint64(trial)
-		rkSerial, _ := NewRandK(rho, seed)
-		wantRK, err := rkSerial.Compress(g)
+		wantID, err := Identity{}.Compress(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -581,7 +473,7 @@ func TestSerialVsParallelProperty(t *testing.T) {
 		if err := wantMerge.AddInto(wantDense); err != nil {
 			t.Fatal(err)
 		}
-		if err := wantI8.AddInto(wantDense); err != nil {
+		if err := wantID.AddInto(wantDense); err != nil {
 			t.Fatal(err)
 		}
 
@@ -594,21 +486,6 @@ func TestSerialVsParallelProperty(t *testing.T) {
 			}
 			if err := sameCompressed(wantTK, got); err != nil {
 				t.Fatalf("%s: topk: %v", tag, err)
-			}
-			rk, _ := NewRandKPooled(rho, seed, pool)
-			gotRK, err := rk.Compress(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sameCompressed(wantRK, gotRK); err != nil {
-				t.Fatalf("%s: randk: %v", tag, err)
-			}
-			gotI8, err := Int8{Pool: pool}.Compress(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sameCompressed(wantI8, gotI8); err != nil {
-				t.Fatalf("%s: int8: %v", tag, err)
 			}
 			gotMerge, err := MergeWith(pool, parts...)
 			if err != nil {
@@ -637,7 +514,7 @@ func TestSerialVsParallelProperty(t *testing.T) {
 			if err := wantMerge.AddIntoWith(pool, dense); err != nil {
 				t.Fatal(err)
 			}
-			if err := wantI8.AddIntoWith(pool, dense); err != nil {
+			if err := wantID.AddIntoWith(pool, dense); err != nil {
 				t.Fatal(err)
 			}
 			for i := range dense {

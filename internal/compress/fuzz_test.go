@@ -56,14 +56,16 @@ func FuzzTopKSelect(f *testing.F) {
 }
 
 // FuzzDecode hardens the wire decoder: arbitrary bytes must never panic or
-// over-allocate, and any record that decodes must re-encode to an
-// equivalent record.
+// over-allocate, a record carrying a quantized count or scale is rejected,
+// and every record that decodes re-encodes to exactly the bytes it was
+// read from.
 func FuzzDecode(f *testing.F) {
-	// Seed with valid encodings of each codec.
+	// Seed with valid encodings of each codec, and with quantized records,
+	// which must be rejected: an int8 one as the retired codec wrote it
+	// (seed 1), a zero-scale one, and a sparse one with only its scale set.
 	g := tensor.New(64)
 	tensor.NewRNG(1).FillUniform(g, -1, 1)
-	tk, _ := NewTopK(0.1)
-	for _, comp := range []Compressor{tk, Int8{}, Identity{}} {
+	encode := func(comp Compressor) []byte {
 		c, err := comp.Compress(g)
 		if err != nil {
 			f.Fatal(err)
@@ -72,8 +74,13 @@ func FuzzDecode(f *testing.F) {
 		if err := c.Encode(&buf); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes())
+		return buf.Bytes()
 	}
+	tk, _ := NewTopK(0.1)
+	sparse := encode(tk)
+	f.Add(sparse)
+	f.Add(quantizedRecord(0x3c000000, 64))
+	f.Add(encode(Identity{}))
 	f.Add([]byte{})
 	f.Add([]byte{0x47, 0x43, 0x44, 0x4c})
 	// The slice decoder's boundaries: a valid record one element past a read
@@ -91,9 +98,20 @@ func FuzzDecode(f *testing.F) {
 		binary.LittleEndian.PutUint64(short[nvals:], claim)
 		f.Add(short)
 	}
+	f.Add(quantizedRecord(0, 8))
+	scaled := append([]byte{}, sparse...)
+	binary.LittleEndian.PutUint32(scaled[7+len("topk")+32:], 0x3f800000)
+	f.Add(scaled)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := Decode(bytes.NewReader(data))
+		r := bytes.NewReader(data)
+		c, err := Decode(r)
+		if len(data) > 6 && err == nil {
+			nq := 7 + int(data[6]) + 24 // scale follows it
+			if binary.LittleEndian.Uint64(data[nq:]) != 0 || binary.LittleEndian.Uint32(data[nq+8:]) != 0 {
+				t.Fatal("decoder accepted a quantized count or scale")
+			}
+		}
 		if err != nil {
 			return // rejecting garbage is correct
 		}
@@ -104,13 +122,21 @@ func FuzzDecode(f *testing.F) {
 		if err := c.Encode(&buf); err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
-		c2, err := Decode(&buf)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if c2.Codec != c.Codec || c2.N != c.N || len(c2.Idx) != len(c.Idx) ||
-			len(c2.Vals) != len(c.Vals) || len(c2.Q) != len(c.Q) {
-			t.Fatal("round trip changed the record shape")
+		if read := data[:len(data)-r.Len()]; !bytes.Equal(buf.Bytes(), read) {
+			t.Fatalf("re-encoded %d bytes differ from the %d decoded", buf.Len(), len(read))
 		}
 	})
+}
+
+// quantizedRecord is an LDCG record of n dense int8 bytes at the given
+// scale bits, laid out as the retired int8 codec encoded it.
+func quantizedRecord(scale uint32, n int) []byte {
+	rec := binary.LittleEndian.AppendUint32(nil, wireMagic)
+	rec = binary.LittleEndian.AppendUint16(rec, wireVersion)
+	rec = append(append(rec, byte(len("int8"))), "int8"...)
+	for _, v := range []uint64{uint64(n), 0, 0, uint64(n)} { // n, nidx, nvals, nq
+		rec = binary.LittleEndian.AppendUint64(rec, v)
+	}
+	rec = binary.LittleEndian.AppendUint32(rec, scale)
+	return append(rec, randomBytes(uint64(n), n)...)
 }

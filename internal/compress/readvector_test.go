@@ -52,13 +52,15 @@ func oracleDecode(r io.Reader) (*Compressed, error) {
 	n := binary.LittleEndian.Uint64(rest[off:])
 	nidx := binary.LittleEndian.Uint64(rest[off+8:])
 	nvals := binary.LittleEndian.Uint64(rest[off+16:])
-	nq := binary.LittleEndian.Uint64(rest[off+24:])
-	for _, v := range []uint64{n, nidx, nvals, nq} {
+	if binary.LittleEndian.Uint64(rest[off+24:]) != 0 || binary.LittleEndian.Uint32(rest[off+32:]) != 0 {
+		return nil, fmt.Errorf("compress: quantized payload")
+	}
+	for _, v := range []uint64{n, nidx, nvals} {
 		if v > maxWireElems {
 			return nil, fmt.Errorf("compress: implausible element count %d", v)
 		}
 	}
-	c := &Compressed{Codec: string(rest[:nameLen]), N: int(n), Scale: math.Float32frombits(binary.LittleEndian.Uint32(rest[off+32:]))}
+	c := &Compressed{Codec: string(rest[:nameLen]), N: int(n)}
 	if nidx > 0 {
 		buf, err := oracleReadChunked(r, 4*nidx)
 		if err != nil {
@@ -78,13 +80,6 @@ func oracleDecode(r io.Reader) (*Compressed, error) {
 		for i := range c.Vals {
 			c.Vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
 		}
-	}
-	if nq > 0 {
-		q, err := oracleReadChunked(r, nq)
-		if err != nil {
-			return nil, fmt.Errorf("compress: decode quantized payload: %w", err)
-		}
-		c.Q = q
 	}
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("compress: decoded gradient invalid: %w", err)
@@ -148,11 +143,11 @@ func randomBytes(seed uint64, n int) []byte {
 
 // checkReadVector compares ReadVector[T] with the two-copy decoder by bit
 // pattern (bits of an element; NaNs do not compare equal as floats).
-func checkReadVector[T int32 | float32 | byte](t *testing.T, path string, size int, bits func(T) uint32) {
+func checkReadVector[T int32 | float32](t *testing.T, path string, bits func(T) uint32) {
 	t.Helper()
-	for _, n := range boundaryLengths(size, true) {
-		stream := append(randomBytes(uint64(n)+1, n*size), "tail"...)
-		ref, err := oracleReadChunked(bytes.NewReader(stream), uint64(n*size))
+	for _, n := range boundaryLengths(4, true) {
+		stream := append(randomBytes(uint64(n)+1, 4*n), "tail"...)
+		ref, err := oracleReadChunked(bytes.NewReader(stream), uint64(4*n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,11 +158,7 @@ func checkReadVector[T int32 | float32 | byte](t *testing.T, path string, size i
 				t.Fatalf("%s path: %T length %d at %d workers: %d elements, %v", path, got, n, pool.Workers(), len(got), err)
 			}
 			for i, x := range got {
-				want := uint32(ref[i])
-				if size == 4 {
-					want = binary.LittleEndian.Uint32(ref[4*i:])
-				}
-				if bits(x) != want {
+				if want := binary.LittleEndian.Uint32(ref[4*i:]); bits(x) != want {
 					t.Fatalf("%s path: %T length %d at %d workers: element %d is %#x, the two-copy decoder's %#x", path, got, n, pool.Workers(), i, bits(x), want)
 				}
 			}
@@ -183,9 +174,8 @@ func checkReadVector[T int32 | float32 | byte](t *testing.T, path string, size i
 // count, on both vector paths, and reads exactly the vector's bytes.
 func TestReadVectorMatchesTwoCopyOracle(t *testing.T) {
 	eachVectorPath(func(path string) {
-		checkReadVector(t, path, 4, math.Float32bits)
-		checkReadVector(t, path, 4, func(x int32) uint32 { return uint32(x) })
-		checkReadVector(t, path, 1, func(x byte) uint32 { return uint32(x) })
+		checkReadVector(t, path, math.Float32bits)
+		checkReadVector(t, path, func(x int32) uint32 { return uint32(x) })
 	})
 }
 
@@ -205,10 +195,8 @@ func wireFixture(family string, length int) *Compressed {
 			idx[i] = int32(2*i + r.Intn(2))
 		}
 		return &Compressed{Codec: "topk", N: 2 * length, Idx: idx, Vals: vals}
-	case "dense":
+	default: // dense
 		return &Compressed{Codec: "identity", N: length, Vals: vals}
-	default: // quantized
-		return &Compressed{Codec: "int8", N: length, Scale: 0.5, Q: randomBytes(uint64(length), length)}
 	}
 }
 
@@ -218,31 +206,27 @@ func oracleEncode(c *Compressed) []byte {
 	out := binary.LittleEndian.AppendUint32(nil, wireMagic)
 	out = binary.LittleEndian.AppendUint16(out, wireVersion)
 	out = append(append(out, byte(len(c.Codec))), c.Codec...)
-	for _, v := range []int{c.N, len(c.Idx), len(c.Vals), len(c.Q)} {
+	for _, v := range []int{c.N, len(c.Idx), len(c.Vals), 0} { // the last is nq
 		out = binary.LittleEndian.AppendUint64(out, uint64(v))
 	}
-	out = binary.LittleEndian.AppendUint32(out, math.Float32bits(c.Scale))
+	out = binary.LittleEndian.AppendUint32(out, 0) // scale
 	for _, x := range c.Idx {
 		out = binary.LittleEndian.AppendUint32(out, uint32(x))
 	}
 	for _, x := range c.Vals {
 		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(x))
 	}
-	return append(out, c.Q...)
+	return out
 }
 
-// (a, continued) Whole records: sparse, dense and quantized payloads encode,
+// (a, continued) Whole records: sparse and dense payloads encode,
 // on both vector paths and at every worker count, to the reference encoder's
 // bytes, and decode to what the two-copy decoder made of them (past the
 // threshold for the dense family only: the vectors themselves are covered
 // above).
 func TestDecodeMatchesTwoCopyOracle(t *testing.T) {
-	for _, family := range []string{"sparse", "dense", "quantized"} {
-		size := 4
-		if family == "quantized" {
-			size = 1
-		}
-		for _, length := range boundaryLengths(size, family == "dense") {
+	for _, family := range []string{"sparse", "dense"} {
+		for _, length := range boundaryLengths(4, family == "dense") {
 			fixture := wireFixture(family, length)
 			rec := oracleEncode(fixture)
 			want, err := oracleDecode(bytes.NewReader(rec))
@@ -262,8 +246,8 @@ func TestDecodeMatchesTwoCopyOracle(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s path: %s length %d at %d workers: %v", path, family, length, pool.Workers(), err)
 					}
-					if got.Codec != want.Codec || got.N != want.N || got.Scale != want.Scale || (got.Idx == nil) != (want.Idx == nil) ||
-						!slices.Equal(got.Idx, want.Idx) || !slices.Equal(got.Vals, want.Vals) || !bytes.Equal(got.Q, want.Q) {
+					if got.Codec != want.Codec || got.N != want.N || (got.Idx == nil) != (want.Idx == nil) ||
+						!slices.Equal(got.Idx, want.Idx) || !slices.Equal(got.Vals, want.Vals) {
 						t.Fatalf("%s path: %s length %d at %d workers: decoded record differs from the two-copy decoder's", path, family, length, pool.Workers())
 					}
 				}
@@ -308,7 +292,9 @@ func TestCorruptLengthAllocationBounded(t *testing.T) {
 			t.Fatalf("%s: allocated %d bytes, bound %d", c.what, got, c.bound)
 		}
 	}
-	// Through the record decoder, each of the three payload length fields.
+	// Through the record decoder, each of the three length fields after the
+	// dense length: a claimed index or value count fails at the end of the
+	// stream, a quantized count before any payload is read.
 	var rec bytes.Buffer
 	if err := wireFixture("sparse", 8).Encode(&rec); err != nil {
 		t.Fatal(err)
@@ -319,8 +305,8 @@ func TestCorruptLengthAllocationBounded(t *testing.T) {
 		binary.LittleEndian.PutUint64(bad[lengths+8*field:], maxWireElems)
 		var err error
 		got := allocatedBy(func() { _, err = Decode(bytes.NewReader(bad)) })
-		if !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("length field %d: error %v, want io.ErrUnexpectedEOF", field, err)
+		if eof := errors.Is(err, io.ErrUnexpectedEOF); err == nil || eof != (field < 2) {
+			t.Fatalf("length field %d: error %v", field, err)
 		}
 		if bound := uint64(wholeBytes + slack); got > bound {
 			t.Fatalf("length field %d: allocated %d bytes, bound %d", field, got, bound)

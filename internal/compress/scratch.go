@@ -4,8 +4,8 @@ import "sync"
 
 // Scratch pools for the per-iteration slices the hot path would otherwise
 // allocate on every call: wire byte staging (a decoded header, a big-endian
-// host's writes), RandK's dense-stride sample buffer, Top-K's sample and
-// candidate keys, and the merge's per-shard segments.
+// host's writes), Top-K's sample and candidate keys, and the merge's
+// per-shard cuts and fold intermediates.
 //
 // Ownership rule (see DESIGN.md §8): a pooled buffer never escapes the call
 // that got it. Anything stored in a Compressed — which may be handed to the

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"unsafe"
 
 	"lowdiff/internal/parallel"
@@ -18,12 +17,15 @@ import (
 //	n       uint64  dense length
 //	nidx    uint64  index count   (0 when absent)
 //	nvals   uint64  value count   (0 when absent)
-//	nq      uint64  quantized byte count (0 when absent)
-//	scale   float32
-//	payloads in the order idx, vals, q
+//	nq      uint64  always 0
+//	scale   float32 always 0
+//	payloads in the order idx, vals
 //
-// Encode and Decode read/write exactly one record and never over-read, so
-// records can be streamed back to back on a single reader.
+// nq and scale are the fields of a quantized payload, which no codec writes
+// any more: Encode writes them as zero, so the record bytes are those of
+// every earlier release, and Decode rejects a record where either is not
+// zero. Encode and Decode read/write exactly one record and never
+// over-read, so records can be streamed back to back on a single reader.
 const (
 	wireMagic   = 0x4c444347 // "LDCG"
 	wireVersion = 1
@@ -56,7 +58,7 @@ const (
 
 // wireBytes is v's memory as bytes: on a little-endian host, exactly its
 // wire encoding.
-func wireBytes[T int32 | float32 | byte](v []T) []byte {
+func wireBytes[T int32 | float32](v []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*int(unsafe.Sizeof(v[0])))
 }
 
@@ -67,7 +69,7 @@ func wireBytes[T int32 | float32 | byte](v []T) []byte {
 // result is the only thing the call allocates, fresh (never pooled) and
 // identical at any worker count. A stream shorter than n elements fails with
 // the reader's error (io.ErrUnexpectedEOF from a reader that just ends).
-func ReadVector[T int32 | float32 | byte](r io.Reader, n uint64, pool *parallel.Pool) ([]T, error) {
+func ReadVector[T int32 | float32](r io.Reader, n uint64, pool *parallel.Pool) ([]T, error) {
 	var zero T
 	size := uint64(unsafe.Sizeof(zero))
 	out := make([]T, min(n, wholeBytes/size))
@@ -84,7 +86,7 @@ func ReadVector[T int32 | float32 | byte](r io.Reader, n uint64, pool *parallel.
 		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, err
 		}
-		if !hostLE && size == 4 {
+		if !hostLE {
 			//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 			pool.ForEach(int(k), func(_, lo, hi int) {
 				for i := lo; i < hi; i++ {
@@ -102,12 +104,12 @@ func ReadVector[T int32 | float32 | byte](r io.Reader, n uint64, pool *parallel.
 // host hands w the vector's own memory in one Write, so w must neither
 // modify nor retain it (the io.Writer contract). A big-endian host converts
 // at most readSlice bytes at a time into pooled scratch, sharded over pool.
-func WriteVector[T int32 | float32 | byte](w io.Writer, v []T, pool *parallel.Pool) error {
+func WriteVector[T int32 | float32](w io.Writer, v []T, pool *parallel.Pool) error {
 	b := wireBytes(v)
 	if len(b) == 0 {
 		return nil
 	}
-	if hostLE || len(b) == len(v) { // bytes have no order to swap
+	if hostLE {
 		_, err := w.Write(b)
 		return err
 	}
@@ -131,7 +133,7 @@ func WriteVector[T int32 | float32 | byte](w io.Writer, v []T, pool *parallel.Po
 
 // EncodedBytes returns the exact wire size of the record.
 func (c *Compressed) EncodedBytes() int64 {
-	return int64(4+2+1+len(c.Codec)+4*8+4) + int64(len(c.Idx))*4 + int64(len(c.Vals))*4 + int64(len(c.Q))
+	return int64(4+2+1+len(c.Codec)+4*8+4) + int64(len(c.Idx))*4 + int64(len(c.Vals))*4
 }
 
 // Encode writes the compressed gradient to w in the LDCG wire format.
@@ -157,8 +159,8 @@ func (c *Compressed) EncodeWith(w io.Writer, pool *parallel.Pool) error {
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(c.N))
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(c.Idx)))
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(c.Vals)))
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(c.Q)))
-	hdr = binary.LittleEndian.AppendUint32(hdr, math.Float32bits(c.Scale))
+	hdr = binary.LittleEndian.AppendUint64(hdr, 0) // nq
+	hdr = binary.LittleEndian.AppendUint32(hdr, 0) // scale
 	if _, err := w.Write(hdr); err != nil {
 		return fmt.Errorf("compress: encode header: %w", err)
 	}
@@ -167,9 +169,6 @@ func (c *Compressed) EncodeWith(w io.Writer, pool *parallel.Pool) error {
 	}
 	if err := WriteVector(w, c.Vals, pool); err != nil {
 		return fmt.Errorf("compress: encode vals: %w", err)
-	}
-	if err := WriteVector(w, c.Q, pool); err != nil {
-		return fmt.Errorf("compress: encode quantized payload: %w", err)
 	}
 	return nil
 }
@@ -208,13 +207,16 @@ func DecodeWith(r io.Reader, pool *parallel.Pool) (*Compressed, error) {
 	nidx := binary.LittleEndian.Uint64(rest[off+8:])
 	nvals := binary.LittleEndian.Uint64(rest[off+16:])
 	nq := binary.LittleEndian.Uint64(rest[off+24:])
-	scale := math.Float32frombits(binary.LittleEndian.Uint32(rest[off+32:]))
-	for _, v := range []uint64{n, nidx, nvals, nq} {
+	scale := binary.LittleEndian.Uint32(rest[off+32:])
+	if nq != 0 || scale != 0 {
+		return nil, fmt.Errorf("compress: quantized payload (count %d, scale bits %#x): no codec writes one", nq, scale)
+	}
+	for _, v := range []uint64{n, nidx, nvals} {
 		if v > maxWireElems {
 			return nil, fmt.Errorf("compress: implausible element count %d", v)
 		}
 	}
-	c := &Compressed{Codec: name, N: int(n), Scale: scale}
+	c := &Compressed{Codec: name, N: int(n)}
 	var err error
 	if nidx > 0 {
 		if c.Idx, err = ReadVector[int32](r, nidx, pool); err != nil {
@@ -224,11 +226,6 @@ func DecodeWith(r io.Reader, pool *parallel.Pool) (*Compressed, error) {
 	if nvals > 0 {
 		if c.Vals, err = ReadVector[float32](r, nvals, pool); err != nil {
 			return nil, fmt.Errorf("compress: decode vals: %w", err)
-		}
-	}
-	if nq > 0 {
-		if c.Q, err = ReadVector[byte](r, nq, pool); err != nil {
-			return nil, fmt.Errorf("compress: decode quantized payload: %w", err)
 		}
 	}
 	if err := c.Validate(); err != nil {

@@ -69,12 +69,6 @@ func (e *Engine) initDPWorkers() error {
 	if opts.Workers < 1 {
 		return fmt.Errorf("core: %d workers; need at least 1", opts.Workers)
 	}
-	if opts.Codec == "int8" {
-		return fmt.Errorf("core: int8 cannot train here: every step merges the workers' gradients in an all-gather, and a quantized gradient has no union-sum; use topk, randk or identity")
-	}
-	if opts.Codec == "randk" && opts.Workers > 1 {
-		return fmt.Errorf("core: randk selects different indices per worker; use topk or identity for multi-worker runs")
-	}
 	group, err := comm.NewGroupPooled(opts.Workers, e.pool)
 	if err != nil {
 		return err
@@ -93,13 +87,6 @@ func (e *Engine) initDPWorkers() error {
 		c, err := compress.NewPooled(opts.Codec, opts.Rho, opts.Seed+uint64(w), e.pool)
 		if err != nil {
 			return err
-		}
-		if opts.ErrorFeedback {
-			ef, err := compress.NewErrorFeedback(c, n)
-			if err != nil {
-				return err
-			}
-			c = ef
 		}
 		e.comps = append(e.comps, c)
 	}

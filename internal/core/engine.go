@@ -33,17 +33,13 @@ type Options struct {
 	LR        float64
 	Momentum  float64 // sgd only
 
-	// Codec selects the gradient compressor: "topk" (default), "randk",
-	// or "identity". Rho is the sparsification ratio (default 0.01).
-	// The Plus strategy ignores both: LowDiff+ trains dense and offloads
+	// Codec selects the gradient compressor: "topk" (default) or
+	// "identity"; the DP, Peer and PP strategies reject any other name at
+	// construction. Rho is the sparsification ratio (default 0.01). The
+	// Plus strategy ignores both: LowDiff+ trains dense and offloads
 	// uncompressed layer snapshots.
 	Codec string
 	Rho   float64
-	// ErrorFeedback wraps each worker's compressor with an error-feedback
-	// residual memory, the standard companion of aggressive sparsification
-	// (checkpointing is unaffected: the synchronized gradient already
-	// includes the fed-back residual). Data-parallel LowDiff only.
-	ErrorFeedback bool
 
 	// Store receives checkpoints; nil disables checkpointing entirely.
 	Store storage.Store
@@ -763,8 +759,7 @@ func (e *Engine) gcOldCheckpoints() error {
 // the optimizer: a sparse payload takes one sparse step, the optimizer's
 // tiled run of one, which allocates nothing and relies on the strictly
 // increasing indices every synchronized payload has (Validate, MergeWith);
-// a dense payload takes a dense step directly. No strategy trains on
-// quantized payloads.
+// a dense payload takes a dense step directly.
 func applyCompressed(o optim.Optimizer, params tensor.Vector, c *compress.Compressed) error {
 	if c.Idx != nil {
 		return o.StepSparse(params, c.Idx, c.Vals)

@@ -32,15 +32,17 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 }
 
-// TestNewEngineRejectsInt8 holds the int8 codec out of training at
-// construction: every data-parallel step merges the workers' gradients in
-// an all-gather, which a quantized payload cannot take part in, even alone.
+// TestNewEngineRejectsInt8 holds every codec but Top-K and identity out
+// of training at construction: the retired int8 and random-K, and a name
+// no release knew, at one and two workers, with and without a store.
 func TestNewEngineRejectsInt8(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		for _, store := range []storage.Store{nil, storage.NewMem()} {
-			_, err := NewEngine(Options{Spec: model.Tiny(3, 16), Workers: workers, Codec: "int8", Store: store})
-			if err == nil || !strings.Contains(err.Error(), "all-gather") {
-				t.Errorf("workers %d, store %v: err = %v, want a rejection naming the all-gather", workers, store != nil, err)
+	for _, codec := range []string{"int8", "randk", "zstd"} {
+		for _, workers := range []int{1, 2} {
+			for _, store := range []storage.Store{nil, storage.NewMem()} {
+				_, err := NewEngine(Options{Spec: model.Tiny(3, 16), Workers: workers, Codec: codec, Store: store})
+				if err == nil || !strings.Contains(err.Error(), "unknown codec") || !strings.Contains(err.Error(), codec) {
+					t.Errorf("%s, workers %d, store %v: err = %v, want an unknown-codec rejection", codec, workers, store != nil, err)
+				}
 			}
 		}
 	}

@@ -310,8 +310,8 @@ func storeDigest(t *testing.T, store storage.Store) map[string]string {
 
 // TestOverlapIsInert pins the deprecated Options.Overlap as a no-op: every
 // strategy, including the combinations the removed pipelined schedule
-// rejected (Peer, Naïve DC with randk), builds with it set and writes the
-// same store objects, byte for byte, as without it.
+// rejected (Peer, Naïve DC), builds with it set and writes the same store
+// objects, byte for byte, as without it.
 func TestOverlapIsInert(t *testing.T) {
 	quiesce(t)
 	for _, tc := range []struct {
@@ -319,7 +319,7 @@ func TestOverlapIsInert(t *testing.T) {
 		opts Options
 	}{
 		{"dp", Options{Spec: model.Tiny(4, 32), Workers: 2, Rho: 0.1, FullEvery: 5, Seed: 111}},
-		{"dp-naivedc-randk", Options{Spec: model.Tiny(2, 16), Workers: 1, Codec: "randk", Rho: 0.5,
+		{"dp-naivedc-topk", Options{Spec: model.Tiny(2, 16), Workers: 1, Rho: 0.5,
 			FullEvery: 4, NaiveDC: true, Seed: 112}},
 		{"peer", Options{Spec: model.Tiny(3, 16), Workers: 2, Rho: 0.3, FullEvery: 4,
 			Peer: &PeerSpec{Window: 4}, Seed: 113}},

@@ -216,6 +216,9 @@ func TestPersisterNeedsNoClose(t *testing.T) {
 		t.Fatal("no persister goroutine while fulls are in flight")
 	}
 	close(store.gate)
+	// Wait on the worker's exit first: the goroutine count alone can settle
+	// while it still runs, when a goroutine of an earlier test exits.
+	e.fulls.join()
 	if !settled(start) {
 		t.Fatalf("%d goroutines after the last persist, %d before NewEngine", runtime.NumGoroutine(), start)
 	}

@@ -83,11 +83,6 @@ func (e *Engine) initPP() error {
 	if err := validateChain(opts); err != nil {
 		return err
 	}
-	switch opts.Codec {
-	case "topk", "identity":
-	default:
-		return fmt.Errorf("core: pp codec %q not supported (topk or identity)", opts.Codec)
-	}
 	group, err := comm.NewGroupPooled(opts.PP.Stages, e.pool)
 	if err != nil {
 		return err

@@ -21,6 +21,7 @@ package grad
 
 import (
 	"fmt"
+	"math"
 
 	"lowdiff/internal/model"
 	"lowdiff/internal/tensor"
@@ -37,13 +38,14 @@ type Oracle struct {
 }
 
 // New creates an oracle for spec. seed fixes the bowl minimum and the noise
-// streams; noise sets the per-worker disagreement half-width (0 disables).
+// streams; noise sets the per-worker disagreement half-width (0 disables),
+// which must be finite and non-negative.
 func New(spec model.Spec, seed uint64, noise float64) (*Oracle, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if noise < 0 {
-		return nil, fmt.Errorf("grad: negative noise %v", noise)
+	if !(noise >= 0 && noise <= math.MaxFloat64) { // NaN fails both
+		return nil, fmt.Errorf("grad: noise half-width %v must be finite and non-negative", noise)
 	}
 	o := &Oracle{spec: spec, noise: noise, seed: seed, offsets: spec.LayerOffsets()}
 	n := len(spec.Layers)

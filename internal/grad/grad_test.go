@@ -1,6 +1,7 @@
 package grad
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -15,6 +16,20 @@ func TestNewValidates(t *testing.T) {
 	}
 	if _, err := New(model.Tiny(2, 4), 1, -0.5); err == nil {
 		t.Fatal("want negative-noise error")
+	}
+}
+
+// TestNewRejectsNonFiniteNoise: a NaN half-width would silently turn the
+// noise off, and an infinite one would make gradients infinite, or NaN
+// with payloads that differ between the AVX2 body and the Go loop.
+func TestNewRejectsNonFiniteNoise(t *testing.T) {
+	for _, noise := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := New(model.Tiny(2, 4), 1, noise); err == nil {
+			t.Errorf("New accepted noise half-width %v", noise)
+		}
+	}
+	if _, err := New(model.Tiny(2, 4), 1, math.MaxFloat64); err != nil {
+		t.Errorf("New rejected the largest finite half-width: %v", err)
 	}
 }
 

@@ -78,6 +78,10 @@ TEXT ·gradAVX2(SB), NOSPLIT, $0-88
 	VBROADCASTSS consts<>+28(SB), Y8 // 1
 	VBROADCASTSS half+72(FP), Y13
 
+	// Start the loop on a 64-byte line, so that code moving ahead of this
+	// function in the binary cannot move a line boundary through its body.
+	PCALIGN $64
+
 loop:
 	VMOVDQU Y0, Y9
 	MIX(Y9, Y10, Y11)

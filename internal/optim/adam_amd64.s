@@ -27,6 +27,10 @@ TEXT ·adamAVX(SB), NOSPLIT, $0-104
 	VBROADCASTSS 24(AX), Y13 // lr
 	VBROADCASTSS 28(AX), Y14 // eps
 
+	// Start the loop on a 64-byte line, so that code moving ahead of this
+	// function in the binary cannot move a line boundary through its body.
+	PCALIGN $64
+
 loop:
 	VMOVUPS (BX), Y0 // g
 

@@ -1,6 +1,9 @@
 package recovery
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"lowdiff/internal/checkpoint"
@@ -63,19 +66,40 @@ func TestApplyDiffRejects(t *testing.T) {
 	}
 }
 
-// Quantized gradient diffs decode through the dense path of the apply stage.
-func TestApplyDiffQuantizedPayload(t *testing.T) {
-	params := tensor.New(4)
-	o := optim.NewSGD(4, optim.SGDConfig{LR: 1})
-	q, err := compress.Int8{}.Compress(tensor.Vector{1, -1, 0.5, 0})
+// randkRecordSHA256 pins the bytes of randkRecord's encoding: a sparse
+// gradient differential labelled "randk", the record a one-worker random-K
+// run wrote before that codec left the engine.
+const randkRecordSHA256 = "ce179ccf962491ecd25bc0c6e38e527397526a4e8a660342246a76f39cb4002d"
+
+func randkRecord() *checkpoint.Diff {
+	return &checkpoint.Diff{Kind: checkpoint.KindGradient, FirstIter: 1, LastIter: 1, Count: 1,
+		Payload: &compress.Compressed{Codec: "randk", N: 8, Idx: []int32{1, 4, 6}, Vals: []float32{0.5, -2, 0.25}}}
+}
+
+// A random-K record still decodes and replays: the codec name is a label,
+// and replay applies any sparse gradient payload alike.
+func TestRandKRecordDecodesAndReplays(t *testing.T) {
+	var buf bytes.Buffer
+	if err := randkRecord().Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != randkRecordSHA256 {
+		t.Fatalf("randk record sha256 %s, want %s", got, randkRecordSHA256)
+	}
+	d, err := checkpoint.DecodeDiff(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &checkpoint.Diff{Kind: checkpoint.KindGradient, FirstIter: 1, LastIter: 1, Count: 1, Payload: q}
-	if err := (&pipeline{}).apply(o, params, d); err != nil {
+	if d.Payload.Codec != "randk" {
+		t.Fatalf("decoded codec %q", d.Payload.Codec)
+	}
+	full := &checkpoint.Full{Params: tensor.Vector{1, 2, 3, 4, 5, 6, 7, 8},
+		Opt: optim.NewSGD(8, optim.SGDConfig{LR: 1}).Snapshot()}
+	st, err := Replay(full, []*checkpoint.Diff{d})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if params[0] >= 0 || params[1] <= 0 {
-		t.Fatalf("quantized gradient not applied: %v", params)
+	if want := (tensor.Vector{1, 1.5, 3, 4, 7, 6, 6.75, 8}); st.Iter != 1 || !st.Params.Equal(want) {
+		t.Fatalf("replayed iter %d params %v, want 1 %v", st.Iter, st.Params, want)
 	}
 }

@@ -78,8 +78,7 @@ type pipeline struct {
 	// issued only once the one before it has succeeded, which is what keeps
 	// the validating paths reproducible.
 	depth    int
-	attempts int           // tries per object load
-	dense    tensor.Vector // dequantization scratch of the apply stage
+	attempts int // tries per object load
 }
 
 // newPipeline returns a pipeline over store with a pool of the given worker
@@ -318,16 +317,7 @@ func (p *pipeline) replay(full *checkpoint.Full, next source) (*State, error) {
 func (p *pipeline) apply(o optim.Optimizer, params tensor.Vector, d *checkpoint.Diff) error {
 	switch c := d.Payload; d.Kind {
 	case checkpoint.KindGradient:
-		if len(c.Q) == 0 {
-			return o.StepWith(p.pool, params, c.Vals)
-		}
-		if len(p.dense) != len(params) {
-			p.dense = tensor.New(len(params))
-		}
-		if err := c.DecompressWith(p.pool, p.dense); err != nil {
-			return err
-		}
-		return o.StepWith(p.pool, params, p.dense)
+		return o.StepWith(p.pool, params, c.Vals)
 	case checkpoint.KindStateDelta:
 		return c.AddIntoWith(p.pool, params)
 	default:

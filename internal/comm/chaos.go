@@ -62,7 +62,7 @@ func (c ChaosConfig) validate() error {
 		{"CorruptProb", c.CorruptProb},
 		{"LateProb", c.LateProb},
 	} {
-		if p.v < 0 || p.v > 1 {
+		if !(0 <= p.v && p.v <= 1) { // NaN fails both
 			return fmt.Errorf("comm: chaos %s = %v out of [0,1]", p.name, p.v)
 		}
 	}

@@ -174,7 +174,6 @@ func (p *Peers) Retain(rank int, iter int64, grad *compress.Compressed) error {
 			return nil
 		case c.draw(c.cfg.LateProb, rank, iter, chaosKindLate):
 			p.mu.Lock()
-			//lint:allow hotalloc chaos-injection late path only; never taken in production configs
 			p.pending[rank] = &pendingRetain{iter: iter, grad: grad}
 			p.mu.Unlock()
 			c.late.Inc()

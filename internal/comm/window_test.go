@@ -3,9 +3,11 @@ package comm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
+	"lowdiff/internal/allocgate"
 	"lowdiff/internal/compress"
 )
 
@@ -146,6 +148,12 @@ func TestPeersCrashAndBestRestore(t *testing.T) {
 	if _, _, _, err := p.BestRestore(0); !errors.Is(err, ErrNoSurvivingPeer) {
 		t.Fatalf("BestRestore(0) error = %v, want ErrNoSurvivingPeer", err)
 	}
+	// The survivors go on retaining after the crash.
+	for _, r := range p.Survivors() {
+		if err := p.Retain(r, 6, testGrad(6)); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestPeersCoveredAndOccupancy(t *testing.T) {
@@ -267,6 +275,9 @@ func TestChaosConfigValidation(t *testing.T) {
 	if _, err := NewChaos(ChaosConfig{DropProb: 1.5}); err == nil {
 		t.Fatal("DropProb out of range must fail")
 	}
+	if _, err := NewChaos(ChaosConfig{LateProb: math.NaN()}); err == nil {
+		t.Fatal("a NaN LateProb must fail")
+	}
 	if _, err := NewChaos(ChaosConfig{Crashes: []Crash{{Rank: -1, Iter: 1}}}); err == nil {
 		t.Fatal("negative crash rank must fail")
 	}
@@ -280,4 +291,35 @@ func TestChaosConfigValidation(t *testing.T) {
 	if _, err := NewPeers(3, 2, chaos); err == nil {
 		t.Fatal("crash rank beyond peer count must fail at NewPeers")
 	}
+}
+
+// TestPeerRetainAllocs holds the peer plane's per-iteration path at its
+// allocation count: each of two ranks retains the iteration's gradient, and
+// the coverage check looks every entry since the base up. A retain
+// checksums the gradient's wire encoding, whose 64-byte header staging is
+// the one object it allocates. The bounds are the measured count plus half
+// an object and the measured bytes plus 512, so one more allocation per
+// call fails the gate.
+func TestPeerRetainAllocs(t *testing.T) {
+	const depth = 8
+	p, err := NewPeers(2, depth, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grads := make([]*compress.Compressed, depth)
+	for i := range grads {
+		grads[i] = testGrad(int64(i))
+	}
+	iter := int64(0)
+	allocgate.Check(t, 100, 2.5, 640, func() {
+		iter++
+		for rank := range 2 {
+			if err := p.Retain(rank, iter, grads[iter%depth]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !p.Covered(max(0, iter-depth+1), iter) {
+			t.Fatalf("iteration %d: the windows do not cover their last %d entries", iter, depth-1)
+		}
+	})
 }

@@ -3,6 +3,7 @@ package compress
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"testing"
 
 	"lowdiff/internal/allocgate"
@@ -254,4 +255,73 @@ func BenchmarkDataplaneDecompress(b *testing.B) {
 			}
 		}
 	})
+}
+
+var sinkCompressed *Compressed
+
+// TestDataplaneAllocs holds the rest of the data plane at its allocation
+// counts, serial and at two pool workers: decompression and scatter-add
+// into caller memory, the pooled and the dense merge, identity
+// compression, clone, and the wire encode and decode. A pooled dispatch
+// costs 5 objects (ForEach's cursor, WaitGroup and two goroutine closures,
+// and the caller's closure); a result costs its header and slices; encode
+// stages its 64-byte header. A merge of more than two parts folds through
+// pooled scratch, so it too allocates only its result. Each bound is the
+// measured count plus half an object and the measured bytes plus 512, so
+// one more allocation per call fails it.
+func TestDataplaneAllocs(t *testing.T) {
+	const n = 1 << 18
+	g := benchGrad(n)
+	tk, _ := NewTopK(0.2)
+	sp, err := tk.Compress(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2 := tensor.New(n)
+	tensor.NewRNG(2).FillUniform(g2, -1, 1)
+	sp2, err := tk.Compress(g2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dn, _ := Identity{}.Compress(g)
+	parts := benchSortedParts(t, dataplaneN, dataplaneParts, dataplaneRho)
+	pool2, err := parallel.New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := tensor.New(n)
+	var wire bytes.Buffer
+	if err := sp.Encode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(nil)
+	must := func(t *testing.T, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name          string
+		allocs, bytes float64
+		op            func(*testing.T)
+	}{
+		{"decompress/sparse/serial", 0.5, 512, func(t *testing.T) { must(t, sp.DecompressWith(nil, out)) }},
+		{"decompress/sparse/pool2", 5.5, 728, func(t *testing.T) { must(t, sp.DecompressWith(pool2, out)) }},
+		{"decompress/dense/serial", 0.5, 512, func(t *testing.T) { must(t, dn.DecompressWith(nil, out)) }},
+		{"decompress/dense/pool2", 5.5, 712, func(t *testing.T) { must(t, dn.DecompressWith(pool2, out)) }},
+		{"add_into/dense/pool2", 5.5, 712, func(t *testing.T) { must(t, dn.AddIntoWith(pool2, out)) }},
+		{"merge/pool2", 9.5, 852_888, func(t *testing.T) { sinkCompressed, err = MergeWith(pool2, sp, sp2); must(t, err) }},
+		{"merge/16_parts", 3.5, 98_896, func(t *testing.T) { sinkCompressed, err = MergeWith(nil, parts...); must(t, err) }},
+		{"merge/dense", 2.5, 1_049_168, func(t *testing.T) { sinkCompressed, err = MergeWith(nil, sp, dn); must(t, err) }},
+		{"identity", 2.5, 1_049_168, func(t *testing.T) { sinkCompressed, err = Identity{}.Compress(g); must(t, err) }},
+		{"clone", 3.5, 426_576, func(*testing.T) { sinkCompressed = sp.Clone() }},
+		{"encode", 1.5, 576, func(t *testing.T) { must(t, sp.EncodeWith(io.Discard, pool2)) }},
+		{"decode", 5.5, 426_592, func(t *testing.T) {
+			rd.Reset(wire.Bytes())
+			sinkCompressed, err = DecodeWith(rd, pool2)
+			must(t, err)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { allocgate.Check(t, 20, tc.allocs, tc.bytes, func() { tc.op(t) }) })
+	}
 }

@@ -130,7 +130,6 @@ func (c *Compressed) AddIntoWith(pool *parallel.Pool, dense tensor.Vector) error
 	case c.Idx != nil:
 		es := getErrs(pool.NumChunks(len(c.Idx)))
 		errs := es.v
-		//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 		pool.ForEach(len(c.Idx), func(s, lo, hi int) {
 			prev := int32(-1)
 			if lo > 0 {
@@ -156,7 +155,6 @@ func (c *Compressed) AddIntoWith(pool *parallel.Pool, dense tensor.Vector) error
 		}
 		es.release()
 	default:
-		//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 		pool.ForEach(len(c.Vals), func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				dense[i] += c.Vals[i]
@@ -200,7 +198,6 @@ func (c *Compressed) DecompressWith(pool *parallel.Pool, out tensor.Vector) erro
 			zeroPlus(out, c.Vals)
 			return nil
 		}
-		//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 		pool.ForEach(len(out), func(_, lo, hi int) { zeroPlus(out[lo:hi], c.Vals[lo:hi]) })
 		return nil
 	}
@@ -252,7 +249,7 @@ type TopK struct {
 
 // NewTopK returns a Top-K compressor with ratio ρ.
 func NewTopK(rho float64) (*TopK, error) {
-	if rho <= 0 || rho > 1 {
+	if !(0 < rho && rho <= 1) { // NaN fails both
 		return nil, fmt.Errorf("compress: topk ratio %v out of (0,1]", rho)
 	}
 	return &TopK{R: rho}, nil
@@ -587,7 +584,6 @@ func MergeWith(pool *parallel.Pool, parts ...*Compressed) (*Compressed, error) {
 	}
 	// The result, the merge's one allocation: the shards fill their
 	// segments of it in place, so it is captured by the workers' closure.
-	//lint:allow hotalloc the fresh result, one pair of slices per merge, filled in place by the shards
 	idx, vals := make([]int32, off[shards]), make([]float32, off[shards])
 	m := 0
 	if shards == 1 {
@@ -595,9 +591,7 @@ func MergeWith(pool *parallel.Pool, parts ...*Compressed) (*Compressed, error) {
 	} else {
 		// The workers capture a copy of the part list, so the caller's
 		// (often an implicit variadic slice) never moves to the heap.
-		//lint:allow hotalloc one copy of the part pointers per pooled merge, not per element
 		own := slices.Clone(parts)
-		//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 		pool.ForEach(n, func(s, _, _ int) {
 			lens[s] = fold(own, cut[s*k:(s+2)*k], idx[off[s]:off[s+1]], vals[off[s]:off[s+1]])
 		})

@@ -158,6 +158,9 @@ func TestNewByName(t *testing.T) {
 	if _, err := NewTopK(1.5); err == nil {
 		t.Fatal("want ratio error")
 	}
+	if _, err := NewTopK(math.NaN()); err == nil {
+		t.Fatal("want ratio error for NaN")
+	}
 }
 
 func TestBytesAccounting(t *testing.T) {

@@ -87,7 +87,6 @@ func ReadVector[T int32 | float32](r io.Reader, n uint64, pool *parallel.Pool) (
 			return nil, err
 		}
 		if !hostLE {
-			//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 			pool.ForEach(int(k), func(_, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					binary.NativeEndian.PutUint32(b[4*i:], binary.LittleEndian.Uint32(b[4*i:]))
@@ -118,7 +117,6 @@ func WriteVector[T int32 | float32](w io.Writer, v []T, pool *parallel.Pool) err
 	for off := 0; off < len(b); off += len(scratch.b) {
 		src := b[off:min(off+len(scratch.b), len(b))]
 		dst := scratch.b[:len(src)]
-		//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 		pool.ForEach(len(src)/4, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				binary.LittleEndian.PutUint32(dst[4*i:], binary.NativeEndian.Uint32(src[4*i:]))
@@ -150,7 +148,7 @@ func (c *Compressed) EncodeWith(w io.Writer, pool *parallel.Pool) error {
 	if len(c.Codec) > 255 {
 		return fmt.Errorf("compress: codec name too long: %d", len(c.Codec))
 	}
-	//lint:allow hotalloc fixed 64-byte header staging per record; never grows and is dwarfed by the payload writes
+	// One 64-byte header staging per record; the payloads go out from their own memory.
 	hdr := make([]byte, 0, 64)
 	hdr = binary.LittleEndian.AppendUint32(hdr, wireMagic)
 	hdr = binary.LittleEndian.AppendUint16(hdr, wireVersion)
@@ -183,7 +181,7 @@ func Decode(r io.Reader) (*Compressed, error) {
 // result's slices are freshly allocated (never pooled): a decoded gradient
 // may outlive the call arbitrarily.
 func DecodeWith(r io.Reader, pool *parallel.Pool) (*Compressed, error) {
-	//lint:allow hotalloc 7 header bytes per decoded gradient, not per element; they escape through io.ReadFull's reader
+	// 7 bytes per decoded record: they escape through io.ReadFull's reader.
 	var fixed [7]byte // magic + version + name length
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {
 		return nil, fmt.Errorf("compress: decode header: %w", err)

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"errors"
 	"testing"
+	"time"
 
 	"lowdiff/internal/checkpoint"
 	"lowdiff/internal/model"
+	"lowdiff/internal/optim"
 	"lowdiff/internal/storage"
 	"lowdiff/internal/tensor"
 )
@@ -222,5 +225,38 @@ func TestPlusMatchesDenseBaseline(t *testing.T) {
 	}
 	if !plus.Params().Equal(again.Params()) {
 		t.Fatal("plus engine is nondeterministic")
+	}
+}
+
+// TestPlusReplicaStepErrorReleasesReplica fails the replica's optimizer
+// step (an optimizer one parameter too long) and requires that Run reports
+// it and that the replica stays readable: the failed step must not leave
+// the replica locked.
+func TestPlusReplicaStepErrorReleasesReplica(t *testing.T) {
+	quiesce(t)
+	spec := model.Tiny(2, 8)
+	e, err := NewEngine(Options{Spec: spec, Workers: 1, Seed: 1, Plus: &PlusSpec{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.rep.(*plusReplica).opt = optim.NewAdam(spec.NumParams()+1, optim.AdamConfig{})
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.Run(3)
+		if err == nil {
+			err = errors.New("Run succeeded with a failing replica step")
+		} else {
+			err = nil
+		}
+		_ = e.Replica().Iter()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the replica stayed locked after its step failed")
 	}
 }

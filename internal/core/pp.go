@@ -271,7 +271,6 @@ func (r *ppRank) step(rc *runCtx, t int64) error {
 		if err != nil {
 			return err
 		}
-		//lint:allow hotalloc full-checkpoint path runs every FullEvery iterations; ownership moves to the store
 		full := &checkpoint.Full{Iter: t, Params: e.params[0].Flat.Clone(), Opt: gst}
 		snapDone()
 		e.fulls.handOff(full)

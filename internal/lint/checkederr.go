@@ -30,7 +30,7 @@ var CheckedErrAnalyzer = &Analyzer{
 	Run: runCheckedErr,
 }
 
-func runCheckedErr(pass *Pass) error {
+func runCheckedErr(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -61,7 +61,6 @@ func runCheckedErr(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // watchedErrFunc reports whether name is on the persistence-critical

@@ -28,9 +28,9 @@ var seededRandFuncs = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true,
 }
 
-func runDeterminism(pass *Pass) error {
+func runDeterminism(pass *Pass) {
 	if !pass.Config.deterministic(pass.Pkg.Path) {
-		return nil
+		return
 	}
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
@@ -79,5 +79,4 @@ func runDeterminism(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }

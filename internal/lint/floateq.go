@@ -27,7 +27,7 @@ var FloatEqAnalyzer = &Analyzer{
 	Run: runFloatEq,
 }
 
-func runFloatEq(pass *Pass) error {
+func runFloatEq(pass *Pass) {
 	allowed := make(map[string]bool, len(pass.Config.FloatEqAllowFuncs))
 	for _, fn := range pass.Config.FloatEqAllowFuncs {
 		allowed[fn] = true
@@ -47,7 +47,6 @@ func runFloatEq(pass *Pass) error {
 			}
 		}
 	}
-	return nil
 }
 
 func checkFloatEq(pass *Pass, root ast.Node) {

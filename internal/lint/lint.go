@@ -1,7 +1,8 @@
 // Package lint is a small, from-scratch static-analysis framework built
 // directly on go/ast, go/parser, and go/types (no external dependencies),
-// plus the codebase-specific analyzers that enforce LowDiff's correctness
-// invariants:
+// plus the three codebase-specific analyzers that enforce LowDiff's
+// correctness invariants where a test cannot, because a violation passes
+// every run that does not happen to hit it:
 //
 //   - determinism: no wall-clock reads, global math/rand, or unsorted map
 //     iteration in the declared-deterministic packages. The discrete-event
@@ -15,11 +16,11 @@
 //   - floateq: no ==/!= on floating-point operands outside an explicit
 //     allowlist of bit-exact comparison helpers. Bit-exact recovery is
 //     verified by comparing float bit patterns, not approximate values.
-//   - lockbalance: no Lock without a paired Unlock on some control-flow
-//     path. (Locks copied by value — receivers, parameters, returns — are
-//     go vet's copylocks, which check.sh and CI run.)
-//   - hotalloc: no heap allocation on the configured hot paths, as the Go
-//     compiler's escape analysis reports it.
+//
+// Lock pairing and hot-path allocations are held by tests instead: each
+// owning package's tests deadlock on a leaked Unlock, and its allocgate
+// bounds fail on an extra allocation (DESIGN.md §6.1). Locks copied by
+// value are go vet's copylocks, which check.sh and CI run.
 //
 // Findings can be suppressed per line with a directive comment:
 //
@@ -59,7 +60,7 @@ func (d Diagnostic) String() string {
 type Analyzer struct {
 	Name string // rule name used in diagnostics and //lint:allow directives
 	Doc  string
-	Run  func(*Pass) error
+	Run  func(*Pass)
 }
 
 // Pass hands an analyzer one package plus the reporting sink.
@@ -93,16 +94,6 @@ type Config struct {
 	// ==/!=: "pkgpath.Func" for functions, "pkgpath.Type.Method" for
 	// methods. These are the designated bit-exact comparison helpers.
 	FloatEqAllowFuncs []string
-	// HotPaths configures the hotalloc analyzer: entries are whole
-	// packages ("pkgpath"), free functions ("pkgpath.Func"), or methods
-	// ("pkgpath.Type.Method") whose bodies are per-iteration hot loops
-	// where heap allocation is a finding.
-	HotPaths []string
-	// HotAllocCold lists callees whose argument expressions are exempt
-	// from hotalloc (error formatting, event emission — cold by
-	// construction even on a hot path). Entries are exact keys like
-	// "fmt.Errorf", or ".Method" to match any method of that name.
-	HotAllocCold []string
 }
 
 // DefaultConfig returns the configuration enforced on this repository.
@@ -144,60 +135,6 @@ func DefaultConfig() *Config {
 		FloatEqAllowFuncs: []string{
 			"lowdiff/internal/tensor.Vector.Equal",
 		},
-		// The hot-path set mirrors DESIGN.md §8: the data-plane packages
-		// are hot wholesale; in core and comm only the per-iteration step
-		// and retain paths are (setup/recovery code in those packages is
-		// cold).
-		HotPaths: []string{
-			"lowdiff/internal/parallel",
-			"lowdiff/internal/compress",
-			"lowdiff/internal/tensor",
-			"lowdiff/internal/core.trainRank.syncGradient",
-			"lowdiff/internal/core.trainRank.applyGradient",
-			"lowdiff/internal/core.dpRank.step",
-			"lowdiff/internal/core.peerRank.step",
-			"lowdiff/internal/core.peerRank.checkpointStep",
-			"lowdiff/internal/core.ppRank.step",
-			"lowdiff/internal/core.shiftToGlobal",
-			"lowdiff/internal/core.applyCompressed",
-			// The optimizer kernels run once per training step and once per
-			// replayed differential or run; the rest of optim
-			// (construction, snapshots, restore) is cold.
-			"lowdiff/internal/optim.Adam.StepWith",
-			"lowdiff/internal/optim.Adam.StepSparse",
-			"lowdiff/internal/optim.Adam.StepSparseRun",
-			"lowdiff/internal/optim.Adam.stepTile",
-			"lowdiff/internal/optim.Adam.next",
-			"lowdiff/internal/optim.Adam.advance",
-			"lowdiff/internal/optim.SGD.StepWith",
-			"lowdiff/internal/optim.SGD.StepSparse",
-			"lowdiff/internal/optim.SGD.StepSparseRun",
-			"lowdiff/internal/optim.SGD.stepTile",
-			"lowdiff/internal/optim.SGD.advance",
-			"lowdiff/internal/optim.adamRange",
-			"lowdiff/internal/optim.adamAVX",
-			"lowdiff/internal/optim.adamGo",
-			"lowdiff/internal/optim.sgdRange",
-			"lowdiff/internal/optim.tiled",
-			"lowdiff/internal/optim.tile",
-			"lowdiff/internal/optim.checkRun",
-			"lowdiff/internal/optim.scratchPool.get",
-			"lowdiff/internal/optim.scratchPool.put",
-			"lowdiff/internal/comm.Window.Retain",
-			"lowdiff/internal/comm.Window.lookup",
-			"lowdiff/internal/comm.payloadCRC",
-			"lowdiff/internal/comm.Peers.Retain",
-		},
-		HotAllocCold: []string{
-			"fmt.Errorf",
-			"fmt.Sprintf",
-			"fmt.Fprintf",
-			"errors.New",
-			// Event emission and error/field decoration happen on rare
-			// transitions (milestones, faults), never per iteration.
-			".Emit",
-			"lowdiff/internal/core.Engine.fields",
-		},
 	}
 }
 
@@ -207,8 +144,6 @@ func DefaultAnalyzers() []*Analyzer {
 		DeterminismAnalyzer,
 		CheckedErrAnalyzer,
 		FloatEqAnalyzer,
-		LockBalanceAnalyzer,
-		HotAllocAnalyzer,
 	}
 }
 
@@ -223,9 +158,7 @@ func (c *Config) deterministic(pkgPath string) bool {
 
 // Run executes the analyzers over the packages, applies //lint:allow
 // suppressions, and returns the surviving diagnostics sorted by position.
-// An analyzer that cannot run (hotalloc without a working compiler) is an
-// error, never an empty finding set.
-func Run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Diagnostic, error) {
+func Run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Diagnostic {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		known[a.Name] = true
@@ -241,9 +174,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Diagnostic, err
 					diags = append(diags, d)
 				}
 			}
-			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Path, err)
-			}
+			a.Run(pass)
 		}
 		diags = append(diags, sup.stale()...)
 	}
@@ -260,7 +191,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Diagnostic, err
 		}
 		return a.Rule < b.Rule
 	})
-	return diags, nil
+	return diags
 }
 
 // directive is one well-formed //lint:allow comment.

@@ -1,22 +1,20 @@
 package lint
 
 import (
-	"errors"
 	"flag"
+	"go/ast"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite the fixture golden files")
 
 // fixtureConfig mirrors DefaultConfig for the fixture module: multi/ and
-// det/ are declared deterministic, floats/ provides the allowlisted
-// bit-exact helpers, hotalloc/ is hot as a whole package while hotfunc/
-// is hot only at one function, and fmt.Errorf plays the configured-cold
-// callee.
+// det/ are declared deterministic, and floats/ provides the allowlisted
+// bit-exact helpers.
 func fixtureConfig() *Config {
 	return &Config{
 		DeterministicPkgs: []string{"fixture/det", "fixture/multi"},
@@ -24,8 +22,6 @@ func fixtureConfig() *Config {
 			"fixture/floats.BitEqual",
 			"fixture/floats.Vec.BitEq",
 		},
-		HotPaths:     []string{"fixture/hotalloc", "fixture/hotfunc.Step"},
-		HotAllocCold: []string{"fmt.Errorf"},
 	}
 }
 
@@ -44,10 +40,7 @@ func loadFixtures(t *testing.T, patterns ...string) []*Package {
 // with -update to rewrite the goldens.
 func TestGoldenFixtures(t *testing.T) {
 	pkgs := loadFixtures(t, "./...")
-	diags, err := Run(pkgs, DefaultAnalyzers(), fixtureConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags := Run(pkgs, DefaultAnalyzers(), fixtureConfig())
 
 	byDir := make(map[string][]string)
 	for _, d := range diags {
@@ -111,10 +104,7 @@ func TestPatternSelection(t *testing.T) {
 	if len(pkgs) != 2 || pkgs[0].Path != "fixture/multi/a" || pkgs[1].Path != "fixture/multi/b" {
 		t.Fatalf("loaded %v, want [fixture/multi/a fixture/multi/b]", paths)
 	}
-	diags, err := Run(pkgs, DefaultAnalyzers(), fixtureConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags := Run(pkgs, DefaultAnalyzers(), fixtureConfig())
 	if len(diags) != 2 {
 		t.Fatalf("got %d diagnostics, want 2 (one per multi package): %v", len(diags), diags)
 	}
@@ -141,6 +131,12 @@ func TestPatternOutsideModule(t *testing.T) {
 	}
 }
 
+// repoPackages loads the whole module once, for the tests that check the
+// repository itself.
+var repoPackages = sync.OnceValues(func() ([]*Package, error) {
+	return Load(filepath.Join("..", ".."), []string{"./..."})
+})
+
 // TestRepoIsLintClean is the gate the CI check runs via cmd/lowdifflint:
 // the repository itself must stay free of findings under the default
 // analyzers and config.
@@ -148,39 +144,51 @@ func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	pkgs, err := Load(filepath.Join("..", ".."), []string{"./..."})
+	pkgs, err := repoPackages()
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := Run(pkgs, DefaultAnalyzers(), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
+	for _, d := range Run(pkgs, DefaultAnalyzers(), DefaultConfig()) {
 		t.Errorf("%s", d)
 	}
 }
 
-// TestCompilerFailureIsLoud checks that hotalloc without a working compiler
-// fails the run with the compiler's output instead of reporting nothing.
-func TestCompilerFailureIsLoud(t *testing.T) {
-	pkgs := loadFixtures(t, "./hotalloc")
-	defer func(orig func(string, ...string) ([]byte, []byte, error)) { runGo = orig }(runGo)
-	for name, fail := range map[string]func(string, ...string) ([]byte, []byte, error){
-		"missing": func(string, ...string) ([]byte, []byte, error) {
-			return nil, nil, exec.ErrNotFound
-		},
-		"failing": func(string, ...string) ([]byte, []byte, error) {
-			return nil, []byte("hotalloc/hotalloc.go:1:1: compiler says no"), errors.New("exit status 1")
-		},
-	} {
-		runGo = fail
-		diags, err := Run(pkgs, DefaultAnalyzers(), fixtureConfig())
-		if err == nil {
-			t.Fatalf("%s compiler: no error, %d findings", name, len(diags))
+// TestConfigEntriesResolve checks that DefaultConfig names only what the
+// module has: every DeterministicPkgs entry covers at least one package,
+// and every FloatEqAllowFuncs entry is a declared function. Otherwise a
+// renamed package or helper drops out of its rule without a finding.
+func TestConfigEntriesResolve(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module; skipped in -short")
+	}
+	pkgs, err := repoPackages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	funcs := map[string]bool{}
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok {
+					funcs[funcKey(p, fn)] = true
+				}
+			}
 		}
-		if name == "failing" && !strings.Contains(err.Error(), "compiler says no") {
-			t.Errorf("failing compiler: error %q does not carry its output", err)
+	}
+	for _, entry := range cfg.DeterministicPkgs {
+		one := &Config{DeterministicPkgs: []string{entry}}
+		covered := false
+		for _, p := range pkgs {
+			covered = covered || one.deterministic(p.Path)
+		}
+		if !covered {
+			t.Errorf("DeterministicPkgs entry %q matches no package in the module", entry)
+		}
+	}
+	for _, entry := range cfg.FloatEqAllowFuncs {
+		if !funcs[entry] {
+			t.Errorf("FloatEqAllowFuncs entry %q names no function in the module", entry)
 		}
 	}
 }

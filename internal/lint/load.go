@@ -39,9 +39,8 @@ func (p *Package) Position(pos token.Pos) (file string, line, col int) {
 	return file, ps.Line, ps.Column
 }
 
-// runGo runs the go command in dir. Tests replace it to stand in for a
-// missing or failing toolchain.
-var runGo = func(dir string, args ...string) (stdout, stderr []byte, err error) {
+// runGo runs the go command in dir.
+func runGo(dir string, args ...string) (stdout, stderr []byte, err error) {
 	var o, e bytes.Buffer
 	cmd := exec.Command("go", args...)
 	cmd.Dir, cmd.Stdout, cmd.Stderr = dir, &o, &e

@@ -382,3 +382,57 @@ func TestStepSparseAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestStepAllocs holds the dense step and the sparse run, serial and at two
+// pool workers, at their allocation counts. A serial step allocates
+// nothing. A pooled one allocates only its dispatch: ForEach's cursor,
+// WaitGroup and two goroutine closures plus the step's own closure (5
+// objects); a tiled run also copies its headers (6). Plain SGD walks a run's
+// indices without tiling, so its run allocates nothing at any pool. Each
+// bound is the measured count plus half an object and the measured bytes
+// plus 512, so one more allocation per call fails it.
+func TestStepAllocs(t *testing.T) {
+	const n = 4 * parallel.DefaultChunk
+	r := tensor.NewRNG(2)
+	grad := randVec(r, n)
+	run := []Sparse{sortedGrad(r, n, 600), sortedGrad(r, n, 600), sortedGrad(r, n, 600)}
+	pool2, err := parallel.New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rule := range rules {
+		o, params := rule.mk(n), randVec(r, n)
+		dense := func(pool *parallel.Pool) func(*testing.T) {
+			return func(t *testing.T) {
+				if err := o.StepWith(pool, params, grad); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		sparse := func(pool *parallel.Pool) func(*testing.T) {
+			return func(t *testing.T) {
+				if err := o.StepSparseRun(pool, params, run); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		pooledRun, pooledRunBytes := 6.5, 888.0
+		if rule.name == "sgd" {
+			pooledRun, pooledRunBytes = 0.5, 512
+		}
+		for _, tc := range []struct {
+			name          string
+			op            func(*testing.T)
+			allocs, bytes float64
+		}{
+			{"dense/serial", dense(nil), 0.5, 512},
+			{"dense/pool2", dense(pool2), 5.5, 760},
+			{"run/serial", sparse(nil), 0.5, 512},
+			{"run/pool2", sparse(pool2), pooledRun, pooledRunBytes},
+		} {
+			t.Run(rule.name+"/"+tc.name, func(t *testing.T) {
+				allocgate.Check(t, 40, tc.allocs, tc.bytes, func() { tc.op(t) })
+			})
+		}
+	}
+}

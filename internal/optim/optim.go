@@ -233,7 +233,6 @@ func (a *Adam) advance(pool *parallel.Pool, params, grad tensor.Vector) {
 		adamRange(params, a.m, a.v, grad, k)
 		return
 	}
-	//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 	pool.ForEach(len(params), func(_, lo, hi int) {
 		adamRange(params[lo:hi], a.m[lo:hi], a.v[lo:hi], grad[lo:hi], k)
 	})
@@ -390,7 +389,6 @@ func (s *SGD) advance(pool *parallel.Pool, params, grad tensor.Vector) {
 		sgdRange(params, s.buf, grad, lr, mu)
 		return
 	}
-	//lint:allow hotalloc one closure per dispatch, not per element: the pool's workers capture it
 	pool.ForEach(len(params), func(_, lo, hi int) {
 		var buf []float32
 		if s.buf != nil {
@@ -617,9 +615,7 @@ func tiled(pool *parallel.Pool, r tileRule, params tensor.Vector, run []Sparse) 
 	}
 	// The workers capture a copy of the run's headers, so the caller's run
 	// (a single step's stack array) never moves to the heap.
-	//lint:allow hotalloc one copy of the run's headers per pooled run, not per element
 	own := slices.Clone(run)
-	//lint:allow hotalloc one closure per pooled run, not per element: the pool's workers capture it
 	pool.ForEach(n, func(_, lo, hi int) {
 		g := densePool.get(hi - lo)
 		tile(r, params, own, lo, hi, g)

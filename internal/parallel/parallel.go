@@ -142,14 +142,12 @@ func (p *Pool) ForEach(n int, fn func(shard, lo, hi int)) {
 		return
 	}
 	p.Dispatches.Inc()
-	//lint:allow hotalloc one shard cursor and one WaitGroup per dispatch, shared with the workers
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		//lint:allow hotalloc one bounded worker spawn per dispatch, amortized over the whole shard sweep
 		go func() {
 			defer wg.Done()
 			for {

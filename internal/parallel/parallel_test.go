@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"lowdiff/internal/allocgate"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -147,5 +149,32 @@ func TestMetricsCounters(t *testing.T) {
 	}
 	if p.Shards.Value() != 11 {
 		t.Fatalf("Shards = %d, want 11", p.Shards.Value())
+	}
+}
+
+// TestForEachAllocs holds ForEach at its allocation counts: an inline
+// sweep (a nil or one-worker pool) allocates nothing, and a four-worker
+// dispatch over 17 chunks allocates its shard cursor, its WaitGroup and one
+// goroutine closure per worker (6 objects, 280 B), never anything per
+// shard. Each bound is the measured count plus half an object and the
+// measured bytes plus 512, so one more allocation per call fails it.
+func TestForEachAllocs(t *testing.T) {
+	const n = 16*DefaultChunk + 5
+	var sum atomic.Int64
+	fn := func(_, lo, hi int) { sum.Add(int64(hi - lo)) }
+	pool1, _ := New(1)
+	pool4, _ := New(4)
+	for _, tc := range []struct {
+		name          string
+		pool          *Pool
+		allocs, bytes float64
+	}{
+		{"nil", nil, 0.5, 512},
+		{"one_worker", pool1, 0.5, 512},
+		{"dispatch", pool4, 6.5, 792},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocgate.Check(t, 100, tc.allocs, tc.bytes, func() { tc.pool.ForEach(n, fn) })
+		})
 	}
 }

@@ -63,7 +63,7 @@ func (c ChaosConfig) validate() error {
 		{"BitFlipReadProb", c.BitFlipReadProb},
 		{"LatencyProb", c.LatencyProb},
 	} {
-		if p.v < 0 || p.v > 1 {
+		if !(0 <= p.v && p.v <= 1) { // NaN fails both
 			return fmt.Errorf("storage: chaos %s = %v out of [0,1]", p.name, p.v)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -15,6 +16,9 @@ func TestChaosConfigValidation(t *testing.T) {
 	}
 	if _, err := NewChaos(NewMem(), ChaosConfig{TornReadProb: -0.1}); err == nil {
 		t.Fatal("want probability-range error")
+	}
+	if _, err := NewChaos(NewMem(), ChaosConfig{LatencyProb: math.NaN()}); err == nil {
+		t.Fatal("want probability-range error for NaN")
 	}
 	if _, err := NewChaos(NewMem(), ChaosConfig{FailWritesAfter: -1}); err == nil {
 		t.Fatal("want negative-budget error")

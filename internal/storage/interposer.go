@@ -202,7 +202,7 @@ type Throttled struct {
 // either way, and a workload of short objects would otherwise write faster
 // than the configured bandwidth.
 func NewThrottled(s Store, bytesPerSec float64) (*Throttled, error) {
-	if bytesPerSec <= 0 {
+	if !(bytesPerSec > 0) { // NaN fails it
 		return nil, fmt.Errorf("storage: throttle bandwidth %v must be positive", bytesPerSec)
 	}
 	t := &Throttled{bytesPerSec: bytesPerSec, sleep: time.Sleep}

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -34,4 +36,90 @@ func TestRemoteBackoffSchedulePinned(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("backoff schedule\n got %#v\nwant %#v", got, want)
 	}
+}
+
+// within fails the test if fn does not return in time: a call that blocks
+// on a lock a failed path forgot to release never returns.
+func within(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s did not return", what)
+	}
+}
+
+// TestRemoteCloseWithCallInFlight closes the client while a SIZE call holds
+// its one connection. The call still completes; its connection is then
+// closed rather than pooled; and every call after Close fails at once, as
+// often as it is made, with Close itself idempotent.
+func TestRemoteCloseWithCallInFlight(t *testing.T) {
+	asked, release, hungUp := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	dial := func(string) (net.Conn, error) {
+		client, server := net.Pipe()
+		go func() {
+			defer func() { _ = server.Close() }() // test peer; the client sees EOF
+			if _, _, err := ReadFrame(server, DefaultMaxFrame); err != nil {
+				return
+			}
+			if err := WriteFrame(server, OpOK, nil); err != nil {
+				return
+			}
+			if op, _, err := ReadFrame(server, DefaultMaxFrame); err != nil || op != OpSize {
+				return
+			}
+			close(asked)
+			<-release
+			if err := WriteFrame(server, OpInt, AppendU64(nil, 42)); err != nil {
+				return
+			}
+			_, _, err := ReadFrame(server, DefaultMaxFrame)
+			hungUp <- err
+		}()
+		return client, nil
+	}
+	r, err := DialRemote("pipe", "t", RemoteOptions{Dial: dial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sized := make(chan error, 1)
+	go func() {
+		n, err := r.Size("a")
+		if err == nil && n != 42 {
+			err = fmt.Errorf("size %d, want 42", n)
+		}
+		sized <- err
+	}()
+	<-asked
+	within(t, "Close with a call in flight", func() {
+		if err := r.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	close(release)
+	within(t, "the in-flight Size", func() {
+		if err := <-sized; err != nil {
+			t.Errorf("in-flight Size: %v", err)
+		}
+		if err := <-hungUp; err == nil {
+			t.Error("the in-flight call's connection went back to a closed pool")
+		}
+	})
+	for i := range 2 {
+		within(t, fmt.Sprintf("Size %d after Close", i+1), func() {
+			if _, err := r.Size("a"); err == nil || !strings.Contains(err.Error(), "closed") {
+				t.Errorf("Size after Close: %v, want a closed-store error", err)
+			}
+		})
+	}
+	within(t, "a second Close", func() {
+		if err := r.Close(); err != nil {
+			t.Error(err)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -282,6 +283,9 @@ func TestThrottledValidation(t *testing.T) {
 	}
 	if _, err := NewThrottled(NewMem(), -5); err == nil {
 		t.Fatal("want bandwidth error")
+	}
+	if _, err := NewThrottled(NewMem(), math.NaN()); err == nil {
+		t.Fatal("want bandwidth error for NaN")
 	}
 }
 

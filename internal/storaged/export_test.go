@@ -12,3 +12,11 @@ func (s *Server) ServeConn(nc net.Conn) {
 	s.mu.Unlock()
 	s.handle(nc)
 }
+
+// Serve runs the accept loop on ln, as Start does on the TCP listener it
+// opens, so a test can decide when connections arrive.
+func (s *Server) Serve(ln net.Listener) {
+	s.ln = ln
+	s.wg.Add(1)
+	go s.acceptLoop()
+}

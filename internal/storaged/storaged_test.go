@@ -659,3 +659,127 @@ func TestInflightReleasedOnDisconnect(t *testing.T) {
 	}
 	quiesce(t, srv, "dropped")
 }
+
+// within fails the test if fn does not return in time: a call that blocks
+// on a lock a failed or closing path forgot to release never returns.
+func within(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s did not return", what)
+	}
+}
+
+// lateListener delivers one connection as the daemon shuts down: its
+// Close hands the connection to the pending Accept, and only then does
+// Accept fail.
+type lateListener struct {
+	late   net.Conn
+	conns  chan net.Conn
+	closed chan struct{}
+}
+
+func (l *lateListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.closed:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *lateListener) Close() error {
+	l.conns <- l.late
+	close(l.closed)
+	return nil
+}
+
+func (l *lateListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// TestShutdownRefusesLateConnection closes the daemon while a connection
+// is arriving. The daemon refuses it, and after Close every call still
+// returns: a second Close, Health (reporting closed) and Usage.
+func TestShutdownRefusesLateConnection(t *testing.T) {
+	srv, err := storaged.New(storaged.Config{OpenStore: func(string) (storage.Store, error) { return storage.NewMem(), nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dialSide, late := net.Pipe()
+	srv.Serve(&lateListener{late: late, conns: make(chan net.Conn), closed: make(chan struct{})})
+	for i := range 2 {
+		within(t, fmt.Sprintf("Close %d", i+1), func() {
+			if err := srv.Close(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	within(t, "the late connection's read", func() {
+		if _, err := dialSide.Read(make([]byte, 1)); err == nil {
+			t.Error("the late connection was served after Close")
+		}
+	})
+	for i := range 2 {
+		within(t, fmt.Sprintf("Health %d after Close", i+1), func() {
+			if h := srv.Health(); h.OK {
+				t.Errorf("Health after Close = %+v", h)
+			}
+		})
+	}
+	within(t, "Usage after Close", func() {
+		if _, ok := srv.Usage("t"); ok {
+			t.Error("Usage reports a tenant that never connected")
+		}
+	})
+}
+
+// TestCommitSurvivesSizeFault fails the backing store's Size while a
+// commit measures what it overwrites. The commit fails and publishes
+// nothing, and the tenant's next commit and delete go through.
+func TestCommitSurvivesSizeFault(t *testing.T) {
+	// CREATE measures the name first, so the commit's Size is the second.
+	var sizes atomic.Int64
+	before := runtime.NumGoroutine()
+	daemon, err := storaged.Start("127.0.0.1:0", storaged.Config{
+		OpenStore: func(string) (storage.Store, error) {
+			return &storage.Interposer{Store: storage.NewMem(), Op: func(op, name string, call func() error) error {
+				if op == "size" && name == "obj" && sizes.Add(1) == 2 {
+					return storage.ErrInjectedFault
+				}
+				return call()
+			}}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Unlike startServer, no Close at cleanup: a handler stuck on a leaked
+	// commit lock would hold it forever. quiesce closes the daemon once
+	// every call has returned.
+	srv := &testServer{Server: daemon, goroutines: before}
+	r := dialTenant(t, srv, "flaky", storage.RemoteOptions{})
+	within(t, "the faulted commit", func() {
+		if err := storage.WriteObject(r, "obj", []byte("lost")); err == nil {
+			t.Error("commit succeeded through a failing Size")
+		}
+		if _, err := r.Size("obj"); !storage.IsNotExist(err) {
+			t.Errorf("the failed commit published its object (size err %v)", err)
+		}
+	})
+	within(t, "the next commit", func() {
+		if err := storage.WriteObject(r, "obj", []byte("kept")); err != nil {
+			t.Error(err)
+		}
+	})
+	within(t, "a delete", func() {
+		if err := r.Delete("obj"); err != nil {
+			t.Error(err)
+		}
+	})
+	quiesce(t, srv, "flaky")
+}

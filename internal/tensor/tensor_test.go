@@ -7,6 +7,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"lowdiff/internal/allocgate"
 )
 
 func TestNewZeroed(t *testing.T) {
@@ -423,4 +425,60 @@ func BenchmarkFillUniform(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.FillUniform(v, -0.5, 0.5)
 	}
+}
+
+var (
+	sinkF64    float64
+	sinkVec    Vector
+	sinkChunks []Vector
+	sinkPerm   []int
+	sinkRNG    *RNG
+)
+
+// TestVectorAllocs holds the package at its allocation counts. Every
+// operation that writes into memory the caller owns allocates nothing, and
+// each constructor allocates just what it returns. Each bound is the
+// measured count plus half an object and the measured bytes plus 512, so
+// one more allocation in any one call fails it.
+func TestVectorAllocs(t *testing.T) {
+	const n = 4096
+	r := NewRNG(3)
+	a, b := New(n), New(n)
+	r.FillUniform(a, -1, 1)
+	r.FillUniform(b, -1, 1)
+	idx := []int32{1, 7, 4095}
+	out := New(len(idx))
+	t.Run("in_place", func(t *testing.T) {
+		allocgate.Check(t, 100, 0.5, 512, func() {
+			_ = b.CopyFrom(a)
+			b.Zero()
+			b.Fill(0.5)
+			_ = b.Axpy(0.25, a)
+			_ = b.Add(a)
+			_ = b.Sub(a)
+			b.Scale(0.5)
+			d, _ := b.Dot(a)
+			m, _ := b.MaxAbsDiff(a)
+			sinkF64 = d + m + b.Norm2() + float64(b.AbsMax())
+			if b.Equal(a) || b.Identical(a) {
+				t.Fatal("distinct vectors compare equal")
+			}
+			_ = a.Gather(idx, out)
+			_ = b.ScatterAdd(idx, out)
+			sinkF64 += r.Float64() + float64(r.Float32()) + float64(r.Intn(9)) + r.Normal() + r.Exp(1) +
+				float64(Unit32(Mix64(r.Uint64())))
+			r.FillUniform(b, -1, 1)
+			r.FillNormal(out, 0, 1)
+		})
+	})
+	t.Run("fresh", func(t *testing.T) {
+		// New, Clone, Chunks, Perm and NewRNG: 5 objects, 32,936 B.
+		allocgate.Check(t, 100, 5.5, 33_448, func() {
+			sinkVec = New(n)
+			sinkVec = a.Clone()
+			sinkChunks, _ = a.Chunks(4)
+			sinkPerm = r.Perm(8)
+			sinkRNG = NewRNG(1)
+		})
+	})
 }

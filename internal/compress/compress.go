@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"unsafe"
 
 	"lowdiff/internal/parallel"
 	"lowdiff/internal/tensor"
@@ -290,8 +289,9 @@ func keyIndex(key uint64) int32 { return int32(^uint32(key)) }
 // A strided sample sets a magnitude threshold t a little below the k-th
 // strongest (threshold); one pass keeps, in index order, the strength keys
 // of every entry whose |v| bits reach t (keepAtLeast); quickselect over a
-// copy of those keys finds the k-th key, and a walk of the kept keys emits
-// every index at or above it, already sorted. Whenever at least k entries
+// copy of those keys finds the k-th key, and a branch-free walk of the kept
+// keys emits every index at or above it, already sorted, stopping at the
+// k-th; a gather then reads their values. Whenever at least k entries
 // reach t, the top k of the total order is among them, so the sample sets
 // only the speed, never the result.
 func topKSelect(g tensor.Vector, k int) ([]int32, []float32) {
@@ -308,13 +308,17 @@ func topKSelect(g tensor.Vector, k int) ([]int32, []float32) {
 	s.sel = append(s.sel[:0], kept...)
 	quickSelectKeys(s.sel, k)
 	kth := slices.Min(s.sel[:k])
-	w := 0
-	for _, key := range kept {
+	for i, w := 0, 0; w < k; i++ {
+		key := kept[i]
+		idx[w] = keyIndex(key)
+		step := 0
 		if key >= kth {
-			j := keyIndex(key)
-			idx[w], vals[w] = j, g[j]
-			w++
+			step = 1
 		}
+		w += step
+	}
+	for i, j := range idx {
+		vals[i] = g[j]
 	}
 	topKPool.Put(s)
 	return idx, vals
@@ -358,65 +362,27 @@ func (s *topKScratch) threshold(g tensor.Vector, k int) uint32 {
 // candidates the top k is chosen from. The keys live in s.kept, which
 // grows as needed and is reused by the next call.
 func (s *topKScratch) keepAtLeast(g tensor.Vector, k int, t uint32) []uint64 {
-	s.kept = keep(s.kept[:0], g, t)
+	s.kept = s.keep(s.kept[:0], g, t)
 	if len(s.kept) < k {
-		s.kept = keep(s.kept[:0], g, 0)
+		s.kept = s.keep(s.kept[:0], g, 0)
 	}
 	return s.kept
 }
 
-// signBits is the sign bit of both float32 lanes of a 64-bit word.
-const signBits = 0x80000000_80000000
+// keepChunk is how many entries one call of the filter kernel reads: the
+// in-chunk indices of its hits fit topKScratch's fixed index buffer.
+const keepChunk = 4096
 
-// keep appends to kept the strength keys of g's entries whose |v| bits
-// reach t, in index order. With the sign cleared an entry's bits are
-// a < 2³¹, and a + (2³¹ − t) lies in [1, 2³² − 1]: the sum's top bit is set
-// exactly when a ≥ t. keep tests eight entries at a time, two per 64-bit
-// word of g's 8-byte-aligned body; the sum never carries out of its 32-bit
-// lane, so the test holds in either byte order. Only a block with a hit is
-// walked entry by entry, and so are the head and tail outside the body's
-// whole blocks.
-func keep(kept []uint64, g tensor.Vector, t uint32) []uint64 {
-	add := 1<<31 - t
-	head := 0
-	if len(g) > 0 && uintptr(unsafe.Pointer(&g[0]))%8 != 0 {
-		head = 1
-	}
-	kept = keepBlock(kept, g[:head], 0, add)
-	blocks := (len(g) - head) / 8
-	if blocks > 0 {
-		body := unsafe.Slice((*uint64)(unsafe.Pointer(&g[head])), 4*blocks)
-		lanes := uint64(add) * 0x00000001_00000001
-		for b := 0; b < len(body); b += 4 {
-			w := body[b : b+4 : b+4]
-			hit := (w[0]&^signBits + lanes) | (w[1]&^signBits + lanes) |
-				(w[2]&^signBits + lanes) | (w[3]&^signBits + lanes)
-			if hit&signBits != 0 {
-				lo := head + 2*b
-				kept = keepBlock(kept, g[lo:lo+8], lo, add)
-			}
+// keepBlock appends to kept the strength keys of g's entries whose |v|
+// bits reach t, in index order; base is g[0]'s dense index. It is the
+// filter off amd64, the tail of the kernel's, and its tests' oracle.
+func keepBlock(kept []uint64, g tensor.Vector, base int, t uint32) []uint64 {
+	for i, v := range g {
+		if math.Float32bits(v)&^(1<<31) >= t {
+			kept = append(kept, strengthKey(v, int32(base+i)))
 		}
 	}
-	tail := head + 8*blocks
-	return keepBlock(kept, g[tail:], tail, add)
-}
-
-// keepBlock appends the keys of the hits among g's at most eight entries,
-// the first of which is dense index base; add is 2³¹ − t. It stores every
-// entry's key and steps past it only on a hit, so a block costs no branch
-// mispredicts however dense its hits.
-func keepBlock(kept []uint64, g tensor.Vector, base int, add uint32) []uint64 {
-	c := len(kept)
-	for cap(kept)-c < len(g) {
-		kept = append(kept[:cap(kept)], 0) // grows the capacity as append does
-	}
-	kept = kept[:c+len(g)]
-	for i, v := range g {
-		a := math.Float32bits(v) &^ (1 << 31)
-		kept[c] = uint64(a)<<32 | uint64(^uint32(base+i))
-		c += int((a + add) >> 31)
-	}
-	return kept[:c]
+	return kept
 }
 
 // quickSelectKeys partitions keys so keys[:k] holds the k largest, in

@@ -388,9 +388,10 @@ func testLyingSample(t *testing.T) {
 }
 
 // TestTopKSelectUnalignedHead runs the select over gradients that start
-// off the 8-byte boundary, so keep's scalar head runs, and over lengths
-// that leave every tail length. The entries of every head and tail are the
-// strongest, so the result holds each of them exactly once.
+// off the 8-byte boundary, so the filter kernel's loads are unaligned, and
+// over lengths that leave every tail length to keepBlock. The entries of
+// every head and tail are the strongest, so the result holds each of them
+// exactly once.
 func TestTopKSelectUnalignedHead(t *testing.T) {
 	base := workloadGrad(sampleMin + 64)
 	for i := range base {

@@ -45,10 +45,12 @@ func getI32(n int) *i32Scratch {
 func (s *i32Scratch) release() { i32Pool.Put(s) }
 
 // topKScratch is Top-K's working set, pooled whole so a selection
-// allocates nothing beyond its output: the threshold's sample, the kept
-// candidate keys in index order, and the copy quickselect permutes.
+// allocates nothing beyond its output: the threshold's sample, the filter
+// kernel's in-chunk hit indices, the kept candidate keys in index order,
+// and the copy quickselect permutes.
 type topKScratch struct {
 	sample    [sampleSize]uint64
+	hits      [keepChunk]int32
 	kept, sel []uint64
 }
 

@@ -37,7 +37,9 @@ func startServer(t testing.TB, cfg storaged.Config) *testServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = srv.Close() })
+	// Close waits for every connection handler, so one stuck on a leaked
+	// lock would otherwise hang the package and bury the test's own failure.
+	t.Cleanup(func() { within(t, "daemon Close", func() { _ = srv.Close() }) })
 	return &testServer{Server: srv, goroutines: before}
 }
 
@@ -48,9 +50,11 @@ func startServer(t testing.TB, cfg storaged.Config) *testServer {
 // outlives its connection fails the test that caused it.
 func quiesce(t testing.TB, srv *testServer, tenants ...string) {
 	t.Helper()
-	if err := srv.Close(); err != nil {
-		t.Errorf("daemon close: %v", err)
-	}
+	within(t, "daemon Close", func() {
+		if err := srv.Close(); err != nil {
+			t.Errorf("daemon close: %v", err)
+		}
+	})
 	for _, name := range tenants {
 		if u, ok := srv.Usage(name); ok && u.InflightBytes != 0 {
 			t.Errorf("tenant %s: %d bytes still in flight after shutdown", name, u.InflightBytes)
@@ -661,8 +665,10 @@ func TestInflightReleasedOnDisconnect(t *testing.T) {
 }
 
 // within fails the test if fn does not return in time: a call that blocks
-// on a lock a failed or closing path forgot to release never returns.
-func within(t *testing.T, what string, fn func()) {
+// on a lock a failed or closing path forgot to release never returns. The
+// failure names the test and dumps every goroutine, so a hang reports
+// where it is stuck at once instead of at go test's -timeout.
+func within(t testing.TB, what string, fn func()) {
 	t.Helper()
 	done := make(chan struct{})
 	go func() {
@@ -672,7 +678,8 @@ func within(t *testing.T, what string, fn func()) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatalf("%s did not return", what)
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%s: %s did not return within 5s; goroutines:\n%s", t.Name(), what, buf[:runtime.Stack(buf, true)])
 	}
 }
 

@@ -2,18 +2,18 @@
 // functional training layer: N ranks (goroutines) synchronize gradients
 // with all-reduce / all-gather primitives operating on real data.
 //
-// This substitutes for NCCL in the paper's testbed. The dense collective
-// is the bandwidth-optimal ring all-reduce (reduce-scatter + all-gather,
-// the algorithm real training systems use), in a sum and a mean flavour.
-// Each rank transmits from send buffers it owns and reuses across calls,
-// as a real NIC transmits from registered buffers, so a call allocates
-// nothing once the buffers have grown to the largest chunk. Every rank
-// observes a bit-identical result, the property gradient-reuse
+// This substitutes for NCCL in the paper's testbed. The ranks share one
+// address space, so the dense all-reduce moves no messages: every rank
+// lends its vector at a rendezvous, and each rank reduces one chunk of all
+// of them in place and writes that chunk back to every rank. It adds the
+// ranks' contributions to a chunk in the order the bandwidth-optimal ring
+// all-reduce (reduce-scatter + all-gather) does, so it returns the ring's
+// result bit for bit, in a sum and a mean flavour, and allocates nothing.
+// Every rank observes a bit-identical result, the property gradient-reuse
 // checkpointing depends on (every worker persists the same differential).
 package comm
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -33,55 +33,14 @@ type Group struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	slots   []interface{}
-	out     []interface{}
 	arrived int
 	gen     uint64
 
-	// ring links: ring[i] carries messages from rank i to rank (i+1)%n.
-	ring []chan ringMsg
-	// send[i] is rank i's transmit side; only rank i touches it.
-	send []ringSender
-}
-
-// ringMsg is one ring hop: a chunk of the sender's vector (a view of one
-// of its send buffers), the sender's total length, and whether the
-// sender has seen an error in this call.
-type ringMsg struct {
-	data  tensor.Vector
-	total int
-	fail  bool
-}
-
-// ringSendBufs is the number of send buffers a rank rotates through.
-// Three are enough with cap-1 ring channels: when a rank starts writing
-// send k+3 into the buffer of send k, its send k+2 has completed, so the
-// receiver has dequeued message k+1, and a receiver dequeues a message
-// only after it has finished with the one before. With two buffers, send
-// k+1 completing proves only that message k was dequeued, not that the
-// receiver has finished reading it.
-const ringSendBufs = 3
-
-// ringSender is one rank's transmit side: its send buffers, the count of
-// messages sent, which picks the buffer, and the largest chunk seen. The
-// count runs across calls, as the argument above needs.
-type ringSender struct {
-	bufs    [ringSendBufs]tensor.Vector
-	seq     int
-	largest int
-}
-
-// slot returns the next send buffer in rotation, resliced to size. A
-// buffer too small for size grows to the largest chunk seen, counting
-// largest, the biggest chunk of the current call.
-func (s *ringSender) slot(size, largest int) tensor.Vector {
-	b := &s.bufs[s.seq%ringSendBufs]
-	s.seq++
-	if cap(*b) < size {
-		s.largest = max(s.largest, largest)
-		*b = tensor.New(s.largest)
-	}
-	return (*b)[:size]
+	// slots[r] is rank r's exchange deposit; out is the copy of slots
+	// that every rank reads after the rendezvous.
+	slots, out []interface{}
+	// vecs[r] is rank r's vector in the current all-reduce.
+	vecs []tensor.Vector
 }
 
 // NewGroup returns a communicator for n ranks. n must be positive.
@@ -97,36 +56,41 @@ func NewGroupPooled(n int, pool *parallel.Pool) (*Group, error) {
 		return nil, fmt.Errorf("comm: group size %d must be positive", n)
 	}
 	g := &Group{n: n, pool: pool, slots: make([]interface{}, n),
-		ring: make([]chan ringMsg, n), send: make([]ringSender, n)}
+		out: make([]interface{}, n), vecs: make([]tensor.Vector, n)}
 	g.cond = sync.NewCond(&g.mu)
-	for i := range g.ring {
-		g.ring[i] = make(chan ringMsg, 1)
-	}
 	return g, nil
 }
 
 // Size returns the number of ranks.
 func (g *Group) Size() int { return g.n }
 
-// exchange is the rendezvous primitive: every rank deposits in and receives
-// the slice of all ranks' deposits (indexed by rank). All ranks return
-// together.
-func (g *Group) exchange(rank int, in interface{}) []interface{} {
+// rendezvous blocks until every rank has entered it; the last to arrive
+// copies the exchange deposits to out before it releases the others. A
+// rank writes only its own slot, and only between rendezvous, so every
+// deposit made before a rendezvous is visible to every rank after it.
+func (g *Group) rendezvous() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	gen := g.gen
-	g.slots[rank] = in
 	g.arrived++
 	if g.arrived == g.n {
 		g.arrived = 0
-		g.out = append([]interface{}(nil), g.slots...)
+		copy(g.out, g.slots)
 		g.gen++
 		g.cond.Broadcast()
-	} else {
-		for gen == g.gen {
-			g.cond.Wait()
-		}
+		return
 	}
+	for gen == g.gen {
+		g.cond.Wait()
+	}
+}
+
+// exchange deposits in and returns every rank's deposit, indexed by rank.
+// All ranks return together. The returned slice is shared and reused: it
+// is valid until the calling rank's next collective.
+func (g *Group) exchange(rank int, in interface{}) []interface{} {
+	g.slots[rank] = in
+	g.rendezvous()
 	return g.out
 }
 
@@ -143,29 +107,23 @@ func (g *Group) Barrier(rank int) error {
 	if err := g.checkRank(rank); err != nil {
 		return err
 	}
-	g.exchange(rank, nil)
+	g.rendezvous()
 	return nil
 }
 
-// errRingPeer is the error of a rank that learned of a failure from the
-// ring rather than seeing it itself.
-var errRingPeer = errors.New("comm: ring allreduce aborted: another rank reported a length mismatch")
-
-// RingAllReduceSum performs the bandwidth-optimal ring all-reduce in place:
-// a reduce-scatter phase (n-1 steps) followed by an all-gather phase
-// (n-1 steps), each rank exchanging one chunk with its ring neighbours per
-// step. Every rank finishes with a bit-identical sum. Vectors must have
-// equal length on all ranks; otherwise every rank returns an error and
-// the contents of v are unspecified.
+// RingAllReduceSum replaces v on every rank, in place, with the
+// elementwise sum of all ranks' v, bit-identical to the bandwidth-optimal
+// ring all-reduce (reduce-scatter then all-gather). Vectors must have
+// equal length on all ranks; otherwise every rank returns the same error
+// and v is left as it was.
 func (g *Group) RingAllReduceSum(rank int, v tensor.Vector) error {
 	return g.ringAllReduce(rank, v, false)
 }
 
 // RingAllReduceMean is RingAllReduceSum followed by scaling by 1/n, in the
-// same passes: each chunk's owner scales the sum as it completes it in the
-// last reduce-scatter step, and the all-gather circulates the scaled
-// values. The result is bit-identical to RingAllReduceSum then
-// Scale(1/n). With one rank it leaves v as it is.
+// same pass: each chunk's sum is scaled as its last contribution is
+// added. The result is bit-identical to RingAllReduceSum then Scale(1/n).
+// With one rank it leaves v as it is.
 func (g *Group) RingAllReduceMean(rank int, v tensor.Vector) error {
 	return g.ringAllReduce(rank, v, true)
 }
@@ -182,74 +140,70 @@ func chunkBounds(m, n, i int) (lo, hi int) {
 	return lo, hi
 }
 
-// ringAllReduce is the ring all-reduce behind both entry points. The ranks
-// meet only through the ring: every message carries the sender's length
-// and an error flag, so a rank that finds a length unlike its own, or
-// receives the flag, stops touching data but keeps forwarding the flag for
-// the remaining steps. The flag needs at most n-1 hops to reach every rank
-// and the call has 2(n-1) steps, so every rank returns the error and none
-// blocks.
+// ringAllReduce is the all-reduce behind both entry points. Every rank
+// lends v at a first rendezvous and checks every rank's length, so all
+// ranks agree on the error. Rank r then owns chunk c = (r+1) mod n, the
+// chunk the ring completes on rank r: it reduces that chunk of every
+// vector into rank c's copy and writes the result to the other ranks'. A
+// second rendezvous returns the ranks together, so no rank's next call
+// lends a vector while another rank still reads the last ones.
 func (g *Group) ringAllReduce(rank int, v tensor.Vector, mean bool) error {
 	if err := g.checkRank(rank); err != nil {
 		return err
 	}
-	n := g.n
-	if n == 1 {
+	if g.n == 1 {
 		return nil
 	}
-	m := len(v)
-	inv := 1 / float32(n)
-	next := g.ring[rank]         // we send here
-	prev := g.ring[(rank+n-1)%n] // we receive here
-	snd := &g.send[rank]
-	_, largest := chunkBounds(m, n, 0) // chunk 0 is a largest one
-	var err error
-	for s := 0; s < 2*(n-1); s++ {
-		// Reduce-scatter (s < n-1): after step s, rank r holds the running
-		// sum of chunk (r-s-1) mod n over s+2 contributors, so after n-1
-		// steps rank r owns the fully reduced chunk (r+1) mod n.
-		// All-gather: the reduced chunks circulate around the ring.
-		sendIdx, recvIdx := (rank-s+n)%n, (rank-s-1+2*n)%n
-		if s >= n-1 {
-			a := s - (n - 1)
-			sendIdx, recvIdx = (rank+1-a+2*n)%n, (rank-a+2*n)%n
-		}
-		msg := ringMsg{total: m, fail: err != nil}
-		if err == nil {
-			lo, hi := chunkBounds(m, n, sendIdx)
-			msg.data = snd.slot(hi-lo, largest)
-			copy(msg.data, v[lo:hi])
-		}
-		next <- msg
-		in := <-prev
-		switch {
-		case err != nil:
-			continue
-		case in.fail:
-			err = errRingPeer
-			continue
-		case in.total != m:
-			err = fmt.Errorf("comm: ring allreduce length mismatch: rank %d has %d, rank %d has %d",
-				rank, m, (rank+n-1)%n, in.total)
-			continue
-		}
-		lo, hi := chunkBounds(m, n, recvIdx)
-		c := v[lo:hi]
-		d := in.data[:len(c)]
-		switch {
-		case s >= n-1:
-			copy(c, d)
-		case mean && s == n-2:
-			for i := range c {
-				c[i] = float32(c[i]+d[i]) * inv // the sum rounds before the scale
-			}
-		default:
-			for i := range c {
-				c[i] += d[i]
-			}
+	g.vecs[rank] = v
+	g.rendezvous()
+	err := g.checkLengths()
+	if err == nil {
+		g.reduceChunk((rank+1)%g.n, mean)
+	}
+	g.rendezvous()
+	return err
+}
+
+// checkLengths returns an error naming the first rank whose vector length
+// differs from rank 0's.
+func (g *Group) checkLengths() error {
+	m := len(g.vecs[0])
+	for r, v := range g.vecs {
+		if len(v) != m {
+			return fmt.Errorf("comm: ring allreduce length mismatch: rank %d has %d, rank 0 has %d", r, len(v), m)
 		}
 	}
-	return err
+	return nil
+}
+
+// reduceChunk reduces chunk c as the ring does. The ring starts the chunk
+// on rank c and passes it on, each rank adding its own contribution to the
+// running sum it receives: acc = x[c+1] + x[c], then x[c+2] + acc, and so
+// on to x[c-1]. The adds keep that operand order. The mean rounds the last
+// sum to float32 before it scales it.
+func (g *Group) reduceChunk(c int, mean bool) {
+	n := g.n
+	lo, hi := chunkBounds(len(g.vecs[0]), n, c)
+	acc := g.vecs[c][lo:hi]
+	inv := 1 / float32(n)
+	for j := 1; j < n; j++ {
+		x := g.vecs[(c+j)%n][lo:hi]
+		x = x[:len(acc)]
+		if mean && j == n-1 {
+			for i := range acc {
+				acc[i] = float32(x[i]+acc[i]) * inv
+			}
+			continue
+		}
+		for i := range acc {
+			acc[i] = x[i] + acc[i]
+		}
+	}
+	for r, v := range g.vecs {
+		if r != c {
+			copy(v[lo:hi], acc)
+		}
+	}
 }
 
 // AllGatherSparse gathers every rank's compressed gradient and returns the

@@ -282,10 +282,12 @@ func ringCall(t *testing.T, g *Group, mean bool, vecs []tensor.Vector) []error {
 	return errs
 }
 
-// A length mismatch anywhere in the ring must reach every rank as an
-// error, and no rank may block; the group stays usable afterwards.
+// A length mismatch anywhere must reach every rank as the same error,
+// change no vector and block no rank. The group's rendezvous stays in
+// step: the next barrier, sparse all-gather and all-reduce on the same
+// group work, and the all-reduce still matches the ring bit for bit.
 func TestRingMismatchedLengthsError(t *testing.T) {
-	for _, n := range []int{2, 3, 5} {
+	for _, n := range []int{2, 3, 5, 8} {
 		same := func(m int) []int {
 			l := make([]int, n)
 			for r := range l {
@@ -300,27 +302,143 @@ func TestRingMismatchedLengthsError(t *testing.T) {
 		}
 		for name, lens := range map[string][]int{"first": first, "last": last, "all": all, "empty": empty} {
 			for _, mean := range []bool{false, true} {
+				tag := fmt.Sprintf("n=%d %s mean=%v", n, name, mean)
 				g, _ := NewGroup(n)
 				vecs := make([]tensor.Vector, n)
 				for r := range vecs {
 					vecs[r] = tensor.New(lens[r])
+					tensor.NewRNG(uint64(r)).FillUniform(vecs[r], -1, 1)
 				}
-				for r, err := range ringCall(t, g, mean, vecs) {
-					if err == nil {
-						t.Fatalf("n=%d %s mean=%v: rank %d returned no error", n, name, mean, r)
+				before := cloneAll(vecs)
+				errs := ringCall(t, g, mean, vecs)
+				for r, err := range errs {
+					if err == nil || errs[0] == nil || err.Error() != errs[0].Error() {
+						t.Fatalf("%s: rank %d returned %v, rank 0 %v", tag, r, err, errs[0])
+					}
+					if !vecs[r].Equal(before[r]) {
+						t.Fatalf("%s: the failed call changed rank %d's vector", tag, r)
 					}
 				}
+				runRanks(t, n, g.Barrier)
+				runRanks(t, n, func(rank int) error {
+					c := &compress.Compressed{Codec: "topk", N: 8, Idx: []int32{int32(rank % 8)}, Vals: []float32{1}}
+					_, err := g.AllGatherSparse(rank, c)
+					return err
+				})
 				for r := range vecs {
-					vecs[r] = tensor.Vector{float32(r), 1}
+					vecs[r] = tensor.Vector{float32(r), 1, -2, 0.5}
 				}
-				for r, err := range ringCall(t, g, false, vecs) {
-					if err != nil {
-						t.Fatalf("n=%d %s mean=%v: call after the mismatch: rank %d: %v", n, name, mean, r, err)
+				checkAgainstRing(t, fmt.Sprintf("n=%d %s: call after the mismatch", n, name), g, mean, vecs)
+			}
+		}
+	}
+}
+
+// ringReference is the message-passing ring all-reduce that this package
+// ran before its ranks reduced through shared memory, kept as the
+// bit-exactness oracle. It runs the ring's 2(n-1) steps serially: in each
+// step every rank sends one chunk to its successor, all messages are
+// copied out before any is received, and the receivers apply them.
+func ringReference(vecs []tensor.Vector, mean bool) {
+	n := len(vecs)
+	if n == 1 {
+		return
+	}
+	m := len(vecs[0])
+	inv := 1 / float32(n)
+	msgs := make([]tensor.Vector, n)
+	for s := 0; s < 2*(n-1); s++ {
+		// Reduce-scatter (s < n-1): after step s, rank r holds the running
+		// sum of chunk (r-s-1) mod n over s+2 contributors, so after n-1
+		// steps rank r owns the fully reduced chunk (r+1) mod n.
+		// All-gather: the reduced chunks circulate around the ring.
+		indices := func(rank int) (sendIdx, recvIdx int) {
+			if s >= n-1 {
+				a := s - (n - 1)
+				return (rank + 1 - a + 2*n) % n, (rank - a + 2*n) % n
+			}
+			return (rank - s + n) % n, (rank - s - 1 + 2*n) % n
+		}
+		for rank, v := range vecs {
+			sendIdx, _ := indices(rank)
+			lo, hi := chunkBounds(m, n, sendIdx)
+			msgs[rank] = v[lo:hi].Clone()
+		}
+		for rank, v := range vecs {
+			_, recvIdx := indices(rank)
+			lo, hi := chunkBounds(m, n, recvIdx)
+			c := v[lo:hi]
+			d := msgs[(rank+n-1)%n][:len(c)]
+			switch {
+			case s >= n-1:
+				copy(c, d)
+			case mean && s == n-2:
+				for i := range c {
+					c[i] = float32(c[i]+d[i]) * inv // the sum rounds before the scale
+				}
+			default:
+				for i := range c {
+					c[i] += d[i]
+				}
+			}
+		}
+	}
+}
+
+// cloneAll returns a deep copy of every rank's vector.
+func cloneAll(vecs []tensor.Vector) []tensor.Vector {
+	out := make([]tensor.Vector, len(vecs))
+	for r, v := range vecs {
+		out[r] = v.Clone()
+	}
+	return out
+}
+
+// checkAgainstRing runs one all-reduce on g over vecs and fails t unless
+// every rank's result equals ringReference's bit for bit.
+func checkAgainstRing(t *testing.T, tag string, g *Group, mean bool, vecs []tensor.Vector) {
+	t.Helper()
+	want := cloneAll(vecs)
+	ringReference(want, mean)
+	for r, err := range ringCall(t, g, mean, vecs) {
+		if err != nil {
+			t.Fatalf("%s mean=%v: rank %d: %v", tag, mean, r, err)
+		}
+	}
+	for r := range vecs {
+		for i := range vecs[r] {
+			if got, w := math.Float32bits(vecs[r][i]), math.Float32bits(want[r][i]); got != w {
+				t.Fatalf("%s mean=%v: rank %d [%d] = %#08x, the ring gives %#08x", tag, mean, r, i, got, w)
+			}
+		}
+	}
+}
+
+// The all-reduce returns the ring's result bit for bit at every group size
+// up to 8, for lengths shorter than the group, odd and chunk-uneven
+// lengths and the LowDiff+ layer sizes, with exponents wide enough that
+// the order of the adds changes the rounding. Each group serves every
+// length in turn.
+func TestRingAllReduceBitIdenticalToRing(t *testing.T) {
+	sizes := gpt2LayerSizes()
+	for n := 1; n <= 8; n++ {
+		g, err := NewGroup(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := tensor.NewRNG(uint64(100 + n))
+		lengths := append([]int{0, 1, max(n-1, 1), n, n + 1, 257, 1001}, sizes[:4]...)
+		for _, m := range lengths {
+			for _, mean := range []bool{false, true} {
+				vecs := make([]tensor.Vector, n)
+				for r := range vecs {
+					vecs[r] = tensor.New(m)
+					rng.FillUniform(vecs[r], -1, 1)
+					for i := range vecs[r] {
+						vecs[r][i] *= float32(math.Ldexp(1, rng.Intn(60)-30))
 					}
 				}
-				if want := float32(n * (n - 1) / 2); vecs[0][0] != want || vecs[0][1] != float32(n) {
-					t.Fatalf("n=%d %s mean=%v: call after the mismatch summed to %v", n, name, mean, vecs[0])
-				}
+				checkAgainstRing(t, fmt.Sprintf("n=%d m=%d", n, m), g, mean, vecs)
 			}
 		}
 	}
@@ -338,8 +456,7 @@ func gpt2LayerSizes() []int {
 }
 
 // RingAllReduceMean must be bit-identical to RingAllReduceSum followed by
-// Scale(1/n). Each group serves every length in turn, so send-buffer
-// growth and rotation cross call boundaries.
+// Scale(1/n). Each group serves every length in turn.
 func TestRingAllReduceMeanMatchesSumThenScale(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 8} {
 		lengths := append([]int{1, max(n-1, 0), 257}, gpt2LayerSizes()...)
@@ -389,16 +506,62 @@ func TestRingAllReduceMeanMatchesSumThenScale(t *testing.T) {
 	}
 }
 
-// TestRingAllReduceAllocs: once its send buffers have grown, a ring
-// all-reduce allocates nothing. Rank 1 is a persistent goroutine, as a
-// training worker is, so the gate sees only the collective.
+// Each rank runs its calls back to back on its own goroutine, as a
+// LowDiff+ worker does, and reads its vector as soon as a call returns:
+// no rank may return while another still writes to its vector, and no
+// rank's next call may lend a vector while another still reads the last.
+func TestRingAllReduceBackToBack(t *testing.T) {
+	lengths := []int{257, 1, 0, 4096, 3, 1001}
+	for _, n := range []int{2, 3, 5, 8} {
+		g, _ := NewGroup(n)
+		ins := make([][]tensor.Vector, len(lengths)) // ins[call][rank]
+		wants := make([][]tensor.Vector, len(lengths))
+		for c, m := range lengths {
+			ins[c] = make([]tensor.Vector, n)
+			for r := range ins[c] {
+				ins[c][r] = tensor.New(m)
+				tensor.NewRNG(uint64(100*c+r)).FillUniform(ins[c][r], -1, 1)
+			}
+			wants[c] = cloneAll(ins[c])
+			ringReference(wants[c], c%2 == 0)
+		}
+		// A rank that finds a wrong result records it and keeps calling,
+		// so that no other rank blocks.
+		runRanks(t, n, func(rank int) error {
+			var first error
+			for c := range lengths {
+				v := ins[c][rank]
+				var err error
+				if c%2 == 0 {
+					err = g.RingAllReduceMean(rank, v)
+				} else {
+					err = g.RingAllReduceSum(rank, v)
+				}
+				for i := range v {
+					if err == nil && math.Float32bits(v[i]) != math.Float32bits(wants[c][rank][i]) {
+						err = fmt.Errorf("n=%d call %d [%d] = %v, the ring gives %v", n, c, i, v[i], wants[c][rank][i])
+					}
+				}
+				if first == nil {
+					first = err
+				}
+			}
+			return first
+		})
+	}
+}
+
+// TestRingAllReduceAllocs: an all-reduce allocates nothing. Rank 1 is a
+// persistent goroutine, as a training worker is, so the gate sees only the
+// collective.
 //
-// A goroutine that blocks on a channel takes a wait record (a sudog) from
-// its P's cache, and the runtime allocates one when the cache is empty. How
-// many the two ranks hold at once depends on how the scheduler interleaves
-// them, which a loaded host varies, so the warm-up calls alone do not
-// bound it. The test therefore runs at the gate's one P from the start and
-// fills that P's cache beyond what two goroutines can hold.
+// A goroutine that blocks on a channel or a condition variable takes a
+// wait record (a sudog) from its P's cache, and the runtime allocates one
+// when the cache is empty. How many the two ranks hold at once depends on
+// how the scheduler interleaves them, which a loaded host varies, so the
+// warm-up calls alone do not bound it. The test therefore runs at the
+// gate's one P from the start and fills that P's cache beyond what two
+// goroutines can hold.
 func TestRingAllReduceAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for range 4 {
@@ -427,10 +590,6 @@ func TestRingAllReduceAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A call sends two messages per rank, so a rank's third send buffer
-	// is first used in the second call: make one call here, and the
-	// gate's own warm-up call is the second.
-	call()
 	allocgate.Check(t, 200, 0, 0, call)
 }
 

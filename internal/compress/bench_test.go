@@ -129,7 +129,7 @@ func benchSortedParts(t testing.TB, n, nParts int, rho float64) []*Compressed {
 }
 
 // compressHeapReference is the retired Top-K compression path: bounded
-// min-heap selection (topKHeapReference, the test oracle) plus a serial
+// min-heap selection (topKHeapReference) plus a serial
 // value gather. It is the "serial baseline" arm of the data-plane
 // composite benchmark below.
 func compressHeapReference(g tensor.Vector, rho float64) *Compressed {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -158,9 +159,8 @@ func mergeMapReference(parts ...*Compressed) *Compressed {
 }
 
 // topKHeapReference is the retired bounded-min-heap Top-K selection, kept
-// as the test oracle (and benchmark baseline) for the sampled-threshold
-// select that replaced it. Same strict total order: |v| descending, lower
-// index wins ties.
+// as the benchmark baseline for the sampled-threshold select that replaced
+// it. Same strict total order: |v| descending, lower index wins ties.
 func topKHeapReference(g tensor.Vector, k int) []int32 {
 	if k >= len(g) {
 		idx := make([]int32, len(g))
@@ -223,21 +223,45 @@ func topKHeapReference(g tensor.Vector, k int) []int32 {
 	return h
 }
 
-// checkTopKOracle fails t unless the sampled-threshold select and the heap
-// oracle pick the same indices for g and k, and the select returns each
-// picked entry's value bits.
+// strengthRanks returns each entry's place in g's strength order, the
+// strict total order the select keeps: |v| bits descending, the lower
+// index first among equal magnitudes. The k strongest entries are those
+// ranked below k, so one sort checks the select at every k.
+func strengthRanks(g tensor.Vector) []int32 {
+	keys := make([]uint64, len(g))
+	for i, v := range g {
+		keys[i] = uint64(math.Float32bits(v)&^(1<<31))<<32 | uint64(^uint32(i))
+	}
+	slices.Sort(keys) // weakest first
+	ranks := make([]int32, len(g))
+	for j, key := range keys {
+		ranks[^uint32(key)] = int32(len(g) - 1 - j)
+	}
+	return ranks
+}
+
+// checkTopKOracle fails t unless the sampled-threshold select picks the k
+// strongest entries of g, in index order, and returns each picked entry's
+// value bits.
 func checkTopKOracle(t *testing.T, tag string, g tensor.Vector, k int) {
 	t.Helper()
+	checkTopKRanked(t, tag, g, strengthRanks(g), k)
+}
+
+// checkTopKRanked is checkTopKOracle against ranks, g's strengthRanks.
+func checkTopKRanked(t *testing.T, tag string, g tensor.Vector, ranks []int32, k int) {
+	t.Helper()
 	got, vals := topKSelect(g, k)
-	want := topKHeapReference(g, k)
-	if len(got) != len(want) || len(vals) != len(want) {
-		t.Fatalf("%s n=%d k=%d: got %d indices and %d values, want %d", tag, len(g), k, len(got), len(vals), len(want))
+	want := min(k, len(g))
+	if len(got) != want || len(vals) != want {
+		t.Fatalf("%s n=%d k=%d: got %d indices and %d values, want %d", tag, len(g), k, len(got), len(vals), want)
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s n=%d k=%d: index %d: got %d, want %d", tag, len(g), k, i, got[i], want[i])
+	for i, j := range got {
+		// k distinct indices, each ranked below k, are the k strongest.
+		if j < 0 || int(j) >= len(g) || (i > 0 && j <= got[i-1]) || int(ranks[j]) >= k {
+			t.Fatalf("%s n=%d k=%d: index %d: got %d, which is out of order or not among the k strongest", tag, len(g), k, i, j)
 		}
-		if math.Float32bits(vals[i]) != math.Float32bits(g[got[i]]) {
+		if math.Float32bits(vals[i]) != math.Float32bits(g[j]) {
 			t.Fatalf("%s n=%d k=%d: value %d: got %v, want g[%d] = %v", tag, len(g), k, i, vals[i], got[i], g[got[i]])
 		}
 	}
@@ -291,7 +315,7 @@ func edgeShapes(r *tensor.RNG) []struct {
 	}
 }
 
-// TestTopKSelectUnsampledEdges pins the select to the heap oracle below
+// TestTopKSelectUnsampledEdges pins the select to the strength ranking below
 // sampleMin, where every entry is a candidate: one magnitude everywhere,
 // ties that exactly complete k (and k one either side of that), and the
 // special values.
@@ -308,9 +332,10 @@ func TestTopKSelectUnsampledEdges(t *testing.T) {
 			for i := 0; i < len(cuts); i += 1 + len(cuts)/20 {
 				ks = append(ks, cuts[i]-1, cuts[i], cuts[i]+1)
 			}
+			ranks := strengthRanks(g)
 			for _, k := range ks {
 				if k >= 1 && k <= n {
-					checkTopKOracle(t, shape.name, g, k)
+					checkTopKRanked(t, shape.name, g, ranks, k)
 				}
 			}
 		}
@@ -328,7 +353,8 @@ func reaching(g tensor.Vector, t uint32) int {
 	return c
 }
 
-// TestTopKSelectSampledEdges pins the sampled path to the heap oracle: n
+// TestTopKSelectSampledEdges pins the sampled path to the strength
+// ranking, one sort per vector: n
 // where sampling starts, 256 Ki and the workload's length; the edge shapes
 // (a constant gradient keeps every entry, so the key buffer grows to n);
 // and k at 1, at ρ = 0.01, around the count the threshold keeps, where the
@@ -351,11 +377,10 @@ func TestTopKSelectSampledEdges(t *testing.T) {
 			if kr := int(float64(n) * 0.937); kr > 0 {
 				ks = append(ks, kr)
 			}
+			ranks := strengthRanks(g)
 			for _, k := range ks {
-				// The heap oracle costs O(n log k): k near n runs up to
-				// 256 Ki, and k = n takes the keep-everything branch.
-				if k >= 1 && k <= n && (k <= n/2 || n <= 1<<18 || k == n) {
-					checkTopKOracle(t, shape.name, g, k)
+				if k >= 1 && k <= n {
+					checkTopKRanked(t, shape.name, g, ranks, k)
 				}
 			}
 		}
@@ -364,8 +389,8 @@ func TestTopKSelectSampledEdges(t *testing.T) {
 
 // testLyingSample plants the strongest entries exactly at the sampled
 // positions, so the threshold lets fewer than k entries through.
-// keepAtLeast must then keep every entry, and the select still match the
-// heap oracle.
+// keepAtLeast must then keep every entry, and the select still pick the k
+// strongest.
 func testLyingSample(t *testing.T) {
 	for _, n := range []int{sampleMin, 1 << 18} {
 		g := tensor.New(n)
@@ -407,10 +432,10 @@ func TestTopKSelectUnalignedHead(t *testing.T) {
 	}
 }
 
-// TestTopKQuickselectMatchesHeapOracle pins the select to the retired
-// heap selection across shapes that stress the tie-break rule: duplicated
-// magnitudes, sign flips, zeros, and denormal-scale values all must resolve
-// to the identical index set.
+// TestTopKQuickselectMatchesHeapOracle pins the select to the strength
+// ranking (the order the retired heap selection kept) across shapes that
+// stress the tie-break rule: duplicated magnitudes, sign flips, zeros, and
+// denormal-scale values all must resolve to the identical index set.
 func TestTopKQuickselectMatchesHeapOracle(t *testing.T) {
 	r := tensor.NewRNG(77)
 	for trial := 0; trial < 40; trial++ {
@@ -426,9 +451,10 @@ func TestTopKQuickselectMatchesHeapOracle(t *testing.T) {
 			}
 			g[i] = v
 		}
+		ranks := strengthRanks(g)
 		for _, k := range []int{1, 2, n / 7, n / 2, n - 1, n} {
 			if k >= 1 {
-				checkTopKOracle(t, fmt.Sprintf("trial %d", trial), g, k)
+				checkTopKRanked(t, fmt.Sprintf("trial %d", trial), g, ranks, k)
 			}
 		}
 	}

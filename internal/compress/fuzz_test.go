@@ -9,12 +9,13 @@ import (
 	"lowdiff/internal/tensor"
 )
 
-// FuzzTopKSelect holds the sampled-threshold select to the heap oracle on
-// arbitrary vectors. The first two bytes pick k; every following four
-// bytes are one float32's bits. The select runs on that vector, where every
-// entry is a candidate, and on its tiling to at least sampleMin entries,
-// which takes the sampled path: tile i is scaled by a factor in {½, 1, 1½,
-// 2} that byte i of the input picks, so ties cross tiles. NaN is out of
+// FuzzTopKSelect holds the sampled-threshold select to the strength
+// ranking on arbitrary vectors. The first two bytes pick k; every
+// following four bytes are one float32's bits. The select runs on that
+// vector, where every entry is a candidate, and on its tiling to at least
+// sampleMin entries, which takes the sampled path: tile i is scaled by a
+// factor in {½, 1, 1½, 2} that byte i of the input picks, so ties cross
+// tiles. NaN is out of
 // contract, so an input holding one is skipped.
 func FuzzTopKSelect(f *testing.F) {
 	f32 := func(k uint16, vals ...float32) []byte {

@@ -14,14 +14,14 @@ var sinkCompressed *compress.Compressed
 // TestRankStepAllocs drives a 1-worker rank of each train strategy through
 // its step, in process, and holds the step at its allocation count. No full
 // boundary falls inside the measured calls, so what is left is the
-// per-iteration path. A DP step allocates 10 objects: the Top-K output (3),
-// and the all-gather's two exchanges, part list, scaling closure and merged
-// result (7). A peer step adds its barrier's exchange and the window's
-// checksum header (12). A PP stage compresses and takes its two barriers
-// (5). The Top-K select's pooled scratch can grow on the first calls of a
-// fresh process, by a fraction of an object per call. Each bound is the
-// measured count plus half an object and the measured bytes plus 512, so
-// one more allocation per step fails it.
+// per-iteration path. A DP step allocates 8 objects: the Top-K output (3),
+// and the all-gather's part list, scaling closure and merged result (5).
+// A peer step adds the window's checksum header (9). A PP stage allocates
+// only what it compresses (3). The group's rendezvous (exchange, barrier)
+// allocates nothing. The Top-K select's pooled scratch can grow on the
+// first calls of a fresh process, by a fraction of an object per call.
+// Each bound is the measured count plus half an object and the measured
+// bytes plus about 512, so one more allocation per step fails it.
 func TestRankStepAllocs(t *testing.T) {
 	const calls = 20
 	for _, tc := range []struct {
@@ -29,9 +29,9 @@ func TestRankStepAllocs(t *testing.T) {
 		opts          Options
 		allocs, bytes float64
 	}{
-		{"dp", Options{}, 10.5, 3_781},
-		{"peer", Options{Store: storage.NewMem(), Peer: &PeerSpec{Window: 2 * calls}}, 12.5, 3_656},
-		{"pp", Options{PP: &PPSpec{Stages: 1}}, 5.5, 2_032},
+		{"dp", Options{}, 8.5, 3_749},
+		{"peer", Options{Store: storage.NewMem(), Peer: &PeerSpec{Window: 2 * calls}}, 9.5, 3_608},
+		{"pp", Options{PP: &PPSpec{Stages: 1}}, 3.5, 2_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := tc.opts

@@ -40,10 +40,18 @@ go test -race -count=5 -timeout 3m ./internal/obs/... ./internal/storaged/...
 echo "== go test -race -count=10 (core: goldens, Plus, full persists, PP boundary fulls, fault ladder) =="
 go test -race -count=10 -timeout 1m -run 'Golden|Plus|EngineCheckpointsWritten|DisableDiffs|PPBoundary|FaultLadder' ./internal/core/
 
-# The ring all-reduce reuses each rank's send buffers across calls, and
-# whether a buffer is free when it is rewritten depends on scheduling:
-# repeat the ring tests so a reuse race shows up.
-echo "== go test -race -count=20 -run 'Ring' (comm: ring send-buffer reuse) =="
-go test -race -count=20 -timeout 9m -run 'Ring' ./internal/comm/
+# Every collective meets at one rendezvous: the all-reduce reads the other
+# ranks' vectors between two of them, and exchange hands out one reused
+# result slice. Whether a rank reaches its next collective while another
+# still reads depends on scheduling, so repeat the collective tests at one,
+# two and eight Ps for a missed hand-off to show up.
+for procs in 1 2 8; do
+    echo "== go test -race -count=20 GOMAXPROCS=$procs (comm: rendezvous) =="
+    GOMAXPROCS=$procs go test -race -count=20 -timeout 8m -run 'Ring|Barrier|AllGather|Mismatch' ./internal/comm/
+done
+
+echo "== fuzz smoke (AVX2 Top-K filter, all-reduce against the ring) =="
+go test -run='^$' -fuzz='^FuzzKeep$' -fuzztime=10s ./internal/compress
+go test -run='^$' -fuzz='^FuzzRingAllReduceMatchesReference$' -fuzztime=10s ./internal/comm
 
 echo "all checks passed"

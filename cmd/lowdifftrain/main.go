@@ -45,7 +45,7 @@ func main() {
 	crash := flag.Int("crash", 0, "simulate a crash after this many iterations (0: none)")
 	doRecover := flag.Bool("recover", false, "recover from -dir and print the state instead of training")
 	parallelism := flag.Int("parallelism", runtime.NumCPU(),
-		"data-plane pool workers for compression, merge, and checkpoint encode (1: serial; bit-identical either way)")
+		"with -recover, pool workers for the replay's optimizer and scatter-add kernels (0: every processor; bit-identical at any count); training runs serially")
 	plus := flag.Bool("plus", false, "run the LowDiff+ engine (no compression)")
 	peer := flag.Bool("peer", false, "peer-replicated differentials: retain diffs in peer windows, persist only fulls")
 	peerWindow := flag.Int("peer-window", 0, "peer differential window depth W (0: full-every)")
@@ -58,6 +58,9 @@ func main() {
 	opsAddr := flag.String("ops-addr", "", "serve /metrics, /healthz, /snapshot, and pprof on this address (empty: off)")
 	eventsOut := flag.String("events", "", "append structured JSONL run events to this file (empty: off)")
 	flag.Parse()
+	if *parallelism < 0 {
+		fatal(fmt.Errorf("-parallelism %d must be >= 0", *parallelism))
+	}
 
 	var store storage.Store = storage.NewMem()
 	switch {
@@ -187,7 +190,7 @@ func main() {
 	e, err := core.NewEngine(core.Options{
 		Spec: scaled, Workers: *workers, Optimizer: *optName, Rho: *rho,
 		Store: store, FullEvery: *fullEvery, BatchSize: *batch,
-		Parallelism: *parallelism, Seed: *seed, Plus: plusSpec, Peer: peerSpec,
+		Seed: *seed, Plus: plusSpec, Peer: peerSpec,
 		Trace: rec, Metrics: reg, Events: events,
 	})
 	if err != nil {

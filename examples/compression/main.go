@@ -46,7 +46,7 @@ func main() {
 		{"topk", 0.01}, {"topk", 0.1}, {"identity", 0},
 	}
 	for _, c := range codecs {
-		comp, err := compress.New(c.name, c.rho, 42)
+		comp, err := compress.New(c.name, c.rho)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 
 	"lowdiff/internal/allocgate"
 	"lowdiff/internal/compress"
-	"lowdiff/internal/parallel"
 	"lowdiff/internal/storage"
 	"lowdiff/internal/tensor"
 )
@@ -21,7 +20,7 @@ var restoreSink any
 
 // BenchmarkRestoreFull is the restore path's baseline: one benchmark-sized
 // full checkpoint decoded from memory (decode) and loaded from a File store
-// (load_file), on the two-worker pool recovery runs with there.
+// (load_file).
 // TestRestoreAllocs holds its allocations.
 func BenchmarkRestoreFull(b *testing.B) {
 	f := ruleFull(b, "adam", benchParams)
@@ -29,12 +28,11 @@ func BenchmarkRestoreFull(b *testing.B) {
 	if err := f.Encode(&rec); err != nil {
 		b.Fatal(err)
 	}
-	pool, _ := parallel.New(2)
 	b.Run("decode", func(b *testing.B) {
 		b.SetBytes(int64(rec.Len()))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			got, err := DecodeFullWith(bytes.NewReader(rec.Bytes()), pool)
+			got, err := DecodeFull(bytes.NewReader(rec.Bytes()))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -54,7 +52,7 @@ func BenchmarkRestoreFull(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			got, err := LoadFullWith(store, name, pool)
+			got, err := LoadFull(store, name)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -65,19 +63,18 @@ func BenchmarkRestoreFull(b *testing.B) {
 
 // BenchmarkPersistFull is the persist path's baseline, the write side of
 // BenchmarkRestoreFull: the same full encoded to io.Discard (encode) and
-// saved to a File store (save_file), on the same two-worker pool.
+// saved to a File store (save_file).
 func BenchmarkPersistFull(b *testing.B) {
 	f := ruleFull(b, "adam", benchParams)
 	var rec bytes.Buffer
 	if err := f.Encode(&rec); err != nil {
 		b.Fatal(err)
 	}
-	pool, _ := parallel.New(2)
 	b.Run("encode", func(b *testing.B) {
 		b.SetBytes(int64(rec.Len()))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := f.EncodeWith(io.Discard, pool); err != nil {
+			if err := f.Encode(io.Discard); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -91,7 +88,7 @@ func BenchmarkPersistFull(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := SaveFullWith(store, f, pool); err != nil {
+			if _, err := SaveFull(store, f); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -122,12 +119,11 @@ func benchDiffRecord(t testing.TB) *bytes.Buffer {
 // BenchmarkRestoreDiff decodes one benchmark-sized sparse differential.
 func BenchmarkRestoreDiff(b *testing.B) {
 	rec := benchDiffRecord(b)
-	pool, _ := parallel.New(2)
 	b.Run("decode", func(b *testing.B) {
 		b.SetBytes(int64(rec.Len()))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			got, err := DecodeDiffWith(bytes.NewReader(rec.Bytes()), pool)
+			got, err := DecodeDiff(bytes.NewReader(rec.Bytes()))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -136,8 +132,8 @@ func BenchmarkRestoreDiff(b *testing.B) {
 	})
 }
 
-// TestRestoreAllocs holds the restore path at its allocation bounds, on
-// the two-worker pool recovery runs with. Decoding a full is meant to
+// TestRestoreAllocs holds the restore path at its allocation bounds.
+// Decoding a full is meant to
 // allocate the three decoded vectors (14.0 MB) and nothing else of their
 // size, so a staging copy shows as a multiple of that; decoding a
 // differential allocates its 11,700 pairs. Each bound is 1.25× the most one
@@ -152,10 +148,9 @@ func TestRestoreAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	diff := benchDiffRecord(t)
-	pool, _ := parallel.New(2)
 	t.Run("full_decode", func(t *testing.T) {
 		allocgate.Check(t, 10, 55.875, 17_573_120, func() {
-			got, err := DecodeFullWith(bytes.NewReader(full.Bytes()), pool)
+			got, err := DecodeFull(bytes.NewReader(full.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +167,7 @@ func TestRestoreAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		allocgate.Check(t, 10, 61.375, 17_574_104, func() {
-			got, err := LoadFullWith(store, name, pool)
+			got, err := LoadFull(store, name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +176,7 @@ func TestRestoreAllocs(t *testing.T) {
 	})
 	t.Run("diff_decode", func(t *testing.T) {
 		allocgate.Check(t, 100, 20.125, 123_273, func() {
-			got, err := DecodeDiffWith(bytes.NewReader(diff.Bytes()), pool)
+			got, err := DecodeDiff(bytes.NewReader(diff.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -21,7 +21,6 @@ import (
 
 	"lowdiff/internal/compress"
 	"lowdiff/internal/optim"
-	"lowdiff/internal/parallel"
 	"lowdiff/internal/storage"
 	"lowdiff/internal/tensor"
 )
@@ -154,11 +153,11 @@ func writeString(w io.Writer, s string) error {
 }
 
 // writeF32s writes v's length and then v (compress.WriteVector).
-func writeF32s(w io.Writer, v []float32, pool *parallel.Pool) error {
+func writeF32s(w io.Writer, v []float32) error {
 	if err := writeU64(w, uint64(len(v))); err != nil {
 		return err
 	}
-	return compress.WriteVector(w, v, pool)
+	return compress.WriteVector(w, v)
 }
 
 func readU64(r io.Reader) (uint64, error) {
@@ -192,7 +191,7 @@ func readString(r io.Reader) (string, error) {
 // maxElems bounds decoded element counts (8G floats is certainly corrupt).
 const maxElems = 1 << 33
 
-func readF32s(r io.Reader, pool *parallel.Pool) ([]float32, error) {
+func readF32s(r io.Reader) ([]float32, error) {
 	n, err := readU64(r)
 	if err != nil {
 		return nil, err
@@ -200,19 +199,13 @@ func readF32s(r io.Reader, pool *parallel.Pool) ([]float32, error) {
 	if n > maxElems {
 		return nil, fmt.Errorf("checkpoint: implausible vector length %d", n)
 	}
-	return compress.ReadVector[float32](r, n, pool)
+	return compress.ReadVector[float32](r, n)
 }
 
-// Encode writes a full checkpoint record.
+// Encode writes a full checkpoint record. On a little-endian host each
+// vector goes to w straight from its own memory, so w must neither modify
+// nor retain the slice passed to Write.
 func (f *Full) Encode(w io.Writer) error {
-	return f.EncodeWith(w, nil)
-}
-
-// EncodeWith is Encode with the big-endian byte swap of the vectors sharded
-// over pool; the record bytes (and CRC) are identical at any worker count.
-// On a little-endian host each vector goes to w straight from its own
-// memory, so w must neither modify nor retain the slice passed to Write.
-func (f *Full) EncodeWith(w io.Writer, pool *parallel.Pool) error {
 	cw := newCRCWriter(w)
 	if err := writeU32(cw, fullMagic); err != nil {
 		return fmt.Errorf("checkpoint: encode full: %w", err)
@@ -223,7 +216,7 @@ func (f *Full) EncodeWith(w io.Writer, pool *parallel.Pool) error {
 	if err := writeU64(cw, uint64(f.Iter)); err != nil {
 		return err
 	}
-	if err := writeF32s(cw, f.Params, pool); err != nil {
+	if err := writeF32s(cw, f.Params); err != nil {
 		return err
 	}
 	// Optimizer state.
@@ -261,21 +254,20 @@ func (f *Full) EncodeWith(w io.Writer, pool *parallel.Pool) error {
 		if err := writeString(cw, k); err != nil {
 			return err
 		}
-		if err := writeF32s(cw, f.Opt.Slots[k], pool); err != nil {
+		if err := writeF32s(cw, f.Opt.Slots[k]); err != nil {
 			return err
 		}
 	}
 	return writeU32(w, cw.h.Sum32())
 }
 
+// EncodeWith is Encode; its second argument is ignored.
+//
+// Deprecated: call Encode.
+func (f *Full) EncodeWith(w io.Writer, _ any) error { return f.Encode(w) }
+
 // DecodeFull reads a full checkpoint record and verifies its CRC.
 func DecodeFull(r io.Reader) (*Full, error) {
-	return DecodeFullWith(r, nil)
-}
-
-// DecodeFullWith is DecodeFull with the big-endian byte swap of the vectors
-// sharded over pool; the decoded state is identical at any worker count.
-func DecodeFullWith(r io.Reader, pool *parallel.Pool) (*Full, error) {
 	cr := newCRCReader(r)
 	magic, err := readU32(cr)
 	if err != nil {
@@ -295,7 +287,7 @@ func DecodeFullWith(r io.Reader, pool *parallel.Pool) (*Full, error) {
 	if err != nil {
 		return nil, err
 	}
-	params, err := readF32s(cr, pool)
+	params, err := readF32s(cr)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: decode params: %w", err)
 	}
@@ -339,7 +331,7 @@ func DecodeFullWith(r io.Reader, pool *parallel.Pool) (*Full, error) {
 		if err != nil {
 			return nil, err
 		}
-		v, err := readF32s(cr, pool)
+		v, err := readF32s(cr)
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint: decode slot %q: %w", k, err)
 		}
@@ -360,17 +352,10 @@ func DecodeFullWith(r io.Reader, pool *parallel.Pool) (*Full, error) {
 	}, nil
 }
 
-// Encode writes a differential checkpoint record.
+// Encode writes a differential checkpoint record. On a little-endian host
+// the payload's vectors go to w straight from their own memory, so w must
+// neither modify nor retain the slice passed to Write.
 func (d *Diff) Encode(w io.Writer) error {
-	return d.EncodeWith(w, nil)
-}
-
-// EncodeWith is Encode with the big-endian byte swap of the payload's
-// vectors sharded over pool; the record bytes (and CRC) are identical at any
-// worker count. On a little-endian host the payload's vectors go to w
-// straight from their own memory, so w must neither modify nor retain the
-// slice passed to Write.
-func (d *Diff) EncodeWith(w io.Writer, pool *parallel.Pool) error {
 	if err := d.Validate(); err != nil {
 		return err
 	}
@@ -393,21 +378,19 @@ func (d *Diff) EncodeWith(w io.Writer, pool *parallel.Pool) error {
 	if err := writeU32(cw, uint32(d.Count)); err != nil {
 		return err
 	}
-	if err := d.Payload.EncodeWith(cw, pool); err != nil {
+	if err := d.Payload.Encode(cw); err != nil {
 		return err
 	}
 	return writeU32(w, cw.h.Sum32())
 }
 
+// EncodeWith is Encode; its second argument is ignored.
+//
+// Deprecated: call Encode.
+func (d *Diff) EncodeWith(w io.Writer, _ any) error { return d.Encode(w) }
+
 // DecodeDiff reads a differential checkpoint record and verifies its CRC.
 func DecodeDiff(r io.Reader) (*Diff, error) {
-	return DecodeDiffWith(r, nil)
-}
-
-// DecodeDiffWith is DecodeDiff with the big-endian byte swap of the
-// payload's vectors sharded over pool; the decoded record is identical at
-// any worker count.
-func DecodeDiffWith(r io.Reader, pool *parallel.Pool) (*Diff, error) {
 	cr := newCRCReader(r)
 	magic, err := readU32(cr)
 	if err != nil {
@@ -439,7 +422,7 @@ func DecodeDiffWith(r io.Reader, pool *parallel.Pool) (*Diff, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload, err := compress.DecodeWith(cr, pool)
+	payload, err := compress.Decode(cr)
 	if err != nil {
 		return nil, err
 	}
@@ -467,18 +450,12 @@ func DecodeDiffWith(r io.Reader, pool *parallel.Pool) (*Diff, error) {
 // SaveFull persists a full checkpoint to the store under its canonical name
 // and returns that name.
 func SaveFull(s storage.Store, f *Full) (string, error) {
-	return SaveFullWith(s, f, nil)
-}
-
-// SaveFullWith is SaveFull with encoding sharded over pool; the stored
-// bytes are identical at any worker count.
-func SaveFullWith(s storage.Store, f *Full, pool *parallel.Pool) (string, error) {
 	name := FullName(f.Iter)
 	w, err := s.Create(name)
 	if err != nil {
 		return "", err
 	}
-	if err := f.EncodeWith(w, pool); err != nil {
+	if err := f.Encode(w); err != nil {
 		_ = storage.AbortWriter(w) // encode failed; surface that error, not the abort's
 		return "", err
 	}
@@ -487,23 +464,18 @@ func SaveFullWith(s storage.Store, f *Full, pool *parallel.Pool) (string, error)
 
 // LoadFull loads a full checkpoint by name.
 func LoadFull(s storage.Store, name string) (*Full, error) {
-	return LoadFullWith(s, name, nil)
-}
-
-// LoadFullWith is LoadFull with decoding sharded over pool.
-func LoadFullWith(s storage.Store, name string, pool *parallel.Pool) (*Full, error) {
-	return load(s, name, pool, DecodeFullWith)
+	return load(s, name, DecodeFull)
 }
 
 // load opens name and decodes one record from it. A decode stops at its
 // record's end; Close reads the rest of the object, and a streaming store
 // checks its last bytes only there, so Close's error counts as the load's.
-func load[T any](s storage.Store, name string, pool *parallel.Pool, decode func(io.Reader, *parallel.Pool) (*T, error)) (*T, error) {
+func load[T any](s storage.Store, name string, decode func(io.Reader) (*T, error)) (*T, error) {
 	r, err := s.Open(name)
 	if err != nil {
 		return nil, err
 	}
-	v, err := decode(r, pool)
+	v, err := decode(r)
 	if cerr := r.Close(); err == nil {
 		err = cerr
 	}
@@ -516,18 +488,12 @@ func load[T any](s storage.Store, name string, pool *parallel.Pool, decode func(
 // SaveDiff persists a differential checkpoint under its canonical name and
 // returns that name.
 func SaveDiff(s storage.Store, d *Diff) (string, error) {
-	return SaveDiffWith(s, d, nil)
-}
-
-// SaveDiffWith is SaveDiff with encoding sharded over pool; the stored
-// bytes are identical at any worker count.
-func SaveDiffWith(s storage.Store, d *Diff, pool *parallel.Pool) (string, error) {
 	name := DiffName(d.FirstIter, d.LastIter)
 	w, err := s.Create(name)
 	if err != nil {
 		return "", err
 	}
-	if err := d.EncodeWith(w, pool); err != nil {
+	if err := d.Encode(w); err != nil {
 		_ = storage.AbortWriter(w) // encode failed; surface that error, not the abort's
 		return "", err
 	}
@@ -536,10 +502,5 @@ func SaveDiffWith(s storage.Store, d *Diff, pool *parallel.Pool) (string, error)
 
 // LoadDiff loads a differential checkpoint by name.
 func LoadDiff(s storage.Store, name string) (*Diff, error) {
-	return LoadDiffWith(s, name, nil)
-}
-
-// LoadDiffWith is LoadDiff with decoding sharded over pool.
-func LoadDiffWith(s storage.Store, name string, pool *parallel.Pool) (*Diff, error) {
-	return load(s, name, pool, DecodeDiffWith)
+	return load(s, name, DecodeDiff)
 }

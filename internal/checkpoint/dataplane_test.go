@@ -2,18 +2,16 @@ package checkpoint
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 
 	"lowdiff/internal/compress"
 	"lowdiff/internal/optim"
-	"lowdiff/internal/parallel"
 	"lowdiff/internal/tensor"
 )
 
-// Pooled encode/decode must produce byte-identical records and bit-identical
-// state at every worker count, on both vector paths.
-func TestPooledEncodeDecodeBitExact(t *testing.T) {
+// Encode and decode must produce byte-identical records and bit-identical
+// state on both vector paths.
+func TestEncodeDecodeBitExactOnBothVectorPaths(t *testing.T) {
 	r := tensor.NewRNG(11)
 	params := tensor.New(5000)
 	r.FillUniform(params, -2, 2)
@@ -46,42 +44,36 @@ func TestPooledEncodeDecodeBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	eachVectorPath(func(path string) {
-		for _, workers := range []int{1, 2, 7, runtime.NumCPU()} {
-			pool, err := parallel.NewWithChunk(workers, 128)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var gotFull, gotDiff bytes.Buffer
-			if err := f.EncodeWith(&gotFull, pool); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(wantFull.Bytes(), gotFull.Bytes()) {
-				t.Fatalf("%s path, workers=%d: full record bytes differ", path, workers)
-			}
-			if err := d.EncodeWith(&gotDiff, pool); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(wantDiff.Bytes(), gotDiff.Bytes()) {
-				t.Fatalf("%s path, workers=%d: diff record bytes differ", path, workers)
-			}
-			df, err := DecodeFullWith(bytes.NewReader(gotFull.Bytes()), pool)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !df.Params.Equal(f.Params) || !tensor.Vector(df.Opt.Slots["m"]).Equal(m) {
-				t.Fatalf("%s path, workers=%d: decoded full state differs", path, workers)
-			}
-			dd, err := DecodeDiffWith(bytes.NewReader(gotDiff.Bytes()), pool)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dd.FirstIter != 7 || dd.LastIter != 9 || len(dd.Payload.Idx) != len(payload.Idx) {
-				t.Fatalf("%s path, workers=%d: decoded diff differs", path, workers)
-			}
-			for i := range payload.Idx {
-				if dd.Payload.Idx[i] != payload.Idx[i] || dd.Payload.Vals[i] != payload.Vals[i] {
-					t.Fatalf("%s path, workers=%d: decoded payload entry %d differs", path, workers, i)
-				}
+		var gotFull, gotDiff bytes.Buffer
+		if err := f.Encode(&gotFull); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wantFull.Bytes(), gotFull.Bytes()) {
+			t.Fatalf("%s path: full record bytes differ", path)
+		}
+		if err := d.Encode(&gotDiff); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wantDiff.Bytes(), gotDiff.Bytes()) {
+			t.Fatalf("%s path: diff record bytes differ", path)
+		}
+		df, err := DecodeFull(bytes.NewReader(gotFull.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !df.Params.Equal(f.Params) || !tensor.Vector(df.Opt.Slots["m"]).Equal(m) {
+			t.Fatalf("%s path: decoded full state differs", path)
+		}
+		dd, err := DecodeDiff(bytes.NewReader(gotDiff.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dd.FirstIter != 7 || dd.LastIter != 9 || len(dd.Payload.Idx) != len(payload.Idx) {
+			t.Fatalf("%s path: decoded diff differs", path)
+		}
+		for i := range payload.Idx {
+			if dd.Payload.Idx[i] != payload.Idx[i] || dd.Payload.Vals[i] != payload.Vals[i] {
+				t.Fatalf("%s path: decoded payload entry %d differs", path, i)
 			}
 		}
 	})

@@ -16,7 +16,6 @@ import (
 
 	"lowdiff/internal/compress"
 	"lowdiff/internal/optim"
-	"lowdiff/internal/parallel"
 	"lowdiff/internal/storage"
 	"lowdiff/internal/tensor"
 )
@@ -120,19 +119,6 @@ var boundaryLengths = []int{0, 1, sliceElems - 1, sliceElems, sliceElems + 1, 3*
 
 const pastWhole = wholeElems + sliceElems + 5
 
-func decodePools(t *testing.T) []*parallel.Pool {
-	t.Helper()
-	pools := []*parallel.Pool{nil}
-	for _, workers := range []int{1, 2, 7} {
-		p, err := parallel.New(workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pools = append(pools, p)
-	}
-	return pools
-}
-
 // ruleFull is a full checkpoint of n parameters under the named rule, its
 // optimizer state live (one step taken, so no slot is all zero).
 func ruleFull(t testing.TB, rule string, n int) *Full {
@@ -178,8 +164,7 @@ func sameDiff(a, b *Diff) bool {
 }
 
 // (a) Fulls of every rule encode to the same record on both vector paths,
-// and decode, on both paths, at every worker count and at the slice and
-// threshold boundaries, to exactly what the two-copy decoder returned.
+// and decode, on both paths, at the slice and threshold boundaries, to exactly what the two-copy decoder returned.
 func TestDecodeFullMatchesTwoCopyOracle(t *testing.T) {
 	for _, rule := range []string{"adam", "sgd", "sgd-momentum"} {
 		lengths := boundaryLengths
@@ -203,14 +188,12 @@ func TestDecodeFullMatchesTwoCopyOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s path: %s length %d: %v", path, rule, n, err)
 				}
-				for _, pool := range decodePools(t) {
-					got, err := DecodeFullWith(bytes.NewReader(rec.Bytes()), pool)
-					if err != nil {
-						t.Fatalf("%s path: %s length %d at %d workers: %v", path, rule, n, pool.Workers(), err)
-					}
-					if !sameFull(got, want) {
-						t.Fatalf("%s path: %s length %d at %d workers: decoded full differs from the two-copy decoder's", path, rule, n, pool.Workers())
-					}
+				got, err := DecodeFull(bytes.NewReader(rec.Bytes()))
+				if err != nil {
+					t.Fatalf("%s path: %s length %d: %v", path, rule, n, err)
+				}
+				if !sameFull(got, want) {
+					t.Fatalf("%s path: %s length %d: decoded full differs from the two-copy decoder's", path, rule, n)
 				}
 			})
 		}
@@ -245,14 +228,12 @@ func TestDecodeDiffAtSliceBoundaries(t *testing.T) {
 			if err := want.Encode(&rec); err != nil {
 				t.Fatal(err)
 			}
-			for _, pool := range decodePools(t) {
-				got, err := DecodeDiffWith(bytes.NewReader(rec.Bytes()), pool)
-				if err != nil {
-					t.Fatalf("%s length %d at %d workers: %v", family, n, pool.Workers(), err)
-				}
-				if !sameDiff(got, want) {
-					t.Fatalf("%s length %d at %d workers: decoded differential differs from the encoded one", family, n, pool.Workers())
-				}
+			got, err := DecodeDiff(bytes.NewReader(rec.Bytes()))
+			if err != nil {
+				t.Fatalf("%s length %d: %v", family, n, err)
+			}
+			if !sameDiff(got, want) {
+				t.Fatalf("%s length %d: decoded differential differs from the encoded one", family, n)
 			}
 		}
 	}

@@ -18,7 +18,6 @@ import (
 	"sync"
 
 	"lowdiff/internal/compress"
-	"lowdiff/internal/parallel"
 	"lowdiff/internal/tensor"
 )
 
@@ -29,7 +28,6 @@ import (
 // concurrently by the same rank.
 type Group struct {
 	n    int
-	pool *parallel.Pool
 	mu   sync.Mutex
 	cond *sync.Cond
 
@@ -45,17 +43,10 @@ type Group struct {
 
 // NewGroup returns a communicator for n ranks. n must be positive.
 func NewGroup(n int) (*Group, error) {
-	return NewGroupPooled(n, nil)
-}
-
-// NewGroupPooled returns a communicator whose sparse all-gather (union
-// merge and mean scaling) is sharded over pool. Results stay
-// bit-identical to the serial group.
-func NewGroupPooled(n int, pool *parallel.Pool) (*Group, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("comm: group size %d must be positive", n)
 	}
-	g := &Group{n: n, pool: pool, slots: make([]interface{}, n),
+	g := &Group{n: n, slots: make([]interface{}, n),
 		out: make([]interface{}, n), vecs: make([]tensor.Vector, n)}
 	g.cond = sync.NewCond(&g.mu)
 	return g, nil
@@ -223,19 +214,16 @@ func (g *Group) AllGatherSparse(rank int, c *compress.Compressed) (*compress.Com
 		}
 		parts[r] = p
 	}
-	merged, err := compress.MergeWith(g.pool, parts...)
+	merged, err := compress.Merge(parts...)
 	if err != nil {
 		return nil, err
 	}
 	// Average the sum so the synchronized gradient is the mean of worker
 	// gradients, matching the data-parallel convention.
 	inv := 1 / float32(g.n)
-	vals := merged.Vals
-	g.pool.ForEach(len(vals), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			vals[i] *= inv
-		}
-	})
+	for i := range merged.Vals {
+		merged.Vals[i] *= inv
+	}
 	g.exchange(rank, nil) // release inputs only after all ranks merged
 	return merged, nil
 }

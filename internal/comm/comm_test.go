@@ -54,21 +54,12 @@ func (g *Group) AllReduceSum(rank int, v tensor.Vector) error {
 				r, len(all[r].(tensor.Vector)), len(first))
 		}
 	}
-	// Segment scatter-add: each shard owns [lo, hi) of the sum and adds the
-	// ranks' segments in rank order, so the result is bit-identical to the
-	// serial rank-order accumulation at any worker count.
 	sum := tensor.New(len(first))
-	vecs := make([]tensor.Vector, g.n)
-	for r := 0; r < g.n; r++ {
-		vecs[r] = all[r].(tensor.Vector)
-	}
-	g.pool.ForEach(len(first), func(_, lo, hi int) {
-		for _, src := range vecs { // rank order
-			for i := lo; i < hi; i++ {
-				sum[i] += src[i]
-			}
+	for r := 0; r < g.n; r++ { // rank order
+		for i, x := range all[r].(tensor.Vector) {
+			sum[i] += x
 		}
-	})
+	}
 	// Every rank writes its own v only after computing the sum from the
 	// snapshot; a barrier keeps writers from racing readers of the inputs.
 	g.exchange(rank, nil)

@@ -70,24 +70,15 @@ func TestTopKAllocs(t *testing.T) {
 }
 
 func BenchmarkMerge(b *testing.B) {
-	pool2, err := parallel.New(2)
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, k := range []int{2, 4} {
 		parts := benchSortedParts(b, workloadGradLen, k, 0.01)
-		for _, arm := range []struct {
-			name string
-			pool *parallel.Pool
-		}{{"serial", nil}, {"pooled2", pool2}} {
-			b.Run(fmt.Sprintf("k=%d/%s", k, arm.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := MergeWith(arm.pool, parts...); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Merge(parts...); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -142,23 +133,16 @@ func compressHeapReference(g tensor.Vector, rho float64) *Compressed {
 	return &Compressed{Codec: "topk", N: len(g), Idx: idx, Vals: vals}
 }
 
-// BenchmarkDataplaneCompressMerge is the data-plane composite the parallel
-// rework targets: one Top-K compression (the per-iteration producer path)
-// plus one 16-part union-sum merge (the batched writer's flush path).
-// baseline replays the retired implementation — heap selection plus the
-// map-based union-sum (both kept in dataplane_test.go as oracles);
-// kway-serial and kway-pooled8 run the sampled-threshold compression and
-// the folded two-way merge at 1 and 8 pool workers (the select is serial in
-// both, and the merge's 10,496 part entries are under MergeWith's pooled
-// crossover, so it runs inline at 8 workers too).
-// TestDataplaneCompressMergeAllocs holds kway-pooled8's allocations.
+// BenchmarkDataplaneCompressMerge is the data-plane composite: one Top-K
+// compression (the per-iteration producer path) plus one 16-part union-sum
+// merge (the batched writer's flush path). baseline replays the retired
+// implementation — heap selection plus the map-based union-sum (both kept
+// in dataplane_test.go as oracles); kway-serial runs the sampled-threshold
+// compression and the folded two-way merge.
+// TestDataplaneCompressMergeAllocs holds kway-serial's allocations.
 func BenchmarkDataplaneCompressMerge(b *testing.B) {
 	g := benchGrad(dataplaneN)
 	parts := benchSortedParts(b, dataplaneN, dataplaneParts, dataplaneRho)
-	pool8, err := parallel.New(8)
-	if err != nil {
-		b.Fatal(err)
-	}
 	runOne := func(b *testing.B, compress func() (*Compressed, error), merge func() (*Compressed, error)) {
 		b.SetBytes(int64(dataplaneN * 4))
 		b.ResetTimer()
@@ -180,13 +164,7 @@ func BenchmarkDataplaneCompressMerge(b *testing.B) {
 		tk, _ := NewTopK(dataplaneRho)
 		runOne(b,
 			func() (*Compressed, error) { return tk.Compress(g) },
-			func() (*Compressed, error) { return MergeWith(nil, parts...) })
-	})
-	b.Run("kway-pooled8", func(b *testing.B) {
-		tk, _ := NewTopK(dataplaneRho)
-		runOne(b,
-			func() (*Compressed, error) { return tk.Compress(g) },
-			func() (*Compressed, error) { return MergeWith(pool8, parts...) })
+			func() (*Compressed, error) { return Merge(parts...) })
 	})
 }
 
@@ -198,33 +176,28 @@ const (
 	dataplaneRho   = 0.01
 )
 
-// TestDataplaneCompressMergeAllocs holds the compress + pooled merge at
-// its allocation counts: one Top-K compression and one 16-part merge at
-// eight pool workers. The merge is under MergeWith's pooled crossover, so
-// it runs inline at any worker count and folds through pooled scratch:
-// the operation allocates its two results, 6 objects and 103,840 B. The
-// bounds are those plus half an object and 512 B (TestDataplaneAllocs's
-// method), so one more allocation in the select or in a merge fold fails.
+// TestDataplaneCompressMergeAllocs holds the compress + merge at its
+// allocation counts: one Top-K compression and one 16-part merge, which
+// folds through pooled scratch: the operation allocates its two results,
+// 6 objects and 103,840 B. The bounds are those plus half an object and
+// 512 B (TestDataplaneAllocs's method), so one more allocation in the
+// select or in a merge fold fails.
 func TestDataplaneCompressMergeAllocs(t *testing.T) {
 	g := benchGrad(dataplaneN)
 	parts := benchSortedParts(t, dataplaneN, dataplaneParts, dataplaneRho)
-	pool8, err := parallel.New(8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tk, _ := NewTopK(dataplaneRho)
 	allocgate.Check(t, 100, 6.5, 104_352, func() {
 		if _, err := tk.Compress(g); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := MergeWith(pool8, parts...); err != nil {
+		if _, err := Merge(parts...); err != nil {
 			t.Fatal(err)
 		}
 	})
 }
 
-// BenchmarkDataplaneDecompress measures the scatter-add consumer path
-// (recovery replay, replica assembly) serially and pooled.
+// BenchmarkDataplaneDecompress measures the sparse decompress path
+// (replica assembly's scatter into a zeroed view).
 func BenchmarkDataplaneDecompress(b *testing.B) {
 	const n = 1 << 18
 	g := benchGrad(n)
@@ -234,38 +207,24 @@ func BenchmarkDataplaneDecompress(b *testing.B) {
 		b.Fatal(err)
 	}
 	out := tensor.New(n)
-	pool8, err := parallel.New(8)
-	if err != nil {
-		b.Fatal(err)
+	b.SetBytes(int64(n * 4))
+	for i := 0; i < b.N; i++ {
+		if err := c.Decompress(out); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.Run("serial", func(b *testing.B) {
-		b.SetBytes(int64(n * 4))
-		for i := 0; i < b.N; i++ {
-			if err := c.Decompress(out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("pooled8", func(b *testing.B) {
-		b.SetBytes(int64(n * 4))
-		for i := 0; i < b.N; i++ {
-			if err := c.DecompressWith(pool8, out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 var sinkCompressed *Compressed
 
 // TestDataplaneAllocs holds the rest of the data plane at its allocation
-// counts, serial and at two pool workers: decompression and scatter-add
-// into caller memory, the pooled and the dense merge, identity
-// compression, clone, and the wire encode and decode. A pooled dispatch
-// costs 5 objects (ForEach's cursor, WaitGroup and two goroutine closures,
-// and the caller's closure); a result costs its header and slices; encode
-// stages its 64-byte header. A merge of more than two parts folds through
-// pooled scratch, so it too allocates only its result. Each bound is the
+// counts: decompression into caller memory, recovery's scatter-add at two
+// pool workers, the k-way and the dense merge, identity compression, clone,
+// and the wire encode and decode. A pooled dispatch costs 5 objects
+// (ForEach's cursor, WaitGroup and two goroutine closures, and the
+// caller's closure); a result costs its header and slices; encode stages
+// its 64-byte header. A merge of more than two parts folds through pooled
+// scratch, so it too allocates only its result. Each bound is the
 // measured count plus half an object and the measured bytes plus 512, so
 // one more allocation per call fails it.
 func TestDataplaneAllocs(t *testing.T) {
@@ -273,12 +232,6 @@ func TestDataplaneAllocs(t *testing.T) {
 	g := benchGrad(n)
 	tk, _ := NewTopK(0.2)
 	sp, err := tk.Compress(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2 := tensor.New(n)
-	tensor.NewRNG(2).FillUniform(g2, -1, 1)
-	sp2, err := tk.Compress(g2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,20 +257,18 @@ func TestDataplaneAllocs(t *testing.T) {
 		allocs, bytes float64
 		op            func(*testing.T)
 	}{
-		{"decompress/sparse/serial", 0.5, 512, func(t *testing.T) { must(t, sp.DecompressWith(nil, out)) }},
-		{"decompress/sparse/pool2", 5.5, 728, func(t *testing.T) { must(t, sp.DecompressWith(pool2, out)) }},
-		{"decompress/dense/serial", 0.5, 512, func(t *testing.T) { must(t, dn.DecompressWith(nil, out)) }},
-		{"decompress/dense/pool2", 5.5, 712, func(t *testing.T) { must(t, dn.DecompressWith(pool2, out)) }},
+		{"decompress/sparse/serial", 0.5, 512, func(t *testing.T) { must(t, sp.Decompress(out)) }},
+		{"decompress/dense/serial", 0.5, 512, func(t *testing.T) { must(t, dn.Decompress(out)) }},
+		{"add_into/sparse/pool2", 5.5, 728, func(t *testing.T) { must(t, sp.AddIntoWith(pool2, out)) }},
 		{"add_into/dense/pool2", 5.5, 712, func(t *testing.T) { must(t, dn.AddIntoWith(pool2, out)) }},
-		{"merge/pool2", 9.5, 852_888, func(t *testing.T) { sinkCompressed, err = MergeWith(pool2, sp, sp2); must(t, err) }},
-		{"merge/16_parts", 3.5, 98_896, func(t *testing.T) { sinkCompressed, err = MergeWith(nil, parts...); must(t, err) }},
-		{"merge/dense", 2.5, 1_049_168, func(t *testing.T) { sinkCompressed, err = MergeWith(nil, sp, dn); must(t, err) }},
+		{"merge/16_parts", 3.5, 98_896, func(t *testing.T) { sinkCompressed, err = Merge(parts...); must(t, err) }},
+		{"merge/dense", 2.5, 1_049_168, func(t *testing.T) { sinkCompressed, err = Merge(sp, dn); must(t, err) }},
 		{"identity", 2.5, 1_049_168, func(t *testing.T) { sinkCompressed, err = Identity{}.Compress(g); must(t, err) }},
 		{"clone", 3.5, 426_576, func(*testing.T) { sinkCompressed = sp.Clone() }},
-		{"encode", 1.5, 576, func(t *testing.T) { must(t, sp.EncodeWith(io.Discard, pool2)) }},
+		{"encode", 1.5, 576, func(t *testing.T) { must(t, sp.Encode(io.Discard)) }},
 		{"decode", 5.5, 426_592, func(t *testing.T) {
 			rd.Reset(wire.Bytes())
-			sinkCompressed, err = DecodeWith(rd, pool2)
+			sinkCompressed, err = Decode(rd)
 			must(t, err)
 		}},
 	} {

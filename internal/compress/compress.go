@@ -5,19 +5,18 @@
 // A Compressed value is the unit that flows through the whole system: it is
 // what workers synchronize, what the reusing queue carries, what a
 // differential checkpoint stores, and what the batched writer accumulates.
-// Sparse accumulation (MergeWith) is the "gradient batching" primitive of
+// Sparse accumulation (Merge) is the "gradient batching" primitive of
 // §4.2 — the union-sum of sparse gradients.
 //
-// Every hot loop in this package has a pool-aware variant (AddIntoWith,
-// DecompressWith, MergeWith).
-// Sharding follows the fixed-chunk-grid contract of package parallel, so
-// results are bit-identical to the serial reference at any worker count.
-// The wire codec (EncodeWith, DecodeWith, and WriteVector and ReadVector
-// under them and under package checkpoint) has no loop on a little-endian
-// host: a vector's memory is its wire bytes, read and written in place. Its
-// pool shards only a big-endian host's byte swap. NaN gradient entries are
-// out of contract for TopK: they break the strict (|v| desc, index asc)
-// total order the selection relies on.
+// Training runs every kernel here serially. Only the scatter-add that
+// recovery replays has a pool-aware variant (AddIntoWith); it follows the
+// fixed-chunk-grid contract of package parallel, so its result is
+// bit-identical to AddInto at any worker count. The wire codec (Encode,
+// Decode, and WriteVector and ReadVector under them and under package
+// checkpoint) has no loop on a little-endian host: a vector's memory is its
+// wire bytes, read and written in place. NaN gradient entries are out of
+// contract for TopK: they break the strict (|v| desc, index asc) total
+// order the selection relies on.
 package compress
 
 import (
@@ -180,28 +179,26 @@ func (c *Compressed) addIntoSerial(dense tensor.Vector) error {
 	return nil
 }
 
-// Decompress writes the dense gradient into out (length N), overwriting it.
+// Decompress writes the dense gradient into out (length N), overwriting
+// it. A dense payload is written in one pass as 0 + v, the value Zero then
+// AddInto produce: not a copy, because 0 + (−0) is +0.
 func (c *Compressed) Decompress(out tensor.Vector) error {
-	return c.DecompressWith(nil, out)
-}
-
-// DecompressWith is Decompress sharded over pool; bit-identical to the
-// serial path. A dense payload is written in one pass as 0 + v, the value
-// Zero then AddInto produce: not a copy, because 0 + (−0) is +0.
-func (c *Compressed) DecompressWith(pool *parallel.Pool, out tensor.Vector) error {
 	if len(out) != c.N {
 		return fmt.Errorf("compress: decompress into length %d, want %d", len(out), c.N)
 	}
 	if c.Idx == nil && len(c.Vals) == c.N {
-		if pool.Workers() == 1 {
-			zeroPlus(out, c.Vals)
-			return nil
-		}
-		pool.ForEach(len(out), func(_, lo, hi int) { zeroPlus(out[lo:hi], c.Vals[lo:hi]) })
+		zeroPlus(out, c.Vals)
 		return nil
 	}
 	out.Zero()
-	return c.AddIntoWith(pool, out)
+	return c.addIntoSerial(out)
+}
+
+// DecompressWith is Decompress; the pool is ignored.
+//
+// Deprecated: call Decompress.
+func (c *Compressed) DecompressWith(_ *parallel.Pool, out tensor.Vector) error {
+	return c.Decompress(out)
 }
 
 // zeroPlus sets out[i] = 0 + v[i]; len(v) must be at least len(out).
@@ -454,14 +451,8 @@ func (Identity) Compress(grad tensor.Vector) (*Compressed, error) {
 }
 
 // New constructs a compressor by name: "topk", or "identity" (also "none"
-// and ""). rho is ignored by identity; seed is unused.
-func New(name string, rho float64, seed uint64) (Compressor, error) {
-	return NewPooled(name, rho, seed, nil)
-}
-
-// NewPooled is New with a pool argument. Neither codec shards its work, so
-// seed and pool are unused; the signature stays for its callers.
-func NewPooled(name string, rho float64, seed uint64, pool *parallel.Pool) (Compressor, error) {
+// and ""). rho is ignored by identity.
+func New(name string, rho float64) (Compressor, error) {
 	switch name {
 	case "topk":
 		return NewTopK(rho)
@@ -472,19 +463,22 @@ func NewPooled(name string, rho float64, seed uint64, pool *parallel.Pool) (Comp
 	}
 }
 
-// MergeWith returns the union-sum of sparse compressed gradients, sharded
-// over pool (nil means serial): the batching primitive behind §4.2's batched
-// gradient writes and the paper's gradient accumulation. All inputs must be
-// valid and sparse (or identity) with the same N; mismatched or invalid
-// inputs fail with typed errors rather than producing a corrupt
-// union. Sparse parts fold left to right through one branch-free two-way
-// merge (merge2), so per index the values add in part order — exactly the
-// serial reference. The pooled path shards the dense index space, sizes
-// each shard's segment of the result from the parts' counts inside it, and
-// closes the gaps between segments in ascending shard order, so the result
-// is bit-identical at any worker count and the result is the only
-// allocation.
-func MergeWith(pool *parallel.Pool, parts ...*Compressed) (*Compressed, error) {
+// NewPooled is New; seed and pool are ignored.
+//
+// Deprecated: call New.
+func NewPooled(name string, rho float64, _ uint64, _ *parallel.Pool) (Compressor, error) {
+	return New(name, rho)
+}
+
+// Merge returns the union-sum of sparse compressed gradients: the
+// batching primitive behind §4.2's batched gradient writes and the paper's
+// gradient accumulation. All inputs must be valid and sparse (or identity)
+// with the same N; mismatched or invalid inputs fail with typed errors
+// rather than producing a corrupt union. Sparse parts fold left to right
+// through one branch-free two-way merge (merge2), so per index the values
+// add in part order — exactly the reference's single pass. The result is
+// the only allocation.
+func Merge(parts ...*Compressed) (*Compressed, error) {
 	if len(parts) == 0 {
 		return nil, ErrMergeEmpty
 	}
@@ -508,104 +502,30 @@ func MergeWith(pool *parallel.Pool, parts ...*Compressed) (*Compressed, error) {
 		out := make([]float32, n)
 		v := tensor.Vector(out)
 		for _, p := range parts {
-			if err := p.AddIntoWith(pool, v); err != nil {
+			if err := p.AddInto(v); err != nil {
 				return nil, err
 			}
 		}
 		return &Compressed{Codec: "merged", N: n, Vals: out}, nil
 	}
-	shards := 1
-	if pool.Workers() > 1 && total >= mergeInlineBelow {
-		shards = pool.NumChunks(n)
-	}
-	// cut[b*k+p] is where shard b starts in part p, so shard s owns part
-	// p's entries [cut[s*k+p], cut[(s+1)*k+p]). Shard s's segment of the
-	// result is [off[s], off[s+1]): room for the most its union can hold,
-	// the smaller of its parts' counts and its span. lens[s] is what it
-	// wrote there.
-	k := len(parts)
-	cs := getInts((shards+1)*k + 2*shards + 1)
-	cut, off, lens := cs.v[:(shards+1)*k], cs.v[(shards+1)*k:(shards+1)*(k+1)], cs.v[(shards+1)*(k+1):]
-	for b := 0; b <= shards; b++ {
-		for p, part := range parts {
-			c := len(part.Idx)
-			if b < shards {
-				lo, _ := pool.Bounds(b, n)
-				c = searchI32GE(part.Idx, int32(lo))
-			}
-			cut[b*k+p] = c
-		}
-	}
-	off[0] = 0
-	for s := 0; s < shards; s++ {
-		lo, hi := pool.Bounds(s, n)
-		if shards == 1 {
-			hi = n // one shard spans the whole index space, whatever the grid
-		}
-		seg := 0
-		for p := range parts {
-			seg += cut[(s+1)*k+p] - cut[s*k+p]
-		}
-		off[s+1] = off[s] + min(seg, hi-lo)
-	}
-	// The result, the merge's one allocation: the shards fill their
-	// segments of it in place, so it is captured by the workers' closure.
-	idx, vals := make([]int32, off[shards]), make([]float32, off[shards])
-	m := 0
-	if shards == 1 {
-		m = fold(parts, cut, idx, vals)
-	} else {
-		// The workers capture a copy of the part list, so the caller's
-		// (often an implicit variadic slice) never moves to the heap.
-		own := slices.Clone(parts)
-		pool.ForEach(n, func(s, _, _ int) {
-			lens[s] = fold(own, cut[s*k:(s+2)*k], idx[off[s]:off[s+1]], vals[off[s]:off[s+1]])
-		})
-		for s := 0; s < shards; s++ { // ascending shard order = ascending index order
-			copy(idx[m:], idx[off[s]:off[s]+lens[s]])
-			copy(vals[m:], vals[off[s]:off[s]+lens[s]])
-			m += lens[s]
-		}
-	}
-	cs.release()
+	// The union holds at most the parts' total count and at most n indices.
+	idx, vals := make([]int32, min(total, n)), make([]float32, min(total, n))
+	m := fold(parts, idx, vals)
 	return &Compressed{Codec: "merged", N: n, Idx: idx[:m], Vals: vals[:m]}, nil
 }
 
-// searchI32GE returns the smallest i with ix[i] >= lo — the closure-free
-// equivalent of sort.Search over a sorted []int32.
-func searchI32GE(ix []int32, lo int32) int {
-	i, j := 0, len(ix)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if ix[h] < lo {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	return i
-}
+// MergeWith is Merge; the pool is ignored.
+//
+// Deprecated: call Merge.
+func MergeWith(_ *parallel.Pool, parts ...*Compressed) (*Compressed, error) { return Merge(parts...) }
 
-// mergeInlineBelow is the total part length below which a pooled MergeWith
-// runs inline: under it the dispatch and the per-shard searches cost more
-// than the second worker saves. Measured at the benchmark's gradient
-// length on two workers (EXPERIMENTS.md "One sparse apply path"): two
-// parts lose 12% pooled at 32,760 entries and win 11% at 46,800; three
-// parts break even at 35,100.
-const mergeInlineBelow = 40_000
-
-// fold writes the union-sum of part p's entries [cut[p], cut[k+p]), for
-// the k parts, into idx/vals, which have room for the union, and returns
-// its length. The parts fold left to right through merge2, the
-// intermediates in pooled scratch, so per index the values add in part
-// order, as the reference's single pass adds them.
-func fold(parts []*Compressed, cut []int, idx []int32, vals []float32) int {
+// fold writes the union-sum of the parts into idx/vals, which have room
+// for the union, and returns its length. The parts fold left to right
+// through merge2, the intermediates in pooled scratch, so per index the
+// values add in part order, as the reference's single pass adds them.
+func fold(parts []*Compressed, idx []int32, vals []float32) int {
 	k := len(parts)
-	part := func(p int) ([]int32, []float32) {
-		lo, hi := cut[p], cut[k+p]
-		return parts[p].Idx[lo:hi], parts[p].Vals[lo:hi]
-	}
-	ai, av := part(0)
+	ai, av := parts[0].Idx, parts[0].Vals
 	if k == 1 {
 		return merge2(ai, av, nil, nil, idx, vals)
 	}
@@ -617,7 +537,7 @@ func fold(parts []*Compressed, cut []int, idx []int32, vals []float32) int {
 		}
 	}
 	for p := 1; p < k; p++ {
-		bi, bv := part(p)
+		bi, bv := parts[p].Idx, parts[p].Vals
 		oi, ov := idx, vals
 		if p < k-1 {
 			oi, ov = ti[p%2].v, tv[p%2].v

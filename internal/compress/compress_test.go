@@ -143,12 +143,12 @@ func TestIdentityRoundTrip(t *testing.T) {
 
 func TestNewByName(t *testing.T) {
 	for _, name := range []string{"topk", "identity", "none", ""} {
-		if _, err := New(name, 0.1, 1); err != nil {
+		if _, err := New(name, 0.1); err != nil {
 			t.Fatalf("New(%q): %v", name, err)
 		}
 	}
 	for _, name := range []string{"zstd", "randk", "int8"} {
-		if _, err := New(name, 0.1, 1); err == nil {
+		if _, err := New(name, 0.1); err == nil {
 			t.Fatalf("New(%q): want unknown-codec error", name)
 		}
 	}
@@ -179,7 +179,7 @@ func TestBytesAccounting(t *testing.T) {
 func TestMergeUnionSums(t *testing.T) {
 	a := &Compressed{Codec: "topk", N: 10, Idx: []int32{1, 5}, Vals: []float32{1, 2}}
 	b := &Compressed{Codec: "topk", N: 10, Idx: []int32{5, 7}, Vals: []float32{3, 4}}
-	m, err := MergeWith(nil, a, b)
+	m, err := Merge(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,12 +198,12 @@ func TestMergeUnionSums(t *testing.T) {
 }
 
 func TestMergeErrors(t *testing.T) {
-	if _, err := MergeWith(nil); err == nil {
+	if _, err := Merge(); err == nil {
 		t.Fatal("want error for empty merge")
 	}
 	a := &Compressed{Codec: "topk", N: 10, Idx: []int32{1}, Vals: []float32{1}}
 	b := &Compressed{Codec: "topk", N: 11, Idx: []int32{1}, Vals: []float32{1}}
-	if _, err := MergeWith(nil, a, b); err == nil {
+	if _, err := Merge(a, b); err == nil {
 		t.Fatal("want length-mismatch error")
 	}
 }
@@ -211,7 +211,7 @@ func TestMergeErrors(t *testing.T) {
 func TestMergeDenseMix(t *testing.T) {
 	sparse := &Compressed{Codec: "topk", N: 4, Idx: []int32{2}, Vals: []float32{5}}
 	dense := &Compressed{Codec: "identity", N: 4, Vals: []float32{1, 1, 1, 1}}
-	m, err := MergeWith(nil, sparse, dense)
+	m, err := Merge(sparse, dense)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestMergePropertyEqualsDenseSum(t *testing.T) {
 				return false
 			}
 		}
-		m, err := MergeWith(nil, parts...)
+		m, err := Merge(parts...)
 		if err != nil {
 			return false
 		}

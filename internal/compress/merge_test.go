@@ -1,12 +1,10 @@
 package compress
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
 	"lowdiff/internal/allocgate"
-	"lowdiff/internal/parallel"
 	"lowdiff/internal/tensor"
 )
 
@@ -34,22 +32,12 @@ func mergeShape(r *tensor.RNG, n, k int, density float64, pick func(p, j int) bo
 	return parts
 }
 
-// MergeWith is one two-way kernel folded left to right over the parts. It
-// matches the map reference bit for bit at every part count, serially and
-// sharded over two and seven workers, on random, disjoint, identical and
-// partly empty parts, with -0 and NaN among the values. The parts hold at
-// least mergeInlineBelow entries, so the pools really shard.
+// Merge is one two-way kernel folded left to right over the parts. It
+// matches the map reference bit for bit at every part count, on random,
+// disjoint, identical and partly empty parts, with -0 and NaN among the
+// values.
 func TestMergeMatchesReference(t *testing.T) {
-	const n = 60_000
-	pool2, err := parallel.New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool7, err := parallel.NewWithChunk(7, 997) // a short last shard
-	if err != nil {
-		t.Fatal(err)
-	}
-	pools := []*parallel.Pool{nil, pool2, pool7}
+	const n = 6_000
 	for _, k := range []int{1, 2, 3, 4, 16} {
 		same := mergeShape(tensor.NewRNG(uint64(k)), n, 1, 0.9, func(int, int) bool { return true })[0]
 		shapes := map[string][]*Compressed{
@@ -65,35 +53,15 @@ func TestMergeMatchesReference(t *testing.T) {
 			shapes["identical"][p] = same
 		}
 		for name, parts := range shapes {
-			want := mergeMapReference(parts...)
-			total := 0
-			for _, p := range parts {
-				total += len(p.Idx)
+			got, err := Merge(parts...)
+			if err != nil {
+				t.Fatalf("k=%d %s: %v", k, name, err)
 			}
-			for _, pool := range pools {
-				tag := fmt.Sprintf("k=%d %s at %d workers", k, name, pool.Workers())
-				before := dispatches(pool)
-				got, err := MergeWith(pool, parts...)
-				if err != nil {
-					t.Fatalf("%s: %v", tag, err)
-				}
-				if err := sameCompressed(got, want); err != nil {
-					t.Fatalf("%s: %v", tag, err)
-				}
-				if sharded := dispatches(pool) > before; pool != nil && sharded != (total >= mergeInlineBelow) {
-					t.Fatalf("%s: %d entries sharded=%v, want sharding from %d", tag, total, sharded, mergeInlineBelow)
-				}
+			if err := sameCompressed(got, mergeMapReference(parts...)); err != nil {
+				t.Fatalf("k=%d %s: %v", k, name, err)
 			}
 		}
 	}
-}
-
-// dispatches is how many times pool has fanned out; nil never does.
-func dispatches(pool *parallel.Pool) int64 {
-	if pool == nil {
-		return 0
-	}
-	return pool.Dispatches.Value()
 }
 
 // A two-part merge at the shape the benchmark trains allocates its result
@@ -103,7 +71,7 @@ func TestMergeAllocs(t *testing.T) {
 	parts := benchSortedParts(t, workloadGradLen, 2, 0.01)
 	total := len(parts[0].Idx) + len(parts[1].Idx)
 	allocgate.Check(t, 40, 3.5, float64(8*total+2*8192+128), func() {
-		if _, err := MergeWith(nil, parts...); err != nil {
+		if _, err := Merge(parts...); err != nil {
 			t.Fatal(err)
 		}
 	})

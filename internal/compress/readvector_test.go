@@ -11,7 +11,6 @@ import (
 	"slices"
 	"testing"
 
-	"lowdiff/internal/parallel"
 	"lowdiff/internal/tensor"
 )
 
@@ -115,21 +114,6 @@ func boundaryLengths(size int, past bool) []int {
 	return lengths
 }
 
-// testPools are the worker counts every decode is compared at; nil is the
-// serial inline path.
-func testPools(t *testing.T) []*parallel.Pool {
-	t.Helper()
-	pools := []*parallel.Pool{nil}
-	for _, workers := range []int{1, 2, 7} {
-		p, err := parallel.New(workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pools = append(pools, p)
-	}
-	return pools
-}
-
 // randomBytes fills n bytes with every bit pattern a payload can hold,
 // NaNs and negative indices included: the decoder must pass them through.
 func randomBytes(seed uint64, n int) []byte {
@@ -151,27 +135,25 @@ func checkReadVector[T int32 | float32](t *testing.T, path string, bits func(T) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pool := range testPools(t) {
-			r := bytes.NewReader(stream)
-			got, err := ReadVector[T](r, uint64(n), pool)
-			if err != nil || got == nil || len(got) != n {
-				t.Fatalf("%s path: %T length %d at %d workers: %d elements, %v", path, got, n, pool.Workers(), len(got), err)
+		r := bytes.NewReader(stream)
+		got, err := ReadVector[T](r, uint64(n))
+		if err != nil || got == nil || len(got) != n {
+			t.Fatalf("%s path: %T length %d: %d elements, %v", path, got, n, len(got), err)
+		}
+		for i, x := range got {
+			if want := binary.LittleEndian.Uint32(ref[4*i:]); bits(x) != want {
+				t.Fatalf("%s path: %T length %d: element %d is %#x, the two-copy decoder's %#x", path, got, n, i, bits(x), want)
 			}
-			for i, x := range got {
-				if want := binary.LittleEndian.Uint32(ref[4*i:]); bits(x) != want {
-					t.Fatalf("%s path: %T length %d at %d workers: element %d is %#x, the two-copy decoder's %#x", path, got, n, pool.Workers(), i, bits(x), want)
-				}
-			}
-			if r.Len() != len("tail") {
-				t.Fatalf("%s path: %T length %d: %d bytes left on the stream, want %d", path, got, n, r.Len(), len("tail"))
-			}
+		}
+		if r.Len() != len("tail") {
+			t.Fatalf("%s path: %T length %d: %d bytes left on the stream, want %d", path, got, n, r.Len(), len("tail"))
 		}
 	}
 }
 
 // (a) ReadVector returns, bit for bit, what the two-copy decoder returned, for
-// each element type, at the slice and threshold boundaries, at every worker
-// count, on both vector paths, and reads exactly the vector's bytes.
+// each element type, at the slice and threshold boundaries, on both vector
+// paths, and reads exactly the vector's bytes.
 func TestReadVectorMatchesTwoCopyOracle(t *testing.T) {
 	eachVectorPath(func(path string) {
 		checkReadVector(t, path, math.Float32bits)
@@ -220,7 +202,7 @@ func oracleEncode(c *Compressed) []byte {
 }
 
 // (a, continued) Whole records: sparse and dense payloads encode,
-// on both vector paths and at every worker count, to the reference encoder's
+// on both vector paths, to the reference encoder's
 // bytes, and decode to what the two-copy decoder made of them (past the
 // threshold for the dense family only: the vectors themselves are covered
 // above).
@@ -234,22 +216,20 @@ func TestDecodeMatchesTwoCopyOracle(t *testing.T) {
 				t.Fatalf("%s length %d: oracle: %v", family, length, err)
 			}
 			eachVectorPath(func(path string) {
-				for _, pool := range testPools(t) {
-					var enc bytes.Buffer
-					if err := fixture.EncodeWith(&enc, pool); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(enc.Bytes(), rec) {
-						t.Fatalf("%s path: %s length %d at %d workers: record differs from the reference encoder's", path, family, length, pool.Workers())
-					}
-					got, err := DecodeWith(bytes.NewReader(rec), pool)
-					if err != nil {
-						t.Fatalf("%s path: %s length %d at %d workers: %v", path, family, length, pool.Workers(), err)
-					}
-					if got.Codec != want.Codec || got.N != want.N || (got.Idx == nil) != (want.Idx == nil) ||
-						!slices.Equal(got.Idx, want.Idx) || !slices.Equal(got.Vals, want.Vals) {
-						t.Fatalf("%s path: %s length %d at %d workers: decoded record differs from the two-copy decoder's", path, family, length, pool.Workers())
-					}
+				var enc bytes.Buffer
+				if err := fixture.Encode(&enc); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(enc.Bytes(), rec) {
+					t.Fatalf("%s path: %s length %d: record differs from the reference encoder's", path, family, length)
+				}
+				got, err := Decode(bytes.NewReader(rec))
+				if err != nil {
+					t.Fatalf("%s path: %s length %d: %v", path, family, length, err)
+				}
+				if got.Codec != want.Codec || got.N != want.N || (got.Idx == nil) != (want.Idx == nil) ||
+					!slices.Equal(got.Idx, want.Idx) || !slices.Equal(got.Vals, want.Vals) {
+					t.Fatalf("%s path: %s length %d: decoded record differs from the two-copy decoder's", path, family, length)
 				}
 			})
 		}
@@ -284,7 +264,7 @@ func TestCorruptLengthAllocationBounded(t *testing.T) {
 		{"maxWireElems over two thresholds of stream", maxWireElems, long, wholeBytes + 4*uint64(len(long)) + slack},
 	} {
 		var err error
-		got := allocatedBy(func() { _, err = ReadVector[float32](bytes.NewReader(c.stream), c.claim, nil) })
+		got := allocatedBy(func() { _, err = ReadVector[float32](bytes.NewReader(c.stream), c.claim) })
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("%s: error %v, want io.ErrUnexpectedEOF", c.what, err)
 		}

@@ -4,8 +4,8 @@ import "sync"
 
 // Scratch pools for the per-iteration slices the hot path would otherwise
 // allocate on every call: wire byte staging (a decoded header, a big-endian
-// host's writes), Top-K's sample and candidate keys, and the merge's
-// per-shard cuts and fold intermediates.
+// host's writes), Top-K's sample and candidate keys, the merge's fold
+// intermediates, and the per-shard error slots of recovery's scatter-add.
 //
 // Ownership rule (see DESIGN.md §8): a pooled buffer never escapes the call
 // that got it. Anything stored in a Compressed — which may be handed to the
@@ -72,23 +72,6 @@ func getF32(n int) *f32Scratch {
 }
 
 func (s *f32Scratch) release() { f32Pool.Put(s) }
-
-type intScratch struct{ v []int }
-
-var intPool = sync.Pool{New: func() any { return new(intScratch) }}
-
-// getInts returns a pooled int slice of length n. Contents are stale;
-// callers must write every slot they read.
-func getInts(n int) *intScratch {
-	s := intPool.Get().(*intScratch)
-	if cap(s.v) < n {
-		s.v = make([]int, n)
-	}
-	s.v = s.v[:n]
-	return s
-}
-
-func (s *intScratch) release() { intPool.Put(s) }
 
 type errScratch struct{ v []error }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"unsafe"
-
-	"lowdiff/internal/parallel"
 )
 
 // Wire format (little endian):
@@ -65,11 +63,11 @@ func wireBytes[T int32 | float32](v []T) []byte {
 // ReadVector reads n little-endian elements from r — the one slice decoder
 // under every vector of a differential and of a full checkpoint. Each slice
 // of the stream is read straight into the result's memory; a big-endian host
-// then swaps its words into host order in place, sharded over pool. The
-// result is the only thing the call allocates, fresh (never pooled) and
-// identical at any worker count. A stream shorter than n elements fails with
-// the reader's error (io.ErrUnexpectedEOF from a reader that just ends).
-func ReadVector[T int32 | float32](r io.Reader, n uint64, pool *parallel.Pool) ([]T, error) {
+// then swaps its words into host order in place. The result is the only
+// thing the call allocates, fresh (never pooled). A stream shorter than n
+// elements fails with the reader's error (io.ErrUnexpectedEOF from a reader
+// that just ends).
+func ReadVector[T int32 | float32](r io.Reader, n uint64) ([]T, error) {
 	var zero T
 	size := uint64(unsafe.Sizeof(zero))
 	out := make([]T, min(n, wholeBytes/size))
@@ -87,11 +85,9 @@ func ReadVector[T int32 | float32](r io.Reader, n uint64, pool *parallel.Pool) (
 			return nil, err
 		}
 		if !hostLE {
-			pool.ForEach(int(k), func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					binary.NativeEndian.PutUint32(b[4*i:], binary.LittleEndian.Uint32(b[4*i:]))
-				}
-			})
+			for i := 0; i < len(b); i += 4 {
+				binary.NativeEndian.PutUint32(b[i:], binary.LittleEndian.Uint32(b[i:]))
+			}
 		}
 		have += k
 	}
@@ -102,8 +98,8 @@ func ReadVector[T int32 | float32](r io.Reader, n uint64, pool *parallel.Pool) (
 // encoder of both record formats; an empty v writes nothing. A little-endian
 // host hands w the vector's own memory in one Write, so w must neither
 // modify nor retain it (the io.Writer contract). A big-endian host converts
-// at most readSlice bytes at a time into pooled scratch, sharded over pool.
-func WriteVector[T int32 | float32](w io.Writer, v []T, pool *parallel.Pool) error {
+// at most readSlice bytes at a time into pooled scratch.
+func WriteVector[T int32 | float32](w io.Writer, v []T) error {
 	b := wireBytes(v)
 	if len(b) == 0 {
 		return nil
@@ -117,11 +113,9 @@ func WriteVector[T int32 | float32](w io.Writer, v []T, pool *parallel.Pool) err
 	for off := 0; off < len(b); off += len(scratch.b) {
 		src := b[off:min(off+len(scratch.b), len(b))]
 		dst := scratch.b[:len(src)]
-		pool.ForEach(len(src)/4, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				binary.LittleEndian.PutUint32(dst[4*i:], binary.NativeEndian.Uint32(src[4*i:]))
-			}
-		})
+		for i := 0; i < len(src); i += 4 {
+			binary.LittleEndian.PutUint32(dst[i:], binary.NativeEndian.Uint32(src[i:]))
+		}
 		if _, err := w.Write(dst); err != nil {
 			return err
 		}
@@ -134,17 +128,11 @@ func (c *Compressed) EncodedBytes() int64 {
 	return int64(4+2+1+len(c.Codec)+4*8+4) + int64(len(c.Idx))*4 + int64(len(c.Vals))*4
 }
 
-// Encode writes the compressed gradient to w in the LDCG wire format.
+// Encode writes the compressed gradient to w in the LDCG wire format. On a
+// little-endian host each vector goes to w straight from its own memory, so
+// w must neither modify nor retain the slice passed to Write (the io.Writer
+// contract).
 func (c *Compressed) Encode(w io.Writer) error {
-	return c.EncodeWith(w, nil)
-}
-
-// EncodeWith is Encode with the big-endian byte swap of the payload vectors
-// sharded over pool; the emitted bytes are identical to Encode's at any
-// worker count. On a little-endian host each vector goes to w straight from
-// its own memory, so w must neither modify nor retain the slice passed to
-// Write (the io.Writer contract).
-func (c *Compressed) EncodeWith(w io.Writer, pool *parallel.Pool) error {
 	if len(c.Codec) > 255 {
 		return fmt.Errorf("compress: codec name too long: %d", len(c.Codec))
 	}
@@ -162,25 +150,19 @@ func (c *Compressed) EncodeWith(w io.Writer, pool *parallel.Pool) error {
 	if _, err := w.Write(hdr); err != nil {
 		return fmt.Errorf("compress: encode header: %w", err)
 	}
-	if err := WriteVector(w, c.Idx, pool); err != nil {
+	if err := WriteVector(w, c.Idx); err != nil {
 		return fmt.Errorf("compress: encode idx: %w", err)
 	}
-	if err := WriteVector(w, c.Vals, pool); err != nil {
+	if err := WriteVector(w, c.Vals); err != nil {
 		return fmt.Errorf("compress: encode vals: %w", err)
 	}
 	return nil
 }
 
-// Decode reads exactly one compressed gradient in the LDCG wire format.
-func Decode(r io.Reader) (*Compressed, error) {
-	return DecodeWith(r, nil)
-}
-
-// DecodeWith is Decode with the big-endian byte swap of the payload vectors
-// sharded over pool; the decoded gradient is identical at any worker count. The
+// Decode reads exactly one compressed gradient in the LDCG wire format. The
 // result's slices are freshly allocated (never pooled): a decoded gradient
 // may outlive the call arbitrarily.
-func DecodeWith(r io.Reader, pool *parallel.Pool) (*Compressed, error) {
+func Decode(r io.Reader) (*Compressed, error) {
 	// 7 bytes per decoded record: they escape through io.ReadFull's reader.
 	var fixed [7]byte // magic + version + name length
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {
@@ -217,12 +199,12 @@ func DecodeWith(r io.Reader, pool *parallel.Pool) (*Compressed, error) {
 	c := &Compressed{Codec: name, N: int(n)}
 	var err error
 	if nidx > 0 {
-		if c.Idx, err = ReadVector[int32](r, nidx, pool); err != nil {
+		if c.Idx, err = ReadVector[int32](r, nidx); err != nil {
 			return nil, fmt.Errorf("compress: decode idx: %w", err)
 		}
 	}
 	if nvals > 0 {
-		if c.Vals, err = ReadVector[float32](r, nvals, pool); err != nil {
+		if c.Vals, err = ReadVector[float32](r, nvals); err != nil {
 			return nil, fmt.Errorf("compress: decode vals: %w", err)
 		}
 	}

@@ -14,11 +14,11 @@ var sinkCompressed *compress.Compressed
 // TestRankStepAllocs drives a 1-worker rank of each train strategy through
 // its step, in process, and holds the step at its allocation count. No full
 // boundary falls inside the measured calls, so what is left is the
-// per-iteration path. A DP step allocates 8 objects: the Top-K output (3),
-// and the all-gather's part list, scaling closure and merged result (5).
-// A peer step adds the window's checksum header (9). A PP stage allocates
-// only what it compresses (3). The group's rendezvous (exchange, barrier)
-// allocates nothing. The Top-K select's pooled scratch can grow on the
+// per-iteration path. A DP step allocates 7 objects: the Top-K output (3),
+// and the all-gather's part list and merged result (4). A peer step adds
+// the window's checksum header (8). A PP stage allocates only what it
+// compresses (3). The group's rendezvous (exchange, barrier) allocates
+// nothing. The Top-K select's pooled scratch can grow on the
 // first calls of a fresh process, by a fraction of an object per call.
 // Each bound is the measured count plus half an object and the measured
 // bytes plus about 512, so one more allocation per step fails it.
@@ -29,8 +29,8 @@ func TestRankStepAllocs(t *testing.T) {
 		opts          Options
 		allocs, bytes float64
 	}{
-		{"dp", Options{}, 8.5, 3_749},
-		{"peer", Options{Store: storage.NewMem(), Peer: &PeerSpec{Window: 2 * calls}}, 9.5, 3_608},
+		{"dp", Options{}, 7.5, 3_701},
+		{"peer", Options{Store: storage.NewMem(), Peer: &PeerSpec{Window: 2 * calls}}, 8.5, 3_560},
 		{"pp", Options{PP: &PPSpec{Stages: 1}}, 3.5, 2_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

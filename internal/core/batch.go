@@ -6,7 +6,6 @@ import (
 	"lowdiff/internal/checkpoint"
 	"lowdiff/internal/compress"
 	"lowdiff/internal/obs"
-	"lowdiff/internal/parallel"
 	"lowdiff/internal/storage"
 	"lowdiff/internal/trace"
 )
@@ -40,11 +39,6 @@ type BatchedWriter struct {
 	// Events, when non-nil, receives a ckpt.diff.persist event for every
 	// flushed batch. Set it before the first Add.
 	Events *obs.EventLog
-
-	// Pool, when non-nil, shards the batch merge and record encode across
-	// its workers; the flushed bytes are identical to the serial writer's.
-	// Set it before the first Add.
-	Pool *parallel.Pool
 
 	// Trace, when non-nil, records checkpoint/merge and persist/diff-write
 	// spans for every flushed batch. Set it before the first Add.
@@ -121,7 +115,7 @@ func (w *BatchedWriter) Drop() {
 func (w *BatchedWriter) flush() error {
 	mergeDone := w.Trace.Begin2(trace.TrackCheckpoint, trace.PhaseMerge,
 		"iter", w.lastIter, "count", int64(len(w.pending)))
-	merged, err := compress.MergeWith(w.Pool, w.pending...)
+	merged, err := compress.Merge(w.pending...)
 	mergeDone()
 	if err != nil {
 		return fmt.Errorf("core: batch merge: %w", err)
@@ -134,7 +128,7 @@ func (w *BatchedWriter) flush() error {
 		Payload:   merged,
 	}
 	persist := func() error {
-		_, err := checkpoint.SaveDiffWith(w.store, d, w.Pool)
+		_, err := checkpoint.SaveDiff(w.store, d)
 		return err
 	}
 	writeDone := w.Trace.Begin2(trace.TrackPersist, trace.PhaseDiffWrite,

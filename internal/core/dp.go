@@ -69,7 +69,7 @@ func (e *Engine) initDPWorkers() error {
 	if opts.Workers < 1 {
 		return fmt.Errorf("core: %d workers; need at least 1", opts.Workers)
 	}
-	group, err := comm.NewGroupPooled(opts.Workers, e.pool)
+	group, err := comm.NewGroup(opts.Workers)
 	if err != nil {
 		return err
 	}
@@ -84,7 +84,7 @@ func (e *Engine) initDPWorkers() error {
 			return err
 		}
 		e.opts2 = append(e.opts2, o)
-		c, err := compress.NewPooled(opts.Codec, opts.Rho, opts.Seed+uint64(w), e.pool)
+		c, err := compress.New(opts.Codec, opts.Rho)
 		if err != nil {
 			return err
 		}

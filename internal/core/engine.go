@@ -13,7 +13,6 @@ import (
 	"lowdiff/internal/model"
 	"lowdiff/internal/obs"
 	"lowdiff/internal/optim"
-	"lowdiff/internal/parallel"
 	"lowdiff/internal/storage"
 	"lowdiff/internal/tensor"
 	"lowdiff/internal/trace"
@@ -77,12 +76,8 @@ type Options struct {
 	// error aborts Run.
 	FaultTolerance *FaultToleranceOptions
 
-	// Parallelism shards the dense data-plane hot loops — compression,
-	// sparse merge, decompress/scatter-add, and checkpoint encode/decode —
-	// across that many pool workers. 0 or 1 keeps every loop serial.
-	// Results are bit-identical to serial at any setting (fixed chunk
-	// grid, fixed combine order; see DESIGN.md §8), so the knob is pure
-	// throughput: golden fixtures and recovery replay are unaffected.
+	// Deprecated: has no effect. Training runs a serial data plane
+	// (DESIGN.md §8); the field remains only for callers that still set it.
 	Parallelism int
 
 	// Deprecated: has no effect. Every strategy runs one step schedule
@@ -238,7 +233,6 @@ type Engine struct {
 	opts   Options
 	oracle *grad.Oracle
 	group  *comm.Group
-	pool   *parallel.Pool // nil: serial data plane
 
 	topo Topology
 	snap Snapshotter
@@ -320,16 +314,6 @@ func NewEngine(opts Options) (*Engine, error) {
 		e.ft = &ft
 	}
 	e.lastFullIter.Store(-1)
-	if opts.Parallelism < 0 {
-		return nil, fmt.Errorf("core: Parallelism %d must be >= 0", opts.Parallelism)
-	}
-	if opts.Parallelism > 1 {
-		pool, err := parallel.New(opts.Parallelism)
-		if err != nil {
-			return nil, err
-		}
-		e.pool = pool
-	}
 	switch {
 	case opts.PP != nil:
 		err = e.initPP()
@@ -415,7 +399,6 @@ func (e *Engine) newWriter(kind checkpoint.DiffKind) error {
 		}
 	}
 	w.Events = e.opts.Events
-	w.Pool = e.pool
 	w.Trace = e.opts.Trace
 	e.writer = w
 	return nil
@@ -438,12 +421,6 @@ func (e *Engine) fields(kv map[string]any) map[string]any {
 func (e *Engine) registerMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
-	}
-	if p := e.pool; p != nil {
-		reg.FuncGauge("parallel.workers", func() float64 { return float64(p.Workers()) })
-		reg.FuncCounter("parallel.dispatches", p.Dispatches.Value)
-		reg.FuncCounter("parallel.inline", p.Inline.Value)
-		reg.FuncCounter("parallel.shards", p.Shards.Value)
 	}
 	e.topo.registerMetrics(reg)
 	e.snap.registerMetrics(reg)
@@ -632,7 +609,7 @@ func (e *Engine) persistFull(f *checkpoint.Full) error {
 	var err error
 	if e.ft != nil {
 		err = e.ft.Retry.Do(func() error {
-			_, err := checkpoint.SaveFullWith(e.opts.Store, f, e.pool)
+			_, err := checkpoint.SaveFull(e.opts.Store, f)
 			return err
 		}, func(attempt int, err error) {
 			e.faults.FullRetries.Inc()
@@ -641,7 +618,7 @@ func (e *Engine) persistFull(f *checkpoint.Full) error {
 			}))
 		})
 	} else {
-		_, err = checkpoint.SaveFullWith(e.opts.Store, f, e.pool)
+		_, err = checkpoint.SaveFull(e.opts.Store, f)
 	}
 	persistDone()
 	if err != nil {
@@ -758,7 +735,7 @@ func (e *Engine) gcOldCheckpoints() error {
 // applyCompressed applies a synchronized compressed gradient to params via
 // the optimizer: a sparse payload takes one sparse step, the optimizer's
 // tiled run of one, which allocates nothing and relies on the strictly
-// increasing indices every synchronized payload has (Validate, MergeWith);
+// increasing indices every synchronized payload has (Validate, Merge);
 // a dense payload takes a dense step directly.
 func applyCompressed(o optim.Optimizer, params tensor.Vector, c *compress.Compressed) error {
 	if c.Idx != nil {

@@ -76,12 +76,10 @@ type goldenConfig struct {
 	finish func(e goldenEngine) (optim.State, error)
 }
 
-// goldenConfigs builds the fixture configurations with the given data-plane
-// parallelism. The fixtures were captured serially (par 0); any par value
-// must reproduce them bit for bit — the data-plane determinism contract
-// (DESIGN.md §8) — so TestGoldenEquivalenceParallel replays the SAME
-// fixtures with a sharded pool. overlap sets the deprecated Options.Overlap
-// on every configuration, which must change nothing.
+// goldenConfigs builds the fixture configurations with the given values of
+// the two deprecated no-op fields: par sets Options.Parallelism and overlap
+// sets Options.Overlap on every configuration. Neither may change anything,
+// so every pair of values must reproduce the same fixtures.
 func goldenConfigs(par int, overlap bool) []goldenConfig {
 	dp := func(opts Options) goldenConfig {
 		return goldenConfig{
@@ -199,20 +197,20 @@ func TestGoldenEquivalence(t *testing.T) {
 }
 
 // TestGoldenEquivalenceParallel replays every golden configuration with the
-// data plane sharded over a 3-worker pool against the serially captured
-// fixtures: parallelism must never change a single byte of checkpoint
-// output, loss bit pattern, or event line. Fixtures are never regenerated
-// from this test.
+// deprecated Options.Parallelism set to 3 against the unregenerated
+// fixtures: the inert field may not change a single byte of checkpoint
+// output, loss bit pattern, or event line (DESIGN.md §8). Fixtures are never
+// regenerated from this test.
 func TestGoldenEquivalenceParallel(t *testing.T) {
 	quiesce(t)
 	runGolden(t, 3, false, false)
 }
 
 // TestGoldenEquivalenceOverlap replays every golden configuration at several
-// data-plane widths with the deprecated Options.Overlap set: neither the
-// pool width nor the inert field may change a single byte of checkpoint
-// output, loss bit pattern, or event line (DESIGN.md §8, §11). Fixtures are
-// never regenerated from this test.
+// values of the deprecated Options.Parallelism with the deprecated
+// Options.Overlap set: neither inert field may change a single byte of
+// checkpoint output, loss bit pattern, or event line (DESIGN.md §8, §11).
+// Fixtures are never regenerated from this test.
 func TestGoldenEquivalenceOverlap(t *testing.T) {
 	quiesce(t)
 	for _, par := range []int{1, 2, 7, runtime.NumCPU()} {

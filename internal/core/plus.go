@@ -51,7 +51,7 @@ func (e *Engine) initPlus() error {
 	if ps.SnapshotWorkers < 1 {
 		return fmt.Errorf("core: SnapshotWorkers %d must be >= 1", ps.SnapshotWorkers)
 	}
-	group, err := comm.NewGroupPooled(opts.Workers, e.pool)
+	group, err := comm.NewGroup(opts.Workers)
 	if err != nil {
 		return err
 	}
@@ -357,7 +357,7 @@ func (s *replicaSnapshotter) assemble(rc *runCtx) {
 		// scatter it into the assembly buffer.
 		off := offsets[it.Layer]
 		view := assembled[off : off+spec.Layers[it.Layer].Size]
-		if err := it.Grad.DecompressWith(e.pool, view); err != nil {
+		if err := it.Grad.Decompress(view); err != nil {
 			rc.errCh <- err
 			return
 		}

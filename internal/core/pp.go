@@ -83,7 +83,7 @@ func (e *Engine) initPP() error {
 	if err := validateChain(opts); err != nil {
 		return err
 	}
-	group, err := comm.NewGroupPooled(opts.PP.Stages, e.pool)
+	group, err := comm.NewGroup(opts.PP.Stages)
 	if err != nil {
 		return err
 	}
@@ -92,13 +92,13 @@ func (e *Engine) initPP() error {
 	p := model.NewParams(opts.Spec)
 	p.InitUniform(opts.Seed + 1)
 	e.params = []*model.Params{p} // the logical global model
-	for s, st := range stages {
+	for _, st := range stages {
 		o, err := newOptimizer(opts, st.Size)
 		if err != nil {
 			return err
 		}
 		e.opts2 = append(e.opts2, o)
-		c, err := compress.NewPooled(opts.Codec, opts.Rho, opts.Seed+uint64(s), e.pool)
+		c, err := compress.New(opts.Codec, opts.Rho)
 		if err != nil {
 			return err
 		}
@@ -356,7 +356,7 @@ func (s *mergeSnapshotter) coordinate(rc *runCtx) {
 		}
 		mergeDone := e.opts.Trace.Begin2(trace.TrackCheckpoint, trace.PhaseMerge,
 			"iter", p.iter, "count", int64(len(pending[p.iter])))
-		merged, err := compress.MergeWith(e.pool, pending[p.iter]...)
+		merged, err := compress.Merge(pending[p.iter]...)
 		mergeDone()
 		delete(pending, p.iter)
 		if err != nil {

@@ -1,9 +1,9 @@
-// Package parallel provides the bounded worker pool behind the repo's
-// deterministic data plane: dense hot loops (compression, sparse merge,
-// scatter-add, checkpoint encode/decode, segment sums) are sharded over a
-// fixed chunk grid and recombined in a fixed order, so float32 results are
+// Package parallel provides the bounded worker pool behind recovery's apply
+// kernels (the optimizer steps and the scatter-add that replay a
+// differential chain): their dense loops are sharded over a fixed chunk
+// grid and recombined in a fixed order, so float32 results are
 // bit-identical to the serial reference at any worker count and any
-// GOMAXPROCS.
+// GOMAXPROCS. Training runs serially and holds no pool.
 //
 // Determinism contract (enforced by construction, verified by the
 // serial-vs-parallel property tests in the consumer packages):
@@ -28,8 +28,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"lowdiff/internal/obs"
 )
 
 // DefaultChunk is the default shard width in elements. It is part of the
@@ -43,14 +41,6 @@ const DefaultChunk = 1 << 14
 type Pool struct {
 	workers int
 	chunk   int
-
-	// Dispatches counts ForEach calls that fanned out to goroutines,
-	// Inline those that ran on the caller's goroutine (single chunk or a
-	// one-worker pool), and Shards every chunk executed either way. The
-	// counters feed the obs registry as parallel.* series.
-	Dispatches obs.Counter
-	Inline     obs.Counter
-	Shards     obs.Counter
 }
 
 // New returns a pool of the given worker count with the default chunk size.
@@ -118,30 +108,14 @@ func (p *Pool) Bounds(i, n int) (lo, hi int) {
 // only on the grid itself.
 func (p *Pool) ForEach(n int, fn func(shard, lo, hi int)) {
 	chunks := p.NumChunks(n)
-	if chunks == 0 {
-		return
-	}
-	if p == nil {
+	workers := min(p.Workers(), chunks)
+	if workers <= 1 { // a nil or one-worker pool, or at most one chunk: inline
 		for i := 0; i < chunks; i++ {
 			lo, hi := p.Bounds(i, n)
 			fn(i, lo, hi)
 		}
 		return
 	}
-	p.Shards.Add(int64(chunks))
-	workers := p.Workers()
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers == 1 {
-		p.Inline.Inc()
-		for i := 0; i < chunks; i++ {
-			lo, hi := p.Bounds(i, n)
-			fn(i, lo, hi)
-		}
-		return
-	}
-	p.Dispatches.Inc()
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup

@@ -134,24 +134,6 @@ func TestShardOrderCombineIsBitExact(t *testing.T) {
 	}
 }
 
-func TestMetricsCounters(t *testing.T) {
-	p, _ := NewWithChunk(4, 10)
-	p.ForEach(100, func(_, _, _ int) {}) // 10 chunks, fans out
-	if p.Dispatches.Value() != 1 {
-		t.Fatalf("Dispatches = %d, want 1", p.Dispatches.Value())
-	}
-	if p.Shards.Value() != 10 {
-		t.Fatalf("Shards = %d, want 10", p.Shards.Value())
-	}
-	p.ForEach(5, func(_, _, _ int) {}) // single chunk runs inline
-	if p.Inline.Value() != 1 {
-		t.Fatalf("Inline = %d, want 1", p.Inline.Value())
-	}
-	if p.Shards.Value() != 11 {
-		t.Fatalf("Shards = %d, want 11", p.Shards.Value())
-	}
-}
-
 // TestForEachAllocs holds ForEach at its allocation counts: an inline
 // sweep (a nil or one-worker pool) allocates nothing, and a four-worker
 // dispatch over 17 chunks allocates its shard cursor, its WaitGroup and one

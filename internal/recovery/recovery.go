@@ -58,9 +58,9 @@ type State struct {
 
 // Options controls recovery.
 type Options struct {
-	// Parallelism sizes the pool the decode and apply kernels of
-	// LatestParallel run on; 0 takes every processor, as Latest does. The
-	// recovered state and the loads in flight do not depend on it.
+	// Parallelism sizes the pool the apply kernels of LatestParallel run
+	// on; 0 takes every processor, as Latest does. The recovered state and
+	// the loads in flight do not depend on it.
 	Parallelism int
 	// Trace, when non-nil, records a recovery/recovery envelope over the
 	// whole LatestParallel rebuild with its apply spans nested in it; the
@@ -107,11 +107,11 @@ func Latest(store storage.Store) (*State, int, error) {
 
 // LatestParallel is Latest on a pool of opts.Parallelism workers, recording
 // into opts.Trace. It replays the chain exactly as Latest does, bit for bit
-// at any worker count: the parallelism is in the sharded decode and apply
-// kernels. It does not merge the chain pairwise first, as the paper's
-// parallel recovery module does: under Adam that is only
-// accumulation-approximate, and time-tiled replay recovers a long chain at
-// least as fast (BenchmarkRecoverChain, DESIGN.md §13).
+// at any worker count: the parallelism is in the sharded apply kernels. It
+// does not merge the chain pairwise first, as the paper's parallel recovery
+// module does: under Adam that is only accumulation-approximate, and
+// time-tiled replay recovers a long chain at least as fast
+// (BenchmarkRecoverChain, DESIGN.md §13).
 func LatestParallel(store storage.Store, opts Options) (*State, int, error) {
 	return newPipeline(store, opts.Parallelism, lookAhead, opts.Trace).strict(math.MaxInt64)
 }
@@ -180,7 +180,7 @@ func fromSlice(diffs []*checkpoint.Diff) source {
 // iteration (a misplaced copy) would replay the wrong state — damage, not data.
 func (p *pipeline) loadFull(e checkpoint.Entry) (f *checkpoint.Full, err error) {
 	for i := 0; i < p.attempts; i++ {
-		if f, err = checkpoint.LoadFullWith(p.store, e.Name, p.pool); err == nil || storage.IsNotExist(err) {
+		if f, err = checkpoint.LoadFull(p.store, e.Name); err == nil || storage.IsNotExist(err) {
 			break
 		}
 	}
@@ -194,7 +194,7 @@ func (p *pipeline) loadFull(e checkpoint.Entry) (f *checkpoint.Full, err error) 
 // its name claims would step the optimizer with the wrong gradient.
 func (p *pipeline) loadDiff(e checkpoint.Entry) (d *checkpoint.Diff, err error) {
 	for i := 0; i < p.attempts; i++ {
-		if d, err = checkpoint.LoadDiffWith(p.store, e.Name, p.pool); err == nil || storage.IsNotExist(err) {
+		if d, err = checkpoint.LoadDiff(p.store, e.Name); err == nil || storage.IsNotExist(err) {
 			break
 		}
 	}

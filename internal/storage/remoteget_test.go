@@ -245,7 +245,7 @@ func TestRemoteGetStreamFailures(t *testing.T) {
 
 // TestLoadFullSurfacesCloseError: a checkpoint decoder stops at its
 // record's end, so through a streaming store the last frame's CRC is
-// checked by Close. LoadFullWith must report it even though every byte of
+// checked by Close. LoadFull must report it even though every byte of
 // the record decoded.
 func TestLoadFullSurfacesCloseError(t *testing.T) {
 	params := make(tensor.Vector, 300_000)
@@ -254,7 +254,7 @@ func TestLoadFullSurfacesCloseError(t *testing.T) {
 	}
 	var rec bytes.Buffer
 	full := &checkpoint.Full{Iter: 12, Params: params, Opt: optim.State{Name: "sgd"}}
-	if err := full.EncodeWith(&rec, nil); err != nil {
+	if err := full.Encode(&rec); err != nil {
 		t.Fatal(err)
 	}
 	// The record ends inside the last CHUNK frame (trailing bytes after it
@@ -265,12 +265,12 @@ func TestLoadFullSurfacesCloseError(t *testing.T) {
 		bad := bytes.Clone(wire)
 		bad[len(bad)-9-1] ^= 0x01 // the last CHUNK's CRC trailer, before OK
 		r, _ := startGetServer(t, scripted{wire: wire}, scripted{wire: bad})
-		got, err := checkpoint.LoadFullWith(r, "full", nil)
+		got, err := checkpoint.LoadFull(r, "full")
 		if err != nil || got.Iter != 12 || len(got.Params) != len(params) {
 			t.Fatalf("pad %d, intact reply: %v", pad, err)
 		}
-		if _, err := checkpoint.LoadFullWith(r, "full", nil); err == nil {
-			t.Fatalf("pad %d: LoadFullWith accepted a reply whose last frame fails its CRC", pad)
+		if _, err := checkpoint.LoadFull(r, "full"); err == nil {
+			t.Fatalf("pad %d: LoadFull accepted a reply whose last frame fails its CRC", pad)
 		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync"
 
 	"lowdiff/internal/compress"
 	"lowdiff/internal/optim"
@@ -123,6 +124,60 @@ func (c *crcReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.h.Write(p[:n])
 	return n, err
+}
+
+func (c *crcReader) Sum32() uint32 { return c.h.Sum32() }
+
+// summingReader is a reader that checksums what it has read.
+type summingReader interface {
+	io.Reader
+	Sum32() uint32
+}
+
+// crcQueue is how many read slices crcHelper holds before Read waits.
+const crcQueue = 32
+
+// crcHelper is crcReader with the CRC on a goroutine of its own: each Read
+// hands the bytes it filled to the helper, in order, and returns, so the
+// CRC of one slice overlaps the read of the next. The helper reads those
+// bytes after Read returns, so the caller must leave them as they arrived
+// until Sum32, which a little-endian host's decode does: vectors are read
+// in place into the result, and every other read lands in its own buffer.
+type crcHelper struct {
+	r    io.Reader
+	segs chan []byte
+	done sync.WaitGroup
+	crc  uint32 // the helper's, until done
+}
+
+func newCRCHelper(r io.Reader) *crcHelper {
+	c := &crcHelper{r: r, segs: make(chan []byte, crcQueue)}
+	c.done.Add(1)
+	go c.fold()
+	return c
+}
+
+func (c *crcHelper) fold() {
+	defer c.done.Done()
+	for p := range c.segs {
+		c.crc = crc32.Update(c.crc, crcTable, p)
+	}
+}
+
+func (c *crcHelper) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	if n > 0 {
+		c.segs <- p[:n]
+	}
+	return n, err
+}
+
+// Sum32 stops the helper and returns the CRC of everything read. Call it
+// exactly once, on every path: it is what ends the goroutine.
+func (c *crcHelper) Sum32() uint32 {
+	close(c.segs)
+	c.done.Wait()
+	return c.crc
 }
 
 func writeU64(w io.Writer, v uint64) error {
@@ -266,9 +321,33 @@ func (f *Full) Encode(w io.Writer) error {
 // Deprecated: call Encode.
 func (f *Full) EncodeWith(w io.Writer, _ any) error { return f.Encode(w) }
 
-// DecodeFull reads a full checkpoint record and verifies its CRC.
+// DecodeFull reads a full checkpoint record and verifies its CRC. On a
+// little-endian host a helper goroutine computes the CRC over the bytes
+// read, one slice behind the reader, and is done before DecodeFull returns.
 func DecodeFull(r io.Reader) (*Full, error) {
-	cr := newCRCReader(r)
+	var cr summingReader
+	if compress.ReadKeepsWireBytes() {
+		cr = newCRCHelper(r)
+	} else {
+		cr = newCRCReader(r)
+	}
+	f, err := decodeFullBody(cr)
+	sum := cr.Sum32() // waits for the helper on every path
+	if err != nil {
+		return nil, err
+	}
+	stored, err := readU32(r)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: read full crc: %w", err)
+	}
+	if stored != sum {
+		return nil, fmt.Errorf("checkpoint: full checkpoint crc mismatch: stored %#x, computed %#x", stored, sum)
+	}
+	return f, nil
+}
+
+// decodeFullBody reads a full checkpoint record up to its CRC trailer.
+func decodeFullBody(cr io.Reader) (*Full, error) {
 	magic, err := readU32(cr)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: decode full header: %w", err)
@@ -336,14 +415,6 @@ func DecodeFull(r io.Reader) (*Full, error) {
 			return nil, fmt.Errorf("checkpoint: decode slot %q: %w", k, err)
 		}
 		slots[k] = v
-	}
-	sum := cr.h.Sum32()
-	stored, err := readU32(r)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: read full crc: %w", err)
-	}
-	if stored != sum {
-		return nil, fmt.Errorf("checkpoint: full checkpoint crc mismatch: stored %#x, computed %#x", stored, sum)
 	}
 	return &Full{
 		Iter:   int64(iter),

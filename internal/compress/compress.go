@@ -523,30 +523,39 @@ func MergeWith(_ *parallel.Pool, parts ...*Compressed) (*Compressed, error) { re
 // for the union, and returns its length. The parts fold left to right
 // through merge2, the intermediates in pooled scratch, so per index the
 // values add in part order, as the reference's single pass adds them.
+// Fold p (p < k-1) writes the scratch pair p%2; each pair is sized to its
+// largest intermediate, the union of the parts up to its last fold.
 func fold(parts []*Compressed, idx []int32, vals []float32) int {
 	k := len(parts)
 	ai, av := parts[0].Idx, parts[0].Vals
 	if k == 1 {
 		return merge2(ai, av, nil, nil, idx, vals)
 	}
+	var size [2]int
+	held := len(ai)
+	for p := 1; p < k-1; p++ {
+		held += len(parts[p].Idx)
+		size[p%2] = min(held, len(idx))
+	}
 	var ti [2]*i32Scratch
 	var tv [2]*f32Scratch
-	if k > 2 {
-		for t := range ti {
-			ti[t], tv[t] = getI32(len(idx)), getF32(len(idx))
-		}
-	}
 	for p := 1; p < k; p++ {
 		bi, bv := parts[p].Idx, parts[p].Vals
 		oi, ov := idx, vals
-		if p < k-1 {
-			oi, ov = ti[p%2].v, tv[p%2].v
+		if t := p % 2; p < k-1 {
+			if ti[t] == nil {
+				ti[t], tv[t] = getI32(size[t]), getF32(size[t])
+			}
+			oi, ov = ti[t].v, tv[t].v
 		}
 		m := merge2(ai, av, bi, bv, oi, ov)
 		ai, av = oi[:m], ov[:m]
 	}
-	if k > 2 {
-		for t := range ti {
+	// Released in the order taken (pair 1 first), which is the order a
+	// sync.Pool hands them back in, so the next fold gets each pair at the
+	// size it last had.
+	for _, t := range [2]int{1, 0} {
+		if ti[t] != nil {
 			ti[t].release()
 			tv[t].release()
 		}

@@ -60,6 +60,12 @@ func wireBytes[T int32 | float32](v []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*int(unsafe.Sizeof(v[0])))
 }
 
+// ReadKeepsWireBytes reports whether ReadVector leaves the bytes it reads
+// as they arrived, so that a reader under it may checksum them later: true
+// on a little-endian host, where they are the result. A big-endian host
+// swaps each word in place once its slice is read.
+func ReadKeepsWireBytes() bool { return hostLE }
+
 // ReadVector reads n little-endian elements from r — the one slice decoder
 // under every vector of a differential and of a full checkpoint. Each slice
 // of the stream is read straight into the result's memory; a big-endian host

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strconv"
 	"testing"
+	"time"
 
 	"lowdiff/internal/checkpoint"
 	"lowdiff/internal/compress"
@@ -31,7 +32,8 @@ func (s firstDiffs) List(prefix string) ([]string, error) {
 // Top-K differentials at ρ = 0.01, on a File store, two workers), applying
 // every differential in time-tiled runs of up to lookAhead on the packed
 // kernel. Sub-benchmarks are named by k (EXPERIMENTS.md "Restore path" has
-// the tables).
+// the tables); the latency/k arms put 2 ms before every Open of the same
+// store, where the load window's overlap with the full shows.
 func BenchmarkRecoverChain(b *testing.B) {
 	const n, longest = 1_169_955, 130
 	file, err := storage.NewFile(b.TempDir())
@@ -64,14 +66,22 @@ func BenchmarkRecoverChain(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	for _, k := range []int{1, 2, 3, 4, 8, 16, longest} {
-		b.Run(strconv.Itoa(k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				st, applied, err := newPipeline(firstDiffs{file, k}, 2, lookAhead, nil).strict(math.MaxInt64)
-				if err != nil || applied != k || st.Iter != int64(1+k) {
-					b.Fatalf("recovered %d differentials to %v: %v", applied, st, err)
-				}
+	run := func(b *testing.B, store storage.Store, k int) {
+		for i := 0; i < b.N; i++ {
+			st, applied, err := newPipeline(firstDiffs{store, k}, 2, lookAhead, nil).strict(math.MaxInt64)
+			if err != nil || applied != k || st.Iter != int64(1+k) {
+				b.Fatalf("recovered %d differentials to %v: %v", applied, st, err)
 			}
-		})
+		}
+	}
+	for _, k := range []int{1, 2, 3, 4, 8, 16, longest} {
+		b.Run(strconv.Itoa(k), func(b *testing.B) { run(b, file, k) })
+	}
+	lat, err := storage.NewLatency(file, 2*time.Millisecond)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []int{3, 10, longest} {
+		b.Run("latency/"+strconv.Itoa(k), func(b *testing.B) { run(b, lat, k) })
 	}
 }

@@ -193,13 +193,15 @@ func TestPipelineBitIdenticalToSerialReference(t *testing.T) {
 // operation, counts differential loads in flight (Open requested, reader
 // not yet closed), and can hold the Open of differential i until i+1 has
 // been requested, hold every differential Open until a given number are in
-// flight at once, fail one Open, and check that no differential is asked for
-// while a full checkpoint is still being read.
+// flight at once, hold a full's Open until a differential has been
+// requested, fail one Open, and record whether a differential was asked for
+// before a full checkpoint's read had ended.
 type gateStore struct {
 	storage.Store
 	gate      bool   // hold each diff Open until the next one is requested
 	last      string // with gate: the one differential nothing follows
 	holdUntil int    // hold every diff Open until this many have been in flight at once
+	holdFull  bool   // hold each full's Open until a differential has been requested
 	failOn    string // Open of this object fails with errInjected
 
 	mu          sync.Mutex
@@ -209,7 +211,7 @@ type gateStore struct {
 	inFlight    int
 	maxInFlight int
 	fullsOpen   int
-	overlapFull bool // a diff was requested while a full was being read
+	overlapFull bool // a diff was requested before a full's reader was closed
 	timedOut    bool
 }
 
@@ -242,6 +244,25 @@ func (g *gateStore) Delete(name string) error {
 	return g.Store.Delete(name)
 }
 
+// await waits, with g.mu held, while held reports true. A loader with too
+// narrow a window, or one that reads the full before it asks for any
+// differential, would wait here forever; give up instead.
+func (g *gateStore) await(held func() bool) {
+	if !held() {
+		return
+	}
+	timer := time.AfterFunc(10*time.Second, func() {
+		g.mu.Lock()
+		g.timedOut = true
+		g.cond.Broadcast()
+		g.mu.Unlock()
+	})
+	for held() && !g.timedOut {
+		g.cond.Wait()
+	}
+	timer.Stop()
+}
+
 func (g *gateStore) Open(name string) (io.ReadCloser, error) {
 	e, err := checkpoint.ParseName(name)
 	if err != nil {
@@ -251,6 +272,8 @@ func (g *gateStore) Open(name string) (io.ReadCloser, error) {
 	g.ops = append(g.ops, "open "+name)
 	if e.IsFull {
 		g.fullsOpen++
+		g.overlapFull = g.overlapFull || len(g.requested) > 0
+		g.await(func() bool { return g.holdFull && len(g.requested) == 0 })
 	} else {
 		g.requested[name] = true
 		g.inFlight++
@@ -258,23 +281,9 @@ func (g *gateStore) Open(name string) (io.ReadCloser, error) {
 		g.overlapFull = g.overlapFull || g.fullsOpen > 0
 		g.cond.Broadcast()
 		next := checkpoint.DiffName(e.LastIter+1, e.LastIter+1)
-		held := func() bool {
+		g.await(func() bool {
 			return g.gate && name != g.last && !g.requested[next] || g.maxInFlight < g.holdUntil
-		}
-		if held() {
-			// A loader with too narrow a window would wait here forever;
-			// give up instead.
-			timer := time.AfterFunc(10*time.Second, func() {
-				g.mu.Lock()
-				g.timedOut = true
-				g.cond.Broadcast()
-				g.mu.Unlock()
-			})
-			for held() && !g.timedOut {
-				g.cond.Wait()
-			}
-			timer.Stop()
-		}
+		})
 	}
 	g.mu.Unlock()
 	var r io.ReadCloser
@@ -319,10 +328,11 @@ func (g *gateStore) snapshot() (ops []string, maxInFlight int, overlapFull, time
 	return append([]string(nil), g.ops...), g.maxInFlight, g.overlapFull, g.timedOut
 }
 
-// (b) On the exact paths the loads really overlap: with every differential's
-// Open held until the next one has been requested, a serial loader would
-// never finish. The window never exceeds the look-ahead, and no
-// differential is asked for while the full is still being read.
+// (b) On the exact paths the loads really overlap, the full's among them:
+// with the full's Open held until a differential has been requested, and
+// every differential's Open held until the next one has been, a loader that
+// reads the full before the chain, or one differential at a time, would
+// never finish. The window never exceeds the look-ahead.
 func TestExactPathsOverlapLoadsWithinLookAhead(t *testing.T) {
 	const diffs = 3 * lookAhead
 	mem := buildChain(t, "adam", "sparse", checkpoint.KindGradient, diffs, 7)
@@ -332,14 +342,14 @@ func TestExactPathsOverlapLoadsWithinLookAhead(t *testing.T) {
 		"ToIter": func(s storage.Store) (*State, int, error) { return ToIter(s, 10+diffs) },
 	} {
 		g := newGateStore(mem)
-		g.gate, g.last = true, checkpoint.DiffName(10+diffs, 10+diffs)
+		g.gate, g.last, g.holdFull = true, checkpoint.DiffName(10+diffs, 10+diffs), true
 		got, n, err := run(g)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		_, maxInFlight, overlapFull, timedOut := g.snapshot()
 		if timedOut {
-			t.Fatalf("%s: a differential load waited for its successor in vain: loads do not overlap", name)
+			t.Fatalf("%s: a load waited in vain: the full or the differentials load one at a time", name)
 		}
 		if n != diffs {
 			t.Fatalf("%s: applied %d differentials, want %d", name, n, diffs)
@@ -348,17 +358,19 @@ func TestExactPathsOverlapLoadsWithinLookAhead(t *testing.T) {
 		if maxInFlight < 2 || maxInFlight > lookAhead {
 			t.Fatalf("%s: up to %d loads in flight, want 2..%d", name, maxInFlight, lookAhead)
 		}
-		if overlapFull {
-			t.Fatalf("%s: a differential was requested while the full was still being read", name)
+		if !overlapFull {
+			t.Fatalf("%s: no differential was requested before the full's read ended", name)
 		}
 	}
 }
 
 // (b, continued) The load window is the one constant on every strict path,
-// whatever Parallelism says: with every differential Open held until lookAhead
-// of them are in flight at once, Latest and LatestParallel{Parallelism: 2}
-// both get there (a narrower window would wait in vain) and never go beyond.
-// The validating path keeps exactly one. No goroutine outlives any of them.
+// whatever Parallelism says: it opens at scan time, beside the full's load,
+// and with every differential Open held until lookAhead of them are in
+// flight at once, Latest and LatestParallel{Parallelism: 2} both get there (a
+// narrower window would wait in vain) and never go beyond. The validating
+// path keeps exactly one, and reads the full before it asks for any
+// differential. No goroutine outlives any of them.
 func TestLoadWindowContract(t *testing.T) {
 	const diffs = 3 * lookAhead
 	mem := buildChain(t, "sgd", "sparse", checkpoint.KindGradient, diffs, 8)
@@ -368,7 +380,7 @@ func TestLoadWindowContract(t *testing.T) {
 		"LatestParallel": func(s storage.Store) (*State, int, error) { return LatestParallel(s, Options{Parallelism: 2}) },
 	} {
 		g := newGateStore(mem)
-		g.holdUntil = lookAhead
+		g.holdUntil, g.holdFull = lookAhead, true
 		if _, n, err := run(g); err != nil || n != diffs {
 			t.Fatalf("%s: %d differentials, %v", name, n, err)
 		}
@@ -376,8 +388,8 @@ func TestLoadWindowContract(t *testing.T) {
 		if timedOut || maxInFlight != lookAhead {
 			t.Fatalf("%s: at most %d loads in flight (gave up waiting: %v), want exactly %d", name, maxInFlight, timedOut, lookAhead)
 		}
-		if overlapFull {
-			t.Fatalf("%s: a differential was requested while the full was still being read", name)
+		if !overlapFull {
+			t.Fatalf("%s: no differential was requested before the full's read ended", name)
 		}
 		settleGoroutines(t, base)
 	}
@@ -386,9 +398,19 @@ func TestLoadWindowContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, maxInFlight, overlapFull, _ := g.snapshot(); maxInFlight != 1 || overlapFull {
-		t.Fatalf("LatestValid had %d loads in flight (full overlapped: %v), want exactly 1", maxInFlight, overlapFull)
+		t.Fatalf("LatestValid had %d loads in flight (full overlapped: %v), want exactly 1 and none beside the full", maxInFlight, overlapFull)
 	}
 	settleGoroutines(t, base)
+}
+
+// strictPaths runs each strict entry point over a store to the end of a
+// chain of diffs differentials after the fixture's full.
+func strictPaths(diffs int) map[string]func(storage.Store) error {
+	return map[string]func(storage.Store) error{
+		"Latest":         func(s storage.Store) error { _, _, err := Latest(s); return err },
+		"ToIter":         func(s storage.Store) error { _, _, err := ToIter(s, int64(10+diffs)); return err },
+		"LatestParallel": func(s storage.Store) error { _, _, err := LatestParallel(s, Options{Parallelism: 2}); return err },
+	}
 }
 
 // jitterStore delays differential Opens by a few hundred microseconds that
@@ -488,11 +510,7 @@ func TestStrictPathsFailAtFirstDamage(t *testing.T) {
 	// A read fault.
 	mem := buildChain(t, "adam", "sparse", checkpoint.KindGradient, diffs, 9)
 	want := fmt.Sprintf("recovery: load %s: %v", bad, errInjected)
-	for name, run := range map[string]func(storage.Store) error{
-		"Latest":         func(s storage.Store) error { _, _, err := Latest(s); return err },
-		"ToIter":         func(s storage.Store) error { _, _, err := ToIter(s, 10+diffs); return err },
-		"LatestParallel": func(s storage.Store) error { _, _, err := LatestParallel(s, Options{Parallelism: 2}); return err },
-	} {
+	for name, run := range strictPaths(diffs) {
 		g := newGateStore(mem)
 		g.failOn, g.holdUntil = bad, lookAhead // objects past the damaged one are in flight when it fails
 		if err := run(g); err == nil || err.Error() != want || !errors.Is(err, errInjected) {
@@ -515,6 +533,95 @@ func TestStrictPathsFailAtFirstDamage(t *testing.T) {
 		t.Fatalf("Latest over a corrupt object: error %q, want %q", err, want)
 	}
 	settleGoroutines(t, base)
+}
+
+// (c, continued) A full that fails to load while the window's loads are in flight
+// fails recovery with the full's error alone: the loads are drained, their
+// own errors (two corrupt differentials among them) are dropped, and no
+// goroutine outlives the call.
+func TestStrictPathsFullFailureWithLoadsInFlight(t *testing.T) {
+	const diffs = 2 * lookAhead
+	base := runtime.NumGoroutine()
+	mem := buildChain(t, "adam", "sparse", checkpoint.KindGradient, diffs, 10)
+	flipBit(t, mem, checkpoint.DiffName(11, 11), 400)
+	flipBit(t, mem, checkpoint.DiffName(13, 13), 400)
+	full := checkpoint.FullName(10)
+	want := fmt.Sprintf("recovery: load %s: %v", full, errInjected)
+	for name, run := range strictPaths(diffs) {
+		g := newGateStore(mem)
+		g.failOn, g.holdFull, g.holdUntil = full, true, lookAhead
+		if err := run(g); err == nil || err.Error() != want || !errors.Is(err, errInjected) {
+			t.Fatalf("%s: error %q, want %q", name, err, want)
+		}
+		if _, maxInFlight, overlapFull, timedOut := g.snapshot(); timedOut || !overlapFull || maxInFlight != lookAhead {
+			t.Fatalf("%s: %d loads in flight beside the full (overlap %v, gave up waiting: %v), want %d",
+				name, maxInFlight, overlapFull, timedOut, lookAhead)
+		}
+		settleGoroutines(t, base)
+	}
+}
+
+// (c, continued) A damaged full fails DecodeFull, and so every strict path,
+// with a CRC mismatch or a decode error, and the CRC helper ends with the
+// call: a flipped bit in the parameters, in the moment slot m and in the
+// trailer, and a record cut in the middle of the parameters.
+func TestCorruptFullLeavesNoHelper(t *testing.T) {
+	const vec = 4 * fixtureN
+	mem := buildChain(t, "adam", "sparse", checkpoint.KindGradient, 3, 11)
+	name := checkpoint.FullName(10)
+	rec, err := storage.ReadObject(mem, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := checkpoint.DecodeFull(bytes.NewReader(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Magic, version, iteration and length precede the parameters. The
+	// record ends in the slots m and v — each a 2-byte name length, the
+	// name, an 8-byte length and the vector — and the 4-byte CRC.
+	params, trailer := 24, len(rec)-4
+	m := trailer - vec - 11 - vec
+	if rec[m-9] != 'm' || binary.LittleEndian.Uint32(rec[m:]) != math.Float32bits(f.Opt.Slots["m"][0]) {
+		t.Fatalf("slot m is not at byte %d of the record", m)
+	}
+	flip := func(at int) []byte {
+		bad := bytes.Clone(rec)
+		bad[at] ^= 0x10
+		return bad
+	}
+	crc := func(err error) bool {
+		return err != nil && strings.Contains(err.Error(), "full checkpoint crc mismatch")
+	}
+	for _, c := range []struct {
+		what string
+		rec  []byte
+		ok   func(error) bool
+	}{
+		{"bit in params", flip(params + vec/2), crc},
+		{"bit in m", flip(m + vec/2), crc},
+		{"bit in trailer", flip(trailer + 1), crc},
+		{"cut in params", rec[:params+vec/2], func(err error) bool {
+			return errors.Is(err, io.ErrUnexpectedEOF) && strings.Contains(err.Error(), "decode params")
+		}},
+	} {
+		base := runtime.NumGoroutine()
+		_, cause := checkpoint.DecodeFull(bytes.NewReader(c.rec))
+		if !c.ok(cause) {
+			t.Fatalf("%s: DecodeFull error %v", c.what, cause)
+		}
+		settleGoroutines(t, base)
+		if err := storage.WriteObject(mem, name, c.rec); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("recovery: load %s: %v", name, cause)
+		for path, run := range strictPaths(3) {
+			if err := run(mem); err == nil || err.Error() != want {
+				t.Fatalf("%s: %s error %q, want %q", c.what, path, err, want)
+			}
+			settleGoroutines(t, base)
+		}
+	}
 }
 
 // (c, continued) On the validating path the same damage truncates the chain:

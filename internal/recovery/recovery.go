@@ -14,8 +14,9 @@
 //     moments remain those of the full checkpoint.
 //
 // Every entry point runs one pipeline (DESIGN.md "Recovery pipeline"): scan,
-// load the full, load differentials a bounded number ahead of the consumer,
-// and apply them in chain order on the shared pool's optimizer kernels,
+// load the full, load differentials a bounded number ahead of the consumer
+// (on the strict paths the first of them beside the full's load), and
+// apply them in chain order on the shared pool's optimizer kernels,
 // consecutive sparse gradients a time-tiled run at a time. There is one
 // tier: every differential is replayed, never merged with its neighbours as
 // the paper's parallel recovery module (§6.1) does, so the only
@@ -39,10 +40,11 @@ import (
 )
 
 // lookAhead is how many differential loads the strict paths (Latest, ToIter,
-// LatestParallel) keep in flight ahead of the consumer, the most that are
-// ever buffered, and so the longest run replay tiles. Loads wait on the
-// store, kernels on the pool: one apply costs a few round trips of a remote
-// store, so a handful of loads hides them whatever the core count. 16 is
+// LatestParallel) keep in flight ahead of the consumer, from scan time on
+// (while the full loads), the most that are ever buffered, and so the
+// longest run replay tiles. Loads wait on the store, kernels on the pool:
+// one apply costs a few round trips of a remote store, so a handful of
+// loads hides them whatever the core count. 16 is
 // set by replay: runs of 16 tiled on the AVX kernel measured 21-33% ahead
 // of stepping them one by one; runs of 8 and 32 read within the noise of 16
 // at two workers, and 8 about 7% behind at one (BenchmarkSparseReplay,
@@ -136,17 +138,16 @@ func (p *pipeline) strict(target int64) (*State, int, error) {
 		}
 		return nil, 0, fmt.Errorf("recovery: no full checkpoint at or before iteration %d", target)
 	}
-	full, err := p.loadFull(*base)
-	if err != nil {
-		return nil, 0, fmt.Errorf("recovery: load %s: %w", base.Name, err)
-	}
 	// Stop the chain at the target; a batch straddling it is dropped
-	// entirely (it cannot be partially applied).
-	chain := m.DiffsAfter(full.Iter)
+	// entirely (it cannot be partially applied). loadFull holds the full to
+	// its name, so the chain after base.Iter is the chain after the full.
+	chain := m.DiffsAfter(base.Iter)
 	if i := slices.IndexFunc(chain, func(e checkpoint.Entry) bool { return e.LastIter > target }); i >= 0 {
 		chain = chain[:i]
 	}
-	// Only now, with the full read to its end: prefetch must not stretch it.
+	// Open the window before the full loads: the first differentials'
+	// round trips and decodes overlap the full's read. If the full fails,
+	// wait drains them and their results, errors included, are dropped.
 	next, wait := p.prefetch(chain, func(e checkpoint.Entry) (*checkpoint.Diff, error) {
 		d, err := p.loadDiff(e)
 		if err != nil {
@@ -155,6 +156,10 @@ func (p *pipeline) strict(target int64) (*State, int, error) {
 		return d, nil
 	})
 	defer wait()
+	full, err := p.loadFull(*base)
+	if err != nil {
+		return nil, 0, fmt.Errorf("recovery: load %s: %w", base.Name, err)
+	}
 	st, err := p.replay(full, next)
 	if err != nil {
 		return nil, 0, err
@@ -207,9 +212,10 @@ func (p *pipeline) loadDiff(e checkpoint.Entry) (d *checkpoint.Diff, err error) 
 
 // prefetch returns a source over chain's differentials that keeps up to
 // p.depth loads (Open, read, CRC, decode) in flight, issued in chain order:
-// each call waits for the oldest load and tops the window up. The caller
-// runs wait before it returns, on every path: loads in flight when the
-// consumer stops are finished, and none outlives the recovery.
+// the first p.depth are issued before prefetch returns, and each call waits
+// for the oldest load and tops the window up. The caller runs wait before
+// it returns, on every path: loads in flight when the consumer stops are
+// finished, and none outlives the recovery.
 func (p *pipeline) prefetch(chain []checkpoint.Entry, load func(checkpoint.Entry) (*checkpoint.Diff, error)) (next source, wait func()) {
 	type loaded struct {
 		d   *checkpoint.Diff
@@ -231,7 +237,6 @@ func (p *pipeline) prefetch(chain []checkpoint.Entry, load func(checkpoint.Entry
 		}
 	}
 	next = func() (*checkpoint.Diff, error) {
-		issue()
 		if len(window) == 0 {
 			return nil, nil
 		}
@@ -244,6 +249,7 @@ func (p *pipeline) prefetch(chain []checkpoint.Entry, load func(checkpoint.Entry
 		}
 		return l.d, l.err
 	}
+	issue()
 	return next, wg.Wait
 }
 

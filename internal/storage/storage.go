@@ -201,6 +201,16 @@ func (w *memWriter) Close() error {
 	return nil
 }
 
+// adopt returns the bytes a memWriter committed as an object to keep: a
+// buffer that ended exactly full as it is, one with growth slack copied, so
+// the slack is not kept for the object's life.
+func adopt(data []byte) []byte {
+	if len(data) != cap(data) {
+		return append([]byte(nil), data...)
+	}
+	return data
+}
+
 // Abort discards the staged bytes; nothing becomes visible.
 func (w *memWriter) Abort() error {
 	w.closed = true
@@ -214,9 +224,9 @@ func (m *Mem) Create(name string) (io.WriteCloser, error) {
 		return nil, err
 	}
 	return &memWriter{commit: func(data []byte) {
-		cp := append([]byte(nil), data...)
+		data = adopt(data)
 		m.mu.Lock()
-		m.objects[name] = cp
+		m.objects[name] = data
 		m.mu.Unlock()
 	}}, nil
 }

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"lowdiff/internal/allocgate"
 )
 
 // stores runs the shared Store contract tests against each backend and
@@ -176,6 +178,19 @@ func TestMemIsolation(t *testing.T) {
 	if m.TotalBytes() != 3 {
 		t.Fatalf("TotalBytes = %d", m.TotalBytes())
 	}
+}
+
+// A 1 MiB object written into Mem in one Write is allocated once: the
+// staging buffer ends exactly full and becomes the stored object, so the
+// bytes bound holds one object and the writer, not two.
+func TestMemWriteObjectAllocs(t *testing.T) {
+	data := make([]byte, 1<<20)
+	m := NewMem()
+	allocgate.Check(t, 20, 3.5, 1<<20+512, func() {
+		if err := WriteObject(m, "obj", data); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestFileRejectsBadNames(t *testing.T) {

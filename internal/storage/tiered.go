@@ -67,12 +67,7 @@ func (t *Tiered) Create(name string) (io.WriteCloser, error) {
 	if err := CheckName(name); err != nil {
 		return nil, err
 	}
-	return &memWriter{commit: func(data []byte) {
-		if len(data) != cap(data) {
-			data = append([]byte(nil), data...)
-		}
-		t.commit(name, data)
-	}}, nil
+	return &memWriter{commit: func(data []byte) { t.commit(name, adopt(data)) }}, nil
 }
 
 // commit publishes one object into the hot tier and evicts as needed.

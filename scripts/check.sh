@@ -44,10 +44,13 @@ go test -race -count=10 -timeout 1m -run 'Golden|Plus|EngineCheckpointsWritten|D
 # ranks' vectors between two of them, and exchange hands out one reused
 # result slice. Whether a rank reaches its next collective while another
 # still reads depends on scheduling, so repeat the collective tests at one,
-# two and eight Ps for a missed hand-off to show up.
+# two and eight Ps for a missed hand-off to show up. The mean-vs-sum test
+# checks arithmetic, not the hand-off, over 74 layer sizes (5.8 s a run
+# under -race); the race step above runs it once.
 for procs in 1 2 8; do
     echo "== go test -race -count=20 GOMAXPROCS=$procs (comm: rendezvous) =="
-    GOMAXPROCS=$procs go test -race -count=20 -timeout 8m -run 'Ring|Barrier|AllGather|Mismatch' ./internal/comm/
+    GOMAXPROCS=$procs go test -race -count=20 -timeout 8m -run 'Ring|Barrier|AllGather|Mismatch' \
+        -skip '^TestRingAllReduceMeanMatchesSumThenScale$' ./internal/comm/
 done
 
 echo "== fuzz smoke (AVX2 Top-K filter, all-reduce against the ring) =="

@@ -133,14 +133,14 @@ func BenchmarkRestoreDiff(b *testing.B) {
 }
 
 // TestRestoreAllocs holds the restore path at its allocation bounds.
-// Decoding a full is meant to
-// allocate the three decoded vectors (14.0 MB) and nothing else of their
-// size, so a staging copy shows as a multiple of that; decoding a
-// differential allocates its 11,700 pairs. Each bound is 1.25× the most one
-// call took over twenty runs of this package when the gate was set: 44.7
-// allocs and 14,058,496 B for the full's decode, 49.1 and 14,059,283 B for
-// its load from a File store, 16.1 and 98,618 B for the differential's
-// decode.
+// Decoding a full is meant to allocate the three decoded vectors (14.0 MB)
+// and nothing else of their size, so a staging copy shows as a multiple of
+// that; decoding a differential allocates its 11,700 pairs. Each count bound
+// is the count measured when it was set plus half an object: 21.1 allocs
+// for the full's decode (the CRC helper's goroutine allocates on some calls),
+// 24 for its load from a File store, 10 for the differential's decode. Each
+// byte bound is 1.25× what a call took when the bytes were first gated:
+// 14,058,496 B, 14,059,283 B and 98,618 B.
 func TestRestoreAllocs(t *testing.T) {
 	f := ruleFull(t, "adam", benchParams)
 	var full bytes.Buffer
@@ -149,7 +149,7 @@ func TestRestoreAllocs(t *testing.T) {
 	}
 	diff := benchDiffRecord(t)
 	t.Run("full_decode", func(t *testing.T) {
-		allocgate.Check(t, 10, 55.875, 17_573_120, func() {
+		allocgate.Check(t, 10, 21.5, 17_573_120, func() {
 			got, err := DecodeFull(bytes.NewReader(full.Bytes()))
 			if err != nil {
 				t.Fatal(err)
@@ -166,7 +166,7 @@ func TestRestoreAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocgate.Check(t, 10, 61.375, 17_574_104, func() {
+		allocgate.Check(t, 10, 24.5, 17_574_104, func() {
 			got, err := LoadFull(store, name)
 			if err != nil {
 				t.Fatal(err)
@@ -175,7 +175,7 @@ func TestRestoreAllocs(t *testing.T) {
 		})
 	})
 	t.Run("diff_decode", func(t *testing.T) {
-		allocgate.Check(t, 100, 20.125, 123_273, func() {
+		allocgate.Check(t, 100, 10.5, 123_273, func() {
 			got, err := DecodeDiff(bytes.NewReader(diff.Bytes()))
 			if err != nil {
 				t.Fatal(err)
@@ -183,4 +183,61 @@ func TestRestoreAllocs(t *testing.T) {
 			restoreSink = got
 		})
 	})
+}
+
+// countingWriter counts the Write calls a record takes and keeps nothing.
+type countingWriter struct{ calls int }
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.calls++
+	return len(p), nil
+}
+
+// A record's small fields leave in one Write before each vector: an Adam
+// full takes seven (three field runs, its three vectors, the CRC trailer),
+// a sparse differential four (both headers, its two vectors, the trailer).
+func TestRecordWrites(t *testing.T) {
+	f := ruleFull(t, "adam", 64)
+	d := sampleDiff(t, 640, 1)
+	for _, c := range []struct {
+		what   string
+		encode func(io.Writer) error
+		max    int
+	}{{"full", f.Encode, 7}, {"diff", d.Encode, 4}} {
+		var w countingWriter
+		if err := c.encode(&w); err != nil {
+			t.Fatal(err)
+		}
+		if w.calls > c.max {
+			t.Errorf("%s record took %d writes, want at most %d", c.what, w.calls, c.max)
+		}
+	}
+}
+
+// TestPersistAllocs holds the persist path's encodes at their allocation
+// bounds: the benchmark-sized full and differential written to io.Discard.
+// Each count bound is the count measured when the gate was set plus half an
+// object (4 for the full: its two sorted key lists, the field writer and the
+// CRC tee; 2 for the differential), each byte bound 1.25× the 312 B and
+// 216 B a call took then.
+func TestPersistAllocs(t *testing.T) {
+	f := ruleFull(t, "adam", benchParams)
+	d, err := DecodeDiff(bytes.NewReader(benchDiffRecord(t).Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		what      string
+		encode    func(io.Writer) error
+		maxAllocs float64
+		maxBytes  float64
+	}{{"full", f.Encode, 4.5, 390}, {"diff", d.Encode, 2.5, 270}} {
+		t.Run(c.what, func(t *testing.T) {
+			allocgate.Check(t, 100, c.maxAllocs, c.maxBytes, func() {
+				if err := c.encode(io.Discard); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
+	}
 }

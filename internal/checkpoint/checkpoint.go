@@ -13,7 +13,6 @@ package checkpoint
 import (
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"math"
@@ -94,39 +93,112 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// crcWriter tees writes into a running CRC.
-type crcWriter struct {
-	w io.Writer
-	h hash.Hash32
+// frame is what the two record kinds share: a magic and the version, the
+// kind's fields, and a CRC-32C trailer over all of them.
+type frame struct {
+	magic uint32
+	kind  string // "full" or "diff", in messages
+	head  int    // bytes of fixed fields after the version, read with it
+	// overlap checks the CRC on a helper goroutine (crcHelper) on hosts
+	// where vector reads leave their bytes as they arrived.
+	overlap bool
 }
 
-func newCRCWriter(w io.Writer) *crcWriter {
-	return &crcWriter{w: w, h: crc32.New(crcTable)}
+var (
+	fullFrame = frame{magic: fullMagic, kind: "full", head: 16, overlap: true} // iteration, parameter count
+	diffFrame = frame{magic: diffMagic, kind: "diff", head: 21}                // kind, first, last, count
+)
+
+// frameWriter passes a record's bytes to w and folds them into the CRC.
+type frameWriter struct {
+	w   io.Writer
+	crc uint32
 }
 
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.h.Write(p[:n])
+func (t *frameWriter) Write(p []byte) (int, error) {
+	n, err := t.w.Write(p)
+	t.crc = crc32.Update(t.crc, crcTable, p[:n])
 	return n, err
+}
+
+// write sends one record to w: the header, body's fields, the trailer.
+func (fr frame) write(w io.Writer, body func(*compress.FieldWriter)) error {
+	t := &frameWriter{w: w}
+	e := compress.NewFieldWriter(t)
+	e.U32(fr.magic)
+	e.U32(version)
+	body(e)
+	err := e.Flush()
+	if err == nil {
+		e.U32(t.crc) // the sum is taken before the trailer passes t
+		err = e.Flush()
+	}
+	if err != nil {
+		return fmt.Errorf("checkpoint: encode %s: %w", fr.kind, err)
+	}
+	return nil
+}
+
+// readHead reads and checks the magic and version, and reads the kind's
+// fixed fields with them.
+func (fr frame) readHead(d *compress.FieldReader) error {
+	d.Need(8 + fr.head)
+	magic, ver := d.U32(), d.U32()
+	switch {
+	case d.Err() != nil:
+		return fmt.Errorf("checkpoint: decode %s header: %w", fr.kind, d.Err())
+	case magic != fr.magic:
+		return fmt.Errorf("checkpoint: bad %s-checkpoint magic %#x", fr.kind, magic)
+	case ver != version:
+		return fmt.Errorf("checkpoint: unsupported version %d", ver)
+	}
+	return nil
+}
+
+// readFrame reads one record of fr's kind from r, body decoding its fields,
+// and checks the CRC trailer.
+func readFrame[T any](r io.Reader, fr frame, body func(*compress.FieldReader) (*T, error)) (*T, error) {
+	var cr summingReader
+	if fr.overlap && compress.ReadKeepsWireBytes() {
+		cr = newCRCHelper(r)
+	} else {
+		cr = newCRCReader(r)
+	}
+	d := compress.NewFieldReader(cr)
+	var v *T
+	err := fr.readHead(d)
+	if err == nil {
+		v, err = body(d)
+	}
+	sum := cr.Sum32() // waits for the helper on every path
+	if err != nil {
+		return nil, err
+	}
+	var tail [4]byte
+	if _, err := io.ReadFull(r, tail[:]); err != nil {
+		return nil, fmt.Errorf("checkpoint: read %s crc: %w", fr.kind, err)
+	}
+	if stored := binary.LittleEndian.Uint32(tail[:]); stored != sum {
+		return nil, fmt.Errorf("checkpoint: %s checkpoint crc mismatch: stored %#x, computed %#x", fr.kind, stored, sum)
+	}
+	return v, nil
 }
 
 // crcReader tees reads into a running CRC.
 type crcReader struct {
-	r io.Reader
-	h hash.Hash32
+	r   io.Reader
+	crc uint32
 }
 
-func newCRCReader(r io.Reader) *crcReader {
-	return &crcReader{r: r, h: crc32.New(crcTable)}
-}
+func newCRCReader(r io.Reader) *crcReader { return &crcReader{r: r} }
 
 func (c *crcReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
-	c.h.Write(p[:n])
+	c.crc = crc32.Update(c.crc, crcTable, p[:n])
 	return n, err
 }
 
-func (c *crcReader) Sum32() uint32 { return c.h.Sum32() }
+func (c *crcReader) Sum32() uint32 { return c.crc }
 
 // summingReader is a reader that checksums what it has read.
 type summingReader interface {
@@ -142,7 +214,8 @@ const crcQueue = 32
 // CRC of one slice overlaps the read of the next. The helper reads those
 // bytes after Read returns, so the caller must leave them as they arrived
 // until Sum32, which a little-endian host's decode does: vectors are read
-// in place into the result, and every other read lands in its own buffer.
+// in place into the result, and small fields into a FieldReader's arena,
+// which is never rewritten.
 type crcHelper struct {
 	r    io.Reader
 	segs chan []byte
@@ -180,140 +253,50 @@ func (c *crcHelper) Sum32() uint32 {
 	return c.crc
 }
 
-func writeU64(w io.Writer, v uint64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	_, err := w.Write(buf[:])
-	return err
-}
-
-func writeU32(w io.Writer, v uint32) error {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	_, err := w.Write(buf[:])
-	return err
-}
-
-func writeString(w io.Writer, s string) error {
+// stringField stages s with its 16-bit length.
+func stringField(e *compress.FieldWriter, s string) {
 	if len(s) > math.MaxUint16 {
-		return fmt.Errorf("checkpoint: string too long: %d", len(s))
+		e.Fail(fmt.Errorf("string too long: %d", len(s)))
+		return
 	}
-	var buf [2]byte
-	binary.LittleEndian.PutUint16(buf[:], uint16(len(s)))
-	if _, err := w.Write(buf[:]); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
+	e.U16(uint16(len(s)))
+	e.String(s)
 }
 
-// writeF32s writes v's length and then v (compress.WriteVector).
-func writeF32s(w io.Writer, v []float32) error {
-	if err := writeU64(w, uint64(len(v))); err != nil {
-		return err
+// sortedKeys returns m's keys in order: records never follow map order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m { //lint:allow determinism keys are sorted below; nothing is written in map order
+		keys = append(keys, k)
 	}
-	return compress.WriteVector(w, v)
-}
-
-func readU64(r io.Reader) (uint64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
-}
-
-func readU32(r io.Reader) (uint32, error) {
-	var buf [4]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(buf[:]), nil
-}
-
-func readString(r io.Reader) (string, error) {
-	var buf [2]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return "", err
-	}
-	b := make([]byte, binary.LittleEndian.Uint16(buf[:]))
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// maxElems bounds decoded element counts (8G floats is certainly corrupt).
-const maxElems = 1 << 33
-
-func readF32s(r io.Reader) ([]float32, error) {
-	n, err := readU64(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > maxElems {
-		return nil, fmt.Errorf("checkpoint: implausible vector length %d", n)
-	}
-	return compress.ReadVector[float32](r, n)
+	sort.Strings(keys)
+	return keys
 }
 
 // Encode writes a full checkpoint record. On a little-endian host each
 // vector goes to w straight from its own memory, so w must neither modify
 // nor retain the slice passed to Write.
 func (f *Full) Encode(w io.Writer) error {
-	cw := newCRCWriter(w)
-	if err := writeU32(cw, fullMagic); err != nil {
-		return fmt.Errorf("checkpoint: encode full: %w", err)
-	}
-	if err := writeU32(cw, version); err != nil {
-		return err
-	}
-	if err := writeU64(cw, uint64(f.Iter)); err != nil {
-		return err
-	}
-	if err := writeF32s(cw, f.Params); err != nil {
-		return err
-	}
-	// Optimizer state.
-	if err := writeString(cw, f.Opt.Name); err != nil {
-		return err
-	}
-	if err := writeU64(cw, uint64(f.Opt.Step)); err != nil {
-		return err
-	}
-	scalarNames := make([]string, 0, len(f.Opt.Scalars))
-	for k := range f.Opt.Scalars { //lint:allow determinism keys are sorted below; nothing is written in map order
-		scalarNames = append(scalarNames, k)
-	}
-	sort.Strings(scalarNames)
-	if err := writeU32(cw, uint32(len(scalarNames))); err != nil {
-		return err
-	}
-	for _, k := range scalarNames {
-		if err := writeString(cw, k); err != nil {
-			return err
+	return fullFrame.write(w, func(e *compress.FieldWriter) {
+		e.U64(uint64(f.Iter))
+		e.U64(uint64(len(f.Params)))
+		e.F32s(f.Params)
+		stringField(e, f.Opt.Name)
+		e.U64(uint64(f.Opt.Step))
+		scalars := sortedKeys(f.Opt.Scalars)
+		e.U32(uint32(len(scalars)))
+		for _, k := range scalars {
+			stringField(e, k)
+			e.U64(math.Float64bits(f.Opt.Scalars[k]))
 		}
-		if err := writeU64(cw, math.Float64bits(f.Opt.Scalars[k])); err != nil {
-			return err
+		slots := sortedKeys(f.Opt.Slots)
+		e.U32(uint32(len(slots)))
+		for _, k := range slots {
+			stringField(e, k)
+			e.U64(uint64(len(f.Opt.Slots[k])))
+			e.F32s(f.Opt.Slots[k])
 		}
-	}
-	slotNames := make([]string, 0, len(f.Opt.Slots))
-	for k := range f.Opt.Slots { //lint:allow determinism keys are sorted below; nothing is written in map order
-		slotNames = append(slotNames, k)
-	}
-	sort.Strings(slotNames)
-	if err := writeU32(cw, uint32(len(slotNames))); err != nil {
-		return err
-	}
-	for _, k := range slotNames {
-		if err := writeString(cw, k); err != nil {
-			return err
-		}
-		if err := writeF32s(cw, f.Opt.Slots[k]); err != nil {
-			return err
-		}
-	}
-	return writeU32(w, cw.h.Sum32())
+	})
 }
 
 // EncodeWith is Encode; its second argument is ignored.
@@ -325,102 +308,47 @@ func (f *Full) EncodeWith(w io.Writer, _ any) error { return f.Encode(w) }
 // little-endian host a helper goroutine computes the CRC over the bytes
 // read, one slice behind the reader, and is done before DecodeFull returns.
 func DecodeFull(r io.Reader) (*Full, error) {
-	var cr summingReader
-	if compress.ReadKeepsWireBytes() {
-		cr = newCRCHelper(r)
-	} else {
-		cr = newCRCReader(r)
-	}
-	f, err := decodeFullBody(cr)
-	sum := cr.Sum32() // waits for the helper on every path
-	if err != nil {
-		return nil, err
-	}
-	stored, err := readU32(r)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: read full crc: %w", err)
-	}
-	if stored != sum {
-		return nil, fmt.Errorf("checkpoint: full checkpoint crc mismatch: stored %#x, computed %#x", stored, sum)
-	}
-	return f, nil
+	return readFrame(r, fullFrame, decodeFull)
 }
 
-// decodeFullBody reads a full checkpoint record up to its CRC trailer.
-func decodeFullBody(cr io.Reader) (*Full, error) {
-	magic, err := readU32(cr)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: decode full header: %w", err)
+// decodeFull reads a full checkpoint's fields after its header's magic and
+// version.
+func decodeFull(d *compress.FieldReader) (*Full, error) {
+	f := &Full{Iter: int64(d.U64())}
+	if f.Params = d.F32s(d.U64()); d.Err() != nil {
+		return nil, fmt.Errorf("checkpoint: decode params: %w", d.Err())
 	}
-	if magic != fullMagic {
-		return nil, fmt.Errorf("checkpoint: bad full-checkpoint magic %#x", magic)
-	}
-	ver, err := readU32(cr)
-	if err != nil {
-		return nil, err
-	}
-	if ver != version {
-		return nil, fmt.Errorf("checkpoint: unsupported version %d", ver)
-	}
-	iter, err := readU64(cr)
-	if err != nil {
-		return nil, err
-	}
-	params, err := readF32s(cr)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: decode params: %w", err)
-	}
-	optName, err := readString(cr)
-	if err != nil {
-		return nil, err
-	}
-	step, err := readU64(cr)
-	if err != nil {
-		return nil, err
-	}
-	nScalars, err := readU32(cr)
-	if err != nil {
-		return nil, err
-	}
+	n := int(d.U16())
+	d.Need(n + 8 + 4)
+	f.Opt.Name, f.Opt.Step = d.String(n), int64(d.U64())
+	nScalars := d.U32()
 	if nScalars > 1<<16 {
 		return nil, fmt.Errorf("checkpoint: implausible scalar count %d", nScalars)
 	}
-	scalars := make(map[string]float64, nScalars)
-	for i := uint32(0); i < nScalars; i++ {
-		k, err := readString(cr)
-		if err != nil {
-			return nil, err
-		}
-		bits, err := readU64(cr)
-		if err != nil {
-			return nil, err
-		}
-		scalars[k] = math.Float64frombits(bits)
+	f.Opt.Scalars = make(map[string]float64, nScalars)
+	for i := uint32(0); i < nScalars && d.Err() == nil; i++ {
+		n := int(d.U16())
+		d.Need(n + 8)
+		k := d.String(n)
+		f.Opt.Scalars[k] = math.Float64frombits(d.U64())
 	}
-	nSlots, err := readU32(cr)
-	if err != nil {
-		return nil, err
-	}
+	nSlots := d.U32()
 	if nSlots > 1<<16 {
 		return nil, fmt.Errorf("checkpoint: implausible slot count %d", nSlots)
 	}
-	slots := make(map[string][]float32, nSlots)
-	for i := uint32(0); i < nSlots; i++ {
-		k, err := readString(cr)
-		if err != nil {
-			return nil, err
+	f.Opt.Slots = make(map[string][]float32, nSlots)
+	for i := uint32(0); i < nSlots && d.Err() == nil; i++ {
+		n := int(d.U16())
+		d.Need(n + 8)
+		k := d.String(n)
+		if f.Opt.Slots[k] = d.F32s(d.U64()); d.Err() != nil {
+			return nil, fmt.Errorf("checkpoint: decode slot %q: %w", k, d.Err())
 		}
-		v, err := readF32s(cr)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: decode slot %q: %w", k, err)
-		}
-		slots[k] = v
 	}
-	return &Full{
-		Iter:   int64(iter),
-		Params: params,
-		Opt:    optim.State{Name: optName, Step: int64(step), Scalars: scalars, Slots: slots},
-	}, nil
+	if d.Err() != nil {
+		return nil, d.Err()
+	}
+	return f, nil
 }
 
 // Encode writes a differential checkpoint record. On a little-endian host
@@ -430,29 +358,13 @@ func (d *Diff) Encode(w io.Writer) error {
 	if err := d.Validate(); err != nil {
 		return err
 	}
-	cw := newCRCWriter(w)
-	if err := writeU32(cw, diffMagic); err != nil {
-		return fmt.Errorf("checkpoint: encode diff: %w", err)
-	}
-	if err := writeU32(cw, version); err != nil {
-		return err
-	}
-	if _, err := cw.Write([]byte{byte(d.Kind)}); err != nil {
-		return err
-	}
-	if err := writeU64(cw, uint64(d.FirstIter)); err != nil {
-		return err
-	}
-	if err := writeU64(cw, uint64(d.LastIter)); err != nil {
-		return err
-	}
-	if err := writeU32(cw, uint32(d.Count)); err != nil {
-		return err
-	}
-	if err := d.Payload.Encode(cw); err != nil {
-		return err
-	}
-	return writeU32(w, cw.h.Sum32())
+	return diffFrame.write(w, func(e *compress.FieldWriter) {
+		e.U8(byte(d.Kind))
+		e.U64(uint64(d.FirstIter))
+		e.U64(uint64(d.LastIter))
+		e.U32(uint32(d.Count))
+		d.Payload.EncodeFields(e)
+	})
 }
 
 // EncodeWith is Encode; its second argument is ignored.
@@ -462,55 +374,9 @@ func (d *Diff) EncodeWith(w io.Writer, _ any) error { return d.Encode(w) }
 
 // DecodeDiff reads a differential checkpoint record and verifies its CRC.
 func DecodeDiff(r io.Reader) (*Diff, error) {
-	cr := newCRCReader(r)
-	magic, err := readU32(cr)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: decode diff header: %w", err)
-	}
-	if magic != diffMagic {
-		return nil, fmt.Errorf("checkpoint: bad diff-checkpoint magic %#x", magic)
-	}
-	ver, err := readU32(cr)
+	d, err := readFrame(r, diffFrame, decodeDiff)
 	if err != nil {
 		return nil, err
-	}
-	if ver != version {
-		return nil, fmt.Errorf("checkpoint: unsupported version %d", ver)
-	}
-	var kind [1]byte
-	if _, err := io.ReadFull(cr, kind[:]); err != nil {
-		return nil, err
-	}
-	first, err := readU64(cr)
-	if err != nil {
-		return nil, err
-	}
-	last, err := readU64(cr)
-	if err != nil {
-		return nil, err
-	}
-	count, err := readU32(cr)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := compress.Decode(cr)
-	if err != nil {
-		return nil, err
-	}
-	sum := cr.h.Sum32()
-	stored, err := readU32(r)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: read diff crc: %w", err)
-	}
-	if stored != sum {
-		return nil, fmt.Errorf("checkpoint: diff checkpoint crc mismatch: stored %#x, computed %#x", stored, sum)
-	}
-	d := &Diff{
-		Kind:      DiffKind(kind[0]),
-		FirstIter: int64(first),
-		LastIter:  int64(last),
-		Count:     int32(count),
-		Payload:   payload,
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -518,24 +384,27 @@ func DecodeDiff(r io.Reader) (*Diff, error) {
 	return d, nil
 }
 
-// SaveFull persists a full checkpoint to the store under its canonical name
-// and returns that name.
-func SaveFull(s storage.Store, f *Full) (string, error) {
-	name := FullName(f.Iter)
+// decodeDiff reads a differential's fields after its header's magic and
+// version.
+func decodeDiff(fd *compress.FieldReader) (*Diff, error) {
+	d := &Diff{Kind: DiffKind(fd.U8()), FirstIter: int64(fd.U64()), LastIter: int64(fd.U64()), Count: int32(fd.U32())}
+	var err error
+	d.Payload, err = compress.DecodeFields(fd)
+	return d, err
+}
+
+// save persists a record under name and returns that name. A failed encode
+// aborts the object, so nothing appears under name.
+func save(s storage.Store, name string, rec interface{ Encode(io.Writer) error }) (string, error) {
 	w, err := s.Create(name)
 	if err != nil {
 		return "", err
 	}
-	if err := f.Encode(w); err != nil {
+	if err := rec.Encode(w); err != nil {
 		_ = storage.AbortWriter(w) // encode failed; surface that error, not the abort's
 		return "", err
 	}
 	return name, w.Close()
-}
-
-// LoadFull loads a full checkpoint by name.
-func LoadFull(s storage.Store, name string) (*Full, error) {
-	return load(s, name, DecodeFull)
 }
 
 // load opens name and decodes one record from it. A decode stops at its
@@ -556,22 +425,18 @@ func load[T any](s storage.Store, name string, decode func(io.Reader) (*T, error
 	return v, nil
 }
 
+// SaveFull persists a full checkpoint under its canonical name and returns
+// that name.
+func SaveFull(s storage.Store, f *Full) (string, error) { return save(s, FullName(f.Iter), f) }
+
+// LoadFull loads a full checkpoint by name.
+func LoadFull(s storage.Store, name string) (*Full, error) { return load(s, name, DecodeFull) }
+
 // SaveDiff persists a differential checkpoint under its canonical name and
 // returns that name.
 func SaveDiff(s storage.Store, d *Diff) (string, error) {
-	name := DiffName(d.FirstIter, d.LastIter)
-	w, err := s.Create(name)
-	if err != nil {
-		return "", err
-	}
-	if err := d.Encode(w); err != nil {
-		_ = storage.AbortWriter(w) // encode failed; surface that error, not the abort's
-		return "", err
-	}
-	return name, w.Close()
+	return save(s, DiffName(d.FirstIter, d.LastIter), d)
 }
 
 // LoadDiff loads a differential checkpoint by name.
-func LoadDiff(s storage.Store, name string) (*Diff, error) {
-	return load(s, name, DecodeDiff)
-}
+func LoadDiff(s storage.Store, name string) (*Diff, error) { return load(s, name, DecodeDiff) }

@@ -32,10 +32,11 @@ const (
 
 // oracleReadF32s and oracleDecodeFull are the full-checkpoint decoder as it
 // was before the slice decoder, kept as the reference: each vector staged
-// whole through a regrown 4 MiB buffer, then converted into a second slice.
+// whole through a regrown 4 MiB buffer, then converted into a second slice,
+// and every field read on its own.
 func oracleReadF32s(r io.Reader) ([]float32, error) {
-	n, err := readU64(r)
-	if err != nil {
+	var n uint64
+	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 		return nil, err
 	}
 	const chunk = 4 << 20
@@ -55,48 +56,56 @@ func oracleReadF32s(r io.Reader) ([]float32, error) {
 	return out, nil
 }
 
+func oracleReadString(r io.Reader) (string, error) {
+	var n uint16
+	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+		return "", err
+	}
+	b := make([]byte, n)
+	_, err := io.ReadFull(r, b)
+	return string(b), err
+}
+
 func oracleDecodeFull(r io.Reader) (*Full, error) {
 	cr := newCRCReader(r)
+	le := binary.LittleEndian
 	var hdr [16]byte // magic, version, iteration
 	if _, err := io.ReadFull(cr, hdr[:]); err != nil {
 		return nil, err
 	}
-	f := &Full{Iter: int64(binary.LittleEndian.Uint64(hdr[8:]))}
+	f := &Full{Iter: int64(le.Uint64(hdr[8:]))}
 	var err error
 	if f.Params, err = oracleReadF32s(cr); err != nil {
 		return nil, err
 	}
-	if f.Opt.Name, err = readString(cr); err != nil {
+	if f.Opt.Name, err = oracleReadString(cr); err != nil {
 		return nil, err
 	}
-	step, err := readU64(cr)
-	if err != nil {
+	var nScalars, nSlots uint32
+	if err := binary.Read(cr, le, &f.Opt.Step); err != nil {
 		return nil, err
 	}
-	f.Opt.Step = int64(step)
-	nScalars, err := readU32(cr)
-	if err != nil {
+	if err := binary.Read(cr, le, &nScalars); err != nil {
 		return nil, err
 	}
 	f.Opt.Scalars = make(map[string]float64, nScalars)
 	for i := uint32(0); i < nScalars; i++ {
-		k, err := readString(cr)
+		k, err := oracleReadString(cr)
 		if err != nil {
 			return nil, err
 		}
-		bits, err := readU64(cr)
-		if err != nil {
+		var v float64
+		if err := binary.Read(cr, le, &v); err != nil {
 			return nil, err
 		}
-		f.Opt.Scalars[k] = math.Float64frombits(bits)
+		f.Opt.Scalars[k] = v
 	}
-	nSlots, err := readU32(cr)
-	if err != nil {
+	if err := binary.Read(cr, le, &nSlots); err != nil {
 		return nil, err
 	}
 	f.Opt.Slots = make(map[string][]float32, nSlots)
 	for i := uint32(0); i < nSlots; i++ {
-		k, err := readString(cr)
+		k, err := oracleReadString(cr)
 		if err != nil {
 			return nil, err
 		}
@@ -104,8 +113,9 @@ func oracleDecodeFull(r io.Reader) (*Full, error) {
 			return nil, err
 		}
 	}
-	sum := cr.h.Sum32()
-	if stored, err := readU32(r); err != nil || stored != sum {
+	sum := cr.Sum32()
+	var stored uint32
+	if err := binary.Read(r, le, &stored); err != nil || stored != sum {
 		return nil, fmt.Errorf("oracle: crc %#x, computed %#x: %v", stored, sum, err)
 	}
 	return f, nil
@@ -246,6 +256,9 @@ func claimLength(rec []byte, off int, claim uint64) []byte {
 	binary.LittleEndian.PutUint64(bad[off:], claim)
 	return bad
 }
+
+// maxElems is the largest vector length a decode accepts (compress's bound).
+const maxElems = 1 << 33
 
 // boundaryClaims are the lengths a lying length word is tried at: around the
 // read slice, around the whole-allocation threshold, and the largest accepted.

@@ -306,15 +306,6 @@ func TrainingTime(w Workload, p Plan, iters int) (float64, error) {
 	return float64(iters) * (w.IterTime() + ov.Total()), nil
 }
 
-// EffectiveIterTime is the per-iteration wall time under the plan.
-func EffectiveIterTime(w Workload, p Plan) (float64, error) {
-	ov, err := PerIterOverhead(w, p)
-	if err != nil {
-		return 0, err
-	}
-	return w.IterTime() + ov.Total(), nil
-}
-
 // MaxFrequency returns the smallest checkpoint interval (in iterations,
 // 1 = per-iteration) whose *marginal* checkpointing overhead stays within
 // bound (fraction of training time, e.g. 0.035), searching up to maxK.

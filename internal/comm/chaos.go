@@ -2,7 +2,6 @@ package comm
 
 import (
 	"fmt"
-	"sort"
 
 	"lowdiff/internal/obs"
 )
@@ -146,17 +145,4 @@ func (c *Chaos) draw(p float64, rank int, iter int64, kind uint64) bool {
 func (c *Chaos) crashesAt(rank int, iter int64) bool {
 	at, ok := c.crashAt[rank]
 	return ok && iter >= at
-}
-
-// CrashSchedule returns the scheduled crashes sorted by iteration then rank
-// (for reports and the chaos-matrix smoke tests).
-func (c *Chaos) CrashSchedule() []Crash {
-	out := append([]Crash(nil), c.cfg.Crashes...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Iter != out[j].Iter {
-			return out[i].Iter < out[j].Iter
-		}
-		return out[i].Rank < out[j].Rank
-	})
-	return out
 }

@@ -17,21 +17,42 @@ import (
 	"lowdiff/internal/tensor"
 )
 
-// runRanks executes fn on every rank in its own goroutine and propagates
-// the first error.
-func runRanks(t *testing.T, n int, fn func(rank int) error) {
+// rankDeadline is how long rankErrs waits for every rank to return: a
+// collective that loses a rank fails its test here, by name, instead of
+// hanging the package until go test's -timeout.
+const rankDeadline = 20 * time.Second
+
+// rankErrs executes fn on every rank in its own goroutine and returns each
+// rank's error, failing t if the ranks do not all return within
+// rankDeadline.
+func rankErrs(t *testing.T, n int, fn func(rank int) error) []error {
 	t.Helper()
 	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			errs[rank] = fn(rank)
-		}(r)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for r := 0; r < n; r++ {
+			wg.Add(1)
+			go func(rank int) {
+				defer wg.Done()
+				errs[rank] = fn(rank)
+			}(r)
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(rankDeadline):
+		t.Fatalf("%d ranks did not all return within %v: a collective deadlocked", n, rankDeadline)
 	}
-	wg.Wait()
-	for r, err := range errs {
+	return errs
+}
+
+// runRanks is rankErrs, failing t on the first rank's error.
+func runRanks(t *testing.T, n int, fn func(rank int) error) {
+	t.Helper()
+	for r, err := range rankErrs(t, n, fn) {
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
 		}
@@ -227,50 +248,22 @@ func TestMismatchedLengthsError(t *testing.T) {
 	const n = 2
 	g, _ := NewGroup(n)
 	vecs := []tensor.Vector{tensor.New(4), tensor.New(5)}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			errs[rank] = g.AllReduceSum(rank, vecs[rank])
-		}(r)
-	}
-	wg.Wait()
+	errs := rankErrs(t, n, func(rank int) error { return g.AllReduceSum(rank, vecs[rank]) })
 	if errs[0] == nil && errs[1] == nil {
 		t.Fatal("want length-mismatch error on at least one rank")
 	}
 }
 
 // ringCall runs one ring all-reduce on every rank of g and returns each
-// rank's error, failing t if the ranks do not all return within a
-// deadline.
+// rank's error (rankErrs).
 func ringCall(t *testing.T, g *Group, mean bool, vecs []tensor.Vector) []error {
 	t.Helper()
-	errs := make([]error, g.Size())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var wg sync.WaitGroup
-		for r := range vecs {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				if mean {
-					errs[rank] = g.RingAllReduceMean(rank, vecs[rank])
-				} else {
-					errs[rank] = g.RingAllReduceSum(rank, vecs[rank])
-				}
-			}(r)
+	return rankErrs(t, len(vecs), func(rank int) error {
+		if mean {
+			return g.RingAllReduceMean(rank, vecs[rank])
 		}
-		wg.Wait()
-	}()
-	select {
-	case <-done:
-	case <-time.After(20 * time.Second):
-		t.Fatal("ring all-reduce deadlocked")
-	}
-	return errs
+		return g.RingAllReduceSum(rank, vecs[rank])
+	})
 }
 
 // A length mismatch anywhere must reach every rank as the same error,
@@ -620,23 +613,10 @@ func TestRingMatchesCentralizedProperty(t *testing.T) {
 		}
 		g1, _ := NewGroup(n)
 		g2, _ := NewGroup(n)
-		var wg sync.WaitGroup
-		okRing := make([]bool, n)
-		okCentral := make([]bool, n)
+		ringErrs := rankErrs(t, n, func(rank int) error { return g1.RingAllReduceSum(rank, ring[rank]) })
+		centralErrs := rankErrs(t, n, func(rank int) error { return g2.AllReduceSum(rank, central[rank]) })
 		for i := 0; i < n; i++ {
-			wg.Add(2)
-			go func(rank int) {
-				defer wg.Done()
-				okRing[rank] = g1.RingAllReduceSum(rank, ring[rank]) == nil
-			}(i)
-			go func(rank int) {
-				defer wg.Done()
-				okCentral[rank] = g2.AllReduceSum(rank, central[rank]) == nil
-			}(i)
-		}
-		wg.Wait()
-		for i := 0; i < n; i++ {
-			if !okRing[i] || !okCentral[i] {
+			if ringErrs[i] != nil || centralErrs[i] != nil {
 				return false
 			}
 			md, err := ring[i].MaxAbsDiff(central[i])

@@ -12,9 +12,10 @@
 // recovery replays has a pool-aware variant (AddIntoWith); it follows the
 // fixed-chunk-grid contract of package parallel, so its result is
 // bit-identical to AddInto at any worker count. The wire codec (Encode,
-// Decode, and WriteVector and ReadVector under them and under package
-// checkpoint) has no loop on a little-endian host: a vector's memory is its
-// wire bytes, read and written in place. NaN gradient entries are out of
+// Decode, and the FieldWriter and FieldReader both record formats share,
+// with WriteVector and ReadVector under them) has no loop on a
+// little-endian host: a vector's memory is its wire bytes, read and
+// written in place. NaN gradient entries are out of
 // contract for TopK: they break the strict (|v| desc, index asc) total
 // order the selection relies on.
 package compress

@@ -11,9 +11,9 @@ import (
 
 // RetryPolicy bounds how hard a persist operation fights a failing store:
 // up to MaxRetries additional attempts with seeded, jittered exponential
-// backoff (attempt k sleeps Backoff·2^(k-1), capped by MaxBackoff), an
-// optional per-attempt write deadline, and an optional total deadline
-// across all attempts. Every source of randomness and time is a seam
+// backoff (attempt k sleeps Backoff·2^(k-1), capped by MaxBackoff) and an
+// optional total deadline across all attempts. Each attempt runs to its
+// end, so nothing of it writes after Do returns. Every source of randomness and time is a seam
 // (Seed, Sleep, Now), so retry schedules are deterministic in tests.
 // The zero value retries 3 times with no backoff and no deadlines.
 type RetryPolicy struct {
@@ -37,12 +37,6 @@ type RetryPolicy struct {
 	// since the first attempt reaches it, no further attempt is made and
 	// the operation fails with ErrRetryExhausted (deadline flavor).
 	Deadline time.Duration
-	// Timeout, when positive, is the per-attempt write deadline: an
-	// attempt still running after Timeout counts as failed and is
-	// retried. The abandoned attempt keeps running in the background;
-	// because stores commit atomically, a late completion at worst makes
-	// the object appear — it never tears it.
-	Timeout time.Duration
 	// Sleep is the backoff seam (nil uses time.Sleep).
 	Sleep func(time.Duration)
 	// Now is the clock seam for Deadline accounting (nil uses time.Now).
@@ -51,10 +45,6 @@ type RetryPolicy struct {
 	// wires it to the engine.retry.backoff counter).
 	OnBackoff func(attempt int, d time.Duration)
 }
-
-// ErrWriteDeadline reports a persist attempt that exceeded the policy's
-// per-object write deadline.
-var ErrWriteDeadline = fmt.Errorf("core: object write exceeded deadline")
 
 // ErrRetryExhausted reports that a retried operation ran out of attempts
 // (or retry deadline) without succeeding. Errors returned by
@@ -100,21 +90,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// attempt runs op once, subject to the write deadline.
-func (p RetryPolicy) attempt(op func() error) error {
-	if p.Timeout <= 0 {
-		return op()
-	}
-	done := make(chan error, 1)
-	go func() { done <- op() }()
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(p.Timeout):
-		return ErrWriteDeadline
-	}
-}
-
 // backoffFor computes attempt k's backoff: exponential doubling from the
 // base, capped, then jittered downward from the seeded stream.
 func (p RetryPolicy) backoffFor(attempt int, rng *tensor.RNG) time.Duration {
@@ -148,7 +123,7 @@ func (p RetryPolicy) Do(op func() error, onRetry func(attempt int, err error)) e
 	start := p.Now()
 	rng := tensor.NewRNG(p.Seed)
 	attempts := 1
-	err := p.attempt(op)
+	err := op()
 	for attempt := 1; err != nil && attempt <= p.MaxRetries; attempt++ {
 		if p.Deadline > 0 && p.Now().Sub(start) >= p.Deadline {
 			return &RetryError{Attempts: attempts, DeadlineUp: true, Err: err}
@@ -162,7 +137,7 @@ func (p RetryPolicy) Do(op func() error, onRetry func(attempt int, err error)) e
 			}
 			p.Sleep(d)
 		}
-		err = p.attempt(op)
+		err = op()
 		attempts++
 	}
 	if err != nil {

@@ -174,22 +174,6 @@ func TestRetryPolicyExhaustsAndReturnsFinalError(t *testing.T) {
 	}
 }
 
-func TestRetryPolicyWriteDeadline(t *testing.T) {
-	started := make(chan struct{}, 4)
-	p := RetryPolicy{MaxRetries: 1, Timeout: 20 * time.Millisecond}
-	err := p.Do(func() error {
-		started <- struct{}{}
-		time.Sleep(300 * time.Millisecond)
-		return nil
-	}, nil)
-	if !errors.Is(err, ErrWriteDeadline) {
-		t.Fatalf("err = %v, want write-deadline", err)
-	}
-	if len(started) != 2 {
-		t.Fatalf("%d attempts started, want 2", len(started))
-	}
-}
-
 // diffFaults rejects the next fails differential writes into s — faults
 // scoped to one checkpoint kind; storing into fails re-arms it.
 func diffFaults(s storage.Store, fails *atomic.Int64) storage.Store {

@@ -120,16 +120,6 @@ func (q *ReusingQueue) Get() (Item, error) {
 	return q.popLocked(), nil
 }
 
-// TryGet dequeues without blocking; ok is false when the queue is empty.
-func (q *ReusingQueue) TryGet() (Item, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.items) == 0 {
-		return Item{}, false
-	}
-	return q.popLocked(), true
-}
-
 func (q *ReusingQueue) popLocked() Item {
 	it := q.items[0]
 	// Shift without retaining the dequeued pointer.

@@ -155,18 +155,6 @@ func TestQueueCloseUnblocksGet(t *testing.T) {
 	}
 }
 
-func TestQueueTryGet(t *testing.T) {
-	q, _ := NewReusingQueue(2)
-	if _, ok := q.TryGet(); ok {
-		t.Fatal("TryGet on empty queue returned ok")
-	}
-	_ = q.Put(Item{Iter: 1, Layer: -1, Grad: testGrad(4, 1)})
-	it, ok := q.TryGet()
-	if !ok || it.Iter != 1 {
-		t.Fatalf("TryGet = %v, %v", it, ok)
-	}
-}
-
 func TestQueueConcurrentProducerConsumer(t *testing.T) {
 	q, _ := NewReusingQueue(4)
 	const n = 500

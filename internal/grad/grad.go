@@ -59,9 +59,6 @@ func New(spec model.Spec, seed uint64, noise float64) (*Oracle, error) {
 	return o, nil
 }
 
-// Spec returns the model spec the oracle serves.
-func (o *Oracle) Spec() model.Spec { return o.spec }
-
 // Loss returns the bowl objective at params.
 func (o *Oracle) Loss(params tensor.Vector) (float64, error) {
 	if len(params) != len(o.target) {

@@ -136,9 +136,6 @@ func DialURL(raw string, opts RemoteOptions) (*Remote, error) {
 	return DialRemote(addr, tenant, opts)
 }
 
-// Tenant returns the tenant namespace this client speaks for.
-func (r *Remote) Tenant() string { return r.tenant }
-
 // Close releases the pooled connections. In-flight operations on checked-
 // out connections finish; their connections are then discarded.
 func (r *Remote) Close() error {

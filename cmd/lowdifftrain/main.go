@@ -45,7 +45,7 @@ func main() {
 	crash := flag.Int("crash", 0, "simulate a crash after this many iterations (0: none)")
 	doRecover := flag.Bool("recover", false, "recover from -dir and print the state instead of training")
 	parallelism := flag.Int("parallelism", runtime.NumCPU(),
-		"with -recover, pool workers for the replay's optimizer and scatter-add kernels (0: every processor; bit-identical at any count); training runs serially")
+		"with -recover, goroutines sharing each tiled replay run (0: every processor; bit-identical at any count); training runs serially")
 	plus := flag.Bool("plus", false, "run the LowDiff+ engine (no compression)")
 	peer := flag.Bool("peer", false, "peer-replicated differentials: retain diffs in peer windows, persist only fulls")
 	peerWindow := flag.Int("peer-window", 0, "peer differential window depth W (0: full-every)")

@@ -168,17 +168,23 @@ func (m *Manifest) DiffsAfter(iter int64) []Entry {
 	return out
 }
 
-// GC deletes checkpoints that can no longer participate in recovery: every
-// full checkpoint before the latest, and every differential fully covered
-// by the latest full checkpoint. It returns the freed object names.
-func GC(s storage.Store, m *Manifest) ([]string, error) {
-	latest, ok := m.LatestFull()
-	if !ok {
+// GC deletes the checkpoints that can no longer participate in recovery
+// once the newest keep full checkpoints are retained (keep defaults to 1):
+// every older full, and every differential covered by the oldest retained
+// full, including one that landed after an earlier pass (a differential
+// writer can lag the full persister). It returns the freed object names.
+func GC(s storage.Store, m *Manifest, keep ...int) ([]string, error) {
+	k := 1
+	if len(keep) > 0 {
+		k = max(keep[0], 1)
+	}
+	if len(m.Fulls) == 0 {
 		return nil, nil
 	}
+	horizon := m.Fulls[max(len(m.Fulls)-k, 0)].Iter
 	var freed []string
 	for _, f := range m.Fulls {
-		if f.Iter < latest.Iter {
+		if f.Iter < horizon {
 			if err := s.Delete(f.Name); err != nil && !storage.IsNotExist(err) {
 				return freed, err
 			}
@@ -186,7 +192,7 @@ func GC(s storage.Store, m *Manifest) ([]string, error) {
 		}
 	}
 	for _, d := range m.Diffs {
-		if d.LastIter <= latest.Iter {
+		if d.LastIter <= horizon {
 			if err := s.Delete(d.Name); err != nil && !storage.IsNotExist(err) {
 				return freed, err
 			}

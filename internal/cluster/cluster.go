@@ -1,6 +1,6 @@
 // Package cluster is the performance simulator: per-strategy checkpointing
 // cost models over the timemodel hardware constants, plus a deterministic
-// failure/recovery timeline built on the discrete-event engine. Every
+// failure/recovery timeline whose persist device is a sim.Resource. Every
 // cluster-scale experiment of the paper (training time, wasted time, max
 // frequency, recovery time, scalability) is computed here.
 //

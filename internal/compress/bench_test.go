@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"lowdiff/internal/allocgate"
-	"lowdiff/internal/parallel"
 	"lowdiff/internal/tensor"
 )
 
@@ -218,15 +217,13 @@ func BenchmarkDataplaneDecompress(b *testing.B) {
 var sinkCompressed *Compressed
 
 // TestDataplaneAllocs holds the rest of the data plane at its allocation
-// counts: decompression into caller memory, recovery's scatter-add at two
-// pool workers, the k-way and the dense merge, identity compression, clone,
-// and the wire encode and decode. A pooled dispatch costs 5 objects
-// (ForEach's cursor, WaitGroup and two goroutine closures, and the
-// caller's closure); a result costs its header and slices; encode stages
-// its 64-byte header. A merge of more than two parts folds through pooled
-// scratch, so it too allocates only its result. Each bound is the
-// measured count plus half an object and the measured bytes plus 512, so
-// one more allocation per call fails it.
+// counts: decompression into caller memory, the k-way and the dense merge,
+// identity compression, clone, and the wire encode and decode. A result
+// costs its header and slices; encode stages its 64-byte header. A merge of
+// more than two parts folds through pooled scratch, so it too allocates
+// only its result. Each bound is the measured count plus half an object
+// and the measured bytes plus 512, so one more allocation per call fails
+// it.
 func TestDataplaneAllocs(t *testing.T) {
 	const n = 1 << 18
 	g := benchGrad(n)
@@ -237,10 +234,6 @@ func TestDataplaneAllocs(t *testing.T) {
 	}
 	dn, _ := Identity{}.Compress(g)
 	parts := benchSortedParts(t, dataplaneN, dataplaneParts, dataplaneRho)
-	pool2, err := parallel.New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	out := tensor.New(n)
 	var wire bytes.Buffer
 	if err := sp.Encode(&wire); err != nil {
@@ -259,8 +252,6 @@ func TestDataplaneAllocs(t *testing.T) {
 	}{
 		{"decompress/sparse/serial", 0.5, 512, func(t *testing.T) { must(t, sp.Decompress(out)) }},
 		{"decompress/dense/serial", 0.5, 512, func(t *testing.T) { must(t, dn.Decompress(out)) }},
-		{"add_into/sparse/pool2", 5.5, 728, func(t *testing.T) { must(t, sp.AddIntoWith(pool2, out)) }},
-		{"add_into/dense/pool2", 5.5, 712, func(t *testing.T) { must(t, dn.AddIntoWith(pool2, out)) }},
 		{"merge/16_parts", 3.5, 98_896, func(t *testing.T) { sinkCompressed, err = Merge(parts...); must(t, err) }},
 		{"merge/dense", 2.5, 1_049_168, func(t *testing.T) { sinkCompressed, err = Merge(sp, dn); must(t, err) }},
 		{"identity", 2.5, 1_049_168, func(t *testing.T) { sinkCompressed, err = Identity{}.Compress(g); must(t, err) }},

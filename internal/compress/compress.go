@@ -8,10 +8,7 @@
 // Sparse accumulation (Merge) is the "gradient batching" primitive of
 // §4.2 — the union-sum of sparse gradients.
 //
-// Training runs every kernel here serially. Only the scatter-add that
-// recovery replays has a pool-aware variant (AddIntoWith); it follows the
-// fixed-chunk-grid contract of package parallel, so its result is
-// bit-identical to AddInto at any worker count. The wire codec (Encode,
+// Every kernel here runs serially. The wire codec (Encode,
 // Decode, and the FieldWriter and FieldReader both record formats share,
 // with WriteVector and ReadVector under them) has no loop on a
 // little-endian host: a vector's memory is its wire bytes, read and
@@ -26,7 +23,6 @@ import (
 	"math"
 	"slices"
 
-	"lowdiff/internal/parallel"
 	"lowdiff/internal/tensor"
 )
 
@@ -108,62 +104,9 @@ func (c *Compressed) Validate() error {
 // This is how the optimizer, the CPU replica, and recovery apply a
 // compressed gradient without materializing an intermediate vector.
 func (c *Compressed) AddInto(dense tensor.Vector) error {
-	return c.AddIntoWith(nil, dense)
-}
-
-// AddIntoWith is AddInto sharded over pool. The dense path is
-// element-independent; the sparse path writes each dense[Idx[i]] from
-// exactly one shard because indices are strictly increasing (the parallel
-// path verifies that invariant before applying, so hand-built invalid
-// payloads fail with an error rather than racing). On error the contents
-// of dense are unspecified, as in the serial path. Results are
-// bit-identical to AddInto.
-func (c *Compressed) AddIntoWith(pool *parallel.Pool, dense tensor.Vector) error {
 	if len(dense) != c.N {
 		return fmt.Errorf("compress: AddInto length %d, want %d", len(dense), c.N)
 	}
-	if pool.Workers() == 1 {
-		return c.addIntoSerial(dense)
-	}
-	switch {
-	case c.Idx != nil:
-		es := getErrs(pool.NumChunks(len(c.Idx)))
-		errs := es.v
-		pool.ForEach(len(c.Idx), func(s, lo, hi int) {
-			prev := int32(-1)
-			if lo > 0 {
-				prev = c.Idx[lo-1]
-			}
-			for i := lo; i < hi; i++ {
-				j := c.Idx[i]
-				if j <= prev || int(j) >= c.N {
-					errs[s] = fmt.Errorf("compress: AddInto index %d out of order or range [0,%d)", j, c.N)
-					return
-				}
-				prev = j
-			}
-			for i := lo; i < hi; i++ {
-				dense[c.Idx[i]] += c.Vals[i]
-			}
-		})
-		for _, err := range errs {
-			if err != nil {
-				es.release()
-				return err
-			}
-		}
-		es.release()
-	default:
-		pool.ForEach(len(c.Vals), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				dense[i] += c.Vals[i]
-			}
-		})
-	}
-	return nil
-}
-
-func (c *Compressed) addIntoSerial(dense tensor.Vector) error {
 	switch {
 	case c.Idx != nil:
 		for i, j := range c.Idx {
@@ -192,13 +135,13 @@ func (c *Compressed) Decompress(out tensor.Vector) error {
 		return nil
 	}
 	out.Zero()
-	return c.addIntoSerial(out)
+	return c.AddInto(out)
 }
 
 // DecompressWith is Decompress; the pool is ignored.
 //
 // Deprecated: call Decompress.
-func (c *Compressed) DecompressWith(_ *parallel.Pool, out tensor.Vector) error {
+func (c *Compressed) DecompressWith(_ any, out tensor.Vector) error {
 	return c.Decompress(out)
 }
 
@@ -467,7 +410,7 @@ func New(name string, rho float64) (Compressor, error) {
 // NewPooled is New; seed and pool are ignored.
 //
 // Deprecated: call New.
-func NewPooled(name string, rho float64, _ uint64, _ *parallel.Pool) (Compressor, error) {
+func NewPooled(name string, rho float64, _ uint64, _ any) (Compressor, error) {
 	return New(name, rho)
 }
 
@@ -518,7 +461,7 @@ func Merge(parts ...*Compressed) (*Compressed, error) {
 // MergeWith is Merge; the pool is ignored.
 //
 // Deprecated: call Merge.
-func MergeWith(_ *parallel.Pool, parts ...*Compressed) (*Compressed, error) { return Merge(parts...) }
+func MergeWith(_ any, parts ...*Compressed) (*Compressed, error) { return Merge(parts...) }
 
 // fold writes the union-sum of the parts into idx/vals, which have room
 // for the union, and returns its length. The parts fold left to right

@@ -4,13 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
 	"testing"
 
-	"lowdiff/internal/parallel"
 	"lowdiff/internal/tensor"
 )
 
@@ -96,22 +94,6 @@ func TestMergeTypedErrors(t *testing.T) {
 }
 
 // --- serial-vs-parallel bit-exactness --------------------------------------
-
-// propPools returns the scatter-add's parallelism grid: 1, 2, 7, and
-// NumCPU workers, with a tiny chunk so fuzzed shapes actually span many
-// shards.
-func propPools(t *testing.T) []*parallel.Pool {
-	t.Helper()
-	pools := []*parallel.Pool{nil}
-	for _, w := range []int{1, 2, 7, runtime.NumCPU()} {
-		p, err := parallel.NewWithChunk(w, 128)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pools = append(pools, p)
-	}
-	return pools
-}
 
 func sameCompressed(a, b *Compressed) error {
 	if a.Codec != b.Codec || a.N != b.N {
@@ -459,59 +441,27 @@ func TestTopKQuickselectMatchesHeapOracle(t *testing.T) {
 	}
 }
 
-// TestSerialVsParallelProperty: on random shapes, the k-way merge matches
-// the map oracle, and recovery's pooled scatter-add (AddIntoWith) writes
-// what the serial AddInto writes, bit for bit, at every pool width.
+// TestSerialVsParallelProperty: on random shapes, the k-way merge of
+// Top-K outputs matches the map oracle. (The pooled scatter-add it also
+// held to the serial one is gone: AddInto is serial.)
 func TestSerialVsParallelProperty(t *testing.T) {
-	pools := propPools(t)
 	r := tensor.NewRNG(123)
 	for trial := 0; trial < 25; trial++ {
 		n := 1 + r.Intn(5000)
-		g := randVec(r, n)
-		rho := 0.005 + 0.4*r.Float64()
-
-		tkSerial, _ := NewTopK(rho)
-		wantID, err := Identity{}.Compress(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nparts := 2 + r.Intn(6)
-		parts := make([]*Compressed, nparts)
+		tk, _ := NewTopK(0.005 + 0.4*r.Float64())
+		parts := make([]*Compressed, 2+r.Intn(6))
 		for i := range parts {
-			parts[i], err = tkSerial.Compress(randVec(r, n))
-			if err != nil {
+			var err error
+			if parts[i], err = tk.Compress(randVec(r, n)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		wantMerge, err := Merge(parts...)
+		got, err := Merge(parts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sameCompressed(wantMerge, mergeMapReference(parts...)); err != nil {
+		if err := sameCompressed(got, mergeMapReference(parts...)); err != nil {
 			t.Fatalf("trial %d: k-way merge diverged from map oracle: %v", trial, err)
-		}
-		wantDense := tensor.New(n)
-		if err := wantMerge.AddInto(wantDense); err != nil {
-			t.Fatal(err)
-		}
-		if err := wantID.AddInto(wantDense); err != nil {
-			t.Fatal(err)
-		}
-
-		for pi, pool := range pools {
-			tag := fmt.Sprintf("trial %d pool %d (workers %d)", trial, pi, pool.Workers())
-			dense := tensor.New(n)
-			if err := wantMerge.AddIntoWith(pool, dense); err != nil {
-				t.Fatal(err)
-			}
-			if err := wantID.AddIntoWith(pool, dense); err != nil {
-				t.Fatal(err)
-			}
-			for i := range dense {
-				if math.Float32bits(dense[i]) != math.Float32bits(wantDense[i]) {
-					t.Fatalf("%s: scatter-add bits differ at %d", tag, i)
-				}
-			}
 		}
 	}
 }
@@ -560,25 +510,11 @@ func TestDecompressDenseOnePass(t *testing.T) {
 	}
 }
 
-// TestParallelAddIntoRejectsInvalidSparse: the parallel scatter path must
-// detect invalid hand-built payloads instead of racing on them.
-func TestParallelAddIntoRejectsInvalidSparse(t *testing.T) {
-	pool, _ := parallel.NewWithChunk(4, 2)
-	dup := &Compressed{Codec: "x", N: 16, Idx: []int32{3, 3, 5, 9}, Vals: []float32{1, 1, 1, 1}}
-	if err := dup.AddIntoWith(pool, tensor.New(16)); err == nil {
-		t.Fatal("want error for duplicate indices")
-	}
-	oob := &Compressed{Codec: "x", N: 16, Idx: []int32{3, 4, 5, 99}, Vals: []float32{1, 1, 1, 1}}
-	if err := oob.AddIntoWith(pool, tensor.New(16)); err == nil {
-		t.Fatal("want error for out-of-range index")
-	}
-}
-
-// TestPoolSharedAcrossGoroutines drives one pool's scatter-add from many
-// goroutines at once, each beside its own compressor, and checks results
-// stay bit-exact. Run under -race via scripts/check.sh.
+// TestPoolSharedAcrossGoroutines drives compression and the scatter-add
+// from many goroutines at once, each with its own compressor over the
+// shared scratch pools, and checks results stay bit-exact. Run under -race
+// via scripts/check.sh.
 func TestPoolSharedAcrossGoroutines(t *testing.T) {
-	pool, _ := parallel.NewWithChunk(4, 64)
 	const n = 4096
 	g := randVec(tensor.NewRNG(3), n)
 	tkSerial, _ := NewTopK(0.01)
@@ -604,7 +540,7 @@ func TestPoolSharedAcrossGoroutines(t *testing.T) {
 					return
 				}
 				out := tensor.New(n)
-				if err := got.AddIntoWith(pool, out); err != nil {
+				if err := got.AddInto(out); err != nil {
 					errs[w] = err
 					return
 				}

@@ -72,23 +72,3 @@ func getF32(n int) *f32Scratch {
 }
 
 func (s *f32Scratch) release() { f32Pool.Put(s) }
-
-type errScratch struct{ v []error }
-
-var errPool = sync.Pool{New: func() any { return new(errScratch) }}
-
-// getErrs returns a pooled, zeroed error slice of length n — per-shard
-// error slots for parallel validation loops.
-func getErrs(n int) *errScratch {
-	s := errPool.Get().(*errScratch)
-	if cap(s.v) < n {
-		s.v = make([]error, n)
-	}
-	s.v = s.v[:n]
-	for i := range s.v {
-		s.v[i] = nil
-	}
-	return s
-}
-
-func (s *errScratch) release() { errPool.Put(s) }

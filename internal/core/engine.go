@@ -135,9 +135,6 @@ type PlusSpec struct {
 	// iterations (default 10); the replica itself advances every
 	// iteration regardless.
 	PersistEvery int
-	// SnapshotWorkers sizes the layer-snapshot offload pool P_s
-	// (default 4).
-	SnapshotWorkers int
 }
 
 // PPSpec holds the pipeline-parallel-specific knobs of Options.
@@ -191,9 +188,6 @@ func (o Options) withDefaults() Options {
 		ps := *o.Plus
 		if ps.PersistEvery == 0 {
 			ps.PersistEvery = 10
-		}
-		if ps.SnapshotWorkers == 0 {
-			ps.SnapshotWorkers = 4
 		}
 		o.Plus = &ps
 	}
@@ -699,37 +693,14 @@ func (e *Engine) Flush() error {
 }
 
 // gcOldCheckpoints enforces the RetainFulls retention policy: keep the
-// newest RetainFulls full checkpoints, delete older fulls and every
-// differential fully covered by the oldest retained full.
+// newest RetainFulls full checkpoints and collect what they supersede.
 func (e *Engine) gcOldCheckpoints() error {
 	m, err := checkpoint.Scan(e.opts.Store)
 	if err != nil {
 		return err
 	}
-	if len(m.Fulls) == 0 {
-		return nil
-	}
-	keepIdx := len(m.Fulls) - e.opts.RetainFulls
-	if keepIdx < 0 {
-		keepIdx = 0
-	}
-	// Everything at or before the oldest retained full is dead — including
-	// differentials that landed after a previous GC pass (the asynchronous
-	// diff consumer can lag the full persister).
-	horizon := m.Fulls[keepIdx].Iter
-	for _, f := range m.Fulls[:keepIdx] {
-		if err := e.opts.Store.Delete(f.Name); err != nil && !storage.IsNotExist(err) {
-			return err
-		}
-	}
-	for _, d := range m.Diffs {
-		if d.LastIter <= horizon {
-			if err := e.opts.Store.Delete(d.Name); err != nil && !storage.IsNotExist(err) {
-				return err
-			}
-		}
-	}
-	return nil
+	_, err = checkpoint.GC(e.opts.Store, m, e.opts.RetainFulls)
+	return err
 }
 
 // applyCompressed applies a synchronized compressed gradient to params via

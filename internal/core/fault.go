@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"lowdiff/internal/obs"
+	"lowdiff/internal/storage"
 	"lowdiff/internal/tensor"
 )
 
@@ -90,29 +91,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// backoffFor computes attempt k's backoff: exponential doubling from the
-// base, capped, then jittered downward from the seeded stream.
-func (p RetryPolicy) backoffFor(attempt int, rng *tensor.RNG) time.Duration {
-	if p.Backoff <= 0 {
-		return 0
-	}
-	d := p.Backoff
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if p.MaxBackoff > 0 && d >= p.MaxBackoff {
-			d = p.MaxBackoff
-			break
-		}
-	}
-	if p.MaxBackoff > 0 && d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	if p.Jitter > 0 {
-		d = time.Duration(float64(d) * (1 - p.Jitter*rng.Float64()))
-	}
-	return d
-}
-
 // Do runs op, retrying per the policy. onRetry (may be nil) observes each
 // retry before its backoff sleep. When every attempt fails (or the retry
 // deadline expires) Do returns a *RetryError matching both
@@ -131,7 +109,7 @@ func (p RetryPolicy) Do(op func() error, onRetry func(attempt int, err error)) e
 		if onRetry != nil {
 			onRetry(attempt, err)
 		}
-		if d := p.backoffFor(attempt, rng); d > 0 {
+		if d := storage.Backoff(attempt, p.Backoff, p.MaxBackoff, 0, p.Jitter, rng.Float64); d > 0 {
 			if p.OnBackoff != nil {
 				p.OnBackoff(attempt, d)
 			}

@@ -48,9 +48,6 @@ func (e *Engine) initPlus() error {
 	if ps.PersistEvery < 1 {
 		return fmt.Errorf("core: PersistEvery %d must be >= 1", ps.PersistEvery)
 	}
-	if ps.SnapshotWorkers < 1 {
-		return fmt.Errorf("core: SnapshotWorkers %d must be >= 1", ps.SnapshotWorkers)
-	}
 	group, err := comm.NewGroup(opts.Workers)
 	if err != nil {
 		return err
@@ -151,6 +148,9 @@ type snapJob struct {
 	hs    *sync.WaitGroup
 }
 
+// snapshotWorkers is the size of the offload thread pool P_s.
+const snapshotWorkers = 4
+
 // plusTopology runs Workers dense data-parallel ranks and owns the offload
 // thread pool P_s (Alg. 2): pool workers copy synchronized layer gradients
 // from the trainer's buffer to host memory and stream them into the reusing
@@ -168,8 +168,8 @@ func (p *plusTopology) rankKey() string { return "workers" }
 func (p *plusTopology) begin(rc *runCtx) {
 	e := p.e
 	rec := e.opts.Trace
-	p.snapCh = make(chan snapJob, e.opts.Plus.SnapshotWorkers*2)
-	for i := 0; i < e.opts.Plus.SnapshotWorkers; i++ {
+	p.snapCh = make(chan snapJob, 2*snapshotWorkers)
+	for range snapshotWorkers {
 		p.poolWG.Add(1)
 		go func() {
 			defer p.poolWG.Done()

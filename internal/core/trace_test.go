@@ -3,11 +3,11 @@ package core
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"lowdiff/internal/checkpoint"
 	"lowdiff/internal/model"
 	"lowdiff/internal/obs"
-	"lowdiff/internal/sim"
 	"lowdiff/internal/storage"
 	"lowdiff/internal/trace"
 )
@@ -20,6 +20,10 @@ func phaseCounts(events []trace.Event) map[string]int {
 	}
 	return counts
 }
+
+// epochClock is a fixed-instant clock: every span it times starts and ends
+// at the Unix epoch, so span order falls to the Seq tie-break.
+func epochClock() time.Time { return time.Unix(0, 0).UTC() }
 
 func TestEngineTraceRecordsTimeline(t *testing.T) {
 	rec := trace.New()
@@ -76,13 +80,12 @@ func TestEngineTraceRecordsTimeline(t *testing.T) {
 	}
 }
 
-// TestPeerEngineTraceSpans runs the peer strategy under a virtual clock
-// (frozen at the sim epoch — spans land at offset zero, which exercises
-// the Seq tie-break) and checks the peer plane's phase coverage: retain
+// TestPeerEngineTraceSpans runs the peer strategy under a clock frozen at
+// the epoch (spans land at offset zero, which exercises the Seq tie-break) and checks the peer plane's phase coverage: retain
 // spans for every rank, inline snapshots, and boundary full writes.
 func TestPeerEngineTraceSpans(t *testing.T) {
 	quiesce(t)
-	rec := trace.NewWithClock(sim.New().Clock())
+	rec := trace.NewWithClock(epochClock)
 	e, err := NewEngine(Options{
 		Spec: model.Tiny(2, 16), Workers: 2, Rho: 0.3,
 		Store: storage.NewMem(), FullEvery: 3, Seed: 1234,
@@ -120,7 +123,7 @@ func TestPeerEngineTraceSpans(t *testing.T) {
 // pipeline-parallel stage-0 loop with coordinator merges.
 func TestPlusAndPPTraceSpans(t *testing.T) {
 	quiesce(t)
-	recPlus := trace.NewWithClock(sim.New().Clock())
+	recPlus := trace.NewWithClock(epochClock)
 	pe, err := NewEngine(Options{
 		Spec: model.Tiny(3, 16), Workers: 2, Store: storage.NewMem(),
 		Plus: &PlusSpec{PersistEvery: 2}, Seed: 7, Trace: recPlus,
@@ -145,7 +148,7 @@ func TestPlusAndPPTraceSpans(t *testing.T) {
 		}
 	}
 
-	recPP := trace.NewWithClock(sim.New().Clock())
+	recPP := trace.NewWithClock(epochClock)
 	ppe, err := NewEngine(Options{
 		Spec: model.Tiny(4, 16), PP: &PPSpec{Stages: 2}, Store: storage.NewMem(),
 		FullEvery: 2, BatchSize: 1, Seed: 9, Trace: recPP,
@@ -176,11 +179,11 @@ func TestPlusAndPPTraceSpans(t *testing.T) {
 	}
 }
 
-// TestBatchedWriterTraceSpans drives the writer directly under a virtual
+// TestBatchedWriterTraceSpans drives the writer directly under the fixed
 // clock: each full batch must emit one checkpoint/merge and one
 // persist/diff-write span carrying the batch's iteration range.
 func TestBatchedWriterTraceSpans(t *testing.T) {
-	rec := trace.NewWithClock(sim.New().Clock())
+	rec := trace.NewWithClock(epochClock)
 	w, err := NewBatchedWriter(storage.NewMem(), 3, checkpoint.KindGradient)
 	if err != nil {
 		t.Fatal(err)

@@ -110,14 +110,14 @@ func DefaultConfig() *Config {
 			// seed: crash schedules, drop/corrupt draws, and window eviction
 			// order all feed the seeded chaos-matrix CI job.
 			"lowdiff/internal/comm",
-			// The parallel data plane promises bit-identical results at any
-			// worker count; map iteration or wall-clock/global-rand reads in
-			// its shard or combine paths would silently break that.
+			// The codecs and merges produce what a checkpoint stores: map
+			// iteration or wall-clock/global-rand reads in them would make
+			// the recorded bytes differ from run to run.
 			"lowdiff/internal/compress",
-			"lowdiff/internal/parallel",
-			// The optimizer kernels are that data plane's apply stage:
+			// The optimizer kernels are the data plane's apply stage:
 			// replayed steps must round exactly like the live ones, at any
-			// worker count, and snapshots must list slots in a fixed order.
+			// worker count of the tiled replay, and snapshots must list
+			// slots in a fixed order.
 			"lowdiff/internal/optim",
 			// Profile reports and golden trace fixtures are byte-exact:
 			// any map iteration or wall-clock read in the analyzer or the

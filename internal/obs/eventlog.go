@@ -14,8 +14,8 @@ import (
 //
 // By default events carry no timestamp — that is what makes a fixed-seed
 // run's log reproducible. WithClock opts into "ts_ns" stamps from an
-// injected clock (wall time for production, a virtual clock such as
-// sim.Sim.Clock for simulations).
+// injected clock (wall time for production, a virtual or fixed-instant
+// clock for simulations and tests).
 //
 // A nil *EventLog is safe: Emit is a no-op, so instrumented code needs no
 // conditionals. Emit never fails at the call site; the first marshal or

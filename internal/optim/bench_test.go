@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"lowdiff/internal/parallel"
 	"lowdiff/internal/tensor"
 )
 
@@ -138,10 +137,6 @@ func BenchmarkSparseReplay(b *testing.B) {
 	}
 	base, _ := benchVecs(replayN)
 	for _, workers := range []int{1, 2} {
-		pool, err := parallel.New(workers)
-		if err != nil {
-			b.Fatal(err)
-		}
 		type mode struct {
 			name   string
 			window int
@@ -149,7 +144,7 @@ func BenchmarkSparseReplay(b *testing.B) {
 		}
 		modes := []mode{{"per-step", steps, func(a *Adam, params tensor.Vector, w []Sparse) error {
 			for s := range w {
-				if err := a.StepSparseRun(pool, params, w[s:s+1]); err != nil {
+				if err := a.StepSparseRun(workers, params, w[s:s+1]); err != nil {
 					return err
 				}
 			}
@@ -157,7 +152,7 @@ func BenchmarkSparseReplay(b *testing.B) {
 		}}}
 		for _, window := range []int{8, 16, 32} {
 			modes = append(modes, mode{fmt.Sprintf("tiled/window=%d", window), window, func(a *Adam, params tensor.Vector, w []Sparse) error {
-				return a.StepSparseRun(pool, params, w)
+				return a.StepSparseRun(workers, params, w)
 			}})
 		}
 		for _, mode := range modes {

@@ -3,11 +3,9 @@ package optim
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"lowdiff/internal/allocgate"
-	"lowdiff/internal/parallel"
 	"lowdiff/internal/tensor"
 )
 
@@ -29,48 +27,6 @@ func sameState(t *testing.T, what string, got, want State) {
 	for _, k := range want.SlotNames() {
 		if !tensor.Vector(got.Slots[k]).Identical(want.Slots[k]) {
 			t.Fatalf("%s: slot %q differs", what, k)
-		}
-	}
-}
-
-// The sharded kernels are elementwise, so a dense and a sparse step at any
-// worker count leave the parameters and the optimizer state bit-identical
-// to the serial (nil pool) step the engines take.
-func TestStepWithBitIdenticalAtAnyWorkerCount(t *testing.T) {
-	const n = 5*97 + 13 // several shards and a short tail at chunk 97
-	for _, rule := range rules {
-		for _, workers := range []int{1, 2, 7, runtime.NumCPU()} {
-			pool, err := parallel.NewWithChunk(workers, 97)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := tensor.NewRNG(11)
-			ref, got := rule.mk(n), rule.mk(n)
-			pRef := randVec(r, n)
-			pGot := pRef.Clone()
-			for step := 0; step < 6; step++ {
-				if step%2 == 0 {
-					g := randVec(r, n)
-					if err := ref.Step(pRef, g); err != nil {
-						t.Fatal(err)
-					}
-					if err := got.StepWith(pool, pGot, g); err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					g := sortedGrad(r, n, n/10)
-					if err := ref.StepSparse(pRef, g.Idx, g.Vals); err != nil {
-						t.Fatal(err)
-					}
-					if err := got.StepSparseRun(pool, pGot, []Sparse{g}); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if !pGot.Identical(pRef) {
-				t.Fatalf("%s at %d workers: parameters differ from the serial step", rule.name, workers)
-			}
-			sameState(t, rule.name, got.Snapshot(), ref.Snapshot())
 		}
 	}
 }
@@ -125,23 +81,18 @@ func sortedGrad(r *tensor.RNG, n, k int) Sparse {
 }
 
 // A time-tiled run is one StepSparse per gradient, bit for bit, at every
-// run length, worker count and chunk size, for every rule.
+// run length and worker count, for every rule: on fewer parameters than a
+// chunk, where every count walks the one chunk inline, and on a grid of
+// several chunks and a short tail, which more workers than chunks still
+// cover exactly once.
 func TestStepSparseRunMatchesPerStep(t *testing.T) {
-	const n = 5*97 + 13
 	for _, rule := range rules {
-		for _, length := range []int{1, 2, 8, 16} {
-			for _, workers := range []int{0, 1, 2, 7} {
-				var pool *parallel.Pool // nil: the serial call on the default grid
-				if workers > 0 {
-					var err error
-					if pool, err = parallel.NewWithChunk(workers, 97); err != nil {
-						t.Fatal(err)
-					}
-				}
+		for _, n := range []int{chunk - 5, 2*chunk + 13} {
+			for _, length := range []int{1, 2, 8, 16} {
 				r := tensor.NewRNG(uint64(23 + length))
-				ref, got := rule.mk(n), rule.mk(n)
-				pRef := randVec(r, n)
-				pGot := pRef.Clone()
+				ref := rule.mk(n)
+				p0 := randVec(r, n)
+				pRef := p0.Clone()
 				run := make([]Sparse, length)
 				for i := range run {
 					run[i] = sortedGrad(r, n, 1+r.Intn(n/4))
@@ -149,13 +100,17 @@ func TestStepSparseRunMatchesPerStep(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if err := got.StepSparseRun(pool, pGot, run); err != nil {
-					t.Fatal(err)
+				for _, workers := range []int{1, 2, 3, 8} {
+					got, pGot := rule.mk(n), p0.Clone()
+					if err := got.StepSparseRun(workers, pGot, run); err != nil {
+						t.Fatal(err)
+					}
+					what := fmt.Sprintf("%s: n=%d, run of %d at %d workers", rule.name, n, length, workers)
+					if !pGot.Identical(pRef) {
+						t.Fatalf("%s: parameters differ from per-step", what)
+					}
+					sameState(t, what, got.Snapshot(), ref.Snapshot())
 				}
-				if !pGot.Identical(pRef) {
-					t.Fatalf("%s: run of %d at %d workers: parameters differ from per-step", rule.name, length, workers)
-				}
-				sameState(t, rule.name, got.Snapshot(), ref.Snapshot())
 			}
 		}
 	}
@@ -170,10 +125,6 @@ func TestRejectedRunMutatesNothing(t *testing.T) {
 		"out of order": func(g *Sparse) { g.Idx[0], g.Idx[1] = g.Idx[1], g.Idx[0] },
 		"duplicate":    func(g *Sparse) { g.Idx[1] = g.Idx[0] },
 		"short values": func(g *Sparse) { g.Vals = g.Vals[1:] },
-	}
-	pool, err := parallel.NewWithChunk(2, 97)
-	if err != nil {
-		t.Fatal(err)
 	}
 	for _, rule := range rules {
 		for name, damage := range bad {
@@ -190,7 +141,7 @@ func TestRejectedRunMutatesNothing(t *testing.T) {
 				}
 				damage(&run[k])
 				before, pBefore := o.Snapshot(), params.Clone()
-				if err := o.StepSparseRun(pool, params, run); err == nil {
+				if err := o.StepSparseRun(2, params, run); err == nil {
 					t.Fatalf("%s: run with %s at step %d accepted", rule.name, name, k)
 				}
 				if !params.Identical(pBefore) {
@@ -204,13 +155,18 @@ func TestRejectedRunMutatesNothing(t *testing.T) {
 
 // Pooled scratch is all-zero by invariant: after successful steps and runs,
 // and after steps that failed, every buffer the pool holds is zero over its
-// whole capacity, so get never has to clear one. Duplicate indices are
-// rejected like out-of-range ones: every sparse step is a tiled run, whose
-// contract is strictly increasing indices.
+// whole capacity, so get never has to clear one; so is every worker's
+// scratch after a run on two workers. Duplicate indices are rejected like
+// out-of-range ones: every sparse step is a tiled run, whose contract is
+// strictly increasing indices.
 func TestScratchPoolStaysZero(t *testing.T) {
 	const n = 256
 	r := tensor.NewRNG(9)
 	for _, rule := range rules {
+		wide := rule.mk(3 * chunk)
+		if err := wide.StepSparseRun(2, randVec(r, 3*chunk), []Sparse{sortedGrad(r, 3*chunk, 900), sortedGrad(r, 3*chunk, 9)}); err != nil {
+			t.Fatal(err)
+		}
 		o := rule.mk(n)
 		params := randVec(r, n)
 		g := sortedGrad(r, n, 40)
@@ -223,7 +179,7 @@ func TestScratchPoolStaysZero(t *testing.T) {
 		if err := o.StepSparse(params, []int32{7, n + 3}, tensor.Vector{1, 2}); err == nil {
 			t.Fatal("out-of-range index accepted")
 		}
-		if err := o.StepSparseRun(nil, params, []Sparse{sortedGrad(r, n, 40), sortedGrad(r, n, 3)}); err != nil {
+		if err := o.StepSparseRun(1, params, []Sparse{sortedGrad(r, n, 40), sortedGrad(r, n, 3)}); err != nil {
 			t.Fatal(err) // the tiled scratch is chunk-sized and comes from the same pool
 		}
 	}
@@ -298,7 +254,7 @@ func TestAdoptDetachMoveBuffers(t *testing.T) {
 // parameters, it is bit-identical to a dense Step on the scattered
 // gradient, for every rule.
 func TestSparseStepMatchesDenseAtChunkEdges(t *testing.T) {
-	const c = parallel.DefaultChunk
+	const c = chunk
 	negZero := float32(math.Copysign(0, -1))
 	nan := float32(math.NaN())
 	inf := float32(math.Inf(1))
@@ -383,40 +339,29 @@ func TestStepSparseAllocs(t *testing.T) {
 	}
 }
 
-// TestStepAllocs holds the dense step and the sparse run, serial and at two
-// pool workers, at their allocation counts. A serial step allocates
-// nothing. A pooled one allocates only its dispatch: ForEach's cursor,
-// WaitGroup and two goroutine closures plus the step's own closure (5
-// objects); a tiled run also copies its headers (6). Plain SGD walks a run's
-// indices without tiling, so its run allocates nothing at any pool. Each
-// bound is the measured count plus half an object and the measured bytes
-// plus 512, so one more allocation per call fails it.
+// TestStepAllocs holds the dense step and the sparse run, the run on one
+// worker and on two, at their allocation counts. A dense step and a run on
+// one worker allocate nothing. A run on two allocates only its dispatch:
+// the cursor, the WaitGroup, two goroutine closures and the copy of the
+// run's headers (5 objects). Plain SGD walks a run's indices without
+// tiling, so its run allocates nothing at any worker count. Each bound is
+// the measured count plus half an object and the measured bytes plus 512,
+// so one more allocation per call fails it.
 func TestStepAllocs(t *testing.T) {
-	const n = 4 * parallel.DefaultChunk
+	const n = 4 * chunk
 	r := tensor.NewRNG(2)
 	grad := randVec(r, n)
 	run := []Sparse{sortedGrad(r, n, 600), sortedGrad(r, n, 600), sortedGrad(r, n, 600)}
-	pool2, err := parallel.New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, rule := range rules {
 		o, params := rule.mk(n), randVec(r, n)
-		dense := func(pool *parallel.Pool) func(*testing.T) {
+		sparse := func(workers int) func(*testing.T) {
 			return func(t *testing.T) {
-				if err := o.StepWith(pool, params, grad); err != nil {
+				if err := o.StepSparseRun(workers, params, run); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		sparse := func(pool *parallel.Pool) func(*testing.T) {
-			return func(t *testing.T) {
-				if err := o.StepSparseRun(pool, params, run); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		pooledRun, pooledRunBytes := 6.5, 888.0
+		pooledRun, pooledRunBytes := 5.5, 872.0
 		if rule.name == "sgd" {
 			pooledRun, pooledRunBytes = 0.5, 512
 		}
@@ -425,10 +370,13 @@ func TestStepAllocs(t *testing.T) {
 			op            func(*testing.T)
 			allocs, bytes float64
 		}{
-			{"dense/serial", dense(nil), 0.5, 512},
-			{"dense/pool2", dense(pool2), 5.5, 760},
-			{"run/serial", sparse(nil), 0.5, 512},
-			{"run/pool2", sparse(pool2), pooledRun, pooledRunBytes},
+			{"dense/serial", func(t *testing.T) {
+				if err := o.Step(params, grad); err != nil {
+					t.Fatal(err)
+				}
+			}, 0.5, 512},
+			{"run/serial", sparse(1), 0.5, 512},
+			{"run/pool2", sparse(2), pooledRun, pooledRunBytes},
 		} {
 			t.Run(rule.name+"/"+tc.name, func(t *testing.T) {
 				allocgate.Check(t, 40, tc.allocs, tc.bytes, func() { tc.op(t) })

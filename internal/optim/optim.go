@@ -25,8 +25,8 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
-	"lowdiff/internal/parallel"
 	"lowdiff/internal/tensor"
 )
 
@@ -36,22 +36,19 @@ type Optimizer interface {
 	Step(params, grad tensor.Vector) error
 	// StepSparse applies one update where the gradient is zero except at
 	// idx (values vals), bit-identical to a dense Step on the scattered
-	// gradient. It is StepSparseRun of one gradient with a nil pool, under
+	// gradient. It is StepSparseRun of one gradient on one worker, under
 	// the same contract, and allocates nothing.
 	StepSparse(params tensor.Vector, idx []int32, vals tensor.Vector) error
 	// StepSparseRun applies run's gradients in order, bit-identical to one
 	// dense Step per scattered gradient, but time-tiled: on each chunk of
-	// pool's grid every step of the run is taken on a chunk-sized scratch
+	// the fixed grid every step of the run is taken on a chunk-sized scratch
 	// before the next chunk is touched, so the state streams through memory
-	// once per run instead of once per step. Each gradient's indices must
-	// be strictly increasing and in range, with one value per index; a run
-	// with any other gradient is rejected before anything is mutated.
-	StepSparseRun(pool *parallel.Pool, params tensor.Vector, run []Sparse) error
-	// StepWith is Step with the per-parameter loop sharded over pool's
-	// fixed chunk grid. The rules are elementwise, so the result is
-	// bit-identical at any worker count; a nil pool is the serial call
-	// (Step is exactly that).
-	StepWith(pool *parallel.Pool, params, grad tensor.Vector) error
+	// once per run instead of once per step. The chunks are shared among up
+	// to workers goroutines (at most 1: serial, inline); the result does not
+	// depend on the count. Each gradient's indices must be strictly
+	// increasing and in range, with one value per index; a run with any
+	// other gradient is rejected before anything is mutated.
+	StepSparseRun(workers int, params tensor.Vector, run []Sparse) error
 	// Snapshot returns a deep copy of the optimizer state.
 	Snapshot() State
 	// Detach hands the optimizer's state out without copying it: the
@@ -172,27 +169,24 @@ func (a *Adam) StepCount() int64 { return a.step }
 func (a *Adam) Moments() (m, v tensor.Vector) { return a.m, a.v }
 
 // Step implements Optimizer.
-func (a *Adam) Step(params, grad tensor.Vector) error { return a.StepWith(nil, params, grad) }
-
-// StepWith implements Optimizer.
-func (a *Adam) StepWith(pool *parallel.Pool, params, grad tensor.Vector) error {
+func (a *Adam) Step(params, grad tensor.Vector) error {
 	if len(params) != len(a.m) || len(grad) != len(a.m) {
 		return fmt.Errorf("optim: adam step size mismatch: params %d, grad %d, state %d",
 			len(params), len(grad), len(a.m))
 	}
-	a.advance(pool, params, grad)
+	adamRange(params, a.m, a.v, grad, a.next())
 	return nil
 }
 
 // StepSparse implements Optimizer: a run of one.
 func (a *Adam) StepSparse(params tensor.Vector, idx []int32, vals tensor.Vector) error {
 	run := [1]Sparse{{Idx: idx, Vals: vals}}
-	return a.StepSparseRun(nil, params, run[:])
+	return a.StepSparseRun(1, params, run[:])
 }
 
 // StepSparseRun implements Optimizer. All moments decay (the mathematically
 // dense behaviour), and gradient values contribute only at their indices.
-func (a *Adam) StepSparseRun(pool *parallel.Pool, params tensor.Vector, run []Sparse) error {
+func (a *Adam) StepSparseRun(workers int, params tensor.Vector, run []Sparse) error {
 	if len(params) != len(a.m) {
 		return fmt.Errorf("optim: adam sparse step size mismatch: params %d, state %d", len(params), len(a.m))
 	}
@@ -203,7 +197,7 @@ func (a *Adam) StepSparseRun(pool *parallel.Pool, params tensor.Vector, run []Sp
 	for range run {
 		a.ks = append(a.ks, a.next())
 	}
-	tiled(pool, a, params, run)
+	tiled(workers, a, params, run)
 	return nil
 }
 
@@ -226,19 +220,7 @@ func (a *Adam) next() adamCoef {
 	}
 }
 
-// advance takes one step with a dense gradient of checked length.
-func (a *Adam) advance(pool *parallel.Pool, params, grad tensor.Vector) {
-	k := a.next()
-	if pool.Workers() == 1 {
-		adamRange(params, a.m, a.v, grad, k)
-		return
-	}
-	pool.ForEach(len(params), func(_, lo, hi int) {
-		adamRange(params[lo:hi], a.m[lo:hi], a.v[lo:hi], grad[lo:hi], k)
-	})
-}
-
-// adamCoef is one step's coefficients, computed once so that every shard
+// adamCoef is one step's coefficients, computed once so that every chunk
 // of the step uses the same values. adam_amd64.s reads its fields by offset.
 type adamCoef struct{ b1, b2, c1, c2, corr1, corr2, lr, eps float32 }
 
@@ -364,38 +346,19 @@ func (s *SGD) Name() string { return "sgd" }
 func (s *SGD) StepCount() int64 { return s.step }
 
 // Step implements Optimizer.
-func (s *SGD) Step(params, grad tensor.Vector) error { return s.StepWith(nil, params, grad) }
-
-// StepWith implements Optimizer.
-func (s *SGD) StepWith(pool *parallel.Pool, params, grad tensor.Vector) error {
+func (s *SGD) Step(params, grad tensor.Vector) error {
 	if len(params) != s.n || len(grad) != s.n {
 		return fmt.Errorf("optim: sgd step size mismatch: params %d, grad %d, want %d", len(params), len(grad), s.n)
 	}
-	s.advance(pool, params, grad)
+	s.step++
+	sgdRange(params, s.buf, grad, float32(s.cfg.LR), float32(s.cfg.Momentum))
 	return nil
 }
 
 // StepSparse implements Optimizer: a run of one.
 func (s *SGD) StepSparse(params tensor.Vector, idx []int32, vals tensor.Vector) error {
 	run := [1]Sparse{{Idx: idx, Vals: vals}}
-	return s.StepSparseRun(nil, params, run[:])
-}
-
-// advance takes one step with a dense gradient of checked length.
-func (s *SGD) advance(pool *parallel.Pool, params, grad tensor.Vector) {
-	s.step++
-	lr, mu := float32(s.cfg.LR), float32(s.cfg.Momentum)
-	if pool.Workers() == 1 {
-		sgdRange(params, s.buf, grad, lr, mu)
-		return
-	}
-	pool.ForEach(len(params), func(_, lo, hi int) {
-		var buf []float32
-		if s.buf != nil {
-			buf = s.buf[lo:hi]
-		}
-		sgdRange(params[lo:hi], buf, grad[lo:hi], lr, mu)
-	})
+	return s.StepSparseRun(1, params, run[:])
 }
 
 // sgdRange is the SGD rule over one range, the momentum counterpart of
@@ -421,7 +384,7 @@ func sgdRange(p, buf, g []float32, lr, mu float32) {
 // parameter as it is, so each step walks its indices alone, O(len(Idx)):
 // p -= lr*(0+v) is what the dense step computes there, signed zeros
 // included, and p -= lr*(+0) everywhere else changes no bit.
-func (s *SGD) StepSparseRun(pool *parallel.Pool, params tensor.Vector, run []Sparse) error {
+func (s *SGD) StepSparseRun(workers int, params tensor.Vector, run []Sparse) error {
 	if len(params) != s.n {
 		return fmt.Errorf("optim: sgd sparse step size mismatch: params %d, want %d", len(params), s.n)
 	}
@@ -430,7 +393,7 @@ func (s *SGD) StepSparseRun(pool *parallel.Pool, params tensor.Vector, run []Spa
 	}
 	s.step += int64(len(run))
 	if s.buf != nil {
-		tiled(pool, s, params, run)
+		tiled(workers, s, params, run)
 		return nil
 	}
 	lr := float32(s.cfg.LR)
@@ -596,19 +559,26 @@ type tileRule interface {
 	stepTile(s int, params []float32, lo, hi int, g []float32)
 }
 
-// tiled applies a checked run over params one chunk of pool's grid at a
-// time, taking every step of the run on a chunk before the next (tile). The
-// rules are coordinate-wise, so this is the per-step order for every
-// coordinate, and the chunk scratch holds what a dense scatter holds on
-// [lo, hi): the result is bit-identical at any run length, chunk size or
-// worker count. A one-worker pool walks the grid inline on one scratch.
-func tiled(pool *parallel.Pool, r tileRule, params tensor.Vector, run []Sparse) {
+// chunk is the width of the tile grid in elements. The grid depends only
+// on the parameter count, never on the worker count or on scheduling, and
+// the rules are coordinate-wise, so results are bit-identical at any chunk
+// size; a fixed one keeps the scratch and the work per claim the same from
+// run to run.
+const chunk = 1 << 14
+
+// tiled applies a checked run over params one chunk of the grid at a time,
+// taking every step of the run on a chunk before the next (tile). The rules
+// are coordinate-wise, so this is the per-step order for every coordinate,
+// and the chunk scratch holds what a dense scatter holds on [lo, hi): the
+// result is bit-identical at any run length, chunk size or worker count.
+// One worker walks the grid inline; more claim chunks in turn from a shared
+// cursor, each on its own scratch, and tile writes only its own chunk.
+func tiled(workers int, r tileRule, params tensor.Vector, run []Sparse) {
 	n := len(params)
-	if pool.Workers() == 1 {
-		g := densePool.get(min(n, pool.ChunkSize()))
-		for c := range pool.NumChunks(n) {
-			lo, hi := pool.Bounds(c, n)
-			tile(r, params, run, lo, hi, g)
+	if workers = min(workers, (n+chunk-1)/chunk); workers <= 1 {
+		g := densePool.get(min(n, chunk))
+		for lo := 0; lo < n; lo += chunk {
+			tile(r, params, run, lo, min(lo+chunk, n), g)
 		}
 		densePool.put(g)
 		return
@@ -616,11 +586,26 @@ func tiled(pool *parallel.Pool, r tileRule, params tensor.Vector, run []Sparse) 
 	// The workers capture a copy of the run's headers, so the caller's run
 	// (a single step's stack array) never moves to the heap.
 	own := slices.Clone(run)
-	pool.ForEach(n, func(_, lo, hi int) {
-		g := densePool.get(hi - lo)
-		tile(r, params, own, lo, hi, g)
-		densePool.put(g)
-	})
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			g := densePool.get(chunk)
+			for {
+				lo := int(next.Add(1)-1) * chunk
+				if lo >= n {
+					break
+				}
+				tile(r, params, own, lo, min(lo+chunk, n), g)
+			}
+			densePool.put(g)
+		}()
+	}
+	wg.Wait()
 }
 
 // tile takes every step of a checked run on parameters [lo, hi), in run

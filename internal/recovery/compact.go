@@ -33,8 +33,5 @@ func Compact(store storage.Store) (*State, int, error) {
 		return st, 0, err
 	}
 	freed, err := checkpoint.GC(store, m)
-	if err != nil {
-		return st, len(freed), err
-	}
-	return st, len(freed), nil
+	return st, len(freed), err
 }

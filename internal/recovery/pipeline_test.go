@@ -19,15 +19,15 @@ import (
 	"lowdiff/internal/compress"
 	"lowdiff/internal/obs"
 	"lowdiff/internal/optim"
-	"lowdiff/internal/parallel"
 	"lowdiff/internal/storage"
 	"lowdiff/internal/tensor"
 	"lowdiff/internal/trace"
 )
 
-// fixtureN spans several shards of the fixed chunk grid plus a short tail,
-// so that every sharded kernel and merge on the path really is sharded.
-const fixtureN = 3*parallel.DefaultChunk + 17
+// fixtureN spans three chunks of the optimizer's 16 Ki-element tile grid
+// plus a short tail, so that a tiled run on several workers really is
+// shared among them.
+const fixtureN = 3<<14 + 17
 
 // payload builds one differential payload of the named family.
 func payload(t *testing.T, r *tensor.RNG, family string, n int) *compress.Compressed {
@@ -103,7 +103,7 @@ func fixtureFull(t *testing.T, r *tensor.RNG, rule string) *checkpoint.Full {
 }
 
 // serialReference is the retained reference the pipeline is held to: every
-// object loaded in order with a nil pool and no prefetch, applied one
+// object loaded in order on one worker and with no prefetch, applied one
 // differential at a time on the serial kernels (perDiffReplay).
 func serialReference(t *testing.T, store storage.Store) *State {
 	t.Helper()
@@ -154,7 +154,7 @@ func assertSameState(t *testing.T, what string, got, want *State) {
 	}
 }
 
-// (a) The pipeline — prefetch window, pooled decode, sharded kernels, moved
+// (a) The pipeline — prefetch window, pooled decode, sharded tiles, moved
 // buffers — reproduces the serial reference bit for bit at every worker
 // count, for every rule, payload family and differential kind.
 func TestPipelineBitIdenticalToSerialReference(t *testing.T) {

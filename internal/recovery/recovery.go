@@ -16,8 +16,8 @@
 // Every entry point runs one pipeline (DESIGN.md "Recovery pipeline"): scan,
 // load the full, load differentials a bounded number ahead of the consumer
 // (on the strict paths the first of them beside the full's load), and
-// apply them in chain order on the shared pool's optimizer kernels,
-// consecutive sparse gradients a time-tiled run at a time. There is one
+// apply them in chain order, consecutive sparse gradients a time-tiled run
+// at a time, its chunks shared among the pipeline's workers. There is one
 // tier: every differential is replayed, never merged with its neighbours as
 // the paper's parallel recovery module (§6.1) does, so the only
 // approximation left is the one a batched record (Count > 1) under Adam
@@ -33,7 +33,6 @@ import (
 
 	"lowdiff/internal/checkpoint"
 	"lowdiff/internal/optim"
-	"lowdiff/internal/parallel"
 	"lowdiff/internal/storage"
 	"lowdiff/internal/tensor"
 	"lowdiff/internal/trace"
@@ -42,7 +41,7 @@ import (
 // lookAhead is how many differential loads the strict paths (Latest, ToIter,
 // LatestParallel) keep in flight ahead of the consumer, from scan time on
 // (while the full loads), the most that are ever buffered, and so the
-// longest run replay tiles. Loads wait on the store, kernels on the pool:
+// longest run replay tiles. Loads wait on the store, kernels on the cores:
 // one apply costs a few round trips of a remote store, so a handful of
 // loads hides them whatever the core count. 16 is
 // set by replay: runs of 16 tiled on the AVX kernel measured 21-33% ahead
@@ -60,9 +59,9 @@ type State struct {
 
 // Options controls recovery.
 type Options struct {
-	// Parallelism sizes the pool the apply kernels of LatestParallel run
-	// on; 0 takes every processor, as Latest does. The recovered state and
-	// the loads in flight do not depend on it.
+	// Parallelism is how many goroutines share the chunks of each tiled
+	// replay run of LatestParallel; 0 takes every processor, as Latest
+	// does. The recovered state and the loads in flight do not depend on it.
 	Parallelism int
 	// Trace, when non-nil, records a recovery/recovery envelope over the
 	// whole LatestParallel rebuild with its apply spans nested in it; the
@@ -72,9 +71,9 @@ type Options struct {
 
 // pipeline is the one replay path; the entry points compose its stages.
 type pipeline struct {
-	store storage.Store
-	pool  *parallel.Pool // nil: serial kernels
-	trace *trace.Recorder
+	store   storage.Store
+	workers int // goroutines per tiled run; at most 1 is serial
+	trace   *trace.Recorder
 	// depth is the number of differential loads in flight ahead of apply,
 	// and the longest run replay applies in one tiled pass. At 1 a load is
 	// issued only once the one before it has succeeded, which is what keeps
@@ -83,20 +82,19 @@ type pipeline struct {
 	attempts int // tries per object load
 }
 
-// newPipeline returns a pipeline over store with a pool of the given worker
+// newPipeline returns a pipeline over store that tiles on the given worker
 // count; below 1 takes every processor, because recovery runs when training
 // does not (the result is the same at any count).
 func newPipeline(store storage.Store, workers, depth int, rec *trace.Recorder) *pipeline {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	pool, _ := parallel.New(workers) // cannot fail: workers >= 1
-	return &pipeline{store: store, pool: pool, trace: rec, depth: max(depth, 1), attempts: 1}
+	return &pipeline{store: store, workers: workers, trace: rec, depth: max(depth, 1), attempts: 1}
 }
 
 // envelope opens the recovery span the stage spans nest in.
 func (p *pipeline) envelope() func() {
-	return p.trace.Begin1(trace.TrackRecovery, trace.PhaseRecovery, "parallelism", int64(p.pool.Workers()))
+	return p.trace.Begin1(trace.TrackRecovery, trace.PhaseRecovery, "parallelism", int64(p.workers))
 }
 
 // Latest recovers to the newest state reachable in the store: the latest
@@ -107,9 +105,9 @@ func Latest(store storage.Store) (*State, int, error) {
 	return LatestParallel(store, Options{})
 }
 
-// LatestParallel is Latest on a pool of opts.Parallelism workers, recording
-// into opts.Trace. It replays the chain exactly as Latest does, bit for bit
-// at any worker count: the parallelism is in the sharded apply kernels. It
+// LatestParallel is Latest on opts.Parallelism workers, recording into
+// opts.Trace. It replays the chain exactly as Latest does, bit for bit at
+// any worker count: the parallelism is in the tiled replay's chunks. It
 // does not merge the chain pairwise first, as the paper's parallel recovery
 // module does: under Adam that is only accumulation-approximate, and
 // time-tiled replay recovers a long chain at least as fast
@@ -275,7 +273,7 @@ func (p *pipeline) replay(full *checkpoint.Full, next source) (*State, error) {
 			return nil
 		}
 		done := p.trace.Begin1(trace.TrackRecovery, trace.PhaseApply, "iter", iter)
-		err := o.StepSparseRun(p.pool, params, run)
+		err := o.StepSparseRun(p.workers, params, run)
 		done()
 		clear(run) // drop the payloads: the run's differentials are applied
 		run = run[:0]
@@ -323,9 +321,9 @@ func (p *pipeline) replay(full *checkpoint.Full, next source) (*State, error) {
 func (p *pipeline) apply(o optim.Optimizer, params tensor.Vector, d *checkpoint.Diff) error {
 	switch c := d.Payload; d.Kind {
 	case checkpoint.KindGradient:
-		return o.StepWith(p.pool, params, c.Vals)
+		return o.Step(params, c.Vals)
 	case checkpoint.KindStateDelta:
-		return c.AddIntoWith(p.pool, params)
+		return c.AddInto(params)
 	default:
 		return fmt.Errorf("recovery: unknown diff kind %v", d.Kind)
 	}

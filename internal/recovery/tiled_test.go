@@ -7,7 +7,6 @@ import (
 
 	"lowdiff/internal/checkpoint"
 	"lowdiff/internal/optim"
-	"lowdiff/internal/parallel"
 	"lowdiff/internal/tensor"
 )
 
@@ -80,24 +79,8 @@ func own(full *checkpoint.Full) *checkpoint.Full {
 	return &checkpoint.Full{Iter: full.Iter, Params: full.Params.Clone(), Opt: full.Opt.Clone()}
 }
 
-// tiledPools are the pools the tiled replay is pinned at: the serial nil pool
-// on the default grid, and 1, 2 and 7 workers at a chunk size that leaves a
-// short tail of fixtureN.
-func tiledPools(t *testing.T) []*parallel.Pool {
-	t.Helper()
-	pools := []*parallel.Pool{nil}
-	for _, w := range []int{1, 2, 7} {
-		p, err := parallel.NewWithChunk(w, 97)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pools = append(pools, p)
-	}
-	return pools
-}
-
 // Replaying in time-tiled runs is replaying one differential at a time, bit
-// for bit, for every rule, at every window and pool: on a chain that is one
+// for bit, for every rule, at every window and worker count: on a chain that is one
 // long run, and on one whose runs are broken by dense gradients and by a
 // kind change.
 func TestTiledReplayMatchesPerDifferential(t *testing.T) {
@@ -116,9 +99,9 @@ func TestTiledReplayMatchesPerDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, window := range []int{1, 2, 8, 16} {
-				for _, pool := range tiledPools(t) {
-					what := fmt.Sprintf("%s %q window %d at %d workers, chunk %d", rule, spec, window, pool.Workers(), pool.ChunkSize())
-					got, err := (&pipeline{pool: pool, depth: window}).replay(own(full), fromSlice(diffs))
+				for _, workers := range []int{1, 2, 7} {
+					what := fmt.Sprintf("%s %q window %d at %d workers", rule, spec, window, workers)
+					got, err := (&pipeline{workers: workers, depth: window}).replay(own(full), fromSlice(diffs))
 					if err != nil {
 						t.Fatalf("%s: %v", what, err)
 					}
@@ -154,10 +137,6 @@ func TestTiledReplayRejectsGapAndDamage(t *testing.T) {
 		},
 		"values missing": func(d *checkpoint.Diff) { d.Payload.Vals = d.Payload.Vals[1:] },
 	}
-	pool, err := parallel.NewWithChunk(2, 97)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for name, damage := range damages {
 		for _, k := range []int{1, 4, 8} {
 			for _, window := range []int{8, 16} {
@@ -167,12 +146,38 @@ func TestTiledReplayRejectsGapAndDamage(t *testing.T) {
 				}
 				damage(chain[k-1])
 				mine := own(full)
-				if _, err := (&pipeline{pool: pool, depth: window}).replay(mine, fromSlice(chain)); err == nil {
+				if _, err := (&pipeline{workers: 2, depth: window}).replay(mine, fromSlice(chain)); err == nil {
 					t.Fatalf("%s at differential %d, window %d: accepted", name, k, window)
 				}
 				what := fmt.Sprintf("%s at differential %d, window %d", name, k, window)
 				assertSameState(t, what, &State{Iter: 10, Params: mine.Params, Opt: mine.Opt}, &State{Iter: 10, Params: full.Params, Opt: full.Opt})
 			}
 		}
+	}
+}
+
+// A state delta is scatter-added serially, and AddInto checks only that an
+// index is in range: a duplicate or an out-of-order index would add in
+// place. Replay validates every differential first, so a delta with either
+// fails the replay before it, or the run of gradients before it, touches
+// the state it was handed.
+func TestReplayRejectsUnsortedStateDelta(t *testing.T) {
+	r := tensor.NewRNG(37)
+	full := fixtureFull(t, r, "sgd-momentum")
+	damages := map[string]func(idx []int32){
+		"indices unsorted":  func(idx []int32) { idx[0], idx[1] = idx[1], idx[0] },
+		"duplicate indices": func(idx []int32) { idx[1] = idx[0] },
+	}
+	for name, damage := range damages {
+		chain := tiledChain(t, r, "sparsex3 delta")
+		damage(chain[3].Payload.Idx)
+		if err := chain[3].Payload.AddInto(tensor.New(fixtureN)); err != nil {
+			t.Fatalf("%s: AddInto rejected the delta itself (%v); this test needs one it accepts", name, err)
+		}
+		mine := own(full)
+		if _, err := (&pipeline{workers: 2, depth: 16}).replay(mine, fromSlice(chain)); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+		assertSameState(t, name, &State{Iter: 10, Params: mine.Params, Opt: mine.Opt}, &State{Iter: 10, Params: full.Params, Opt: full.Opt})
 	}
 }

@@ -8,52 +8,29 @@ import (
 	"lowdiff/internal/trace"
 )
 
-func TestClockTracksVirtualTime(t *testing.T) {
-	s := New()
-	clock := s.Clock()
-	if got := clock(); !got.Equal(time.Unix(0, 0).UTC()) {
-		t.Fatalf("clock at t=0 = %v, want epoch", got)
-	}
-	if err := s.At(2.5, func() {}); err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	want := time.Unix(0, 0).UTC().Add(2500 * time.Millisecond)
-	if got := clock(); !got.Equal(want) {
-		t.Fatalf("clock after run = %v, want %v", got, want)
-	}
-}
-
-// TestVirtualTimeChromeTraceDeterministic drives a trace recorder from the
-// simulator's virtual clock: spans land at virtual offsets, so two identical
-// simulations encode byte-identical Chrome traces — no wall time leaks in.
+// TestVirtualTimeChromeTraceDeterministic drives a trace recorder from a
+// virtual clock that follows a device's completion times: spans land at
+// virtual offsets, so two identical runs encode byte-identical Chrome
+// traces — no wall time leaks in.
 func TestVirtualTimeChromeTraceDeterministic(t *testing.T) {
 	run := func() []byte {
-		s := New()
-		rec := trace.NewWithClock(s.Clock())
+		var now float64
+		epoch := time.Unix(0, 0).UTC()
+		rec := trace.NewWithClock(func() time.Time { return epoch.Add(time.Duration(now * float64(time.Second))) })
 		dev, err := NewResource("ssd", 1e6)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {
-			iter := i
-			if err := s.At(float64(iter)*0.1, func() {
-				done := rec.Begin("train", "iteration", map[string]interface{}{"iter": iter})
-				end, err := dev.Submit(s.Now(), 5e4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := s.At(end, func() {
-					done()
-					rec.Span("persist", "diff-write", time.Unix(0, 0).UTC().Add(time.Duration(s.Now()*float64(time.Second))), nil)
-				}); err != nil {
-					t.Fatal(err)
-				}
-			}); err != nil {
+			now = float64(i) * 0.1
+			done := rec.Begin("train", "iteration", map[string]interface{}{"iter": i})
+			end, err := dev.Submit(now, 5e4)
+			if err != nil {
 				t.Fatal(err)
 			}
+			now = end
+			done()
 		}
-		s.Run()
 		var buf bytes.Buffer
 		if err := rec.WriteChromeTrace(&buf); err != nil {
 			t.Fatal(err)

@@ -1,121 +1,9 @@
-// Package sim is a small deterministic discrete-event simulation engine:
-// a virtual clock, an event queue with stable FIFO ordering for
-// simultaneous events, and serial resources (bandwidth devices) that
-// events queue on. The cluster simulator builds its training/checkpointing
-// timelines on top of it.
+// Package sim models serial devices for the cluster simulator: a Resource
+// (an SSD, a PCIe link, a NIC) serves transfers in submission order at a
+// fixed bandwidth, on a virtual clock its callers advance.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-	"math"
-	"time"
-)
-
-// Sim is a discrete-event simulator. The zero value is not usable; call New.
-type Sim struct {
-	now    float64
-	seq    uint64
-	events eventHeap
-}
-
-// New returns an empty simulator at time 0.
-func New() *Sim { return &Sim{} }
-
-// Now returns the current virtual time in seconds.
-func (s *Sim) Now() float64 { return s.now }
-
-// At schedules fn at absolute time t (>= Now). Events at equal times run
-// in scheduling order.
-func (s *Sim) At(t float64, fn func()) error {
-	if math.IsNaN(t) || t < s.now {
-		return fmt.Errorf("sim: schedule at %v before now %v", t, s.now)
-	}
-	s.seq++
-	heap.Push(&s.events, &event{time: t, seq: s.seq, fn: fn})
-	return nil
-}
-
-// After schedules fn d seconds from now.
-func (s *Sim) After(d float64, fn func()) error {
-	if d < 0 {
-		return fmt.Errorf("sim: negative delay %v", d)
-	}
-	return s.At(s.now+d, fn)
-}
-
-// Step runs the next event; it returns false when the queue is empty.
-func (s *Sim) Step() bool {
-	if s.events.Len() == 0 {
-		return false
-	}
-	e := heap.Pop(&s.events).(*event)
-	s.now = e.time
-	e.fn()
-	return true
-}
-
-// Run executes events until the queue is empty and returns the final time.
-func (s *Sim) Run() float64 {
-	for s.Step() {
-	}
-	return s.now
-}
-
-// RunUntil executes events with time <= t, then advances the clock to t.
-func (s *Sim) RunUntil(t float64) error {
-	if t < s.now {
-		return fmt.Errorf("sim: RunUntil(%v) before now %v", t, s.now)
-	}
-	for s.events.Len() > 0 && s.events[0].time <= t {
-		s.Step()
-	}
-	s.now = t
-	return nil
-}
-
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return s.events.Len() }
-
-// Clock returns a virtual-time clock: the Unix epoch advanced by the
-// simulator's current virtual time. Injecting it into trace.NewWithClock
-// or obs.EventLog.WithClock makes span timelines and event timestamps
-// record virtual rather than wall time, so simulator-driven runs replay
-// byte-identically. (obs.Timer has no clock seam: it times wall-clock
-// work only.)
-func (s *Sim) Clock() func() time.Time {
-	epoch := time.Unix(0, 0).UTC()
-	return func() time.Time {
-		return epoch.Add(time.Duration(s.now * float64(time.Second)))
-	}
-}
-
-type event struct {
-	time float64
-	seq  uint64
-	fn   func()
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time { //lint:allow floateq exact tie-break: only identical times may fall through to FIFO sequence order
-
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
+import "fmt"
 
 // Resource is a serial device (an SSD, a PCIe link, a NIC) with a fixed
 // bandwidth. Transfers queue FIFO: a transfer submitted at time t starts at

@@ -1,93 +1,11 @@
 package sim
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
 	"lowdiff/internal/tensor"
 )
-
-func TestEventOrdering(t *testing.T) {
-	s := New()
-	var order []int
-	_ = s.At(3, func() { order = append(order, 3) })
-	_ = s.At(1, func() { order = append(order, 1) })
-	_ = s.At(2, func() { order = append(order, 2) })
-	end := s.Run()
-	if end != 3 {
-		t.Fatalf("final time = %v", end)
-	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("order = %v", order)
-	}
-}
-
-func TestSimultaneousEventsFIFO(t *testing.T) {
-	s := New()
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		_ = s.At(5, func() { order = append(order, i) })
-	}
-	s.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-time events ran out of scheduling order: %v", order)
-		}
-	}
-}
-
-func TestScheduleInPastRejected(t *testing.T) {
-	s := New()
-	_ = s.At(10, func() {})
-	s.Run()
-	if err := s.At(5, func() {}); err == nil {
-		t.Fatal("want error scheduling in the past")
-	}
-	if err := s.After(-1, func() {}); err == nil {
-		t.Fatal("want negative-delay error")
-	}
-	if err := s.At(math.NaN(), func() {}); err == nil {
-		t.Fatal("want NaN error")
-	}
-}
-
-func TestEventsCanSchedule(t *testing.T) {
-	s := New()
-	var fired []float64
-	_ = s.At(1, func() {
-		fired = append(fired, s.Now())
-		_ = s.After(2, func() { fired = append(fired, s.Now()) })
-	})
-	s.Run()
-	if len(fired) != 2 || fired[0] != 1 || fired[1] != 3 {
-		t.Fatalf("fired = %v", fired)
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	s := New()
-	count := 0
-	for i := 1; i <= 5; i++ {
-		_ = s.At(float64(i), func() { count++ })
-	}
-	if err := s.RunUntil(3); err != nil {
-		t.Fatal(err)
-	}
-	if count != 3 {
-		t.Fatalf("ran %d events, want 3", count)
-	}
-	if s.Now() != 3 {
-		t.Fatalf("Now = %v", s.Now())
-	}
-	if s.Pending() != 2 {
-		t.Fatalf("Pending = %d", s.Pending())
-	}
-	if err := s.RunUntil(1); err == nil {
-		t.Fatal("want error for RunUntil in the past")
-	}
-}
 
 func TestResourceSerialQueue(t *testing.T) {
 	r, err := NewResource("ssd", 100) // 100 B/s
@@ -134,42 +52,6 @@ func TestResourceValidation(t *testing.T) {
 	r, _ := NewResource("x", 1)
 	if _, err := r.Submit(0, -1); err == nil {
 		t.Fatal("want negative-size error")
-	}
-}
-
-// Property: the simulator is deterministic — same schedule, same trace.
-func TestDeterminismProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		run := func() []float64 {
-			r := tensor.NewRNG(seed)
-			s := New()
-			var trace []float64
-			for i := 0; i < 50; i++ {
-				t := r.Float64() * 100
-				_ = s.At(t, func() { trace = append(trace, s.Now()) })
-			}
-			s.Run()
-			return trace
-		}
-		a, b := run(), run()
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		// Monotone non-decreasing times.
-		for i := 1; i < len(a); i++ {
-			if a[i] < a[i-1] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }
 

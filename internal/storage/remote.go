@@ -245,27 +245,35 @@ func remoteError(op byte, body []byte) error {
 	}
 }
 
-// backoffFor computes the k-th retry sleep: exponential from the base,
-// floored by the server's hint, capped, jittered downward.
+// backoffFor computes the k-th retry sleep: Backoff under the server's
+// hint as its floor.
 func (r *Remote) backoffFor(attempt int, hint time.Duration) time.Duration {
-	d := r.opts.Backoff
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if d >= r.opts.MaxBackoff {
-			break
-		}
-	}
-	if d < hint {
-		d = hint
-	}
-	if d > r.opts.MaxBackoff {
-		d = r.opts.MaxBackoff
-	}
-	if r.opts.Jitter > 0 {
+	return Backoff(attempt, r.opts.Backoff, r.opts.MaxBackoff, hint, r.opts.Jitter, func() float64 {
 		r.mu.Lock()
-		u := r.rng.Float64()
-		r.mu.Unlock()
-		d = time.Duration(float64(d) * (1 - r.opts.Jitter*u))
+		defer r.mu.Unlock()
+		return r.rng.Float64()
+	})
+}
+
+// Backoff is the retry sleep before attempt k (from 1): base doubled k-1
+// times, raised to floor, capped at limit (none when limit <= 0), then
+// shrunk by up to the jitter fraction, jitter times draw(), a number in
+// [0, 1) drawn only when jitter > 0. It is 0, with nothing drawn, when
+// both base and floor are.
+func Backoff(attempt int, base, limit, floor time.Duration, jitter float64, draw func() float64) time.Duration {
+	d := base
+	for i := 1; i < attempt && d > 0 && (limit <= 0 || d < limit); i++ {
+		d *= 2
+	}
+	d = max(d, floor)
+	if limit > 0 {
+		d = min(d, limit)
+	}
+	if d <= 0 {
+		return 0
+	}
+	if jitter > 0 {
+		d = time.Duration(float64(d) * (1 - jitter*draw()))
 	}
 	return d
 }

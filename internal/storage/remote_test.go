@@ -38,6 +38,38 @@ func TestRemoteBackoffSchedulePinned(t *testing.T) {
 	}
 }
 
+// Backoff doubles from the base up to the cap, lifts a shorter sleep to the
+// server's hint, caps the hint too, and draws a jitter number only when it
+// jitters a sleep.
+func TestBackoffFloorAndCap(t *testing.T) {
+	ms := time.Millisecond
+	draws := 0
+	half := func() float64 { draws++; return 0.5 }
+	for _, c := range []struct {
+		attempt            int
+		base, limit, floor time.Duration
+		jitter             float64
+		want               time.Duration
+		draws              int
+	}{
+		{1, ms, 0, 0, 0, ms, 0},
+		{4, ms, 0, 0, 0, 8 * ms, 0},               // no cap
+		{9, ms, 100 * ms, 0, 0, 100 * ms, 0},      // capped
+		{2, ms, 100 * ms, 30 * ms, 0, 30 * ms, 0}, // the hint is the floor
+		{2, ms, 100 * ms, time.Second, 0, 100 * ms, 0},
+		{3, ms, 100 * ms, 0, 0.5, 3 * ms, 1}, // 4 ms shrunk by 0.5·0.5
+		{3, 0, 100 * ms, 0, 0.5, 0, 0},       // nothing to sleep, nothing drawn
+		{3, 0, 100 * ms, 8 * ms, 0.5, 6 * ms, 1},
+	} {
+		draws = 0
+		got := Backoff(c.attempt, c.base, c.limit, c.floor, c.jitter, half)
+		if got != c.want || draws != c.draws {
+			t.Errorf("Backoff(%d, %v, %v, %v, %v) = %v after %d draws, want %v after %d",
+				c.attempt, c.base, c.limit, c.floor, c.jitter, got, draws, c.want, c.draws)
+		}
+	}
+}
+
 // within fails the test if fn does not return in time: a call that blocks
 // on a lock a failed path forgot to release never returns.
 func within(t *testing.T, what string, fn func()) {

@@ -47,7 +47,7 @@ func New() *Recorder {
 }
 
 // NewWithClock returns an empty recorder reading time from now (nil uses
-// time.Now). Injecting a virtual clock — e.g. sim.Sim.Clock — makes the
+// time.Now). Injecting a virtual or fixed-instant clock makes the
 // recorded timeline, and the Chrome trace encoded from it, deterministic:
 // spans land at virtual offsets instead of wall time.
 func NewWithClock(now func() time.Time) *Recorder {

@@ -25,7 +25,7 @@ go run ./cmd/lowdifflint ./...
 # hung test, instead of after go test's default ten.
 echo "== go test -race (core, storage, storaged, recovery, obs, trace, data plane, optimizer kernels, peer comm, cluster sim) =="
 go test -race -timeout 4m ./internal/core/... ./internal/storage/... ./internal/storaged/... ./internal/recovery/... \
-    ./internal/obs/... ./internal/trace/... ./internal/parallel/... ./internal/compress/... \
+    ./internal/obs/... ./internal/trace/... ./internal/compress/... \
     ./internal/optim/... ./internal/checkpoint/... ./internal/comm/... ./internal/cluster/...
 
 # These two packages hid one-in-N ordering bugs (a scheduling-dependent gauge

@@ -3,6 +3,9 @@ package optim
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lowdiff/internal/allocgate"
@@ -27,6 +30,45 @@ func sameState(t *testing.T, what string, got, want State) {
 	for _, k := range want.SlotNames() {
 		if !tensor.Vector(got.Slots[k]).Identical(want.Slots[k]) {
 			t.Fatalf("%s: slot %q differs", what, k)
+		}
+	}
+}
+
+// A dense step and a sparse run at any worker count, interleaved, leave the
+// parameters and the optimizer state bit-identical to the serial steps the
+// engines take: the dense step and the tiled run share one step counter
+// and one set of moments, on a grid of several chunks and a short tail.
+func TestStepWithBitIdenticalAtAnyWorkerCount(t *testing.T) {
+	const n = 2*chunk + 13
+	for _, rule := range rules {
+		for _, workers := range []int{1, 2, 3, 8} {
+			r := tensor.NewRNG(11)
+			ref, got := rule.mk(n), rule.mk(n)
+			pRef := randVec(r, n)
+			pGot := pRef.Clone()
+			for step := 0; step < 6; step++ {
+				if step%2 == 0 {
+					g := randVec(r, n)
+					if err := ref.Step(pRef, g); err != nil {
+						t.Fatal(err)
+					}
+					if err := got.Step(pGot, g); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					g := sortedGrad(r, n, n/10)
+					if err := ref.StepSparse(pRef, g.Idx, g.Vals); err != nil {
+						t.Fatal(err)
+					}
+					if err := got.StepSparseRun(workers, pGot, []Sparse{g}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if !pGot.Identical(pRef) {
+				t.Fatalf("%s at %d workers: parameters differ from the serial step", rule.name, workers)
+			}
+			sameState(t, rule.name, got.Snapshot(), ref.Snapshot())
 		}
 	}
 }
@@ -113,6 +155,129 @@ func TestStepSparseRunMatchesPerStep(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// tileLog is a tileRule that records the tiles tiled hands it, so the
+// tests below see the sharding loop itself, apart from any update rule.
+type tileLog struct {
+	seen  []atomic.Int32 // visits per parameter index
+	mu    sync.Mutex
+	tiles [][2]int // every [lo, hi) stepped, in the order stepped
+}
+
+func newTileLog(n int) *tileLog { return &tileLog{seen: make([]atomic.Int32, n)} }
+
+func (l *tileLog) stepTile(_ int, _ []float32, lo, hi int, _ []float32) {
+	for i := lo; i < hi; i++ {
+		l.seen[i].Add(1)
+	}
+	l.mu.Lock()
+	l.tiles = append(l.tiles, [2]int{lo, hi})
+	l.mu.Unlock()
+}
+
+// tiledSizes are parameter counts around the chunk edges: none, one, one
+// short of a chunk, one chunk, one past it, and several with a short tail.
+var tiledSizes = []int{0, 1, chunk - 1, chunk, chunk + 1, 3*chunk + 17}
+
+// At every worker count, including more workers than chunks, tiled steps
+// every parameter index exactly once per step of the run.
+func TestTiledCoversEveryIndexOnce(t *testing.T) {
+	run := []Sparse{{}, {}}
+	for _, workers := range []int{1, 2, 3, 8} {
+		for _, n := range tiledSizes {
+			l := newTileLog(n)
+			tiled(workers, l, tensor.New(n), run)
+			for i := range l.seen {
+				if got := l.seen[i].Load(); got != int32(len(run)) {
+					t.Fatalf("workers=%d n=%d: index %d stepped %d times, want %d", workers, n, i, got, len(run))
+				}
+			}
+		}
+	}
+}
+
+// The tiles are the fixed grid [k*chunk, min((k+1)*chunk, n)): the same set
+// at every worker count, so no result can depend on how many workers ran.
+func TestTiledGridDependsOnlyOnN(t *testing.T) {
+	for _, n := range tiledSizes {
+		var want [][2]int
+		for lo := 0; lo < n; lo += chunk {
+			want = append(want, [2]int{lo, min(lo+chunk, n)})
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			l := newTileLog(n)
+			tiled(workers, l, tensor.New(n), []Sparse{{}})
+			got := l.tiles
+			slices.SortFunc(got, func(a, b [2]int) int { return a[0] - b[0] })
+			if !slices.Equal(got, want) {
+				t.Fatalf("workers=%d n=%d: tiles %v, want %v", workers, n, got, want)
+			}
+		}
+	}
+	l := newTileLog(2*chunk + 1)
+	tiled(2, l, tensor.New(2*chunk+1), []Sparse{{}})
+	slices.SortFunc(l.tiles, func(a, b [2]int) int { return a[0] - b[0] })
+	if len(l.tiles) != 3 || l.tiles[2] != [2]int{2 * chunk, 2*chunk + 1} {
+		t.Fatalf("n=2*chunk+1: tiles %v, want three with tail [%d,%d)", l.tiles, 2*chunk, 2*chunk+1)
+	}
+}
+
+// A worker count of one or less, or fewer chunks than two, walks the grid
+// serially: every tile in ascending order, each step of the run on a tile
+// before the next tile. (Under -race a concurrent walk would also show as
+// a race on tileOrder's unguarded slice.)
+func TestTiledOneWorkerIsSerial(t *testing.T) {
+	for _, tc := range []struct{ workers, n int }{
+		{-3, 3*chunk + 17}, {0, 3*chunk + 17}, {1, 3*chunk + 17}, {8, chunk}, {8, chunk - 1},
+	} {
+		o := &tileOrder{}
+		tiled(tc.workers, o, tensor.New(tc.n), []Sparse{{}, {}})
+		var want [][3]int
+		for lo := 0; lo < tc.n; lo += chunk {
+			want = append(want, [3]int{0, lo, min(lo+chunk, tc.n)}, [3]int{1, lo, min(lo+chunk, tc.n)})
+		}
+		if !slices.Equal(o.steps, want) {
+			t.Fatalf("workers=%d n=%d: stepped %v, want %v", tc.workers, tc.n, o.steps, want)
+		}
+	}
+}
+
+// tileOrder records (step, lo, hi) of each stepTile call without a lock.
+type tileOrder struct{ steps [][3]int }
+
+func (o *tileOrder) stepTile(s int, _ []float32, lo, hi int, _ []float32) {
+	o.steps = append(o.steps, [3]int{s, lo, hi})
+}
+
+type nopRule struct{}
+
+func (nopRule) stepTile(int, []float32, int, int, []float32) {}
+
+// TestTiledAllocs holds the sharding loop, apart from any rule, at its
+// allocation counts over 17 chunks: a serial walk (zero workers or one)
+// allocates nothing, and a four-worker dispatch allocates its cursor, its
+// WaitGroup, one goroutine closure per worker and the copy of the run's
+// headers (7 objects, 456 B), never anything per chunk. Each bound is the measured count plus
+// half an object and the measured bytes plus 512, so one more allocation
+// per call fails it.
+func TestTiledAllocs(t *testing.T) {
+	const n = 16*chunk + 5
+	params := tensor.New(n)
+	run := []Sparse{{}}
+	for _, tc := range []struct {
+		name          string
+		workers       int
+		allocs, bytes float64
+	}{
+		{"zero_workers", 0, 0.5, 512},
+		{"one_worker", 1, 0.5, 512},
+		{"dispatch", 4, 7.5, 968},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocgate.Check(t, 100, tc.allocs, tc.bytes, func() { tiled(tc.workers, nopRule{}, params, run) })
+		})
 	}
 }
 
